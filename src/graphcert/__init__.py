@@ -25,7 +25,6 @@ from .errors import (
     OutOfRangeProbability,
     OutsideDomain,
     ShapeMismatch,
-    TooManyLabelsForExact,
     TooSmall,
     UnsupportedSpec,
 )
@@ -68,6 +67,7 @@ from .inference import (
     StabilityCertificate,
     SubspaceRegion,
     centrality_bands,
+    cluster_hamming_radius,
     cluster_region,
     eigenvector_centrality,
     katz_centrality,
@@ -91,6 +91,7 @@ from .downstream import (
     parity_gap,
     ridge_risk,
     ridge_risk_bound,
+    threshold_snapshots,
     tradeoff_bounds,
 )
 from .protocol import (

@@ -33,6 +33,7 @@ __all__ = [
     "TradeoffBounds",
     "tradeoff_bounds",
     "distance_matrix",
+    "threshold_snapshots",
     "FiltrationReport",
     "filtration_envelope",
 ]
@@ -110,18 +111,13 @@ def _sigmoid(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def logistic_decisions(problem: FairnessProblem, theta) -> np.ndarray:
+def logistic_decisions(x, s, tau: float, theta) -> np.ndarray:
     """Group-thresholded soft decisions sigma((x_i - theta_{s_i}) / tau)."""
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (2,):
         raise ShapeMismatch("theta must be a pair of group thresholds")
-    shift = theta[problem.s]
-    return _sigmoid((problem.x - shift) / problem.tau)
-
-
-def _decisions_at(x: np.ndarray, s: np.ndarray, tau: float, theta) -> np.ndarray:
-    shift = np.asarray(theta, dtype=float)[s]
-    return _sigmoid((x - shift) / tau)
+    shift = theta[np.asarray(s, dtype=np.int64)]
+    return _sigmoid((np.asarray(x, dtype=float) - shift) / tau)
 
 
 def parity_gap(decisions: np.ndarray, s: np.ndarray) -> float:
@@ -225,9 +221,7 @@ def feasibility_transfer_check(
         raise InsufficientTolerance(
             f"epsilon = {epsilon} is below the band slack r/tau = {r / tau}"
         )
-    x_hat = np.asarray(x_hat, dtype=float)
-    s = np.asarray(s, dtype=np.int64)
-    d = _decisions_at(x_hat, s, tau, theta)
+    d = logistic_decisions(x_hat, s, tau, theta)
     return parity_gap(d, s) <= epsilon - r / tau
 
 
@@ -298,7 +292,6 @@ def _threshold_edges(D: np.ndarray, t: float) -> np.ndarray:
 
     Negative thresholds give the empty graph by convention.
     """
-    n = D.shape[0]
     mask = np.triu(D <= t, k=1)
     if t < 0:
         mask[:] = False
@@ -323,6 +316,35 @@ class ThresholdSnapshot:
     components_lower: int
     components_point: int
     components_upper: int
+
+
+def threshold_snapshots(DX: np.ndarray, DY: np.ndarray, eta: float, t_grid) -> tuple:
+    """One :class:`ThresholdSnapshot` per grid threshold t.
+
+    Compares G_{t-2eta} and G_{t+2eta} of the distance matrix DX with G_t
+    of DY; passing the same matrix twice gives the shifted snapshots of one
+    embedding.
+    """
+    n = DX.shape[0]
+    snapshots = []
+    for t in np.asarray(t_grid, dtype=float):
+        low = _threshold_edges(DX, t - 2.0 * eta)
+        mid = _threshold_edges(DY, t)
+        high = _threshold_edges(DX, t + 2.0 * eta)
+        snapshots.append(
+            ThresholdSnapshot(
+                t=float(t),
+                lower_included=bool(np.all(mid[low])),
+                upper_included=bool(np.all(high[mid])),
+                edges_lower=int(low.sum()),
+                edges_point=int(mid.sum()),
+                edges_upper=int(high.sum()),
+                components_lower=_component_count(low, n),
+                components_point=_component_count(mid, n),
+                components_upper=_component_count(high, n),
+            )
+        )
+    return tuple(snapshots)
 
 
 @dataclass(frozen=True)
@@ -351,27 +373,9 @@ def filtration_envelope(X: np.ndarray, Y: np.ndarray, t_grid) -> FiltrationRepor
     DX = distance_matrix(X)
     DY = distance_matrix(Y)
     d_filt = float(np.max(np.abs(DX - DY))) if n else 0.0
-    snapshots = []
-    for t in np.asarray(t_grid, dtype=float):
-        low = _threshold_edges(DX, t - 2.0 * eta)
-        mid = _threshold_edges(DY, t)
-        high = _threshold_edges(DX, t + 2.0 * eta)
-        snapshots.append(
-            ThresholdSnapshot(
-                t=float(t),
-                lower_included=bool(np.all(mid[low])),
-                upper_included=bool(np.all(high[mid])),
-                edges_lower=int(low.sum()),
-                edges_point=int(mid.sum()),
-                edges_upper=int(high.sum()),
-                components_lower=_component_count(low, n),
-                components_point=_component_count(mid, n),
-                components_upper=_component_count(high, n),
-            )
-        )
     return FiltrationReport(
         eta=eta,
         d_filt=d_filt,
         inequality_ok=bool(d_filt <= 2.0 * eta + 1e-12),
-        snapshots=tuple(snapshots),
+        snapshots=threshold_snapshots(DX, DY, eta, t_grid),
     )

@@ -71,10 +71,6 @@ class DuplicateCenters(GraphCertError):
     """Two declared cluster centers coincide."""
 
 
-class TooManyLabelsForExact(GraphCertError):
-    """Exact permutation enumeration is limited to K <= 8 labels."""
-
-
 class NonpositiveMargin(GraphCertError):
     """A separation margin must be strictly positive."""
 

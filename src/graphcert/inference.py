@@ -25,7 +25,6 @@ from .errors import (
     NonpositiveMargin,
     OutsideDomain,
     ShapeMismatch,
-    TooManyLabelsForExact,
 )
 from .concentration import (
     DeviationQuantile,
@@ -44,6 +43,7 @@ __all__ = [
     "perm_hamming_distance",
     "RoundingErrorBound",
     "rounding_error_bound",
+    "cluster_hamming_radius",
     "ClusterRegion",
     "cluster_region",
     "kmeans_labels",
@@ -153,19 +153,11 @@ def nearest_center_round(rows: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return np.argmin(d2, axis=1)
 
 
-def _confusion(g: np.ndarray, h: np.ndarray, K: int) -> np.ndarray:
-    conf = np.zeros((K, K), dtype=np.int64)
-    np.add.at(conf, (g, h), 1)
-    return conf
-
-
-def perm_hamming_distance(g, h, method: str = "auto") -> int:
+def perm_hamming_distance(g, h) -> int:
     """Permutation-invariant Hamming distance between label assignments.
 
-    ``method`` is "exact" (enumerate all K! permutations, K <= 8),
-    "matching" (optimal bipartite matching on the confusion matrix, any K),
-    or "auto" (exact when K <= 8, matching otherwise). Both routes compute
-    the same minimum.
+    The best label permutation is an optimal bipartite matching on the
+    confusion matrix, exact for any number of labels.
     """
     g = np.asarray(g, dtype=np.int64)
     h = np.asarray(h, dtype=np.int64)
@@ -176,25 +168,10 @@ def perm_hamming_distance(g, h, method: str = "auto") -> int:
     if g.min() < 0 or h.min() < 0:
         raise ValueError("labels must be nonnegative integers")
     K = int(max(g.max(), h.max())) + 1
-    n = g.size
-    conf = _confusion(g, h, K)
-    if method == "auto":
-        method = "exact" if K <= 8 else "matching"
-    if method == "exact":
-        if K > 8:
-            raise TooManyLabelsForExact(
-                f"K = {K} labels; exact enumeration is limited to K <= 8"
-            )
-        best = 0
-        for perm in itertools.permutations(range(K)):
-            agree = sum(conf[perm[b], b] for b in range(K))
-            if agree > best:
-                best = agree
-        return n - best
-    if method == "matching":
-        row, col = linear_sum_assignment(-conf)
-        return n - int(conf[row, col].sum())
-    raise ValueError(f"unknown method {method!r}")
+    conf = np.zeros((K, K), dtype=np.int64)
+    np.add.at(conf, (g, h), 1)
+    row, col = linear_sum_assignment(-conf)
+    return g.size - int(conf[row, col].sum())
 
 
 @dataclass(frozen=True)
@@ -335,56 +312,61 @@ class ClusterRegion:
         return self.hamming_radius >= self.labels.size
 
 
+def cluster_hamming_radius(
+    r: float, k: int, Delta: float, n: int, c_row: Optional[float] = None
+) -> tuple[int, str]:
+    """Hamming radius of the cluster ball for subspace radius r, and its route.
+
+    The mean-square route gives ceil(16 * (2 k r^2) / Delta^2), i.e.
+    ceil(32 k r^2 / Delta^2). With a user-certified rowwise constant
+    ``c_row`` the uniform-recovery branch is also tried (radius 0 when
+    c_row * r < Delta / 4) and is reported when it is smaller than the
+    unclamped mean-square radius. Radii are clamped at n, where the ball is
+    all assignments and the region is vacuous.
+    """
+    if Delta <= 0:
+        raise NonpositiveMargin(f"margin {Delta} must be positive")
+    mean_square = int(math.ceil(16.0 * frobenius_subspace_bound(r, k) / (Delta * Delta)))
+    if c_row is not None:
+        if c_row < 0:
+            raise ValueError("c_row must be nonnegative")
+        rb = rounding_error_bound(c_row * r, Delta, n)
+        uniform = 0 if rb.exact else rb.hamming_bound
+        if uniform < mean_square:
+            return int(min(uniform, n)), "uniform_rowwise"
+    return int(min(mean_square, n)), "mean_square"
+
+
 def cluster_region(
-    A,
-    k: int,
-    certificates: CertificateSet,
-    alpha: float,
+    region: SubspaceRegion,
     Delta: float,
     centers: Optional[np.ndarray] = None,
     c_row: Optional[float] = None,
     n_clusters: Optional[int] = None,
 ) -> ClusterRegion:
-    """Clustering confidence ball from the subspace region and a margin.
+    """Clustering confidence ball propagated from a subspace region.
 
-    The Hamming radius follows the mean-square route
-    ceil(16 * (2 k r^2) / Delta^2), i.e. ceil(32 k r^2 / Delta^2); with a
-    user-certified rowwise constant ``c_row`` the uniform-recovery branch is
-    also tried (radius 0 when c_row * r < Delta / 4) and the smaller valid
-    radius is reported. Radii are clamped at n, where the ball is all
-    assignments and the region is vacuous.
+    The labels round the rows of the region's center, aligned to declared
+    ``centers`` when given and clustered by K-means otherwise; the radius
+    is :func:`cluster_hamming_radius` of the region's radius. ``c_row``
+    defaults to the region's certificate.
     """
-    if Delta <= 0:
-        raise NonpositiveMargin(f"margin {Delta} must be positive")
-    sub = subspace_region(A, k, certificates, alpha)
-    r = sub.radius
-    n = sub.center.n
-    ms_raw = 16.0 * frobenius_subspace_bound(r, k) / (Delta * Delta)
-    candidates = [int(math.ceil(ms_raw))]
-    route = "mean_square"
-    c_row = c_row if c_row is not None else certificates.c_row
-    if c_row is not None:
-        if c_row < 0:
-            raise ValueError("c_row must be nonnegative")
-        rb = rounding_error_bound(c_row * r, Delta, n)
-        uniform_radius = 0 if rb.exact else rb.hamming_bound
-        if uniform_radius < candidates[0]:
-            candidates.append(uniform_radius)
-            route = "uniform_rowwise"
-    radius = int(min(min(candidates), n))
+    n = region.center.n
+    c_row = c_row if c_row is not None else region.certificates_used.c_row
+    radius, route = cluster_hamming_radius(region.radius, region.k, Delta, n, c_row)
 
     if centers is not None:
         centers = np.asarray(centers, dtype=float)
-        _, labels = align_to_centers(sub.center, centers)
+        _, labels = align_to_centers(region.center, centers)
         provenance = "declared-centers"
     else:
-        K = n_clusters if n_clusters is not None else k
-        labels = kmeans_labels(sub.center.U, K)
+        K = n_clusters if n_clusters is not None else region.k
+        labels = kmeans_labels(region.center.U, K)
         provenance = "declared-assumption"
     return ClusterRegion(
         labels=labels,
         hamming_radius=radius,
-        alpha=alpha,
+        alpha=region.alpha,
         margin_used=float(Delta),
         margin_provenance=provenance,
         radius_route=route,

@@ -164,15 +164,17 @@ def grassmann_distance(U: OrthonormalBasis, V: OrthonormalBasis) -> float:
 
     Invariant under right-multiplication of either basis by any orthogonal
     matrix, so it is a genuine distance between the spanned subspaces.
+    For equal dimensions ||P_U - P_V|| = ||(I - P_U) V||, the sine of the
+    largest principal angle; the n x k residual V - U (U^T V) keeps small
+    angles accurate, unlike sqrt(1 - sigma_min(U^T V)^2), and never forms
+    an n x n matrix.
     """
     if (U.n, U.k) != (V.n, V.k):
         raise ShapeMismatch(
             f"bases have shapes {(U.n, U.k)} vs {(V.n, V.k)}"
         )
-    diff = U.projector() - V.projector()
-    w = np.linalg.eigvalsh(diff)
-    d = max(abs(w[0]), abs(w[-1]))
-    return float(min(d, 1.0))
+    resid = V.U - U.U @ (U.U.T @ V.U)
+    return float(min(np.linalg.norm(resid, 2), 1.0))
 
 
 def procrustes_align(

@@ -13,6 +13,7 @@ clipping would silently change the model being certified.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
@@ -33,12 +34,21 @@ __all__ = [
     "expected_degree_bound",
     "two_block_sbm",
     "TwoBlockSpectrum",
+    "require_finite",
 ]
 
 _SYM_TOL = 1e-10
 
-# plain-input validation failures (not refusals) stay ordinary ValueErrors
-GraphCertValueError = ValueError
+
+def require_finite(**declared) -> None:
+    """Reject NaN and +-inf in declared values; None means not declared.
+
+    A non-finite certificate would pass a gate and turn into a NaN or a
+    zero radius, so it is refused as invalid input.
+    """
+    for name, value in declared.items():
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"declared {name} must be finite, got {value!r}")
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -165,10 +175,11 @@ class Envelope:
     gap: Optional[float] = None    # lower bound on gap_k(P)
 
     def __post_init__(self):
+        require_finite(d_max=self.d_max, gap=self.gap)
         if self.d_max is not None and self.d_max < 0:
-            raise GraphCertValueError("declared d_max must be nonnegative")
+            raise ValueError("declared d_max must be nonnegative")
         if self.gap is not None and self.gap < 0:
-            raise GraphCertValueError("declared gap must be nonnegative")
+            raise ValueError("declared gap must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -199,7 +210,7 @@ class ProbabilityModel:
                 raise OutOfRangeProbability(int(bad[0]), int(bad[1]), float(P[tuple(bad)]))
             object.__setattr__(self, "P", _frozen(P))
         elif self.envelope is None:
-            raise GraphCertValueError("a model needs either P or a declared envelope")
+            raise ValueError("a model needs either P or a declared envelope")
 
 
 @dataclass(frozen=True)
@@ -262,7 +273,7 @@ def sample_adjacency(model: ProbabilityModel, seed: int) -> AdjacencyMatrix:
     distinct seeds.
     """
     if model.P is None:
-        raise GraphCertValueError("cannot sample from an envelope-only model")
+        raise ValueError("cannot sample from an envelope-only model")
     n = model.n
     rng = np.random.default_rng(seed)
     iu = np.triu_indices(n, k=1)
@@ -296,7 +307,7 @@ def two_block_spectrum(n: int, p: float, q: float) -> TwoBlockSpectrum:
     if n % 2 != 0:
         raise OddN(f"n = {n} must be even")
     if not (0.0 <= q <= p <= 1.0):
-        raise GraphCertValueError("need 0 <= q <= p <= 1")
+        raise ValueError("need 0 <= q <= p <= 1")
     m = n // 2
     lam1 = (m - 1) * p + m * q
     lam2 = (m - 1) * p - m * q
@@ -313,7 +324,7 @@ def expected_degree_bound(model: ProbabilityModel) -> float:
     """
     if model.P is None:
         if model.envelope is None or model.envelope.d_max is None:
-            raise GraphCertValueError("no P and no declared d_max")
+            raise ValueError("no P and no declared d_max")
         return float(model.envelope.d_max)
     return float(np.max(model.P.sum(axis=1)))
 

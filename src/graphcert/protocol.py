@@ -17,7 +17,7 @@ and never enters any radius.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -46,11 +46,16 @@ from .downstream import (
     parity_gap,
     quadratic_loss,
     distance_matrix,
-    _component_count,
-    _threshold_edges,
+    threshold_snapshots,
 )
-from .linalg import eigengap, symmetric_operator_norm, top_k_eigens, weyl_gap_certificate
-from .models import AdjacencyMatrix, Envelope, SBMSpec, build_probability_matrix
+from .linalg import eigengap, symmetric_operator_norm, weyl_gap_certificate
+from .models import (
+    AdjacencyMatrix,
+    Envelope,
+    SBMSpec,
+    build_probability_matrix,
+    require_finite,
+)
 
 __all__ = [
     "CentralityConfig",
@@ -83,6 +88,7 @@ class CentralityConfig:
     domain_certified: bool = False  # declared membership of P in the domain
 
     def __post_init__(self):
+        require_finite(beta=self.beta, gamma=self.gamma)
         if self.kind not in ("katz", "eigenvector"):
             raise ValueError(f"unknown centrality kind {self.kind!r}")
         if self.kind == "katz" and (self.beta is None or self.beta <= 0):
@@ -95,11 +101,17 @@ class ClusteringConfig:
     centers: Optional[tuple] = None   # K x k declared centers (row tuples)
     c_row: Optional[float] = None     # rowwise stability certificate
 
+    def __post_init__(self):
+        require_finite(delta=self.delta, c_row=self.c_row)
+
 
 @dataclass(frozen=True)
 class UsvtConfig:
     threshold_scale: float = 2.02  # slightly above the x2 bulk-edge heuristic
     eps_p: Optional[float] = None  # certified ||P_hat - P|| bound, user supplied
+
+    def __post_init__(self):
+        require_finite(threshold_scale=self.threshold_scale, eps_p=self.eps_p)
 
 
 @dataclass(frozen=True)
@@ -108,6 +120,9 @@ class FairnessConfig:
     targets: tuple     # values in [0, 1]
     tau: float
     epsilon: float
+
+    def __post_init__(self):
+        require_finite(tau=self.tau, epsilon=self.epsilon)
 
 
 @dataclass(frozen=True)
@@ -520,7 +535,9 @@ def run_protocol(A: AdjacencyMatrix, config: ProtocolConfig) -> DiagnosticReport
         provenance=gap_source,
     )
 
-    # Step 4: subspace region iff D1 and D2
+    # Step 4: subspace region iff D1 and D2; the cluster and filtration
+    # steps reuse it, so the observed graph is decomposed once
+    region = None
     if d1.passed and d2.passed:
         region = subspace_region(A, k, certs, alpha)
         outputs["subspace"] = {
@@ -609,9 +626,7 @@ def run_protocol(A: AdjacencyMatrix, config: ProtocolConfig) -> DiagnosticReport
                 if clus.centers is not None
                 else None
             )
-            creg = cluster_region(
-                A, k, certs, alpha, delta, centers=centers, c_row=clus.c_row
-            )
+            creg = cluster_region(region, delta, centers=centers, c_row=clus.c_row)
             outputs["cluster"] = {
                 "labels": creg.labels,
                 "hamming_radius": creg.hamming_radius,
@@ -658,7 +673,7 @@ def run_protocol(A: AdjacencyMatrix, config: ProtocolConfig) -> DiagnosticReport
                 ok = feasibility_transfer_check(
                     theta, scores, problem.s, r_band, fc.tau, fc.epsilon
                 )
-                d_hat = logistic_decisions(problem, theta)
+                d_hat = logistic_decisions(problem.x, problem.s, problem.tau, theta)
                 outputs["fairness"] = {
                     "theta": theta,
                     "certified": bool(ok),
@@ -680,26 +695,14 @@ def run_protocol(A: AdjacencyMatrix, config: ProtocolConfig) -> DiagnosticReport
     if config.filtration is not None:
         c_row = clus.c_row if clus is not None else None
         if d1.passed and d2.passed and c_row is not None:
-            r_sub = outputs["subspace"]["radius"]
-            eta = c_row * r_sub
-            U_hat, _ = top_k_eigens(M, k)
-            D = distance_matrix(U_hat.U)
-            snaps = []
-            for t in config.filtration.t_grid:
-                low = _threshold_edges(D, t - 2.0 * eta)
-                mid = _threshold_edges(D, t)
-                high = _threshold_edges(D, t + 2.0 * eta)
-                snaps.append(
-                    {
-                        "t": float(t),
-                        "edges_lower": int(low.sum()),
-                        "edges_point": int(mid.sum()),
-                        "edges_upper": int(high.sum()),
-                        "components_lower": _component_count(low, n),
-                        "components_point": _component_count(mid, n),
-                        "components_upper": _component_count(high, n),
-                    }
-                )
+            eta = c_row * region.radius
+            D = distance_matrix(region.center.U)
+            # one embedding on both sides: the inclusion flags hold trivially
+            snaps = [
+                {key: val for key, val in asdict(snap).items()
+                 if not key.endswith("_included")}
+                for snap in threshold_snapshots(D, D, eta, config.filtration.t_grid)
+            ]
             outputs["filtration"] = {
                 "eta": eta,
                 "t_grid": list(config.filtration.t_grid),

@@ -21,32 +21,39 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import NoTiePresent, OutsideDomain, TooSmall
+from .errors import NonpositiveGap, NoTiePresent, OutsideDomain, TooSmall
 from .concentration import (
     adjacency_deviation,
+    davis_kahan_radius,
     deviation_quantile,
     deviation_quantile_from_envelope,
     variance_proxy,
 )
 from .downstream import (
-    _decisions_at,
-    distance_matrix,
+    feasibility_transfer_check,
+    filtration_envelope,
+    logistic_decisions,
     parity_gap,
-    quadratic_loss,
     ridge_risk,
     ridge_risk_bound,
+    tradeoff_bounds,
 )
 from .inference import (
-    align_to_centers,
+    CertificateSet,
+    centrality_bands,
+    cluster_hamming_radius,
+    cluster_region,
     katz_centrality,
     katz_modulus,
     nearest_center_round,
-    perm_hamming_distance,
+    region_contains,
+    rounding_error_bound,
+    stability_certificate,
+    subspace_region,
     top_m_selection,
 )
 from .linalg import (
     OrthonormalBasis,
-    frobenius_subspace_bound,
     grassmann_distance,
     procrustes_align,
     symmetric_operator_norm,
@@ -57,6 +64,7 @@ from .models import (
     SBMSpec,
     build_probability_matrix,
     expected_degree_bound,
+    require_finite,
     sample_adjacency,
 )
 
@@ -74,6 +82,16 @@ __all__ = [
 ]
 
 ALL_CLAIMS = ("deviation", "subspace", "cluster", "centrality")
+AUDITS = (
+    "davis_kahan",
+    "rounding_uniform",
+    "rounding_mean_square",
+    "selection_stability",
+    "ridge_risk",
+    "fairness_transfer",
+    "fairness_tradeoff",
+    "filtration",
+)
 _AUDIT_TOL = 1e-9
 
 
@@ -110,6 +128,13 @@ class CoverageConfig:
     audit_inequalities: bool = True
 
     def __post_init__(self):
+        require_finite(
+            declared_d_max=self.declared_d_max,
+            declared_gap=self.declared_gap,
+            katz_beta=self.katz_beta,
+            delta=self.delta,
+            c_row=self.c_row,
+        )
         if self.mode not in ("oracle", "declared"):
             raise ValueError("mode must be 'oracle' or 'declared'")
         unknown = set(self.claims) - set(ALL_CLAIMS)
@@ -210,69 +235,74 @@ def coverage_experiment(
     replications: int,
     base_seed: int,
 ) -> CoverageResult:
-    """Validate every enabled coverage claim on seeded samples of a model."""
+    """Validate every enabled coverage claim on seeded samples of a model.
+
+    Each claim and each audit calls the function that owns its formula:
+    the claims are checked with :func:`subspace_region`,
+    :func:`cluster_region` and :func:`centrality_bands`, so the harness
+    validates the code that writes reports.
+    """
     if model.P is None:
         raise ValueError("coverage experiments need a model with known P")
     P = model.P
     n = model.n
     k = config.k
     alpha = config.alpha
+    audit = config.audit_inequalities
 
     U_star, spectrum = top_k_eigens(P, k)
     gap_true = spectrum.gap_k
     rho_P = max(abs(spectrum.eigenvalues[0]), abs(spectrum.eigenvalues[-1]))
-    d_max_true = expected_degree_bound(model)
-    v_true = variance_proxy(P).v
 
     if config.mode == "oracle":
-        d_max_cert = d_max_true
+        d_max_cert = expected_degree_bound(model)
         gap_cert = gap_true
     else:
         d_max_cert = config.declared_d_max
         gap_cert = config.declared_gap
+    certs = CertificateSet(d_max=d_max_cert, gap=gap_cert, provenance=config.mode)
 
     # deviation claim: sharp variance-proxy quantile
-    q_dev = deviation_quantile(v_true, n, alpha).q
+    q_dev = deviation_quantile(variance_proxy(P).v, n, alpha).q
 
     # envelope quantile and region radius (certificate route)
-    q_env = radius = None
+    q_env = dk = None
     if d_max_cert is not None:
         q_env = deviation_quantile_from_envelope(d_max_cert, n, alpha).q
-        if gap_cert is not None and gap_cert > 0:
-            radius = 2.0 * q_env / gap_cert
+        if gap_cert is not None:
+            try:
+                dk = davis_kahan_radius(q_env, gap_cert)
+            except NonpositiveGap:
+                pass  # no radius: the subspace and cluster claims are refused
 
     # clustering ground truth
     clusters = _population_clusters(model, U_star)
     delta = config.delta
     if delta is None and clusters is not None:
         delta = clusters[2]
-    hamming_radius = None
-    cluster_route = "mean_square"
-    if radius is not None and delta is not None and delta > 0:
-        ms = math.ceil(16.0 * frobenius_subspace_bound(radius, k) / (delta * delta))
-        hamming_radius = int(min(ms, n))
-        if config.c_row is not None:
-            eta = config.c_row * radius
-            uni = 0 if eta < delta / 4.0 else math.ceil(
-                16.0 * n * eta * eta / (delta * delta)
-            )
-            if uni < hamming_radius:
-                hamming_radius = int(min(uni, n))
-                cluster_route = "uniform_rowwise"
+    hamming = None
+    if dk is not None and delta is not None and delta > 0:
+        hamming = cluster_hamming_radius(dk.radius, k, delta, n, config.c_row)
 
     # centrality ground truth
     beta = config.katz_beta
     if beta is None:
         beta = 1.0 / (4.0 * rho_P) if rho_P > 0 else 1.0
     L_katz = katz_modulus(beta)
-    katz_domain_ok = rho_P <= 1.0 / (2.0 * beta) * (1.0 + 1e-12)
-    true_scores = katz_centrality(P, beta) if katz_domain_ok else None
+    try:
+        true_scores = katz_centrality(P, beta)
+    except OutsideDomain:
+        true_scores = None
+    band_width = None
+    if true_scores is not None and q_env is not None:
+        band_width = centrality_bands(true_scores, L_katz, q_env, alpha).half_width
 
     # fixed auxiliary data for the downstream audits
     aux = np.random.default_rng(
         np.random.SeedSequence(entropy=base_seed, spawn_key=(replications,))
     )
     y_ridge = aux.normal(size=n)
+    y01 = np.clip(np.abs(y_ridge) / (1.0 + np.abs(y_ridge)), 0.0, 1.0)
     if clusters is not None and len(np.unique(clusters[0])) == 2:
         s_attr = (clusters[0] == clusters[0][0]).astype(np.int64)
     else:
@@ -281,202 +311,139 @@ def coverage_experiment(
 
     # which claims are evaluable, and why not
     refusal_reasons: dict = {}
-    if "subspace" in config.claims and radius is None:
+    if "subspace" in config.claims and dk is None:
         refusal_reasons["subspace"] = "no certificate (d_max or positive gap missing)"
-    if "cluster" in config.claims and hamming_radius is None:
+    if "cluster" in config.claims and hamming is None:
         refusal_reasons["cluster"] = (
             "no certificate (needs d_max, positive gap and a positive margin)"
         )
-    if "centrality" in config.claims and (true_scores is None or q_env is None):
+    elif "cluster" in config.claims and clusters is None:
+        refusal_reasons["cluster"] = "no ground-truth clusters"
+    if "centrality" in config.claims and band_width is None:
         refusal_reasons["centrality"] = (
             "no certificate (katz domain or degree envelope missing)"
         )
+    evaluated = set(config.claims) - set(refusal_reasons)
 
     hits = {name: 0 for name in config.claims}
     extra: dict = {name: {} for name in config.claims}
     joint_hits = 0
-    audits = {
-        name: 0
-        for name in (
-            "davis_kahan",
-            "rounding_uniform",
-            "rounding_mean_square",
-            "selection_stability",
-            "ridge_risk",
-            "fairness_transfer",
-            "fairness_tradeoff",
-            "filtration",
-        )
-    }
-    audit_trials = dict.fromkeys(audits, 0)
+    trials = dict.fromkeys(AUDITS, 0)
+    violations = dict.fromkeys(AUDITS, 0)
 
-    if radius is not None:
-        extra.setdefault("subspace", {})["radius"] = radius
-        extra["subspace"]["informative"] = radius < 1.0
-    if hamming_radius is not None:
-        extra.setdefault("cluster", {})["hamming_radius"] = hamming_radius
-        extra["cluster"]["route"] = cluster_route
+    def tally(name: str, violated: bool) -> None:
+        trials[name] += 1
+        violations[name] += bool(violated)
+
+    if dk is not None:
+        extra.setdefault("subspace", {})["radius"] = dk.radius
+        extra["subspace"]["informative"] = dk.informative
+    if hamming is not None:
+        extra.setdefault("cluster", {})["hamming_radius"] = hamming[0]
+        extra["cluster"]["route"] = hamming[1]
         extra["cluster"]["margin"] = delta
-    if true_scores is not None and q_env is not None:
-        extra.setdefault("centrality", {})["half_width"] = L_katz * q_env
+    if band_width is not None:
+        extra.setdefault("centrality", {})["half_width"] = band_width
     extra.setdefault("deviation", {})["quantile"] = q_dev
 
     for rep in range(replications):
-        seed = replication_seed(base_seed, rep)
-        A = sample_adjacency(model, seed)
+        A = sample_adjacency(model, replication_seed(base_seed, rep))
         M = np.asarray(A.A, dtype=float)
 
-        need_spectral = (
-            ("subspace" in config.claims and radius is not None)
-            or ("cluster" in config.claims and hamming_radius is not None)
-            or config.audit_inequalities
-        )
-        U_hat = None
-        if need_spectral:
+        region = U_hat = None
+        if dk is not None and (audit or evaluated & {"subspace", "cluster"}):
+            region = subspace_region(A, k, certs, alpha)
+            U_hat = region.center
+        elif audit:
             U_hat, _ = top_k_eigens(M, k)
 
         dev = None
-        if "deviation" in config.claims or config.audit_inequalities:
+        if "deviation" in config.claims or audit:
             dev = adjacency_deviation(M, P)
 
-        rep_ok = True
-
+        outcome = {}
         if "deviation" in config.claims:
-            hit = dev <= q_dev
-            hits["deviation"] += hit
-            rep_ok &= hit
-
-        d_gr = None
-        if U_hat is not None and (
-            "subspace" in config.claims or config.audit_inequalities
-        ):
-            d_gr = grassmann_distance(U_hat, U_star)
-
-        if "subspace" in config.claims and radius is not None:
-            hit = d_gr <= radius + 1e-12
-            hits["subspace"] += hit
-            rep_ok &= hit
-
-        if "cluster" in config.claims and hamming_radius is not None:
-            _, labels = align_to_centers(U_hat, clusters[1])
-            hit = perm_hamming_distance(labels, clusters[0]) <= hamming_radius
-            hits["cluster"] += hit
-            rep_ok &= hit
-
+            outcome["deviation"] = dev <= q_dev
+        if "subspace" in evaluated:
+            outcome["subspace"] = region_contains(U_star, region)
+        if "cluster" in evaluated:
+            creg = cluster_region(region, delta, centers=clusters[1], c_row=config.c_row)
+            outcome["cluster"] = creg.contains(clusters[0])
         scores_hat = None
-        if "centrality" in config.claims and true_scores is not None and q_env is not None:
+        if "centrality" in evaluated:
             try:
                 scores_hat = katz_centrality(M, beta)
             except OutsideDomain:
                 scores_hat = None  # refusal on this sample counts as a miss
-            hit = (
-                scores_hat is not None
-                and bool(np.all(np.abs(scores_hat - true_scores) <= L_katz * q_env))
-            )
-            hits["centrality"] += hit
-            rep_ok &= hit
-
-        # refused claims never touch rep_ok, so this is the conjunction over
+            outcome["centrality"] = scores_hat is not None and centrality_bands(
+                scores_hat, L_katz, q_env, alpha
+            ).contains(true_scores)
+        for name, hit in outcome.items():
+            hits[name] += bool(hit)
+        # refused claims have no outcome, so this is the conjunction over
         # the evaluated claims (vacuously true when none are evaluable)
-        joint_hits += bool(rep_ok)
+        joint_hits += all(outcome.values())
+
+        if not audit:
+            continue
 
         # ------------------------------------------------------------------
         # deterministic inequality audits, per sample
-        if config.audit_inequalities:
-            if gap_true > 0 and d_gr is not None:
-                audit_trials["davis_kahan"] += 1
-                if d_gr > 2.0 * dev / gap_true + _AUDIT_TOL:
-                    audits["davis_kahan"] += 1
+        d_gr = grassmann_distance(U_hat, U_star)
+        if gap_true > 0:
+            tally("davis_kahan", d_gr > davis_kahan_radius(dev, gap_true).radius + _AUDIT_TOL)
 
-            if clusters is not None and delta is not None and delta > 0:
-                g_star, centers, _ = clusters
-                _, aligned = procrustes_align(U_hat, U_star)
-                row_err = np.linalg.norm(aligned.U - U_star.U, axis=1)
-                g_oracle = nearest_center_round(aligned.U, centers)
-                mislabels = int(np.sum(g_oracle != g_star))
-                if row_err.max() < delta / 4.0:
-                    audit_trials["rounding_uniform"] += 1
-                    if mislabels != 0:
-                        audits["rounding_uniform"] += 1
-                audit_trials["rounding_mean_square"] += 1
-                eta_sq = float(np.mean(row_err**2))
-                bound = 16.0 * n * eta_sq / (delta * delta)
-                if mislabels > bound + _AUDIT_TOL:
-                    audits["rounding_mean_square"] += 1
+        _, aligned = procrustes_align(U_hat, U_star)
+        row_err = np.linalg.norm(aligned.U - U_star.U, axis=1)
+        if clusters is not None and delta is not None and delta > 0:
+            g_star, centers, _ = clusters
+            mislabels = int(np.sum(nearest_center_round(aligned.U, centers) != g_star))
+            if rounding_error_bound(float(row_err.max()), delta, n).exact:
+                tally("rounding_uniform", mislabels != 0)
+            eta_ms = math.sqrt(float(np.mean(row_err**2)))
+            tally(
+                "rounding_mean_square",
+                mislabels > rounding_error_bound(eta_ms, delta, n).hamming_bound,
+            )
 
-            if (
-                true_scores is not None
-                and scores_hat is not None
-                and q_env is not None
-                and dev is not None
-                and dev <= q_env
-            ):
-                sel_hat = top_m_selection(scores_hat, config.selection_m)
-                if (
-                    sel_hat.unique
-                    and sel_hat.margin is not None
-                    and sel_hat.margin > 2.0 * L_katz * q_env
-                ):
-                    audit_trials["selection_stability"] += 1
-                    sel_true = top_m_selection(true_scores, config.selection_m)
-                    if not (sel_true.unique and sel_true.sets == sel_hat.sets):
-                        audits["selection_stability"] += 1
-
-            if d_gr is not None:
-                audit_trials["ridge_risk"] += 1
-                lam = config.ridge_lambda
-                gap_risk = abs(
-                    ridge_risk(U_hat, y_ridge, lam) - ridge_risk(U_star, y_ridge, lam)
+        if scores_hat is not None and dev <= q_env:
+            cert = stability_certificate(scores_hat, config.selection_m, L_katz, q_env)
+            if cert.certified:
+                sel_true = top_m_selection(true_scores, config.selection_m)
+                tally(
+                    "selection_stability",
+                    not (sel_true.unique and sel_true.sets[0] == cert.selected_set),
                 )
-                if gap_risk > ridge_risk_bound(y_ridge, lam, d_gr, n) + _AUDIT_TOL:
-                    audits["ridge_risk"] += 1
 
-            if (
-                true_scores is not None
-                and scores_hat is not None
-                and q_env is not None
-                and float(np.max(np.abs(scores_hat - true_scores))) <= L_katz * q_env
-            ):
-                r_band = L_katz * q_env
-                # keep the slack epsilon - r/tau attainable: widen the
-                # temperature if the band dwarfs the configured one
-                tau_t = max(tau, 2.0 * r_band)
-                eps = min(1.0, r_band / tau_t + 0.05)
-                for theta0 in np.quantile(scores_hat, [0.25, 0.5, 0.75]):
-                    theta = np.array([theta0, theta0])
-                    d_hat = _decisions_at(scores_hat, s_attr, tau_t, theta)
-                    if parity_gap(d_hat, s_attr) <= eps - r_band / tau_t:
-                        audit_trials["fairness_transfer"] += 1
-                        d_true = _decisions_at(true_scores, s_attr, tau_t, theta)
-                        if parity_gap(d_true, s_attr) > eps + _AUDIT_TOL:
-                            audits["fairness_transfer"] += 1
+        lam = config.ridge_lambda
+        gap_risk = abs(ridge_risk(U_hat, y_ridge, lam) - ridge_risk(U_star, y_ridge, lam))
+        tally("ridge_risk", gap_risk > ridge_risk_bound(y_ridge, lam, d_gr, n) + _AUDIT_TOL)
 
-            if scores_hat is not None:
-                audit_trials["fairness_tradeoff"] += 1
-                med = float(np.median(scores_hat))
-                shift = 0.3
-                d_a = _decisions_at(scores_hat, s_attr, tau, np.array([med, med]))
-                d_b = _decisions_at(
-                    scores_hat, s_attr, tau, np.array([med + shift, med + shift])
-                )
-                y01 = np.clip(np.abs(y_ridge) / (1.0 + np.abs(y_ridge)), 0.0, 1.0)
-                gap_loss = quadratic_loss(d_a, y01) - quadratic_loss(d_b, y01)
-                bound_l2 = 2.0 / math.sqrt(n) * float(np.linalg.norm(d_a - d_b))
-                bound_shift = shift / (2.0 * tau)
-                if gap_loss > min(bound_l2, bound_shift) + _AUDIT_TOL:
-                    audits["fairness_tradeoff"] += 1
+        if scores_hat is not None and outcome["centrality"]:
+            # keep the slack epsilon - r/tau attainable: widen the
+            # temperature if the band dwarfs the configured one
+            tau_t = max(tau, 2.0 * band_width)
+            eps = min(1.0, band_width / tau_t + 0.05)
+            for theta0 in np.quantile(scores_hat, [0.25, 0.5, 0.75]):
+                theta = np.array([theta0, theta0])
+                if feasibility_transfer_check(theta, scores_hat, s_attr, band_width, tau_t, eps):
+                    d_true = logistic_decisions(true_scores, s_attr, tau_t, theta)
+                    tally("fairness_transfer", parity_gap(d_true, s_attr) > eps + _AUDIT_TOL)
 
-            if U_hat is not None:
-                audit_trials["filtration"] += 1
-                _, aligned = procrustes_align(U_hat, U_star)
-                eta_row = float(
-                    np.max(np.linalg.norm(aligned.U - U_star.U, axis=1))
-                )
-                d_filt = float(
-                    np.max(np.abs(distance_matrix(aligned.U) - distance_matrix(U_star.U)))
-                )
-                if d_filt > 2.0 * eta_row + _AUDIT_TOL:
-                    audits["filtration"] += 1
+        if scores_hat is not None:
+            med = float(np.median(scores_hat))
+            shift = 0.3
+            d_a = logistic_decisions(scores_hat, s_attr, tau, [med, med])
+            d_b = logistic_decisions(scores_hat, s_attr, tau, [med + shift, med + shift])
+            try:
+                tradeoff_bounds(d_a, d_b, y01, tau, shift)
+                violated = False
+            except AssertionError:  # raised when either bound is exceeded
+                violated = True
+            tally("fairness_tradeoff", violated)
+
+        filt = filtration_envelope(aligned.U, U_star.U, ())
+        tally("filtration", filt.d_filt > 2.0 * filt.eta + _AUDIT_TOL)
 
     claims = {}
     for name in config.claims:
@@ -513,8 +480,8 @@ def coverage_experiment(
         base_seed=int(base_seed),
         claims=claims,
         audits={
-            name: AuditResult(name=name, trials=audit_trials[name], violations=v)
-            for name, v in audits.items()
+            name: AuditResult(name=name, trials=trials[name], violations=violations[name])
+            for name in AUDITS
         },
     )
 

@@ -30,7 +30,7 @@ from graphcert import (
     two_block_sbm,
     two_block_spectrum,
 )
-from graphcert.downstream import _decisions_at, filtration_envelope, parity_gap, quadratic_loss
+from graphcert.downstream import filtration_envelope, logistic_decisions, parity_gap, quadratic_loss
 from graphcert.protocol import config_from_dict
 from graphcert.simulation import CoverageConfig
 
@@ -279,21 +279,21 @@ def test_criterion_09_downstream_inequalities():
     for t0 in np.linspace(-2, 2, 7):
         for t1 in np.linspace(-2, 2, 7):
             theta = np.array([t0, t1])
-            if parity_gap(_decisions_at(x_hat, s, tau, theta), s) <= eps - r / tau:
+            if parity_gap(logistic_decisions(x_hat, s, tau, theta), s) <= eps - r / tau:
                 passing.append(theta)
     assert passing
     for _ in range(1000):
         x_star = x_hat + rng.uniform(-r, r, size=n)
         for theta in passing:
-            assert parity_gap(_decisions_at(x_star, s, tau, theta), s) <= eps + 1e-9
+            assert parity_gap(logistic_decisions(x_star, s, tau, theta), s) <= eps + 1e-9
 
     # trade-off bounds
     y01 = rng.uniform(size=n)
     for _ in range(1000):
         t0 = rng.normal()
         shift = float(rng.uniform(0, 1.5))
-        d_a = _decisions_at(x_hat, s, tau, np.array([t0, t0]))
-        d_b = _decisions_at(x_hat, s, tau, np.array([t0 + shift, t0 + shift]))
+        d_a = logistic_decisions(x_hat, s, tau, np.array([t0, t0]))
+        d_b = logistic_decisions(x_hat, s, tau, np.array([t0 + shift, t0 + shift]))
         gap_loss = quadratic_loss(d_a, y01) - quadratic_loss(d_b, y01)
         assert gap_loss <= 2 / math.sqrt(n) * np.linalg.norm(d_a - d_b) + 1e-12
         assert gap_loss <= shift / (2 * tau) + 1e-12

@@ -21,7 +21,7 @@ from graphcert import (
     ridge_risk_bound,
     tradeoff_bounds,
 )
-from graphcert.downstream import quadratic_loss, _decisions_at
+from graphcert.downstream import quadratic_loss
 
 from conftest import random_orthonormal
 
@@ -100,9 +100,9 @@ def _problem(rng, n=40, tau=0.5, epsilon=0.2):
 
 def test_logistic_decisions_limits(rng):
     p = _problem(rng)
-    d = logistic_decisions(p, np.array([1e6, 1e6]))
+    d = logistic_decisions(p.x, p.s, p.tau, np.array([1e6, 1e6]))
     assert np.all(d < 1e-10)
-    d = logistic_decisions(p, np.array([p.x[0], p.x[0]]))
+    d = logistic_decisions(p.x, p.s, p.tau, np.array([p.x[0], p.x[0]]))
     assert abs(d[0] - 0.5) < 1e-12
 
 
@@ -110,11 +110,11 @@ def test_logistic_coordinate_lipschitz(rng):
     # |d(x + h) - d(x)| <= |h| / (4 tau), finite-difference audit
     p = _problem(rng, tau=0.3)
     theta = np.array([0.1, -0.2])
-    base = logistic_decisions(p, theta)
+    base = logistic_decisions(p.x, p.s, p.tau, theta)
     for _ in range(200):
         h = rng.normal(scale=0.1, size=p.x.size)
         shifted = FairnessProblem(x=p.x + h, y=p.y, s=p.s, tau=p.tau, epsilon=p.epsilon)
-        d = logistic_decisions(shifted, theta)
+        d = logistic_decisions(shifted.x, shifted.s, shifted.tau, theta)
         assert np.all(np.abs(d - base) <= np.abs(h) / (4 * p.tau) + 1e-12)
 
 
@@ -167,7 +167,7 @@ def test_fair_optimize_zero_targets_pushes_decisions_down(rng):
         x=x, y=np.zeros(n), s=(np.arange(n) % 2).astype(int), tau=0.5, epsilon=1.0
     )
     theta = fair_optimize(p, 1.0)
-    d = logistic_decisions(p, theta)
+    d = logistic_decisions(p.x, p.s, p.tau, theta)
     assert np.all(d < 1e-3)
     # the optimizer walked to (or past) the top corner of the search box
     assert np.all(theta >= x.max() + 10 * 0.5 - 0.5)
@@ -177,8 +177,8 @@ def test_fair_optimize_constrained_never_beats_unconstrained(rng):
     p = _problem(rng, tau=0.4, epsilon=0.05)
     theta_un = fair_optimize(p, 1.0)
     theta_fair = fair_optimize(p, 0.05)
-    d_un = logistic_decisions(p, theta_un)
-    d_fair = logistic_decisions(p, theta_fair)
+    d_un = logistic_decisions(p.x, p.s, p.tau, theta_un)
+    d_fair = logistic_decisions(p.x, p.s, p.tau, theta_fair)
     loss_gap = quadratic_loss(d_fair, p.y) - quadratic_loss(d_un, p.y)
     assert loss_gap >= -1e-9
     out = tradeoff_bounds(d_fair, d_un, p.y, p.tau, float(np.max(np.abs(theta_fair - theta_un))))
@@ -188,7 +188,7 @@ def test_fair_optimize_constrained_never_beats_unconstrained(rng):
 def test_feasibility_transfer_check_reduces_to_plain_constraint(rng):
     p = _problem(rng)
     theta = np.array([0.0, 0.0])
-    d = logistic_decisions(p, theta)
+    d = logistic_decisions(p.x, p.s, p.tau, theta)
     gap = parity_gap(d, p.s)
     assert feasibility_transfer_check(theta, p.x, p.s, 0.0, p.tau, gap + 1e-9)
     assert not feasibility_transfer_check(theta, p.x, p.s, 0.0, p.tau, gap - 1e-9)
@@ -200,7 +200,7 @@ def test_feasibility_transfer_arithmetic(rng):
     x = rng.normal(size=n)
     s = (np.arange(n) % 2).astype(int)
     theta = np.array([0.0, 0.3])
-    gap = parity_gap(_decisions_at(x, s, 1.0, theta), s)
+    gap = parity_gap(logistic_decisions(x, s, 1.0, theta), s)
     expect = gap <= 0.2 - 0.1
     assert feasibility_transfer_check(theta, x, s, 0.1, 1.0, 0.2) == expect
     with pytest.raises(InsufficientTolerance):
@@ -227,7 +227,7 @@ def test_feasibility_transfer_adversarial_audit(rng):
     for _ in range(1000):
         x_star = x_hat + rng.uniform(-r, r, size=n)
         for theta in passing:
-            if parity_gap(_decisions_at(x_star, s, tau, theta), s) > eps + 1e-9:
+            if parity_gap(logistic_decisions(x_star, s, tau, theta), s) > eps + 1e-9:
                 violations += 1
     assert violations == 0
 
@@ -259,8 +259,8 @@ def test_tradeoff_shift_bound(rng):
     for _ in range(200):
         t0 = rng.normal()
         shift = float(rng.uniform(0, 1))
-        d_a = _decisions_at(x, s, tau, np.array([t0, t0]))
-        d_b = _decisions_at(x, s, tau, np.array([t0 + shift, t0 + shift]))
+        d_a = logistic_decisions(x, s, tau, np.array([t0, t0]))
+        d_b = logistic_decisions(x, s, tau, np.array([t0 + shift, t0 + shift]))
         out = tradeoff_bounds(d_a, d_b, y, tau, shift)
         assert out.loss_gap <= out.bound_shift + 1e-12
 

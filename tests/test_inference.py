@@ -13,7 +13,6 @@ from graphcert import (
     NonpositiveMargin,
     OrthonormalBasis,
     OutsideDomain,
-    TooManyLabelsForExact,
     centrality_bands,
     cluster_region,
     eigenvector_centrality,
@@ -155,6 +154,8 @@ def test_perm_hamming_trivial():
     assert perm_hamming_distance(g, g) == 0
     swapped = np.array([1, 1, 0, 0, 2])
     assert perm_hamming_distance(g, swapped) == 0
+    many = np.arange(9)  # the matching is exact for any number of labels
+    assert perm_hamming_distance(many, many[::-1]) == 0
 
 
 def test_perm_hamming_matches_brute_force(rng):
@@ -162,17 +163,7 @@ def test_perm_hamming_matches_brute_force(rng):
         g = rng.integers(0, 3, size=12)
         h = rng.integers(0, 3, size=12)
         oracle = _brute_force_perm_hamming(g, h)
-        assert perm_hamming_distance(g, h, method="exact") == oracle
-        assert perm_hamming_distance(g, h, method="matching") == oracle
-
-
-def test_perm_hamming_exact_limit():
-    g = np.arange(9)
-    with pytest.raises(TooManyLabelsForExact):
-        perm_hamming_distance(g, g, method="exact")
-    # matching handles any K
-    assert perm_hamming_distance(g, g, method="matching") == 0
-    assert perm_hamming_distance(g, g) == 0  # auto switches
+        assert perm_hamming_distance(g, h) == oracle
 
 
 def test_perm_hamming_pseudometric_small(rng):
@@ -240,7 +231,7 @@ def test_cluster_region_worked_formula(sbm200):
     centers = np.array(
         [[1 / math.sqrt(n), 1 / math.sqrt(n)], [1 / math.sqrt(n), -1 / math.sqrt(n)]]
     )
-    region = cluster_region(A, 2, certs, 0.05, delta, centers=centers)
+    region = cluster_region(subspace_region(A, 2, certs, 0.05), delta, centers=centers)
     q = deviation_quantile(39.7, n, 0.05).q
     r = 2 * q / 20.0
     assert region.hamming_radius == min(n, math.ceil(16 * (2 * 2 * r * r) / delta**2))
@@ -260,7 +251,7 @@ def test_cluster_region_zero_radius_exact_claim(sbm200):
     A = sample_adjacency(sbm200, 12)
     certs = CertificateSet(d_max=0.0, gap=20.0)
     delta = 2 / math.sqrt(200)
-    region = cluster_region(A, 2, certs, 0.05, delta)
+    region = cluster_region(subspace_region(A, 2, certs, 0.05), delta)
     assert region.hamming_radius == 0
     assert not region.vacuous
     # no declared centers: K-means rounding, margin is a domain assumption
@@ -289,13 +280,13 @@ def test_alignment_handles_unequal_blocks():
 def test_cluster_region_requires_margin(sbm200):
     A = sample_adjacency(sbm200, 13)
     with pytest.raises(NonpositiveMargin):
-        cluster_region(A, 2, CertificateSet(d_max=39.7, gap=20.0), 0.05, 0.0)
+        cluster_region(subspace_region(A, 2, CertificateSet(d_max=39.7, gap=20.0), 0.05), 0.0)
 
 
 def test_cluster_region_propagates_gap_refusal(sbm200):
     A = sample_adjacency(sbm200, 14)
     with pytest.raises(NoGapCertificate):
-        cluster_region(A, 2, CertificateSet(d_max=39.7, gap=0.0), 0.05, 0.1)
+        cluster_region(subspace_region(A, 2, CertificateSet(d_max=39.7, gap=0.0), 0.05), 0.1)
 
 
 def test_cluster_region_uniform_branch_strong_signal():
@@ -306,7 +297,7 @@ def test_cluster_region_uniform_branch_strong_signal():
     # a tiny declared c_row turns on the uniform branch: radius 0
     certs = CertificateSet(d_max=1.0, gap=30.0, c_row=1e-4)
     delta = 2 / math.sqrt(80)
-    region = cluster_region(A, 2, certs, 0.05, delta)
+    region = cluster_region(subspace_region(A, 2, certs, 0.05), delta)
     assert region.radius_route == "uniform_rowwise"
     assert region.hamming_radius == 0
 
@@ -323,7 +314,7 @@ def test_cluster_region_recovers_strong_signal_labels():
     for seed in range(5):
         A = sample_adjacency(model, seed)
         region = cluster_region(
-            A, 2, CertificateSet(d_max=40.0, gap=30.0), 0.05,
+            subspace_region(A, 2, CertificateSet(d_max=40.0, gap=30.0), 0.05),
             2 / math.sqrt(n), centers=centers,
         )
         assert perm_hamming_distance(region.labels, truth) == 0

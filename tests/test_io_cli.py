@@ -189,6 +189,17 @@ def test_cli_invalid_input_exit_code(tmp_path, capsys):
     assert main(["certify", "--graph", str(graph), "--config", str(config)]) == 1
 
 
+def test_cli_non_finite_certificate_exit_code(tmp_path, sbm200):
+    # Python's json reads NaN; a NaN envelope must not become a radius
+    graph = _write_graph(tmp_path, sbm200)
+    config = tmp_path / "nan.json"
+    config.write_text('{"k": 2, "envelope": {"d_max": NaN, "gap": 20.0}}', encoding="utf-8")
+    out = tmp_path / "r.json"
+    code = main(["certify", "--graph", str(graph), "--config", str(config), "--out", str(out)])
+    assert code == 1
+    assert not out.exists()
+
+
 def test_cli_alpha_override(tmp_path, sbm200):
     graph = _write_graph(tmp_path, sbm200)
     config = _write_config(tmp_path, 200)

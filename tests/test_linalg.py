@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -96,6 +98,29 @@ def test_grassmann_symmetry_and_triangle(rng):
         dab = grassmann_distance(A, B)
         assert abs(dab - grassmann_distance(B, A)) < 1e-12
         assert dab <= grassmann_distance(A, C) + grassmann_distance(C, B) + 1e-9
+
+
+def _projector_distance(U, V):
+    """Oracle: largest absolute eigenvalue of the n x n projector difference."""
+    w = np.linalg.eigvalsh(U.projector() - V.projector())
+    return min(max(abs(w[0]), abs(w[-1])), 1.0)
+
+
+@pytest.mark.parametrize("angle", [0.0, 1e-9, 1e-4, 0.7, math.pi / 2])
+def test_grassmann_matches_projector_oracle(rng, angle):
+    n, k = 40, 3
+    Q = random_orthonormal(rng, n, 2 * k)
+    U = OrthonormalBasis(U=Q[:, :k])
+    rotated = Q[:, :k].copy()
+    rotated[:, 0] = math.cos(angle) * Q[:, 0] + math.sin(angle) * Q[:, k]
+    V = OrthonormalBasis(U=rotated)
+    assert abs(grassmann_distance(U, V) - _projector_distance(U, V)) < 1e-12
+    assert abs(grassmann_distance(U, V) - math.sin(angle)) < 1e-12
+    orthogonal = OrthonormalBasis(U=Q[:, k:])
+    assert abs(grassmann_distance(U, orthogonal) - 1.0) < 1e-12
+    for _ in range(10):
+        W = OrthonormalBasis(U=random_orthonormal(rng, n, k))
+        assert abs(grassmann_distance(U, W) - _projector_distance(U, W)) < 1e-12
 
 
 def test_grassmann_shape_mismatch():

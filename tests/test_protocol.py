@@ -17,8 +17,16 @@ from graphcert import (
     sample_adjacency,
     usvt_denoise,
 )
-from graphcert.models import DCSBMSpec
-from graphcert.protocol import ProtocolConfig, config_from_dict, config_to_dict
+from graphcert.models import DCSBMSpec, Envelope
+from graphcert.protocol import (
+    CentralityConfig,
+    ClusteringConfig,
+    FairnessConfig,
+    ProtocolConfig,
+    UsvtConfig,
+    config_from_dict,
+    config_to_dict,
+)
 
 
 def _k4():
@@ -435,3 +443,25 @@ def test_collision_instance_drives_refusal():
         r["output"] == "subspace" and r["reason"] == "no_gap_certificate"
         for r in report.refusals
     )
+
+
+_DECLARED_FIELDS = [
+    (Envelope, {}, "d_max"),
+    (Envelope, {}, "gap"),
+    (CentralityConfig, {"kind": "katz", "beta": 0.01}, "beta"),
+    (CentralityConfig, {"kind": "eigenvector"}, "gamma"),
+    (ClusteringConfig, {}, "delta"),
+    (ClusteringConfig, {}, "c_row"),
+    (UsvtConfig, {}, "threshold_scale"),
+    (UsvtConfig, {}, "eps_p"),
+    (FairnessConfig, {"groups": (0, 1), "targets": (0.5, 0.5), "tau": 0.5, "epsilon": 0.2}, "tau"),
+    (FairnessConfig, {"groups": (0, 1), "targets": (0.5, 0.5), "tau": 0.5, "epsilon": 0.2}, "epsilon"),
+]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("cls,base,field", _DECLARED_FIELDS)
+def test_declared_values_must_be_finite(cls, base, field, value):
+    cls(**base)  # the base declaration itself is valid
+    with pytest.raises(ValueError, match=f"declared {field} must be finite"):
+        cls(**{**base, field: value})

@@ -14,8 +14,22 @@ from graphcert import (
     tie_counterexample,
     top_m_selection,
 )
+from graphcert import (
+    CertificateSet,
+    RDPGSpec,
+    SBMSpec,
+    build_probability_matrix,
+    centrality_bands,
+    cluster_region,
+    expected_degree_bound,
+    katz_centrality,
+    katz_modulus,
+    sample_adjacency,
+    subspace_region,
+    top_k_eigens,
+    two_block_sbm,
+)
 from graphcert.simulation import CoverageConfig, replication_seed
-from graphcert import two_block_sbm
 
 
 def test_replication_seeds_are_distinct_and_stable():
@@ -98,6 +112,115 @@ def test_declared_mode_overdeclared_envelope(sbm200):
 
 # ---------------------------------------------------------------------------
 # tie counterexample
+
+def test_cluster_claim_refused_without_ground_truth_clusters():
+    X = np.random.default_rng(2).uniform(0.2, 0.6, size=(60, 2))
+    model = build_probability_matrix(RDPGSpec(X=X))
+    config = CoverageConfig(k=2, alpha=0.1, delta=0.1, claims=("cluster",))
+    claim = coverage_experiment(model, config, 5, base_seed=0).claims["cluster"]
+    assert claim.refused and not claim.evaluated
+    assert claim.reason == "no ground-truth clusters"
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "field", ["declared_d_max", "declared_gap", "katz_beta", "delta", "c_row"]
+)
+def test_coverage_config_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match=f"declared {field} must be finite"):
+        CoverageConfig(k=2, alpha=0.1, **{field: value})
+
+
+@pytest.mark.parametrize(
+    "n,mode,c_row",
+    [(200, "oracle", None), (200, "oracle", 0.01), (200, "oracle", 5.0),
+     (200, "declared", 5.0), (120, "declared", 0.05)],
+)
+def test_harness_extra_matches_report_functions(n, mode, c_row):
+    # the harness states the radii and the half-width that the functions
+    # writing reports give for the same certificates; at n=200, c_row=5
+    # both Hamming radii clamp to n and the route is the uniform one
+    model = two_block_sbm(n, 0.3, 0.1)
+    _, spectrum = top_k_eigens(model.P, 2)
+    if mode == "oracle":
+        d_max, gap, declared = expected_degree_bound(model), spectrum.gap_k, {}
+    else:
+        d_max, gap = 45.0, 18.0
+        declared = {"declared_d_max": d_max, "declared_gap": gap}
+    delta = 2 / math.sqrt(n)
+    config = CoverageConfig(
+        k=2, alpha=0.1, mode=mode, delta=delta, c_row=c_row,
+        audit_inequalities=False, **declared,
+    )
+    extra = {
+        name: claim.extra
+        for name, claim in coverage_experiment(model, config, 1, base_seed=0).claims.items()
+    }
+
+    region = subspace_region(
+        sample_adjacency(model, 0), 2, CertificateSet(d_max=d_max, gap=gap), 0.1
+    )
+    creg = cluster_region(region, delta, c_row=c_row)
+    w = spectrum.eigenvalues  # the harness's default beta is 1 / (4 rho(P))
+    beta = 1.0 / (4.0 * max(abs(w[0]), abs(w[-1])))
+    band = centrality_bands(
+        katz_centrality(model.P, beta), katz_modulus(beta), region.quantile.q, 0.1
+    )
+    assert extra["subspace"]["radius"] == region.radius
+    assert extra["cluster"]["hamming_radius"] == creg.hamming_radius
+    assert extra["cluster"]["route"] == creg.radius_route
+    assert extra["centrality"]["half_width"] == band.half_width
+    if c_row == 5.0 and n == 200:
+        assert creg.hamming_radius == n and creg.radius_route == "uniform_rowwise"
+
+
+def _hub_model():
+    """One node tied to every other with probability 1, plus two dense blocks.
+
+    Declared with a small envelope, its Katz selection margin clears the
+    band and its embedding rows clear the uniform rounding threshold, so
+    every audit gets trials.
+    """
+    labels = np.array([0] + [1] * 59 + [2] * 60)
+    B = np.array([[0.0, 1.0, 1.0], [1.0, 0.99, 0.01], [1.0, 0.01, 0.99]])
+    return build_probability_matrix(SBMSpec.from_labels(labels, B))
+
+
+_WORKED_AUDITS = {
+    "davis_kahan": (40, 0), "rounding_uniform": (0, 0),
+    "rounding_mean_square": (40, 0), "selection_stability": (0, 0),
+    "ridge_risk": (40, 0), "fairness_transfer": (120, 0),
+    "fairness_tradeoff": (40, 0), "filtration": (40, 0),
+}
+
+
+@pytest.mark.parametrize(
+    "model_name,config_kwargs,reps,joint,claim_hits,audits",
+    [
+        ("worked", {}, 40, 35,
+         {"deviation": 40, "subspace": 40, "cluster": 35, "centrality": 40},
+         _WORKED_AUDITS),
+        ("worked", {"mode": "declared", "declared_d_max": 45.0, "declared_gap": 18.0},
+         40, 35, {"deviation": 40, "subspace": 40, "cluster": 35, "centrality": 40},
+         _WORKED_AUDITS),
+        ("hub", {"mode": "declared", "declared_d_max": 1.0, "declared_gap": 5.0,
+                 "katz_beta": 0.004},
+         20, 20, {"deviation": 20, "subspace": 20, "cluster": 20, "centrality": 20},
+         {"davis_kahan": (20, 0), "rounding_uniform": (20, 0),
+          "rounding_mean_square": (20, 0), "selection_stability": (20, 0),
+          "ridge_risk": (20, 0), "fairness_transfer": (60, 0),
+          "fairness_tradeoff": (20, 0), "filtration": (20, 0)}),
+    ],
+)
+def test_coverage_counts_pinned(model_name, config_kwargs, reps, joint, claim_hits, audits):
+    # fixed-seed counts with the uniform rounding branch on (c_row set)
+    model = two_block_sbm(200, 0.3, 0.1) if model_name == "worked" else _hub_model()
+    config = CoverageConfig(k=2, alpha=0.1, c_row=0.01, **config_kwargs)
+    result = coverage_experiment(model, config, reps, base_seed=11)
+    assert result.hits == joint
+    assert {name: c.hits for name, c in result.claims.items()} == claim_hits
+    assert {name: (a.trials, a.violations) for name, a in result.audits.items()} == audits
+
 
 def test_tie_counterexample_worked_example():
     x = np.array([2.0, 2.0, 1.0])
