@@ -43,18 +43,18 @@ from .models import (
 )
 from .linalg import (
     OrthonormalBasis,
-    SpectrumSummary,
+    Spectrum,
+    eigendecompose,
     eigengap,
+    eigenvalues,
     frobenius_subspace_bound,
     grassmann_distance,
     procrustes_align,
     symmetric_operator_norm,
-    top_k_eigens,
     weyl_gap_certificate,
 )
 from .concentration import (
     DeviationQuantile,
-    adjacency_deviation,
     davis_kahan_radius,
     deviation_quantile,
     deviation_quantile_from_envelope,
@@ -98,8 +98,6 @@ from .protocol import (
     DiagnosticReport,
     ProtocolConfig,
     config_from_dict,
-    observed_gap_proxy,
-    parametric_gap_certificate,
     run_protocol,
     usvt_denoise,
 )

@@ -34,7 +34,6 @@ __all__ = [
     "deviation_quantile_from_envelope",
     "DavisKahanRadius",
     "davis_kahan_radius",
-    "adjacency_deviation",
 ]
 
 
@@ -112,18 +111,15 @@ def davis_kahan_radius(q: float, gap: float) -> DavisKahanRadius:
     """Deterministic projector radius 2 q / gap with vacuity flag.
 
     A nonpositive gap certificate cannot produce any radius; that is the
-    "no certificate" branch and is signalled, never papered over.
+    "no certificate" branch and is signalled, never papered over. A gap so
+    small that 2 q / gap overflows is refused the same way.
     """
     if q < 0:
         raise ValueError("deviation bound must be nonnegative")
     if gap <= 0:
         raise NonpositiveGap(f"gap certificate {gap} is not positive")
     r = 2.0 * q / gap
+    if not math.isfinite(r):
+        raise NonpositiveGap(f"gap certificate {gap!r} gives radius 2q/gap = {r!r}")
     return DavisKahanRadius(radius=r, informative=bool(r < 1.0))
 
-
-def adjacency_deviation(A: np.ndarray, P: np.ndarray) -> float:
-    """||A - P|| as the largest absolute eigenvalue of the difference."""
-    D = np.asarray(A, dtype=float) - np.asarray(P, dtype=float)
-    w = np.linalg.eigvalsh((D + D.T) / 2.0)
-    return float(max(abs(w[0]), abs(w[-1])))

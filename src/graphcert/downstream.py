@@ -19,6 +19,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import EmptyGroup, InsufficientTolerance, ShapeMismatch
 from .linalg import OrthonormalBasis
+from .models import require_unit_interval
 
 __all__ = [
     "lipschitz_propagate",
@@ -91,8 +92,7 @@ class FairnessProblem:
             raise ValueError("group attribute must be binary 0/1")
         if not (s == 0).any() or not (s == 1).any():
             raise EmptyGroup("both groups must be nonempty")
-        if np.any(y < 0) or np.any(y > 1):
-            raise ValueError("targets must lie in [0, 1]")
+        require_unit_interval("targets", y)
         if self.tau <= 0:
             raise ValueError("temperature must be positive")
         if not 0.0 <= self.epsilon <= 1.0:

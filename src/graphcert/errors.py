@@ -57,7 +57,8 @@ class BadLevel(GraphCertError):
 
 
 class NonpositiveGap(GraphCertError):
-    """A gap certificate of 0 (or less) cannot produce a radius."""
+    """A gap certificate of 0 (or less), or one so small that the radius
+    2 q / gap overflows, cannot produce a radius."""
 
 
 class NoGapCertificate(GraphCertError):

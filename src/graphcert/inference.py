@@ -31,8 +31,7 @@ from .concentration import (
     davis_kahan_radius,
     deviation_quantile_from_envelope,
 )
-from .linalg import OrthonormalBasis, frobenius_subspace_bound, grassmann_distance, top_k_eigens
-from .models import AdjacencyMatrix
+from .linalg import OrthonormalBasis, Spectrum, frobenius_subspace_bound, grassmann_distance
 
 __all__ = [
     "CertificateSet",
@@ -75,12 +74,6 @@ class CertificateSet:
     provenance: str = "declared"
 
 
-def _as_matrix(A) -> np.ndarray:
-    if isinstance(A, AdjacencyMatrix):
-        return np.asarray(A.A, dtype=float)
-    return np.asarray(A, dtype=float)
-
-
 @dataclass(frozen=True)
 class SubspaceRegion:
     """Grassmann ball around the observed top-k basis."""
@@ -98,27 +91,26 @@ class SubspaceRegion:
 
 
 def subspace_region(
-    A, k: int, certificates: CertificateSet, alpha: float
+    S: Spectrum, k: int, certificates: CertificateSet, alpha: float
 ) -> SubspaceRegion:
     """Confidence region for the latent top-k eigenspace.
 
-    The center is the observed top-k basis; the radius is the Davis-Kahan
+    The center is the observed top-k basis ``S.top_k(k)`` of the observed
+    graph's spectrum; the radius is the Davis-Kahan
     transfer 2 q / gap of the envelope-based deviation quantile through the
     declared gap certificate. Missing or nonpositive certificates raise
     :class:`NoGapCertificate`; a radius is never fabricated.
     """
-    M = _as_matrix(A)
     if certificates.gap is None or certificates.gap <= 0:
         raise NoGapCertificate(
             f"gap certificate {certificates.gap!r} is not positive"
         )
     if certificates.d_max is None or certificates.d_max < 0:
         raise ValueError("certificates must declare a nonnegative d_max")
-    quant = deviation_quantile_from_envelope(certificates.d_max, M.shape[0], alpha)
+    quant = deviation_quantile_from_envelope(certificates.d_max, S.n, alpha)
     dk = davis_kahan_radius(quant.q, certificates.gap)
-    center, _ = top_k_eigens(M, k)
     return SubspaceRegion(
-        center=center,
+        center=S.top_k(k),
         radius=dk.radius,
         alpha=alpha,
         informative=dk.informative,
@@ -187,7 +179,7 @@ def rounding_error_bound(eta: float, Delta: float, n: int) -> RoundingErrorBound
     if eta < 0:
         raise ValueError("row error must be nonnegative")
     raw = 16.0 * n * eta * eta / (Delta * Delta)
-    bound = int(min(n, math.ceil(raw)))
+    bound = int(math.ceil(min(raw, n)))  # clamp first: raw may be inf
     return RoundingErrorBound(exact=bool(eta < Delta / 4.0), hamming_bound=bound)
 
 
@@ -322,19 +314,21 @@ def cluster_hamming_radius(
     ``c_row`` the uniform-recovery branch is also tried (radius 0 when
     c_row * r < Delta / 4) and is reported when it is smaller than the
     unclamped mean-square radius. Radii are clamped at n, where the ball is
-    all assignments and the region is vacuous.
+    all assignments and the region is vacuous; the clamp comes before the
+    ceiling, since r^2 may overflow to inf.
     """
     if Delta <= 0:
         raise NonpositiveMargin(f"margin {Delta} must be positive")
-    mean_square = int(math.ceil(16.0 * frobenius_subspace_bound(r, k) / (Delta * Delta)))
+    mean_square = 16.0 * frobenius_subspace_bound(r, k) / (Delta * Delta)
     if c_row is not None:
         if c_row < 0:
             raise ValueError("c_row must be nonnegative")
         rb = rounding_error_bound(c_row * r, Delta, n)
         uniform = 0 if rb.exact else rb.hamming_bound
+        # for an integer, uniform < ceil(x) iff uniform < x
         if uniform < mean_square:
-            return int(min(uniform, n)), "uniform_rowwise"
-    return int(min(mean_square, n)), "mean_square"
+            return int(uniform), "uniform_rowwise"
+    return int(math.ceil(min(mean_square, n))), "mean_square"
 
 
 def cluster_region(
@@ -376,23 +370,20 @@ def cluster_region(
 # ---------------------------------------------------------------------------
 # centrality functionals
 
-def katz_centrality(M: np.ndarray, beta: float) -> np.ndarray:
-    """Katz scores (I - beta M)^{-1} 1 - 1 on the certified domain.
+def katz_centrality(S: Spectrum, beta: float) -> np.ndarray:
+    """Katz scores (I - beta M)^{-1} 1 - 1 of the matrix M = ``S.matrix``.
 
-    The domain is spectral radius rho(M) <= 1/(2 beta), where the resolvent
-    norm is at most 2 and the map is 4*beta-Lipschitz. Outside the domain
-    the call is refused; that is the Omega certificate failure.
+    The domain is spectral radius rho(M) = ``S.radius`` <= 1/(2 beta), where
+    the resolvent norm is at most 2 and the map is 4*beta-Lipschitz.
+    Outside the domain the call is refused; that is the Omega certificate
+    failure.
     """
-    M = np.asarray(M, dtype=float)
     if beta <= 0:
         raise ValueError("beta must be positive")
-    w = np.linalg.eigvalsh((M + M.T) / 2.0)
-    rho = float(max(abs(w[0]), abs(w[-1])))
     limit = 1.0 / (2.0 * beta)
-    if rho > limit * (1.0 + 1e-12):
-        raise OutsideDomain(rho, limit)
-    n = M.shape[0]
-    x = np.linalg.solve(np.eye(n) - beta * M, np.ones(n))
+    if S.radius > limit * (1.0 + 1e-12):
+        raise OutsideDomain(S.radius, limit)
+    x = np.linalg.solve(np.eye(S.n) - beta * S.matrix, np.ones(S.n))
     return x - 1.0
 
 
@@ -404,7 +395,7 @@ def katz_modulus(beta: float) -> float:
 
 
 def eigenvector_centrality(
-    M: np.ndarray, gap_tol: float = 1e-10
+    S: Spectrum, gap_tol: float = 1e-10
 ) -> tuple[np.ndarray, float]:
     """Unit top eigenvector with nonnegative ones-alignment, plus its gap.
 
@@ -412,15 +403,14 @@ def eigenvector_centrality(
     exceed ``gap_tol`` (scaled by the spectral size), and gamma is returned
     for the perturbation modulus 2/gamma.
     """
-    M = np.asarray(M, dtype=float)
-    w, V = np.linalg.eigh((M + M.T) / 2.0)
+    w, V = S.values, S.vectors
     lam1, lam2 = w[-1], w[-2]
     gamma = float(lam1 - lam2)
     if gamma <= gap_tol * max(1.0, abs(lam1)):
         raise DegenerateTopEigenvalue(
             f"top eigenvalue gap {gamma} below tolerance"
         )
-    v = V[:, -1]
+    v = V[:, -1].copy()  # a view would keep all of S.vectors alive
     s = float(v.sum())
     if s < 0:
         v = -v

@@ -1,6 +1,7 @@
 """Dense symmetric eigen-machinery for subspace inference.
 
-Provides the top-k eigenspace with deterministic tie handling, the
+Provides the one decomposition of a symmetric matrix (a :class:`Spectrum`
+shared by every spectral consumer) with its canonical top-k basis, the
 Grassmann (projector-norm) distance between subspaces, orthogonal
 Procrustes alignment, the Weyl-type gap transfer used to certify gaps from
 denoised estimates, and the rank-aware Frobenius bound that converts a
@@ -20,8 +21,9 @@ from .errors import KOutOfRange, NotSymmetric, ShapeMismatch
 
 __all__ = [
     "OrthonormalBasis",
-    "SpectrumSummary",
-    "top_k_eigens",
+    "Spectrum",
+    "eigendecompose",
+    "eigenvalues",
     "grassmann_distance",
     "procrustes_align",
     "weyl_gap_certificate",
@@ -82,27 +84,6 @@ def eigengap(eigenvalues_desc: np.ndarray, k: int) -> float:
     return float(min(below, above))
 
 
-@dataclass(frozen=True)
-class SpectrumSummary:
-    """Descending eigenvalues with the k-gap isolating the top-k space."""
-
-    eigenvalues: np.ndarray  # descending
-    k: int
-
-    def __post_init__(self):
-        w = np.array(self.eigenvalues, dtype=float, copy=True)
-        if np.any(np.diff(w) > 1e-9):
-            raise ShapeMismatch("eigenvalues must be sorted descending")
-        w.setflags(write=False)
-        object.__setattr__(self, "eigenvalues", w)
-        if not 1 <= self.k <= w.size - 1:
-            raise KOutOfRange(f"k = {self.k} must lie in [1, {w.size - 1}]")
-
-    @property
-    def gap_k(self) -> float:
-        return eigengap(self.eigenvalues, self.k)
-
-
 def _canonical_columns(w_desc: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Deterministic ordering and signs for eigenvector columns.
 
@@ -134,28 +115,54 @@ def _canonical_columns(w_desc: np.ndarray, V: np.ndarray) -> np.ndarray:
     return V[:, order]
 
 
-def top_k_eigens(M: np.ndarray, k: int) -> tuple[OrthonormalBasis, SpectrumSummary]:
-    """Top-k eigenpairs of a symmetric matrix, deterministically normalized.
+@dataclass(frozen=True)
+class Spectrum:
+    """Eigendecomposition of ``matrix`` by :func:`eigendecompose`; ``values``
+    and the columns of ``vectors`` are in the ascending order of ``eigh``."""
 
-    Returns the orthonormal basis of the k largest eigenvalues and the full
-    descending spectrum with its k-gap. Ties are broken by the canonical
-    rule above so identical inputs give byte-identical outputs.
-    """
-    M = _check_symmetric(M)
-    n = M.shape[0]
-    if not 1 <= k <= n - 1:
-        raise KOutOfRange(f"k = {k} must lie in [1, {n - 1}]")
+    matrix: np.ndarray
+    values: np.ndarray
+    vectors: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.matrix.shape[0]
+
+    @property
+    def radius(self) -> float:
+        """Spectral radius, the largest absolute eigenvalue."""
+        return float(max(abs(self.values[0]), abs(self.values[-1])))
+
+    def gap(self, k: int) -> float:
+        """The k-gap of the descending spectrum, see :func:`eigengap`."""
+        return eigengap(self.values[::-1], k)
+
+    def top_k(self, k: int) -> OrthonormalBasis:
+        """Basis of the k largest eigenvalues, signs and ties fixed by
+        :func:`_canonical_columns` so identical inputs give identical bytes."""
+        if not 1 <= k <= self.n - 1:
+            raise KOutOfRange(f"k = {k} must lie in [1, {self.n - 1}]")
+        V = _canonical_columns(self.values[::-1], self.vectors[:, ::-1])
+        return OrthonormalBasis(U=V[:, :k])
+
+
+def eigendecompose(M: np.ndarray) -> Spectrum:
+    """Decompose a symmetric matrix with the package's only ``eigh``; read-only, so shareable."""
+    M = _check_symmetric(M).view()
     w, V = np.linalg.eigh(M)
-    w = w[::-1]
-    V = V[:, ::-1]
-    V = _canonical_columns(w, V)
-    return OrthonormalBasis(U=V[:, :k]), SpectrumSummary(eigenvalues=w, k=k)
+    for arr in (M, w, V):
+        arr.setflags(write=False)
+    return Spectrum(matrix=M, values=w, vectors=V)
+
+
+def eigenvalues(M: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a symmetric matrix: the package's only ``eigvalsh``."""
+    return np.linalg.eigvalsh(_check_symmetric(M))
 
 
 def symmetric_operator_norm(M: np.ndarray) -> float:
     """Spectral norm of a symmetric matrix (largest absolute eigenvalue)."""
-    M = _check_symmetric(M)
-    w = np.linalg.eigvalsh(M)
+    w = eigenvalues(M)
     return float(max(abs(w[0]), abs(w[-1])))
 
 

@@ -35,6 +35,7 @@ __all__ = [
     "two_block_sbm",
     "TwoBlockSpectrum",
     "require_finite",
+    "require_unit_interval",
 ]
 
 _SYM_TOL = 1e-10
@@ -49,6 +50,13 @@ def require_finite(**declared) -> None:
     for name, value in declared.items():
         if value is not None and not math.isfinite(value):
             raise ValueError(f"declared {name} must be finite, got {value!r}")
+
+
+def require_unit_interval(name: str, values) -> None:
+    """Reject values outside [0, 1]; the check is written so NaN fails it."""
+    v = np.asarray(values, dtype=float)
+    if not np.all((v >= 0.0) & (v <= 1.0)):
+        raise ValueError(f"{name} must lie in [0, 1]")
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

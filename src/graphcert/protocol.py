@@ -24,10 +24,11 @@ import numpy as np
 
 from .errors import (
     DegenerateTopEigenvalue,
+    NonpositiveGap,
     OutsideDomain,
     UnsupportedSpec,
 )
-from .concentration import deviation_quantile_from_envelope
+from .concentration import davis_kahan_radius, deviation_quantile_from_envelope
 from .inference import (
     CertificateSet,
     centrality_bands,
@@ -48,13 +49,21 @@ from .downstream import (
     distance_matrix,
     threshold_snapshots,
 )
-from .linalg import eigengap, symmetric_operator_norm, weyl_gap_certificate
+from .linalg import (
+    Spectrum,
+    eigendecompose,
+    eigengap,
+    eigenvalues,
+    symmetric_operator_norm,
+    weyl_gap_certificate,
+)
 from .models import (
     AdjacencyMatrix,
     Envelope,
     SBMSpec,
     build_probability_matrix,
     require_finite,
+    require_unit_interval,
 )
 
 __all__ = [
@@ -65,8 +74,6 @@ __all__ = [
     "FiltrationConfig",
     "ProtocolConfig",
     "DiagnosticReport",
-    "observed_gap_proxy",
-    "parametric_gap_certificate",
     "usvt_denoise",
     "run_protocol",
     "config_from_dict",
@@ -123,6 +130,7 @@ class FairnessConfig:
 
     def __post_init__(self):
         require_finite(tau=self.tau, epsilon=self.epsilon)
+        require_unit_interval("fairness targets", self.targets)
 
 
 @dataclass(frozen=True)
@@ -150,6 +158,11 @@ class ProtocolConfig:
             raise ValueError("k must be a positive integer (it is declared, never inferred)")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
+        if self.parametric_spec is not None and not isinstance(self.parametric_spec, SBMSpec):
+            raise UnsupportedSpec(
+                "parametric gap certificates support SBM specs, "
+                f"got {type(self.parametric_spec).__name__}"
+            )
 
 
 def config_from_dict(d: dict) -> ProtocolConfig:
@@ -268,33 +281,10 @@ def config_to_dict(cfg: ProtocolConfig) -> dict:
 # ---------------------------------------------------------------------------
 # protocol operations
 
-def observed_gap_proxy(A, k: int) -> float:
-    """Empirical k-gap of the observed spectrum. DIAGNOSTIC ONLY.
-
-    Never used as a certificate: a small value signals the boundary of
-    inferential content but a large value proves nothing about the latent
-    gap.
-    """
-    M = A.A if isinstance(A, AdjacencyMatrix) else np.asarray(A, dtype=float)
-    w = np.linalg.eigvalsh((M + M.T) / 2.0)[::-1]
-    return eigengap(w, k)
-
-
-def parametric_gap_certificate(spec: SBMSpec, k: int) -> float:
-    """Exact gap_k of the probability matrix declared by an SBM spec."""
-    if not isinstance(spec, SBMSpec):
-        raise UnsupportedSpec(
-            f"parametric certificates support SBM specs, got {type(spec).__name__}"
-        )
-    model = build_probability_matrix(spec)
-    w = np.linalg.eigvalsh(model.P)[::-1]
-    return max(eigengap(w, k), 0.0)
-
-
-def usvt_denoise(A, threshold_scale: float = 2.02) -> np.ndarray:
+def usvt_denoise(S: Spectrum, threshold_scale: float = 2.02) -> np.ndarray:
     """Spectral-threshold denoiser for the edge-probability matrix.
 
-    Eigencomponents of A with magnitude below threshold_scale *
+    Eigencomponents of A = ``S.matrix`` with magnitude below threshold_scale *
     sqrt(n * density) are zeroed, entries are clipped to [0, 1], and the
     diagonal is zeroed. Used only to feed the Weyl gap certificate with a
     user-supplied denoising error bound; no deviation quantile is derived
@@ -302,11 +292,9 @@ def usvt_denoise(A, threshold_scale: float = 2.02) -> np.ndarray:
     """
     if threshold_scale <= 0:
         raise ValueError("threshold_scale must be positive")
-    M = A.A if isinstance(A, AdjacencyMatrix) else np.asarray(A, dtype=float)
-    M = np.asarray(M, dtype=float)
-    n = M.shape[0]
-    w, V = np.linalg.eigh((M + M.T) / 2.0)
-    density = float(M.sum()) / (n * (n - 1)) if n > 1 else 0.0
+    n = S.n
+    w, V = S.values, S.vectors
+    density = float(S.matrix.sum()) / (n * (n - 1)) if n > 1 else 0.0
     thr = threshold_scale * math.sqrt(max(n * density, 0.0))
     keep = np.abs(w) >= thr if thr > 0 else np.ones_like(w, dtype=bool)
     P_hat = (V[:, keep] * w[keep]) @ V[:, keep].T
@@ -419,8 +407,11 @@ def report_to_json(obj, indent: int = 0) -> str:
 # the protocol
 
 def run_protocol(A: AdjacencyMatrix, config: ProtocolConfig) -> DiagnosticReport:
-    """Execute the full certificate-gated pipeline on one observed graph."""
-    M = np.asarray(A.A, dtype=float)
+    """Execute the full certificate-gated pipeline on one observed graph.
+
+    The observed graph is decomposed once; the gap proxy, the USVT route,
+    the subspace region and the centrality scores all read that spectrum.
+    """
     n = A.n
     k = config.k
     alpha = config.alpha
@@ -431,8 +422,9 @@ def run_protocol(A: AdjacencyMatrix, config: ProtocolConfig) -> DiagnosticReport
     outputs: dict = {}
     diagnostics: dict = {}
 
-    # observed spectral objects; the gap proxy never feeds a radius
-    proxy = observed_gap_proxy(A, k)
+    # observed spectrum; the gap proxy is diagnostic only, never a radius
+    S = eigendecompose(A.A)
+    proxy = S.gap(k)
 
     # D1: deviation quantile from the declared degree envelope
     d_max = config.envelope.d_max if config.envelope is not None else None
@@ -448,21 +440,24 @@ def run_protocol(A: AdjacencyMatrix, config: ProtocolConfig) -> DiagnosticReport
              "detail": "declare envelope.d_max to obtain a deviation quantile"}
         )
 
-    # D2: gap certificate (parametric > declared > usvt+weyl)
+    # D2: gap certificate (parametric > declared > usvt+weyl); the descending
+    # eigenvalues w_P of the parametric P also feed D3
     gap: Optional[float] = None
     gap_source = "none"
+    w_P = None
     if config.parametric_spec is not None:
-        gap = parametric_gap_certificate(config.parametric_spec, k)
+        w_P = eigenvalues(build_probability_matrix(config.parametric_spec).P)[::-1]
+        gap = max(eigengap(w_P, k), 0.0)
         gap_source = "parametric"
     elif config.envelope is not None and config.envelope.gap is not None:
         gap = float(config.envelope.gap)
         gap_source = "declared"
     elif config.usvt is not None and config.usvt.eps_p is not None:
-        P_hat = usvt_denoise(A, config.usvt.threshold_scale)
-        w_hat = np.linalg.eigvalsh(P_hat)[::-1]
+        P_hat = usvt_denoise(S, config.usvt.threshold_scale)
+        w_hat = eigenvalues(P_hat)[::-1]
         gap = weyl_gap_certificate(eigengap(w_hat, k), config.usvt.eps_p)
         gap_source = "usvt_weyl"
-        resid = symmetric_operator_norm(M - P_hat)
+        resid = symmetric_operator_norm(S.matrix - P_hat)
         diagnostics["usvt"] = {
             "threshold_scale": config.usvt.threshold_scale,
             "eps_p": config.usvt.eps_p,
@@ -473,6 +468,11 @@ def run_protocol(A: AdjacencyMatrix, config: ProtocolConfig) -> DiagnosticReport
         }
     if gap is not None and gap > 0:
         d2 = Flag(True, f"{gap_source} gap certificate = {gap!r}")
+        if q is not None:
+            try:
+                davis_kahan_radius(q, gap)
+            except NonpositiveGap as exc:  # 2 q / gap overflowed
+                d2 = Flag(False, f"{gap_source} {exc}")
     else:
         detail = (
             "no gap certificate route configured"
@@ -489,9 +489,8 @@ def run_protocol(A: AdjacencyMatrix, config: ProtocolConfig) -> DiagnosticReport
     if cent is not None:
         if cent.kind == "katz":
             limit = 1.0 / (2.0 * cent.beta)
-            if config.parametric_spec is not None:
-                P = build_probability_matrix(config.parametric_spec).P
-                rho = symmetric_operator_norm(P)
+            if w_P is not None:
+                rho = float(max(abs(w_P[-1]), abs(w_P[0])))
                 domain_ok = rho <= limit * (1.0 + 1e-12)
                 domain_note = (
                     f"parametric: rho(P) = {rho!r} vs limit {limit!r}"
@@ -503,10 +502,8 @@ def run_protocol(A: AdjacencyMatrix, config: ProtocolConfig) -> DiagnosticReport
                 L = katz_modulus(cent.beta)
         else:  # eigenvector
             gamma = None
-            if config.parametric_spec is not None:
-                P = build_probability_matrix(config.parametric_spec).P
-                w = np.linalg.eigvalsh(P)[::-1]
-                gamma = float(w[0] - w[1])
+            if w_P is not None:
+                gamma = float(w_P[0] - w_P[1])
                 domain_note = f"parametric: top gap = {gamma!r}"
             elif cent.gamma is not None and cent.domain_certified:
                 gamma = float(cent.gamma)
@@ -536,10 +533,10 @@ def run_protocol(A: AdjacencyMatrix, config: ProtocolConfig) -> DiagnosticReport
     )
 
     # Step 4: subspace region iff D1 and D2; the cluster and filtration
-    # steps reuse it, so the observed graph is decomposed once
+    # steps reuse it
     region = None
     if d1.passed and d2.passed:
-        region = subspace_region(A, k, certs, alpha)
+        region = subspace_region(S, k, certs, alpha)
         outputs["subspace"] = {
             "radius": region.radius,
             "informative": region.informative,
@@ -564,9 +561,9 @@ def run_protocol(A: AdjacencyMatrix, config: ProtocolConfig) -> DiagnosticReport
         if d1.passed and d3.passed:
             try:
                 if cent.kind == "katz":
-                    scores = katz_centrality(M, cent.beta)
+                    scores = katz_centrality(S, cent.beta)
                 else:
-                    scores, _ = eigenvector_centrality(M)
+                    scores, _ = eigenvector_centrality(S)
             except (OutsideDomain, DegenerateTopEigenvalue) as exc:
                 refusals.append(
                     {"output": "centrality_bands",
@@ -617,6 +614,8 @@ def run_protocol(A: AdjacencyMatrix, config: ProtocolConfig) -> DiagnosticReport
             {"output": "stability", "reason": "no_centrality_functional",
              "detail": "declare a centrality block to score the selection"}
         )
+
+    del S  # free the n x n eigenvectors before the n x n distance matrices
 
     # Step 6: clustering region iff D1, D2 and D4
     if clus is not None:

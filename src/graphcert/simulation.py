@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import NonpositiveGap, NoTiePresent, OutsideDomain, TooSmall
 from .concentration import (
-    adjacency_deviation,
     davis_kahan_radius,
     deviation_quantile,
     deviation_quantile_from_envelope,
@@ -43,6 +42,7 @@ from .inference import (
     centrality_bands,
     cluster_hamming_radius,
     cluster_region,
+    eigenvector_centrality,
     katz_centrality,
     katz_modulus,
     nearest_center_round,
@@ -54,10 +54,10 @@ from .inference import (
 )
 from .linalg import (
     OrthonormalBasis,
+    eigendecompose,
     grassmann_distance,
     procrustes_align,
     symmetric_operator_norm,
-    top_k_eigens,
 )
 from .models import (
     ProbabilityModel,
@@ -250,9 +250,10 @@ def coverage_experiment(
     alpha = config.alpha
     audit = config.audit_inequalities
 
-    U_star, spectrum = top_k_eigens(P, k)
-    gap_true = spectrum.gap_k
-    rho_P = max(abs(spectrum.eigenvalues[0]), abs(spectrum.eigenvalues[-1]))
+    S_P = eigendecompose(P)
+    U_star = S_P.top_k(k)
+    gap_true = S_P.gap(k)
+    rho_P = S_P.radius
 
     if config.mode == "oracle":
         d_max_cert = expected_degree_bound(model)
@@ -290,7 +291,7 @@ def coverage_experiment(
         beta = 1.0 / (4.0 * rho_P) if rho_P > 0 else 1.0
     L_katz = katz_modulus(beta)
     try:
-        true_scores = katz_centrality(P, beta)
+        true_scores = katz_centrality(S_P, beta)
     except OutsideDomain:
         true_scores = None
     band_width = None
@@ -348,18 +349,19 @@ def coverage_experiment(
 
     for rep in range(replications):
         A = sample_adjacency(model, replication_seed(base_seed, rep))
-        M = np.asarray(A.A, dtype=float)
 
+        # one decomposition of the sample, made only when something reads it
+        S = eigendecompose(A.A) if audit or evaluated - {"deviation"} else None
         region = U_hat = None
         if dk is not None and (audit or evaluated & {"subspace", "cluster"}):
-            region = subspace_region(A, k, certs, alpha)
+            region = subspace_region(S, k, certs, alpha)
             U_hat = region.center
         elif audit:
-            U_hat, _ = top_k_eigens(M, k)
+            U_hat = S.top_k(k)
 
         dev = None
         if "deviation" in config.claims or audit:
-            dev = adjacency_deviation(M, P)
+            dev = symmetric_operator_norm(A.A - P)
 
         outcome = {}
         if "deviation" in config.claims:
@@ -372,7 +374,7 @@ def coverage_experiment(
         scores_hat = None
         if "centrality" in evaluated:
             try:
-                scores_hat = katz_centrality(M, beta)
+                scores_hat = katz_centrality(S, beta)
             except OutsideDomain:
                 scores_hat = None  # refusal on this sample counts as a miss
             outcome["centrality"] = scores_hat is not None and centrality_bands(
@@ -588,21 +590,18 @@ def modulus_audit(
     count = 0
     stated2 = statedinf = 0.0
     for M in domain_samples:
-        M = np.asarray(M, dtype=float)
-        n = M.shape[0]
+        S = eigendecompose(M)
+        n = S.n
         if kind == "katz":
             beta = float(functional[1])
             limit = 1.0 / (2.0 * beta)
-            rho = symmetric_operator_norm(M)
-            if rho + perturbation_scale > limit * (1.0 + 1e-12):
-                raise OutsideDomain(rho + perturbation_scale, limit)
-            base = katz_centrality(M, beta)
+            if S.radius + perturbation_scale > limit * (1.0 + 1e-12):
+                raise OutsideDomain(S.radius + perturbation_scale, limit)
+            base = katz_centrality(S, beta)
             stated2 = max(stated2, 4.0 * beta * math.sqrt(n))
             statedinf = max(statedinf, 4.0 * beta)
         elif kind == "eigenvector":
-            from .inference import eigenvector_centrality
-
-            base, gamma = eigenvector_centrality(M)
+            base, gamma = eigenvector_centrality(S)
             if 2.0 * perturbation_scale >= gamma:
                 raise OutsideDomain(2.0 * perturbation_scale, gamma)
             stated2 = max(stated2, 2.0 / gamma)
@@ -613,11 +612,11 @@ def modulus_audit(
             E = rng.normal(size=(n, n))
             E = (E + E.T) / 2.0
             E *= perturbation_scale / symmetric_operator_norm(E)
-            Mp = M + E
+            Sp = eigendecompose(S.matrix + E)
             if kind == "katz":
-                pert = katz_centrality(Mp, beta)
+                pert = katz_centrality(Sp, beta)
             else:
-                pert, _ = eigenvector_centrality(Mp)
+                pert, _ = eigenvector_centrality(Sp)
             diff = pert - base
             max2 = max(max2, float(np.linalg.norm(diff)) / perturbation_scale)
             maxinf = max(maxinf, float(np.max(np.abs(diff))) / perturbation_scale)

@@ -24,3 +24,18 @@ def random_orthonormal(rng, n, k):
 def random_orthogonal(rng, k):
     Q, R = np.linalg.qr(rng.normal(size=(k, k)))
     return Q * np.sign(np.diag(R))
+
+
+@pytest.fixture()
+def eig_calls(monkeypatch):
+    """Counts of np.linalg.eigh and np.linalg.eigvalsh calls in the test."""
+    calls = {"eigh": 0, "eigvalsh": 0}
+    for name in calls:
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls

@@ -15,6 +15,7 @@ import pytest
 from graphcert import (
     collision_instance,
     coverage_experiment,
+    eigendecompose,
     grassmann_distance,
     katz_centrality,
     katz_modulus,
@@ -25,7 +26,6 @@ from graphcert import (
     sample_adjacency,
     stability_certificate,
     tie_counterexample,
-    top_k_eigens,
     top_m_selection,
     two_block_sbm,
     two_block_spectrum,
@@ -89,7 +89,7 @@ def test_criterion_02_certificates_exact(sbm200):
     assert abs(expected_degree_bound(sbm200) - 39.7) < 1e-12
 
     # margin 2/sqrt(200) read off the population basis rows
-    basis, _ = top_k_eigens(sbm200.P, 2)
+    basis = eigendecompose(sbm200.P).top_k(2)
     rows = np.unique(np.round(basis.U, 10), axis=0)
     assert rows.shape[0] == 2
     margin = float(np.linalg.norm(rows[0] - rows[1]))
@@ -115,7 +115,7 @@ def test_criterion_03_katz_constants(sbm200):
     assert abs(beta * rho - 0.25) < 1e-12
     assert katz_modulus(beta) == 10 / 397
 
-    scores = katz_centrality(sbm200.P, beta)
+    scores = katz_centrality(eigendecompose(sbm200.P), beta)
     acc = np.zeros(200)
     term = np.ones(200)
     for _ in range(200):
@@ -217,7 +217,7 @@ def test_criterion_08_stability_and_ties():
         rho = float(np.max(np.abs(np.linalg.eigvalsh(M))))
         beta = 1 / (4 * rho)
         L = katz_modulus(beta)
-        scores = katz_centrality(M, beta)
+        scores = katz_centrality(eigendecompose(M), beta)
         sel = top_m_selection(scores, 3)
         if not sel.unique:
             continue
@@ -230,7 +230,7 @@ def test_criterion_08_stability_and_ties():
             E = rng.normal(size=(n, n))
             E = (E + E.T) / 2
             E *= q * rng.uniform() / np.linalg.norm(E, 2)
-            perturbed = katz_centrality(M + E, beta)
+            perturbed = katz_centrality(eigendecompose(M + E), beta)
             sel_p = top_m_selection(perturbed, 3)
             assert sel_p.unique and sel_p.sets == (cert.selected_set,)
     assert certified_count >= 3

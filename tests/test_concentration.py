@@ -7,10 +7,10 @@ from scipy.optimize import brentq
 from graphcert import (
     BadLevel,
     NonpositiveGap,
-    adjacency_deviation,
     davis_kahan_radius,
     deviation_quantile,
     deviation_quantile_from_envelope,
+    symmetric_operator_norm,
     variance_proxy,
 )
 
@@ -111,6 +111,15 @@ def test_adjacency_deviation_matches_opnorm(rng, sbm200):
     from graphcert import sample_adjacency
 
     A = sample_adjacency(sbm200, 5)
-    d = adjacency_deviation(A.A, sbm200.P)
+    d = symmetric_operator_norm(A.A - sbm200.P)
     oracle = np.linalg.norm(A.A - sbm200.P, 2)
     assert abs(d - oracle) < 1e-9
+
+
+def test_davis_kahan_refuses_unbounded_radius():
+    # a positive but subnormal gap overflows 2 q / gap: refused like gap 0
+    for q, gap in ((10.0, 1e-320), (1e10, 1e-300)):
+        with pytest.raises(NonpositiveGap, match="radius"):
+            davis_kahan_radius(q, gap)
+    assert davis_kahan_radius(0.0, 1e-320).radius == 0.0
+    assert math.isfinite(davis_kahan_radius(1.0, 1e-300).radius)

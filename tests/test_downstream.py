@@ -98,6 +98,14 @@ def _problem(rng, n=40, tau=0.5, epsilon=0.2):
     return FairnessProblem(x=x, y=y, s=s, tau=tau, epsilon=epsilon)
 
 
+def test_fairness_problem_rejects_targets_outside_unit_interval():
+    x, s = np.zeros(4), np.array([0, 1, 0, 1])
+    FairnessProblem(x=x, y=[0.0, 0.5, 0.5, 1.0], s=s, tau=1.0, epsilon=0.1)
+    for bad in (np.nan, -0.1, 1.1):  # NaN compares false both ways
+        with pytest.raises(ValueError, match="targets must lie in"):
+            FairnessProblem(x=x, y=[bad, 0.5, 0.5, 0.5], s=s, tau=1.0, epsilon=0.1)
+
+
 def test_logistic_decisions_limits(rng):
     p = _problem(rng)
     d = logistic_decisions(p.x, p.s, p.tau, np.array([1e6, 1e6]))

@@ -15,6 +15,7 @@ from graphcert import (
     OutsideDomain,
     centrality_bands,
     cluster_region,
+    eigendecompose,
     eigenvector_centrality,
     katz_centrality,
     katz_modulus,
@@ -38,7 +39,7 @@ from conftest import random_orthogonal, random_orthonormal
 def test_perfect_information_limit_gives_radius_zero(rng, sbm200):
     A = sample_adjacency(sbm200, 1)
     certs = CertificateSet(d_max=0.0, gap=20.0)
-    region = subspace_region(A, 2, certs, alpha=0.05)
+    region = subspace_region(eigendecompose(A.A), 2, certs, alpha=0.05)
     assert region.radius == 0.0
     assert region.informative
     # the region holds exactly the rotations of its center
@@ -49,7 +50,7 @@ def test_perfect_information_limit_gives_radius_zero(rng, sbm200):
 def test_worked_instance_radius_flagged_vacuous(sbm200):
     A = sample_adjacency(sbm200, 2)
     certs = CertificateSet(d_max=39.7, gap=20.0)
-    region = subspace_region(A, 2, certs, alpha=0.05)
+    region = subspace_region(eigendecompose(A.A), 2, certs, alpha=0.05)
     q = deviation_quantile(39.7, 200, 0.05).q
     assert abs(region.radius - 2 * q / 20.0) < 1e-12
     assert region.radius > 1.0
@@ -59,14 +60,14 @@ def test_worked_instance_radius_flagged_vacuous(sbm200):
 def test_subspace_region_refuses_without_gap(sbm200):
     A = sample_adjacency(sbm200, 3)
     with pytest.raises(NoGapCertificate):
-        subspace_region(A, 2, CertificateSet(d_max=39.7, gap=0.0), alpha=0.05)
+        subspace_region(eigendecompose(A.A), 2, CertificateSet(d_max=39.7, gap=0.0), alpha=0.05)
     with pytest.raises(NoGapCertificate):
-        subspace_region(A, 2, CertificateSet(d_max=39.7, gap=None), alpha=0.05)
+        subspace_region(eigendecompose(A.A), 2, CertificateSet(d_max=39.7, gap=None), alpha=0.05)
 
 
 def test_region_contains_rotation_invariance(rng, sbm200):
     A = sample_adjacency(sbm200, 4)
-    region = subspace_region(A, 2, CertificateSet(d_max=39.7, gap=20.0), 0.1)
+    region = subspace_region(eigendecompose(A.A), 2, CertificateSet(d_max=39.7, gap=20.0), 0.1)
     U = OrthonormalBasis(U=random_orthonormal(rng, 200, 2))
     for _ in range(5):
         Q = random_orthogonal(rng, 2)
@@ -231,7 +232,9 @@ def test_cluster_region_worked_formula(sbm200):
     centers = np.array(
         [[1 / math.sqrt(n), 1 / math.sqrt(n)], [1 / math.sqrt(n), -1 / math.sqrt(n)]]
     )
-    region = cluster_region(subspace_region(A, 2, certs, 0.05), delta, centers=centers)
+    region = cluster_region(
+        subspace_region(eigendecompose(A.A), 2, certs, 0.05), delta, centers=centers
+    )
     q = deviation_quantile(39.7, n, 0.05).q
     r = 2 * q / 20.0
     assert region.hamming_radius == min(n, math.ceil(16 * (2 * 2 * r * r) / delta**2))
@@ -251,7 +254,7 @@ def test_cluster_region_zero_radius_exact_claim(sbm200):
     A = sample_adjacency(sbm200, 12)
     certs = CertificateSet(d_max=0.0, gap=20.0)
     delta = 2 / math.sqrt(200)
-    region = cluster_region(subspace_region(A, 2, certs, 0.05), delta)
+    region = cluster_region(subspace_region(eigendecompose(A.A), 2, certs, 0.05), delta)
     assert region.hamming_radius == 0
     assert not region.vacuous
     # no declared centers: K-means rounding, margin is a domain assumption
@@ -259,20 +262,20 @@ def test_cluster_region_zero_radius_exact_claim(sbm200):
 
 
 def test_alignment_handles_unequal_blocks():
-    from graphcert import SBMSpec, build_probability_matrix, top_k_eigens
+    from graphcert import SBMSpec, build_probability_matrix
     from graphcert.inference import align_to_centers
 
     labels = np.repeat([0, 1], [30, 90])
     model = build_probability_matrix(
         SBMSpec.from_labels(labels, [[0.9, 0.05], [0.05, 0.8]])
     )
-    U_star, _ = top_k_eigens(model.P, 2)
+    U_star = eigendecompose(model.P).top_k(2)
     centers = np.stack(
         [U_star.U[labels == a].mean(axis=0) for a in range(2)]
     )
     for seed in range(5):
         A = sample_adjacency(model, seed)
-        U_hat, _ = top_k_eigens(A.A.astype(float), 2)
+        U_hat = eigendecompose(A.A).top_k(2)
         _, found = align_to_centers(U_hat, centers)
         assert perm_hamming_distance(found, labels) == 0
 
@@ -280,13 +283,19 @@ def test_alignment_handles_unequal_blocks():
 def test_cluster_region_requires_margin(sbm200):
     A = sample_adjacency(sbm200, 13)
     with pytest.raises(NonpositiveMargin):
-        cluster_region(subspace_region(A, 2, CertificateSet(d_max=39.7, gap=20.0), 0.05), 0.0)
+        cluster_region(
+            subspace_region(eigendecompose(A.A), 2, CertificateSet(d_max=39.7, gap=20.0), 0.05),
+            0.0,
+        )
 
 
 def test_cluster_region_propagates_gap_refusal(sbm200):
     A = sample_adjacency(sbm200, 14)
     with pytest.raises(NoGapCertificate):
-        cluster_region(subspace_region(A, 2, CertificateSet(d_max=39.7, gap=0.0), 0.05), 0.1)
+        cluster_region(
+            subspace_region(eigendecompose(A.A), 2, CertificateSet(d_max=39.7, gap=0.0), 0.05),
+            0.1,
+        )
 
 
 def test_cluster_region_uniform_branch_strong_signal():
@@ -297,7 +306,7 @@ def test_cluster_region_uniform_branch_strong_signal():
     # a tiny declared c_row turns on the uniform branch: radius 0
     certs = CertificateSet(d_max=1.0, gap=30.0, c_row=1e-4)
     delta = 2 / math.sqrt(80)
-    region = cluster_region(subspace_region(A, 2, certs, 0.05), delta)
+    region = cluster_region(subspace_region(eigendecompose(A.A), 2, certs, 0.05), delta)
     assert region.radius_route == "uniform_rowwise"
     assert region.hamming_radius == 0
 
@@ -314,7 +323,7 @@ def test_cluster_region_recovers_strong_signal_labels():
     for seed in range(5):
         A = sample_adjacency(model, seed)
         region = cluster_region(
-            subspace_region(A, 2, CertificateSet(d_max=40.0, gap=30.0), 0.05),
+            subspace_region(eigendecompose(A.A), 2, CertificateSet(d_max=40.0, gap=30.0), 0.05),
             2 / math.sqrt(n), centers=centers,
         )
         assert perm_hamming_distance(region.labels, truth) == 0
@@ -324,14 +333,14 @@ def test_cluster_region_recovers_strong_signal_labels():
 # centralities
 
 def test_katz_zero_matrix():
-    assert np.allclose(katz_centrality(np.zeros((4, 4)), 0.1), 0.0)
+    assert np.allclose(katz_centrality(eigendecompose(np.zeros((4, 4))), 0.1), 0.0)
 
 
 def test_katz_regular_graph_closed_form():
     # 3-regular: complete graph K4; uniform score 1/(1 - beta k) - 1
     A = np.ones((4, 4)) - np.eye(4)
     beta = 0.1
-    scores = katz_centrality(A, beta)
+    scores = katz_centrality(eigendecompose(A), beta)
     assert np.allclose(scores, 1 / (1 - beta * 3) - 1, atol=1e-12)
 
 
@@ -342,7 +351,7 @@ def test_katz_matches_neumann_series(rng):
     M = (M + M.T) / 2
     rho = np.max(np.abs(np.linalg.eigvalsh(M)))
     beta = 1 / (4 * rho)
-    scores = katz_centrality(M, beta)
+    scores = katz_centrality(eigendecompose(M), beta)
     acc = np.zeros(n)
     term = np.ones(n)
     for _ in range(50):
@@ -354,10 +363,10 @@ def test_katz_matches_neumann_series(rng):
 def test_katz_domain_rejection(rng):
     M = np.ones((4, 4)) - np.eye(4)  # rho = 3
     with pytest.raises(OutsideDomain) as exc:
-        katz_centrality(M, beta=1.0)  # limit 0.5 < 3
+        katz_centrality(eigendecompose(M), beta=1.0)  # limit 0.5 < 3
     assert exc.value.rho > exc.value.limit
     # boundary inclusive: rho = 1/(2 beta) passes
-    katz_centrality(M, beta=1.0 / 6.0)
+    katz_centrality(eigendecompose(M), beta=1.0 / 6.0)
 
 
 def test_katz_modulus_worked_constants():
@@ -368,13 +377,13 @@ def test_katz_modulus_worked_constants():
 
 
 def test_eigenvector_centrality_diagonal():
-    v, gamma = eigenvector_centrality(np.diag([3.0, 1.0, 1.0]))
+    v, gamma = eigenvector_centrality(eigendecompose(np.diag([3.0, 1.0, 1.0])))
     assert np.allclose(v, [1, 0, 0])
     assert abs(gamma - 2.0) < 1e-12
 
 
 def test_eigenvector_centrality_worked_instance(sbm200):
-    v, gamma = eigenvector_centrality(sbm200.P)
+    v, gamma = eigenvector_centrality(eigendecompose(sbm200.P))
     assert abs(gamma - 20.0) < 1e-9
     assert np.allclose(v, 1 / math.sqrt(200), atol=1e-9)
     assert v.sum() > 0
@@ -382,18 +391,27 @@ def test_eigenvector_centrality_worked_instance(sbm200):
 
 def test_eigenvector_centrality_rejects_degenerate():
     with pytest.raises(DegenerateTopEigenvalue):
-        eigenvector_centrality(np.eye(3))
+        eigenvector_centrality(eigendecompose(np.eye(3)))
+
+
+def test_eigenvector_centrality_matches_direct_eigh(sbm200):
+    A = sample_adjacency(sbm200, 16)
+    w, V = np.linalg.eigh(A.A)
+    v = V[:, -1] if V[:, -1].sum() >= 0 else -V[:, -1]
+    got, gamma = eigenvector_centrality(eigendecompose(A.A))
+    assert np.array_equal(got, v)
+    assert gamma == float(w[-1] - w[-2])
 
 
 def test_eigenvector_perturbation_modulus(rng):
     # one-dimensional projector perturbation: ||v - v'|| <= 2 ||E|| / gamma
     M = np.diag([5.0, 2.0, 1.0, 0.5])
-    base, gamma = eigenvector_centrality(M)
+    base, gamma = eigenvector_centrality(eigendecompose(M))
     for _ in range(200):
         E = rng.normal(size=(4, 4))
         E = (E + E.T) / 2
         E *= 0.2 / np.linalg.norm(E, 2)
-        pert, _ = eigenvector_centrality(M + E)
+        pert, _ = eigenvector_centrality(eigendecompose(M + E))
         assert np.linalg.norm(pert - base) <= 2 * 0.2 / gamma + 1e-9
 
 
@@ -470,3 +488,12 @@ def test_stability_certificate_tie_never_certified():
     x = np.array([1.0, 1.0 - 1e-13, 0.0])
     cert = stability_certificate(x, m=1, L=0.0, q=0.0)
     assert not cert.certified
+
+
+def test_cluster_hamming_radius_clamps_before_the_ceiling():
+    from graphcert import cluster_hamming_radius
+
+    # r^2 overflows to inf; both routes clamp at n instead of ceil(inf)
+    assert cluster_hamming_radius(1e200, 2, 0.3, 40) == (40, "mean_square")
+    assert cluster_hamming_radius(1e200, 2, 0.3, 40, c_row=0.01) == (40, "uniform_rowwise")
+    assert rounding_error_bound(1e200, 0.3, 40).hamming_bound == 40

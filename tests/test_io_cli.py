@@ -249,3 +249,42 @@ def test_cli_csv_format(tmp_path, sbm200):
     text = out.read_text()
     assert text.startswith("key,value\n")
     assert "flags.D1.passed,True" in text
+
+
+def _write_two_block_40(tmp_path):
+    from graphcert import two_block_sbm
+
+    return _write_graph(tmp_path, two_block_sbm(40, 0.5, 0.1))
+
+
+def test_cli_subnormal_gap_is_refused(tmp_path):
+    graph = _write_two_block_40(tmp_path)
+    config = tmp_path / "tiny.json"
+    config.write_text(json.dumps({
+        "k": 2,
+        "envelope": {"d_max": 10, "gap": 1e-320},
+        "clustering": {"delta": 0.3, "c_row": 0.01},
+        "filtration": {"t_grid": [0.1]},
+    }), encoding="utf-8")
+    out = tmp_path / "r.json"
+    code = main(["certify", "--graph", str(graph), "--config", str(config), "--out", str(out)])
+    assert code == 0
+    text = out.read_text()
+    assert "Infinity" not in text and "NaN" not in text
+    report = json.loads(text)
+    assert report["flags"]["D2"]["passed"] is False
+    reasons = {r["output"]: r["reason"] for r in report["refusals"]}
+    assert {reasons[o] for o in ("subspace", "cluster", "filtration")} == {"no_gap_certificate"}
+
+
+def test_cli_nan_fairness_target_exit_code(tmp_path):
+    graph = _write_two_block_40(tmp_path)
+    config = tmp_path / "nan.json"
+    doc = {"k": 2, "fairness": {"groups": [i % 2 for i in range(40)],
+                                "targets": [0.5] * 40, "tau": 0.5, "epsilon": 0.2}}
+    text = json.dumps(doc).replace("0.5, 0.5,", "NaN, 0.5,", 1)
+    config.write_text(text, encoding="utf-8")
+    out = tmp_path / "r.json"
+    code = main(["certify", "--graph", str(graph), "--config", str(config), "--out", str(out)])
+    assert code == 1
+    assert not out.exists()

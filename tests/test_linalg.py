@@ -9,11 +9,12 @@ from graphcert import (
     NotSymmetric,
     OrthonormalBasis,
     ShapeMismatch,
+    eigendecompose,
     eigengap,
+    eigenvalues,
     frobenius_subspace_bound,
     grassmann_distance,
     procrustes_align,
-    top_k_eigens,
     weyl_gap_certificate,
 )
 
@@ -21,14 +22,17 @@ from conftest import random_orthogonal, random_orthonormal
 
 
 def test_top_k_on_diagonal_matrix():
-    basis, spectrum = top_k_eigens(np.diag([3.0, 2.0, 1.0]), 1)
+    spectrum = eigendecompose(np.diag([3.0, 2.0, 1.0]))
+    basis = spectrum.top_k(1)
     assert np.allclose(np.abs(basis.U[:, 0]), [1, 0, 0])
-    assert np.allclose(spectrum.eigenvalues, [3, 2, 1])
-    assert spectrum.gap_k == 1.0
+    assert np.allclose(spectrum.values, [1, 2, 3])
+    assert spectrum.gap(1) == 1.0
+    assert spectrum.radius == 3.0
 
 
 def test_top_k_worked_instance(sbm200):
-    basis, spectrum = top_k_eigens(sbm200.P, 2)
+    spectrum = eigendecompose(sbm200.P)
+    basis = spectrum.top_k(2)
     n = 200
     ones = np.ones(n) / np.sqrt(n)
     s = np.concatenate([np.ones(100), -np.ones(100)]) / np.sqrt(n)
@@ -36,7 +40,7 @@ def test_top_k_worked_instance(sbm200):
     proj = basis.projector()
     assert np.allclose(proj @ ones, ones, atol=1e-9)
     assert np.allclose(proj @ s, s, atol=1e-9)
-    assert abs(spectrum.gap_k - 20.0) < 1e-9
+    assert abs(spectrum.gap(2) - 20.0) < 1e-9
 
 
 def test_top_k_reconstruction_residual(rng):
@@ -44,27 +48,43 @@ def test_top_k_reconstruction_residual(rng):
     n = 40
     M = rng.normal(size=(n, n))
     M = (M + M.T) / 2
-    _, spectrum = top_k_eigens(M, 3)
-    w, V = np.linalg.eigh(M)
-    recon = (V * w) @ V.T
+    spectrum = eigendecompose(M)
+    recon = (spectrum.vectors * spectrum.values) @ spectrum.vectors.T
     assert np.linalg.norm(M - recon, 2) <= 1e-8 * np.linalg.norm(M, 2)
 
 
 def test_top_k_rejects_asymmetric_and_bad_k(rng):
     M = rng.normal(size=(5, 5))
     with pytest.raises(NotSymmetric):
-        top_k_eigens(M, 2)
-    S = (M + M.T) / 2
+        eigendecompose(M)
+    S = eigendecompose((M + M.T) / 2)
     with pytest.raises(KOutOfRange):
-        top_k_eigens(S, 5)
+        S.top_k(5)
     with pytest.raises(KOutOfRange):
-        top_k_eigens(S, 0)
+        S.top_k(0)
+
+
+def test_eigendecompose_refuses_asymmetry_beyond_tolerance(rng):
+    # consumers read a Spectrum, so an asymmetric matrix is refused once,
+    # here, instead of being symmetrized silently by each consumer
+    M = rng.normal(size=(6, 6))
+    M = (M + M.T) / 2
+    near = M.copy()
+    near[0, 1] += 1e-11
+    eigendecompose(near)
+    eigenvalues(near)
+    far = M.copy()
+    far[0, 1] += 1e-9
+    with pytest.raises(NotSymmetric):
+        eigendecompose(far)
+    with pytest.raises(NotSymmetric):
+        eigenvalues(far)
 
 
 def test_top_k_deterministic_under_ties():
     M = np.diag([2.0, 2.0, 1.0, 0.0])
-    b1, _ = top_k_eigens(M, 2)
-    b2, _ = top_k_eigens(M, 2)
+    b1 = eigendecompose(M).top_k(2)
+    b2 = eigendecompose(M).top_k(2)
     assert np.array_equal(b1.U, b2.U)
     # sign rule: the anchor coordinate of each column is positive
     for j in range(2):
@@ -211,7 +231,7 @@ def test_eigengap_conventions():
 def test_top_k_idempotent_on_symmetric_input(rng):
     M = rng.normal(size=(8, 8))
     M = (M + M.T) / 2
-    b1, s1 = top_k_eigens(M, 2)
-    b2, s2 = top_k_eigens((M + M.T) / 2, 2)
-    assert np.array_equal(b1.U, b2.U)
-    assert np.array_equal(s1.eigenvalues, s2.eigenvalues)
+    s1 = eigendecompose(M)
+    s2 = eigendecompose((M + M.T) / 2)
+    assert np.array_equal(s1.top_k(2).U, s2.top_k(2).U)
+    assert np.array_equal(s1.values, s2.values)

@@ -11,8 +11,8 @@ from graphcert import (
     build_probability_matrix,
     collision_instance,
     deviation_quantile,
-    observed_gap_proxy,
-    parametric_gap_certificate,
+    eigendecompose,
+    eigengap,
     run_protocol,
     sample_adjacency,
     usvt_denoise,
@@ -35,30 +35,40 @@ def _k4():
 
 
 def test_observed_gap_proxy_complete_graph():
-    assert abs(observed_gap_proxy(_k4(), 1) - 4.0) < 1e-12
+    report = run_protocol(_k4(), ProtocolConfig(k=1))
+    assert abs(report.observed_gap_proxy - 4.0) < 1e-12
 
 
 def test_observed_gap_proxy_empty_graph():
     A = AdjacencyMatrix(n=4, A=np.zeros((4, 4), dtype=np.int8))
-    assert observed_gap_proxy(A, 2) == 0.0
+    assert run_protocol(A, ProtocolConfig(k=2)).observed_gap_proxy == 0.0
 
 
 def test_observed_gap_proxy_matches_eigengap(rng, sbm200):
-    from graphcert import eigengap
-
+    # the proxy is the shared spectrum's gap, equal to the values-only one
     A = sample_adjacency(sbm200, 21)
-    w = np.sort(np.linalg.eigvalsh(A.A.astype(float)))[::-1]
+    S = eigendecompose(A.A)
+    w = np.sort(np.linalg.eigvalsh(A.A))[::-1]
     for k in (1, 2, 5):
-        assert abs(observed_gap_proxy(A, k) - eigengap(w, k)) < 1e-12
+        assert abs(S.gap(k) - eigengap(w, k)) < 1e-12
+        assert run_protocol(A, ProtocolConfig(k=k)).observed_gap_proxy == S.gap(k)
+
+
+def _parametric_gap(spec, k):
+    """The D2 gap certificate run_protocol derives from an SBM spec."""
+    A = sample_adjacency(build_probability_matrix(spec), 0)
+    report = run_protocol(A, ProtocolConfig(k=k, parametric_spec=spec))
+    assert report.certificates.provenance == "parametric"
+    return report.certificates.gap
 
 
 def test_parametric_certificate_worked_instance(sbm200):
-    assert abs(parametric_gap_certificate(sbm200.spec, 2) - 20.0) < 1e-9
+    assert abs(_parametric_gap(sbm200.spec, 2) - 20.0) < 1e-9
 
 
 def test_parametric_certificate_collision_is_zero():
     spec = SBMSpec.from_labels([0, 0, 1, 1], [[0.5, 0.0], [0.0, 0.5]])
-    assert parametric_gap_certificate(spec, 1) == 0.0
+    assert _parametric_gap(spec, 1) == 0.0
 
 
 def test_parametric_certificate_three_block_matches_dense(rng):
@@ -69,7 +79,7 @@ def test_parametric_certificate_three_block_matches_dense(rng):
     w = np.sort(np.linalg.eigvalsh(model.P))[::-1]
     for k in (1, 2, 3):
         dense = min(w[k - 1] - w[k], math.inf if k == 1 else w[k - 2] - w[k - 1])
-        assert abs(parametric_gap_certificate(spec, k) - dense) < 1e-9
+        assert abs(_parametric_gap(spec, k) - dense) < 1e-9
 
 
 def test_parametric_certificate_rejects_non_sbm():
@@ -79,7 +89,7 @@ def test_parametric_certificate_rejects_non_sbm():
         B=np.array([[0.5, 0.1], [0.1, 0.5]]),
     )
     with pytest.raises(UnsupportedSpec):
-        parametric_gap_certificate(spec, 1)
+        ProtocolConfig(k=1, parametric_spec=spec)
 
 
 # ---------------------------------------------------------------------------
@@ -87,9 +97,9 @@ def test_parametric_certificate_rejects_non_sbm():
 
 def test_usvt_trivial_cases():
     A = np.zeros((6, 6))
-    assert np.all(usvt_denoise(A) == 0)
+    assert np.all(usvt_denoise(eigendecompose(A)) == 0)
     K = np.ones((6, 6)) - np.eye(6)
-    assert np.all(usvt_denoise(K, threshold_scale=1e9) == 0)
+    assert np.all(usvt_denoise(eigendecompose(K), threshold_scale=1e9) == 0)
 
 
 def test_usvt_recovers_flat_probability(rng):
@@ -101,14 +111,14 @@ def test_usvt_recovers_flat_probability(rng):
 
     model = ProbabilityModel(n=n, P=P)
     A = sample_adjacency(model, 31)
-    P_hat = usvt_denoise(A)
+    P_hat = usvt_denoise(eigendecompose(A.A))
     off = ~np.eye(n, dtype=bool)
     assert np.mean(np.abs(P_hat[off] - 0.5)) < 0.1
 
 
 def test_usvt_feeds_weyl_certificate(sbm200):
     A = sample_adjacency(sbm200, 32)
-    P_hat = usvt_denoise(A)
+    P_hat = usvt_denoise(eigendecompose(A.A))
     w = np.sort(np.linalg.eigvalsh(P_hat))[::-1]
     gap_hat = min(w[1] - w[2], w[0] - w[1])
     # with a moderate declared denoising error the certificate stays positive
@@ -278,9 +288,9 @@ def test_usvt_gap_route_gates_d2(sbm200):
     assert "usvt" in report.diagnostics
     assert report.diagnostics["usvt"]["uncertified_deviation_route"] > 0
     # the certified gap is the weyl transfer of the denoised gap
-    from graphcert import weyl_gap_certificate, eigengap
+    from graphcert import weyl_gap_certificate
 
-    P_hat = usvt_denoise(A, 2.02)
+    P_hat = usvt_denoise(eigendecompose(A.A), 2.02)
     w = np.sort(np.linalg.eigvalsh(P_hat))[::-1]
     assert abs(report.certificates.gap - weyl_gap_certificate(eigengap(w, 2), 2.0)) < 1e-12
 
@@ -465,3 +475,101 @@ def test_declared_values_must_be_finite(cls, base, field, value):
     cls(**base)  # the base declaration itself is valid
     with pytest.raises(ValueError, match=f"declared {field} must be finite"):
         cls(**{**base, field: value})
+
+
+def _eigensolver_route_config(route):
+    n = 200
+    doc = {
+        "k": 2,
+        "alpha": 0.05,
+        "envelope": {"d_max": 39.7, "gap": 20.0},
+        "centrality": {"kind": "katz", "beta": 5 / 794, "domain_certified": True},
+        "clustering": {"delta": 2 / math.sqrt(n), "c_row": 0.01},
+        "selection_m": 5,
+        "fairness": {"groups": [i % 2 for i in range(n)], "targets": [0.5] * n,
+                     "tau": 1.0, "epsilon": 0.9},
+        "filtration": {"t_grid": [0.05, 0.1, 0.2]},
+    }
+    eigenvector = {"kind": "eigenvector", "gamma": 18.0, "domain_certified": True}
+    if route == "usvt_eigenvector":
+        doc["envelope"] = {"d_max": 39.7}
+        doc["usvt"] = {"threshold_scale": 2.02, "eps_p": 2.0}
+        doc["centrality"] = eigenvector
+    elif route == "parametric_eigenvector":
+        doc["envelope"] = {"d_max": 39.7}
+        doc["parametric_spec"] = {"type": "sbm", "labels": [i // 100 for i in range(n)],
+                                  "B": [[0.3, 0.1], [0.1, 0.3]]}
+        doc["centrality"] = eigenvector
+    return config_from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "route,eigh,eigvalsh",
+    [("declared_katz", 1, 0), ("usvt_eigenvector", 1, 2), ("parametric_eigenvector", 1, 1)],
+)
+def test_eigensolver_call_counts(sbm200, eig_calls, route, eigh, eigvalsh):
+    # one eigh of A serves every consumer; eigvalsh only for P_hat, A - P_hat
+    # and the parametric P, which is built and decomposed once
+    A = sample_adjacency(sbm200, 56)
+    report = run_protocol(A, _eigensolver_route_config(route))
+    assert {"subspace", "centrality_bands", "cluster", "filtration"} <= set(report.outputs)
+    assert eig_calls == {"eigh": eigh, "eigvalsh": eigvalsh}
+
+
+def test_usvt_denoise_matches_direct_eigh(sbm200):
+    A = sample_adjacency(sbm200, 57)
+    M = A.A
+    w, V = np.linalg.eigh(M)
+    thr = 2.02 * math.sqrt(200 * float(M.sum()) / (200 * 199))
+    keep = np.abs(w) >= thr
+    P_hat = np.clip((V[:, keep] * w[keep]) @ V[:, keep].T, 0.0, 1.0)
+    P_hat = (P_hat + P_hat.T) / 2.0
+    np.fill_diagonal(P_hat, 0.0)
+    assert np.array_equal(usvt_denoise(eigendecompose(M), 2.02), P_hat)
+
+
+def _two_block_40():
+    from graphcert import two_block_sbm
+
+    return sample_adjacency(two_block_sbm(40, 0.5, 0.1), 3)
+
+
+def _tiny_gap_config(gap):
+    return config_from_dict({
+        "k": 2,
+        "alpha": 0.05,
+        "envelope": {"d_max": 10, "gap": gap},
+        "clustering": {"delta": 0.3, "c_row": 0.01},
+        "filtration": {"t_grid": [0.1]},
+    })
+
+
+def test_subnormal_gap_is_refused_not_an_infinite_radius():
+    # 2 q / 1e-320 overflows: D2 fails and every gap-fed output is refused
+    report = run_protocol(_two_block_40(), _tiny_gap_config(1e-320))
+    assert not report.flags["D2"].passed
+    assert report.outputs == {}
+    reasons = {r["output"]: r["reason"] for r in report.refusals}
+    for output in ("subspace", "cluster", "filtration"):
+        assert reasons[output] == "no_gap_certificate"
+    text = report.to_json()
+    assert "Infinity" not in text and "NaN" not in text
+
+
+def test_tiny_gap_with_finite_radius_clamps_the_hamming_ball():
+    # r = 2q/1e-300 is finite but r^2 overflows: the ball is clamped at n
+    report = run_protocol(_two_block_40(), _tiny_gap_config(1e-300))
+    assert report.flags["D2"].passed
+    assert math.isfinite(report.outputs["subspace"]["radius"])
+    assert report.outputs["cluster"]["hamming_radius"] == 40
+    assert report.outputs["cluster"]["vacuous"]
+    text = report.to_json()
+    assert "Infinity" not in text and "NaN" not in text
+
+
+def test_fairness_targets_must_lie_in_unit_interval():
+    base = {"groups": (0, 1), "tau": 0.5, "epsilon": 0.2}
+    FairnessConfig(targets=(0.0, 1.0), **base)
+    for bad in (math.nan, -0.1, 1.5):
+        with pytest.raises(ValueError, match="targets must lie in"):
+            FairnessConfig(targets=(0.5, bad), **base)

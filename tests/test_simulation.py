@@ -21,12 +21,12 @@ from graphcert import (
     build_probability_matrix,
     centrality_bands,
     cluster_region,
+    eigendecompose,
     expected_degree_bound,
     katz_centrality,
     katz_modulus,
     sample_adjacency,
     subspace_region,
-    top_k_eigens,
     two_block_sbm,
 )
 from graphcert.simulation import CoverageConfig, replication_seed
@@ -110,6 +110,27 @@ def test_declared_mode_overdeclared_envelope(sbm200):
     assert result.claims["subspace"].extra["radius"] > 2
 
 
+def test_declared_subnormal_gap_refuses_the_gap_claims(sbm200):
+    # 2 q / 1e-320 overflows: no radius, so the claims are refused
+    config = CoverageConfig(
+        k=2, alpha=0.1, mode="declared", declared_d_max=39.7, declared_gap=1e-320,
+        audit_inequalities=False,
+    )
+    result = coverage_experiment(sbm200, config, 2, base_seed=0)
+    for name in ("subspace", "cluster"):
+        assert result.claims[name].refused and not result.claims[name].evaluated
+    assert result.claims["centrality"].evaluated
+
+
+def test_coverage_eigensolver_call_counts(eig_calls):
+    # set-up decomposes P once; each replication decomposes its sample once
+    # (region, audits and Katz scores) and takes ||A - P|| from eigvalsh
+    model = two_block_sbm(60, 0.5, 0.1)
+    result = coverage_experiment(model, CoverageConfig(k=2, alpha=0.1), 3, base_seed=1)
+    assert all(c.evaluated for c in result.claims.values())
+    assert eig_calls == {"eigh": 1 + 3, "eigvalsh": 3}
+
+
 # ---------------------------------------------------------------------------
 # tie counterexample
 
@@ -141,9 +162,9 @@ def test_harness_extra_matches_report_functions(n, mode, c_row):
     # writing reports give for the same certificates; at n=200, c_row=5
     # both Hamming radii clamp to n and the route is the uniform one
     model = two_block_sbm(n, 0.3, 0.1)
-    _, spectrum = top_k_eigens(model.P, 2)
+    spectrum = eigendecompose(model.P)
     if mode == "oracle":
-        d_max, gap, declared = expected_degree_bound(model), spectrum.gap_k, {}
+        d_max, gap, declared = expected_degree_bound(model), spectrum.gap(2), {}
     else:
         d_max, gap = 45.0, 18.0
         declared = {"declared_d_max": d_max, "declared_gap": gap}
@@ -157,14 +178,12 @@ def test_harness_extra_matches_report_functions(n, mode, c_row):
         for name, claim in coverage_experiment(model, config, 1, base_seed=0).claims.items()
     }
 
-    region = subspace_region(
-        sample_adjacency(model, 0), 2, CertificateSet(d_max=d_max, gap=gap), 0.1
-    )
+    S = eigendecompose(sample_adjacency(model, 0).A)
+    region = subspace_region(S, 2, CertificateSet(d_max=d_max, gap=gap), 0.1)
     creg = cluster_region(region, delta, c_row=c_row)
-    w = spectrum.eigenvalues  # the harness's default beta is 1 / (4 rho(P))
-    beta = 1.0 / (4.0 * max(abs(w[0]), abs(w[-1])))
+    beta = 1.0 / (4.0 * spectrum.radius)  # the harness's default beta
     band = centrality_bands(
-        katz_centrality(model.P, beta), katz_modulus(beta), region.quantile.q, 0.1
+        katz_centrality(spectrum, beta), katz_modulus(beta), region.quantile.q, 0.1
     )
     assert extra["subspace"]["radius"] == region.radius
     assert extra["cluster"]["hamming_radius"] == creg.hamming_radius
