@@ -24,7 +24,9 @@ from .errors import (
     OddN,
     OutOfRangeProbability,
     OutsideDomain,
+    QuantileOverflow,
     ShapeMismatch,
+    TooManyNodes,
     TooSmall,
     UnsupportedSpec,
 )

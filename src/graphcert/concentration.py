@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BadLevel, NonpositiveGap
+from .errors import BadLevel, NonpositiveGap, QuantileOverflow
 
 __all__ = [
     "VarianceProxy",
@@ -70,7 +70,8 @@ def deviation_quantile(v_bound: float, n: int, alpha: float) -> DeviationQuantil
     """Exact inversion of the dimension-aware Bernstein tail.
 
     Monotone: nondecreasing in v_bound, nonincreasing in alpha. At
-    v_bound = 0 the linear term survives and q = (2/3) log(2n/alpha).
+    v_bound = 0 the linear term survives and q = (2/3) log(2n/alpha). A
+    quantile that overflows is refused with :class:`QuantileOverflow`.
     """
     if not 0.0 < alpha < 1.0:
         raise BadLevel(f"alpha = {alpha} must lie in (0, 1)")
@@ -80,6 +81,10 @@ def deviation_quantile(v_bound: float, n: int, alpha: float) -> DeviationQuantil
         raise ValueError("n must be at least 2")
     L = math.log(2.0 * n / alpha)
     q = L / 3.0 + math.sqrt(L * L / 9.0 + 2.0 * v_bound * L)
+    if not math.isfinite(q):
+        raise QuantileOverflow(
+            f"deviation quantile overflows at v_bound = {v_bound!r}, alpha = {alpha!r}"
+        )
     return DeviationQuantile(q=q, alpha=alpha, v_bound=float(v_bound), n=int(n))
 
 

@@ -14,10 +14,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
-from .errors import EmptyGroup, InsufficientTolerance, ShapeMismatch
+from .errors import EmptyGroup, InsufficientTolerance, NotSymmetric, ShapeMismatch
 from .linalg import OrthonormalBasis
 from .models import require_unit_interval
 
@@ -158,6 +156,8 @@ def fair_optimize(
     mask1 = ~mask0
     lo = float(x.min() - 10.0 * tau)
     hi = float(x.max() + 10.0 * tau)
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"temperature {tau!r} is too large for a finite threshold grid")
     pts = 101
     best = None  # (loss, theta0, theta1)
     fallback = None  # (violation, loss, theta0, theta1)
@@ -287,22 +287,37 @@ def distance_matrix(X: np.ndarray) -> np.ndarray:
     return D
 
 
-def _threshold_edges(D: np.ndarray, t: float) -> np.ndarray:
-    """Boolean upper-triangular edge mask of the threshold graph G_t.
+def _mst_weights(D: np.ndarray) -> np.ndarray:
+    """Sorted edge weights of a minimum spanning tree of the complete graph on D.
 
-    Negative thresholds give the empty graph by convention.
+    Dense Prim in O(n^2): every entry, zeros included, is an edge, so
+    duplicate rows stay joined (a sparse MST would drop their 0 entries).
     """
-    mask = np.triu(D <= t, k=1)
-    if t < 0:
-        mask[:] = False
-    return mask
+    n = D.shape[0]
+    if n < 2:
+        return np.empty(0)
+    weights = np.empty(n - 1)
+    rest = np.arange(1, n)            # vertices outside the tree, in rest[:m]
+    dist = D[0, 1:].copy()            # their distance to the tree
+    for m in range(n - 1, 0, -1):
+        j = int(np.argmin(dist[:m]))
+        weights[n - 1 - m] = dist[j]
+        v = rest[j]
+        rest[j], dist[j] = rest[m - 1], dist[m - 1]
+        np.minimum(dist[:m - 1], D[v, rest[:m - 1]], out=dist[:m - 1])
+    weights.sort()
+    return weights
 
 
-def _component_count(mask: np.ndarray, n: int) -> int:
-    ii, jj = np.nonzero(mask)
-    graph = csr_matrix((np.ones(ii.size), (ii, jj)), shape=(n, n))
-    ncomp, _ = connected_components(graph, directed=False)
-    return int(ncomp)
+def _within(D: np.ndarray, t: float) -> np.ndarray:
+    """Pairs at distance <= t, diagonal included; a negative (or NaN)
+    threshold gives the empty graph by convention."""
+    return D <= t if t >= 0 else np.zeros(D.shape, dtype=bool)
+
+
+def _off_diagonal(mask: np.ndarray) -> int:
+    """Number of unordered pairs i < j set in a symmetric mask."""
+    return (np.count_nonzero(mask) - np.count_nonzero(mask.diagonal())) // 2
 
 
 @dataclass(frozen=True)
@@ -323,25 +338,41 @@ def threshold_snapshots(DX: np.ndarray, DY: np.ndarray, eta: float, t_grid) -> t
 
     Compares G_{t-2eta} and G_{t+2eta} of the distance matrix DX with G_t
     of DY; passing the same matrix twice gives the shifted snapshots of one
-    embedding.
+    embedding. Both matrices must be exactly symmetric. Component counts
+    come from one minimum spanning tree per matrix: G_t has
+    n - #{tree edges of weight <= t} components (single linkage), exactly,
+    for any such tree, ties and zero distances included.
     """
+    t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.size == 0:
+        return ()
     n = DX.shape[0]
+    if DX.shape != (n, n) or DY.shape != (n, n):
+        raise ShapeMismatch("distance matrices must be square and share a shape")
+    for D in (DX, DY) if DY is not DX else (DX,):
+        if not np.array_equal(D, D.T):
+            raise NotSymmetric("distance matrix must be symmetric and free of NaN")
+    tree_x = _mst_weights(DX)
+    tree_y = tree_x if DY is DX else _mst_weights(DY)
+
+    def components(tree: np.ndarray, t: float) -> int:
+        return n - int(np.searchsorted(tree, t, side="right")) if t >= 0 else n
+
     snapshots = []
-    for t in np.asarray(t_grid, dtype=float):
-        low = _threshold_edges(DX, t - 2.0 * eta)
-        mid = _threshold_edges(DY, t)
-        high = _threshold_edges(DX, t + 2.0 * eta)
+    for t in t_grid:
+        lo, hi = t - 2.0 * eta, t + 2.0 * eta
+        low, mid, high = _within(DX, lo), _within(DY, t), _within(DX, hi)
         snapshots.append(
             ThresholdSnapshot(
                 t=float(t),
-                lower_included=bool(np.all(mid[low])),
-                upper_included=bool(np.all(high[mid])),
-                edges_lower=int(low.sum()),
-                edges_point=int(mid.sum()),
-                edges_upper=int(high.sum()),
-                components_lower=_component_count(low, n),
-                components_point=_component_count(mid, n),
-                components_upper=_component_count(high, n),
+                lower_included=_off_diagonal(low & ~mid) == 0,
+                upper_included=_off_diagonal(mid & ~high) == 0,
+                edges_lower=_off_diagonal(low),
+                edges_point=_off_diagonal(mid),
+                edges_upper=_off_diagonal(high),
+                components_lower=components(tree_x, lo),
+                components_point=components(tree_y, t),
+                components_upper=components(tree_x, hi),
             )
         )
     return tuple(snapshots)

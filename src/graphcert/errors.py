@@ -12,6 +12,14 @@ class GraphCertError(ValueError):
 
 
 # ---------------------------------------------------------------------------
+# input files
+
+class TooManyNodes(GraphCertError):
+    """The node count exceeds the dense-storage ceiling ``io.MAX_NODES``;
+    checked before the adjacency matrix is allocated."""
+
+
+# ---------------------------------------------------------------------------
 # model construction / sampling
 
 class OutOfRangeProbability(GraphCertError):
@@ -61,6 +69,11 @@ class NonpositiveGap(GraphCertError):
     2 q / gap overflows, cannot produce a radius."""
 
 
+class QuantileOverflow(GraphCertError):
+    """The deviation quantile is not finite in double precision: the
+    declared d_max or the level alpha is too extreme to give a bound."""
+
+
 class NoGapCertificate(GraphCertError):
     """Refusal: no positive spectral-gap certificate is available."""
 
@@ -73,7 +86,8 @@ class DuplicateCenters(GraphCertError):
 
 
 class NonpositiveMargin(GraphCertError):
-    """A separation margin must be strictly positive."""
+    """A separation margin must be strictly positive, and so must its
+    square, which every Hamming radius divides by."""
 
 
 class OutsideDomain(GraphCertError):

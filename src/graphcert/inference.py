@@ -172,10 +172,16 @@ class RoundingErrorBound:
     hamming_bound: int   # ceil(16 n eta^2 / Delta^2), clamped at n
 
 
-def rounding_error_bound(eta: float, Delta: float, n: int) -> RoundingErrorBound:
-    """Mislabel count bound for nearest-center rounding under a margin."""
+def _require_margin(Delta: float) -> None:
     if Delta <= 0:
         raise NonpositiveMargin(f"margin {Delta} must be positive")
+    if Delta * Delta == 0.0:
+        raise NonpositiveMargin(f"margin {Delta!r} underflows when squared")
+
+
+def rounding_error_bound(eta: float, Delta: float, n: int) -> RoundingErrorBound:
+    """Mislabel count bound for nearest-center rounding under a margin."""
+    _require_margin(Delta)
     if eta < 0:
         raise ValueError("row error must be nonnegative")
     raw = 16.0 * n * eta * eta / (Delta * Delta)
@@ -317,8 +323,7 @@ def cluster_hamming_radius(
     all assignments and the region is vacuous; the clamp comes before the
     ceiling, since r^2 may overflow to inf.
     """
-    if Delta <= 0:
-        raise NonpositiveMargin(f"margin {Delta} must be positive")
+    _require_margin(Delta)
     mean_square = 16.0 * frobenius_subspace_bound(r, k) / (Delta * Delta)
     if c_row is not None:
         if c_row < 0:

@@ -14,6 +14,7 @@ from typing import Optional, Union
 
 import numpy as np
 
+from .errors import TooManyNodes
 from .models import (
     AdjacencyMatrix,
     DCSBMSpec,
@@ -34,12 +35,18 @@ __all__ = [
     "load_model_json",
 ]
 
+# Dense-storage ceiling: one float64 copy of a 20000-node adjacency matrix
+# already takes 3.2 GB, and the pipeline holds several.
+MAX_NODES = 20_000
+
 
 def parse_edge_list(text: str, n: Optional[int] = None) -> AdjacencyMatrix:
     """Parse edge-list text into an adjacency matrix.
 
     ``n`` defaults to max node id + 1. Self-loops, duplicate pairs (in
-    either order), negative ids, and non "u<TAB>v" lines are rejected.
+    either order), negative ids, and non "u<TAB>v" lines are rejected, and
+    a node count above :data:`MAX_NODES` raises :class:`TooManyNodes`
+    before anything of size n^2 is allocated.
     """
     edges = []
     max_id = -1
@@ -68,6 +75,10 @@ def parse_edge_list(text: str, n: Optional[int] = None) -> AdjacencyMatrix:
     size = n if n is not None else max_id + 1
     if size <= max_id:
         raise ValueError(f"declared n = {size} but saw node id {max_id}")
+    if size > MAX_NODES:
+        raise TooManyNodes(
+            f"n = {size} exceeds the dense-storage limit of {MAX_NODES} nodes"
+        )
     A = np.zeros((size, size), dtype=np.int8)
     for u, v in edges:
         A[u, v] = 1

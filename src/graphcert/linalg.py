@@ -84,35 +84,39 @@ def eigengap(eigenvalues_desc: np.ndarray, k: int) -> float:
     return float(min(below, above))
 
 
-def _canonical_columns(w_desc: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Deterministic ordering and signs for eigenvector columns.
+def _canonical_columns(w_desc: np.ndarray, V: np.ndarray, k: int) -> np.ndarray:
+    """Deterministic ordering and signs for the first k eigenvector columns.
 
     Sign: the largest-magnitude coordinate of each column is made positive
     (first index wins on magnitude ties). Order: within groups of equal
     eigenvalues, columns are sorted by that anchor index. Downstream
     distances are rotation-invariant, so the choice is observationally
-    irrelevant, but reproducibility demands a rule.
+    irrelevant, but reproducibility demands a rule. Only the columns up to
+    the end of the tie group that crosses position k are read: groups
+    further down cannot move a column into the first k.
     """
-    V = V.copy()
-    anchors = np.empty(V.shape[1], dtype=np.int64)
-    for j in range(V.shape[1]):
+    tol = 1e-9 * max(1.0, float(np.max(np.abs(w_desc))))
+    m = k
+    while m < w_desc.size and w_desc[m - 1] - w_desc[m] <= tol:
+        m += 1
+    V = V[:, :m].copy()
+    anchors = np.empty(m, dtype=np.int64)
+    for j in range(m):
         col = V[:, j]
         a = int(np.argmax(np.abs(col)))
         if col[a] < 0:
             V[:, j] = -col
         anchors[j] = a
     # group nearly equal eigenvalues and sort each group by anchor index
-    scale = max(1.0, float(np.max(np.abs(w_desc))))
-    tol = 1e-9 * scale
     start = 0
-    order = np.arange(V.shape[1])
-    for j in range(1, V.shape[1] + 1):
-        if j == V.shape[1] or w_desc[j - 1] - w_desc[j] > tol:
+    order = np.arange(m)
+    for j in range(1, m + 1):
+        if j == m or w_desc[j - 1] - w_desc[j] > tol:
             if j - start > 1:
                 grp = order[start:j]
                 order[start:j] = grp[np.argsort(anchors[grp], kind="stable")]
             start = j
-    return V[:, order]
+    return V[:, order[:k]]
 
 
 @dataclass(frozen=True)
@@ -142,8 +146,9 @@ class Spectrum:
         :func:`_canonical_columns` so identical inputs give identical bytes."""
         if not 1 <= k <= self.n - 1:
             raise KOutOfRange(f"k = {k} must lie in [1, {self.n - 1}]")
-        V = _canonical_columns(self.values[::-1], self.vectors[:, ::-1])
-        return OrthonormalBasis(U=V[:, :k])
+        return OrthonormalBasis(
+            U=_canonical_columns(self.values[::-1], self.vectors[:, ::-1], k)
+        )
 
 
 def eigendecompose(M: np.ndarray) -> Spectrum:

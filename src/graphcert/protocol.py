@@ -26,6 +26,7 @@ from .errors import (
     DegenerateTopEigenvalue,
     NonpositiveGap,
     OutsideDomain,
+    QuantileOverflow,
     UnsupportedSpec,
 )
 from .concentration import davis_kahan_radius, deviation_quantile_from_envelope
@@ -110,6 +111,8 @@ class ClusteringConfig:
 
     def __post_init__(self):
         require_finite(delta=self.delta, c_row=self.c_row)
+        if self.centers is not None and not np.all(np.isfinite(np.asarray(self.centers, float))):
+            raise ValueError("declared centers must be finite")
 
 
 @dataclass(frozen=True)
@@ -131,6 +134,10 @@ class FairnessConfig:
     def __post_init__(self):
         require_finite(tau=self.tau, epsilon=self.epsilon)
         require_unit_interval("fairness targets", self.targets)
+        if self.tau <= 0:
+            raise ValueError("fairness temperature tau must be positive")
+        if not 0.0 <= self.epsilon <= 1.0:
+            raise ValueError("fairness tolerance epsilon must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -428,16 +435,20 @@ def run_protocol(A: AdjacencyMatrix, config: ProtocolConfig) -> DiagnosticReport
 
     # D1: deviation quantile from the declared degree envelope
     d_max = config.envelope.d_max if config.envelope is not None else None
+    q = None
     if d_max is not None:
-        quant = deviation_quantile_from_envelope(d_max, n, alpha)
-        q = quant.q
-        d1 = Flag(True, f"declared d_max = {d_max!r}")
+        try:
+            q = deviation_quantile_from_envelope(d_max, n, alpha).q
+            d1 = Flag(True, f"declared d_max = {d_max!r}")
+        except QuantileOverflow as exc:
+            d1 = Flag(False, f"declared d_max = {d_max!r}: {exc}")
     else:
-        q = None
         d1 = Flag(False, "no d_max declared")
+    if not d1.passed:
         refusals.append(
             {"output": "deviation_quantile", "reason": "no_degree_envelope",
-             "detail": "declare envelope.d_max to obtain a deviation quantile"}
+             "detail": d1.provenance if d_max is not None
+             else "declare envelope.d_max to obtain a deviation quantile"}
         )
 
     # D2: gap certificate (parametric > declared > usvt+weyl); the descending
@@ -513,15 +524,20 @@ def run_protocol(A: AdjacencyMatrix, config: ProtocolConfig) -> DiagnosticReport
             domain_ok = gamma is not None and gamma > 0
             if domain_ok:
                 L = 2.0 / gamma
+        if domain_ok and q is not None and not math.isfinite(2.0 * L * q):
+            domain_ok = False
+            domain_note += f"; modulus {L!r} times q = {q!r} overflows"
     d3 = Flag(bool(domain_ok), domain_note)
 
     # D4: clustering margin
     clus = config.clustering
     delta = clus.delta if clus is not None else None
-    if delta is not None and delta > 0:
-        d4 = Flag(True, f"declared margin = {delta!r}")
-    else:
+    if delta is None or delta <= 0:
         d4 = Flag(False, "no clustering margin declared")
+    elif delta * delta == 0.0:
+        d4 = Flag(False, f"declared margin {delta!r} underflows when squared")
+    else:
+        d4 = Flag(True, f"declared margin = {delta!r}")
 
     certs = CertificateSet(
         d_max=d_max,
@@ -693,8 +709,9 @@ def run_protocol(A: AdjacencyMatrix, config: ProtocolConfig) -> DiagnosticReport
     # filtration envelope of the observed embedding rows
     if config.filtration is not None:
         c_row = clus.c_row if clus is not None else None
-        if d1.passed and d2.passed and c_row is not None:
-            eta = c_row * region.radius
+        # a region exists iff D1 and D2 passed; c_row * radius may overflow
+        eta = c_row * region.radius if region is not None and c_row is not None else None
+        if eta is not None and math.isfinite(eta):
             D = distance_matrix(region.center.U)
             # one embedding on both sides: the inclusion flags hold trivially
             snaps = [
@@ -712,6 +729,8 @@ def run_protocol(A: AdjacencyMatrix, config: ProtocolConfig) -> DiagnosticReport
         else:
             if c_row is None:
                 reason, detail = "no_rowwise_certificate", "declare clustering.c_row"
+            elif eta is not None:
+                reason, detail = "no_rowwise_certificate", f"c_row * radius = {eta!r}"
             elif not d1.passed:
                 reason, detail = "no_degree_envelope", d1.provenance
             else:

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import NonpositiveGap, NoTiePresent, OutsideDomain, TooSmall
+from .errors import NonpositiveGap, NoTiePresent, OutsideDomain, QuantileOverflow, TooSmall
 from .concentration import (
     davis_kahan_radius,
     deviation_quantile,
@@ -129,11 +129,14 @@ class CoverageConfig:
 
     def __post_init__(self):
         require_finite(
+            alpha=self.alpha,
             declared_d_max=self.declared_d_max,
             declared_gap=self.declared_gap,
             katz_beta=self.katz_beta,
             delta=self.delta,
             c_row=self.c_row,
+            ridge_lambda=self.ridge_lambda,
+            fairness_tau=self.fairness_tau,
         )
         if self.mode not in ("oracle", "declared"):
             raise ValueError("mode must be 'oracle' or 'declared'")
@@ -269,8 +272,11 @@ def coverage_experiment(
     # envelope quantile and region radius (certificate route)
     q_env = dk = None
     if d_max_cert is not None:
-        q_env = deviation_quantile_from_envelope(d_max_cert, n, alpha).q
-        if gap_cert is not None:
+        try:
+            q_env = deviation_quantile_from_envelope(d_max_cert, n, alpha).q
+        except QuantileOverflow:
+            pass  # no envelope: every claim that needs q is refused
+        if q_env is not None and gap_cert is not None:
             try:
                 dk = davis_kahan_radius(q_env, gap_cert)
             except NonpositiveGap:

@@ -1,7 +1,17 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, settings
 
 from graphcert import two_block_sbm
+
+# Property tests draw the same examples on every run and have no deadline,
+# so tier-1 results depend neither on the example database nor on load.
+settings.register_profile(
+    "graphcert", derandomize=True, deadline=None, max_examples=100, database=None
+)
+settings.load_profile("graphcert")
 
 
 @pytest.fixture(scope="session")
@@ -39,3 +49,24 @@ def eig_calls(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counted)
     return calls
+
+
+def with_extreme_floats(test):
+    """Hypothesis examples for ``value``: NaN, +-inf and the finite extremes
+    of a double (subnormal, smallest normal order, largest order), both signs."""
+    for value in (math.nan, math.inf, 5e-324, 1e-308, 1e308):
+        test = example(value=value)(example(value=-value)(test))
+    return test
+
+
+def non_finite_reals(obj, path=""):
+    """Paths of the NaN and +-inf floats in a nested report document."""
+    if isinstance(obj, dict):
+        return [p for key, val in obj.items() for p in non_finite_reals(val, f"{path}.{key}")]
+    if isinstance(obj, (list, tuple)):
+        return [p for i, val in enumerate(obj) for p in non_finite_reals(val, f"{path}.{i}")]
+    if isinstance(obj, np.ndarray):
+        return non_finite_reals(obj.tolist(), path)
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return [path]
+    return []

@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from graphcert import (
     EmptyGroup,
     FairnessProblem,
     InsufficientTolerance,
+    NotSymmetric,
     OrthonormalBasis,
     ShapeMismatch,
     distance_matrix,
@@ -19,9 +23,11 @@ from graphcert import (
     parity_gap,
     ridge_risk,
     ridge_risk_bound,
+    threshold_snapshots,
     tradeoff_bounds,
 )
-from graphcert.downstream import quadratic_loss
+from graphcert import downstream
+from graphcert.downstream import ThresholdSnapshot, quadratic_loss
 
 from conftest import random_orthonormal
 
@@ -340,3 +346,125 @@ def test_filtration_sandwich_on_grid(rng):
             assert snap.lower_included
             assert snap.upper_included
             assert snap.edges_lower <= snap.edges_point <= snap.edges_upper
+
+
+def _brute_force_snapshots(DX, DY, eta, t_grid):
+    """The definition: one upper-triangular edge mask per threshold graph
+    (negative thresholds give the empty graph) and its connected components."""
+    n = DX.shape[0]
+
+    def edges(D, t):
+        mask = np.triu(D <= t, k=1)
+        if t < 0:
+            mask[:] = False
+        return mask
+
+    def components(mask):
+        ii, jj = np.nonzero(mask)
+        graph = csr_matrix((np.ones(ii.size), (ii, jj)), shape=(n, n))
+        return int(connected_components(graph, directed=False)[0])
+
+    snapshots = []
+    for t in np.asarray(t_grid, dtype=float):
+        low = edges(DX, t - 2.0 * eta)
+        mid = edges(DY, t)
+        high = edges(DX, t + 2.0 * eta)
+        snapshots.append(ThresholdSnapshot(
+            t=float(t),
+            lower_included=bool(np.all(mid[low])),
+            upper_included=bool(np.all(high[mid])),
+            edges_lower=int(low.sum()),
+            edges_point=int(mid.sum()),
+            edges_upper=int(high.sum()),
+            components_lower=components(low),
+            components_point=components(mid),
+            components_upper=components(high),
+        ))
+    return tuple(snapshots)
+
+
+_ONE_DECIMAL = st.integers(-20, 20).map(lambda v: v / 10.0)
+
+
+@st.composite
+def _filtration_cases(draw):
+    """Rows on a one-decimal grid (exact distance ties), some duplicated
+    (zero distances); Y is X itself or a one-decimal perturbation of it."""
+    n = draw(st.integers(0, 7))
+    k = draw(st.integers(1, 3))
+    X = np.array(
+        draw(st.lists(_ONE_DECIMAL, min_size=n * k, max_size=n * k)), dtype=float
+    ).reshape(n, k)
+    if n >= 2:
+        for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                  max_size=3)):
+            X[i] = X[j]
+    DX = distance_matrix(X)
+    if draw(st.booleans()):
+        DY = DX
+    else:
+        shift = np.array(
+            draw(st.lists(_ONE_DECIMAL, min_size=n * k, max_size=n * k)), dtype=float
+        ).reshape(n, k)
+        DY = distance_matrix(X + shift / 4.0)
+    eta = draw(st.sampled_from([0.0, 0.05, 0.1, 0.35]))
+    return DX, DY, eta
+
+
+@settings(max_examples=60)
+@given(case=_filtration_cases())
+def test_threshold_snapshots_match_brute_force(case):
+    DX, DY, eta = case
+    # every pairwise distance is a threshold, so every tree weight is one,
+    # also after the shift by 2 eta; negative and zero thresholds too
+    dists = np.unique(np.concatenate([DX[np.triu_indices_from(DX, 1)],
+                                      DY[np.triu_indices_from(DY, 1)]]))
+    t_grid = np.concatenate([[-0.3, -0.0, 0.0], dists, dists + 2.0 * eta, dists - 2.0 * eta])
+    assert threshold_snapshots(DX, DY, eta, t_grid) == _brute_force_snapshots(DX, DY, eta, t_grid)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_threshold_snapshots_tiny_graphs(n):
+    X = np.zeros((n, 2))  # n = 2: a duplicated row, distance 0
+    D = distance_matrix(X)
+    t_grid = [-1.0, 0.0, 1.0]
+    got = threshold_snapshots(D, D, 0.0, t_grid)
+    assert got == _brute_force_snapshots(D, D, 0.0, t_grid)
+    assert [s.components_point for s in got] == [n, 1 if n else 0, 1 if n else 0]
+
+
+def test_threshold_snapshots_empty_grid_builds_no_tree(monkeypatch, rng):
+    calls = []
+
+    def counted(D):
+        calls.append(D.shape)
+        return tree(D)
+
+    tree = downstream._mst_weights
+    monkeypatch.setattr(downstream, "_mst_weights", counted)
+    X = rng.normal(size=(30, 2))
+    Y = X + rng.normal(scale=0.1, size=(30, 2))
+    D = distance_matrix(X)
+    assert threshold_snapshots(D, D, 0.1, ()) == ()
+    assert filtration_envelope(X, Y, ()).snapshots == ()
+    assert calls == []
+    threshold_snapshots(D, D, 0.1, [0.5, 1.0])
+    assert len(calls) == 1  # one tree serves both sides of one embedding
+    filtration_envelope(X, Y, [0.5, 1.0])
+    assert len(calls) == 3
+
+
+def test_threshold_snapshots_refuse_asymmetric_or_nan():
+    D = distance_matrix(np.array([[0.0], [1.0], [3.0]]))
+    bent = D.copy()
+    bent[0, 1] += 1e-12
+    with pytest.raises(NotSymmetric):
+        threshold_snapshots(bent, bent, 0.0, [1.0])
+    with pytest.raises(NotSymmetric):
+        threshold_snapshots(D, bent, 0.0, [1.0])
+    holed = D.copy()
+    holed[0, 2] = holed[2, 0] = np.nan
+    with pytest.raises(NotSymmetric):
+        threshold_snapshots(holed, holed, 0.0, [1.0])
+    with pytest.raises(ShapeMismatch):
+        threshold_snapshots(D, D[:2, :2], 0.0, [1.0])

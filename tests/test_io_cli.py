@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+import graphcert.io
+from graphcert import GraphCertError, TooManyNodes
 from graphcert.cli import main
 from graphcert.io import (
     load_edge_list,
@@ -34,6 +36,18 @@ def test_parse_edge_list_rejections():
         parse_edge_list("a\tb\n")
     with pytest.raises(ValueError, match="nonnegative"):
         parse_edge_list("-1\t2\n")
+
+
+def test_parse_edge_list_node_ceiling(monkeypatch):
+    # the ceiling is checked before the n x n allocation; a small ceiling
+    # lets a node id of 10^9 be refused without allocating anything large
+    monkeypatch.setattr(graphcert.io, "MAX_NODES", 5)
+    assert parse_edge_list("0\t4\n").n == 5
+    with pytest.raises(TooManyNodes, match="dense-storage limit"):
+        parse_edge_list("0\t1000000000\n")
+    with pytest.raises(TooManyNodes):
+        parse_edge_list("0\t1\n", n=6)
+    assert issubclass(TooManyNodes, GraphCertError)
 
 
 def test_edge_list_file_roundtrip(tmp_path, sbm200):
@@ -197,6 +211,19 @@ def test_cli_non_finite_certificate_exit_code(tmp_path, sbm200):
     out = tmp_path / "r.json"
     code = main(["certify", "--graph", str(graph), "--config", str(config), "--out", str(out)])
     assert code == 1
+    assert not out.exists()
+
+
+def test_cli_node_ceiling_exit_code(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(graphcert.io, "MAX_NODES", 5)
+    graph = tmp_path / "huge.tsv"
+    graph.write_text("0\t1000000000\n", encoding="utf-8")
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"k": 2}), encoding="utf-8")
+    out = tmp_path / "r.json"
+    code = main(["certify", "--graph", str(graph), "--config", str(config), "--out", str(out)])
+    assert code == 1
+    assert "dense-storage limit" in capsys.readouterr().err
     assert not out.exists()
 
 

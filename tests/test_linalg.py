@@ -92,6 +92,50 @@ def test_top_k_deterministic_under_ties():
         assert col[np.argmax(np.abs(col))] > 0
 
 
+def _canonical_all_columns(w_desc, V):
+    """The sign/tie rule applied to every column: signs by the largest-magnitude
+    coordinate, then each tie group (gaps <= 1e-9 max(1, max|w|)) sorted by
+    anchor index."""
+    V = V.copy()
+    anchors = []
+    for j in range(V.shape[1]):
+        a = int(np.argmax(np.abs(V[:, j])))
+        if V[a, j] < 0:
+            V[:, j] = -V[:, j]
+        anchors.append(a)
+    tol = 1e-9 * max(1.0, float(np.max(np.abs(w_desc))))
+    order, start = [], 0
+    for j in range(1, V.shape[1] + 1):
+        if j == V.shape[1] or w_desc[j - 1] - w_desc[j] > tol:
+            order += sorted(range(start, j), key=lambda c: anchors[c])
+            start = j
+    return V[:, order]
+
+
+def _tie_heavy_matrices(rng):
+    yield np.eye(6)
+    yield np.diag([2.0, 2.0, 2.0, 1.0, 1.0, 0.0])
+    yield np.kron(np.ones((3, 3)), np.eye(2))  # eigenvalues 3, 3, 0 x 4
+    for _ in range(60):
+        n = int(rng.integers(2, 11))
+        Q = random_orthogonal(rng, n)
+        lam = rng.choice(rng.integers(-3, 4, size=3), size=n).astype(float)
+        M = (Q * lam) @ Q.T
+        M = (M + M.T) / 2
+        yield np.round(M, 1) if rng.random() < 0.3 else M
+
+
+def test_top_k_bytes_match_full_canonicalization(rng):
+    # top_k canonicalizes only through the tie group crossing k; the bytes
+    # equal those of the rule applied to all n columns, for every k
+    for M in _tie_heavy_matrices(rng):
+        S = eigendecompose(M)
+        full = _canonical_all_columns(S.values[::-1], S.vectors[:, ::-1])
+        for k in range(1, S.n):
+            want = OrthonormalBasis(U=full[:, :k]).U
+            assert S.top_k(k).U.tobytes() == want.tobytes()
+
+
 def test_grassmann_trivial_cases():
     e1 = OrthonormalBasis(U=np.array([[1.0], [0.0]]))
     e2 = OrthonormalBasis(U=np.array([[0.0], [1.0]]))

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graphcert import (
     AdjacencyMatrix,
@@ -27,6 +28,8 @@ from graphcert.protocol import (
     config_from_dict,
     config_to_dict,
 )
+
+from conftest import non_finite_reals, with_extreme_floats
 
 
 def _k4():
@@ -573,3 +576,79 @@ def test_fairness_targets_must_lie_in_unit_interval():
     for bad in (math.nan, -0.1, 1.5):
         with pytest.raises(ValueError, match="targets must lie in"):
             FairnessConfig(targets=(0.5, bad), **base)
+
+
+def _extreme_config_doc(route):
+    n = 40
+    doc = {
+        "k": 2,
+        "alpha": 0.05,
+        "envelope": {"d_max": 30.0, "gap": 10.0},
+        "centrality": {"kind": "katz", "beta": 0.01, "domain_certified": True},
+        "clustering": {"delta": 0.3, "c_row": 0.01, "centers": [[0.15, 0.15], [0.15, -0.15]]},
+        "selection_m": 3,
+        "fairness": {"groups": [i % 2 for i in range(n)], "targets": [0.5] * n,
+                     "tau": 1.0, "epsilon": 0.9},
+        "filtration": {"t_grid": [0.05, 0.1, 0.2]},
+    }
+    if route == "usvt":
+        doc["envelope"] = {"d_max": 30.0}
+        doc["usvt"] = {"threshold_scale": 2.02, "eps_p": 1.0}
+        doc["centrality"] = {"kind": "eigenvector", "gamma": 10.0, "domain_certified": True}
+    return doc
+
+
+# every declared real of the envelope and of the centrality, clustering,
+# USVT and fairness blocks, with the route on which it is read
+_DECLARED_REALS = [
+    ("envelope", "d_max", "declared"),
+    ("envelope", "gap", "declared"),
+    ("centrality", "beta", "declared"),
+    ("centrality", "gamma", "usvt"),
+    ("clustering", "delta", "declared"),
+    ("clustering", "c_row", "declared"),
+    ("clustering", "centers", "declared"),
+    ("usvt", "threshold_scale", "usvt"),
+    ("usvt", "eps_p", "usvt"),
+    ("fairness", "tau", "declared"),
+    ("fairness", "epsilon", "declared"),
+]
+
+
+@pytest.mark.parametrize("block,key,route", _DECLARED_REALS)
+@settings(max_examples=8)
+@with_extreme_floats
+@given(value=st.floats())
+def test_declared_reals_give_refusal_or_finite_report(block, key, route, value):
+    # NaN and +-inf are invalid input; any finite value, down to subnormals
+    # and up to 1e308, is refused with a typed error or gives a report whose
+    # every real is finite (no overflow turns into a radius or a band)
+    doc = _extreme_config_doc(route)
+    if key == "centers":
+        doc[block][key][0][0] = value
+    else:
+        doc[block][key] = value
+    if not math.isfinite(value):
+        with pytest.raises(ValueError, match="must be finite"):
+            config_from_dict(doc)
+        return
+    try:
+        report = run_protocol(_two_block_40(), config_from_dict(doc))
+    except ValueError:  # GraphCertError included: exit 1 at the CLI
+        return
+    assert non_finite_reals(report.to_dict()) == []
+
+
+@pytest.mark.parametrize("alpha", [5e-324, 1e-308])
+def test_overflowing_quantile_fails_d1(alpha):
+    # log(2n/alpha) overflows: no deviation quantile, every output refused
+    doc = _extreme_config_doc("declared")
+    doc["alpha"] = alpha
+    report = run_protocol(_two_block_40(), config_from_dict(doc))
+    assert not report.flags["D1"].passed
+    assert report.quantile is None and report.outputs == {}
+    assert non_finite_reals(report.to_dict()) == []
+    doc["alpha"], doc["envelope"]["d_max"] = 0.05, 1e308
+    report = run_protocol(_two_block_40(), config_from_dict(doc))
+    assert not report.flags["D1"].passed
+    assert "overflows" in report.flags["D1"].provenance

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graphcert import (
     NoTiePresent,
@@ -30,6 +31,8 @@ from graphcert import (
     two_block_sbm,
 )
 from graphcert.simulation import CoverageConfig, replication_seed
+
+from conftest import non_finite_reals, with_extreme_floats
 
 
 def test_replication_seeds_are_distinct_and_stable():
@@ -377,3 +380,30 @@ def test_modulus_audit_rejects_out_of_domain():
     M = np.eye(4) * 10.0
     with pytest.raises(OutsideDomain):
         modulus_audit(("katz", 0.2), [M], perturbation_scale=0.1, trials=1)
+
+
+@pytest.mark.parametrize(
+    "field",
+    ["alpha", "declared_d_max", "declared_gap", "katz_beta", "delta", "c_row",
+     "ridge_lambda", "fairness_tau"],
+)
+@settings(max_examples=4)
+@with_extreme_floats
+@given(value=st.floats())
+def test_coverage_config_reals_give_refusal_or_finite_result(field, value):
+    # every declared real of CoverageConfig: NaN and +-inf are invalid
+    # input; a finite extreme is refused with a typed error or gives a
+    # result whose every real is finite
+    base = dict(k=2, alpha=0.1, mode="declared", declared_d_max=30.0, declared_gap=10.0,
+                katz_beta=0.01, delta=0.3, c_row=0.01)
+    if not math.isfinite(value):
+        with pytest.raises(ValueError, match=f"declared {field} must be finite"):
+            CoverageConfig(**{**base, field: value})
+        return
+    try:
+        result = coverage_experiment(
+            two_block_sbm(40, 0.5, 0.1), CoverageConfig(**{**base, field: value}), 1, 0
+        )
+    except ValueError:  # GraphCertError included
+        return
+    assert non_finite_reals(result.to_dict()) == []
