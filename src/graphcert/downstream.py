@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from .errors import EmptyGroup, InsufficientTolerance, NotSymmetric, ShapeMismatch
 from .linalg import OrthonormalBasis
@@ -277,14 +278,7 @@ def distance_matrix(X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ShapeMismatch("X must be 2-d")
-    g = X @ X.T
-    sq = np.diag(g)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * g
-    np.maximum(d2, 0.0, out=d2)
-    D = np.sqrt(d2)
-    D = (D + D.T) / 2.0
-    np.fill_diagonal(D, 0.0)
-    return D
+    return cdist(X, X)  # (x - y)^2 == (y - x)^2: exactly symmetric, zero diagonal
 
 
 def _mst_weights(D: np.ndarray) -> np.ndarray:

@@ -59,7 +59,7 @@ __all__ = [
 ]
 
 TIE_TOLERANCE = 1e-12  # scores closer than this are reported as ties
-_CONTAIN_TOL = 1e-12   # float guard for membership at the boundary
+CONTAIN_TOL = 1e-12   # float guard for membership at the boundary
 
 
 @dataclass(frozen=True)
@@ -123,7 +123,7 @@ def region_contains(U: OrthonormalBasis, region: SubspaceRegion) -> bool:
     """Membership test, rotation-invariant in both arguments."""
     if (U.n, U.k) != (region.center.n, region.center.k):
         raise ShapeMismatch("basis shape does not match the region center")
-    return grassmann_distance(U, region.center) <= region.radius + _CONTAIN_TOL
+    return grassmann_distance(U, region.center) <= region.radius + CONTAIN_TOL
 
 
 # ---------------------------------------------------------------------------

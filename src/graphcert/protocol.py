@@ -9,7 +9,9 @@ a diagnostic report. Four flags gate the outputs:
     D4  a clustering margin was declared
 
 An output appears iff all of its prerequisite flags pass; failures become
-machine-readable refusals, never fabricated numbers. The observed eigengap
+machine-readable refusals, never fabricated numbers. ``PREREQUISITES``
+lists each gated output's flags in the order they are checked, and a
+refusal names the first one that failed. The observed eigengap
 is always reported, flagged as diagnostic only: it is not a certificate
 and never enters any radius.
 """
@@ -77,6 +79,8 @@ __all__ = [
     "DiagnosticReport",
     "usvt_denoise",
     "run_protocol",
+    "FLAG_REASONS",
+    "PREREQUISITES",
     "config_from_dict",
     "config_to_dict",
     "report_to_json",
@@ -111,8 +115,13 @@ class ClusteringConfig:
 
     def __post_init__(self):
         require_finite(delta=self.delta, c_row=self.c_row)
-        if self.centers is not None and not np.all(np.isfinite(np.asarray(self.centers, float))):
-            raise ValueError("declared centers must be finite")
+        if self.centers is not None:
+            centers = np.asarray(self.centers, float)
+            if not np.all(np.isfinite(centers)):
+                raise ValueError("declared centers must be finite")
+            # rows of an orthonormal basis, and their means, have norm <= 1
+            if np.any(np.hypot.reduce(centers, axis=1) > 1.0 + 1e-12):
+                raise ValueError("declared centers must have row norm at most 1")
 
 
 @dataclass(frozen=True)
@@ -413,6 +422,25 @@ def report_to_json(obj, indent: int = 0) -> str:
 # ---------------------------------------------------------------------------
 # the protocol
 
+# the refusal reason of each failed flag, and the flags each gated output
+# needs, in the order they are checked
+FLAG_REASONS = {
+    "D1": "no_degree_envelope",
+    "D2": "no_gap_certificate",
+    "D3": "domain_not_certified",
+    "D4": "no_margin_declared",
+}
+
+PREREQUISITES = {
+    "deviation_quantile": ("D1",),
+    "subspace": ("D1", "D2"),
+    "centrality_bands": ("D1", "D3"),
+    "cluster": ("D4", "D1", "D2"),
+    "fairness": ("D1", "D3"),
+    "filtration": ("D1", "D2"),
+}
+
+
 def run_protocol(A: AdjacencyMatrix, config: ProtocolConfig) -> DiagnosticReport:
     """Execute the full certificate-gated pipeline on one observed graph.
 
@@ -444,12 +472,6 @@ def run_protocol(A: AdjacencyMatrix, config: ProtocolConfig) -> DiagnosticReport
             d1 = Flag(False, f"declared d_max = {d_max!r}: {exc}")
     else:
         d1 = Flag(False, "no d_max declared")
-    if not d1.passed:
-        refusals.append(
-            {"output": "deviation_quantile", "reason": "no_degree_envelope",
-             "detail": d1.provenance if d_max is not None
-             else "declare envelope.d_max to obtain a deviation quantile"}
-        )
 
     # D2: gap certificate (parametric > declared > usvt+weyl); the descending
     # eigenvalues w_P of the parametric P also feed D3
@@ -538,6 +560,22 @@ def run_protocol(A: AdjacencyMatrix, config: ProtocolConfig) -> DiagnosticReport
         d4 = Flag(False, f"declared margin {delta!r} underflows when squared")
     else:
         d4 = Flag(True, f"declared margin = {delta!r}")
+    flags = {"D1": d1, "D2": d2, "D3": d3, "D4": d4}
+
+    def gated_shut(output: str, detail: Optional[str] = None) -> bool:
+        """Refuse ``output`` for its first failed prerequisite, if any; the
+        detail is that flag's provenance unless ``detail`` is given."""
+        for name in PREREQUISITES[output]:
+            if not flags[name].passed:
+                refusals.append({"output": output, "reason": FLAG_REASONS[name],
+                                 "detail": detail or flags[name].provenance})
+                return True
+        return False
+
+    gated_shut(
+        "deviation_quantile",
+        None if d_max is not None else "declare envelope.d_max to obtain a deviation quantile",
+    )
 
     certs = CertificateSet(
         d_max=d_max,
@@ -551,7 +589,7 @@ def run_protocol(A: AdjacencyMatrix, config: ProtocolConfig) -> DiagnosticReport
     # Step 4: subspace region iff D1 and D2; the cluster and filtration
     # steps reuse it
     region = None
-    if d1.passed and d2.passed:
+    if not gated_shut("subspace"):
         region = subspace_region(S, k, certs, alpha)
         outputs["subspace"] = {
             "radius": region.radius,
@@ -564,17 +602,11 @@ def run_protocol(A: AdjacencyMatrix, config: ProtocolConfig) -> DiagnosticReport
             outputs["subspace"]["note"] = (
                 "radius >= 1: the region is valid but vacuous on the Grassmannian"
             )
-    else:
-        reason = "no_degree_envelope" if not d1.passed else "no_gap_certificate"
-        refusals.append(
-            {"output": "subspace", "reason": reason, "detail": d2.provenance
-             if d1.passed else d1.provenance}
-        )
 
     # Step 5: centrality bands and selection stability iff D1 and D3
     scores = None
     if cent is not None:
-        if d1.passed and d3.passed:
+        if not gated_shut("centrality_bands"):
             try:
                 if cent.kind == "katz":
                     scores = katz_centrality(S, cent.beta)
@@ -602,12 +634,6 @@ def run_protocol(A: AdjacencyMatrix, config: ProtocolConfig) -> DiagnosticReport
                     "domain_certified": True,
                     "point": band.point,
                 }
-        else:
-            reason = "no_degree_envelope" if not d1.passed else "domain_not_certified"
-            refusals.append(
-                {"output": "centrality_bands", "reason": reason,
-                 "detail": d3.provenance if d1.passed else d1.provenance}
-            )
         if config.selection_m is not None:
             if scores is not None:
                 cert = stability_certificate(scores, config.selection_m, L, q)
@@ -634,40 +660,34 @@ def run_protocol(A: AdjacencyMatrix, config: ProtocolConfig) -> DiagnosticReport
     del S  # free the n x n eigenvectors before the n x n distance matrices
 
     # Step 6: clustering region iff D1, D2 and D4
-    if clus is not None:
-        if d1.passed and d2.passed and d4.passed:
-            centers = (
-                np.asarray(clus.centers, dtype=float)
-                if clus.centers is not None
-                else None
+    if clus is not None and not gated_shut("cluster"):
+        centers = (
+            np.asarray(clus.centers, dtype=float)
+            if clus.centers is not None
+            else None
+        )
+        creg = cluster_region(region, delta, centers=centers, c_row=clus.c_row)
+        outputs["cluster"] = {
+            "labels": creg.labels,
+            "hamming_radius": creg.hamming_radius,
+            "alpha": alpha,
+            "margin": creg.margin_used,
+            "margin_provenance": creg.margin_provenance,
+            "radius_route": creg.radius_route,
+            "vacuous": creg.vacuous,
+        }
+        if creg.vacuous:
+            outputs["cluster"]["note"] = (
+                "hamming radius reached n: the ball is all assignments"
             )
-            creg = cluster_region(region, delta, centers=centers, c_row=clus.c_row)
-            outputs["cluster"] = {
-                "labels": creg.labels,
-                "hamming_radius": creg.hamming_radius,
-                "alpha": alpha,
-                "margin": creg.margin_used,
-                "margin_provenance": creg.margin_provenance,
-                "radius_route": creg.radius_route,
-                "vacuous": creg.vacuous,
-            }
-            if creg.vacuous:
-                outputs["cluster"]["note"] = (
-                    "hamming radius reached n: the ball is all assignments"
-                )
-        else:
-            if not d4.passed:
-                reason, detail = "no_margin_declared", d4.provenance
-            elif not d1.passed:
-                reason, detail = "no_degree_envelope", d1.provenance
-            else:
-                reason, detail = "no_gap_certificate", d2.provenance
-            refusals.append({"output": "cluster", "reason": reason, "detail": detail})
 
     # fairness: certified feasibility via the centrality band r = L q
-    if config.fairness is not None:
+    no_band = "fairness certification needs a certified score band"
+    if config.fairness is not None and not gated_shut("fairness", no_band):
         fc = config.fairness
-        if d1.passed and d3.passed and scores is not None:
+        if scores is None:
+            refusals.append({"output": "fairness", "reason": "no_scores", "detail": no_band})
+        else:
             r_band = L * q
             if fc.epsilon < r_band / fc.tau:
                 refusals.append(
@@ -697,52 +717,40 @@ def run_protocol(A: AdjacencyMatrix, config: ProtocolConfig) -> DiagnosticReport
                     "band_radius": r_band,
                     "loss": quadratic_loss(d_hat, problem.y),
                 }
-        else:
-            reason = "no_degree_envelope" if not d1.passed else (
-                "domain_not_certified" if not d3.passed else "no_scores"
-            )
-            refusals.append(
-                {"output": "fairness", "reason": reason,
-                 "detail": "fairness certification needs a certified score band"}
-            )
 
     # filtration envelope of the observed embedding rows
     if config.filtration is not None:
         c_row = clus.c_row if clus is not None else None
-        # a region exists iff D1 and D2 passed; c_row * radius may overflow
-        eta = c_row * region.radius if region is not None and c_row is not None else None
-        if eta is not None and math.isfinite(eta):
-            D = distance_matrix(region.center.U)
-            # one embedding on both sides: the inclusion flags hold trivially
-            snaps = [
-                {key: val for key, val in asdict(snap).items()
-                 if not key.endswith("_included")}
-                for snap in threshold_snapshots(D, D, eta, config.filtration.t_grid)
-            ]
-            outputs["filtration"] = {
-                "eta": eta,
-                "t_grid": list(config.filtration.t_grid),
-                "snapshots": snaps,
-                "note": "population threshold graphs are sandwiched between "
-                        "the lower and upper snapshots on the region event",
-            }
-        else:
-            if c_row is None:
-                reason, detail = "no_rowwise_certificate", "declare clustering.c_row"
-            elif eta is not None:
-                reason, detail = "no_rowwise_certificate", f"c_row * radius = {eta!r}"
-            elif not d1.passed:
-                reason, detail = "no_degree_envelope", d1.provenance
+        if c_row is None:
+            refusals.append({"output": "filtration", "reason": "no_rowwise_certificate",
+                             "detail": "declare clustering.c_row"})
+        elif not gated_shut("filtration"):
+            eta = c_row * region.radius
+            if not math.isfinite(eta):
+                refusals.append({"output": "filtration", "reason": "no_rowwise_certificate",
+                                 "detail": f"c_row * radius = {eta!r}"})
             else:
-                reason, detail = "no_gap_certificate", d2.provenance
-            refusals.append({"output": "filtration", "reason": reason, "detail": detail})
+                D = distance_matrix(region.center.U)
+                # one embedding on both sides: the inclusion flags hold trivially
+                snaps = [
+                    {key: val for key, val in asdict(snap).items()
+                     if not key.endswith("_included")}
+                    for snap in threshold_snapshots(D, D, eta, config.filtration.t_grid)
+                ]
+                outputs["filtration"] = {
+                    "eta": eta,
+                    "t_grid": list(config.filtration.t_grid),
+                    "snapshots": snaps,
+                    "note": "population threshold graphs are sandwiched between "
+                            "the lower and upper snapshots on the region event",
+                }
 
     return DiagnosticReport(
         n=n,
         k=k,
         alpha=alpha,
         observed_gap_proxy=proxy,
-        flags={"D1": d1, "D2": d2, "D3": d3, "D4": d4},
+        flags=flags,
         certificates=certs,
         quantile=q,
         outputs=outputs,

@@ -1,11 +1,11 @@
 """Monte Carlo coverage experiments, inequality audits, and counterexamples.
 
-The coverage harness samples seeded replications from a known model,
-evaluates every enabled claim against ground truth (oracle certificates
-computed from the true P, or declared ones to test robustness to
-over-declared envelopes), and audits every implemented deterministic
-inequality on every sample with zero tolerance for violations beyond
-floating-point slack.
+The coverage harness samples seeded replications from a known model, runs
+:func:`run_protocol` on each sample with oracle certificates computed from
+the true P (or declared ones, to test robustness to over-declared
+envelopes), scores the report's outputs against ground truth, and audits
+every implemented deterministic inequality on every sample with zero
+tolerance for violations beyond floating-point slack.
 
 The counterexamples are constructive: a tie at the top-m threshold is
 flipped by an arbitrarily small perturbation, and an eigenvalue collision
@@ -21,13 +21,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import NonpositiveGap, NoTiePresent, OutsideDomain, QuantileOverflow, TooSmall
-from .concentration import (
-    davis_kahan_radius,
-    deviation_quantile,
-    deviation_quantile_from_envelope,
-    variance_proxy,
-)
+from .errors import NoTiePresent, OutsideDomain, TooSmall
+from .concentration import davis_kahan_radius, deviation_quantile, variance_proxy
 from .downstream import (
     feasibility_transfer_check,
     filtration_envelope,
@@ -38,18 +33,13 @@ from .downstream import (
     tradeoff_bounds,
 )
 from .inference import (
-    CertificateSet,
-    centrality_bands,
-    cluster_hamming_radius,
-    cluster_region,
+    CONTAIN_TOL,
+    CentralityBand,
     eigenvector_centrality,
     katz_centrality,
-    katz_modulus,
     nearest_center_round,
-    region_contains,
+    perm_hamming_distance,
     rounding_error_bound,
-    stability_certificate,
-    subspace_region,
     top_m_selection,
 )
 from .linalg import (
@@ -60,12 +50,20 @@ from .linalg import (
     symmetric_operator_norm,
 )
 from .models import (
+    Envelope,
     ProbabilityModel,
     SBMSpec,
     build_probability_matrix,
     expected_degree_bound,
     require_finite,
     sample_adjacency,
+)
+from .protocol import (
+    FLAG_REASONS,
+    CentralityConfig,
+    ClusteringConfig,
+    ProtocolConfig,
+    run_protocol,
 )
 
 __all__ = [
@@ -82,6 +80,13 @@ __all__ = [
 ]
 
 ALL_CLAIMS = ("deviation", "subspace", "cluster", "centrality")
+# claim -> the report output that states it, and {extra key: output key}
+_CLAIM_OUTPUTS = {
+    "subspace": ("subspace", {"radius": "radius", "informative": "informative"}),
+    "cluster": ("cluster", {"hamming_radius": "hamming_radius", "route": "radius_route",
+                            "margin": "margin"}),
+    "centrality": ("centrality_bands", {"half_width": "half_width"}),
+}
 AUDITS = (
     "davis_kahan",
     "rounding_uniform",
@@ -240,13 +245,17 @@ def coverage_experiment(
 ) -> CoverageResult:
     """Validate every enabled coverage claim on seeded samples of a model.
 
-    Each claim and each audit calls the function that owns its formula:
-    the claims are checked with :func:`subspace_region`,
-    :func:`cluster_region` and :func:`centrality_bands`, so the harness
-    validates the code that writes reports.
+    Each sample goes through :func:`run_protocol` with the certificates of
+    ``config.mode``, and the report's outputs are scored against the truth
+    from P, so the harness validates the gates and the formulas that write
+    reports. A claim is refused with the reason its report output is
+    refused with; a sample whose report withholds an evaluated claim's
+    output counts as a miss.
     """
     if model.P is None:
         raise ValueError("coverage experiments need a model with known P")
+    if replications < 1:
+        raise ValueError("coverage experiments need at least one replication")
     P = model.P
     n = model.n
     k = config.k
@@ -256,53 +265,50 @@ def coverage_experiment(
     S_P = eigendecompose(P)
     U_star = S_P.top_k(k)
     gap_true = S_P.gap(k)
-    rho_P = S_P.radius
 
     if config.mode == "oracle":
-        d_max_cert = expected_degree_bound(model)
-        gap_cert = gap_true
+        envelope = Envelope(d_max=expected_degree_bound(model), gap=gap_true)
     else:
-        d_max_cert = config.declared_d_max
-        gap_cert = config.declared_gap
-    certs = CertificateSet(d_max=d_max_cert, gap=gap_cert, provenance=config.mode)
+        envelope = Envelope(d_max=config.declared_d_max, gap=config.declared_gap)
 
     # deviation claim: sharp variance-proxy quantile
     q_dev = deviation_quantile(variance_proxy(P).v, n, alpha).q
-
-    # envelope quantile and region radius (certificate route)
-    q_env = dk = None
-    if d_max_cert is not None:
-        try:
-            q_env = deviation_quantile_from_envelope(d_max_cert, n, alpha).q
-        except QuantileOverflow:
-            pass  # no envelope: every claim that needs q is refused
-        if q_env is not None and gap_cert is not None:
-            try:
-                dk = davis_kahan_radius(q_env, gap_cert)
-            except NonpositiveGap:
-                pass  # no radius: the subspace and cluster claims are refused
 
     # clustering ground truth
     clusters = _population_clusters(model, U_star)
     delta = config.delta
     if delta is None and clusters is not None:
         delta = clusters[2]
-    hamming = None
-    if dk is not None and delta is not None and delta > 0:
-        hamming = cluster_hamming_radius(dk.radius, k, delta, n, config.c_row)
+    clustering = None
+    if "cluster" in config.claims and clusters is not None:
+        clustering = ClusteringConfig(
+            delta=delta, centers=tuple(map(tuple, clusters[1])), c_row=config.c_row
+        )
 
-    # centrality ground truth
-    beta = config.katz_beta
-    if beta is None:
-        beta = 1.0 / (4.0 * rho_P) if rho_P > 0 else 1.0
-    L_katz = katz_modulus(beta)
-    try:
-        true_scores = katz_centrality(S_P, beta)
-    except OutsideDomain:
-        true_scores = None
-    band_width = None
-    if true_scores is not None and q_env is not None:
-        band_width = centrality_bands(true_scores, L_katz, q_env, alpha).half_width
+    # centrality ground truth; the domain is certified iff P lies in it
+    centrality = true_scores = None
+    if "centrality" in config.claims:
+        beta = config.katz_beta
+        if beta is None:
+            beta = 1.0 / (4.0 * S_P.radius) if S_P.radius > 0 else 1.0
+        try:
+            true_scores = katz_centrality(S_P, beta)
+        except OutsideDomain:
+            pass
+        centrality = CentralityConfig(
+            kind="katz", beta=beta, domain_certified=true_scores is not None
+        )
+
+    protocol = None
+    if audit or "subspace" in config.claims or centrality is not None or clustering is not None:
+        protocol = ProtocolConfig(
+            k=k,
+            alpha=alpha,
+            envelope=envelope,
+            centrality=centrality,
+            clustering=clustering,
+            selection_m=config.selection_m if audit and centrality is not None else None,
+        )
 
     # fixed auxiliary data for the downstream audits
     aux = np.random.default_rng(
@@ -316,24 +322,12 @@ def coverage_experiment(
         s_attr = (np.arange(n) >= n // 2).astype(np.int64)
     tau = config.fairness_tau
 
-    # which claims are evaluable, and why not
     refusal_reasons: dict = {}
-    if "subspace" in config.claims and dk is None:
-        refusal_reasons["subspace"] = "no certificate (d_max or positive gap missing)"
-    if "cluster" in config.claims and hamming is None:
-        refusal_reasons["cluster"] = (
-            "no certificate (needs d_max, positive gap and a positive margin)"
-        )
-    elif "cluster" in config.claims and clusters is None:
+    if "cluster" in config.claims and clusters is None:
         refusal_reasons["cluster"] = "no ground-truth clusters"
-    if "centrality" in config.claims and band_width is None:
-        refusal_reasons["centrality"] = (
-            "no certificate (katz domain or degree envelope missing)"
-        )
-    evaluated = set(config.claims) - set(refusal_reasons)
-
-    hits = {name: 0 for name in config.claims}
+    hits = dict.fromkeys(config.claims, 0)
     extra: dict = {name: {} for name in config.claims}
+    extra["deviation"] = {"quantile": q_dev}
     joint_hits = 0
     trials = dict.fromkeys(AUDITS, 0)
     violations = dict.fromkeys(AUDITS, 0)
@@ -342,50 +336,51 @@ def coverage_experiment(
         trials[name] += 1
         violations[name] += bool(violated)
 
-    if dk is not None:
-        extra.setdefault("subspace", {})["radius"] = dk.radius
-        extra["subspace"]["informative"] = dk.informative
-    if hamming is not None:
-        extra.setdefault("cluster", {})["hamming_radius"] = hamming[0]
-        extra["cluster"]["route"] = hamming[1]
-        extra["cluster"]["margin"] = delta
-    if band_width is not None:
-        extra.setdefault("centrality", {})["half_width"] = band_width
-    extra.setdefault("deviation", {})["quantile"] = q_dev
-
     for rep in range(replications):
         A = sample_adjacency(model, replication_seed(base_seed, rep))
-
-        # one decomposition of the sample, made only when something reads it
-        S = eigendecompose(A.A) if audit or evaluated - {"deviation"} else None
-        region = U_hat = None
-        if dk is not None and (audit or evaluated & {"subspace", "cluster"}):
-            region = subspace_region(S, k, certs, alpha)
-            U_hat = region.center
-        elif audit:
-            U_hat = S.top_k(k)
+        report = run_protocol(A, protocol) if protocol is not None else None
+        outputs = report.outputs if report is not None else {}
+        if rep == 0:
+            # the flags read only the certificates, so every report shares
+            # these gate refusals; a sample outside the Katz domain is a miss
+            gated = {} if report is None else {
+                r["output"]: r["reason"] for r in report.refusals
+                if r["reason"] in FLAG_REASONS.values()
+            }
+            for name, (output, _) in _CLAIM_OUTPUTS.items():
+                if name in config.claims and output in gated:
+                    refusal_reasons.setdefault(name, gated[output])
+            evaluated = set(config.claims) - set(refusal_reasons)
+            if not audit and not evaluated & _CLAIM_OUTPUTS.keys():
+                protocol = None  # no later report would be read
+        for name in evaluated & _CLAIM_OUTPUTS.keys():
+            output, fields = _CLAIM_OUTPUTS[name]
+            if not extra[name] and output in outputs:
+                extra[name] = {key: outputs[output][src] for key, src in fields.items()}
 
         dev = None
         if "deviation" in config.claims or audit:
             dev = symmetric_operator_norm(A.A - P)
+        sub = outputs.get("subspace")
+        U_hat = OrthonormalBasis(sub["center"]) if sub is not None else None
+        band = outputs.get("centrality_bands")
+        scores_hat = band["point"] if band is not None else None
 
         outcome = {}
         if "deviation" in config.claims:
             outcome["deviation"] = dev <= q_dev
         if "subspace" in evaluated:
-            outcome["subspace"] = region_contains(U_star, region)
+            outcome["subspace"] = grassmann_distance(U_star, U_hat) <= sub["radius"] + CONTAIN_TOL
         if "cluster" in evaluated:
-            creg = cluster_region(region, delta, centers=clusters[1], c_row=config.c_row)
-            outcome["cluster"] = creg.contains(clusters[0])
-        scores_hat = None
+            creg = outputs["cluster"]
+            outcome["cluster"] = (
+                perm_hamming_distance(creg["labels"], clusters[0]) <= creg["hamming_radius"]
+            )
         if "centrality" in evaluated:
-            try:
-                scores_hat = katz_centrality(S, beta)
-            except OutsideDomain:
-                scores_hat = None  # refusal on this sample counts as a miss
-            outcome["centrality"] = scores_hat is not None and centrality_bands(
-                scores_hat, L_katz, q_env, alpha
-            ).contains(true_scores)
+            # a sample outside the Katz domain has no band: a miss
+            outcome["centrality"] = band is not None and CentralityBand(**band).contains(
+                true_scores
+            )
         for name, hit in outcome.items():
             hits[name] += bool(hit)
         # refused claims have no outcome, so this is the conjunction over
@@ -397,6 +392,8 @@ def coverage_experiment(
 
         # ------------------------------------------------------------------
         # deterministic inequality audits, per sample
+        if U_hat is None:  # the report has no region: decompose for the basis
+            U_hat = eigendecompose(A.A).top_k(k)
         d_gr = grassmann_distance(U_hat, U_star)
         if gap_true > 0:
             tally("davis_kahan", d_gr > davis_kahan_radius(dev, gap_true).radius + _AUDIT_TOL)
@@ -414,20 +411,20 @@ def coverage_experiment(
                 mislabels > rounding_error_bound(eta_ms, delta, n).hamming_bound,
             )
 
-        if scores_hat is not None and dev <= q_env:
-            cert = stability_certificate(scores_hat, config.selection_m, L_katz, q_env)
-            if cert.certified:
-                sel_true = top_m_selection(true_scores, config.selection_m)
-                tally(
-                    "selection_stability",
-                    not (sel_true.unique and sel_true.sets[0] == cert.selected_set),
-                )
+        stability = outputs.get("stability")
+        if stability is not None and stability["certified"] and dev <= report.quantile:
+            sel_true = top_m_selection(true_scores, config.selection_m)
+            tally(
+                "selection_stability",
+                not (sel_true.unique and sel_true.sets[0] == tuple(stability["selected_set"])),
+            )
 
         lam = config.ridge_lambda
         gap_risk = abs(ridge_risk(U_hat, y_ridge, lam) - ridge_risk(U_star, y_ridge, lam))
         tally("ridge_risk", gap_risk > ridge_risk_bound(y_ridge, lam, d_gr, n) + _AUDIT_TOL)
 
         if scores_hat is not None and outcome["centrality"]:
+            band_width = band["half_width"]
             # keep the slack epsilon - r/tau attainable: widen the
             # temperature if the band dwarfs the configured one
             tau_t = max(tau, 2.0 * band_width)
@@ -455,35 +452,24 @@ def coverage_experiment(
 
     claims = {}
     for name in config.claims:
-        if name in refusal_reasons:
-            claims[name] = ClaimResult(
-                name=name,
-                replications=replications,
-                hits=replications,
-                coverage=1.0,
-                evaluated=False,
-                refused=True,
-                reason=refusal_reasons[name],
-                extra=extra.get(name, {}),
-            )
-        else:
-            claims[name] = ClaimResult(
-                name=name,
-                replications=replications,
-                hits=int(hits[name]),
-                coverage=hits[name] / replications if replications else 1.0,
-                evaluated=True,
-                extra=extra.get(name, {}),
-            )
+        refused = name in refusal_reasons
+        claims[name] = ClaimResult(
+            name=name,
+            replications=replications,
+            hits=replications if refused else int(hits[name]),
+            coverage=1.0 if refused else hits[name] / replications,
+            evaluated=not refused,
+            refused=refused,
+            reason=refusal_reasons.get(name, ""),
+            extra=extra[name],
+        )
 
     return CoverageResult(
         replications=replications,
         hits=int(joint_hits),
-        empirical_coverage=joint_hits / replications if replications else 1.0,
+        empirical_coverage=joint_hits / replications,
         target=1.0 - alpha,
-        binomial_sd=math.sqrt(alpha * (1.0 - alpha) / replications)
-        if replications
-        else 0.0,
+        binomial_sd=math.sqrt(alpha * (1.0 - alpha) / replications),
         alpha=alpha,
         base_seed=int(base_seed),
         claims=claims,

@@ -305,6 +305,14 @@ def test_distance_matrix_matches_pairwise(rng):
     for i in range(15):
         for j in range(15):
             assert abs(D[i, j] - np.linalg.norm(X[i] - X[j])) < 1e-10
+    # rows close together far from the origin: the distances stay exact
+    # to rounding, where a Gram-matrix route cancels most of its digits
+    X = 1.0 + 1e-4 * rng.normal(size=(15, 2))
+    D = distance_matrix(X)
+    for i in range(15):
+        for j in range(15):
+            exact = np.linalg.norm(X[i] - X[j])
+            assert abs(D[i, j] - exact) <= 1e-15 * exact, (i, j)
 
 
 def test_filtration_identity_case(rng):

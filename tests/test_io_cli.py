@@ -315,3 +315,32 @@ def test_cli_nan_fairness_target_exit_code(tmp_path):
     code = main(["certify", "--graph", str(graph), "--config", str(config), "--out", str(out)])
     assert code == 1
     assert not out.exists()
+
+
+def test_cli_overflowing_declared_centers_exit_code(tmp_path, capsys):
+    # rows of an orthonormal basis have norm <= 1; centers far outside are
+    # refused when the config is parsed, before any alignment overflows
+    graph = _write_two_block_40(tmp_path)
+    config = tmp_path / "centers.json"
+    config.write_text(json.dumps({
+        "k": 2,
+        "envelope": {"d_max": 10, "gap": 5},
+        "clustering": {"delta": 0.3, "centers": [[1e308, 1e308], [1e308, -1e308]]},
+    }), encoding="utf-8")
+    out = tmp_path / "r.json"
+    code = main(["certify", "--graph", str(graph), "--config", str(config), "--out", str(out)])
+    assert code == 1
+    assert "row norm at most 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_simulate_zero_replications_exit_code(tmp_path, capsys):
+    from graphcert import two_block_sbm
+
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(model_to_dict(two_block_sbm(40, 0.5, 0.1))), encoding="utf-8")
+    out = tmp_path / "sim.json"
+    code = main(["simulate", "--model", str(model), "--reps", "0", "--out", str(out)])
+    assert code == 1
+    assert "at least one replication" in capsys.readouterr().err
+    assert not out.exists()

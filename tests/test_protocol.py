@@ -172,6 +172,24 @@ _PREREQS = {
     "filtration": ("D1", "D2"),
 }
 
+_FLAG_REASONS = {
+    "D1": "no_degree_envelope",
+    "D2": "no_gap_certificate",
+    "D3": "domain_not_certified",
+    "D4": "no_margin_declared",
+}
+
+# output -> (prerequisites in the order they are checked, the refusal's
+# detail when it is not the failing flag's provenance)
+_REFUSAL_ORDER = {
+    "deviation_quantile": (("D1",), "declare envelope.d_max to obtain a deviation quantile"),
+    "subspace": (("D1", "D2"), None),
+    "centrality_bands": (("D1", "D3"), None),
+    "cluster": (("D4", "D1", "D2"), None),
+    "fairness": (("D1", "D3"), "fairness certification needs a certified score band"),
+    "filtration": (("D1", "D2"), None),
+}
+
 
 def test_gating_soundness_all_sixteen_combinations(sbm200):
     A = sample_adjacency(sbm200, 41)
@@ -188,6 +206,21 @@ def test_gating_soundness_all_sixteen_combinations(sbm200):
         for output, prereqs in _PREREQS.items():
             if not all(flags[p] for p in prereqs):
                 assert output in refused_outputs
+        # each refusal names the first failing prerequisite in its output's
+        # order, with that flag's provenance as the detail
+        expected_refusals = {}
+        for output, (order, detail) in _REFUSAL_ORDER.items():
+            failing = next((name for name in order if not flags[name]), None)
+            if failing is not None:
+                expected_refusals[output] = (
+                    _FLAG_REASONS[failing], detail or report.flags[failing].provenance
+                )
+        if "centrality_bands" in expected_refusals:
+            expected_refusals["stability"] = (
+                "no_scores", "stability needs certified centrality scores"
+            )
+        refusals = {r["output"]: (r["reason"], r["detail"]) for r in report.refusals}
+        assert refusals == expected_refusals, bits
 
 
 def test_no_envelope_at_all_reports_only_proxy_and_refusals(sbm200):
@@ -568,6 +601,15 @@ def test_tiny_gap_with_finite_radius_clamps_the_hamming_ball():
     assert report.outputs["cluster"]["vacuous"]
     text = report.to_json()
     assert "Infinity" not in text and "NaN" not in text
+
+
+def test_declared_centers_row_norm_at_most_one():
+    # population centers are means of orthonormal-basis rows and may round
+    # just past norm 1, so a 1e-12 slack is allowed
+    ClusteringConfig(delta=0.3, centers=((0.6, 0.8 + 1e-13), (0.1, -0.1)))
+    for bad in (((0.6, 0.8 + 1e-9), (0.1, -0.1)), ((1e308, 1e308), (1e308, -1e308))):
+        with pytest.raises(ValueError, match="row norm at most 1"):
+            ClusteringConfig(delta=0.3, centers=bad)
 
 
 def test_fairness_targets_must_lie_in_unit_interval():

@@ -30,6 +30,10 @@ from graphcert import (
     subspace_region,
     two_block_sbm,
 )
+import graphcert.simulation
+from graphcert import run_protocol
+from graphcert.models import Envelope
+from graphcert.protocol import CentralityConfig, ClusteringConfig, ProtocolConfig
 from graphcert.simulation import CoverageConfig, replication_seed
 
 from conftest import non_finite_reals, with_extreme_floats
@@ -132,6 +136,91 @@ def test_coverage_eigensolver_call_counts(eig_calls):
     result = coverage_experiment(model, CoverageConfig(k=2, alpha=0.1), 3, base_seed=1)
     assert all(c.evaluated for c in result.claims.values())
     assert eig_calls == {"eigh": 1 + 3, "eigvalsh": 3}
+
+    # a refused subspace claim leaves the report without a region, so the
+    # audits decompose each sample once more for the observed basis
+    eig_calls.update(eigh=0, eigvalsh=0)
+    config = CoverageConfig(k=2, alpha=0.1, mode="declared", declared_d_max=30.0)
+    result = coverage_experiment(model, config, 3, base_seed=1)
+    assert result.claims["subspace"].refused
+    assert eig_calls == {"eigh": 1 + 2 * 3, "eigvalsh": 3}
+
+
+def test_deviation_only_run_without_audits_calls_no_protocol(monkeypatch, sbm200):
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return run_protocol(*args)
+
+    monkeypatch.setattr(graphcert.simulation, "run_protocol", counted)
+    config = CoverageConfig(k=2, alpha=0.1, claims=("deviation",), audit_inequalities=False)
+    coverage_experiment(sbm200, config, 5, base_seed=0)
+    assert calls == []
+    # the audits read the report, so with them on every sample is certified
+    coverage_experiment(sbm200, CoverageConfig(k=2, alpha=0.1, claims=("deviation",)), 5, 0)
+    assert len(calls) == 5
+    # once the first report refuses every claim it states, none is read
+    config = CoverageConfig(k=2, alpha=0.1, mode="declared", audit_inequalities=False)
+    result = coverage_experiment(sbm200, config, 5, base_seed=0)
+    assert [c.refused for c in result.claims.values()] == [False, True, True, True]
+    assert len(calls) == 5 + 1
+
+
+@pytest.mark.parametrize("replications", [0, -1])
+def test_coverage_needs_a_replication(sbm200, replications):
+    # refusals are read from the first replication's report
+    config = CoverageConfig(k=2, alpha=0.1, claims=("deviation",))
+    with pytest.raises(ValueError, match="at least one replication"):
+        coverage_experiment(sbm200, config, replications, base_seed=0)
+
+
+@pytest.mark.parametrize("field", ["declared_d_max", "declared_gap"])
+def test_negative_declared_certificate_is_invalid(sbm200, field):
+    # the same refusal as a negative envelope declared to run_protocol
+    declared = {"declared_d_max": 45.0, "declared_gap": 18.0, field: -1.0}
+    config = CoverageConfig(k=2, alpha=0.1, mode="declared", **declared)
+    name = field.removeprefix("declared_")
+    with pytest.raises(ValueError, match=f"declared {name} must be nonnegative"):
+        coverage_experiment(sbm200, config, 1, base_seed=0)
+
+
+@pytest.mark.parametrize(
+    "config_kwargs",
+    [
+        {"mode": "declared", "declared_d_max": 45.0},
+        {"mode": "declared", "declared_gap": 18.0},
+        {"katz_beta": 0.5},  # rho(P) = 39.7 > 1 / (2 beta)
+        {"mode": "declared", "declared_d_max": 45.0, "declared_gap": 1e-320},
+    ],
+)
+def test_refused_claims_carry_the_report_reason(sbm200, config_kwargs):
+    # each refused claim's reason is the one run_protocol writes for the
+    # output that states the claim, under the same certificates
+    config = CoverageConfig(k=2, alpha=0.1, audit_inequalities=False, **config_kwargs)
+    claims = coverage_experiment(sbm200, config, 1, base_seed=0).claims
+    spectrum = eigendecompose(sbm200.P)
+    if config.mode == "oracle":
+        envelope = Envelope(d_max=expected_degree_bound(sbm200), gap=spectrum.gap(2))
+    else:
+        envelope = Envelope(d_max=config.declared_d_max, gap=config.declared_gap)
+    beta = config.katz_beta or 1.0 / (4.0 * spectrum.radius)
+    protocol = ProtocolConfig(
+        k=2,
+        alpha=0.1,
+        envelope=envelope,
+        centrality=CentralityConfig(
+            kind="katz", beta=beta, domain_certified=spectrum.radius <= 1 / (2 * beta)
+        ),
+        clustering=ClusteringConfig(delta=2 / math.sqrt(200)),
+    )
+    report = run_protocol(sample_adjacency(sbm200, 0), protocol)
+    reasons = {r["output"]: r["reason"] for r in report.refusals}
+    outputs = {"subspace": "subspace", "cluster": "cluster", "centrality": "centrality_bands"}
+    refused = [name for name, claim in claims.items() if claim.refused]
+    assert refused
+    for name in refused:
+        assert claims[name].reason == reasons[outputs[name]], name
 
 
 # ---------------------------------------------------------------------------
