@@ -16,7 +16,6 @@ from .errors import (
     InsufficientTolerance,
     KOutOfRange,
     MalformedMembership,
-    NoGapCertificate,
     NonpositiveGap,
     NonpositiveMargin,
     NotSymmetric,
@@ -64,7 +63,6 @@ from .concentration import (
 )
 from .inference import (
     CentralityBand,
-    CertificateSet,
     ClusterRegion,
     StabilityCertificate,
     SubspaceRegion,

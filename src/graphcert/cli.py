@@ -47,7 +47,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--graph", required=True, help="edge-list file (u<TAB>v per line)")
     p.add_argument("--config", required=True, help="protocol config JSON")
     p.add_argument("--alpha", type=float, default=None, help="override config alpha")
-    p.add_argument("--seed", type=int, default=0, help="seed (reserved for sampling)")
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--n", type=int, default=None, help="node count override")

@@ -65,17 +65,13 @@ class BadLevel(GraphCertError):
 
 
 class NonpositiveGap(GraphCertError):
-    """A gap certificate of 0 (or less), or one so small that the radius
-    2 q / gap overflows, cannot produce a radius."""
+    """A missing gap certificate, one of 0 (or less), or one so small that
+    the radius 2 q / gap overflows, cannot produce a radius."""
 
 
 class QuantileOverflow(GraphCertError):
     """The deviation quantile is not finite in double precision: the
     declared d_max or the level alpha is too extreme to give a bound."""
-
-
-class NoGapCertificate(GraphCertError):
-    """Refusal: no positive spectral-gap certificate is available."""
 
 
 # ---------------------------------------------------------------------------

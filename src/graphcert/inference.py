@@ -21,7 +21,7 @@ from scipy.optimize import linear_sum_assignment
 from .errors import (
     DegenerateTopEigenvalue,
     DuplicateCenters,
-    NoGapCertificate,
+    NonpositiveGap,
     NonpositiveMargin,
     OutsideDomain,
     ShapeMismatch,
@@ -32,13 +32,14 @@ from .concentration import (
     deviation_quantile_from_envelope,
 )
 from .linalg import OrthonormalBasis, Spectrum, frobenius_subspace_bound, grassmann_distance
+from .models import Envelope
 
 __all__ = [
-    "CertificateSet",
     "SubspaceRegion",
     "subspace_region",
     "region_contains",
     "nearest_center_round",
+    "center_separation",
     "perm_hamming_distance",
     "RoundingErrorBound",
     "rounding_error_bound",
@@ -63,18 +64,6 @@ CONTAIN_TOL = 1e-12   # float guard for membership at the boundary
 
 
 @dataclass(frozen=True)
-class CertificateSet:
-    """Declared or computed certificates gating the inference outputs."""
-
-    d_max: Optional[float] = None     # upper bound on max expected degree
-    gap: Optional[float] = None       # lower bound on gap_k(P)
-    margin: Optional[float] = None    # cluster-center separation
-    c_row: Optional[float] = None     # rowwise stability constant (optional)
-    centrality_domain_ok: Optional[bool] = None
-    provenance: str = "declared"
-
-
-@dataclass(frozen=True)
 class SubspaceRegion:
     """Grassmann ball around the observed top-k basis."""
 
@@ -82,7 +71,6 @@ class SubspaceRegion:
     radius: float
     alpha: float
     informative: bool
-    certificates_used: CertificateSet
     quantile: DeviationQuantile
 
     @property
@@ -91,30 +79,27 @@ class SubspaceRegion:
 
 
 def subspace_region(
-    S: Spectrum, k: int, certificates: CertificateSet, alpha: float
+    S: Spectrum, k: int, envelope: Envelope, alpha: float
 ) -> SubspaceRegion:
     """Confidence region for the latent top-k eigenspace.
 
     The center is the observed top-k basis ``S.top_k(k)`` of the observed
-    graph's spectrum; the radius is the Davis-Kahan
-    transfer 2 q / gap of the envelope-based deviation quantile through the
-    declared gap certificate. Missing or nonpositive certificates raise
-    :class:`NoGapCertificate`; a radius is never fabricated.
+    graph's spectrum; the radius is the Davis-Kahan transfer 2 q / gap of
+    the deviation quantile of ``envelope.d_max`` through ``envelope.gap``.
+    A missing, zero or overflowing gap raises :class:`NonpositiveGap`; a
+    radius is never fabricated.
     """
-    if certificates.gap is None or certificates.gap <= 0:
-        raise NoGapCertificate(
-            f"gap certificate {certificates.gap!r} is not positive"
-        )
-    if certificates.d_max is None or certificates.d_max < 0:
-        raise ValueError("certificates must declare a nonnegative d_max")
-    quant = deviation_quantile_from_envelope(certificates.d_max, S.n, alpha)
-    dk = davis_kahan_radius(quant.q, certificates.gap)
+    if envelope.gap is None:
+        raise NonpositiveGap("no gap certificate declared")
+    if envelope.d_max is None:
+        raise ValueError("the envelope must declare d_max")
+    quant = deviation_quantile_from_envelope(envelope.d_max, S.n, alpha)
+    dk = davis_kahan_radius(quant.q, envelope.gap)
     return SubspaceRegion(
         center=S.top_k(k),
         radius=dk.radius,
         alpha=alpha,
         informative=dk.informative,
-        certificates_used=certificates,
         quantile=quant,
     )
 
@@ -143,6 +128,14 @@ def nearest_center_round(rows: np.ndarray, centers: np.ndarray) -> np.ndarray:
                 raise DuplicateCenters(f"centers {a} and {b} coincide")
     d2 = ((rows[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
     return np.argmin(d2, axis=1)
+
+
+def center_separation(centers) -> float:
+    """Smallest Euclidean distance between two of the cluster centers."""
+    centers = np.asarray(centers, dtype=float)
+    return float(min(
+        np.linalg.norm(a - b) for a, b in itertools.combinations(centers, 2)
+    ))
 
 
 def perm_hamming_distance(g, h) -> int:
@@ -341,17 +334,15 @@ def cluster_region(
     Delta: float,
     centers: Optional[np.ndarray] = None,
     c_row: Optional[float] = None,
-    n_clusters: Optional[int] = None,
 ) -> ClusterRegion:
     """Clustering confidence ball propagated from a subspace region.
 
     The labels round the rows of the region's center, aligned to declared
-    ``centers`` when given and clustered by K-means otherwise; the radius
-    is :func:`cluster_hamming_radius` of the region's radius. ``c_row``
-    defaults to the region's certificate.
+    ``centers`` when given and clustered by K-means into k groups
+    otherwise; the radius is :func:`cluster_hamming_radius` of the
+    region's radius.
     """
     n = region.center.n
-    c_row = c_row if c_row is not None else region.certificates_used.c_row
     radius, route = cluster_hamming_radius(region.radius, region.k, Delta, n, c_row)
 
     if centers is not None:
@@ -359,8 +350,7 @@ def cluster_region(
         _, labels = align_to_centers(region.center, centers)
         provenance = "declared-centers"
     else:
-        K = n_clusters if n_clusters is not None else region.k
-        labels = kmeans_labels(region.center.U, K)
+        labels = kmeans_labels(region.center.U, region.k)
         provenance = "declared-assumption"
     return ClusterRegion(
         labels=labels,
@@ -529,25 +519,24 @@ class StabilityCertificate:
 
     m: int
     observed_margin: Optional[float]
-    threshold: float          # 2 L q
+    threshold: float          # twice the band half-width
     certified: bool
     selected_set: Optional[tuple]  # present when the top-m set is unique
     tie_tolerance: float = TIE_TOLERANCE
 
 
-def stability_certificate(
-    x_hat, m: int, L: float, q: float
-) -> StabilityCertificate:
+def stability_certificate(x_hat, m: int, half_width: float) -> StabilityCertificate:
     """Certify top-m selection stability from the observed margin.
 
     Certified iff the observed top-m set is unique and its margin exceeds
-    2*L*q. Margins inside the tie tolerance are reported as ties and are
-    never certified: near-ties are genuinely uncertifiable.
+    twice the score band's ``half_width``. Margins inside the tie tolerance
+    are reported as ties and are never certified: near-ties are genuinely
+    uncertifiable.
     """
-    if L < 0 or q < 0:
-        raise ValueError("modulus and deviation bound must be nonnegative")
+    if half_width < 0:
+        raise ValueError("band half-width must be nonnegative")
     sel = top_m_selection(x_hat, m)
-    threshold = 2.0 * L * q
+    threshold = 2.0 * half_width
     certified = (
         sel.unique
         and sel.margin is not None

@@ -33,7 +33,7 @@ from .errors import (
 )
 from .concentration import davis_kahan_radius, deviation_quantile_from_envelope
 from .inference import (
-    CertificateSet,
+    center_separation,
     centrality_bands,
     cluster_region,
     eigenvector_centrality,
@@ -122,6 +122,14 @@ class ClusteringConfig:
             # rows of an orthonormal basis, and their means, have norm <= 1
             if np.any(np.hypot.reduce(centers, axis=1) > 1.0 + 1e-12):
                 raise ValueError("declared centers must have row norm at most 1")
+            # the margin must hold between the declared centers themselves;
+            # the slack admits centers exactly delta apart up to rounding
+            if self.delta is not None and len(centers) > 1:
+                sep = center_separation(centers)
+                if sep < self.delta * (1.0 - 1e-12):
+                    raise ValueError(
+                        f"declared centers are {sep!r} apart, closer than delta = {self.delta!r}"
+                    )
 
 
 @dataclass(frozen=True)
@@ -338,7 +346,7 @@ class DiagnosticReport:
     alpha: float
     observed_gap_proxy: float
     flags: dict            # "D1".."D4" -> Flag
-    certificates: CertificateSet
+    certificates: dict     # the certificate values every output was gated on
     quantile: Optional[float]
     outputs: dict          # present iff gated open
     refusals: tuple        # machine-readable (output, reason, detail)
@@ -359,14 +367,7 @@ class DiagnosticReport:
                 name: {"passed": fl.passed, "provenance": fl.provenance}
                 for name, fl in self.flags.items()
             },
-            "certificates": {
-                "d_max": self.certificates.d_max,
-                "gap": self.certificates.gap,
-                "margin": self.certificates.margin,
-                "c_row": self.certificates.c_row,
-                "centrality_domain": self.certificates.centrality_domain_ok,
-                "provenance": self.certificates.provenance,
-            },
+            "certificates": self.certificates,
             "deviation_quantile": self.quantile,
             "outputs": self.outputs,
             "refusals": list(self.refusals),
@@ -577,20 +578,11 @@ def run_protocol(A: AdjacencyMatrix, config: ProtocolConfig) -> DiagnosticReport
         None if d_max is not None else "declare envelope.d_max to obtain a deviation quantile",
     )
 
-    certs = CertificateSet(
-        d_max=d_max,
-        gap=gap,
-        margin=delta,
-        c_row=clus.c_row if clus is not None else None,
-        centrality_domain_ok=domain_ok,
-        provenance=gap_source,
-    )
-
     # Step 4: subspace region iff D1 and D2; the cluster and filtration
     # steps reuse it
     region = None
     if not gated_shut("subspace"):
-        region = subspace_region(S, k, certs, alpha)
+        region = subspace_region(S, k, Envelope(d_max=d_max, gap=gap), alpha)
         outputs["subspace"] = {
             "radius": region.radius,
             "informative": region.informative,
@@ -604,7 +596,7 @@ def run_protocol(A: AdjacencyMatrix, config: ProtocolConfig) -> DiagnosticReport
             )
 
     # Step 5: centrality bands and selection stability iff D1 and D3
-    scores = None
+    scores = band = None
     if cent is not None:
         if not gated_shut("centrality_bands"):
             try:
@@ -636,7 +628,7 @@ def run_protocol(A: AdjacencyMatrix, config: ProtocolConfig) -> DiagnosticReport
                 }
         if config.selection_m is not None:
             if scores is not None:
-                cert = stability_certificate(scores, config.selection_m, L, q)
+                cert = stability_certificate(scores, config.selection_m, band.half_width)
                 outputs["stability"] = {
                     "m": cert.m,
                     "observed_margin": cert.observed_margin,
@@ -681,14 +673,14 @@ def run_protocol(A: AdjacencyMatrix, config: ProtocolConfig) -> DiagnosticReport
                 "hamming radius reached n: the ball is all assignments"
             )
 
-    # fairness: certified feasibility via the centrality band r = L q
+    # fairness: certified feasibility via the centrality band
     no_band = "fairness certification needs a certified score band"
     if config.fairness is not None and not gated_shut("fairness", no_band):
         fc = config.fairness
         if scores is None:
             refusals.append({"output": "fairness", "reason": "no_scores", "detail": no_band})
         else:
-            r_band = L * q
+            r_band = band.half_width
             if fc.epsilon < r_band / fc.tau:
                 refusals.append(
                     {"output": "fairness", "reason": "insufficient_tolerance",
@@ -751,7 +743,14 @@ def run_protocol(A: AdjacencyMatrix, config: ProtocolConfig) -> DiagnosticReport
         alpha=alpha,
         observed_gap_proxy=proxy,
         flags=flags,
-        certificates=certs,
+        certificates={
+            "d_max": d_max,
+            "gap": gap,
+            "margin": delta,
+            "c_row": clus.c_row if clus is not None else None,
+            "centrality_domain": domain_ok,
+            "provenance": gap_source,
+        },
         quantile=q,
         outputs=outputs,
         refusals=tuple(refusals),

@@ -35,6 +35,7 @@ from .downstream import (
 from .inference import (
     CONTAIN_TOL,
     CentralityBand,
+    center_separation,
     eigenvector_centrality,
     katz_centrality,
     nearest_center_round,
@@ -113,17 +114,16 @@ def replication_seed(base_seed: int, index: int) -> int:
 class CoverageConfig:
     """What to validate and which certificates to use.
 
-    ``mode`` "oracle" computes certificates from the true P (separates "is
-    the guarantee true" from "did the user declare good certificates");
-    "declared" uses the supplied envelope, e.g. an over-declared d_max.
+    With ``envelope`` None the d_max and gap certificates are the oracle
+    ones computed from the true P (separates "is the guarantee true" from
+    "did the user declare good certificates"); a declared ``envelope``,
+    e.g. an over-declared d_max, is used exactly as given.
     """
 
     k: int
     alpha: float
     claims: tuple = ALL_CLAIMS
-    mode: str = "oracle"
-    declared_d_max: Optional[float] = None
-    declared_gap: Optional[float] = None
+    envelope: Optional[Envelope] = None
     katz_beta: Optional[float] = None   # default 1/(4 rho(P))
     delta: Optional[float] = None       # default: population margin
     c_row: Optional[float] = None       # enables the uniform rounding branch
@@ -135,16 +135,12 @@ class CoverageConfig:
     def __post_init__(self):
         require_finite(
             alpha=self.alpha,
-            declared_d_max=self.declared_d_max,
-            declared_gap=self.declared_gap,
             katz_beta=self.katz_beta,
             delta=self.delta,
             c_row=self.c_row,
             ridge_lambda=self.ridge_lambda,
             fairness_tau=self.fairness_tau,
         )
-        if self.mode not in ("oracle", "declared"):
-            raise ValueError("mode must be 'oracle' or 'declared'")
         unknown = set(self.claims) - set(ALL_CLAIMS)
         if unknown:
             raise ValueError(f"unknown claims: {sorted(unknown)}")
@@ -216,7 +212,7 @@ class CoverageResult:
         }
 
 
-def _population_clusters(model: ProbabilityModel, U_star: OrthonormalBasis):
+def _ground_truth_clusters(model: ProbabilityModel, U_star: OrthonormalBasis):
     """Ground-truth labels, centers and margin of an SBM population embedding."""
     if not isinstance(model.spec, SBMSpec):
         return None
@@ -230,11 +226,7 @@ def _population_clusters(model: ProbabilityModel, U_star: OrthonormalBasis):
         if not mask.any():
             return None
         centers[a] = U_star.U[mask].mean(axis=0)
-    dmin = np.inf
-    for a in range(K):
-        for b in range(a + 1, K):
-            dmin = min(dmin, float(np.linalg.norm(centers[a] - centers[b])))
-    return labels, centers, dmin
+    return labels, centers, center_separation(centers)
 
 
 def coverage_experiment(
@@ -245,12 +237,12 @@ def coverage_experiment(
 ) -> CoverageResult:
     """Validate every enabled coverage claim on seeded samples of a model.
 
-    Each sample goes through :func:`run_protocol` with the certificates of
-    ``config.mode``, and the report's outputs are scored against the truth
-    from P, so the harness validates the gates and the formulas that write
-    reports. A claim is refused with the reason its report output is
-    refused with; a sample whose report withholds an evaluated claim's
-    output counts as a miss.
+    Each sample goes through :func:`run_protocol` with the oracle or the
+    declared ``config.envelope``, and the report's outputs are scored
+    against the truth from P, so the harness validates the gates and the
+    formulas that write reports. A claim is refused with the reason its
+    report output is refused with; a sample whose report withholds an
+    evaluated claim's output counts as a miss.
     """
     if model.P is None:
         raise ValueError("coverage experiments need a model with known P")
@@ -266,16 +258,15 @@ def coverage_experiment(
     U_star = S_P.top_k(k)
     gap_true = S_P.gap(k)
 
-    if config.mode == "oracle":
+    envelope = config.envelope
+    if envelope is None:
         envelope = Envelope(d_max=expected_degree_bound(model), gap=gap_true)
-    else:
-        envelope = Envelope(d_max=config.declared_d_max, gap=config.declared_gap)
 
     # deviation claim: sharp variance-proxy quantile
     q_dev = deviation_quantile(variance_proxy(P).v, n, alpha).q
 
     # clustering ground truth
-    clusters = _population_clusters(model, U_star)
+    clusters = _ground_truth_clusters(model, U_star)
     delta = config.delta
     if delta is None and clusters is not None:
         delta = clusters[2]

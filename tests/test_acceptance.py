@@ -222,7 +222,7 @@ def test_criterion_08_stability_and_ties():
         if not sel.unique:
             continue
         q = min(0.8 * sel.margin / (2 * L), 0.5 * rho)
-        cert = stability_certificate(scores, 3, L, q)
+        cert = stability_certificate(scores, 3, L * q)
         if not cert.certified:
             continue
         certified_count += 1

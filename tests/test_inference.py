@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from graphcert import (
-    CertificateSet,
     DegenerateTopEigenvalue,
     DuplicateCenters,
-    NoGapCertificate,
+    Envelope,
+    NonpositiveGap,
     NonpositiveMargin,
     OrthonormalBasis,
     OutsideDomain,
@@ -38,7 +38,7 @@ from conftest import random_orthogonal, random_orthonormal
 
 def test_perfect_information_limit_gives_radius_zero(rng, sbm200):
     A = sample_adjacency(sbm200, 1)
-    certs = CertificateSet(d_max=0.0, gap=20.0)
+    certs = Envelope(d_max=0.0, gap=20.0)
     region = subspace_region(eigendecompose(A.A), 2, certs, alpha=0.05)
     assert region.radius == 0.0
     assert region.informative
@@ -49,7 +49,7 @@ def test_perfect_information_limit_gives_radius_zero(rng, sbm200):
 
 def test_worked_instance_radius_flagged_vacuous(sbm200):
     A = sample_adjacency(sbm200, 2)
-    certs = CertificateSet(d_max=39.7, gap=20.0)
+    certs = Envelope(d_max=39.7, gap=20.0)
     region = subspace_region(eigendecompose(A.A), 2, certs, alpha=0.05)
     q = deviation_quantile(39.7, 200, 0.05).q
     assert abs(region.radius - 2 * q / 20.0) < 1e-12
@@ -59,15 +59,27 @@ def test_worked_instance_radius_flagged_vacuous(sbm200):
 
 def test_subspace_region_refuses_without_gap(sbm200):
     A = sample_adjacency(sbm200, 3)
-    with pytest.raises(NoGapCertificate):
-        subspace_region(eigendecompose(A.A), 2, CertificateSet(d_max=39.7, gap=0.0), alpha=0.05)
-    with pytest.raises(NoGapCertificate):
-        subspace_region(eigendecompose(A.A), 2, CertificateSet(d_max=39.7, gap=None), alpha=0.05)
+    with pytest.raises(NonpositiveGap):
+        subspace_region(eigendecompose(A.A), 2, Envelope(d_max=39.7, gap=0.0), alpha=0.05)
+    with pytest.raises(NonpositiveGap):
+        subspace_region(eigendecompose(A.A), 2, Envelope(d_max=39.7, gap=None), alpha=0.05)
+
+
+@pytest.mark.parametrize("field", ["d_max", "gap"])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_subspace_region_takes_only_a_checked_envelope(sbm200, field, value):
+    # an infinite gap would give radius 2q/gap = 0 flagged informative; the
+    # region reads its certificates from an Envelope, which refuses them
+    S = eigendecompose(sample_adjacency(sbm200, 3).A)
+    region = subspace_region(S, 2, envelope=Envelope(d_max=39.7, gap=20.0), alpha=0.05)
+    assert region.radius == 2 * deviation_quantile(39.7, 200, 0.05).q / 20.0
+    with pytest.raises(ValueError, match=f"declared {field} must be finite"):
+        subspace_region(S, 2, Envelope(**{"d_max": 39.7, "gap": 20.0, field: value}), 0.05)
 
 
 def test_region_contains_rotation_invariance(rng, sbm200):
     A = sample_adjacency(sbm200, 4)
-    region = subspace_region(eigendecompose(A.A), 2, CertificateSet(d_max=39.7, gap=20.0), 0.1)
+    region = subspace_region(eigendecompose(A.A), 2, Envelope(d_max=39.7, gap=20.0), 0.1)
     U = OrthonormalBasis(U=random_orthonormal(rng, 200, 2))
     for _ in range(5):
         Q = random_orthogonal(rng, 2)
@@ -87,7 +99,6 @@ def test_region_contains_antipodal_case():
         radius=0.5,
         alpha=0.1,
         informative=True,
-        certificates_used=CertificateSet(d_max=1.0, gap=1.0),
         quantile=DeviationQuantile(q=0.25, alpha=0.1, v_bound=1.0, n=2),
     )
     assert region_contains(center, region)
@@ -226,7 +237,7 @@ def test_rounding_bound_holds_on_synthetic_rows(rng):
 
 def test_cluster_region_worked_formula(sbm200):
     A = sample_adjacency(sbm200, 11)
-    certs = CertificateSet(d_max=39.7, gap=20.0)
+    certs = Envelope(d_max=39.7, gap=20.0)
     n = 200
     delta = 2 / math.sqrt(n)
     centers = np.array(
@@ -252,7 +263,7 @@ def test_cluster_region_worked_formula(sbm200):
 
 def test_cluster_region_zero_radius_exact_claim(sbm200):
     A = sample_adjacency(sbm200, 12)
-    certs = CertificateSet(d_max=0.0, gap=20.0)
+    certs = Envelope(d_max=0.0, gap=20.0)
     delta = 2 / math.sqrt(200)
     region = cluster_region(subspace_region(eigendecompose(A.A), 2, certs, 0.05), delta)
     assert region.hamming_radius == 0
@@ -284,16 +295,16 @@ def test_cluster_region_requires_margin(sbm200):
     A = sample_adjacency(sbm200, 13)
     with pytest.raises(NonpositiveMargin):
         cluster_region(
-            subspace_region(eigendecompose(A.A), 2, CertificateSet(d_max=39.7, gap=20.0), 0.05),
+            subspace_region(eigendecompose(A.A), 2, Envelope(d_max=39.7, gap=20.0), 0.05),
             0.0,
         )
 
 
 def test_cluster_region_propagates_gap_refusal(sbm200):
     A = sample_adjacency(sbm200, 14)
-    with pytest.raises(NoGapCertificate):
+    with pytest.raises(NonpositiveGap):
         cluster_region(
-            subspace_region(eigendecompose(A.A), 2, CertificateSet(d_max=39.7, gap=0.0), 0.05),
+            subspace_region(eigendecompose(A.A), 2, Envelope(d_max=39.7, gap=0.0), 0.05),
             0.1,
         )
 
@@ -304,9 +315,11 @@ def test_cluster_region_uniform_branch_strong_signal():
     model = two_block_sbm(80, 0.9, 0.1)
     A = sample_adjacency(model, 15)
     # a tiny declared c_row turns on the uniform branch: radius 0
-    certs = CertificateSet(d_max=1.0, gap=30.0, c_row=1e-4)
+    certs = Envelope(d_max=1.0, gap=30.0)
     delta = 2 / math.sqrt(80)
-    region = cluster_region(subspace_region(eigendecompose(A.A), 2, certs, 0.05), delta)
+    region = cluster_region(
+        subspace_region(eigendecompose(A.A), 2, certs, 0.05), delta, c_row=1e-4
+    )
     assert region.radius_route == "uniform_rowwise"
     assert region.hamming_radius == 0
 
@@ -323,7 +336,7 @@ def test_cluster_region_recovers_strong_signal_labels():
     for seed in range(5):
         A = sample_adjacency(model, seed)
         region = cluster_region(
-            subspace_region(eigendecompose(A.A), 2, CertificateSet(d_max=40.0, gap=30.0), 0.05),
+            subspace_region(eigendecompose(A.A), 2, Envelope(d_max=40.0, gap=30.0), 0.05),
             2 / math.sqrt(n), centers=centers,
         )
         assert perm_hamming_distance(region.labels, truth) == 0
@@ -472,7 +485,7 @@ def test_top_m_margin_matches_sort_oracle(rng):
 
 def test_stability_certificate_arithmetic():
     x = np.array([1.0, 0.5, 0.2])
-    cert = stability_certificate(x, m=1, L=0.1, q=1.0)
+    cert = stability_certificate(x, m=1, half_width=0.1)
     assert cert.threshold == 0.2
     assert cert.observed_margin == 0.5
     assert cert.certified
@@ -481,12 +494,12 @@ def test_stability_certificate_arithmetic():
 
 def test_stability_certificate_tie_never_certified():
     x = np.array([2.0, 2.0, 1.0])
-    cert = stability_certificate(x, m=1, L=0.0, q=0.0)
+    cert = stability_certificate(x, m=1, half_width=0.0)
     assert not cert.certified
     assert cert.selected_set is None
     # near-tie within tolerance is reported, not certified
     x = np.array([1.0, 1.0 - 1e-13, 0.0])
-    cert = stability_certificate(x, m=1, L=0.0, q=0.0)
+    cert = stability_certificate(x, m=1, half_width=0.0)
     assert not cert.certified
 
 

@@ -334,6 +334,32 @@ def test_cli_overflowing_declared_centers_exit_code(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_declared_centers_closer_than_delta_exit_code(tmp_path, capsys):
+    graph = _write_two_block_40(tmp_path)
+    config = tmp_path / "centers.json"
+    config.write_text(json.dumps({
+        "k": 2,
+        "envelope": {"d_max": 10, "gap": 5},
+        "clustering": {"delta": 1.0, "centers": [[0.1, 0.0], [0.1, 0.001]]},
+    }), encoding="utf-8")
+    out = tmp_path / "r.json"
+    code = main(["certify", "--graph", str(graph), "--config", str(config), "--out", str(out)])
+    assert code == 1
+    assert "closer than delta" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_certify_has_no_seed_flag(tmp_path, capsys):
+    # a run on one observed graph samples nothing; only simulate takes a seed
+    graph = _write_two_block_40(tmp_path)
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"k": 2}), encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", "--graph", str(graph), "--config", str(config), "--seed", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
+
 def test_cli_simulate_zero_replications_exit_code(tmp_path, capsys):
     from graphcert import two_block_sbm
 

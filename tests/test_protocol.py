@@ -61,8 +61,8 @@ def _parametric_gap(spec, k):
     """The D2 gap certificate run_protocol derives from an SBM spec."""
     A = sample_adjacency(build_probability_matrix(spec), 0)
     report = run_protocol(A, ProtocolConfig(k=k, parametric_spec=spec))
-    assert report.certificates.provenance == "parametric"
-    return report.certificates.gap
+    assert report.certificates["provenance"] == "parametric"
+    return report.certificates["gap"]
 
 
 def test_parametric_certificate_worked_instance(sbm200):
@@ -288,7 +288,7 @@ def test_worked_instance_full_protocol(sbm200):
     assert all(report.flags[d].passed for d in ("D1", "D2", "D3", "D4"))
 
     q = deviation_quantile(39.7, n, 0.05).q
-    gap = report.certificates.gap
+    gap = report.certificates["gap"]
     assert abs(gap - 20.0) < 1e-9
     radius = report.outputs["subspace"]["radius"]
     assert abs(radius - 2 * q / gap) < 1e-9
@@ -320,7 +320,7 @@ def test_usvt_gap_route_gates_d2(sbm200):
     )
     report = run_protocol(A, config)
     assert report.flags["D2"].passed
-    assert report.certificates.provenance == "usvt_weyl"
+    assert report.certificates["provenance"] == "usvt_weyl"
     assert "usvt" in report.diagnostics
     assert report.diagnostics["usvt"]["uncertified_deviation_route"] > 0
     # the certified gap is the weyl transfer of the denoised gap
@@ -328,7 +328,7 @@ def test_usvt_gap_route_gates_d2(sbm200):
 
     P_hat = usvt_denoise(eigendecompose(A.A), 2.02)
     w = np.sort(np.linalg.eigvalsh(P_hat))[::-1]
-    assert abs(report.certificates.gap - weyl_gap_certificate(eigengap(w, 2), 2.0)) < 1e-12
+    assert abs(report.certificates["gap"] - weyl_gap_certificate(eigengap(w, 2), 2.0)) < 1e-12
 
 
 def test_eigenvector_centrality_route(sbm200):
@@ -610,6 +610,18 @@ def test_declared_centers_row_norm_at_most_one():
     for bad in (((0.6, 0.8 + 1e-9), (0.1, -0.1)), ((1e308, 1e308), (1e308, -1e308))):
         with pytest.raises(ValueError, match="row norm at most 1"):
             ClusteringConfig(delta=0.3, centers=bad)
+
+
+def test_declared_centers_must_be_delta_apart():
+    # the margin is a claim about the centers themselves: centers closer
+    # than delta contradict it, while centers exactly delta apart pass
+    with pytest.raises(ValueError, match="closer than delta"):
+        ClusteringConfig(delta=1.0, centers=((0.1, 0.0), (0.1, 0.001)))
+    for n in (40, 200, 2000):
+        c = 1.0 / math.sqrt(n)
+        ClusteringConfig(delta=2.0 / math.sqrt(n), centers=((c, c), (c, -c)))
+    # without a declared margin there is nothing to contradict
+    ClusteringConfig(centers=((0.1, 0.0), (0.1, 0.001)))
 
 
 def test_fairness_targets_must_lie_in_unit_interval():

@@ -16,7 +16,6 @@ from graphcert import (
     top_m_selection,
 )
 from graphcert import (
-    CertificateSet,
     RDPGSpec,
     SBMSpec,
     build_probability_matrix,
@@ -37,6 +36,17 @@ from graphcert.protocol import CentralityConfig, ClusteringConfig, ProtocolConfi
 from graphcert.simulation import CoverageConfig, replication_seed
 
 from conftest import non_finite_reals, with_extreme_floats
+
+
+def _coverage_config(**fields):
+    """A CoverageConfig whose declared_d_max / declared_gap fields, when
+    given, make up its declared envelope."""
+    declared = {
+        name: fields.pop(f"declared_{name}")
+        for name in ("d_max", "gap")
+        if f"declared_{name}" in fields
+    }
+    return CoverageConfig(envelope=Envelope(**declared) if declared else None, **fields)
 
 
 def test_replication_seeds_are_distinct_and_stable():
@@ -108,9 +118,7 @@ def test_declared_mode_overdeclared_envelope(sbm200):
         k=2,
         alpha=0.2,
         claims=("deviation", "subspace"),
-        mode="declared",
-        declared_d_max=80.0,  # over-declared: still valid, just wider
-        declared_gap=20.0,
+        envelope=Envelope(d_max=80.0, gap=20.0),  # over-declared: still valid, just wider
     )
     result = coverage_experiment(sbm200, config, 20, base_seed=5)
     assert result.claims["subspace"].coverage == 1.0
@@ -120,8 +128,7 @@ def test_declared_mode_overdeclared_envelope(sbm200):
 def test_declared_subnormal_gap_refuses_the_gap_claims(sbm200):
     # 2 q / 1e-320 overflows: no radius, so the claims are refused
     config = CoverageConfig(
-        k=2, alpha=0.1, mode="declared", declared_d_max=39.7, declared_gap=1e-320,
-        audit_inequalities=False,
+        k=2, alpha=0.1, envelope=Envelope(d_max=39.7, gap=1e-320), audit_inequalities=False,
     )
     result = coverage_experiment(sbm200, config, 2, base_seed=0)
     for name in ("subspace", "cluster"):
@@ -140,7 +147,7 @@ def test_coverage_eigensolver_call_counts(eig_calls):
     # a refused subspace claim leaves the report without a region, so the
     # audits decompose each sample once more for the observed basis
     eig_calls.update(eigh=0, eigvalsh=0)
-    config = CoverageConfig(k=2, alpha=0.1, mode="declared", declared_d_max=30.0)
+    config = CoverageConfig(k=2, alpha=0.1, envelope=Envelope(d_max=30.0))
     result = coverage_experiment(model, config, 3, base_seed=1)
     assert result.claims["subspace"].refused
     assert eig_calls == {"eigh": 1 + 2 * 3, "eigvalsh": 3}
@@ -161,7 +168,7 @@ def test_deviation_only_run_without_audits_calls_no_protocol(monkeypatch, sbm200
     coverage_experiment(sbm200, CoverageConfig(k=2, alpha=0.1, claims=("deviation",)), 5, 0)
     assert len(calls) == 5
     # once the first report refuses every claim it states, none is read
-    config = CoverageConfig(k=2, alpha=0.1, mode="declared", audit_inequalities=False)
+    config = CoverageConfig(k=2, alpha=0.1, envelope=Envelope(), audit_inequalities=False)
     result = coverage_experiment(sbm200, config, 5, base_seed=0)
     assert [c.refused for c in result.claims.values()] == [False, True, True, True]
     assert len(calls) == 5 + 1
@@ -176,22 +183,21 @@ def test_coverage_needs_a_replication(sbm200, replications):
 
 
 @pytest.mark.parametrize("field", ["declared_d_max", "declared_gap"])
-def test_negative_declared_certificate_is_invalid(sbm200, field):
+def test_negative_declared_certificate_is_invalid(field):
     # the same refusal as a negative envelope declared to run_protocol
     declared = {"declared_d_max": 45.0, "declared_gap": 18.0, field: -1.0}
-    config = CoverageConfig(k=2, alpha=0.1, mode="declared", **declared)
     name = field.removeprefix("declared_")
     with pytest.raises(ValueError, match=f"declared {name} must be nonnegative"):
-        coverage_experiment(sbm200, config, 1, base_seed=0)
+        _coverage_config(k=2, alpha=0.1, **declared)
 
 
 @pytest.mark.parametrize(
     "config_kwargs",
     [
-        {"mode": "declared", "declared_d_max": 45.0},
-        {"mode": "declared", "declared_gap": 18.0},
+        {"envelope": Envelope(d_max=45.0)},
+        {"envelope": Envelope(gap=18.0)},
         {"katz_beta": 0.5},  # rho(P) = 39.7 > 1 / (2 beta)
-        {"mode": "declared", "declared_d_max": 45.0, "declared_gap": 1e-320},
+        {"envelope": Envelope(d_max=45.0, gap=1e-320)},
     ],
 )
 def test_refused_claims_carry_the_report_reason(sbm200, config_kwargs):
@@ -200,10 +206,9 @@ def test_refused_claims_carry_the_report_reason(sbm200, config_kwargs):
     config = CoverageConfig(k=2, alpha=0.1, audit_inequalities=False, **config_kwargs)
     claims = coverage_experiment(sbm200, config, 1, base_seed=0).claims
     spectrum = eigendecompose(sbm200.P)
-    if config.mode == "oracle":
+    envelope = config.envelope
+    if envelope is None:
         envelope = Envelope(d_max=expected_degree_bound(sbm200), gap=spectrum.gap(2))
-    else:
-        envelope = Envelope(d_max=config.declared_d_max, gap=config.declared_gap)
     beta = config.katz_beta or 1.0 / (4.0 * spectrum.radius)
     protocol = ProtocolConfig(
         k=2,
@@ -235,13 +240,22 @@ def test_cluster_claim_refused_without_ground_truth_clusters():
     assert claim.reason == "no ground-truth clusters"
 
 
+def test_declared_delta_beyond_population_separation_is_invalid(sbm200):
+    # the population centers are 2 / sqrt(200) = 0.141 apart: a larger
+    # declared margin contradicts them and is refused at set-up
+    config = CoverageConfig(k=2, alpha=0.1, delta=0.5, claims=("cluster",))
+    with pytest.raises(ValueError, match="closer than delta"):
+        coverage_experiment(sbm200, config, 1, base_seed=0)
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize(
     "field", ["declared_d_max", "declared_gap", "katz_beta", "delta", "c_row"]
 )
 def test_coverage_config_rejects_non_finite(field, value):
-    with pytest.raises(ValueError, match=f"declared {field} must be finite"):
-        CoverageConfig(k=2, alpha=0.1, **{field: value})
+    name = field.removeprefix("declared_")
+    with pytest.raises(ValueError, match=f"declared {name} must be finite"):
+        _coverage_config(k=2, alpha=0.1, **{field: value})
 
 
 @pytest.mark.parametrize(
@@ -256,14 +270,14 @@ def test_harness_extra_matches_report_functions(n, mode, c_row):
     model = two_block_sbm(n, 0.3, 0.1)
     spectrum = eigendecompose(model.P)
     if mode == "oracle":
-        d_max, gap, declared = expected_degree_bound(model), spectrum.gap(2), {}
+        d_max, gap, envelope = expected_degree_bound(model), spectrum.gap(2), None
     else:
         d_max, gap = 45.0, 18.0
-        declared = {"declared_d_max": d_max, "declared_gap": gap}
+        envelope = Envelope(d_max=d_max, gap=gap)
     delta = 2 / math.sqrt(n)
     config = CoverageConfig(
-        k=2, alpha=0.1, mode=mode, delta=delta, c_row=c_row,
-        audit_inequalities=False, **declared,
+        k=2, alpha=0.1, envelope=envelope, delta=delta, c_row=c_row,
+        audit_inequalities=False,
     )
     extra = {
         name: claim.extra
@@ -271,7 +285,7 @@ def test_harness_extra_matches_report_functions(n, mode, c_row):
     }
 
     S = eigendecompose(sample_adjacency(model, 0).A)
-    region = subspace_region(S, 2, CertificateSet(d_max=d_max, gap=gap), 0.1)
+    region = subspace_region(S, 2, Envelope(d_max=d_max, gap=gap), 0.1)
     creg = cluster_region(region, delta, c_row=c_row)
     beta = 1.0 / (4.0 * spectrum.radius)  # the harness's default beta
     band = centrality_bands(
@@ -311,11 +325,10 @@ _WORKED_AUDITS = {
         ("worked", {}, 40, 35,
          {"deviation": 40, "subspace": 40, "cluster": 35, "centrality": 40},
          _WORKED_AUDITS),
-        ("worked", {"mode": "declared", "declared_d_max": 45.0, "declared_gap": 18.0},
+        ("worked", {"envelope": Envelope(d_max=45.0, gap=18.0)},
          40, 35, {"deviation": 40, "subspace": 40, "cluster": 35, "centrality": 40},
          _WORKED_AUDITS),
-        ("hub", {"mode": "declared", "declared_d_max": 1.0, "declared_gap": 5.0,
-                 "katz_beta": 0.004},
+        ("hub", {"envelope": Envelope(d_max=1.0, gap=5.0), "katz_beta": 0.004},
          20, 20, {"deviation": 20, "subspace": 20, "cluster": 20, "centrality": 20},
          {"davis_kahan": (20, 0), "rounding_uniform": (20, 0),
           "rounding_mean_square": (20, 0), "selection_stability": (20, 0),
@@ -483,15 +496,16 @@ def test_coverage_config_reals_give_refusal_or_finite_result(field, value):
     # every declared real of CoverageConfig: NaN and +-inf are invalid
     # input; a finite extreme is refused with a typed error or gives a
     # result whose every real is finite
-    base = dict(k=2, alpha=0.1, mode="declared", declared_d_max=30.0, declared_gap=10.0,
+    base = dict(k=2, alpha=0.1, declared_d_max=30.0, declared_gap=10.0,
                 katz_beta=0.01, delta=0.3, c_row=0.01)
     if not math.isfinite(value):
-        with pytest.raises(ValueError, match=f"declared {field} must be finite"):
-            CoverageConfig(**{**base, field: value})
+        name = field.removeprefix("declared_")
+        with pytest.raises(ValueError, match=f"declared {name} must be finite"):
+            _coverage_config(**{**base, field: value})
         return
     try:
         result = coverage_experiment(
-            two_block_sbm(40, 0.5, 0.1), CoverageConfig(**{**base, field: value}), 1, 0
+            two_block_sbm(40, 0.5, 0.1), _coverage_config(**{**base, field: value}), 1, 0
         )
     except ValueError:  # GraphCertError included
         return
