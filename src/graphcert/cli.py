@@ -17,6 +17,7 @@ Exit codes: 0 = report produced (refusals included), 1 = invalid input,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -25,10 +26,15 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import GraphCertError
+from .inference import katz_modulus
 from .io import load_edge_list, load_model_json, model_to_dict
 from .models import two_block_sbm, two_block_spectrum
 from .protocol import (
+    CentralityConfig,
+    ClusteringConfig,
+    ProtocolConfig,
     config_from_dict,
+    config_to_dict,
     report_to_json,
     run_protocol,
 )
@@ -118,10 +124,9 @@ def _emit(doc: dict, out, fmt: str) -> None:
 def _run_report(args, scope=None) -> int:
     A = load_edge_list(args.graph, n=args.n)
     with open(args.config, "r", encoding="utf-8") as fh:
-        cfg_dict = json.load(fh)
+        config = config_from_dict(json.load(fh))
     if args.alpha is not None:
-        cfg_dict["alpha"] = args.alpha
-    config = config_from_dict(cfg_dict)
+        config = dataclasses.replace(config, alpha=args.alpha)
     report = run_protocol(A, config)
     doc = report.to_dict()
     if scope is not None:
@@ -137,11 +142,9 @@ def _run_simulate(args) -> int:
     model = load_model_json(args.model)
     k = args.k
     if k is None:
-        spec = model.spec
-        if hasattr(spec, "B"):
-            k = int(np.asarray(spec.B).shape[0])
-        else:
+        if not hasattr(model.spec, "B"):
             raise ValueError("--k is required for non-block models")
+        k = model.spec.B.shape[0]
     claims = ALL_CLAIMS if args.claims == "all" else (args.claims,)
     config = CoverageConfig(k=k, alpha=args.alpha, claims=claims)
     result = coverage_experiment(model, config, args.reps, args.seed)
@@ -153,8 +156,16 @@ def _run_example(args) -> int:
     n, p, q = 200, 0.3, 0.1
     model = two_block_sbm(n, p, q)
     spectrum = two_block_spectrum(n, p, q)
-    m = n // 2
     beta = Fraction(1, 4) / Fraction(int(round(spectrum.lam1 * 10)), 10)
+    c = 1.0 / math.sqrt(n)
+    config = ProtocolConfig(
+        k=2,
+        alpha=0.05,
+        envelope=model.envelope,
+        centrality=CentralityConfig(kind="katz", beta=float(beta), domain_certified=True),
+        clustering=ClusteringConfig(delta=2.0 * c, centers=((c, c), (c, -c))),
+        selection_m=5,
+    )
     doc = {
         "model": model_to_dict(model),
         "certificates": {
@@ -166,29 +177,12 @@ def _run_example(args) -> int:
                 "bulk": spectrum.lam_rest,
                 "bulk_multiplicity": n - 2,
             },
-            "clustering_margin": 2.0 / math.sqrt(n),
+            "clustering_margin": config.clustering.delta,
             "katz_beta": float(beta),
             "katz_beta_exact": f"{beta.numerator}/{beta.denominator}",
-            "katz_modulus": float(4 * beta),
+            "katz_modulus": katz_modulus(float(beta)),
         },
-        "config": {
-            "k": 2,
-            "alpha": 0.05,
-            "envelope": {"d_max": spectrum.lam1, "gap": spectrum.gap2},
-            "centrality": {
-                "kind": "katz",
-                "beta": float(beta),
-                "domain_certified": True,
-            },
-            "clustering": {
-                "delta": 2.0 / math.sqrt(n),
-                "centers": [
-                    [1.0 / math.sqrt(n), 1.0 / math.sqrt(n)],
-                    [1.0 / math.sqrt(n), -1.0 / math.sqrt(n)],
-                ],
-            },
-            "selection_m": 5,
-        },
+        "config": config_to_dict(config),
         "notes": [
             "equal-two-block instance: n=200, within 3/10, between 1/10",
             "expected subspace radius exceeds 1 at conventional alpha: "

@@ -49,7 +49,10 @@ __all__ = [
     "kmeans_labels",
     "align_to_centers",
     "katz_centrality",
+    "katz_domain_limit",
+    "in_katz_domain",
     "katz_modulus",
+    "eigenvector_modulus",
     "eigenvector_centrality",
     "CentralityBand",
     "centrality_bands",
@@ -375,11 +378,20 @@ def katz_centrality(S: Spectrum, beta: float) -> np.ndarray:
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
-    limit = 1.0 / (2.0 * beta)
-    if S.radius > limit * (1.0 + 1e-12):
-        raise OutsideDomain(S.radius, limit)
+    if not in_katz_domain(S.radius, beta):
+        raise OutsideDomain(S.radius, katz_domain_limit(beta))
     x = np.linalg.solve(np.eye(S.n) - beta * S.matrix, np.ones(S.n))
     return x - 1.0
+
+
+def katz_domain_limit(beta: float) -> float:
+    """The largest spectral radius 1/(2 beta) of the Katz domain."""
+    return 1.0 / (2.0 * beta)
+
+
+def in_katz_domain(rho: float, beta: float) -> bool:
+    """rho <= 1/(2 beta) up to a relative 1e-12; False for a NaN rho."""
+    return rho <= katz_domain_limit(beta) * (1.0 + 1e-12)
 
 
 def katz_modulus(beta: float) -> float:
@@ -387,6 +399,11 @@ def katz_modulus(beta: float) -> float:
     if beta <= 0:
         raise ValueError("beta must be positive")
     return 4.0 * beta
+
+
+def eigenvector_modulus(gamma: float) -> float:
+    """Lipschitz constant 2/gamma, for a top eigenvalue gap gamma."""
+    return 2.0 / gamma
 
 
 def eigenvector_centrality(

@@ -1,16 +1,20 @@
-"""File formats: edge lists, dense CSV matrices, and model-spec JSON.
+"""File formats: edge lists, dense CSV matrices, and declaration JSON.
 
 Edge lists are UTF-8 text with one "u<TAB>v" pair per line, 0-based node
 ids, each undirected pair listed once. The loader symmetrizes and rejects
 self-loops, duplicates, and malformed lines. Dense matrices use the
 repo-wide CSV convention: one row per line, comma-separated decimals.
+Declarations (model specs, envelopes, protocol configs) are JSON objects
+whose keys are the fields of the dataclass they build (:func:`from_json`).
 """
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
 import json
 from pathlib import Path
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -19,6 +23,7 @@ from .models import (
     AdjacencyMatrix,
     DCSBMSpec,
     Envelope,
+    ModelSpec,
     ProbabilityModel,
     RDPGSpec,
     SBMSpec,
@@ -30,6 +35,9 @@ __all__ = [
     "load_edge_list",
     "matrix_to_csv",
     "matrix_from_csv",
+    "from_json",
+    "to_json",
+    "spec_from_dict",
     "model_from_dict",
     "model_to_dict",
     "load_model_json",
@@ -110,61 +118,87 @@ def matrix_from_csv(text: str) -> np.ndarray:
     return np.asarray(rows, dtype=float)
 
 
-def model_from_dict(d: dict) -> ProbabilityModel:
-    """Build a probability model from its JSON document.
+# model type -> its spec class and the constructor whose parameters are its keys
+_SPECS = {"sbm": (SBMSpec, SBMSpec.from_labels), "dcsbm": (DCSBMSpec, DCSBMSpec),
+          "rdpg": (RDPGSpec, RDPGSpec)}
+
+
+def _json_object(obj, where: str) -> dict:
+    """A copy of a JSON object without its null entries (null declares
+    nothing, so the default applies); anything else is refused."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be a JSON object, got {type(obj).__name__}")
+    return {key: val for key, val in obj.items() if val is not None}
+
+
+def from_json(build: Callable, obj, where: str, readers: Optional[dict] = None):
+    """``build(**obj)``: the keys of the JSON object are the parameters of
+    ``build`` (a dataclass's fields), and ``readers`` maps a key to the reader
+    ``read(value, key)`` of its nested object. A non-object, an unknown or a
+    missing key, and a value ``build`` refuses with a bare TypeError or
+    ValueError raise a ValueError naming ``where``; typed refusals pass."""
+    kwargs = _json_object(obj, where)
+    for key, read in (readers or {}).items():
+        if key in kwargs:
+            kwargs[key] = read(kwargs[key], key)
+    try:
+        inspect.signature(build).bind(**kwargs)  # names an unknown or a missing key
+        return build(**kwargs)
+    except (TypeError, ValueError) as exc:
+        if type(exc) not in (TypeError, ValueError):
+            raise
+        raise ValueError(f"{where}: {exc}") from exc
+
+
+def spec_from_dict(d, where: str = "model") -> ModelSpec:
+    """Build a model spec from its JSON object: ``type`` picks the spec and
+    the other keys are its constructor's parameters.
 
     Variants:
       {"type": "sbm",   "labels": [...], "B": [[...]]}
       {"type": "dcsbm", "theta": [...], "labels": [...], "B": [[...]]}
       {"type": "rdpg",  "X": [[...]], "signature": [p, q]}
-    with an optional {"envelope": {"d_max": ..., "gap": ...}} block.
     """
-    kind = d.get("type")
-    if kind == "sbm":
-        spec = SBMSpec.from_labels(d["labels"], np.asarray(d["B"], dtype=float))
-    elif kind == "dcsbm":
-        spec = DCSBMSpec(
-            theta=np.asarray(d["theta"], dtype=float),
-            labels=np.asarray(d["labels"], dtype=np.int64),
-            B=np.asarray(d["B"], dtype=float),
-        )
-    elif kind == "rdpg":
-        X = np.asarray(d["X"], dtype=float)
-        sig = d.get("signature")
-        spec = RDPGSpec(X=X, signature=tuple(sig) if sig else (X.shape[1], 0))
-    else:
-        raise ValueError(f"unknown model type {kind!r}")
-    env = None
-    if d.get("envelope") is not None:
-        env = Envelope(d_max=d["envelope"].get("d_max"), gap=d["envelope"].get("gap"))
-    return build_probability_matrix(spec, envelope=env)
+    d = _json_object(d, where)
+    kind = d.pop("type", None)
+    if kind not in _SPECS:
+        raise ValueError(f"{where}: unknown model type {kind!r}")
+    return from_json(_SPECS[kind][1], d, f"{kind} {where}")
+
+
+def to_json(obj):
+    """The JSON value :func:`from_json` and :func:`spec_from_dict` read back:
+    a model spec or a dataclass becomes an object without its null fields,
+    and tuples and arrays become lists."""
+    for kind, (cls, build) in _SPECS.items():
+        if isinstance(obj, cls):
+            keys = inspect.signature(build).parameters
+            return {"type": kind, **{key: to_json(getattr(obj, key)) for key in keys}}
+    if dataclasses.is_dataclass(obj):
+        values = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+        return {key: to_json(val) for key, val in values.items() if val is not None}
+    if isinstance(obj, tuple):
+        return [to_json(v) for v in obj]
+    return obj.tolist() if isinstance(obj, np.ndarray) else obj
+
+
+def model_from_dict(d: dict) -> ProbabilityModel:
+    """Build a probability model from its JSON document: a spec object (see
+    :func:`spec_from_dict`) with an optional {"envelope": {"d_max": ...,
+    "gap": ...}} block."""
+    d = _json_object(d, "model")
+    envelope = d.pop("envelope", None)
+    if envelope is not None:
+        envelope = from_json(Envelope, envelope, "envelope")
+    return build_probability_matrix(spec_from_dict(d), envelope=envelope)
 
 
 def model_to_dict(model: ProbabilityModel) -> dict:
-    spec = model.spec
-    if isinstance(spec, SBMSpec):
-        out = {
-            "type": "sbm",
-            "labels": [int(v) for v in spec.labels],
-            "B": [[float(v) for v in row] for row in spec.B],
-        }
-    elif isinstance(spec, DCSBMSpec):
-        out = {
-            "type": "dcsbm",
-            "theta": [float(v) for v in spec.theta],
-            "labels": [int(v) for v in spec.labels],
-            "B": [[float(v) for v in row] for row in spec.B],
-        }
-    elif isinstance(spec, RDPGSpec):
-        out = {
-            "type": "rdpg",
-            "X": [[float(v) for v in row] for row in spec.X],
-            "signature": list(spec.signature),
-        }
-    else:
+    if model.spec is None:
         raise ValueError("model has no serializable spec")
+    out = to_json(model.spec)
     if model.envelope is not None:
-        out["envelope"] = {"d_max": model.envelope.d_max, "gap": model.envelope.gap}
+        out["envelope"] = to_json(model.envelope)
     return out
 
 

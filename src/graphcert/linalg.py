@@ -30,17 +30,26 @@ __all__ = [
     "frobenius_subspace_bound",
     "eigengap",
     "symmetric_operator_norm",
+    "is_symmetric",
 ]
 
 _SYM_TOL = 1e-10
 _ORTHO_TOL = 1e-10
 
 
+def is_symmetric(M: np.ndarray) -> bool:
+    """Whether M equals its transpose to within 1e-10 in max-abs entry (a NaN
+    fails); the common exact case is decided without forming M - M.T."""
+    if np.array_equal(M, M.T):
+        return True
+    return bool(np.max(np.abs(M - M.T)) <= _SYM_TOL)
+
+
 def _check_symmetric(M: np.ndarray) -> np.ndarray:
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise NotSymmetric("expected a square matrix")
-    if np.max(np.abs(M - M.T)) > _SYM_TOL:
+    if not is_symmetric(M):
         raise NotSymmetric("matrix is not symmetric to within 1e-10")
     return M
 

@@ -14,12 +14,14 @@ clipping would silently change the model being certified.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
 from .errors import MalformedMembership, OddN, OutOfRangeProbability, ShapeMismatch
+from .linalg import is_symmetric
 
 __all__ = [
     "SBMSpec",
@@ -35,21 +37,40 @@ __all__ = [
     "two_block_sbm",
     "TwoBlockSpectrum",
     "require_finite",
+    "require_integer",
+    "real_tuple",
     "require_unit_interval",
 ]
 
-_SYM_TOL = 1e-10
+
+def _is_real(value) -> bool:
+    """A real number; a bool is not one, though Python counts it as an int."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def require_finite(**declared) -> None:
-    """Reject NaN and +-inf in declared values; None means not declared.
+    """Reject NaN, +-inf and non-numbers in declared values; None means not declared.
 
     A non-finite certificate would pass a gate and turn into a NaN or a
     zero radius, so it is refused as invalid input.
     """
     for name, value in declared.items():
-        if value is not None and not math.isfinite(value):
-            raise ValueError(f"declared {name} must be finite, got {value!r}")
+        if value is not None and not (_is_real(value) and math.isfinite(value)):
+            raise ValueError(f"declared {name} must be finite (a real number), got {value!r}")
+
+
+def require_integer(name: str, value) -> int:
+    """An integer, as a Python int; a bool or an integral float is refused."""
+    if not (_is_real(value) and isinstance(value, numbers.Integral)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def real_tuple(name: str, values) -> tuple:
+    """A list of real numbers, as a tuple of floats."""
+    if not (np.iterable(values) and all(_is_real(v) for v in values)):
+        raise ValueError(f"{name} must be a list of real numbers, got {values!r}")
+    return tuple(float(v) for v in values)
 
 
 def require_unit_interval(name: str, values) -> None:
@@ -57,6 +78,15 @@ def require_unit_interval(name: str, values) -> None:
     v = np.asarray(values, dtype=float)
     if not np.all((v >= 0.0) & (v <= 1.0)):
         raise ValueError(f"{name} must lie in [0, 1]")
+
+
+def _first_outside_unit_interval(P: np.ndarray, mask=True):
+    """Raise OutOfRangeProbability at the first entry of P (within ``mask``)
+    outside [0, 1]; the test is written so NaN fails it."""
+    bad = ~((P >= 0.0) & (P <= 1.0)) & mask
+    if np.any(bad):
+        i, j = np.argwhere(bad)[0]
+        raise OutOfRangeProbability(int(i), int(j), float(P[i, j]))
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -88,11 +118,9 @@ class SBMSpec:
             raise ShapeMismatch("Z and B disagree on the number of blocks")
         if not np.all((Z == 0) | (Z == 1)) or not np.all(Z.sum(axis=1) == 1):
             raise MalformedMembership("each row of Z must have exactly one 1")
-        if np.max(np.abs(B - B.T)) > _SYM_TOL:
+        _first_outside_unit_interval(B)
+        if not is_symmetric(B):
             raise ShapeMismatch("B must be symmetric")
-        if np.any(B < 0) or np.any(B > 1):
-            bad = np.argwhere((B < 0) | (B > 1))[0]
-            raise OutOfRangeProbability(int(bad[0]), int(bad[1]), float(B[tuple(bad)]))
         object.__setattr__(self, "Z", _frozen(Z))
         object.__setattr__(self, "B", _frozen(B))
 
@@ -134,7 +162,7 @@ class DCSBMSpec:
             raise MalformedMembership("degree weights theta must be positive")
         if labels.min(initial=0) < 0 or labels.max(initial=0) >= B.shape[0]:
             raise MalformedMembership("labels must index rows of B")
-        if np.max(np.abs(B - B.T)) > _SYM_TOL:
+        if not is_symmetric(B):
             raise ShapeMismatch("B must be symmetric")
         if np.any(B < 0):
             raise MalformedMembership("B entries must be nonnegative")
@@ -208,14 +236,11 @@ class ProbabilityModel:
             P = np.asarray(self.P, dtype=float)
             if P.shape != (self.n, self.n):
                 raise ShapeMismatch(f"P must be ({self.n}, {self.n})")
-            if np.max(np.abs(P - P.T)) > _SYM_TOL:
+            _first_outside_unit_interval(P, ~np.eye(self.n, dtype=bool))
+            if not is_symmetric(P):
                 raise ShapeMismatch("P must be symmetric")
             if np.any(np.diag(P) != 0):
                 raise ShapeMismatch("P must have a zero diagonal")
-            off = ~np.eye(self.n, dtype=bool)
-            if np.any(P[off] < 0) or np.any(P[off] > 1):
-                bad = np.argwhere(((P < 0) | (P > 1)) & off)[0]
-                raise OutOfRangeProbability(int(bad[0]), int(bad[1]), float(P[tuple(bad)]))
             object.__setattr__(self, "P", _frozen(P))
         elif self.envelope is None:
             raise ValueError("a model needs either P or a declared envelope")
@@ -266,11 +291,7 @@ def build_probability_matrix(
     n = P.shape[0]
     P = (P + P.T) / 2.0  # kill rounding asymmetry from the products
     np.fill_diagonal(P, 0.0)
-    off = ~np.eye(n, dtype=bool)
-    bad_mask = ((P < 0) | (P > 1)) & off
-    if np.any(bad_mask):
-        i, j = np.argwhere(bad_mask)[0]
-        raise OutOfRangeProbability(int(i), int(j), float(P[i, j]))
+    _first_outside_unit_interval(P)  # the diagonal is 0 now
     return ProbabilityModel(n=n, P=P, spec=spec, envelope=envelope)
 
 

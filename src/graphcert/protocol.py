@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -37,7 +38,10 @@ from .inference import (
     centrality_bands,
     cluster_region,
     eigenvector_centrality,
+    eigenvector_modulus,
+    in_katz_domain,
     katz_centrality,
+    katz_domain_limit,
     katz_modulus,
     stability_certificate,
     subspace_region,
@@ -60,12 +64,15 @@ from .linalg import (
     symmetric_operator_norm,
     weyl_gap_certificate,
 )
+from .io import from_json, spec_from_dict, to_json
 from .models import (
     AdjacencyMatrix,
     Envelope,
     SBMSpec,
     build_probability_matrix,
+    real_tuple,
     require_finite,
+    require_integer,
     require_unit_interval,
 )
 
@@ -105,6 +112,8 @@ class CentralityConfig:
             raise ValueError(f"unknown centrality kind {self.kind!r}")
         if self.kind == "katz" and (self.beta is None or self.beta <= 0):
             raise ValueError("katz centrality needs beta > 0")
+        if not isinstance(self.domain_certified, bool):
+            raise ValueError(f"domain_certified must be a boolean, got {self.domain_certified!r}")
 
 
 @dataclass(frozen=True)
@@ -116,6 +125,8 @@ class ClusteringConfig:
     def __post_init__(self):
         require_finite(delta=self.delta, c_row=self.c_row)
         if self.centers is not None:
+            rows = tuple(real_tuple("centers", row) for row in self.centers)
+            object.__setattr__(self, "centers", rows)
             centers = np.asarray(self.centers, float)
             if not np.all(np.isfinite(centers)):
                 raise ValueError("declared centers must be finite")
@@ -139,6 +150,7 @@ class UsvtConfig:
 
     def __post_init__(self):
         require_finite(threshold_scale=self.threshold_scale, eps_p=self.eps_p)
+        object.__setattr__(self, "threshold_scale", float(self.threshold_scale))
 
 
 @dataclass(frozen=True)
@@ -150,6 +162,11 @@ class FairnessConfig:
 
     def __post_init__(self):
         require_finite(tau=self.tau, epsilon=self.epsilon)
+        groups = tuple(require_integer("fairness groups", g) for g in self.groups)
+        object.__setattr__(self, "groups", groups)
+        object.__setattr__(self, "targets", real_tuple("fairness targets", self.targets))
+        object.__setattr__(self, "tau", float(self.tau))
+        object.__setattr__(self, "epsilon", float(self.epsilon))
         require_unit_interval("fairness targets", self.targets)
         if self.tau <= 0:
             raise ValueError("fairness temperature tau must be positive")
@@ -160,6 +177,9 @@ class FairnessConfig:
 @dataclass(frozen=True)
 class FiltrationConfig:
     t_grid: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "t_grid", real_tuple("t_grid", self.t_grid))
 
 
 @dataclass(frozen=True)
@@ -178,8 +198,12 @@ class ProtocolConfig:
     filtration: Optional[FiltrationConfig] = None
 
     def __post_init__(self):
-        if not isinstance(self.k, int) or self.k < 1:
+        if require_integer("k", self.k) < 1:
             raise ValueError("k must be a positive integer (it is declared, never inferred)")
+        if self.selection_m is not None:
+            require_integer("selection_m", self.selection_m)
+        require_finite(alpha=self.alpha)
+        object.__setattr__(self, "alpha", float(self.alpha))
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
         if self.parametric_spec is not None and not isinstance(self.parametric_spec, SBMSpec):
@@ -189,117 +213,28 @@ class ProtocolConfig:
             )
 
 
+# the reader of each nested block of a config document
+_BLOCKS = {
+    "envelope": partial(from_json, Envelope),
+    "parametric_spec": spec_from_dict,
+    "usvt": partial(from_json, UsvtConfig),
+    "centrality": partial(from_json, CentralityConfig),
+    "clustering": partial(from_json, ClusteringConfig),
+    "fairness": partial(from_json, FairnessConfig),
+    "filtration": partial(from_json, FiltrationConfig),
+}
+
+
 def config_from_dict(d: dict) -> ProtocolConfig:
-    """Parse a configuration document. A config without k is rejected."""
-    if "k" not in d:
-        raise ValueError("config must declare k")
-    env = None
-    if "envelope" in d and d["envelope"] is not None:
-        e = d["envelope"]
-        env = Envelope(d_max=e.get("d_max"), gap=e.get("gap"))
-    spec = None
-    if d.get("parametric_spec") is not None:
-        s = d["parametric_spec"]
-        if s.get("type") != "sbm":
-            raise UnsupportedSpec(
-                "parametric gap certificates are computed for SBM specs only"
-            )
-        spec = SBMSpec.from_labels(s["labels"], np.asarray(s["B"], dtype=float))
-    usvt = None
-    if d.get("usvt") is not None:
-        u = d["usvt"]
-        usvt = UsvtConfig(
-            threshold_scale=float(u.get("threshold_scale", 2.02)),
-            eps_p=u.get("eps_p"),
-        )
-    cent = None
-    if d.get("centrality") is not None:
-        c = d["centrality"]
-        cent = CentralityConfig(
-            kind=c["kind"],
-            beta=c.get("beta"),
-            gamma=c.get("gamma"),
-            domain_certified=bool(c.get("domain_certified", False)),
-        )
-    clus = None
-    if d.get("clustering") is not None:
-        c = d["clustering"]
-        centers = c.get("centers")
-        clus = ClusteringConfig(
-            delta=c.get("delta"),
-            centers=tuple(tuple(row) for row in centers) if centers is not None else None,
-            c_row=c.get("c_row"),
-        )
-    fair = None
-    if d.get("fairness") is not None:
-        f = d["fairness"]
-        fair = FairnessConfig(
-            groups=tuple(int(g) for g in f["groups"]),
-            targets=tuple(float(t) for t in f["targets"]),
-            tau=float(f["tau"]),
-            epsilon=float(f["epsilon"]),
-        )
-    filt = None
-    if d.get("filtration") is not None:
-        filt = FiltrationConfig(t_grid=tuple(float(t) for t in d["filtration"]["t_grid"]))
-    return ProtocolConfig(
-        k=int(d["k"]),
-        alpha=float(d.get("alpha", 0.05)),
-        envelope=env,
-        parametric_spec=spec,
-        usvt=usvt,
-        centrality=cent,
-        clustering=clus,
-        selection_m=(int(d["selection_m"]) if d.get("selection_m") is not None else None),
-        fairness=fair,
-        filtration=filt,
-    )
+    """Parse a configuration document: its keys, and those of each nested
+    block, are the fields of the dataclass they build (:func:`io.from_json`),
+    and ``parametric_spec`` is an ``sbm`` model object. A config without k
+    is rejected."""
+    return from_json(ProtocolConfig, d, "config", readers=_BLOCKS)
 
 
 def config_to_dict(cfg: ProtocolConfig) -> dict:
-    out: dict = {"k": cfg.k, "alpha": cfg.alpha}
-    if cfg.envelope is not None:
-        out["envelope"] = {"d_max": cfg.envelope.d_max, "gap": cfg.envelope.gap}
-    if cfg.parametric_spec is not None:
-        out["parametric_spec"] = {
-            "type": "sbm",
-            "labels": [int(v) for v in cfg.parametric_spec.labels],
-            "B": [[float(v) for v in row] for row in cfg.parametric_spec.B],
-        }
-    if cfg.usvt is not None:
-        out["usvt"] = {
-            "threshold_scale": cfg.usvt.threshold_scale,
-            "eps_p": cfg.usvt.eps_p,
-        }
-    if cfg.centrality is not None:
-        out["centrality"] = {
-            "kind": cfg.centrality.kind,
-            "beta": cfg.centrality.beta,
-            "gamma": cfg.centrality.gamma,
-            "domain_certified": cfg.centrality.domain_certified,
-        }
-    if cfg.clustering is not None:
-        out["clustering"] = {
-            "delta": cfg.clustering.delta,
-            "centers": (
-                [list(row) for row in cfg.clustering.centers]
-                if cfg.clustering.centers is not None
-                else None
-            ),
-            "c_row": cfg.clustering.c_row,
-        }
-    if cfg.selection_m is not None:
-        out["selection_m"] = cfg.selection_m
-    if cfg.fairness is not None:
-        out["fairness"] = {
-            "groups": list(cfg.fairness.groups),
-            "targets": list(cfg.fairness.targets),
-            "tau": cfg.fairness.tau,
-            "epsilon": cfg.fairness.epsilon,
-        }
-    if cfg.filtration is not None:
-        out["filtration"] = {"t_grid": list(cfg.filtration.t_grid)}
-    return out
+    return to_json(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -522,15 +457,14 @@ def run_protocol(A: AdjacencyMatrix, config: ProtocolConfig) -> DiagnosticReport
     domain_ok: Optional[bool] = None
     if cent is not None:
         if cent.kind == "katz":
-            limit = 1.0 / (2.0 * cent.beta)
             if w_P is not None:
                 rho = float(max(abs(w_P[-1]), abs(w_P[0])))
-                domain_ok = rho <= limit * (1.0 + 1e-12)
+                domain_ok = in_katz_domain(rho, cent.beta)
                 domain_note = (
-                    f"parametric: rho(P) = {rho!r} vs limit {limit!r}"
+                    f"parametric: rho(P) = {rho!r} vs limit {katz_domain_limit(cent.beta)!r}"
                 )
             else:
-                domain_ok = bool(cent.domain_certified)
+                domain_ok = cent.domain_certified
                 domain_note = "declared" if domain_ok else "not declared or certified"
             if domain_ok:
                 L = katz_modulus(cent.beta)
@@ -546,7 +480,7 @@ def run_protocol(A: AdjacencyMatrix, config: ProtocolConfig) -> DiagnosticReport
                 domain_note = "not declared or certified"
             domain_ok = gamma is not None and gamma > 0
             if domain_ok:
-                L = 2.0 / gamma
+                L = eigenvector_modulus(gamma)
         if domain_ok and q is not None and not math.isfinite(2.0 * L * q):
             domain_ok = False
             domain_note += f"; modulus {L!r} times q = {q!r} overflows"
@@ -653,12 +587,7 @@ def run_protocol(A: AdjacencyMatrix, config: ProtocolConfig) -> DiagnosticReport
 
     # Step 6: clustering region iff D1, D2 and D4
     if clus is not None and not gated_shut("cluster"):
-        centers = (
-            np.asarray(clus.centers, dtype=float)
-            if clus.centers is not None
-            else None
-        )
-        creg = cluster_region(region, delta, centers=centers, c_row=clus.c_row)
+        creg = cluster_region(region, delta, centers=clus.centers, c_row=clus.c_row)
         outputs["cluster"] = {
             "labels": creg.labels,
             "hamming_radius": creg.hamming_radius,
@@ -688,13 +617,8 @@ def run_protocol(A: AdjacencyMatrix, config: ProtocolConfig) -> DiagnosticReport
                                f"{r_band / fc.tau!r}"}
                 )
             else:
-                problem = FairnessProblem(
-                    x=scores,
-                    y=np.asarray(fc.targets, dtype=float),
-                    s=np.asarray(fc.groups, dtype=np.int64),
-                    tau=fc.tau,
-                    epsilon=fc.epsilon,
-                )
+                problem = FairnessProblem(x=scores, y=fc.targets, s=fc.groups,
+                                          tau=fc.tau, epsilon=fc.epsilon)
                 eff = fc.epsilon - r_band / fc.tau
                 theta = fair_optimize(problem, eff)
                 ok = feasibility_transfer_check(

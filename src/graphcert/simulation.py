@@ -37,7 +37,11 @@ from .inference import (
     CentralityBand,
     center_separation,
     eigenvector_centrality,
+    eigenvector_modulus,
+    in_katz_domain,
     katz_centrality,
+    katz_domain_limit,
+    katz_modulus,
     nearest_center_round,
     perm_hamming_distance,
     rounding_error_bound,
@@ -99,6 +103,10 @@ AUDITS = (
     "filtration",
 )
 _AUDIT_TOL = 1e-9
+# fixed audit parameters: selection size, ridge penalty, fairness temperature
+_SELECTION_M = 1
+_RIDGE_LAMBDA = 1.0
+_FAIRNESS_TAU = 0.25
 
 
 def replication_seed(base_seed: int, index: int) -> int:
@@ -127,19 +135,11 @@ class CoverageConfig:
     katz_beta: Optional[float] = None   # default 1/(4 rho(P))
     delta: Optional[float] = None       # default: population margin
     c_row: Optional[float] = None       # enables the uniform rounding branch
-    selection_m: int = 1
-    ridge_lambda: float = 1.0
-    fairness_tau: float = 0.25
     audit_inequalities: bool = True
 
     def __post_init__(self):
         require_finite(
-            alpha=self.alpha,
-            katz_beta=self.katz_beta,
-            delta=self.delta,
-            c_row=self.c_row,
-            ridge_lambda=self.ridge_lambda,
-            fairness_tau=self.fairness_tau,
+            alpha=self.alpha, katz_beta=self.katz_beta, delta=self.delta, c_row=self.c_row
         )
         unknown = set(self.claims) - set(ALL_CLAIMS)
         if unknown:
@@ -298,7 +298,7 @@ def coverage_experiment(
             envelope=envelope,
             centrality=centrality,
             clustering=clustering,
-            selection_m=config.selection_m if audit and centrality is not None else None,
+            selection_m=_SELECTION_M if audit and centrality is not None else None,
         )
 
     # fixed auxiliary data for the downstream audits
@@ -311,7 +311,6 @@ def coverage_experiment(
         s_attr = (clusters[0] == clusters[0][0]).astype(np.int64)
     else:
         s_attr = (np.arange(n) >= n // 2).astype(np.int64)
-    tau = config.fairness_tau
 
     refusal_reasons: dict = {}
     if "cluster" in config.claims and clusters is None:
@@ -404,21 +403,21 @@ def coverage_experiment(
 
         stability = outputs.get("stability")
         if stability is not None and stability["certified"] and dev <= report.quantile:
-            sel_true = top_m_selection(true_scores, config.selection_m)
+            sel_true = top_m_selection(true_scores, _SELECTION_M)
             tally(
                 "selection_stability",
                 not (sel_true.unique and sel_true.sets[0] == tuple(stability["selected_set"])),
             )
 
-        lam = config.ridge_lambda
+        lam = _RIDGE_LAMBDA
         gap_risk = abs(ridge_risk(U_hat, y_ridge, lam) - ridge_risk(U_star, y_ridge, lam))
         tally("ridge_risk", gap_risk > ridge_risk_bound(y_ridge, lam, d_gr, n) + _AUDIT_TOL)
 
         if scores_hat is not None and outcome["centrality"]:
             band_width = band["half_width"]
             # keep the slack epsilon - r/tau attainable: widen the
-            # temperature if the band dwarfs the configured one
-            tau_t = max(tau, 2.0 * band_width)
+            # temperature if the band dwarfs the fixed one
+            tau_t = max(_FAIRNESS_TAU, 2.0 * band_width)
             eps = min(1.0, band_width / tau_t + 0.05)
             for theta0 in np.quantile(scores_hat, [0.25, 0.5, 0.75]):
                 theta = np.array([theta0, theta0])
@@ -429,10 +428,10 @@ def coverage_experiment(
         if scores_hat is not None:
             med = float(np.median(scores_hat))
             shift = 0.3
-            d_a = logistic_decisions(scores_hat, s_attr, tau, [med, med])
-            d_b = logistic_decisions(scores_hat, s_attr, tau, [med + shift, med + shift])
+            d_a = logistic_decisions(scores_hat, s_attr, _FAIRNESS_TAU, [med, med])
+            d_b = logistic_decisions(scores_hat, s_attr, _FAIRNESS_TAU, [med + shift, med + shift])
             try:
-                tradeoff_bounds(d_a, d_b, y01, tau, shift)
+                tradeoff_bounds(d_a, d_b, y01, _FAIRNESS_TAU, shift)
                 violated = False
             except AssertionError:  # raised when either bound is exceeded
                 violated = True
@@ -577,18 +576,17 @@ def modulus_audit(
         n = S.n
         if kind == "katz":
             beta = float(functional[1])
-            limit = 1.0 / (2.0 * beta)
-            if S.radius + perturbation_scale > limit * (1.0 + 1e-12):
-                raise OutsideDomain(S.radius + perturbation_scale, limit)
+            if not in_katz_domain(S.radius + perturbation_scale, beta):
+                raise OutsideDomain(S.radius + perturbation_scale, katz_domain_limit(beta))
             base = katz_centrality(S, beta)
-            stated2 = max(stated2, 4.0 * beta * math.sqrt(n))
-            statedinf = max(statedinf, 4.0 * beta)
+            stated2 = max(stated2, katz_modulus(beta) * math.sqrt(n))
+            statedinf = max(statedinf, katz_modulus(beta))
         elif kind == "eigenvector":
             base, gamma = eigenvector_centrality(S)
             if 2.0 * perturbation_scale >= gamma:
                 raise OutsideDomain(2.0 * perturbation_scale, gamma)
-            stated2 = max(stated2, 2.0 / gamma)
-            statedinf = max(statedinf, 2.0 / gamma)
+            stated2 = max(stated2, eigenvector_modulus(gamma))
+            statedinf = max(statedinf, eigenvector_modulus(gamma))
         else:
             raise ValueError(f"unknown functional {kind!r}")
         for _ in range(trials):

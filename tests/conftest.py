@@ -70,3 +70,78 @@ def non_finite_reals(obj, path=""):
     if isinstance(obj, float) and not math.isfinite(obj):
         return [path]
     return []
+
+
+# ---------------------------------------------------------------------------
+# malformed declarations: each case edits a valid document at a key path,
+# setting a value or dropping the key
+
+DROP = object()
+
+
+def full_config_doc(n=40):
+    """A valid config document for an n-node graph with every block declared."""
+    c = 1.0 / math.sqrt(n)
+    return {
+        "k": 2,
+        "alpha": 0.05,
+        "envelope": {"d_max": 30.0, "gap": 10.0},
+        "parametric_spec": {"type": "sbm", "labels": [2 * i // n for i in range(n)],
+                            "B": [[0.5, 0.1], [0.1, 0.5]]},
+        "usvt": {"threshold_scale": 2.02, "eps_p": 1.0},
+        "centrality": {"kind": "katz", "beta": 0.01, "domain_certified": True},
+        "clustering": {"delta": 2.0 * c, "centers": [[c, c], [c, -c]], "c_row": 0.01},
+        "selection_m": 3,
+        "fairness": {"groups": [i % 2 for i in range(n)], "targets": [0.5] * n,
+                     "tau": 1.0, "epsilon": 0.9},
+        "filtration": {"t_grid": [0.05, 0.1, 0.2]},
+    }
+
+
+def model_doc(n=40):
+    """A valid sbm model document with a declared envelope."""
+    return {"type": "sbm", "labels": [2 * i // n for i in range(n)],
+            "B": [[0.5, 0.1], [0.1, 0.5]], "envelope": {"d_max": 12.0, "gap": 8.0}}
+
+
+_CONFIG_BLOCKS = ("envelope", "parametric_spec", "usvt", "centrality", "clustering",
+                  "fairness", "filtration")
+
+MALFORMED_CONFIGS = {
+    "centrality-without-kind": (("centrality", "kind"), DROP),
+    "fairness-without-epsilon": (("fairness", "epsilon"), DROP),
+    "filtration-without-t_grid": (("filtration", "t_grid"), DROP),
+    "sbm-spec-without-labels": (("parametric_spec", "labels"), DROP),
+    "config-without-k": (("k",), DROP),
+    "unknown-key-in-config": (("betta",), 0.1),
+    **{f"unknown-key-in-{b}": ((b, "betta"), 0.1) for b in _CONFIG_BLOCKS},
+    "string-d_max": (("envelope", "d_max"), "10"),
+    "scalar-t_grid": (("filtration", "t_grid"), 5),
+    "fractional-k": (("k",), 2.7),
+    "boolean-k": (("k",), True),
+    "fractional-selection_m": (("selection_m",), 5.5),
+    "string-domain_certified": (("centrality", "domain_certified"), "false"),
+    **{f"{b}-as-a-list": ((b,), [1.0]) for b in _CONFIG_BLOCKS},
+}
+
+MALFORMED_MODELS = {
+    "sbm-without-labels": (("labels",), DROP),
+    "unknown-key-in-model": (("betta",), 0.1),
+    "unknown-key-in-envelope": (("envelope", "betta"), 0.1),
+    "string-d_max": (("envelope", "d_max"), "10"),
+    "envelope-as-a-list": (("envelope",), [12.0, 8.0]),
+    "unknown-model-type": (("type",), "sbn"),
+}
+
+
+def malformed(doc, path, value):
+    """``doc`` with the value at ``path`` replaced, or dropped for DROP."""
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    if value is DROP:
+        del target[last]
+    else:
+        target[last] = value
+    return doc

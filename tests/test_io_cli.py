@@ -16,6 +16,9 @@ from graphcert.io import (
     parse_edge_list,
 )
 from graphcert.models import sample_adjacency
+from graphcert.protocol import config_from_dict
+
+from conftest import MALFORMED_CONFIGS, MALFORMED_MODELS, full_config_doc, malformed, model_doc
 
 
 def test_parse_edge_list_roundtrip():
@@ -262,6 +265,9 @@ def test_cli_example_sbm_roundtrips_into_simulate(tmp_path):
     sim = json.loads(sim_out.read_text())
     assert sim["replications"] == 10
     assert sim["claims"]["deviation"]["coverage"] == 1.0
+    # the emitted config is one the parser accepts
+    config = config_from_dict(doc["config"])
+    assert config.centrality.domain_certified is True and config.selection_m == 5
 
 
 def test_cli_csv_format(tmp_path, sbm200):
@@ -370,3 +376,63 @@ def test_cli_simulate_zero_replications_exit_code(tmp_path, capsys):
     assert code == 1
     assert "at least one replication" in capsys.readouterr().err
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# malformed declarations: a ValueError from the parser, exit 1 at the CLI
+
+@pytest.mark.parametrize("path,value", MALFORMED_MODELS.values(), ids=MALFORMED_MODELS.keys())
+def test_malformed_model_is_refused_naming_the_key(path, value):
+    model_from_dict(model_doc())  # the unedited document parses
+    with pytest.raises(ValueError, match=path[-1]):
+        model_from_dict(malformed(model_doc(), path, value))
+
+
+def _assert_refused(code, capsys, out):
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("path,value", MALFORMED_CONFIGS.values(), ids=MALFORMED_CONFIGS.keys())
+def test_cli_certify_refuses_malformed_config(tmp_path, capsys, path, value):
+    graph = _write_two_block_40(tmp_path)
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps(malformed(full_config_doc(), path, value)), encoding="utf-8")
+    out = tmp_path / "r.json"
+    code = main(["certify", "--graph", str(graph), "--config", str(config), "--out", str(out)])
+    _assert_refused(code, capsys, out)
+
+
+_NAN_MODELS = {
+    "nan-block-probability": {"type": "sbm", "labels": [0, 0, 1, 1],
+                              "B": [[0.5, math.nan], [math.nan, 0.5]]},
+    "nan-rdpg-coordinate": {"type": "rdpg", "X": [[0.5, 0.1], [math.nan, 0.2], [0.4, 0.3]]},
+}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [malformed(model_doc(), path, value) for path, value in MALFORMED_MODELS.values()]
+    + list(_NAN_MODELS.values()),
+    ids=list(MALFORMED_MODELS) + list(_NAN_MODELS),
+)
+def test_cli_simulate_refuses_malformed_model(tmp_path, capsys, doc):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "sim.json"
+    code = main(["simulate", "--model", str(model), "--k", "2", "--reps", "1", "--out", str(out)])
+    _assert_refused(code, capsys, out)
+
+
+def test_cli_accepts_the_unedited_declarations(tmp_path):
+    graph = _write_two_block_40(tmp_path)
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps(full_config_doc()), encoding="utf-8")
+    assert main(["certify", "--graph", str(graph), "--config", str(config),
+                 "--out", str(tmp_path / "r.json")]) == 0
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(model_doc()), encoding="utf-8")
+    assert main(["simulate", "--model", str(model), "--reps", "1",
+                 "--out", str(tmp_path / "sim.json")]) == 0

@@ -14,6 +14,8 @@ from graphcert import (
     two_block_sbm,
     two_block_spectrum,
 )
+from graphcert.errors import NotSymmetric, ShapeMismatch
+from graphcert.linalg import eigendecompose, is_symmetric
 from graphcert.models import Envelope, ProbabilityModel
 
 
@@ -61,6 +63,34 @@ def test_dcsbm_product_out_of_range_rejected():
     )
     with pytest.raises(OutOfRangeProbability):
         build_probability_matrix(spec)
+
+
+def test_nan_probabilities_are_out_of_range():
+    # the range checks are written so that NaN fails them
+    nan = float("nan")
+    with pytest.raises(OutOfRangeProbability) as exc:
+        SBMSpec.from_labels([0, 1], [[0.5, nan], [nan, 0.5]])
+    assert (exc.value.i, exc.value.j) == (0, 1)
+    with pytest.raises(OutOfRangeProbability) as exc:
+        build_probability_matrix(RDPGSpec(X=[[0.5, 0.1], [nan, 0.2], [0.4, 0.3]]))
+    assert 1 in (exc.value.i, exc.value.j)
+    with pytest.raises(OutOfRangeProbability):
+        ProbabilityModel(n=2, P=[[0.0, nan], [nan, 0.0]])
+
+
+def test_one_symmetry_check_that_nan_fails():
+    M = np.array([[0.0, 0.5], [0.5 + 1e-11, 0.0]])
+    assert is_symmetric(M) and is_symmetric(M.round(1))
+    assert not is_symmetric(M + [[0.0, 0.0], [1e-9, 0.0]])
+    nan_diag = np.array([[float("nan"), 0.0], [0.0, 0.5]])
+    assert not is_symmetric(nan_diag)
+    # each caller keeps its own exception class
+    with pytest.raises(NotSymmetric):
+        eigendecompose(nan_diag)
+    with pytest.raises(ShapeMismatch, match="B must be symmetric"):
+        DCSBMSpec(theta=[1.0, 1.0], labels=[0, 1], B=nan_diag)
+    with pytest.raises(ShapeMismatch, match="P must be symmetric"):
+        ProbabilityModel(n=2, P=M + [[0.0, 0.0], [1e-9, 0.0]])
 
 
 def test_malformed_membership_rejected():

@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import json
 import math
 
 import numpy as np
@@ -29,7 +31,13 @@ from graphcert.protocol import (
     config_to_dict,
 )
 
-from conftest import non_finite_reals, with_extreme_floats
+from conftest import (
+    MALFORMED_CONFIGS,
+    full_config_doc,
+    malformed,
+    non_finite_reals,
+    with_extreme_floats,
+)
 
 
 def _k4():
@@ -93,6 +101,10 @@ def test_parametric_certificate_rejects_non_sbm():
     )
     with pytest.raises(UnsupportedSpec):
         ProtocolConfig(k=1, parametric_spec=spec)
+    doc = full_config_doc()
+    doc["parametric_spec"] = {"type": "rdpg", "X": [[0.5]] * 40}
+    with pytest.raises(UnsupportedSpec):
+        config_from_dict(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -470,8 +482,40 @@ def test_config_requires_k():
 
 
 def test_config_roundtrip():
-    cfg = _full_config()
-    assert config_from_dict(config_to_dict(cfg)) == cfg
+    # every field of every block survives the trip through JSON
+    for cfg in (_full_config(), config_from_dict(full_config_doc())):
+        back = config_from_dict(json.loads(json.dumps(config_to_dict(cfg))))
+        for f in dataclasses.fields(cfg):
+            block, got = getattr(cfg, f.name), getattr(back, f.name)
+            if isinstance(block, SBMSpec):
+                assert np.array_equal(got.Z, block.Z) and np.array_equal(got.B, block.B)
+            elif dataclasses.is_dataclass(block):
+                for g in dataclasses.fields(block):
+                    assert getattr(got, g.name) == getattr(block, g.name), (f.name, g.name)
+            else:
+                assert got == block, f.name
+
+
+@pytest.mark.parametrize("path,value", MALFORMED_CONFIGS.values(), ids=MALFORMED_CONFIGS.keys())
+def test_malformed_config_is_refused_naming_the_key(path, value):
+    config_from_dict(full_config_doc())  # the unedited document parses
+    with pytest.raises(ValueError, match=path[-1]):
+        config_from_dict(malformed(full_config_doc(), path, value))
+
+
+def test_config_values_are_normalised():
+    # well-typed values parse to the same config however they are spelled
+    doc = full_config_doc()
+    doc["alpha"], doc["filtration"]["t_grid"] = 1 / 10, [0, 1]
+    doc["usvt"]["threshold_scale"], doc["fairness"]["tau"] = 2, 1
+    cfg = config_from_dict(doc)
+    assert cfg.alpha == 0.1 and cfg.filtration.t_grid == (0.0, 1.0)
+    assert type(cfg.usvt.threshold_scale) is float and type(cfg.fairness.tau) is float
+    assert cfg.clustering.centers == tuple(map(tuple, doc["clustering"]["centers"]))
+    # null declares nothing: the default applies
+    doc["usvt"]["threshold_scale"], doc["selection_m"] = None, None
+    cfg = config_from_dict(doc)
+    assert cfg.usvt.threshold_scale == 2.02 and cfg.selection_m is None
 
 
 def test_collision_instance_drives_refusal():

@@ -486,8 +486,7 @@ def test_modulus_audit_rejects_out_of_domain():
 
 @pytest.mark.parametrize(
     "field",
-    ["alpha", "declared_d_max", "declared_gap", "katz_beta", "delta", "c_row",
-     "ridge_lambda", "fairness_tau"],
+    ["alpha", "declared_d_max", "declared_gap", "katz_beta", "delta", "c_row"],
 )
 @settings(max_examples=4)
 @with_extreme_floats
