@@ -86,7 +86,6 @@ from .downstream import (
     fair_optimize,
     feasibility_transfer_check,
     filtration_envelope,
-    lipschitz_propagate,
     logistic_decisions,
     parity_gap,
     ridge_risk,

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import GraphCertError
 from .inference import katz_modulus
 from .io import load_edge_list, load_model_json, model_to_dict
-from .models import two_block_sbm, two_block_spectrum
+from .models import Envelope, two_block_sbm, two_block_spectrum
 from .protocol import (
     CentralityConfig,
     ClusteringConfig,
@@ -161,7 +161,7 @@ def _run_example(args) -> int:
     config = ProtocolConfig(
         k=2,
         alpha=0.05,
-        envelope=model.envelope,
+        envelope=Envelope(d_max=spectrum.lam1, gap=spectrum.gap2),
         centrality=CentralityConfig(kind="katz", beta=float(beta), domain_certified=True),
         clustering=ClusteringConfig(delta=2.0 * c, centers=((c, c), (c, -c))),
         selection_m=5,

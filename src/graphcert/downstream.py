@@ -1,8 +1,8 @@
 """Propagation of certified regions into downstream guarantees.
 
-Covers generic Lipschitz propagation, the in-sample ridge risk of spectral
-features, fairness-constrained logistic post-processing under a certified
-score band, and threshold-filtration envelopes of embedding rows. All
+Covers the in-sample ridge risk of spectral features, fairness-constrained
+logistic post-processing under a certified score band, and
+threshold-filtration envelopes of embedding rows. All
 bounds are the deterministic inequalities behind the guarantees; the
 probability came earlier, from the region.
 """
@@ -21,7 +21,6 @@ from .linalg import OrthonormalBasis
 from .models import require_unit_interval
 
 __all__ = [
-    "lipschitz_propagate",
     "ridge_risk",
     "ridge_risk_bound",
     "FairnessProblem",
@@ -37,13 +36,6 @@ __all__ = [
     "FiltrationReport",
     "filtration_envelope",
 ]
-
-
-def lipschitz_propagate(r: float, L_phi: float) -> float:
-    """Certified bound L_phi * r for any L_phi-Lipschitz functional."""
-    if r < 0 or L_phi < 0:
-        raise ValueError("radius and modulus must be nonnegative")
-    return L_phi * r
 
 
 def ridge_risk(U: OrthonormalBasis, y: np.ndarray, lam: float) -> float:

@@ -35,7 +35,8 @@ class OutOfRangeProbability(GraphCertError):
 
 
 class MalformedMembership(GraphCertError):
-    """A membership matrix row is not one-hot."""
+    """Malformed block membership: a label that is not an integer in [0, K),
+    a negative block entry or a nonpositive degree weight."""
 
 
 class OddN(GraphCertError):

@@ -31,7 +31,13 @@ from .concentration import (
     davis_kahan_radius,
     deviation_quantile_from_envelope,
 )
-from .linalg import OrthonormalBasis, Spectrum, frobenius_subspace_bound, grassmann_distance
+from .linalg import (
+    OrthonormalBasis,
+    Spectrum,
+    _orthogonal_procrustes,
+    frobenius_subspace_bound,
+    grassmann_distance,
+)
 from .models import Envelope
 
 __all__ = [
@@ -129,8 +135,12 @@ def nearest_center_round(rows: np.ndarray, centers: np.ndarray) -> np.ndarray:
         for b in range(a + 1, centers.shape[0]):
             if np.array_equal(centers[a], centers[b]):
                 raise DuplicateCenters(f"centers {a} and {b} coincide")
-    d2 = ((rows[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    return np.argmin(d2, axis=1)
+    return np.argmin(_squared_distances(rows, centers), axis=1)
+
+
+def _squared_distances(rows: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """(n, K) squared Euclidean distances from each row to each center."""
+    return ((rows[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
 
 
 def center_separation(centers) -> float:
@@ -219,8 +229,7 @@ def _lloyd(rows: np.ndarray, centers: np.ndarray, iters: int = 100):
     K = centers.shape[0]
     labels = None
     for _ in range(iters):
-        d2 = ((rows[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        new = np.argmin(d2, axis=1)
+        new = np.argmin(_squared_distances(rows, centers), axis=1)
         if labels is not None and np.array_equal(new, labels):
             break
         labels = new
@@ -228,7 +237,7 @@ def _lloyd(rows: np.ndarray, centers: np.ndarray, iters: int = 100):
             mask = labels == a
             if mask.any():
                 centers[a] = rows[mask].mean(axis=0)
-    d2 = ((rows[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    d2 = _squared_distances(rows, centers)
     cost = float(d2[np.arange(rows.shape[0]), labels].sum())
     return labels, cost
 
@@ -261,9 +270,7 @@ def align_to_centers(
     perms = itertools.permutations(range(K)) if K <= 8 else [tuple(range(K))]
     for perm in perms:
         target = centers[list(perm)]
-        M = found.T @ (weights[:, None] * target)
-        W, _, Vt = np.linalg.svd(M)
-        Q = W @ Vt
+        Q = _orthogonal_procrustes(found.T @ (weights[:, None] * target))
         res = float((weights[:, None] * (found @ Q - target) ** 2).sum())
         if res < best_res - 1e-15:
             best_Q, best_res = Q, res
@@ -271,8 +278,7 @@ def align_to_centers(
     labels = nearest_center_round(rows @ Q, centers)
     for _ in range(50):
         target = centers[labels]
-        W, _, Vt = np.linalg.svd(rows.T @ target)
-        Q_new = W @ Vt
+        Q_new = _orthogonal_procrustes(rows.T @ target)
         new_labels = nearest_center_round(rows @ Q_new, centers)
         if np.array_equal(new_labels, labels):
             Q = Q_new

@@ -1,11 +1,10 @@
-"""File formats: edge lists, dense CSV matrices, and declaration JSON.
+"""File formats: edge lists and declaration JSON.
 
 Edge lists are UTF-8 text with one "u<TAB>v" pair per line, 0-based node
 ids, each undirected pair listed once. The loader symmetrizes and rejects
-self-loops, duplicates, and malformed lines. Dense matrices use the
-repo-wide CSV convention: one row per line, comma-separated decimals.
-Declarations (model specs, envelopes, protocol configs) are JSON objects
-whose keys are the fields of the dataclass they build (:func:`from_json`).
+self-loops, duplicates, and malformed lines. Declarations (model specs,
+envelopes, protocol configs) are JSON objects whose keys are the fields of
+the dataclass they build (:func:`from_json`).
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from .errors import TooManyNodes
 from .models import (
     AdjacencyMatrix,
     DCSBMSpec,
-    Envelope,
     ModelSpec,
     ProbabilityModel,
     RDPGSpec,
@@ -33,8 +31,6 @@ from .models import (
 __all__ = [
     "parse_edge_list",
     "load_edge_list",
-    "matrix_to_csv",
-    "matrix_from_csv",
     "from_json",
     "to_json",
     "spec_from_dict",
@@ -98,29 +94,8 @@ def load_edge_list(path: Union[str, Path], n: Optional[int] = None) -> Adjacency
     return parse_edge_list(Path(path).read_text(encoding="utf-8"), n=n)
 
 
-def matrix_to_csv(M: np.ndarray) -> str:
-    """One row per line, comma-separated decimals (17 significant digits)."""
-    M = np.asarray(M, dtype=float)
-    return "\n".join(",".join(format(v, ".17g") for v in row) for row in M) + "\n"
-
-
-def matrix_from_csv(text: str) -> np.ndarray:
-    rows = [
-        [float(v) for v in line.split(",")]
-        for line in text.splitlines()
-        if line.strip()
-    ]
-    if not rows:
-        return np.zeros((0, 0))
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise ValueError("ragged CSV matrix")
-    return np.asarray(rows, dtype=float)
-
-
-# model type -> its spec class and the constructor whose parameters are its keys
-_SPECS = {"sbm": (SBMSpec, SBMSpec.from_labels), "dcsbm": (DCSBMSpec, DCSBMSpec),
-          "rdpg": (RDPGSpec, RDPGSpec)}
+# model type -> its spec class, whose fields are the keys of the type
+_SPECS = {"sbm": SBMSpec, "dcsbm": DCSBMSpec, "rdpg": RDPGSpec}
 
 
 def _json_object(obj, where: str) -> dict:
@@ -151,8 +126,8 @@ def from_json(build: Callable, obj, where: str, readers: Optional[dict] = None):
 
 
 def spec_from_dict(d, where: str = "model") -> ModelSpec:
-    """Build a model spec from its JSON object: ``type`` picks the spec and
-    the other keys are its constructor's parameters.
+    """Build a model spec from its JSON object: ``type`` picks the spec class
+    and the other keys are its fields.
 
     Variants:
       {"type": "sbm",   "labels": [...], "B": [[...]]}
@@ -163,43 +138,33 @@ def spec_from_dict(d, where: str = "model") -> ModelSpec:
     kind = d.pop("type", None)
     if kind not in _SPECS:
         raise ValueError(f"{where}: unknown model type {kind!r}")
-    return from_json(_SPECS[kind][1], d, f"{kind} {where}")
+    return from_json(_SPECS[kind], d, f"{kind} {where}")
 
 
 def to_json(obj):
     """The JSON value :func:`from_json` and :func:`spec_from_dict` read back:
-    a model spec or a dataclass becomes an object without its null fields,
-    and tuples and arrays become lists."""
-    for kind, (cls, build) in _SPECS.items():
-        if isinstance(obj, cls):
-            keys = inspect.signature(build).parameters
-            return {"type": kind, **{key: to_json(getattr(obj, key)) for key in keys}}
+    a dataclass becomes an object of its non-null fields, headed by its
+    ``type`` for a model spec, and tuples and arrays become lists."""
     if dataclasses.is_dataclass(obj):
         values = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
-        return {key: to_json(val) for key, val in values.items() if val is not None}
+        out = {key: to_json(val) for key, val in values.items() if val is not None}
+        kind = {cls: kind for kind, cls in _SPECS.items()}.get(type(obj))
+        return out if kind is None else {"type": kind, **out}
     if isinstance(obj, tuple):
         return [to_json(v) for v in obj]
     return obj.tolist() if isinstance(obj, np.ndarray) else obj
 
 
 def model_from_dict(d: dict) -> ProbabilityModel:
-    """Build a probability model from its JSON document: a spec object (see
-    :func:`spec_from_dict`) with an optional {"envelope": {"d_max": ...,
-    "gap": ...}} block."""
-    d = _json_object(d, "model")
-    envelope = d.pop("envelope", None)
-    if envelope is not None:
-        envelope = from_json(Envelope, envelope, "envelope")
-    return build_probability_matrix(spec_from_dict(d), envelope=envelope)
+    """Build a probability model from its spec's JSON object (see
+    :func:`spec_from_dict`)."""
+    return build_probability_matrix(spec_from_dict(d))
 
 
 def model_to_dict(model: ProbabilityModel) -> dict:
     if model.spec is None:
         raise ValueError("model has no serializable spec")
-    out = to_json(model.spec)
-    if model.envelope is not None:
-        out["envelope"] = to_json(model.envelope)
-    return out
+    return to_json(model.spec)
 
 
 def load_model_json(path: Union[str, Path]) -> ProbabilityModel:

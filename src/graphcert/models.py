@@ -89,59 +89,59 @@ def _first_outside_unit_interval(P: np.ndarray, mask=True):
         raise OutOfRangeProbability(int(i), int(j), float(P[i, j]))
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    """Copy to a float array and make it read-only."""
-    out = np.array(a, dtype=float, copy=True)
+def _frozen(a: np.ndarray, dtype=float) -> np.ndarray:
+    """Copy to an array of ``dtype`` and make it read-only."""
+    out = np.array(a, dtype=dtype, copy=True)
     out.setflags(write=False)
     return out
 
 
-def _frozen_int(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=np.int64, copy=True)
-    out.setflags(write=False)
-    return out
+def _block_labels(labels, K: int) -> np.ndarray:
+    """Block labels as a read-only int array: integers in [0, K), one per node.
+
+    A float or bool label is refused, not truncated; an empty list, which
+    numpy reads as float, declares no nodes.
+    """
+    arr = np.asarray(labels)
+    if arr.ndim != 1:
+        raise ShapeMismatch("labels must be 1-d")
+    if arr.size and arr.dtype.kind not in "iu":
+        raise MalformedMembership(f"labels must be integers, got {arr.dtype} values")
+    if arr.min(initial=0) < 0 or arr.max(initial=0) >= K:
+        raise MalformedMembership(f"labels must lie in [0, {K})")
+    return _frozen(arr, np.int64)
+
+
+def _block_matrix(B, probabilities: bool) -> np.ndarray:
+    """B as a read-only symmetric (K, K) float array with nonnegative
+    entries; with ``probabilities`` they must also lie in [0, 1]."""
+    B = np.asarray(B, dtype=float)
+    if B.ndim != 2 or B.shape[0] != B.shape[1]:
+        raise ShapeMismatch("B must be (K, K)")
+    if probabilities:
+        _first_outside_unit_interval(B)  # first, so NaN is reported as out of range
+    if not is_symmetric(B):
+        raise ShapeMismatch("B must be symmetric")
+    if np.any(B < 0):
+        raise MalformedMembership("B entries must be nonnegative")
+    return _frozen(B)
 
 
 @dataclass(frozen=True)
 class SBMSpec:
-    """Stochastic block model: P = Z B Z^T with one-hot membership Z."""
+    """Stochastic block model: P_ij = B[g_i, g_j] for block labels g."""
 
-    Z: np.ndarray  # (n, K) one-hot rows
-    B: np.ndarray  # (K, K) symmetric, entries in [0, 1]
+    labels: np.ndarray  # (n,) integers in [0, K)
+    B: np.ndarray       # (K, K) symmetric, entries in [0, 1]
 
     def __post_init__(self):
-        Z = np.asarray(self.Z)
-        B = np.asarray(self.B, dtype=float)
-        if Z.ndim != 2 or B.ndim != 2 or B.shape[0] != B.shape[1]:
-            raise ShapeMismatch("Z must be (n, K) and B must be (K, K)")
-        if Z.shape[1] != B.shape[0]:
-            raise ShapeMismatch("Z and B disagree on the number of blocks")
-        if not np.all((Z == 0) | (Z == 1)) or not np.all(Z.sum(axis=1) == 1):
-            raise MalformedMembership("each row of Z must have exactly one 1")
-        _first_outside_unit_interval(B)
-        if not is_symmetric(B):
-            raise ShapeMismatch("B must be symmetric")
-        object.__setattr__(self, "Z", _frozen(Z))
-        object.__setattr__(self, "B", _frozen(B))
-
-    @classmethod
-    def from_labels(cls, labels, B) -> "SBMSpec":
-        labels = np.asarray(labels, dtype=np.int64)
-        B = np.asarray(B, dtype=float)
-        K = B.shape[0]
-        if labels.min(initial=0) < 0 or labels.max(initial=0) >= K:
-            raise MalformedMembership(f"labels must lie in [0, {K})")
-        Z = np.zeros((labels.size, K))
-        Z[np.arange(labels.size), labels] = 1.0
-        return cls(Z=Z, B=B)
-
-    @property
-    def labels(self) -> np.ndarray:
-        return np.argmax(self.Z, axis=1)
+        B = _block_matrix(self.B, probabilities=True)
+        object.__setattr__(self, "labels", _block_labels(self.labels, B.shape[0]))
+        object.__setattr__(self, "B", B)
 
     @property
     def n(self) -> int:
-        return self.Z.shape[0]
+        return self.labels.shape[0]
 
 
 @dataclass(frozen=True)
@@ -154,21 +154,15 @@ class DCSBMSpec:
 
     def __post_init__(self):
         theta = np.asarray(self.theta, dtype=float)
-        labels = np.asarray(self.labels, dtype=np.int64)
-        B = np.asarray(self.B, dtype=float)
+        B = _block_matrix(self.B, probabilities=False)
+        labels = _block_labels(self.labels, B.shape[0])
         if theta.ndim != 1 or labels.shape != theta.shape:
             raise ShapeMismatch("theta and labels must be 1-d of equal length")
         if np.any(theta <= 0):
             raise MalformedMembership("degree weights theta must be positive")
-        if labels.min(initial=0) < 0 or labels.max(initial=0) >= B.shape[0]:
-            raise MalformedMembership("labels must index rows of B")
-        if not is_symmetric(B):
-            raise ShapeMismatch("B must be symmetric")
-        if np.any(B < 0):
-            raise MalformedMembership("B entries must be nonnegative")
         object.__setattr__(self, "theta", _frozen(theta))
-        object.__setattr__(self, "labels", _frozen_int(labels))
-        object.__setattr__(self, "B", _frozen(B))
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "B", B)
 
     @property
     def n(self) -> int:
@@ -187,7 +181,7 @@ class RDPGSpec:
         if X.ndim != 2:
             raise ShapeMismatch("X must be (n, d)")
         p, q = self.signature
-        sig = (int(p), int(q))
+        sig = (require_integer("signature", p), require_integer("signature", q))
         if sig == (0, 0):
             sig = (X.shape[1], 0)
         if sig[0] < 0 or sig[1] < 0 or sig[0] + sig[1] != X.shape[1]:
@@ -220,30 +214,22 @@ class Envelope:
 
 @dataclass(frozen=True)
 class ProbabilityModel:
-    """A symmetric edge-probability matrix with its generative spec.
-
-    ``P`` is None only for envelope-only models (nothing but declared
-    certificates is known about the graph law).
-    """
+    """A symmetric edge-probability matrix with its generative spec."""
 
     n: int
-    P: Optional[np.ndarray]
+    P: np.ndarray
     spec: Optional[ModelSpec] = None
-    envelope: Optional[Envelope] = None
 
     def __post_init__(self):
-        if self.P is not None:
-            P = np.asarray(self.P, dtype=float)
-            if P.shape != (self.n, self.n):
-                raise ShapeMismatch(f"P must be ({self.n}, {self.n})")
-            _first_outside_unit_interval(P, ~np.eye(self.n, dtype=bool))
-            if not is_symmetric(P):
-                raise ShapeMismatch("P must be symmetric")
-            if np.any(np.diag(P) != 0):
-                raise ShapeMismatch("P must have a zero diagonal")
-            object.__setattr__(self, "P", _frozen(P))
-        elif self.envelope is None:
-            raise ValueError("a model needs either P or a declared envelope")
+        P = np.asarray(self.P, dtype=float)
+        if P.shape != (self.n, self.n):
+            raise ShapeMismatch(f"P must be ({self.n}, {self.n})")
+        _first_outside_unit_interval(P, ~np.eye(self.n, dtype=bool))
+        if not is_symmetric(P):
+            raise ShapeMismatch("P must be symmetric")
+        if np.any(np.diag(P) != 0):
+            raise ShapeMismatch("P must have a zero diagonal")
+        object.__setattr__(self, "P", _frozen(P))
 
 
 @dataclass(frozen=True)
@@ -267,20 +253,17 @@ class AdjacencyMatrix:
         object.__setattr__(self, "A", _frozen(A))
 
 
-def build_probability_matrix(
-    spec: ModelSpec, envelope: Optional[Envelope] = None
-) -> ProbabilityModel:
+def build_probability_matrix(spec: ModelSpec) -> ProbabilityModel:
     """Materialize P from a generative spec.
 
     The diagonal is forced to zero after construction. Off-diagonal entries
     outside [0, 1] (possible for DCSBM and RDPG products) raise
     :class:`OutOfRangeProbability`; they are never clipped.
     """
-    if isinstance(spec, SBMSpec):
-        P = spec.Z @ spec.B @ spec.Z.T
-    elif isinstance(spec, DCSBMSpec):
-        block = spec.B[np.ix_(spec.labels, spec.labels)]
-        P = np.outer(spec.theta, spec.theta) * block
+    if isinstance(spec, (SBMSpec, DCSBMSpec)):
+        P = spec.B[spec.labels][:, spec.labels]
+        if isinstance(spec, DCSBMSpec):
+            P = np.outer(spec.theta, spec.theta) * P
     elif isinstance(spec, RDPGSpec):
         p, q = spec.signature
         signs = np.concatenate([np.ones(p), -np.ones(q)])
@@ -292,7 +275,7 @@ def build_probability_matrix(
     P = (P + P.T) / 2.0  # kill rounding asymmetry from the products
     np.fill_diagonal(P, 0.0)
     _first_outside_unit_interval(P)  # the diagonal is 0 now
-    return ProbabilityModel(n=n, P=P, spec=spec, envelope=envelope)
+    return ProbabilityModel(n=n, P=P, spec=spec)
 
 
 def sample_adjacency(model: ProbabilityModel, seed: int) -> AdjacencyMatrix:
@@ -301,8 +284,6 @@ def sample_adjacency(model: ProbabilityModel, seed: int) -> AdjacencyMatrix:
     Deterministic given ``seed`` (PCG64 stream). Parallel callers must use
     distinct seeds.
     """
-    if model.P is None:
-        raise ValueError("cannot sample from an envelope-only model")
     n = model.n
     rng = np.random.default_rng(seed)
     iu = np.triu_indices(n, k=1)
@@ -346,26 +327,14 @@ def two_block_spectrum(n: int, p: float, q: float) -> TwoBlockSpectrum:
 
 
 def expected_degree_bound(model: ProbabilityModel) -> float:
-    """Exact max expected degree, a valid d_max certificate when P is known.
-
-    For an envelope-only model the declared value is passed through
-    unchanged.
-    """
-    if model.P is None:
-        if model.envelope is None or model.envelope.d_max is None:
-            raise ValueError("no P and no declared d_max")
-        return float(model.envelope.d_max)
+    """Exact max expected degree, a valid d_max certificate for the model."""
     return float(np.max(model.P.sum(axis=1)))
 
 
 def two_block_sbm(n: int, p: float, q: float) -> ProbabilityModel:
-    """The equal-two-block worked instance, envelope pre-filled exactly."""
+    """The equal-two-block worked instance; :func:`two_block_spectrum` gives
+    its certificates in closed form."""
     if n % 2 != 0:
         raise OddN(f"n = {n} must be even")
-    m = n // 2
-    spec = SBMSpec.from_labels(
-        np.repeat([0, 1], m), np.array([[p, q], [q, p]], dtype=float)
-    )
-    spectrum = two_block_spectrum(n, p, q)
-    env = Envelope(d_max=spectrum.lam1, gap=spectrum.gap2)
-    return build_probability_matrix(spec, envelope=env)
+    labels = np.repeat([0, 1], n // 2)
+    return build_probability_matrix(SBMSpec(labels=labels, B=[[p, q], [q, p]]))

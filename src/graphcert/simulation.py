@@ -244,8 +244,6 @@ def coverage_experiment(
     report output is refused with; a sample whose report withholds an
     evaluated claim's output counts as a miss.
     """
-    if model.P is None:
-        raise ValueError("coverage experiments need a model with known P")
     if replications < 1:
         raise ValueError("coverage experiments need at least one replication")
     P = model.P
@@ -527,8 +525,7 @@ def collision_instance(n: int, k: int, delta: float = 0.0):
     labels = np.repeat(np.arange(k + 1), b)
     if leftover:
         labels = np.concatenate([labels, np.full(leftover, k + 1)])
-    spec = SBMSpec.from_labels(labels, B)
-    model = build_probability_matrix(spec)
+    model = build_probability_matrix(SBMSpec(labels=labels, B=B))
 
     def _block_basis(first: int) -> OrthonormalBasis:
         U = np.zeros((n, k))

@@ -98,10 +98,17 @@ def full_config_doc(n=40):
     }
 
 
-def model_doc(n=40):
-    """A valid sbm model document with a declared envelope."""
-    return {"type": "sbm", "labels": [2 * i // n for i in range(n)],
-            "B": [[0.5, 0.1], [0.1, 0.5]], "envelope": {"d_max": 12.0, "gap": 8.0}}
+def model_doc(kind="sbm", n=40):
+    """A valid model document of each spec type, two blocks of n/2 nodes."""
+    labels = [2 * i // n for i in range(n)]
+    B = [[0.5, 0.1], [0.1, 0.5]]
+    return {
+        "sbm": {"type": "sbm", "labels": labels, "B": B},
+        "dcsbm": {"type": "dcsbm", "theta": [1.0 - i / (2 * n) for i in range(n)],
+                  "labels": labels, "B": B},
+        "rdpg": {"type": "rdpg", "X": [[0.6, 0.3 - 0.6 * g] for g in labels],
+                 "signature": [1, 1]},
+    }[kind]
 
 
 _CONFIG_BLOCKS = ("envelope", "parametric_spec", "usvt", "centrality", "clustering",
@@ -124,13 +131,17 @@ MALFORMED_CONFIGS = {
     **{f"{b}-as-a-list": ((b,), [1.0]) for b in _CONFIG_BLOCKS},
 }
 
+# name -> (model type, path, value): a model document of that type with the
+# value at path replaced; certificates belong to the config, not the model
 MALFORMED_MODELS = {
-    "sbm-without-labels": (("labels",), DROP),
-    "unknown-key-in-model": (("betta",), 0.1),
-    "unknown-key-in-envelope": (("envelope", "betta"), 0.1),
-    "string-d_max": (("envelope", "d_max"), "10"),
-    "envelope-as-a-list": (("envelope",), [12.0, 8.0]),
-    "unknown-model-type": (("type",), "sbn"),
+    "sbm-without-labels": ("sbm", ("labels",), DROP),
+    "unknown-key-in-model": ("sbm", ("betta",), 0.1),
+    "unknown-model-type": ("sbm", ("type",), "sbn"),
+    "envelope-key": ("sbm", ("envelope",), {"d_max": 1e6, "gap": 1e-3}),
+    "fractional-labels": ("sbm", ("labels",), [0.9, 1.7] + [0, 1] * 19),
+    "boolean-labels": ("sbm", ("labels",), [True, False] * 20),
+    "fractional-dcsbm-labels": ("dcsbm", ("labels",), [0.5, 1.2] + [0, 1] * 19),
+    "fractional-signature": ("rdpg", ("signature",), [2.9, 0]),
 }
 
 

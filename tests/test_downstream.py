@@ -18,7 +18,6 @@ from graphcert import (
     feasibility_transfer_check,
     filtration_envelope,
     grassmann_distance,
-    lipschitz_propagate,
     logistic_decisions,
     parity_gap,
     ridge_risk,
@@ -31,15 +30,6 @@ from graphcert.downstream import ThresholdSnapshot, quadratic_loss
 
 from conftest import random_orthonormal
 
-
-def test_lipschitz_propagate():
-    assert lipschitz_propagate(0.0, 5.0) == 0.0
-    assert lipschitz_propagate(0.3, 0.0) == 0.0
-    assert abs(lipschitz_propagate(0.2, 3.0) - 0.6) < 1e-15
-
-
-# ---------------------------------------------------------------------------
-# ridge risk
 
 def test_ridge_risk_in_span():
     U = OrthonormalBasis(U=np.eye(6)[:, :2])

@@ -278,7 +278,7 @@ def test_alignment_handles_unequal_blocks():
 
     labels = np.repeat([0, 1], [30, 90])
     model = build_probability_matrix(
-        SBMSpec.from_labels(labels, [[0.9, 0.05], [0.05, 0.8]])
+        SBMSpec(labels=labels, B=[[0.9, 0.05], [0.05, 0.8]])
     )
     U_star = eigendecompose(model.P).top_k(2)
     centers = np.stack(

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -9,8 +10,6 @@ from graphcert import GraphCertError, TooManyNodes
 from graphcert.cli import main
 from graphcert.io import (
     load_edge_list,
-    matrix_from_csv,
-    matrix_to_csv,
     model_from_dict,
     model_to_dict,
     parse_edge_list,
@@ -66,31 +65,20 @@ def test_edge_list_file_roundtrip(tmp_path, sbm200):
     assert np.array_equal(loaded.A, A.A)
 
 
-def test_matrix_csv_roundtrip(rng):
-    M = rng.normal(size=(4, 6))
-    back = matrix_from_csv(matrix_to_csv(M))
-    assert np.array_equal(back, M)  # 17 significant digits round-trip exactly
-
-
-def test_model_json_roundtrip(sbm200):
-    doc = model_to_dict(sbm200)
-    model = model_from_dict(doc)
-    assert np.array_equal(model.P, sbm200.P)
-    assert model.envelope.d_max == sbm200.envelope.d_max
-
-    rdpg = model_from_dict(
-        {"type": "rdpg", "X": [[0.6, 0.2], [0.5, 0.1], [0.4, 0.4]], "signature": [2, 0]}
-    )
-    assert rdpg.P.shape == (3, 3)
-    dcsbm = model_from_dict(
-        {
-            "type": "dcsbm",
-            "theta": [0.9, 0.8, 0.7, 0.6],
-            "labels": [0, 0, 1, 1],
-            "B": [[0.9, 0.2], [0.2, 0.8]],
-        }
-    )
-    assert dcsbm.P[0, 1] == pytest.approx(0.9 * 0.8 * 0.9)
+def test_model_json_roundtrip():
+    # every spec field and the bytes of P survive the trip through JSON text
+    within_between = {"sbm": (0.5, 0.1), "dcsbm": (0.9875 * 0.5, 0.5125 * 0.1),
+                      "rdpg": (0.36 - 0.09, 0.36 + 0.09)}
+    for kind, (within, between) in within_between.items():
+        model = model_from_dict(model_doc(kind))
+        assert model.P[0, 1] == pytest.approx(within) and model.P[0, 39] == pytest.approx(between)
+        back = model_from_dict(json.loads(json.dumps(model_to_dict(model))))
+        assert type(back.spec) is type(model.spec)
+        for f in dataclasses.fields(model.spec):
+            got, want = getattr(back.spec, f.name), getattr(model.spec, f.name)
+            assert np.array_equal(got, want), (kind, f.name)
+        assert back.P.tobytes() == model.P.tobytes()
+        assert model_to_dict(back) == model_to_dict(model) == model_doc(kind)
 
 
 # ---------------------------------------------------------------------------
@@ -381,11 +369,12 @@ def test_cli_simulate_zero_replications_exit_code(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # malformed declarations: a ValueError from the parser, exit 1 at the CLI
 
-@pytest.mark.parametrize("path,value", MALFORMED_MODELS.values(), ids=MALFORMED_MODELS.keys())
-def test_malformed_model_is_refused_naming_the_key(path, value):
-    model_from_dict(model_doc())  # the unedited document parses
+@pytest.mark.parametrize("kind,path,value", MALFORMED_MODELS.values(),
+                         ids=MALFORMED_MODELS.keys())
+def test_malformed_model_is_refused_naming_the_key(kind, path, value):
+    model_from_dict(model_doc(kind))  # the unedited document parses
     with pytest.raises(ValueError, match=path[-1]):
-        model_from_dict(malformed(model_doc(), path, value))
+        model_from_dict(malformed(model_doc(kind), path, value))
 
 
 def _assert_refused(code, capsys, out):
@@ -414,7 +403,7 @@ _NAN_MODELS = {
 
 @pytest.mark.parametrize(
     "doc",
-    [malformed(model_doc(), path, value) for path, value in MALFORMED_MODELS.values()]
+    [malformed(model_doc(kind), path, value) for kind, path, value in MALFORMED_MODELS.values()]
     + list(_NAN_MODELS.values()),
     ids=list(MALFORMED_MODELS) + list(_NAN_MODELS),
 )

@@ -16,7 +16,7 @@ from graphcert import (
 )
 from graphcert.errors import NotSymmetric, ShapeMismatch
 from graphcert.linalg import eigendecompose, is_symmetric
-from graphcert.models import Envelope, ProbabilityModel
+from graphcert.models import ProbabilityModel
 
 
 def test_sbm_worked_instance_entries(sbm200):
@@ -33,7 +33,7 @@ def test_sbm_worked_instance_entries(sbm200):
 
 
 def test_zero_connectivity_gives_zero_matrix():
-    spec = SBMSpec.from_labels([0, 0, 1, 1], np.zeros((2, 2)))
+    spec = SBMSpec(labels=[0, 0, 1, 1], B=np.zeros((2, 2)))
     model = build_probability_matrix(spec)
     assert np.all(model.P == 0)
 
@@ -69,7 +69,7 @@ def test_nan_probabilities_are_out_of_range():
     # the range checks are written so that NaN fails them
     nan = float("nan")
     with pytest.raises(OutOfRangeProbability) as exc:
-        SBMSpec.from_labels([0, 1], [[0.5, nan], [nan, 0.5]])
+        SBMSpec(labels=[0, 1], B=[[0.5, nan], [nan, 0.5]])
     assert (exc.value.i, exc.value.j) == (0, 1)
     with pytest.raises(OutOfRangeProbability) as exc:
         build_probability_matrix(RDPGSpec(X=[[0.5, 0.1], [nan, 0.2], [0.4, 0.3]]))
@@ -94,16 +94,34 @@ def test_one_symmetry_check_that_nan_fails():
 
 
 def test_malformed_membership_rejected():
-    Z = np.array([[1, 1], [0, 1]])
-    with pytest.raises(MalformedMembership):
-        SBMSpec(Z=Z, B=np.eye(2) * 0.5)
+    # labels are integers in [0, K), refused rather than truncated or cast
+    B = np.eye(2) * 0.5
+    for labels in ([0, 2], [-1, 0], [0.9, 1.7], [True, False], [0.0, 1.0]):
+        with pytest.raises(MalformedMembership, match="labels"):
+            SBMSpec(labels=labels, B=B)
+        with pytest.raises(MalformedMembership, match="labels"):
+            DCSBMSpec(theta=[1.0, 1.0], labels=labels, B=B)
+
+
+def test_labels_are_stored_as_read_only_integers():
+    spec = SBMSpec(labels=np.array([1, 0], dtype=np.int32), B=np.eye(2) * 0.5)
+    assert spec.labels.dtype == np.int64 and not spec.labels.flags.writeable
+    assert SBMSpec(labels=[], B=np.eye(2) * 0.5).n == 0  # numpy reads [] as float
+
+
+def test_rdpg_signature_must_be_integers():
+    X = [[0.6, 0.2], [0.5, 0.1]]
+    assert RDPGSpec(X=X, signature=(np.int64(1), 1)).signature == (1, 1)
+    for signature in ([2.9, 0], (1.0, 1.0), (True, True)):
+        with pytest.raises(ValueError, match="signature must be an integer"):
+            RDPGSpec(X=X, signature=signature)
 
 
 def test_sampling_trivial_models():
-    zero = build_probability_matrix(SBMSpec.from_labels([0, 0, 0], [[0.0]]))
+    zero = build_probability_matrix(SBMSpec(labels=[0, 0, 0], B=[[0.0]]))
     for seed in (0, 7, 99):
         assert np.all(sample_adjacency(zero, seed).A == 0)
-    ones = build_probability_matrix(SBMSpec.from_labels([0, 0, 0, 0], [[1.0]]))
+    ones = build_probability_matrix(SBMSpec(labels=[0, 0, 0, 0], B=[[1.0]]))
     A = sample_adjacency(ones, 3).A
     assert np.all(A[~np.eye(4, dtype=bool)] == 1)
 
@@ -178,7 +196,7 @@ def test_expected_degree_bound_worked_instance(sbm200):
 
 
 def test_expected_degree_bound_zero_matrix():
-    model = build_probability_matrix(SBMSpec.from_labels([0, 0], [[0.0]]))
+    model = build_probability_matrix(SBMSpec(labels=[0, 0], B=[[0.0]]))
     assert expected_degree_bound(model) == 0.0
 
 
@@ -193,8 +211,3 @@ def test_expected_degree_bound_matches_brute_force(rng):
     assert abs(d - brute) < 1e-12
     # the bound dominates every row sum
     assert np.all(P.sum(axis=1) <= d + 1e-12)
-
-
-def test_envelope_only_model_passes_declared_value_through():
-    model = ProbabilityModel(n=10, P=None, envelope=Envelope(d_max=3.5, gap=1.0))
-    assert expected_degree_bound(model) == 3.5

@@ -78,14 +78,14 @@ def test_parametric_certificate_worked_instance(sbm200):
 
 
 def test_parametric_certificate_collision_is_zero():
-    spec = SBMSpec.from_labels([0, 0, 1, 1], [[0.5, 0.0], [0.0, 0.5]])
+    spec = SBMSpec(labels=[0, 0, 1, 1], B=[[0.5, 0.0], [0.0, 0.5]])
     assert _parametric_gap(spec, 1) == 0.0
 
 
 def test_parametric_certificate_three_block_matches_dense(rng):
     B = np.array([[0.8, 0.2, 0.1], [0.2, 0.7, 0.15], [0.1, 0.15, 0.6]])
     labels = np.repeat([0, 1, 2], 10)
-    spec = SBMSpec.from_labels(labels, B)
+    spec = SBMSpec(labels=labels, B=B)
     model = build_probability_matrix(spec)
     w = np.sort(np.linalg.eigvalsh(model.P))[::-1]
     for k in (1, 2, 3):
@@ -488,7 +488,7 @@ def test_config_roundtrip():
         for f in dataclasses.fields(cfg):
             block, got = getattr(cfg, f.name), getattr(back, f.name)
             if isinstance(block, SBMSpec):
-                assert np.array_equal(got.Z, block.Z) and np.array_equal(got.B, block.B)
+                assert np.array_equal(got.labels, block.labels) and np.array_equal(got.B, block.B)
             elif dataclasses.is_dataclass(block):
                 for g in dataclasses.fields(block):
                     assert getattr(got, g.name) == getattr(block, g.name), (f.name, g.name)

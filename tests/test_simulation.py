@@ -68,7 +68,7 @@ def test_coverage_reproducible(sbm200):
 def test_degenerate_model_full_coverage():
     from graphcert import SBMSpec, build_probability_matrix
 
-    model = build_probability_matrix(SBMSpec.from_labels([0] * 6, [[0.0]]))
+    model = build_probability_matrix(SBMSpec(labels=[0] * 6, B=[[0.0]]))
     config = CoverageConfig(k=1, alpha=0.1)
     result = coverage_experiment(model, config, 25, base_seed=0)
     for name, claim in result.claims.items():
@@ -308,7 +308,7 @@ def _hub_model():
     """
     labels = np.array([0] + [1] * 59 + [2] * 60)
     B = np.array([[0.0, 1.0, 1.0], [1.0, 0.99, 0.01], [1.0, 0.01, 0.99]])
-    return build_probability_matrix(SBMSpec.from_labels(labels, B))
+    return build_probability_matrix(SBMSpec(labels=labels, B=B))
 
 
 _WORKED_AUDITS = {
