@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -69,7 +69,10 @@ __all__ = [
 ]
 
 TIE_TOLERANCE = 1e-12  # scores closer than this are reported as ties
-CONTAIN_TOL = 1e-12   # float guard for membership at the boundary
+CONTAIN_TOL = 1e-12    # float guard for membership at the boundary
+KMEANS_RESTARTS = 50   # deterministic K-means restarts, one per seed row
+TOP_GAP_TOL = 1e-10    # a top gap below this, relative to |lam1|, is degenerate
+MAX_SETS = 10000       # admissible top-m sets listed before the list is cut
 
 
 @dataclass(frozen=True)
@@ -195,20 +198,20 @@ def rounding_error_bound(eta: float, Delta: float, n: int) -> RoundingErrorBound
     return RoundingErrorBound(exact=bool(eta < Delta / 4.0), hamming_bound=bound)
 
 
-def kmeans_labels(rows: np.ndarray, K: int, restarts: int = 50) -> np.ndarray:
+def kmeans_labels(rows: np.ndarray, K: int) -> np.ndarray:
     """Deterministic K-means labels: farthest-point init, fixed restarts.
 
-    Restart r seeds the first center at row floor(r n / restarts); the rest
-    are chosen greedily farthest-first. No RNG is involved, so identical
-    inputs give identical labels.
+    Restart r of ``KMEANS_RESTARTS`` = R seeds the first center at row
+    floor(r n / R); the rest are chosen greedily farthest-first. No RNG is
+    involved, so identical inputs give identical labels.
     """
     rows = np.asarray(rows, dtype=float)
     n = rows.shape[0]
     if K < 1 or K > n:
         raise ValueError("K must lie in [1, n]")
     best_labels, best_cost = None, np.inf
-    for r in range(max(1, restarts)):
-        centers = _farthest_point_init(rows, K, first=(r * n) // max(1, restarts))
+    for r in range(KMEANS_RESTARTS):
+        centers = _farthest_point_init(rows, K, first=(r * n) // KMEANS_RESTARTS)
         labels, cost = _lloyd(rows, centers)
         if cost < best_cost - 1e-15:
             best_labels, best_cost = labels, cost
@@ -217,12 +220,9 @@ def kmeans_labels(rows: np.ndarray, K: int, restarts: int = 50) -> np.ndarray:
 
 def _farthest_point_init(rows: np.ndarray, K: int, first: int) -> np.ndarray:
     chosen = [min(first, rows.shape[0] - 1)]
-    d2 = ((rows - rows[chosen[0]]) ** 2).sum(axis=1)
     for _ in range(K - 1):
-        nxt = int(np.argmax(d2))
-        chosen.append(nxt)
-        d2 = np.minimum(d2, ((rows - rows[nxt]) ** 2).sum(axis=1))
-    return rows[chosen].copy()
+        chosen.append(int(np.argmax(_squared_distances(rows, rows[chosen]).min(axis=1))))
+    return rows[chosen]
 
 
 def _lloyd(rows: np.ndarray, centers: np.ndarray, iters: int = 100):
@@ -289,27 +289,23 @@ def align_to_centers(
 
 @dataclass(frozen=True)
 class ClusterRegion:
-    """Permutation-invariant Hamming ball around the rounded assignment."""
+    """Permutation-invariant Hamming ball around the rounded assignment.
+
+    The fields, in order, are the keys of a report's ``cluster`` block."""
 
     labels: np.ndarray
     hamming_radius: int
     alpha: float
-    margin_used: float
+    margin: float
     margin_provenance: str  # "declared-centers" or "declared-assumption"
     radius_route: str       # "mean_square" or "uniform_rowwise"
+    vacuous: bool = field(init=False)  # the ball is all assignments
 
     def __post_init__(self):
         labels = np.array(self.labels, dtype=np.int64, copy=True)
         labels.setflags(write=False)
         object.__setattr__(self, "labels", labels)
-
-    def contains(self, truth) -> bool:
-        """Membership: invariant under label permutation of either side."""
-        return perm_hamming_distance(self.labels, truth) <= self.hamming_radius
-
-    @property
-    def vacuous(self) -> bool:
-        return self.hamming_radius >= self.labels.size
+        object.__setattr__(self, "vacuous", self.hamming_radius >= labels.size)
 
 
 def cluster_hamming_radius(
@@ -365,7 +361,7 @@ def cluster_region(
         labels=labels,
         hamming_radius=radius,
         alpha=region.alpha,
-        margin_used=float(Delta),
+        margin=float(Delta),
         margin_provenance=provenance,
         radius_route=route,
     )
@@ -412,23 +408,19 @@ def eigenvector_modulus(gamma: float) -> float:
     return 2.0 / gamma
 
 
-def eigenvector_centrality(
-    S: Spectrum, gap_tol: float = 1e-10
-) -> tuple[np.ndarray, float]:
+def eigenvector_centrality(S: Spectrum) -> tuple[np.ndarray, float]:
     """Unit top eigenvector with nonnegative ones-alignment, plus its gap.
 
-    Requires a simple top eigenvalue: the observed gamma = lam1 - lam2 must
-    exceed ``gap_tol`` (scaled by the spectral size), and gamma is returned
-    for the perturbation modulus 2/gamma.
+    Requires a simple top eigenvalue: the observed gamma = lam1 - lam2 =
+    ``S.gap(1)`` must exceed ``TOP_GAP_TOL`` (scaled by the spectral size),
+    and gamma is returned for the perturbation modulus 2/gamma.
     """
-    w, V = S.values, S.vectors
-    lam1, lam2 = w[-1], w[-2]
-    gamma = float(lam1 - lam2)
-    if gamma <= gap_tol * max(1.0, abs(lam1)):
+    gamma = S.gap(1)
+    if gamma <= TOP_GAP_TOL * max(1.0, abs(S.values[-1])):
         raise DegenerateTopEigenvalue(
             f"top eigenvalue gap {gamma} below tolerance"
         )
-    v = V[:, -1].copy()  # a view would keep all of S.vectors alive
+    v = S.vectors[:, -1].copy()  # a view would keep all of S.vectors alive
     s = float(v.sum())
     if s < 0:
         v = -v
@@ -441,13 +433,16 @@ def eigenvector_centrality(
 
 @dataclass(frozen=True)
 class CentralityBand:
-    """Simultaneous nodewise intervals point +- half_width."""
+    """Simultaneous nodewise intervals point +- half_width.
 
-    point: np.ndarray
+    The fields, in order, are the keys of a report's ``centrality_bands``
+    block."""
+
+    functional: str
     half_width: float
     alpha: float
-    functional: str
     domain_certified: bool
+    point: np.ndarray
 
     def __post_init__(self):
         p = np.array(self.point, dtype=float, copy=True)
@@ -462,9 +457,9 @@ class CentralityBand:
     def upper(self) -> np.ndarray:
         return self.point + self.half_width
 
-    def contains(self, truth, tol: float = 0.0) -> bool:
+    def contains(self, truth) -> bool:
         truth = np.asarray(truth, dtype=float)
-        return bool(np.all(np.abs(truth - self.point) <= self.half_width + tol))
+        return bool(np.all(np.abs(truth - self.point) <= self.half_width))
 
 
 def centrality_bands(
@@ -479,11 +474,11 @@ def centrality_bands(
     if L < 0 or q < 0:
         raise ValueError("modulus and deviation bound must be nonnegative")
     return CentralityBand(
-        point=np.asarray(point, dtype=float),
+        functional=functional,
         half_width=L * q,
         alpha=alpha,
-        functional=functional,
         domain_certified=domain_certified,
+        point=np.asarray(point, dtype=float),
     )
 
 
@@ -495,20 +490,19 @@ class TopMSelection:
     sets: tuple            # admissible top-m sets, each a sorted tuple
     num_admissible: int    # exact count (sets may be truncated)
     margin: Optional[float]  # x_(m) - x_(m+1), defined only when unique
-    truncated: bool = False
 
     @property
     def unique(self) -> bool:
         return self.num_admissible == 1
 
 
-def top_m_selection(x, m: int, max_sets: int = 10000) -> TopMSelection:
+def top_m_selection(x, m: int) -> TopMSelection:
     """Admissible top-m sets and the selection margin.
 
     A set S of size m is admissible when min_{i in S} x_i >= max_{j not in
     S} x_j. Ties at the threshold (exact float equality) make the selection
     set-valued and the margin undefined. For very large tie groups the
-    enumerated list is truncated at ``max_sets`` (the exact count is always
+    enumerated list is truncated at ``MAX_SETS`` (the exact count is always
     reported).
     """
     x = np.asarray(x, dtype=float)
@@ -525,27 +519,23 @@ def top_m_selection(x, m: int, max_sets: int = 10000) -> TopMSelection:
     sets = []
     for combo in itertools.combinations(tied, slots):
         sets.append(tuple(sorted(sure + list(combo))))
-        if len(sets) >= max_sets:
+        if len(sets) >= MAX_SETS:
             break
     margin = float(t - xs[m]) if count == 1 else None
-    return TopMSelection(
-        sets=tuple(sets),
-        num_admissible=count,
-        margin=margin,
-        truncated=count > len(sets),
-    )
+    return TopMSelection(sets=tuple(sets), num_admissible=count, margin=margin)
 
 
 @dataclass(frozen=True)
 class StabilityCertificate:
-    """Sufficient condition for top-m invariance under operator noise q."""
+    """Sufficient condition for top-m invariance under operator noise q.
+
+    The fields, in order, are the keys of a report's ``stability`` block."""
 
     m: int
     observed_margin: Optional[float]
     threshold: float          # twice the band half-width
     certified: bool
     selected_set: Optional[tuple]  # present when the top-m set is unique
-    tie_tolerance: float = TIE_TOLERANCE
 
 
 def stability_certificate(x_hat, m: int, half_width: float) -> StabilityCertificate:

@@ -29,6 +29,7 @@ __all__ = [
     "weyl_gap_certificate",
     "frobenius_subspace_bound",
     "eigengap",
+    "spectral_radius",
     "symmetric_operator_norm",
     "is_symmetric",
 ]
@@ -93,6 +94,11 @@ def eigengap(eigenvalues_desc: np.ndarray, k: int) -> float:
     return float(min(below, above))
 
 
+def spectral_radius(eigenvalues_sorted: np.ndarray) -> float:
+    """Largest absolute eigenvalue of a spectrum sorted in either order."""
+    return float(max(abs(eigenvalues_sorted[0]), abs(eigenvalues_sorted[-1])))
+
+
 def _canonical_columns(w_desc: np.ndarray, V: np.ndarray, k: int) -> np.ndarray:
     """Deterministic ordering and signs for the first k eigenvector columns.
 
@@ -144,7 +150,7 @@ class Spectrum:
     @property
     def radius(self) -> float:
         """Spectral radius, the largest absolute eigenvalue."""
-        return float(max(abs(self.values[0]), abs(self.values[-1])))
+        return spectral_radius(self.values)
 
     def gap(self, k: int) -> float:
         """The k-gap of the descending spectrum, see :func:`eigengap`."""
@@ -176,8 +182,7 @@ def eigenvalues(M: np.ndarray) -> np.ndarray:
 
 def symmetric_operator_norm(M: np.ndarray) -> float:
     """Spectral norm of a symmetric matrix (largest absolute eigenvalue)."""
-    w = eigenvalues(M)
-    return float(max(abs(w[0]), abs(w[-1])))
+    return spectral_radius(eigenvalues(M))
 
 
 def grassmann_distance(U: OrthonormalBasis, V: OrthonormalBasis) -> float:

@@ -61,6 +61,7 @@ from .linalg import (
     eigendecompose,
     eigengap,
     eigenvalues,
+    spectral_radius,
     symmetric_operator_norm,
     weyl_gap_certificate,
 )
@@ -298,10 +299,7 @@ class DiagnosticReport:
                 "certificate": False,
                 "note": "diagnostic only; never used in any radius",
             },
-            "flags": {
-                name: {"passed": fl.passed, "provenance": fl.provenance}
-                for name, fl in self.flags.items()
-            },
+            "flags": {name: asdict(fl) for name, fl in self.flags.items()},
             "certificates": self.certificates,
             "deviation_quantile": self.quantile,
             "outputs": self.outputs,
@@ -423,14 +421,14 @@ def run_protocol(A: AdjacencyMatrix, config: ProtocolConfig) -> DiagnosticReport
         gap_source = "declared"
     elif config.usvt is not None and config.usvt.eps_p is not None:
         P_hat = usvt_denoise(S, config.usvt.threshold_scale)
-        w_hat = eigenvalues(P_hat)[::-1]
-        gap = weyl_gap_certificate(eigengap(w_hat, k), config.usvt.eps_p)
+        gap_hat = eigengap(eigenvalues(P_hat)[::-1], k)
+        gap = weyl_gap_certificate(gap_hat, config.usvt.eps_p)
         gap_source = "usvt_weyl"
         resid = symmetric_operator_norm(S.matrix - P_hat)
         diagnostics["usvt"] = {
             "threshold_scale": config.usvt.threshold_scale,
             "eps_p": config.usvt.eps_p,
-            "empirical_gap_of_denoised": eigengap(w_hat, k),
+            "empirical_gap_of_denoised": gap_hat,
             "uncertified_deviation_route": resid + config.usvt.eps_p,
             "note": "the residual route ||A - P_hat|| + eps_p has no "
                     "certified tail theorem here and gates nothing",
@@ -458,7 +456,7 @@ def run_protocol(A: AdjacencyMatrix, config: ProtocolConfig) -> DiagnosticReport
     if cent is not None:
         if cent.kind == "katz":
             if w_P is not None:
-                rho = float(max(abs(w_P[-1]), abs(w_P[0])))
+                rho = spectral_radius(w_P)
                 domain_ok = in_katz_domain(rho, cent.beta)
                 domain_note = (
                     f"parametric: rho(P) = {rho!r} vs limit {katz_domain_limit(cent.beta)!r}"
@@ -471,7 +469,7 @@ def run_protocol(A: AdjacencyMatrix, config: ProtocolConfig) -> DiagnosticReport
         else:  # eigenvector
             gamma = None
             if w_P is not None:
-                gamma = float(w_P[0] - w_P[1])
+                gamma = eigengap(w_P, 1)
                 domain_note = f"parametric: top gap = {gamma!r}"
             elif cent.gamma is not None and cent.domain_certified:
                 gamma = float(cent.gamma)
@@ -553,25 +551,12 @@ def run_protocol(A: AdjacencyMatrix, config: ProtocolConfig) -> DiagnosticReport
                     ),
                     domain_certified=True,
                 )
-                outputs["centrality_bands"] = {
-                    "functional": band.functional,
-                    "half_width": band.half_width,
-                    "alpha": alpha,
-                    "domain_certified": True,
-                    "point": band.point,
-                }
+                outputs["centrality_bands"] = asdict(band)
         if config.selection_m is not None:
             if scores is not None:
-                cert = stability_certificate(scores, config.selection_m, band.half_width)
-                outputs["stability"] = {
-                    "m": cert.m,
-                    "observed_margin": cert.observed_margin,
-                    "threshold": cert.threshold,
-                    "certified": cert.certified,
-                    "selected_set": (
-                        list(cert.selected_set) if cert.selected_set is not None else None
-                    ),
-                }
+                outputs["stability"] = asdict(
+                    stability_certificate(scores, config.selection_m, band.half_width)
+                )
             else:
                 refusals.append(
                     {"output": "stability", "reason": "no_scores",
@@ -588,15 +573,7 @@ def run_protocol(A: AdjacencyMatrix, config: ProtocolConfig) -> DiagnosticReport
     # Step 6: clustering region iff D1, D2 and D4
     if clus is not None and not gated_shut("cluster"):
         creg = cluster_region(region, delta, centers=clus.centers, c_row=clus.c_row)
-        outputs["cluster"] = {
-            "labels": creg.labels,
-            "hamming_radius": creg.hamming_radius,
-            "alpha": alpha,
-            "margin": creg.margin_used,
-            "margin_provenance": creg.margin_provenance,
-            "radius_route": creg.radius_route,
-            "vacuous": creg.vacuous,
-        }
+        outputs["cluster"] = asdict(creg)
         if creg.vacuous:
             outputs["cluster"]["note"] = (
                 "hamming radius reached n: the ball is all assignments"

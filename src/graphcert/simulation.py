@@ -16,7 +16,7 @@ covering region is vacuous and the protocol's refusal is forced.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -148,7 +148,6 @@ class CoverageConfig:
 
 @dataclass(frozen=True)
 class ClaimResult:
-    name: str
     replications: int
     hits: int
     coverage: float
@@ -160,7 +159,6 @@ class ClaimResult:
 
 @dataclass(frozen=True)
 class AuditResult:
-    name: str
     trials: int
     violations: int
 
@@ -171,7 +169,9 @@ class CoverageResult:
 
     A refused claim makes no statement and therefore cannot miss; it is
     reported with vacuous coverage 1.0 and ``refused`` set, never hidden.
-    The top-level hit count is the conjunction over evaluated claims.
+    The top-level hit count is the conjunction over evaluated claims. The
+    coverage JSON is :func:`dataclasses.asdict` of this record: its keys,
+    and those of each claim and audit, are the record fields.
     """
 
     replications: int
@@ -185,31 +185,7 @@ class CoverageResult:
     audits: dict            # name -> AuditResult
 
     def to_dict(self) -> dict:
-        return {
-            "replications": self.replications,
-            "hits": self.hits,
-            "empirical_coverage": self.empirical_coverage,
-            "target": self.target,
-            "binomial_sd": self.binomial_sd,
-            "alpha": self.alpha,
-            "base_seed": self.base_seed,
-            "claims": {
-                name: {
-                    "replications": c.replications,
-                    "hits": c.hits,
-                    "coverage": c.coverage,
-                    "evaluated": c.evaluated,
-                    "refused": c.refused,
-                    "reason": c.reason,
-                    "extra": c.extra,
-                }
-                for name, c in self.claims.items()
-            },
-            "audits": {
-                name: {"trials": a.trials, "violations": a.violations}
-                for name, a in self.audits.items()
-            },
-        }
+        return asdict(self)
 
 
 def _ground_truth_clusters(model: ProbabilityModel, U_star: OrthonormalBasis):
@@ -241,8 +217,11 @@ def coverage_experiment(
     declared ``config.envelope``, and the report's outputs are scored
     against the truth from P, so the harness validates the gates and the
     formulas that write reports. A claim is refused with the reason its
-    report output is refused with; a sample whose report withholds an
-    evaluated claim's output counts as a miss.
+    report output is refused with. A sample whose report refuses the
+    centrality band at observation (the observed graph lies outside the
+    Katz domain) states no band, so it cannot miss: it counts as a hit of
+    the centrality claim, has no outcome in the joint hit, and is counted
+    in the claim's ``extra["refused_at_observation"]`` when there is one.
     """
     if replications < 1:
         raise ValueError("coverage experiments need at least one replication")
@@ -316,7 +295,7 @@ def coverage_experiment(
     hits = dict.fromkeys(config.claims, 0)
     extra: dict = {name: {} for name in config.claims}
     extra["deviation"] = {"quantile": q_dev}
-    joint_hits = 0
+    joint_hits = refused_at_observation = 0
     trials = dict.fromkeys(AUDITS, 0)
     violations = dict.fromkeys(AUDITS, 0)
 
@@ -330,7 +309,8 @@ def coverage_experiment(
         outputs = report.outputs if report is not None else {}
         if rep == 0:
             # the flags read only the certificates, so every report shares
-            # these gate refusals; a sample outside the Katz domain is a miss
+            # these gate refusals; a sample outside the Katz domain is
+            # refused at observation and scored per sample below
             gated = {} if report is None else {
                 r["output"]: r["reason"] for r in report.refusals
                 if r["reason"] in FLAG_REASONS.values()
@@ -365,10 +345,13 @@ def coverage_experiment(
                 perm_hamming_distance(creg["labels"], clusters[0]) <= creg["hamming_radius"]
             )
         if "centrality" in evaluated:
-            # a sample outside the Katz domain has no band: a miss
-            outcome["centrality"] = band is not None and CentralityBand(**band).contains(
-                true_scores
-            )
+            if band is None:
+                # the only refusal past the gates: refused at observation,
+                # no band is stated, so none can miss
+                refused_at_observation += 1
+                hits["centrality"] += 1
+            else:
+                outcome["centrality"] = CentralityBand(**band).contains(true_scores)
         for name, hit in outcome.items():
             hits[name] += bool(hit)
         # refused claims have no outcome, so this is the conjunction over
@@ -438,11 +421,12 @@ def coverage_experiment(
         filt = filtration_envelope(aligned.U, U_star.U, ())
         tally("filtration", filt.d_filt > 2.0 * filt.eta + _AUDIT_TOL)
 
+    if refused_at_observation:
+        extra["centrality"]["refused_at_observation"] = refused_at_observation
     claims = {}
     for name in config.claims:
         refused = name in refusal_reasons
         claims[name] = ClaimResult(
-            name=name,
             replications=replications,
             hits=replications if refused else int(hits[name]),
             coverage=1.0 if refused else hits[name] / replications,
@@ -462,7 +446,7 @@ def coverage_experiment(
         base_seed=int(base_seed),
         claims=claims,
         audits={
-            name: AuditResult(name=name, trials=trials[name], violations=violations[name])
+            name: AuditResult(trials=trials[name], violations=violations[name])
             for name in AUDITS
         },
     )

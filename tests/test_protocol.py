@@ -29,7 +29,9 @@ from graphcert.protocol import (
     UsvtConfig,
     config_from_dict,
     config_to_dict,
+    report_to_json,
 )
+from graphcert.simulation import CoverageConfig, coverage_experiment
 
 from conftest import (
     MALFORMED_CONFIGS,
@@ -456,6 +458,55 @@ def test_reports_are_byte_identical(sbm200):
     text1 = run_protocol(A, config).to_json()
     text2 = run_protocol(A, config).to_json()
     assert text1 == text2
+
+
+def test_report_and_coverage_key_order_is_pinned(sbm200):
+    # the written keys and their order are the report schema: every block
+    # is open, and the subspace and cluster notes are present (radius >= 1,
+    # Hamming radius clamped at n)
+    n, c = 200, 1 / math.sqrt(200)
+    config = config_from_dict({
+        "k": 2, "alpha": 0.05,
+        "envelope": {"d_max": 39.7, "gap": 20.0},
+        "centrality": {"kind": "katz", "beta": 5 / 794, "domain_certified": True},
+        "clustering": {"delta": 2 * c, "centers": [[c, c], [c, -c]], "c_row": 5.0},
+        "selection_m": 5,
+        "fairness": {"groups": [i % 2 for i in range(n)], "targets": [0.5] * n,
+                     "tau": 2.0, "epsilon": 0.8},
+        "filtration": {"t_grid": [0.05, 0.1]},
+    })
+    doc = json.loads(run_protocol(sample_adjacency(sbm200, 1), config).to_json())
+    assert list(doc) == ["schema_version", "n", "k", "alpha", "observed_gap_proxy", "flags",
+                         "certificates", "deviation_quantile", "outputs", "refusals",
+                         "diagnostics"]
+    assert list(doc["flags"]) == ["D1", "D2", "D3", "D4"]
+    assert all(list(flag) == ["passed", "provenance"] for flag in doc["flags"].values())
+    assert doc["refusals"] == []
+    out = doc["outputs"]
+    assert {name: list(block) for name, block in out.items()} == {
+        "subspace": ["radius", "informative", "alpha", "k", "center", "note"],
+        "centrality_bands": ["functional", "half_width", "alpha", "domain_certified", "point"],
+        "stability": ["m", "observed_margin", "threshold", "certified", "selected_set"],
+        "cluster": ["labels", "hamming_radius", "alpha", "margin", "margin_provenance",
+                    "radius_route", "vacuous", "note"],
+        "fairness": ["theta", "certified", "parity_gap_at_scores", "effective_epsilon",
+                     "band_radius", "loss"],
+        "filtration": ["eta", "t_grid", "snapshots", "note"],
+    }
+    assert list(out["filtration"]["snapshots"][0]) == [
+        "t", "edges_lower", "edges_point", "edges_upper",
+        "components_lower", "components_point", "components_upper",
+    ]
+
+    result = coverage_experiment(sbm200, CoverageConfig(k=2, alpha=0.1), 2, base_seed=0)
+    cov = json.loads(report_to_json(result.to_dict()))
+    assert list(cov) == ["replications", "hits", "empirical_coverage", "target",
+                         "binomial_sd", "alpha", "base_seed", "claims", "audits"]
+    assert list(cov["claims"]) == ["deviation", "subspace", "cluster", "centrality"]
+    assert list(cov["claims"]["cluster"]) == ["replications", "hits", "coverage", "evaluated",
+                                              "refused", "reason", "extra"]
+    assert list(cov["claims"]["cluster"]["extra"]) == ["hamming_radius", "route", "margin"]
+    assert list(cov["audits"]["davis_kahan"]) == ["trials", "violations"]
 
 
 def test_gap_proxy_never_enters_radius(sbm200):

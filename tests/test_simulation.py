@@ -21,6 +21,7 @@ from graphcert import (
     build_probability_matrix,
     centrality_bands,
     cluster_region,
+    deviation_quantile_from_envelope,
     eigendecompose,
     expected_degree_bound,
     katz_centrality,
@@ -226,6 +227,21 @@ def test_refused_claims_carry_the_report_reason(sbm200, config_kwargs):
     assert refused
     for name in refused:
         assert claims[name].reason == reasons[outputs[name]], name
+
+
+def test_band_refused_at_observation_is_not_a_miss(sbm200):
+    # rho(P) = 39.7 lies inside the domain rho <= 39.9 of this beta, but five
+    # of the six observed graphs lie outside it: their reports refuse the
+    # band, state nothing, and so cannot miss
+    beta = 1 / (2 * 39.9)
+    config = CoverageConfig(k=2, alpha=0.1, katz_beta=beta)
+    result = coverage_experiment(sbm200, config, 6, base_seed=3)
+    claim = result.claims["centrality"]
+    assert claim.evaluated and not claim.refused
+    assert (claim.hits, claim.coverage) == (6, 1.0)
+    assert result.hits == 6
+    q = deviation_quantile_from_envelope(expected_degree_bound(sbm200), 200, 0.1).q
+    assert claim.extra == {"half_width": katz_modulus(beta) * q, "refused_at_observation": 5}
 
 
 # ---------------------------------------------------------------------------
