@@ -1,7 +1,8 @@
 """Dense symmetric eigen-machinery for subspace inference.
 
-Provides the one decomposition of a symmetric matrix (a :class:`Spectrum`
-shared by every spectral consumer) with its canonical top-k basis, the
+Provides the one spectrum of a symmetric matrix (a :class:`Spectrum`
+shared by every spectral consumer, computed as a top block of eigenpairs
+unless a read needs them all) with its canonical top-k basis, the
 Grassmann (projector-norm) distance between subspaces, orthogonal
 Procrustes alignment, the Weyl-type gap transfer used to certify gaps from
 denoised estimates, and the rank-aware Frobenius bound that converts a
@@ -16,12 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import KOutOfRange, NotSymmetric, ShapeMismatch
 
 __all__ = [
     "OrthonormalBasis",
     "Spectrum",
+    "TOP_BLOCK",
     "eigendecompose",
     "eigenvalues",
     "grassmann_distance",
@@ -36,6 +39,9 @@ __all__ = [
 
 _SYM_TOL = 1e-10
 _ORTHO_TOL = 1e-10
+
+TOP_BLOCK = 8
+"""How many of the largest eigenpairs a :class:`Spectrum` computes first."""
 
 
 def is_symmetric(M: np.ndarray) -> bool:
@@ -99,22 +105,33 @@ def spectral_radius(eigenvalues_sorted: np.ndarray) -> float:
     return float(max(abs(eigenvalues_sorted[0]), abs(eigenvalues_sorted[-1])))
 
 
-def _canonical_columns(w_desc: np.ndarray, V: np.ndarray, k: int) -> np.ndarray:
-    """Deterministic ordering and signs for the first k eigenvector columns.
+def _tie_tol(w_desc: np.ndarray) -> float:
+    """Eigenvalues this close are one tie group: 1e-9 relative to the largest
+    magnitude in the top block (at least 1), which the block itself gives."""
+    return 1e-9 * max(1.0, float(np.max(np.abs(w_desc[:TOP_BLOCK]))))
 
-    Sign: the largest-magnitude coordinate of each column is made positive
-    (first index wins on magnitude ties). Order: within groups of equal
-    eigenvalues, columns are sorted by that anchor index. Downstream
-    distances are rotation-invariant, so the choice is observationally
-    irrelevant, but reproducibility demands a rule. Only the columns up to
-    the end of the tie group that crosses position k are read: groups
-    further down cannot move a column into the first k.
-    """
-    tol = 1e-9 * max(1.0, float(np.max(np.abs(w_desc))))
+
+def _tie_end(w_desc: np.ndarray, k: int, tol: float) -> int:
+    """One past the last position of the tie group that crosses position k."""
     m = k
     while m < w_desc.size and w_desc[m - 1] - w_desc[m] <= tol:
         m += 1
-    V = V[:, :m].copy()
+    return m
+
+
+def _canonical_columns(w_desc: np.ndarray, V: np.ndarray, k: int, tol: float) -> np.ndarray:
+    """Deterministic ordering and signs for the first k eigenvector columns.
+
+    Sign: the largest-magnitude coordinate of each column is made positive
+    (first index wins on magnitude ties). Order: within groups of
+    eigenvalues closer than ``tol``, columns are sorted by that anchor
+    index. Downstream distances are rotation-invariant, so the choice is
+    observationally irrelevant, but reproducibility demands a rule. The
+    columns given must run to the end of the tie group that crosses
+    position k: groups further down cannot move a column into the first k.
+    """
+    m = w_desc.size
+    V = V.copy()
     anchors = np.empty(m, dtype=np.int64)
     for j in range(m):
         col = V[:, j]
@@ -134,50 +151,124 @@ def _canonical_columns(w_desc: np.ndarray, V: np.ndarray, k: int) -> np.ndarray:
     return V[:, order[:k]]
 
 
-@dataclass(frozen=True)
 class Spectrum:
-    """Eigendecomposition of ``matrix`` by :func:`eigendecompose`; ``values``
-    and the columns of ``vectors`` are in the ascending order of ``eigh``."""
+    """The spectrum of the symmetric ``matrix`` given to :func:`eigendecompose`,
+    computed on first read and shared by every spectral consumer.
 
-    matrix: np.ndarray
-    values: np.ndarray
-    vectors: np.ndarray
+    Reads are served by the top block: the ``min(n, TOP_BLOCK)`` largest
+    eigenpairs, from one LAPACK subset call (``scipy.linalg.eigh`` with
+    ``subset_by_index`` and the MRRR driver ``evr``) made on the first
+    read. A read the block cannot serve makes one full decomposition
+    (driver ``evd``, the same as ``numpy.linalg.eigh``), which then serves
+    every later read. These reads need it:
+
+    - ``gap(k)`` and ``top(m)`` past the block (``k + 1 > TOP_BLOCK``,
+      ``m > TOP_BLOCK``);
+    - ``top_k(k)`` when the tie group crossing k runs to the block's end,
+      so the block cannot tell where it stops;
+    - ``radius`` of a matrix with a negative entry (for a nonnegative one
+      it is the largest eigenvalue, by Perron-Frobenius);
+    - ``values`` and ``vectors``, the whole spectrum (the USVT route);
+    - any read when ``n <= TOP_BLOCK``, where the block would be all of it.
+
+    The block size is fixed, not sized by the first read, so the reads it
+    serves give the same values whatever order they come in.
+    """
+
+    def __init__(self, matrix: np.ndarray):
+        self.matrix = matrix
+        self._block = None  # descending values and their vectors, the top block
+        self._full = None   # ascending values and vectors, as eigh returns them
 
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
 
+    def _full_decomposition(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._full is None:
+            w, V = scipy.linalg.eigh(self.matrix, driver="evd")
+            w.setflags(write=False)
+            V.setflags(write=False)
+            self._full, self._block = (w, V), None
+        return self._full
+
+    @property
+    def values(self) -> np.ndarray:
+        """All eigenvalues, ascending, from the full decomposition."""
+        return self._full_decomposition()[0]
+
+    @property
+    def vectors(self) -> np.ndarray:
+        """Unit eigenvectors as columns in the order of ``values``."""
+        return self._full_decomposition()[1]
+
+    def _pairs(self, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """Descending values and their vectors as columns, read-only: the
+        whole top block while it can serve the m largest pairs, else the
+        whole full decomposition."""
+        n = self.n
+        if self._full is None and m <= TOP_BLOCK < n:
+            if self._block is None:
+                w, V = scipy.linalg.eigh(
+                    self.matrix, subset_by_index=[n - TOP_BLOCK, n - 1], driver="evr"
+                )
+                w.setflags(write=False)
+                V.setflags(write=False)
+                self._block = w[::-1], V[:, ::-1]
+            return self._block
+        return self.values[::-1], self.vectors[:, ::-1]
+
+    def top(self, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """The m largest eigenvalues in descending order and their unit
+        eigenvectors as columns (read-only views)."""
+        w, V = self._pairs(m)
+        return w[:m], V[:, :m]
+
     @property
     def radius(self) -> float:
-        """Spectral radius, the largest absolute eigenvalue."""
+        """Spectral radius, the largest absolute eigenvalue: for an entrywise
+        nonnegative matrix the largest eigenvalue (Perron-Frobenius)."""
+        if self.matrix.min() >= 0:
+            return float(self.top(1)[0][0])
         return spectral_radius(self.values)
+
+    def _check_k(self, k: int) -> None:
+        if not 1 <= k <= self.n - 1:
+            raise KOutOfRange(f"k = {k} must lie in [1, {self.n - 1}]")
 
     def gap(self, k: int) -> float:
         """The k-gap of the descending spectrum, see :func:`eigengap`."""
-        return eigengap(self.values[::-1], k)
+        self._check_k(k)
+        return eigengap(self._pairs(k + 1)[0], k)
 
     def top_k(self, k: int) -> OrthonormalBasis:
         """Basis of the k largest eigenvalues, signs and ties fixed by
         :func:`_canonical_columns` so identical inputs give identical bytes."""
-        if not 1 <= k <= self.n - 1:
-            raise KOutOfRange(f"k = {k} must lie in [1, {self.n - 1}]")
-        return OrthonormalBasis(
-            U=_canonical_columns(self.values[::-1], self.vectors[:, ::-1], k)
-        )
+        self._check_k(k)
+        w, V = self._pairs(k + 1)
+        tol = _tie_tol(w)
+        end = _tie_end(w, k, tol)
+        if end == w.size < self.n:  # the tie group may run on past the block
+            w, V = self._pairs(self.n)
+            tol = _tie_tol(w)
+            end = _tie_end(w, k, tol)
+        return OrthonormalBasis(U=_canonical_columns(w[:end], V[:, :end], k, tol))
 
 
 def eigendecompose(M: np.ndarray) -> Spectrum:
-    """Decompose a symmetric matrix with the package's only ``eigh``; read-only, so shareable."""
+    """The :class:`Spectrum` of a symmetric matrix, refused beyond 1e-10
+    asymmetry; the matrix is kept read-only, so the spectrum is shareable.
+    Its eigensolves are the package's only eigenvector solves, made on the
+    first reads as :class:`Spectrum` describes."""
     M = _check_symmetric(M).view()
-    w, V = np.linalg.eigh(M)
-    for arr in (M, w, V):
-        arr.setflags(write=False)
-    return Spectrum(matrix=M, values=w, vectors=V)
+    M.setflags(write=False)
+    return Spectrum(M)
 
 
 def eigenvalues(M: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a symmetric matrix: the package's only ``eigvalsh``."""
-    return np.linalg.eigvalsh(_check_symmetric(M))
+    """Ascending eigenvalues of a symmetric matrix: the package's only
+    values-only eigensolve (``scipy.linalg.eigh`` with driver ``evd``)."""
+    return scipy.linalg.eigh(_check_symmetric(M), eigvals_only=True, driver="evd")
 
 
 def symmetric_operator_norm(M: np.ndarray) -> float:

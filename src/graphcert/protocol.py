@@ -94,7 +94,7 @@ __all__ = [
     "report_to_json",
 ]
 
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 
 
 # ---------------------------------------------------------------------------
@@ -378,8 +378,10 @@ PREREQUISITES = {
 def run_protocol(A: AdjacencyMatrix, config: ProtocolConfig) -> DiagnosticReport:
     """Execute the full certificate-gated pipeline on one observed graph.
 
-    The observed graph is decomposed once; the gap proxy, the USVT route,
-    the subspace region and the centrality scores all read that spectrum.
+    The observed graph's spectrum is computed once: its top block of
+    eigenpairs, or all of them on the USVT route, which reads them first.
+    The gap proxy, the USVT route, the subspace region and the centrality
+    scores all read that spectrum.
     """
     n = A.n
     k = config.k
@@ -391,9 +393,8 @@ def run_protocol(A: AdjacencyMatrix, config: ProtocolConfig) -> DiagnosticReport
     outputs: dict = {}
     diagnostics: dict = {}
 
-    # observed spectrum; the gap proxy is diagnostic only, never a radius
+    # observed spectrum, decomposed on first read (see Spectrum)
     S = eigendecompose(A.A)
-    proxy = S.gap(k)
 
     # D1: deviation quantile from the declared degree envelope
     d_max = config.envelope.d_max if config.envelope is not None else None
@@ -447,6 +448,10 @@ def run_protocol(A: AdjacencyMatrix, config: ProtocolConfig) -> DiagnosticReport
             else f"{gap_source} certificate is 0"
         )
         d2 = Flag(False, detail)
+
+    # the gap proxy is diagnostic only, never a radius; it is read after
+    # D2, so on the USVT route the full spectrum already made serves it
+    proxy = S.gap(k)
 
     # D3: centrality domain certificate
     cent = config.centrality
@@ -549,7 +554,6 @@ def run_protocol(A: AdjacencyMatrix, config: ProtocolConfig) -> DiagnosticReport
                         f"katz(beta={cent.beta!r})" if cent.kind == "katz"
                         else "eigenvector"
                     ),
-                    domain_certified=True,
                 )
                 outputs["centrality_bands"] = asdict(band)
         if config.selection_m is not None:
@@ -568,7 +572,9 @@ def run_protocol(A: AdjacencyMatrix, config: ProtocolConfig) -> DiagnosticReport
              "detail": "declare a centrality block to score the selection"}
         )
 
-    del S  # free the n x n eigenvectors before the n x n distance matrices
+    # free the float copy of A, and on the USVT route the n x n eigenvectors,
+    # before the n x n distance matrices
+    del S
 
     # Step 6: clustering region iff D1, D2 and D4
     if clus is not None and not gated_shut("cluster"):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, settings
 
 from graphcert import two_block_sbm
@@ -38,16 +39,21 @@ def random_orthogonal(rng, k):
 
 @pytest.fixture()
 def eig_calls(monkeypatch):
-    """Counts of np.linalg.eigh and np.linalg.eigvalsh calls in the test."""
-    calls = {"eigh": 0, "eigvalsh": 0}
-    for name in calls:
-        original = getattr(np.linalg, name)
+    """Counts of scipy.linalg.eigh calls in the test by kind: a subset of the
+    eigenpairs, the full decomposition, or the eigenvalues only."""
+    calls = {"subset": 0, "full": 0, "values": 0}
+    original = scipy.linalg.eigh
 
-        def counted(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
+    def counted(*args, **kwargs):
+        if kwargs.get("eigvals_only"):
+            calls["values"] += 1
+        elif kwargs.get("subset_by_index") is not None:
+            calls["subset"] += 1
+        else:
+            calls["full"] += 1
+        return original(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, name, counted)
+    monkeypatch.setattr(scipy.linalg, "eigh", counted)
     return calls
 
 

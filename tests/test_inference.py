@@ -373,6 +373,43 @@ def test_katz_matches_neumann_series(rng):
     assert np.max(np.abs(scores - acc)) < 1e-8
 
 
+def _katz_case(name, sbm200):
+    """(M, beta) for a Katz series case: an observed graph at rate
+    beta rho = 1/2 (the slowest the domain allows) and 1/4, the empty
+    graph, and an indefinite perturbation of a graph."""
+    A = sample_adjacency(sbm200, 21).A.astype(float)
+    rho = float(np.max(np.abs(np.linalg.eigvalsh(A))))
+    if name == "rate_half":
+        return A, 1.0 / (2.0 * rho)
+    if name == "rate_quarter":
+        return A, 1.0 / (4.0 * rho)
+    if name == "empty":
+        return np.zeros((200, 200)), 0.1
+    E = np.random.default_rng(5).normal(size=(200, 200))
+    M = A + (E + E.T) / 2.0
+    return M, 1.0 / (2.0 * float(np.max(np.abs(np.linalg.eigvalsh(M)))))
+
+
+@pytest.mark.parametrize("name", ["rate_half", "rate_quarter", "empty", "indefinite"])
+def test_katz_series_matches_dense_solve(sbm200, name):
+    M, beta = _katz_case(name, sbm200)
+    want = np.linalg.solve(np.eye(M.shape[0]) - beta * M, np.ones(M.shape[0])) - 1.0
+    got = katz_centrality(eigendecompose(M), beta)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("name", ["rate_quarter", "indefinite"])
+def test_katz_refusal_states_radius_and_limit(sbm200, name):
+    # four times beta takes rho past the limit 1/(8 beta); the refusal names
+    # the spectral radius of the matrix and that limit
+    M, beta = _katz_case(name, sbm200)
+    with pytest.raises(OutsideDomain) as exc:
+        katz_centrality(eigendecompose(M), 4.0 * beta)
+    rho = float(np.max(np.abs(np.linalg.eigvalsh(M))))
+    assert abs(exc.value.rho - rho) <= 1e-12 * rho
+    assert exc.value.limit == 1.0 / (8.0 * beta)
+
+
 def test_katz_domain_rejection(rng):
     M = np.ones((4, 4)) - np.eye(4)  # rho = 3
     with pytest.raises(OutsideDomain) as exc:
@@ -408,12 +445,14 @@ def test_eigenvector_centrality_rejects_degenerate():
 
 
 def test_eigenvector_centrality_matches_direct_eigh(sbm200):
+    # the top block comes from a subset eigensolver, so it matches a full
+    # eigh within 1e-9 relative, not byte for byte
     A = sample_adjacency(sbm200, 16)
     w, V = np.linalg.eigh(A.A)
     v = V[:, -1] if V[:, -1].sum() >= 0 else -V[:, -1]
     got, gamma = eigenvector_centrality(eigendecompose(A.A))
-    assert np.array_equal(got, v)
-    assert gamma == float(w[-1] - w[-2])
+    assert np.max(np.abs(got - v)) <= 1e-9 * np.max(np.abs(v))
+    assert abs(gamma - float(w[-1] - w[-2])) <= 1e-9 * float(w[-1] - w[-2])
 
 
 def test_eigenvector_perturbation_modulus(rng):

@@ -1,9 +1,13 @@
+import itertools
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import graphcert
 from graphcert import (
     KOutOfRange,
     NotSymmetric,
@@ -15,8 +19,11 @@ from graphcert import (
     frobenius_subspace_bound,
     grassmann_distance,
     procrustes_align,
+    sample_adjacency,
+    two_block_sbm,
     weyl_gap_certificate,
 )
+from graphcert.linalg import TOP_BLOCK
 
 from conftest import random_orthogonal, random_orthonormal
 
@@ -94,8 +101,8 @@ def test_top_k_deterministic_under_ties():
 
 def _canonical_all_columns(w_desc, V):
     """The sign/tie rule applied to every column: signs by the largest-magnitude
-    coordinate, then each tie group (gaps <= 1e-9 max(1, max|w|)) sorted by
-    anchor index."""
+    coordinate, then each tie group (gaps <= 1e-9 max(1, max|w| over the top
+    block)) sorted by anchor index."""
     V = V.copy()
     anchors = []
     for j in range(V.shape[1]):
@@ -103,7 +110,7 @@ def _canonical_all_columns(w_desc, V):
         if V[a, j] < 0:
             V[:, j] = -V[:, j]
         anchors.append(a)
-    tol = 1e-9 * max(1.0, float(np.max(np.abs(w_desc))))
+    tol = 1e-9 * max(1.0, float(np.max(np.abs(w_desc[:TOP_BLOCK]))))
     order, start = [], 0
     for j in range(1, V.shape[1] + 1):
         if j == V.shape[1] or w_desc[j - 1] - w_desc[j] > tol:
@@ -134,6 +141,84 @@ def test_top_k_bytes_match_full_canonicalization(rng):
         for k in range(1, S.n):
             want = OrthonormalBasis(U=full[:, :k]).U
             assert S.top_k(k).U.tobytes() == want.tobytes()
+
+
+def _cliques(count, size=5):
+    """Adjacency of ``count`` disjoint cliques on ``size`` nodes: the top
+    eigenvalue size - 1 has multiplicity ``count``, the rest is -1."""
+    return np.kron(np.eye(count), np.ones((size, size)) - np.eye(size))
+
+
+@pytest.mark.parametrize("count,full", [(3, 0), (TOP_BLOCK, 1), (TOP_BLOCK + 2, 1)])
+def test_top_k_tie_group_at_block_end_falls_back(eig_calls, count, full):
+    # the tie group crossing k = 2 ends inside the block (3 cliques), fills
+    # it exactly (8) or runs past it (10); the block cannot tell where the
+    # last two end, so they fall back to the full route and give its basis
+    M = _cliques(count)
+    got = eigendecompose(M).top_k(2)
+    assert eig_calls == {"subset": 1, "full": full, "values": 0}
+    S = eigendecompose(M)
+    assert S.values.size == M.shape[0]  # reads the full route first
+    want = S.top_k(2)
+    assert grassmann_distance(got, want) <= 1e-12
+    if full:
+        assert got.U.tobytes() == want.U.tobytes()
+
+
+def test_radius_of_matrix_with_negative_entries_is_full_radius(rng, eig_calls):
+    # the largest eigenvalue is the radius only for a nonnegative matrix;
+    # here the most negative eigenvalue is the larger in magnitude
+    n = 30
+    Q = random_orthogonal(rng, n)
+    M = (Q * np.linspace(-9.0, 2.0, n)) @ Q.T
+    M = (M + M.T) / 2
+    w = np.linalg.eigvalsh(M)
+    assert M.min() < 0 and -w[0] > w[-1]
+    assert abs(eigendecompose(M).radius - (-w[0])) <= 1e-12 * -w[0]
+    assert eig_calls == {"subset": 0, "full": 1, "values": 0}
+
+
+@pytest.mark.parametrize("n,subset,full", [(2, 0, 1), (TOP_BLOCK, 0, 1), (TOP_BLOCK + 1, 1, 0)])
+def test_small_matrices_take_the_full_route(eig_calls, n, subset, full):
+    M = np.ones((n, n)) - np.eye(n)
+    M[0, 1] = M[1, 0] = 2.0
+    S = eigendecompose(M)
+    assert S.gap(1) > 0 and S.top_k(1).k == 1 and S.radius > 0
+    assert eig_calls == {"subset": subset, "full": full, "values": 0}
+
+
+def test_block_reads_agree_in_any_order():
+    # the block is fixed, not sized by the first read, so every order of
+    # reads gives the same bytes
+    A = sample_adjacency(two_block_sbm(60, 0.5, 0.1), 4).A
+    reads = {
+        "gap1": lambda S: S.gap(1),
+        "gap2": lambda S: S.gap(2),
+        "gap7": lambda S: S.gap(TOP_BLOCK - 1),
+        "radius": lambda S: S.radius,
+        "top1": lambda S: S.top_k(1).U.tobytes(),
+        "top3": lambda S: S.top_k(3).U.tobytes(),
+    }
+    first = None
+    for order in itertools.permutations(reads):
+        S = eigendecompose(A)
+        got = {name: reads[name](S) for name in order}
+        first = first or got
+        assert got == first
+
+
+def test_package_makes_no_numpy_eigensolve_or_solve():
+    # numpy and scipy each load their own BLAS; every eigensolve goes through
+    # scipy.linalg.eigh, so eigensolves never alternate between the two, and
+    # Katz scores need no dense solve
+    pattern = re.compile(r"\b(?:np|numpy)\.linalg\.(?:eigh|eigvalsh|solve)\s*\(|\beigvalsh\s*\(")
+    hits = [
+        f"{path.name}:{i}"
+        for path in sorted(Path(graphcert.__file__).parent.glob("*.py"))
+        for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if pattern.search(line)
+    ]
+    assert hits == []
 
 
 def test_grassmann_trivial_cases():

@@ -479,13 +479,14 @@ def test_report_and_coverage_key_order_is_pinned(sbm200):
     assert list(doc) == ["schema_version", "n", "k", "alpha", "observed_gap_proxy", "flags",
                          "certificates", "deviation_quantile", "outputs", "refusals",
                          "diagnostics"]
+    assert doc["schema_version"] == 2
     assert list(doc["flags"]) == ["D1", "D2", "D3", "D4"]
     assert all(list(flag) == ["passed", "provenance"] for flag in doc["flags"].values())
     assert doc["refusals"] == []
     out = doc["outputs"]
     assert {name: list(block) for name, block in out.items()} == {
         "subspace": ["radius", "informative", "alpha", "k", "center", "note"],
-        "centrality_bands": ["functional", "half_width", "alpha", "domain_certified", "point"],
+        "centrality_bands": ["functional", "half_width", "alpha", "point"],
         "stability": ["m", "observed_margin", "threshold", "certified", "selected_set"],
         "cluster": ["labels", "hamming_radius", "alpha", "margin", "margin_provenance",
                     "radius_route", "vacuous", "note"],
@@ -635,16 +636,18 @@ def _eigensolver_route_config(route):
 
 
 @pytest.mark.parametrize(
-    "route,eigh,eigvalsh",
-    [("declared_katz", 1, 0), ("usvt_eigenvector", 1, 2), ("parametric_eigenvector", 1, 1)],
+    "route,subset,full,values",
+    [("declared_katz", 1, 0, 0), ("usvt_eigenvector", 0, 1, 2),
+     ("parametric_eigenvector", 1, 0, 1)],
 )
-def test_eigensolver_call_counts(sbm200, eig_calls, route, eigh, eigvalsh):
-    # one eigh of A serves every consumer; eigvalsh only for P_hat, A - P_hat
-    # and the parametric P, which is built and decomposed once
+def test_eigensolver_call_counts(sbm200, eig_calls, route, subset, full, values):
+    # one top block of A serves every consumer, and the USVT route reads the
+    # full spectrum first, so it makes no block; values-only solves are for
+    # P_hat, A - P_hat and the parametric P, which is built and solved once
     A = sample_adjacency(sbm200, 56)
     report = run_protocol(A, _eigensolver_route_config(route))
     assert {"subspace", "centrality_bands", "cluster", "filtration"} <= set(report.outputs)
-    assert eig_calls == {"eigh": eigh, "eigvalsh": eigvalsh}
+    assert eig_calls == {"subset": subset, "full": full, "values": values}
 
 
 def test_usvt_denoise_matches_direct_eigh(sbm200):
