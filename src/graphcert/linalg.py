@@ -106,8 +106,9 @@ def spectral_radius(eigenvalues_sorted: np.ndarray) -> float:
 
 
 def _tie_tol(w_desc: np.ndarray) -> float:
-    """Eigenvalues this close are one tie group: 1e-9 relative to the largest
-    magnitude in the top block (at least 1), which the block itself gives."""
+    """Adjacent eigenvalues this close are tied: 1e-9 times the largest
+    magnitude among the top block's values (or 1), so the block alone fixes
+    it."""
     return 1e-9 * max(1.0, float(np.max(np.abs(w_desc[:TOP_BLOCK]))))
 
 
