@@ -3,19 +3,30 @@
     PYTHONPATH=src python3 scripts/report_digests.py > digests.txt
 
 The corpus covers every certificate route and output block of
-``run_protocol`` and the coverage harness's main modes, so two checkouts
+``run_protocol``, the coverage harness's main modes, and ``graphcert
+certify`` end to end: for two of the configs the sampled graph is written
+as an edge-list file and the report file the CLI writes is digested, so the
+edge-list reader and the report writer are covered too. Two checkouts
 whose lines all agree write byte-identical results on it. graphcert is
 imported from whatever ``PYTHONPATH`` names; run the script once per
 checkout and ``diff`` the outputs. It uses only long-standing public API
 (``config_from_dict``, ``run_protocol``, ``report_to_json``,
-``CoverageConfig``, ``coverage_experiment``), so it also runs on older
-checkouts. Each line is ``<sha256>  <artifact name>``.
+``CoverageConfig``, ``coverage_experiment``, ``cli.main``), so it also runs
+on older checkouts. Each line is ``<sha256>  <artifact name>``; to compare
+the artifacts themselves, import the script and iterate ``artifacts()``.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import math
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from graphcert.cli import main as cli_main
 
 from graphcert.models import Envelope, sample_adjacency, two_block_sbm, two_block_spectrum
 from graphcert.protocol import config_from_dict, report_to_json, run_protocol
@@ -27,6 +38,7 @@ REPORT_SIZES = (200, 600)
 REPORT_SEEDS = (1, 2)
 COVERAGE_SEEDS = (1, 2, 3)
 COVERAGE_REPLICATIONS = 6
+CLI_CONFIGS = ("usvt_eigenvector_kmeans", "declared_katz_centers")
 
 
 def _report_configs(n: int) -> dict:
@@ -123,23 +135,47 @@ def _coverage_configs() -> dict:
     }
 
 
-def _sha(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
+def _edge_list(A) -> str:
+    """The graph as edge-list text, one "u<TAB>v" line per pair u < v."""
+    rows, cols = np.triu(A.A, 1).nonzero()
+    return "".join(f"{u}\t{v}\n" for u, v in zip(rows.tolist(), cols.tolist()))
 
 
-def main() -> None:
-    for n in REPORT_SIZES:
-        model = two_block_sbm(n, P_IN, P_OUT)
-        configs = {name: config_from_dict(doc) for name, doc in _report_configs(n).items()}
-        for seed in REPORT_SEEDS:
-            A = sample_adjacency(model, seed)
-            for name, config in configs.items():
-                print(f"{_sha(run_protocol(A, config).to_json())}  report/n{n}/seed{seed}/{name}")
+def _cli_report(workdir: Path, name: str, doc: dict, A) -> str:
+    """The report ``graphcert certify`` writes for graph A and config doc."""
+    graph, config, out = (workdir / f"{name}.{ext}" for ext in ("tsv", "json", "report.json"))
+    graph.write_text(_edge_list(A), encoding="utf-8")
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    code = cli_main(["certify", "--graph", str(graph), "--config", str(config), "--out", str(out)])
+    if code != 0:
+        raise RuntimeError(f"graphcert certify exited {code} on {name}")
+    return out.read_text(encoding="utf-8")
+
+
+def artifacts():
+    """Yield ``(name, text)`` for every artifact of the corpus, in a fixed order."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for n in REPORT_SIZES:
+            model = two_block_sbm(n, P_IN, P_OUT)
+            docs = _report_configs(n)
+            configs = {name: config_from_dict(doc) for name, doc in docs.items()}
+            for seed in REPORT_SEEDS:
+                A = sample_adjacency(model, seed)
+                for name, config in configs.items():
+                    yield f"report/n{n}/seed{seed}/{name}", run_protocol(A, config).to_json()
+                for name in CLI_CONFIGS:
+                    text = _cli_report(Path(tmp), f"n{n}_seed{seed}_{name}", docs[name], A)
+                    yield f"cli/n{n}/seed{seed}/{name}", text
     model = two_block_sbm(200, P_IN, P_OUT)
     for name, config in _coverage_configs().items():
         for seed in COVERAGE_SEEDS:
             result = coverage_experiment(model, config, COVERAGE_REPLICATIONS, seed)
-            print(f"{_sha(report_to_json(result.to_dict()))}  coverage/{name}/seed{seed}")
+            yield f"coverage/{name}/seed{seed}", report_to_json(result.to_dict())
+
+
+def main() -> None:
+    for name, text in artifacts():
+        print(f"{hashlib.sha256(text.encode()).hexdigest()}  {name}")
 
 
 if __name__ == "__main__":

@@ -1,14 +1,16 @@
 """File formats: edge lists and declaration JSON.
 
 Edge lists are UTF-8 text with one "u<TAB>v" pair per line, 0-based node
-ids, each undirected pair listed once. The loader symmetrizes and rejects
-self-loops, duplicates, and malformed lines. Declarations (model specs,
+ids, each undirected pair listed once. The loader reads the whole list in
+one vectorized pass, symmetrizes, and rejects self-loops, duplicates, and
+malformed lines, naming the first faulty line. Declarations (model specs,
 envelopes, protocol configs) are JSON objects whose keys are the fields of
 the dataclass they build (:func:`from_json`).
 """
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import inspect
 import json
@@ -47,35 +49,56 @@ MAX_NODES = 20_000
 def parse_edge_list(text: str, n: Optional[int] = None) -> AdjacencyMatrix:
     """Parse edge-list text into an adjacency matrix.
 
-    ``n`` defaults to max node id + 1. Self-loops, duplicate pairs (in
-    either order), negative ids, and non "u<TAB>v" lines are rejected, and
-    a node count above :data:`MAX_NODES` raises :class:`TooManyNodes`
-    before anything of size n^2 is allocated.
+    Lines are those of ``str.splitlines`` (blank lines count in the line
+    numbers), each stripped of surrounding whitespace; a node id is what
+    Python's ``int()`` reads. ``n`` defaults to max node id + 1. The first
+    faulty line in file order is refused: within a line, a shape other than
+    "u<TAB>v", then a non-integer id, a negative id, a self-loop, and a pair
+    listed before (in either order). After the lines, a declared ``n`` below
+    1, an empty list without ``n``, a declared ``n`` not above every id, and
+    a node count above :data:`MAX_NODES` are refused, the last with
+    :class:`TooManyNodes` before anything of size n^2 is allocated.
     """
-    edges = []
-    max_id = -1
-    seen = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected 'u<TAB>v', got {raw!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: node ids must be integers") from exc
-        if u < 0 or v < 0:
-            raise ValueError(f"line {lineno}: node ids must be nonnegative")
-        if u == v:
-            raise ValueError(f"line {lineno}: self-loop at node {u}")
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            raise ValueError(f"line {lineno}: duplicate edge {key}")
-        seen.add(key)
-        edges.append(key)
-        max_id = max(max_id, u, v)
+    lines = text.splitlines()
+    stripped = list(map(str.strip, lines))
+    # Tabs per line, counted on the UTF-8 bytes: a tab or newline byte never
+    # occurs inside a multibyte sequence, and no stripped line holds "\n".
+    buf = np.frombuffer(
+        "\n".join(stripped).encode("utf-8", "surrogatepass"), dtype=np.uint8
+    )
+    ends = np.flatnonzero(buf == ord("\n"))
+    tabs = np.bincount(
+        np.searchsorted(ends, np.flatnonzero(buf == ord("\t"))), minlength=len(lines)
+    )
+    rows = np.flatnonzero(np.diff(ends, prepend=-1, append=buf.size) > 1)
+    misshapen = rows[tabs[rows] != 1]
+    cut = int(misshapen[0]) if misshapen.size else len(lines)
+    rows = rows[rows < cut]  # the well-formed lines before the first misshapen one
+    tokens = "\t".join(filter(None, stripped[:cut])).split("\t") if rows.size else []
+    ids, node, refused = _node_ids(tokens)
+    u, v = ids.reshape(-1, 2).T
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    order = np.lexsort((hi, lo))  # stable: the first of equal pairs sorts first
+    repeat = np.zeros(u.size, dtype=bool)
+    repeat[order[1:]] = (lo[order[1:]] == lo[order[:-1]]) & (hi[order[1:]] == hi[order[:-1]])
+    faulty = (u < 0) | (v < 0) | (u == v) | repeat
+    if faulty.any():
+        i = int(np.argmax(faulty))
+        where = f"line {rows[i] + 1}"
+        if u[i] < 0 or v[i] < 0:
+            raise ValueError(f"{where}: node ids must be nonnegative")
+        if u[i] == v[i]:
+            raise ValueError(f"{where}: self-loop at node {node(u[i])}")
+        raise ValueError(f"{where}: duplicate edge {(node(lo[i]), node(hi[i]))}")
+    if refused is not None:
+        raise ValueError(f"line {rows[u.size] + 1}: node ids must be integers") from refused
+    if cut < len(lines):
+        raise ValueError(f"line {cut + 1}: expected 'u<TAB>v', got {lines[cut]!r}")
+    if n is not None and n < 1:
+        raise ValueError(f"declared n = {n}, but a graph needs at least one node")
+    if n is None and not u.size:
+        raise ValueError("the edge list has no edges, so n must be declared")
+    max_id = node(hi.max()) if u.size else -1
     size = n if n is not None else max_id + 1
     if size <= max_id:
         raise ValueError(f"declared n = {size} but saw node id {max_id}")
@@ -84,10 +107,39 @@ def parse_edge_list(text: str, n: Optional[int] = None) -> AdjacencyMatrix:
             f"n = {size} exceeds the dense-storage limit of {MAX_NODES} nodes"
         )
     A = np.zeros((size, size), dtype=np.int8)
-    for u, v in edges:
-        A[u, v] = 1
-        A[v, u] = 1
+    A[u, v] = 1
+    A[v, u] = 1
     return AdjacencyMatrix(n=size, A=A)
+
+
+def _node_ids(tokens: list) -> tuple:
+    """``(codes, node, refused)``: int64 codes of the id tokens, ``node(code)``
+    the id a code stands for, and the ValueError of the first token ``int()``
+    refuses (None when it reads them all).
+
+    All tokens are read by one ``np.array`` call, which applies ``int()``, so
+    the codes are the ids. When that fails, the tokens before the refused
+    one are read in whole lines, and an id outside int64 (refused later by
+    the size checks) makes the codes ranks that keep the ids' order,
+    equality and sign.
+    """
+    try:
+        return np.array(tokens, dtype=np.int64), int, None
+    except (ValueError, OverflowError):
+        pass
+    ids, refused = [], None
+    for token in tokens:
+        try:
+            ids.append(int(token))
+        except ValueError as exc:
+            refused = exc
+            break
+    del ids[len(ids) - len(ids) % 2:]
+    values = sorted(set(ids))
+    zero = bisect.bisect_left(values, 0)
+    rank = {value: i - zero for i, value in enumerate(values)}
+    codes = np.array([rank[value] for value in ids], dtype=np.int64)
+    return codes, lambda code: values[code + zero], refused
 
 
 def load_edge_list(path: Union[str, Path], n: Optional[int] = None) -> AdjacencyMatrix:

@@ -24,6 +24,7 @@ from functools import partial
 from typing import Optional
 
 import numpy as np
+from scipy.linalg.blas import dgemm
 
 from .errors import (
     DegenerateTopEigenvalue,
@@ -257,7 +258,9 @@ def usvt_denoise(S: Spectrum, threshold_scale: float = 2.02) -> np.ndarray:
     density = float(S.matrix.sum()) / (n * (n - 1)) if n > 1 else 0.0
     thr = threshold_scale * math.sqrt(max(n * density, 0.0))
     keep = np.abs(w) >= thr if thr > 0 else np.ones_like(w, dtype=bool)
-    P_hat = (V[:, keep] * w[keep]) @ V[:, keep].T
+    # scipy's BLAS, the one the eigensolves use: numpy's matmul would leave
+    # its own BLAS threads spinning into the next eigensolve of P_hat
+    P_hat = dgemm(1.0, V[:, keep] * w[keep], V[:, keep], trans_b=True)
     np.clip(P_hat, 0.0, 1.0, out=P_hat)
     P_hat = (P_hat + P_hat.T) / 2.0
     np.fill_diagonal(P_hat, 0.0)

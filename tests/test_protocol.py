@@ -119,6 +119,28 @@ def test_usvt_trivial_cases():
     assert np.all(usvt_denoise(eigendecompose(K), threshold_scale=1e9) == 0)
 
 
+@pytest.mark.parametrize("threshold_scale", [2.02, 0.5, 1e9])
+def test_usvt_matches_numpy_product(threshold_scale):
+    """P_hat comes from scipy's dgemm; numpy's matmul sums in another order,
+    so the two agree to rounding, and P_hat keeps its exact invariants."""
+    from graphcert.models import two_block_sbm
+
+    n = 1000
+    S = eigendecompose(sample_adjacency(two_block_sbm(n, 0.3, 0.1), 5).A)
+    P_hat = usvt_denoise(S, threshold_scale)
+    w, V = S.values, S.vectors
+    thr = threshold_scale * math.sqrt(n * (float(S.matrix.sum()) / (n * (n - 1))))
+    keep = np.abs(w) >= thr
+    ref = (V[:, keep] * w[keep]) @ V[:, keep].T
+    np.clip(ref, 0.0, 1.0, out=ref)
+    ref = (ref + ref.T) / 2.0
+    np.fill_diagonal(ref, 0.0)
+    assert np.max(np.abs(P_hat - ref)) <= 1e-15
+    assert np.array_equal(P_hat, P_hat.T)
+    assert np.all(np.diag(P_hat) == 0)
+    assert P_hat.min() >= 0.0 and P_hat.max() <= 1.0
+
+
 def test_usvt_recovers_flat_probability(rng):
     # Monte Carlo oracle: a dense Erdos-Renyi 0.5 graph denoises to ~0.5
     n = 200
