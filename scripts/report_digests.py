@@ -6,7 +6,9 @@ The corpus covers every certificate route and output block of
 ``run_protocol``, the coverage harness's main modes, and ``graphcert
 certify`` end to end: for two of the configs the sampled graph is written
 as an edge-list file and the report file the CLI writes is digested, so the
-edge-list reader and the report writer are covered too. Two checkouts
+edge-list reader and the report writer are covered too. ``kmeans_k3``
+clusters the top-3 embedding into three groups, so K-means is digested
+with more than two clusters as well. Two checkouts
 whose lines all agree write byte-identical results on it. graphcert is
 imported from whatever ``PYTHONPATH`` names; run the script once per
 checkout and ``diff`` the outputs. It uses only long-standing public API
@@ -104,6 +106,11 @@ def _report_configs(n: int) -> dict:
             "k": 2, "alpha": 0.05,
             "envelope": {"d_max": d_max, "gap": 1.0},
             "clustering": {"delta": delta, "centers": centers},
+        },
+        "kmeans_k3": {
+            "k": 3, "alpha": 0.05,
+            "envelope": {"d_max": d_max, "gap": 1.0},
+            "clustering": {"delta": delta},
         },
         "katz_refused_at_observation": {
             "k": 2, "alpha": 0.05,

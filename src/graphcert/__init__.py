@@ -16,6 +16,7 @@ from .errors import (
     InsufficientTolerance,
     KOutOfRange,
     MalformedMembership,
+    NonFiniteRows,
     NonpositiveGap,
     NonpositiveMargin,
     NotSymmetric,

@@ -82,6 +82,11 @@ class DuplicateCenters(GraphCertError):
     """Two declared cluster centers coincide."""
 
 
+class NonFiniteRows(GraphCertError):
+    """Rows given to K-means hold a NaN or an infinity, so no restart has a
+    cost to rank."""
+
+
 class NonpositiveMargin(GraphCertError):
     """A separation margin must be strictly positive, and so must its
     square, which every Hamming radius divides by."""

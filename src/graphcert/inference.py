@@ -21,6 +21,7 @@ from scipy.optimize import linear_sum_assignment
 from .errors import (
     DegenerateTopEigenvalue,
     DuplicateCenters,
+    NonFiniteRows,
     NonpositiveGap,
     NonpositiveMargin,
     OutsideDomain,
@@ -71,6 +72,7 @@ __all__ = [
 TIE_TOLERANCE = 1e-12  # scores closer than this are reported as ties
 CONTAIN_TOL = 1e-12    # float guard for membership at the boundary
 KMEANS_RESTARTS = 50   # deterministic K-means restarts, one per seed row
+LLOYD_ITERS = 100      # most assignments one K-means restart makes
 TOP_GAP_TOL = 1e-10    # a top gap below this, relative to |lam1|, is degenerate
 MAX_SETS = 10000       # admissible top-m sets listed before the list is cut
 
@@ -142,8 +144,12 @@ def nearest_center_round(rows: np.ndarray, centers: np.ndarray) -> np.ndarray:
 
 
 def _squared_distances(rows: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """(n, K) squared Euclidean distances from each row to each center."""
-    return ((rows[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    """(..., n, K) squared Euclidean distances from each row to each center.
+
+    ``centers`` is (..., K, k): leading axes batch center sets, and each
+    entry is the same difference, square and sum over the last axis.
+    """
+    return ((rows[:, None, :] - centers[..., None, :, :]) ** 2).sum(axis=-1)
 
 
 def center_separation(centers) -> float:
@@ -202,44 +208,80 @@ def kmeans_labels(rows: np.ndarray, K: int) -> np.ndarray:
     """Deterministic K-means labels: farthest-point init, fixed restarts.
 
     Restart r of ``KMEANS_RESTARTS`` = R seeds the first center at row
-    floor(r n / R); the rest are chosen greedily farthest-first. No RNG is
-    involved, so identical inputs give identical labels.
+    floor(r n / R); the rest are chosen greedily farthest-first. Lloyd's
+    algorithm then runs until an assignment repeats, for at most
+    ``LLOYD_ITERS`` assignments, and the restart of least cost wins (the
+    earliest, among costs within 1e-15). No RNG is involved, so identical
+    inputs give identical labels. Rows holding a NaN or an infinity have no
+    cost to rank and are refused with :class:`NonFiniteRows`.
+
+    Each distinct Lloyd trajectory is run once. The next state depends only
+    on the current labels and centers, and after an assignment the center of
+    every nonempty cluster is the mean of its rows, a function of the labels
+    alone. So restarts that, after the same number of assignments, agree on
+    the labels and on the retained center of each empty cluster follow one
+    trajectory from then on: same labels, same cost, same iterations left
+    under the cap. They are merged after every assignment and only the
+    survivors advance. Every distance and mean is computed with the
+    arithmetic of a restart run on its own, so the labels are the same bit
+    for bit.
     """
     rows = np.asarray(rows, dtype=float)
     n = rows.shape[0]
     if K < 1 or K > n:
         raise ValueError("K must lie in [1, n]")
-    best_labels, best_cost = None, np.inf
-    for r in range(KMEANS_RESTARTS):
-        centers = _farthest_point_init(rows, K, first=(r * n) // KMEANS_RESTARTS)
-        labels, cost = _lloyd(rows, centers)
-        if cost < best_cost - 1e-15:
-            best_labels, best_cost = labels, cost
-    return best_labels
+    if not np.all(np.isfinite(rows)):
+        raise NonFiniteRows("the rows to cluster hold a NaN or an infinity")
+    firsts = np.arange(KMEANS_RESTARTS) * n // KMEANS_RESTARTS
+    starts, follows = np.unique(firsts, return_inverse=True)
+    centers, d2 = _farthest_point_init(rows, K, starts)
+    labels = d2.argmin(axis=2)
+    live = np.arange(starts.size)  # trajectory ids; follows[r] is restart r's
+    ended = {}  # trajectory id -> (labels, centers) where it stopped
+    for it in range(LLOYD_ITERS):
+        if it:
+            new = np.array([_squared_distances(rows, C).argmin(axis=1) for C in centers])
+            stop = (new == labels).all(axis=1)
+            ended.update(zip(live[stop], zip(labels[stop], centers[stop])))
+            live, labels, centers = live[~stop], new[~stop], centers[~stop]
+            if not live.size:
+                break
+        keep, seen = [], {}
+        for t, traj in enumerate(live):
+            empty = np.bincount(labels[t], minlength=K) == 0
+            twin = seen.setdefault(labels[t].tobytes() + centers[t][empty].tobytes(), traj)
+            if twin == traj:
+                keep.append(t)
+            else:
+                follows[follows == traj] = twin
+        live, labels, centers = live[keep], labels[keep], centers[keep]
+        for t in range(live.size):
+            for a in range(K):
+                mask = labels[t] == a
+                if mask.any():
+                    centers[t, a] = rows[mask].mean(axis=0)
+    ended.update(zip(live, zip(labels, centers)))
+
+    costs = {traj: float(_squared_distances(rows, C)[np.arange(n), L].sum())
+             for traj, (L, C) in ended.items()}
+    best, best_cost = None, np.inf
+    for traj in follows:
+        if costs[traj] < best_cost - 1e-15:
+            best, best_cost = traj, costs[traj]
+    return ended[best][0]
 
 
-def _farthest_point_init(rows: np.ndarray, K: int, first: int) -> np.ndarray:
-    chosen = [min(first, rows.shape[0] - 1)]
-    for _ in range(K - 1):
-        chosen.append(int(np.argmax(_squared_distances(rows, rows[chosen]).min(axis=1))))
-    return rows[chosen]
-
-
-def _lloyd(rows: np.ndarray, centers: np.ndarray, iters: int = 100):
-    K = centers.shape[0]
-    labels = None
-    for _ in range(iters):
-        new = np.argmin(_squared_distances(rows, centers), axis=1)
-        if labels is not None and np.array_equal(new, labels):
-            break
-        labels = new
-        for a in range(K):
-            mask = labels == a
-            if mask.any():
-                centers[a] = rows[mask].mean(axis=0)
-    d2 = _squared_distances(rows, centers)
-    cost = float(d2[np.arange(rows.shape[0]), labels].sum())
-    return labels, cost
+def _farthest_point_init(rows: np.ndarray, K: int, starts: np.ndarray):
+    """Farthest-point centers grown from each start row, (S, K, k), and every
+    row's squared distance to each of them, (S, n, K)."""
+    chosen = np.empty((starts.size, K), dtype=np.intp)
+    d2 = np.empty((starts.size, rows.shape[0], K))
+    chosen[:, 0] = starts
+    for j in range(K):
+        if j:
+            chosen[:, j] = d2[:, :, :j].min(axis=2).argmax(axis=1)
+        d2[:, :, j] = _squared_distances(rows, rows[chosen[:, j], None])[..., 0]
+    return rows[chosen], d2
 
 
 def align_to_centers(

@@ -72,7 +72,7 @@ class OrthonormalBasis:
         if U.ndim != 2:
             raise ShapeMismatch("basis must be 2-d")
         gram = U.T @ U
-        if np.max(np.abs(gram - np.eye(U.shape[1]))) > _ORTHO_TOL:
+        if not np.max(np.abs(gram - np.eye(U.shape[1]))) <= _ORTHO_TOL:  # NaN fails
             raise ShapeMismatch("columns are not orthonormal to within 1e-10")
         U.setflags(write=False)
         object.__setattr__(self, "U", U)

@@ -411,12 +411,8 @@ def coverage_experiment(
             shift = 0.3
             d_a = logistic_decisions(scores_hat, s_attr, _FAIRNESS_TAU, [med, med])
             d_b = logistic_decisions(scores_hat, s_attr, _FAIRNESS_TAU, [med + shift, med + shift])
-            try:
-                tradeoff_bounds(d_a, d_b, y01, _FAIRNESS_TAU, shift)
-                violated = False
-            except AssertionError:  # raised when either bound is exceeded
-                violated = True
-            tally("fairness_tradeoff", violated)
+            tradeoff = tradeoff_bounds(d_a, d_b, y01, _FAIRNESS_TAU, shift)
+            tally("fairness_tradeoff", tradeoff.l2_exceeded or tradeoff.shift_exceeded)
 
         filt = filtration_envelope(aligned.U, U_star.U, ())
         tally("filtration", filt.d_filt > 2.0 * filt.eta + _AUDIT_TOL)

@@ -243,6 +243,29 @@ def test_tradeoff_bounds_zero_case(rng):
     assert out.loss_gap == 0.0 and out.bound_l2 == 0.0 and out.bound_shift == 0.0
 
 
+def test_tradeoff_bounds_report_an_exceeded_bound(rng):
+    # a shift understated tenfold breaks the shift bound; targets outside
+    # [0, 1] break the l2 chain, which needs |d_fair + d_un - 2y| <= 2
+    n, tau, shift = 30, 0.4, 0.3
+    x = rng.normal(size=n)
+    s = (np.arange(n) % 2).astype(int)
+    d_a = logistic_decisions(x, s, tau, np.array([0.0, 0.0]))
+    d_b = logistic_decisions(x, s, tau, np.array([shift, shift]))
+    y = np.zeros(n)
+    out = tradeoff_bounds(d_a, d_b, y, tau, shift / 10)
+    assert out.loss_gap > out.bound_shift + 1e-12
+    assert out.shift_exceeded and not out.l2_exceeded
+    assert not tradeoff_bounds(d_a, d_b, y, tau, shift).shift_exceeded
+    assert not tradeoff_bounds(d_a, d_b, y, tau, 0.0).shift_exceeded  # opted out
+    out = tradeoff_bounds(d_a, d_b, np.full(n, -10.0), tau, 0.0)
+    assert out.loss_gap > out.bound_l2 + 1e-12
+    assert out.l2_exceeded and not out.shift_exceeded
+    # a NaN decision would make both comparisons read "within": refused
+    d_a[3] = np.nan
+    with pytest.raises(ValueError, match="decisions must lie in"):
+        tradeoff_bounds(d_a, d_b, y, tau, shift)
+
+
 def test_tradeoff_bounds_random_pairs(rng):
     # loss gap <= (2/sqrt(n)) || delta d ||_2, 1000 trials
     n = 25

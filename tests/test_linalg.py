@@ -279,6 +279,17 @@ def test_grassmann_shape_mismatch():
         grassmann_distance(U, V)
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_orthonormal_basis_refuses_non_finite_columns(value):
+    with pytest.raises(ShapeMismatch, match="not orthonormal"):
+        OrthonormalBasis(U=np.full((5, 2), value))
+    U = np.eye(5)[:, :2]
+    U[3, 1] = value
+    with pytest.raises(ShapeMismatch, match="not orthonormal"):
+        OrthonormalBasis(U=U)
+
+
 def test_procrustes_identity_and_exact_alignability(rng):
     U = OrthonormalBasis(U=random_orthonormal(rng, 10, 3))
     Q0, aligned = procrustes_align(U, U)
