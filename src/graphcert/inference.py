@@ -280,6 +280,8 @@ def _farthest_point_init(rows: np.ndarray, K: int, starts: np.ndarray):
     for j in range(K):
         if j:
             chosen[:, j] = d2[:, :, :j].min(axis=2).argmax(axis=1)
+        # center j of every start as a one-center set, (S, 1, k): the kernel
+        # gives (S, n, 1) and its single column is the new d2 column
         d2[:, :, j] = _squared_distances(rows, rows[chosen[:, j], None])[..., 0]
     return rows[chosen], d2
 

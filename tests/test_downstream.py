@@ -187,6 +187,7 @@ def test_fair_optimize_constrained_never_beats_unconstrained(rng):
     assert loss_gap >= -1e-9
     out = tradeoff_bounds(d_fair, d_un, p.y, p.tau, float(np.max(np.abs(theta_fair - theta_un))))
     assert out.loss_gap <= out.bound_l2 + 1e-12
+    assert not out.l2_exceeded and not out.shift_exceeded
 
 
 def test_feasibility_transfer_check_reduces_to_plain_constraint(rng):
@@ -241,6 +242,7 @@ def test_tradeoff_bounds_zero_case(rng):
     y = rng.uniform(size=10)
     out = tradeoff_bounds(d, d, y, tau=0.5, delta_theta=0.0)
     assert out.loss_gap == 0.0 and out.bound_l2 == 0.0 and out.bound_shift == 0.0
+    assert not out.l2_exceeded and not out.shift_exceeded
 
 
 def test_tradeoff_bounds_report_an_exceeded_bound(rng):
@@ -290,6 +292,7 @@ def test_tradeoff_shift_bound(rng):
         d_b = logistic_decisions(x, s, tau, np.array([t0 + shift, t0 + shift]))
         out = tradeoff_bounds(d_a, d_b, y, tau, shift)
         assert out.loss_gap <= out.bound_shift + 1e-12
+        assert not out.l2_exceeded and not out.shift_exceeded
 
 
 def test_sigmoid_slope_never_exceeds_quarter_tau(rng):
