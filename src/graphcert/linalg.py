@@ -1,8 +1,9 @@
 """Dense symmetric eigen-machinery for subspace inference.
 
 Provides the one spectrum of a symmetric matrix (a :class:`Spectrum`
-shared by every spectral consumer, computed as a top block of eigenpairs
-unless a read needs them all) with its canonical top-k basis, the
+shared by every spectral consumer, computed as a top block of eigenpairs,
+or read by subset solves from one Householder tridiagonal reduction when
+the block cannot serve a read) with its canonical top-k basis, the
 Grassmann (projector-norm) distance between subspaces, orthogonal
 Procrustes alignment, the Weyl-type gap transfer used to certify gaps from
 denoised estimates, and the rank-aware Frobenius bound that converts a
@@ -159,56 +160,91 @@ class Spectrum:
     Reads are served by the top block: the ``min(n, TOP_BLOCK)`` largest
     eigenpairs, from one LAPACK subset call (``scipy.linalg.eigh`` with
     ``subset_by_index`` and the MRRR driver ``evr``) made on the first
-    read. A read the block cannot serve makes one full decomposition
-    (driver ``evd``, the same as ``numpy.linalg.eigh``), which then serves
-    every later read. These reads need it:
+    read. A read the block cannot serve makes one Householder reduction of
+    the matrix to a tridiagonal T (``dsytrd``), the only O(n^3) step; every
+    read after it, the block's included, is a subset solve on T
+    (``scipy.linalg.eigh_tridiagonal``, bisection and inverse iteration)
+    whose eigenvectors are mapped back through the reflectors (``dormqr``).
+    These reads make the reduction:
 
+    - ``beyond(thr)``, the pairs with ``|lambda| >= thr`` (the USVT route);
     - ``gap(k)`` and ``top(m)`` past the block (``k + 1 > TOP_BLOCK``,
       ``m > TOP_BLOCK``);
     - ``top_k(k)`` when the tie group crossing k runs to the block's end,
       so the block cannot tell where it stops;
     - ``radius`` of a matrix with a negative entry (for a nonnegative one
-      it is the largest eigenvalue, by Perron-Frobenius);
-    - ``values`` and ``vectors``, the whole spectrum (the USVT route);
+      it is the largest eigenvalue, by Perron-Frobenius), from the two
+      extreme eigenvalues of T;
+    - ``values``, every eigenvalue of T (``dsterf``);
     - any read when ``n <= TOP_BLOCK``, where the block would be all of it.
 
-    The block size is fixed, not sized by the first read, so the reads it
+    No read computes every eigenvector unless it asks for all of them. The
+    block size is fixed, not sized by the first read, so the reads it
     serves give the same values whatever order they come in.
     """
 
     def __init__(self, matrix: np.ndarray):
         self.matrix = matrix
-        self._block = None  # descending values and their vectors, the top block
-        self._full = None   # ascending values and vectors, as eigh returns them
+        self._block = None    # descending values and their vectors, the top block
+        self._reduced = None  # reflectors, their scales and T's diagonals
+        self._top = None      # descending pairs read from T, the largest read so far
+        self._values = None   # ascending eigenvalues of T
 
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
 
-    def _full_decomposition(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._full is None:
-            w, V = scipy.linalg.eigh(self.matrix, driver="evd")
-            w.setflags(write=False)
-            V.setflags(write=False)
-            self._full, self._block = (w, V), None
-        return self._full
+    def _reduction(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(c, tau, d, e): the lower Householder reduction Q^T M Q = T, with
+        diagonal d and off-diagonal e, made on first need; later reads are
+        served by it rather than by the block."""
+        if self._reduced is None:
+            # the optimal workspace lets dsytrd run blocked: its default of n
+            # is about 1.8x slower at n = 1000 and 2000
+            lwork, info = scipy.linalg.lapack.dsytrd_lwork(self.n, lower=1)
+            _check_lapack("dsytrd_lwork", info)
+            c, d, e, tau, info = scipy.linalg.lapack.dsytrd(
+                self.matrix, lower=1, lwork=int(lwork)
+            )
+            _check_lapack("dsytrd", info)
+            self._reduced, self._block = (c, tau, d, e), None
+        return self._reduced
+
+    def _reduced_pairs(self, **select) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending eigenvalues of T in a ``scipy.linalg.eigh_tridiagonal``
+        selection and the matching unit eigenvectors of the matrix as
+        columns: Q = diag(1, Q') with Q' the reflectors below row 0, so
+        row 0 of T's eigenvectors is kept and the rest multiplied by Q'."""
+        c, tau, d, e = self._reduction()
+        w, Z = scipy.linalg.eigh_tridiagonal(d, e, **select)
+        n = self.n
+        if w.size and n > 1:
+            reflectors = c[1:, : n - 1]
+            _, work, info = scipy.linalg.lapack.dormqr("L", "N", reflectors, tau, Z[1:], -1)
+            _check_lapack("dormqr query", info)
+            Z[1:], _, info = scipy.linalg.lapack.dormqr(
+                "L", "N", reflectors, tau, Z[1:], int(work[0])
+            )
+            _check_lapack("dormqr", info)
+        return w, Z
 
     @property
     def values(self) -> np.ndarray:
-        """All eigenvalues, ascending, from the full decomposition."""
-        return self._full_decomposition()[0]
-
-    @property
-    def vectors(self) -> np.ndarray:
-        """Unit eigenvectors as columns in the order of ``values``."""
-        return self._full_decomposition()[1]
+        """All eigenvalues, ascending, from T by ``dsterf``."""
+        if self._values is None:
+            _, _, d, e = self._reduction()
+            w = scipy.linalg.eigh_tridiagonal(d, e, eigvals_only=True, lapack_driver="sterf")
+            w.setflags(write=False)
+            self._values = w
+        return self._values
 
     def _pairs(self, m: int) -> tuple[np.ndarray, np.ndarray]:
         """Descending values and their vectors as columns, read-only: the
         whole top block while it can serve the m largest pairs, else the
-        whole full decomposition."""
+        largest pairs read from T, at least the m largest and at least a
+        block's worth."""
         n = self.n
-        if self._full is None and m <= TOP_BLOCK < n:
+        if self._reduced is None and m <= TOP_BLOCK < n:
             if self._block is None:
                 w, V = scipy.linalg.eigh(
                     self.matrix, subset_by_index=[n - TOP_BLOCK, n - 1], driver="evr"
@@ -217,7 +253,13 @@ class Spectrum:
                 V.setflags(write=False)
                 self._block = w[::-1], V[:, ::-1]
             return self._block
-        return self.values[::-1], self.vectors[:, ::-1]
+        if self._top is None or self._top[0].size < m:
+            m = min(n, max(m, TOP_BLOCK))
+            w, V = self._reduced_pairs(select="i", select_range=(n - m, n - 1))
+            w.setflags(write=False)
+            V.setflags(write=False)
+            self._top = w[::-1], V[:, ::-1]
+        return self._top
 
     def top(self, m: int) -> tuple[np.ndarray, np.ndarray]:
         """The m largest eigenvalues in descending order and their unit
@@ -225,13 +267,35 @@ class Spectrum:
         w, V = self._pairs(m)
         return w[:m], V[:, :m]
 
+    def beyond(self, thr: float) -> tuple[np.ndarray, np.ndarray]:
+        """The eigenvalues with ``|lambda| >= thr`` in ascending order and
+        their unit eigenvectors as columns: two value ranges on T,
+        ``(-inf, -thr]`` and ``(nextafter(thr, -inf), inf]``; a range with no
+        eigenvalue skips the back-transform. ``thr = 0`` keeps every pair."""
+        if not thr >= 0:  # NaN too
+            raise ValueError(f"threshold must be nonnegative, got {thr!r}")
+        if thr == 0:
+            ranges = [(-np.inf, np.inf)]
+        else:
+            ranges = [(-np.inf, -thr), (np.nextafter(thr, -np.inf), np.inf)]
+        parts = [
+            self._reduced_pairs(select="v", select_range=r) for r in ranges if r[0] < r[1]
+        ]
+        return np.concatenate([w for w, _ in parts]), np.hstack([V for _, V in parts])
+
     @property
     def radius(self) -> float:
         """Spectral radius, the largest absolute eigenvalue: for an entrywise
-        nonnegative matrix the largest eigenvalue (Perron-Frobenius)."""
+        nonnegative matrix the largest eigenvalue (Perron-Frobenius), else
+        the larger in magnitude of T's two extreme eigenvalues."""
         if self.matrix.min() >= 0:
             return float(self.top(1)[0][0])
-        return spectral_radius(self.values)
+        _, _, d, e = self._reduction()
+        ends = [
+            scipy.linalg.eigh_tridiagonal(d, e, eigvals_only=True, select="i", select_range=(i, i))
+            for i in (0, self.n - 1)
+        ]
+        return spectral_radius(np.concatenate(ends))
 
     def _check_k(self, k: int) -> None:
         if not 1 <= k <= self.n - 1:
@@ -249,26 +313,32 @@ class Spectrum:
         w, V = self._pairs(k + 1)
         tol = _tie_tol(w)
         end = _tie_end(w, k, tol)
-        if end == w.size < self.n:  # the tie group may run on past the block
-            w, V = self._pairs(self.n)
+        while end == w.size < self.n:  # the tie group may run on past the pairs read
+            w, V = self._pairs(min(self.n, 2 * w.size))
             tol = _tie_tol(w)
             end = _tie_end(w, k, tol)
         return OrthonormalBasis(U=_canonical_columns(w[:end], V[:, :end], k, tol))
 
 
+def _check_lapack(name: str, info: int) -> None:
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK {name} failed with info = {info}")
+
+
 def eigendecompose(M: np.ndarray) -> Spectrum:
     """The :class:`Spectrum` of a symmetric matrix, refused beyond 1e-10
     asymmetry; the matrix is kept read-only, so the spectrum is shareable.
-    Its eigensolves are the package's only eigenvector solves, made on the
-    first reads as :class:`Spectrum` describes."""
+    Its top-block solve and its tridiagonal reduction are the package's only
+    eigenvector solves, made on the first reads as :class:`Spectrum`
+    describes; none computes every eigenvector unless a read asks for all."""
     M = _check_symmetric(M).view()
     M.setflags(write=False)
     return Spectrum(M)
 
 
 def eigenvalues(M: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a symmetric matrix: the package's only
-    values-only eigensolve (``scipy.linalg.eigh`` with driver ``evd``)."""
+    """Ascending eigenvalues of a symmetric matrix from one values-only
+    ``scipy.linalg.eigh`` solve (driver ``evd``), for the ||A - P|| audits."""
     return scipy.linalg.eigh(_check_symmetric(M), eigvals_only=True, driver="evd")
 
 

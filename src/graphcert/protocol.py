@@ -60,10 +60,6 @@ from .downstream import (
 from .linalg import (
     Spectrum,
     eigendecompose,
-    eigengap,
-    eigenvalues,
-    spectral_radius,
-    symmetric_operator_norm,
     weyl_gap_certificate,
 )
 from .io import from_json, spec_from_dict, to_json
@@ -246,21 +242,21 @@ def usvt_denoise(S: Spectrum, threshold_scale: float = 2.02) -> np.ndarray:
     """Spectral-threshold denoiser for the edge-probability matrix.
 
     Eigencomponents of A = ``S.matrix`` with magnitude below threshold_scale *
-    sqrt(n * density) are zeroed, entries are clipped to [0, 1], and the
-    diagonal is zeroed. Used only to feed the Weyl gap certificate with a
-    user-supplied denoising error bound; no deviation quantile is derived
-    from it.
+    sqrt(n * density) are zeroed (``S.beyond`` reads only the kept pairs),
+    entries are clipped to [0, 1], and the diagonal is zeroed. Used only to
+    feed the Weyl gap certificate with a user-supplied denoising error
+    bound; no deviation quantile is derived from it. A NaN, infinite or
+    nonpositive threshold_scale is refused.
     """
-    if threshold_scale <= 0:
+    require_finite(threshold_scale=threshold_scale)
+    if not threshold_scale > 0:
         raise ValueError("threshold_scale must be positive")
     n = S.n
-    w, V = S.values, S.vectors
     density = float(S.matrix.sum()) / (n * (n - 1)) if n > 1 else 0.0
-    thr = threshold_scale * math.sqrt(max(n * density, 0.0))
-    keep = np.abs(w) >= thr if thr > 0 else np.ones_like(w, dtype=bool)
+    w, V = S.beyond(threshold_scale * math.sqrt(max(n * density, 0.0)))
     # scipy's BLAS, the one the eigensolves use: numpy's matmul would leave
     # its own BLAS threads spinning into the next eigensolve of P_hat
-    P_hat = dgemm(1.0, V[:, keep] * w[keep], V[:, keep], trans_b=True)
+    P_hat = dgemm(1.0, V * w, V, trans_b=True)
     np.clip(P_hat, 0.0, 1.0, out=P_hat)
     P_hat = (P_hat + P_hat.T) / 2.0
     np.fill_diagonal(P_hat, 0.0)
@@ -411,24 +407,24 @@ def run_protocol(A: AdjacencyMatrix, config: ProtocolConfig) -> DiagnosticReport
     else:
         d1 = Flag(False, "no d_max declared")
 
-    # D2: gap certificate (parametric > declared > usvt+weyl); the descending
-    # eigenvalues w_P of the parametric P also feed D3
+    # D2: gap certificate (parametric > declared > usvt+weyl); the spectrum
+    # S_P of the parametric P also feeds D3
     gap: Optional[float] = None
     gap_source = "none"
-    w_P = None
+    S_P = None
     if config.parametric_spec is not None:
-        w_P = eigenvalues(build_probability_matrix(config.parametric_spec).P)[::-1]
-        gap = max(eigengap(w_P, k), 0.0)
+        S_P = eigendecompose(build_probability_matrix(config.parametric_spec).P)
+        gap = max(S_P.gap(k), 0.0)
         gap_source = "parametric"
     elif config.envelope is not None and config.envelope.gap is not None:
         gap = float(config.envelope.gap)
         gap_source = "declared"
     elif config.usvt is not None and config.usvt.eps_p is not None:
         P_hat = usvt_denoise(S, config.usvt.threshold_scale)
-        gap_hat = eigengap(eigenvalues(P_hat)[::-1], k)
+        gap_hat = eigendecompose(P_hat).gap(k)
         gap = weyl_gap_certificate(gap_hat, config.usvt.eps_p)
         gap_source = "usvt_weyl"
-        resid = symmetric_operator_norm(S.matrix - P_hat)
+        resid = eigendecompose(S.matrix - P_hat).radius
         diagnostics["usvt"] = {
             "threshold_scale": config.usvt.threshold_scale,
             "eps_p": config.usvt.eps_p,
@@ -453,7 +449,7 @@ def run_protocol(A: AdjacencyMatrix, config: ProtocolConfig) -> DiagnosticReport
         d2 = Flag(False, detail)
 
     # the gap proxy is diagnostic only, never a radius; it is read after
-    # D2, so on the USVT route the full spectrum already made serves it
+    # D2, so on the USVT route the reduction already made serves it
     proxy = S.gap(k)
 
     # D3: centrality domain certificate
@@ -463,8 +459,8 @@ def run_protocol(A: AdjacencyMatrix, config: ProtocolConfig) -> DiagnosticReport
     domain_ok: Optional[bool] = None
     if cent is not None:
         if cent.kind == "katz":
-            if w_P is not None:
-                rho = spectral_radius(w_P)
+            if S_P is not None:
+                rho = S_P.radius
                 domain_ok = in_katz_domain(rho, cent.beta)
                 domain_note = (
                     f"parametric: rho(P) = {rho!r} vs limit {katz_domain_limit(cent.beta)!r}"
@@ -476,8 +472,8 @@ def run_protocol(A: AdjacencyMatrix, config: ProtocolConfig) -> DiagnosticReport
                 L = katz_modulus(cent.beta)
         else:  # eigenvector
             gamma = None
-            if w_P is not None:
-                gamma = eigengap(w_P, 1)
+            if S_P is not None:
+                gamma = S_P.gap(1)
                 domain_note = f"parametric: top gap = {gamma!r}"
             elif cent.gamma is not None and cent.domain_certified:
                 gamma = float(cent.gamma)

@@ -39,21 +39,28 @@ def random_orthogonal(rng, k):
 
 @pytest.fixture()
 def eig_calls(monkeypatch):
-    """Counts of scipy.linalg.eigh calls in the test by kind: a subset of the
-    eigenpairs, the full decomposition, or the eigenvalues only."""
-    calls = {"subset": 0, "full": 0, "values": 0}
-    original = scipy.linalg.eigh
+    """Counts of eigensolver calls in the test by kind: ``scipy.linalg.eigh``
+    for a subset of the eigenpairs, the full decomposition or the eigenvalues
+    only, and Householder tridiagonal reductions (``scipy.linalg.lapack.dsytrd``)."""
+    calls = {"subset": 0, "full": 0, "values": 0, "reduction": 0}
+    original_eigh = scipy.linalg.eigh
+    original_dsytrd = scipy.linalg.lapack.dsytrd
 
-    def counted(*args, **kwargs):
+    def counted_eigh(*args, **kwargs):
         if kwargs.get("eigvals_only"):
             calls["values"] += 1
         elif kwargs.get("subset_by_index") is not None:
             calls["subset"] += 1
         else:
             calls["full"] += 1
-        return original(*args, **kwargs)
+        return original_eigh(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "eigh", counted)
+    def counted_dsytrd(*args, **kwargs):
+        calls["reduction"] += 1
+        return original_dsytrd(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(scipy.linalg.lapack, "dsytrd", counted_dsytrd)
     return calls
 
 

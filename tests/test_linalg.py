@@ -1,3 +1,4 @@
+import ast
 import itertools
 import math
 import re
@@ -56,8 +57,11 @@ def test_top_k_reconstruction_residual(rng):
     M = rng.normal(size=(n, n))
     M = (M + M.T) / 2
     spectrum = eigendecompose(M)
-    recon = (spectrum.vectors * spectrum.values) @ spectrum.vectors.T
+    w, V = spectrum.top(n)
+    recon = (V * w) @ V.T
     assert np.linalg.norm(M - recon, 2) <= 1e-8 * np.linalg.norm(M, 2)
+    assert np.max(np.abs(V.T @ V - np.eye(n))) <= 1e-12
+    assert np.max(np.abs(w[::-1] - spectrum.values)) <= 1e-12 * np.abs(w).max()
 
 
 def test_top_k_rejects_asymmetric_and_bad_k(rng):
@@ -137,7 +141,7 @@ def test_top_k_bytes_match_full_canonicalization(rng):
     # equal those of the rule applied to all n columns, for every k
     for M in _tie_heavy_matrices(rng):
         S = eigendecompose(M)
-        full = _canonical_all_columns(S.values[::-1], S.vectors[:, ::-1])
+        full = _canonical_all_columns(*S.top(S.n))
         for k in range(1, S.n):
             want = OrthonormalBasis(U=full[:, :k]).U
             assert S.top_k(k).U.tobytes() == want.tobytes()
@@ -149,19 +153,19 @@ def _cliques(count, size=5):
     return np.kron(np.eye(count), np.ones((size, size)) - np.eye(size))
 
 
-@pytest.mark.parametrize("count,full", [(3, 0), (TOP_BLOCK, 1), (TOP_BLOCK + 2, 1)])
-def test_top_k_tie_group_at_block_end_falls_back(eig_calls, count, full):
+@pytest.mark.parametrize("count,reduction", [(3, 0), (TOP_BLOCK, 1), (TOP_BLOCK + 2, 1)])
+def test_top_k_tie_group_at_block_end_falls_back(eig_calls, count, reduction):
     # the tie group crossing k = 2 ends inside the block (3 cliques), fills
     # it exactly (8) or runs past it (10); the block cannot tell where the
-    # last two end, so they fall back to the full route and give its basis
+    # last two end, so they fall back to the reduction and give its basis
     M = _cliques(count)
     got = eigendecompose(M).top_k(2)
-    assert eig_calls == {"subset": 1, "full": full, "values": 0}
+    assert eig_calls == {"subset": 1, "full": 0, "values": 0, "reduction": reduction}
     S = eigendecompose(M)
-    assert S.values.size == M.shape[0]  # reads the full route first
+    assert S.values.size == M.shape[0]  # makes the reduction first
     want = S.top_k(2)
     assert grassmann_distance(got, want) <= 1e-12
-    if full:
+    if reduction:
         assert got.U.tobytes() == want.U.tobytes()
 
 
@@ -175,16 +179,40 @@ def test_radius_of_matrix_with_negative_entries_is_full_radius(rng, eig_calls):
     w = np.linalg.eigvalsh(M)
     assert M.min() < 0 and -w[0] > w[-1]
     assert abs(eigendecompose(M).radius - (-w[0])) <= 1e-12 * -w[0]
-    assert eig_calls == {"subset": 0, "full": 1, "values": 0}
+    assert eig_calls == {"subset": 0, "full": 0, "values": 0, "reduction": 1}
 
 
-@pytest.mark.parametrize("n,subset,full", [(2, 0, 1), (TOP_BLOCK, 0, 1), (TOP_BLOCK + 1, 1, 0)])
-def test_small_matrices_take_the_full_route(eig_calls, n, subset, full):
+@pytest.mark.parametrize("n,subset,reduction",
+                         [(2, 0, 1), (TOP_BLOCK, 0, 1), (TOP_BLOCK + 1, 1, 0)])
+def test_small_matrices_take_the_full_route(eig_calls, n, subset, reduction):
     M = np.ones((n, n)) - np.eye(n)
     M[0, 1] = M[1, 0] = 2.0
     S = eigendecompose(M)
     assert S.gap(1) > 0 and S.top_k(1).k == 1 and S.radius > 0
-    assert eig_calls == {"subset": subset, "full": full, "values": 0}
+    assert eig_calls == {"subset": subset, "full": 0, "values": 0, "reduction": reduction}
+
+
+def test_beyond_keeps_exactly_the_pairs_at_or_past_the_threshold(rng):
+    # a diagonal matrix reduces to itself, so its eigenvalues are exact and
+    # the ones equal to +-thr sit on the range ends: both are kept
+    lam = np.array([3.0, -2.0, 2.0, 1.0, -1.0, 0.5, np.nextafter(2.0, 0.0), -2.5, 0.0, 1.5])
+    S = eigendecompose(np.diag(lam))
+    w, V = S.beyond(2.0)
+    assert w.tolist() == [-2.5, -2.0, 2.0, 3.0]
+    assert np.array_equal(np.abs(V), np.eye(lam.size)[:, [7, 1, 2, 0]])
+    assert S.beyond(0.0)[0].tolist() == sorted(lam.tolist())  # thr = 0 keeps every pair
+    assert S.beyond(np.inf)[0].size == 0
+    # a dense matrix: the kept pairs are those of a full solve, vectors up
+    # to sign
+    n = 40
+    Q = random_orthogonal(rng, n)
+    M = (Q * np.linspace(-9.0, 7.0, n)) @ Q.T
+    M = (M + M.T) / 2
+    w_all, V_all = np.linalg.eigh(M)
+    keep = np.abs(w_all) >= 4.0
+    w, V = eigendecompose(M).beyond(4.0)
+    assert np.max(np.abs(w - w_all[keep])) <= 1e-12
+    assert np.max(np.abs(np.abs(V.T @ V_all[:, keep]) - np.eye(keep.sum()))) <= 1e-10
 
 
 def test_block_reads_agree_in_any_order():
@@ -375,3 +403,22 @@ def test_top_k_idempotent_on_symmetric_input(rng):
     s2 = eigendecompose((M + M.T) / 2)
     assert np.array_equal(s1.top_k(2).U, s2.top_k(2).U)
     assert np.array_equal(s1.values, s2.values)
+
+
+def test_src_asks_eigh_for_no_full_decomposition_with_vectors():
+    # every scipy.linalg.eigh call in the package is a subset of the
+    # eigenpairs or eigenvalues only; reads past the top block go through
+    # one tridiagonal reduction instead
+    src = Path(graphcert.__file__).parent
+    calls = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "eigh":
+                keywords = {kw.arg: kw.value for kw in node.keywords}
+                only_values = isinstance(keywords.get("eigvals_only"), ast.Constant) and (
+                    keywords["eigvals_only"].value is True
+                )
+                subset = "subset_by_index" in keywords or "subset_by_value" in keywords
+                calls.append((path.name, node.lineno, only_values or subset))
+    assert calls, "no scipy.linalg.eigh call found"
+    assert [c for c in calls if not c[2]] == []

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from graphcert import (
@@ -119,6 +120,11 @@ def test_usvt_trivial_cases():
     assert np.all(usvt_denoise(eigendecompose(K), threshold_scale=1e9) == 0)
 
 
+def _usvt_threshold(A, threshold_scale):
+    n = A.shape[0]
+    return threshold_scale * math.sqrt(n * (float(A.sum()) / (n * (n - 1))))
+
+
 @pytest.mark.parametrize("threshold_scale", [2.02, 0.5, 1e9])
 def test_usvt_matches_numpy_product(threshold_scale):
     """P_hat comes from scipy's dgemm; numpy's matmul sums in another order,
@@ -128,10 +134,8 @@ def test_usvt_matches_numpy_product(threshold_scale):
     n = 1000
     S = eigendecompose(sample_adjacency(two_block_sbm(n, 0.3, 0.1), 5).A)
     P_hat = usvt_denoise(S, threshold_scale)
-    w, V = S.values, S.vectors
-    thr = threshold_scale * math.sqrt(n * (float(S.matrix.sum()) / (n * (n - 1))))
-    keep = np.abs(w) >= thr
-    ref = (V[:, keep] * w[keep]) @ V[:, keep].T
+    w, V = S.beyond(_usvt_threshold(S.matrix, threshold_scale))
+    ref = (V * w) @ V.T
     np.clip(ref, 0.0, 1.0, out=ref)
     ref = (ref + ref.T) / 2.0
     np.fill_diagonal(ref, 0.0)
@@ -139,6 +143,56 @@ def test_usvt_matches_numpy_product(threshold_scale):
     assert np.array_equal(P_hat, P_hat.T)
     assert np.all(np.diag(P_hat) == 0)
     assert P_hat.min() >= 0.0 and P_hat.max() <= 1.0
+
+
+def _usvt_full_decomposition(A, threshold_scale):
+    """The denoiser as it was before subset reads: every eigenpair of A from
+    one full ``evd`` solve, the pairs with |lambda| >= thr kept (all of them
+    when thr = 0). Returns P_hat and the number of pairs kept."""
+    w, V = scipy.linalg.eigh(A, driver="evd")
+    thr = _usvt_threshold(A, threshold_scale)
+    keep = np.abs(w) >= thr if thr > 0 else np.ones_like(w, dtype=bool)
+    P_hat = np.clip((V[:, keep] * w[keep]) @ V[:, keep].T, 0.0, 1.0)
+    P_hat = (P_hat + P_hat.T) / 2.0
+    np.fill_diagonal(P_hat, 0.0)
+    return P_hat, int(keep.sum())
+
+
+def _usvt_cases():
+    from graphcert.models import two_block_sbm
+
+    return {
+        "two_block_200": (sample_adjacency(two_block_sbm(200, 0.3, 0.1), 57).A, 2.02, 2),
+        "two_block_1000": (sample_adjacency(two_block_sbm(1000, 0.3, 0.1), 5).A, 2.02, 2),
+        # lambda_min ~ -45 lies below -thr ~ -15 and must be kept
+        "disassortative_200": (sample_adjacency(two_block_sbm(200, 0.05, 0.5), 8).A, 2.02, 2),
+        "empty_graph": (np.zeros((12, 12)), 2.02, 12),  # thr = 0 keeps every pair
+        "keeps_nothing": (sample_adjacency(two_block_sbm(200, 0.3, 0.1), 57).A, 1e9, 0),
+    }
+
+
+@pytest.mark.parametrize("case", list(_usvt_cases()))
+def test_usvt_denoise_matches_full_decomposition(case):
+    A, threshold_scale, kept = _usvt_cases()[case]
+    want, want_kept = _usvt_full_decomposition(A, threshold_scale)
+    S = eigendecompose(A)
+    got = usvt_denoise(S, threshold_scale)
+    w, _ = S.beyond(_usvt_threshold(A, threshold_scale))
+    assert w.size == want_kept == kept
+    assert np.max(np.abs(got - want)) <= 1e-12
+    if case == "disassortative_200":
+        assert w.min() < 0 < w.max()
+
+
+@pytest.mark.parametrize("threshold_scale", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_usvt_refuses_nonfinite_or_nonpositive_threshold_scale(sbm200, threshold_scale):
+    # a NaN scale used to pass `<= 0` and keep every pair, returning A; an
+    # infinite one returned the zero matrix
+    S = eigendecompose(sample_adjacency(sbm200, 57).A)
+    with pytest.raises(ValueError, match="threshold_scale"):
+        usvt_denoise(S, threshold_scale)
+    with pytest.raises(ValueError, match="threshold"):
+        S.beyond(math.nan)
 
 
 def test_usvt_recovers_flat_probability(rng):
@@ -658,30 +712,21 @@ def _eigensolver_route_config(route):
 
 
 @pytest.mark.parametrize(
-    "route,subset,full,values",
-    [("declared_katz", 1, 0, 0), ("usvt_eigenvector", 0, 1, 2),
-     ("parametric_eigenvector", 1, 0, 1)],
+    "route,subset,full,values,reduction",
+    [("declared_katz", 1, 0, 0, 0), ("usvt_eigenvector", 1, 0, 0, 2),
+     ("parametric_eigenvector", 2, 0, 0, 0)],
 )
-def test_eigensolver_call_counts(sbm200, eig_calls, route, subset, full, values):
-    # one top block of A serves every consumer, and the USVT route reads the
-    # full spectrum first, so it makes no block; values-only solves are for
-    # P_hat, A - P_hat and the parametric P, which is built and solved once
+def test_eigensolver_call_counts(sbm200, eig_calls, route, subset, full, values, reduction):
+    # one top block of A serves every consumer; the USVT route reduces A
+    # first (its kept pairs), so the reduction serves A's later reads and no
+    # block of A is made, then takes the top block of P_hat for its gap and
+    # reduces A - P_hat for two extreme eigenvalues; the parametric P is
+    # built once and its top block serves the gap and D3
     A = sample_adjacency(sbm200, 56)
     report = run_protocol(A, _eigensolver_route_config(route))
     assert {"subspace", "centrality_bands", "cluster", "filtration"} <= set(report.outputs)
-    assert eig_calls == {"subset": subset, "full": full, "values": values}
-
-
-def test_usvt_denoise_matches_direct_eigh(sbm200):
-    A = sample_adjacency(sbm200, 57)
-    M = A.A
-    w, V = np.linalg.eigh(M)
-    thr = 2.02 * math.sqrt(200 * float(M.sum()) / (200 * 199))
-    keep = np.abs(w) >= thr
-    P_hat = np.clip((V[:, keep] * w[keep]) @ V[:, keep].T, 0.0, 1.0)
-    P_hat = (P_hat + P_hat.T) / 2.0
-    np.fill_diagonal(P_hat, 0.0)
-    assert np.array_equal(usvt_denoise(eigendecompose(M), 2.02), P_hat)
+    assert eig_calls == {"subset": subset, "full": full, "values": values,
+                         "reduction": reduction}
 
 
 def _two_block_40():
