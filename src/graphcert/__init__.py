@@ -75,7 +75,6 @@ from .inference import (
     katz_modulus,
     nearest_center_round,
     perm_hamming_distance,
-    region_contains,
     rounding_error_bound,
     stability_certificate,
     subspace_region,
@@ -86,7 +85,6 @@ from .downstream import (
     distance_matrix,
     fair_optimize,
     feasibility_transfer_check,
-    filtration_envelope,
     logistic_decisions,
     parity_gap,
     ridge_risk,

@@ -1,8 +1,8 @@
 """Propagation of certified regions into downstream guarantees.
 
 Covers the in-sample ridge risk of spectral features, fairness-constrained
-logistic post-processing under a certified score band, and
-threshold-filtration envelopes of embedding rows. All
+logistic post-processing under a certified score band, and the
+threshold graphs of embedding rows around a filtration sandwich. All
 bounds are the deterministic inequalities behind the guarantees; the
 probability came earlier, from the region.
 """
@@ -33,8 +33,6 @@ __all__ = [
     "tradeoff_bounds",
     "distance_matrix",
     "threshold_snapshots",
-    "FiltrationReport",
-    "filtration_envelope",
 ]
 
 
@@ -266,7 +264,7 @@ def tradeoff_bounds(
 
 
 # ---------------------------------------------------------------------------
-# filtration envelopes
+# filtration snapshots
 
 def distance_matrix(X: np.ndarray) -> np.ndarray:
     """Exact pairwise Euclidean distances of embedding rows."""
@@ -298,104 +296,57 @@ def _mst_weights(D: np.ndarray) -> np.ndarray:
     return weights
 
 
-def _within(D: np.ndarray, t: float) -> np.ndarray:
-    """Pairs at distance <= t, diagonal included; a negative (or NaN)
-    threshold gives the empty graph by convention."""
-    return D <= t if t >= 0 else np.zeros(D.shape, dtype=bool)
-
-
-def _off_diagonal(mask: np.ndarray) -> int:
-    """Number of unordered pairs i < j set in a symmetric mask."""
-    return (np.count_nonzero(mask) - np.count_nonzero(mask.diagonal())) // 2
-
-
 @dataclass(frozen=True)
 class ThresholdSnapshot:
     t: float
-    lower_included: bool   # G_{t-2eta}(X) subseteq G_t(Y)
-    upper_included: bool   # G_t(Y) subseteq G_{t+2eta}(X)
-    edges_lower: int       # |E(G_{t-2eta}(X))|
-    edges_point: int       # |E(G_t(Y))|
-    edges_upper: int       # |E(G_{t+2eta}(X))|
+    edges_lower: int       # |E(G_{t-2eta})|
+    edges_point: int       # |E(G_t)|
+    edges_upper: int       # |E(G_{t+2eta})|
     components_lower: int
     components_point: int
     components_upper: int
 
 
-def threshold_snapshots(DX: np.ndarray, DY: np.ndarray, eta: float, t_grid) -> tuple:
+def threshold_snapshots(D: np.ndarray, eta: float, t_grid) -> tuple:
     """One :class:`ThresholdSnapshot` per grid threshold t.
 
-    Compares G_{t-2eta} and G_{t+2eta} of the distance matrix DX with G_t
-    of DY; passing the same matrix twice gives the shifted snapshots of one
-    embedding. Both matrices must be exactly symmetric. Component counts
-    come from one minimum spanning tree per matrix: G_t has
-    n - #{tree edges of weight <= t} components (single linkage), exactly,
-    for any such tree, ties and zero distances included.
+    Reports G_{t-2eta}, G_t and G_{t+2eta} of one exactly symmetric
+    distance matrix D; a negative (or NaN) threshold gives the empty graph.
+    An edge count is the off-diagonal entries <= s, halved: one comparison
+    pass per threshold. Component counts come from one minimum spanning
+    tree: G_s has n - #{tree edges of weight <= s} components (single
+    linkage), exactly, for any such tree, ties and zero distances included.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size == 0:
         return ()
-    n = DX.shape[0]
-    if DX.shape != (n, n) or DY.shape != (n, n):
-        raise ShapeMismatch("distance matrices must be square and share a shape")
-    for D in (DX, DY) if DY is not DX else (DX,):
-        if not np.array_equal(D, D.T):
-            raise NotSymmetric("distance matrix must be symmetric and free of NaN")
-    tree_x = _mst_weights(DX)
-    tree_y = tree_x if DY is DX else _mst_weights(DY)
+    n = D.shape[0]
+    if D.shape != (n, n):
+        raise ShapeMismatch("distance matrix must be square")
+    if not np.array_equal(D, D.T):
+        raise NotSymmetric("distance matrix must be symmetric and free of NaN")
+    tree = _mst_weights(D)
 
-    def components(tree: np.ndarray, t: float) -> int:
-        return n - int(np.searchsorted(tree, t, side="right")) if t >= 0 else n
+    def edges(s: float) -> int:
+        if not s >= 0:
+            return 0
+        return (int(np.count_nonzero(D <= s)) - int(np.count_nonzero(D.diagonal() <= s))) // 2
+
+    def components(s: float) -> int:
+        return n - int(np.searchsorted(tree, s, side="right")) if s >= 0 else n
 
     snapshots = []
     for t in t_grid:
         lo, hi = t - 2.0 * eta, t + 2.0 * eta
-        low, mid, high = _within(DX, lo), _within(DY, t), _within(DX, hi)
         snapshots.append(
             ThresholdSnapshot(
                 t=float(t),
-                lower_included=_off_diagonal(low & ~mid) == 0,
-                upper_included=_off_diagonal(mid & ~high) == 0,
-                edges_lower=_off_diagonal(low),
-                edges_point=_off_diagonal(mid),
-                edges_upper=_off_diagonal(high),
-                components_lower=components(tree_x, lo),
-                components_point=components(tree_y, t),
-                components_upper=components(tree_x, hi),
+                edges_lower=edges(lo),
+                edges_point=edges(t),
+                edges_upper=edges(hi),
+                components_lower=components(lo),
+                components_point=components(t),
+                components_upper=components(hi),
             )
         )
     return tuple(snapshots)
-
-
-@dataclass(frozen=True)
-class FiltrationReport:
-    eta: float          # max rowwise embedding error
-    d_filt: float       # max-abs entry of D(X) - D(Y)
-    inequality_ok: bool  # d_filt <= 2 eta
-    snapshots: tuple    # one ThresholdSnapshot per grid threshold
-
-
-def filtration_envelope(X: np.ndarray, Y: np.ndarray, t_grid) -> FiltrationReport:
-    """Sandwich G_{t-2eta}(X) <= G_t(Y) <= G_{t+2eta}(X) over a threshold grid.
-
-    eta is the max rowwise distance between the embeddings, d_filt the
-    max-abs entry of the distance-matrix difference; d_filt <= 2 eta is
-    verified, and both inclusions are checked at every grid threshold.
-    Edge and component counts at the shifted thresholds are reported as
-    demonstration functionals (no Lipschitz claim is made for them).
-    """
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    if X.shape != Y.shape:
-        raise ShapeMismatch("embeddings must share a shape")
-    n = X.shape[0]
-    eta = float(np.max(np.linalg.norm(X - Y, axis=1))) if n else 0.0
-    DX = distance_matrix(X)
-    DY = distance_matrix(Y)
-    d_filt = float(np.max(np.abs(DX - DY))) if n else 0.0
-    return FiltrationReport(
-        eta=eta,
-        d_filt=d_filt,
-        inequality_ok=bool(d_filt <= 2.0 * eta + 1e-12),
-        snapshots=threshold_snapshots(DX, DY, eta, t_grid),
-    )

@@ -37,14 +37,12 @@ from .linalg import (
     Spectrum,
     _orthogonal_procrustes,
     frobenius_subspace_bound,
-    grassmann_distance,
 )
 from .models import Envelope
 
 __all__ = [
     "SubspaceRegion",
     "subspace_region",
-    "region_contains",
     "nearest_center_round",
     "center_separation",
     "perm_hamming_distance",
@@ -70,7 +68,6 @@ __all__ = [
 ]
 
 TIE_TOLERANCE = 1e-12  # scores closer than this are reported as ties
-CONTAIN_TOL = 1e-12    # float guard for membership at the boundary
 KMEANS_RESTARTS = 50   # deterministic K-means restarts, one per seed row
 LLOYD_ITERS = 100      # most assignments one K-means restart makes
 TOP_GAP_TOL = 1e-10    # a top gap below this, relative to |lam1|, is degenerate
@@ -116,13 +113,6 @@ def subspace_region(
         informative=dk.informative,
         quantile=quant,
     )
-
-
-def region_contains(U: OrthonormalBasis, region: SubspaceRegion) -> bool:
-    """Membership test, rotation-invariant in both arguments."""
-    if (U.n, U.k) != (region.center.n, region.center.k):
-        raise ShapeMismatch("basis shape does not match the region center")
-    return grassmann_distance(U, region.center) <= region.radius + CONTAIN_TOL
 
 
 # ---------------------------------------------------------------------------

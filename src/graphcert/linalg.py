@@ -175,7 +175,6 @@ class Spectrum:
     - ``radius`` of a matrix with a negative entry (for a nonnegative one
       it is the largest eigenvalue, by Perron-Frobenius), from the two
       extreme eigenvalues of T;
-    - ``values``, every eigenvalue of T (``dsterf``);
     - any read when ``n <= TOP_BLOCK``, where the block would be all of it.
 
     No read computes every eigenvector unless it asks for all of them. The
@@ -188,7 +187,6 @@ class Spectrum:
         self._block = None    # descending values and their vectors, the top block
         self._reduced = None  # reflectors, their scales and T's diagonals
         self._top = None      # descending pairs read from T, the largest read so far
-        self._values = None   # ascending eigenvalues of T
 
     @property
     def n(self) -> int:
@@ -227,16 +225,6 @@ class Spectrum:
             )
             _check_lapack("dormqr", info)
         return w, Z
-
-    @property
-    def values(self) -> np.ndarray:
-        """All eigenvalues, ascending, from T by ``dsterf``."""
-        if self._values is None:
-            _, _, d, e = self._reduction()
-            w = scipy.linalg.eigh_tridiagonal(d, e, eigvals_only=True, lapack_driver="sterf")
-            w.setflags(write=False)
-            self._values = w
-        return self._values
 
     def _pairs(self, m: int) -> tuple[np.ndarray, np.ndarray]:
         """Descending values and their vectors as columns, read-only: the

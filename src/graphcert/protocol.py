@@ -177,7 +177,10 @@ class FiltrationConfig:
     t_grid: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "t_grid", real_tuple("t_grid", self.t_grid))
+        t_grid = real_tuple("t_grid", self.t_grid)
+        for t in t_grid:
+            require_finite(t_grid=t)
+        object.__setattr__(self, "t_grid", t_grid)
 
 
 @dataclass(frozen=True)
@@ -629,16 +632,11 @@ def run_protocol(A: AdjacencyMatrix, config: ProtocolConfig) -> DiagnosticReport
                                  "detail": f"c_row * radius = {eta!r}"})
             else:
                 D = distance_matrix(region.center.U)
-                # one embedding on both sides: the inclusion flags hold trivially
-                snaps = [
-                    {key: val for key, val in asdict(snap).items()
-                     if not key.endswith("_included")}
-                    for snap in threshold_snapshots(D, D, eta, config.filtration.t_grid)
-                ]
+                snaps = threshold_snapshots(D, eta, config.filtration.t_grid)
                 outputs["filtration"] = {
                     "eta": eta,
                     "t_grid": list(config.filtration.t_grid),
-                    "snapshots": snaps,
+                    "snapshots": [asdict(s) for s in snaps],
                     "note": "population threshold graphs are sandwiched between "
                             "the lower and upper snapshots on the region event",
                 }

@@ -4,8 +4,9 @@ The coverage harness samples seeded replications from a known model, runs
 :func:`run_protocol` on each sample with oracle certificates computed from
 the true P (or declared ones, to test robustness to over-declared
 envelopes), scores the report's outputs against ground truth, and audits
-every implemented deterministic inequality on every sample with zero
-tolerance for violations beyond floating-point slack.
+the Davis-Kahan, rounding, selection-stability, ridge-risk and fairness
+inequalities on every sample with zero tolerance for violations beyond
+floating-point slack.
 
 The counterexamples are constructive: a tie at the top-m threshold is
 flipped by an arbitrarily small perturbation, and an eigenvalue collision
@@ -25,7 +26,6 @@ from .errors import NoTiePresent, OutsideDomain, TooSmall
 from .concentration import davis_kahan_radius, deviation_quantile, variance_proxy
 from .downstream import (
     feasibility_transfer_check,
-    filtration_envelope,
     logistic_decisions,
     parity_gap,
     ridge_risk,
@@ -33,7 +33,6 @@ from .downstream import (
     tradeoff_bounds,
 )
 from .inference import (
-    CONTAIN_TOL,
     CentralityBand,
     center_separation,
     eigenvector_centrality,
@@ -85,12 +84,11 @@ __all__ = [
 ]
 
 ALL_CLAIMS = ("deviation", "subspace", "cluster", "centrality")
-# claim -> the report output that states it, and {extra key: output key}
+# claim -> the report output that states it, and the keys of it kept in extra
 _CLAIM_OUTPUTS = {
-    "subspace": ("subspace", {"radius": "radius", "informative": "informative"}),
-    "cluster": ("cluster", {"hamming_radius": "hamming_radius", "route": "radius_route",
-                            "margin": "margin"}),
-    "centrality": ("centrality_bands", {"half_width": "half_width"}),
+    "subspace": ("subspace", ("radius", "informative")),
+    "cluster": ("cluster", ("hamming_radius", "radius_route", "margin")),
+    "centrality": ("centrality_bands", ("half_width",)),
 }
 AUDITS = (
     "davis_kahan",
@@ -100,9 +98,9 @@ AUDITS = (
     "ridge_risk",
     "fairness_transfer",
     "fairness_tradeoff",
-    "filtration",
 )
 _AUDIT_TOL = 1e-9
+CONTAIN_TOL = 1e-12  # float guard for subspace-region membership at the boundary
 # fixed audit parameters: selection size, ridge penalty, fairness temperature
 _SELECTION_M = 1
 _RIDGE_LAMBDA = 1.0
@@ -322,9 +320,9 @@ def coverage_experiment(
             if not audit and not evaluated & _CLAIM_OUTPUTS.keys():
                 protocol = None  # no later report would be read
         for name in evaluated & _CLAIM_OUTPUTS.keys():
-            output, fields = _CLAIM_OUTPUTS[name]
+            output, keys = _CLAIM_OUTPUTS[name]
             if not extra[name] and output in outputs:
-                extra[name] = {key: outputs[output][src] for key, src in fields.items()}
+                extra[name] = {key: outputs[output][key] for key in keys}
 
         dev = None
         if "deviation" in config.claims or audit:
@@ -413,9 +411,6 @@ def coverage_experiment(
             d_b = logistic_decisions(scores_hat, s_attr, _FAIRNESS_TAU, [med + shift, med + shift])
             tradeoff = tradeoff_bounds(d_a, d_b, y01, _FAIRNESS_TAU, shift)
             tally("fairness_tradeoff", tradeoff.l2_exceeded or tradeoff.shift_exceeded)
-
-        filt = filtration_envelope(aligned.U, U_star.U, ())
-        tally("filtration", filt.d_filt > 2.0 * filt.eta + _AUDIT_TOL)
 
     if refused_at_observation:
         extra["centrality"]["refused_at_observation"] = refused_at_observation

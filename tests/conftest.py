@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 from hypothesis import example, settings
 
-from graphcert import two_block_sbm
+from graphcert import distance_matrix, two_block_sbm
 
 # Property tests draw the same examples on every run and have no deadline,
 # so tier-1 results depend neither on the example database nor on load.
@@ -35,6 +35,23 @@ def random_orthonormal(rng, n, k):
 def random_orthogonal(rng, k):
     Q, R = np.linalg.qr(rng.normal(size=(k, k)))
     return Q * np.sign(np.diag(R))
+
+
+def filtration_sandwich(X, Y, t_grid):
+    """The two-embedding filtration sandwich, checked on distance masks.
+
+    Returns eta, the largest rowwise distance between X and Y; d_filt, the
+    largest entry of |D(X) - D(Y)|; and per threshold t the pair (G_{t-2eta}(X)
+    within G_t(Y), G_t(Y) within G_{t+2eta}(X)) as edge-set inclusions.
+    """
+    eta = float(np.max(np.linalg.norm(X - Y, axis=1)))
+    DX, DY = distance_matrix(X), distance_matrix(Y)
+    d_filt = float(np.max(np.abs(DX - DY)))
+    included = [
+        (bool(np.all((DY <= t)[DX <= t - 2 * eta])), bool(np.all((DX <= t + 2 * eta)[DY <= t])))
+        for t in t_grid
+    ]
+    return eta, d_filt, included
 
 
 @pytest.fixture()

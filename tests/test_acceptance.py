@@ -30,9 +30,11 @@ from graphcert import (
     two_block_sbm,
     two_block_spectrum,
 )
-from graphcert.downstream import filtration_envelope, logistic_decisions, parity_gap, quadratic_loss
+from graphcert.downstream import logistic_decisions, parity_gap, quadratic_loss
 from graphcert.protocol import config_from_dict
 from graphcert.simulation import CoverageConfig
+
+from conftest import filtration_sandwich
 
 OK = "ACCEPTANCE {} PASS: {}"
 
@@ -179,7 +181,7 @@ def test_criterion_07_clustering(strong_cluster_run):
     threshold = 0.9 - 3 * math.sqrt(0.09 / 200)
     assert claim.evaluated and not claim.refused
     assert claim.extra["hamming_radius"] < 600  # nonvacuous by construction
-    assert claim.extra["route"] == "uniform_rowwise"
+    assert claim.extra["radius_route"] == "uniform_rowwise"
     assert claim.coverage >= threshold
 
     # Lemma-style uniform branch: row error < Delta/4 forces exact recovery
@@ -302,10 +304,9 @@ def test_criterion_09_downstream_inequalities():
     for _ in range(1000):
         X = rng.normal(size=(10, 2))
         Y = X + rng.normal(scale=0.15, size=(10, 2))
-        report = filtration_envelope(X, Y, [0.5, 1.5])
-        assert report.d_filt <= 2 * report.eta + 1e-12
-        for snap in report.snapshots:
-            assert snap.lower_included and snap.upper_included
+        eta, d_filt, included = filtration_sandwich(X, Y, [0.5, 1.5])
+        assert d_filt <= 2 * eta + 1e-12
+        assert all(lower and upper for lower, upper in included)
     elapsed = time.monotonic() - start
     assert elapsed < 60.0
     print(OK.format(9, f"ridge/fairness/trade-off/filtration: 0 violations ({elapsed:.1f}s)"))

@@ -16,7 +16,6 @@ from graphcert import (
     distance_matrix,
     fair_optimize,
     feasibility_transfer_check,
-    filtration_envelope,
     grassmann_distance,
     logistic_decisions,
     parity_gap,
@@ -28,7 +27,7 @@ from graphcert import (
 from graphcert import downstream
 from graphcert.downstream import ThresholdSnapshot, quadratic_loss
 
-from conftest import random_orthonormal
+from conftest import filtration_sandwich, random_orthonormal
 
 
 def test_ridge_risk_in_span():
@@ -333,22 +332,22 @@ def test_distance_matrix_matches_pairwise(rng):
 
 def test_filtration_identity_case(rng):
     X = rng.normal(size=(10, 2))
-    report = filtration_envelope(X, X, [0.5, 1.0, 2.0])
-    assert report.eta == 0.0
-    assert report.d_filt == 0.0
-    for snap in report.snapshots:
-        assert snap.lower_included and snap.upper_included
+    eta, d_filt, included = filtration_sandwich(X, X, [0.5, 1.0, 2.0])
+    assert eta == 0.0
+    assert d_filt == 0.0
+    assert all(lower and upper for lower, upper in included)
+    for snap in threshold_snapshots(distance_matrix(X), eta, [0.5, 1.0, 2.0]):
         assert snap.edges_lower == snap.edges_point == snap.edges_upper
 
 
 def test_filtration_translation_invariance(rng):
     X = rng.normal(size=(10, 2))
     Y = X + np.array([5.0, -3.0])
-    report = filtration_envelope(X, Y, [1.0])
-    assert report.d_filt < 1e-10  # distances unchanged
-    assert report.eta > 1.0       # rows moved a lot
-    assert report.inequality_ok
-    assert report.snapshots[0].lower_included and report.snapshots[0].upper_included
+    eta, d_filt, included = filtration_sandwich(X, Y, [1.0])
+    assert d_filt < 1e-10  # distances unchanged
+    assert eta > 1.0       # rows moved a lot
+    assert d_filt <= 2 * eta + 1e-12
+    assert included == [(True, True)]
 
 
 def test_filtration_random_perturbations(rng):
@@ -356,28 +355,32 @@ def test_filtration_random_perturbations(rng):
     for _ in range(1000):
         X = rng.normal(size=(8, 2))
         Y = X + rng.normal(scale=0.2, size=(8, 2))
-        report = filtration_envelope(X, Y, [])
-        assert report.d_filt <= 2 * report.eta + 1e-12
-        assert report.inequality_ok
+        eta, d_filt, _ = filtration_sandwich(X, Y, [])
+        assert d_filt <= 2 * eta + 1e-12
 
 
 def test_filtration_sandwich_on_grid(rng):
+    # the inequality behind the report's note: an embedding Y within rowwise
+    # distance eta of X has G_t(Y) between X's lower and upper snapshots
+    t_grid = np.linspace(0.0, 4.0, 9)
     for _ in range(50):
         X = rng.normal(size=(12, 3))
         Y = X + rng.normal(scale=0.1, size=(12, 3))
-        report = filtration_envelope(X, Y, np.linspace(0.0, 4.0, 9))
-        for snap in report.snapshots:
-            assert snap.lower_included
-            assert snap.upper_included
-            assert snap.edges_lower <= snap.edges_point <= snap.edges_upper
+        eta, _, included = filtration_sandwich(X, Y, t_grid)
+        assert all(lower and upper for lower, upper in included)
+        around_x = threshold_snapshots(distance_matrix(X), eta, t_grid)
+        at_y = threshold_snapshots(distance_matrix(Y), 0.0, t_grid)
+        for sx, sy in zip(around_x, at_y):
+            assert sx.edges_lower <= sy.edges_point <= sx.edges_upper
+            assert sx.components_lower >= sy.components_point >= sx.components_upper
 
 
-def _brute_force_snapshots(DX, DY, eta, t_grid):
+def _brute_force_snapshots(D, eta, t_grid):
     """The definition: one upper-triangular edge mask per threshold graph
     (negative thresholds give the empty graph) and its connected components."""
-    n = DX.shape[0]
+    n = D.shape[0]
 
-    def edges(D, t):
+    def edges(t):
         mask = np.triu(D <= t, k=1)
         if t < 0:
             mask[:] = False
@@ -390,13 +393,9 @@ def _brute_force_snapshots(DX, DY, eta, t_grid):
 
     snapshots = []
     for t in np.asarray(t_grid, dtype=float):
-        low = edges(DX, t - 2.0 * eta)
-        mid = edges(DY, t)
-        high = edges(DX, t + 2.0 * eta)
+        low, mid, high = edges(t - 2.0 * eta), edges(t), edges(t + 2.0 * eta)
         snapshots.append(ThresholdSnapshot(
             t=float(t),
-            lower_included=bool(np.all(mid[low])),
-            upper_included=bool(np.all(high[mid])),
             edges_lower=int(low.sum()),
             edges_point=int(mid.sum()),
             edges_upper=int(high.sum()),
@@ -412,8 +411,9 @@ _ONE_DECIMAL = st.integers(-20, 20).map(lambda v: v / 10.0)
 
 @st.composite
 def _filtration_cases(draw):
-    """Rows on a one-decimal grid (exact distance ties), some duplicated
-    (zero distances); Y is X itself or a one-decimal perturbation of it."""
+    """Distances of rows on a one-decimal grid (exact distance ties), some
+    duplicated (zero distances), at times with a nonzero diagonal, which is
+    no edge; and a shift eta."""
     n = draw(st.integers(0, 7))
     k = draw(st.integers(1, 3))
     X = np.array(
@@ -423,28 +423,22 @@ def _filtration_cases(draw):
         for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
                                   max_size=3)):
             X[i] = X[j]
-    DX = distance_matrix(X)
+    D = distance_matrix(X)
     if draw(st.booleans()):
-        DY = DX
-    else:
-        shift = np.array(
-            draw(st.lists(_ONE_DECIMAL, min_size=n * k, max_size=n * k)), dtype=float
-        ).reshape(n, k)
-        DY = distance_matrix(X + shift / 4.0)
+        D[np.diag_indices(n)] = draw(st.lists(_ONE_DECIMAL, min_size=n, max_size=n))
     eta = draw(st.sampled_from([0.0, 0.05, 0.1, 0.35]))
-    return DX, DY, eta
+    return D, eta
 
 
 @settings(max_examples=60)
 @given(case=_filtration_cases())
 def test_threshold_snapshots_match_brute_force(case):
-    DX, DY, eta = case
+    D, eta = case
     # every pairwise distance is a threshold, so every tree weight is one,
     # also after the shift by 2 eta; negative and zero thresholds too
-    dists = np.unique(np.concatenate([DX[np.triu_indices_from(DX, 1)],
-                                      DY[np.triu_indices_from(DY, 1)]]))
+    dists = np.unique(D[np.triu_indices_from(D, 1)])
     t_grid = np.concatenate([[-0.3, -0.0, 0.0], dists, dists + 2.0 * eta, dists - 2.0 * eta])
-    assert threshold_snapshots(DX, DY, eta, t_grid) == _brute_force_snapshots(DX, DY, eta, t_grid)
+    assert threshold_snapshots(D, eta, t_grid) == _brute_force_snapshots(D, eta, t_grid)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2])
@@ -452,8 +446,8 @@ def test_threshold_snapshots_tiny_graphs(n):
     X = np.zeros((n, 2))  # n = 2: a duplicated row, distance 0
     D = distance_matrix(X)
     t_grid = [-1.0, 0.0, 1.0]
-    got = threshold_snapshots(D, D, 0.0, t_grid)
-    assert got == _brute_force_snapshots(D, D, 0.0, t_grid)
+    got = threshold_snapshots(D, 0.0, t_grid)
+    assert got == _brute_force_snapshots(D, 0.0, t_grid)
     assert [s.components_point for s in got] == [n, 1 if n else 0, 1 if n else 0]
 
 
@@ -466,16 +460,13 @@ def test_threshold_snapshots_empty_grid_builds_no_tree(monkeypatch, rng):
 
     tree = downstream._mst_weights
     monkeypatch.setattr(downstream, "_mst_weights", counted)
-    X = rng.normal(size=(30, 2))
-    Y = X + rng.normal(scale=0.1, size=(30, 2))
-    D = distance_matrix(X)
-    assert threshold_snapshots(D, D, 0.1, ()) == ()
-    assert filtration_envelope(X, Y, ()).snapshots == ()
+    D = distance_matrix(rng.normal(size=(30, 2)))
+    assert threshold_snapshots(D, 0.1, ()) == ()
     assert calls == []
-    threshold_snapshots(D, D, 0.1, [0.5, 1.0])
-    assert len(calls) == 1  # one tree serves both sides of one embedding
-    filtration_envelope(X, Y, [0.5, 1.0])
-    assert len(calls) == 3
+    threshold_snapshots(D, 0.1, [0.5, 1.0])
+    assert len(calls) == 1  # one tree serves every threshold of one call
+    threshold_snapshots(D, 0.1, [0.5])
+    assert len(calls) == 2
 
 
 def test_threshold_snapshots_refuse_asymmetric_or_nan():
@@ -483,12 +474,10 @@ def test_threshold_snapshots_refuse_asymmetric_or_nan():
     bent = D.copy()
     bent[0, 1] += 1e-12
     with pytest.raises(NotSymmetric):
-        threshold_snapshots(bent, bent, 0.0, [1.0])
-    with pytest.raises(NotSymmetric):
-        threshold_snapshots(D, bent, 0.0, [1.0])
+        threshold_snapshots(bent, 0.0, [1.0])
     holed = D.copy()
     holed[0, 2] = holed[2, 0] = np.nan
     with pytest.raises(NotSymmetric):
-        threshold_snapshots(holed, holed, 0.0, [1.0])
+        threshold_snapshots(holed, 0.0, [1.0])
     with pytest.raises(ShapeMismatch):
-        threshold_snapshots(D, D[:2, :2], 0.0, [1.0])
+        threshold_snapshots(D[:2], 0.0, [1.0])

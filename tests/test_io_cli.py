@@ -311,6 +311,21 @@ def test_cli_nan_fairness_target_exit_code(tmp_path):
     assert not out.exists()
 
 
+def test_cli_non_finite_filtration_threshold_exit_code(tmp_path, capsys):
+    # Python's json reads NaN and Infinity; neither is a threshold
+    graph = _write_two_block_40(tmp_path)
+    config = tmp_path / "grid.json"
+    config.write_text(
+        '{"k": 2, "envelope": {"d_max": 10, "gap": 5}, "clustering": {"delta": 0.3, '
+        '"c_row": 0.01}, "filtration": {"t_grid": [NaN, Infinity]}}', encoding="utf-8"
+    )
+    out = tmp_path / "r.json"
+    code = main(["certify", "--graph", str(graph), "--config", str(config), "--out", str(out)])
+    assert code == 1
+    assert "declared t_grid must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_overflowing_declared_centers_exit_code(tmp_path, capsys):
     # rows of an orthonormal basis have norm <= 1; centers far outside are
     # refused when the config is parsed, before any alignment overflows

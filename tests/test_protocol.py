@@ -582,7 +582,7 @@ def test_report_and_coverage_key_order_is_pinned(sbm200):
     assert list(cov["claims"]) == ["deviation", "subspace", "cluster", "centrality"]
     assert list(cov["claims"]["cluster"]) == ["replications", "hits", "coverage", "evaluated",
                                               "refused", "reason", "extra"]
-    assert list(cov["claims"]["cluster"]["extra"]) == ["hamming_radius", "route", "margin"]
+    assert list(cov["claims"]["cluster"]["extra"]) == ["hamming_radius", "radius_route", "margin"]
     assert list(cov["audits"]["davis_kahan"]) == ["trials", "violations"]
 
 
@@ -683,6 +683,15 @@ def test_declared_values_must_be_finite(cls, base, field, value):
     cls(**base)  # the base declaration itself is valid
     with pytest.raises(ValueError, match=f"declared {field} must be finite"):
         cls(**{**base, field: value})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_filtration_thresholds_must_be_finite(value):
+    # a non-finite threshold would be written as a snapshot of the empty graph
+    doc = full_config_doc()
+    doc["filtration"]["t_grid"] = [0.1, value]
+    with pytest.raises(ValueError, match="declared t_grid must be finite"):
+        config_from_dict(doc)
 
 
 def _eigensolver_route_config(route):

@@ -100,7 +100,7 @@ def test_uniform_rounding_audit_fires_on_strong_signal():
     audit = result.audits["rounding_uniform"]
     assert audit.trials >= 1
     assert audit.violations == 0
-    assert result.claims["cluster"].extra["route"] == "uniform_rowwise"
+    assert result.claims["cluster"].extra["radius_route"] == "uniform_rowwise"
 
 
 @pytest.mark.parametrize("alpha", [0.05, 0.2])
@@ -310,7 +310,7 @@ def test_harness_extra_matches_report_functions(n, mode, c_row):
     )
     assert extra["subspace"]["radius"] == region.radius
     assert extra["cluster"]["hamming_radius"] == creg.hamming_radius
-    assert extra["cluster"]["route"] == creg.radius_route
+    assert extra["cluster"]["radius_route"] == creg.radius_route
     assert extra["centrality"]["half_width"] == band.half_width
     if c_row == 5.0 and n == 200:
         assert creg.hamming_radius == n and creg.radius_route == "uniform_rowwise"
@@ -332,7 +332,7 @@ _WORKED_AUDITS = {
     "davis_kahan": (40, 0), "rounding_uniform": (0, 0),
     "rounding_mean_square": (40, 0), "selection_stability": (0, 0),
     "ridge_risk": (40, 0), "fairness_transfer": (120, 0),
-    "fairness_tradeoff": (40, 0), "filtration": (40, 0),
+    "fairness_tradeoff": (40, 0),
 }
 
 
@@ -350,7 +350,7 @@ _WORKED_AUDITS = {
          {"davis_kahan": (20, 0), "rounding_uniform": (20, 0),
           "rounding_mean_square": (20, 0), "selection_stability": (20, 0),
           "ridge_risk": (20, 0), "fairness_transfer": (60, 0),
-          "fairness_tradeoff": (20, 0), "filtration": (20, 0)}),
+          "fairness_tradeoff": (20, 0)}),
     ],
 )
 def test_coverage_counts_pinned(model_name, config_kwargs, reps, joint, claim_hits, audits):
