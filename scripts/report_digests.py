@@ -8,11 +8,12 @@ certify`` end to end: for two of the configs the sampled graph is written
 as an edge-list file and the report file the CLI writes is digested, so the
 edge-list reader and the report writer are covered too. ``kmeans_k3``
 clusters the top-3 embedding into three groups, so K-means is digested
-with more than two clusters as well. Two checkouts
-whose lines all agree write byte-identical results on it. graphcert is
-imported from whatever ``PYTHONPATH`` names; run the script once per
-checkout and ``diff`` the outputs. It uses only long-standing public API
-(``config_from_dict``, ``run_protocol``, ``report_to_json``,
+with more than two clusters as well, and ``parametric_disassortative``
+declares a spec whose exact 2-gap is 0, so its D2 refusal is digested.
+Two checkouts whose lines all agree write byte-identical results on it.
+graphcert is imported from whatever ``PYTHONPATH`` names; run the script
+once per checkout and ``diff`` the outputs. It uses only long-standing
+public API (``config_from_dict``, ``run_protocol``, ``report_to_json``,
 ``CoverageConfig``, ``coverage_experiment``, ``cli.main``), so it also runs
 on older checkouts. Each line is ``<sha256>  <artifact name>``; to compare
 the artifacts themselves, import the script and iterate ``artifacts()``.
@@ -85,6 +86,14 @@ def _report_configs(n: int) -> dict:
             "clustering": {"delta": delta},
             "selection_m": 3,
             "filtration": {"t_grid": T_GRID},
+        },
+        # lambda_2 = lambda_3 = -0.1 with multiplicity n - 2: the parametric
+        # 2-gap is exactly 0, so D2 is refused
+        "parametric_disassortative": {
+            "k": 2, "alpha": 0.1,
+            "envelope": {"d_max": d_max},
+            "parametric_spec": {"type": "sbm", "labels": labels,
+                                "B": [[P_OUT, P_IN], [P_IN, P_OUT]]},
         },
         "parametric_eigenvector": {
             "k": 2, "alpha": 0.1,

@@ -20,14 +20,12 @@ from .errors import (
     NonpositiveGap,
     NonpositiveMargin,
     NotSymmetric,
-    NoTiePresent,
     OddN,
     OutOfRangeProbability,
     OutsideDomain,
     QuantileOverflow,
     ShapeMismatch,
     TooManyNodes,
-    TooSmall,
     UnsupportedSpec,
 )
 from .models import (
@@ -102,10 +100,7 @@ from .protocol import (
 from .simulation import (
     CoverageConfig,
     CoverageResult,
-    collision_instance,
     coverage_experiment,
-    modulus_audit,
-    tie_counterexample,
 )
 
 __version__ = "0.1.0"

@@ -118,15 +118,7 @@ class InsufficientTolerance(GraphCertError):
 
 
 # ---------------------------------------------------------------------------
-# protocol / simulation
+# protocol
 
 class UnsupportedSpec(GraphCertError):
     """A parametric gap certificate is only computed for SBM specs."""
-
-
-class TooSmall(GraphCertError):
-    """Collision construction needs n >= 2k + 2."""
-
-
-class NoTiePresent(GraphCertError):
-    """The tie counterexample needs at least two admissible top-m sets."""

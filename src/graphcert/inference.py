@@ -70,7 +70,6 @@ __all__ = [
 TIE_TOLERANCE = 1e-12  # scores closer than this are reported as ties
 KMEANS_RESTARTS = 50   # deterministic K-means restarts, one per seed row
 LLOYD_ITERS = 100      # most assignments one K-means restart makes
-TOP_GAP_TOL = 1e-10    # a top gap below this, relative to |lam1|, is degenerate
 MAX_SETS = 10000       # admissible top-m sets listed before the list is cut
 
 
@@ -461,15 +460,16 @@ def eigenvector_centrality(S: Spectrum) -> tuple[np.ndarray, float]:
     """Unit top eigenvector with nonnegative ones-alignment, plus its gap.
 
     Requires a simple top eigenvalue: the observed gamma = lam1 - lam2 =
-    ``S.gap(1)`` must exceed ``TOP_GAP_TOL`` (scaled by the spectral size),
-    and gamma is returned for the perturbation modulus 2/gamma.
+    ``S.gap(1)`` must be positive, and ``Spectrum.gap`` reads a gap within
+    the tie tolerance as 0. gamma is returned for the perturbation modulus
+    2/gamma.
     """
     gamma = S.gap(1)
-    lam, V = S.top(1)
-    if gamma <= TOP_GAP_TOL * max(1.0, abs(lam[0])):
+    if gamma <= 0:
         raise DegenerateTopEigenvalue(
-            f"top eigenvalue gap {gamma} below tolerance"
+            f"top eigenvalue gap {gamma} is within the tie tolerance"
         )
+    _, V = S.top(1)
     v = V[:, 0].copy()  # a read-only view of the spectrum's vectors
     s = float(v.sum())
     if s < 0:

@@ -290,9 +290,13 @@ class Spectrum:
             raise KOutOfRange(f"k = {k} must lie in [1, {self.n - 1}]")
 
     def gap(self, k: int) -> float:
-        """The k-gap of the descending spectrum, see :func:`eigengap`."""
+        """The k-gap of the descending spectrum, see :func:`eigengap`; 0.0
+        when it is within the tie tolerance of :meth:`top_k`, where a
+        computed gap is rounding noise."""
         self._check_k(k)
-        return eigengap(self._pairs(k + 1)[0], k)
+        w = self._pairs(k + 1)[0]
+        gap = eigengap(w, k)
+        return gap if gap > _tie_tol(w) else 0.0
 
     def top_k(self, k: int) -> OrthonormalBasis:
         """Basis of the k largest eigenvalues, signs and ties fixed by

@@ -91,7 +91,7 @@ __all__ = [
     "report_to_json",
 ]
 
-REPORT_SCHEMA_VERSION = 2
+REPORT_SCHEMA_VERSION = 3
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +149,8 @@ class UsvtConfig:
     def __post_init__(self):
         require_finite(threshold_scale=self.threshold_scale, eps_p=self.eps_p)
         object.__setattr__(self, "threshold_scale", float(self.threshold_scale))
+        if self.eps_p is not None and self.eps_p < 0:
+            raise ValueError(f"usvt eps_p must be nonnegative, got {self.eps_p!r}")
 
 
 @dataclass(frozen=True)
@@ -381,9 +383,10 @@ def run_protocol(A: AdjacencyMatrix, config: ProtocolConfig) -> DiagnosticReport
     """Execute the full certificate-gated pipeline on one observed graph.
 
     The observed graph's spectrum is computed once: its top block of
-    eigenpairs, or all of them on the USVT route, which reads them first.
-    The gap proxy, the USVT route, the subspace region and the centrality
-    scores all read that spectrum.
+    eigenpairs, or on the USVT route, which reads first, one Householder
+    reduction that serves the kept pairs and every later read. The gap
+    proxy, the USVT route, the subspace region and the centrality scores
+    all read that spectrum.
     """
     n = A.n
     k = config.k
@@ -417,24 +420,19 @@ def run_protocol(A: AdjacencyMatrix, config: ProtocolConfig) -> DiagnosticReport
     S_P = None
     if config.parametric_spec is not None:
         S_P = eigendecompose(build_probability_matrix(config.parametric_spec).P)
-        gap = max(S_P.gap(k), 0.0)
+        gap = S_P.gap(k)
         gap_source = "parametric"
     elif config.envelope is not None and config.envelope.gap is not None:
         gap = float(config.envelope.gap)
         gap_source = "declared"
     elif config.usvt is not None and config.usvt.eps_p is not None:
-        P_hat = usvt_denoise(S, config.usvt.threshold_scale)
-        gap_hat = eigendecompose(P_hat).gap(k)
+        gap_hat = eigendecompose(usvt_denoise(S, config.usvt.threshold_scale)).gap(k)
         gap = weyl_gap_certificate(gap_hat, config.usvt.eps_p)
         gap_source = "usvt_weyl"
-        resid = eigendecompose(S.matrix - P_hat).radius
         diagnostics["usvt"] = {
             "threshold_scale": config.usvt.threshold_scale,
             "eps_p": config.usvt.eps_p,
             "empirical_gap_of_denoised": gap_hat,
-            "uncertified_deviation_route": resid + config.usvt.eps_p,
-            "note": "the residual route ||A - P_hat|| + eps_p has no "
-                    "certified tail theorem here and gates nothing",
         }
     if gap is not None and gap > 0:
         d2 = Flag(True, f"{gap_source} gap certificate = {gap!r}")
@@ -574,7 +572,7 @@ def run_protocol(A: AdjacencyMatrix, config: ProtocolConfig) -> DiagnosticReport
              "detail": "declare a centrality block to score the selection"}
         )
 
-    # free the float copy of A, and on the USVT route the n x n eigenvectors,
+    # free the float copy of A, and on the USVT route its n x n reduction,
     # before the n x n distance matrices
     del S
 

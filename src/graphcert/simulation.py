@@ -1,4 +1,4 @@
-"""Monte Carlo coverage experiments, inequality audits, and counterexamples.
+"""Monte Carlo coverage experiments and inequality audits.
 
 The coverage harness samples seeded replications from a known model, runs
 :func:`run_protocol` on each sample with oracle certificates computed from
@@ -7,22 +7,17 @@ envelopes), scores the report's outputs against ground truth, and audits
 the Davis-Kahan, rounding, selection-stability, ridge-risk and fairness
 inequalities on every sample with zero tolerance for violations beyond
 floating-point slack.
-
-The counterexamples are constructive: a tie at the top-m threshold is
-flipped by an arbitrarily small perturbation, and an eigenvalue collision
-yields two admissible top-k subspaces at Grassmann distance 1, so any
-covering region is vacuous and the protocol's refusal is forced.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .errors import NoTiePresent, OutsideDomain, TooSmall
+from .errors import OutsideDomain
 from .concentration import davis_kahan_radius, deviation_quantile, variance_proxy
 from .downstream import (
     feasibility_transfer_check,
@@ -35,12 +30,7 @@ from .downstream import (
 from .inference import (
     CentralityBand,
     center_separation,
-    eigenvector_centrality,
-    eigenvector_modulus,
-    in_katz_domain,
     katz_centrality,
-    katz_domain_limit,
-    katz_modulus,
     nearest_center_round,
     perm_hamming_distance,
     rounding_error_bound,
@@ -57,7 +47,6 @@ from .models import (
     Envelope,
     ProbabilityModel,
     SBMSpec,
-    build_probability_matrix,
     expected_degree_bound,
     require_finite,
     sample_adjacency,
@@ -76,10 +65,6 @@ __all__ = [
     "AuditResult",
     "CoverageResult",
     "coverage_experiment",
-    "tie_counterexample",
-    "collision_instance",
-    "ModulusAuditResult",
-    "modulus_audit",
     "replication_seed",
 ]
 
@@ -440,145 +425,4 @@ def coverage_experiment(
             name: AuditResult(trials=trials[name], violations=violations[name])
             for name in AUDITS
         },
-    )
-
-
-# ---------------------------------------------------------------------------
-# constructive counterexamples
-
-def tie_counterexample(x, m: int, eps: float) -> np.ndarray:
-    """Flip a tied top-m selection with an arbitrarily small perturbation.
-
-    Requires at least two admissible top-m sets. The tied scores at the
-    threshold are split by +-eps so that the perturbed vector has a unique
-    top-m set excluding a previously admissible member, witnessing
-    instability for every eps > 0.
-    """
-    x = np.asarray(x, dtype=float)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    sel = top_m_selection(x, m)
-    if sel.num_admissible < 2:
-        raise NoTiePresent("the top-m selection is already unique")
-    order = np.argsort(-x, kind="stable")
-    t = x[order[m - 1]]
-    sure = np.flatnonzero(x > t)
-    tied = np.flatnonzero(x == t)
-    slots = m - sure.size
-    promote = tied[-slots:]            # last tied indices are pushed up
-    demote = np.setdiff1d(tied, promote)
-    x_new = x.copy()
-    x_new[promote] += eps
-    x_new[demote] -= eps
-    return x_new
-
-
-def collision_instance(n: int, k: int, delta: float = 0.0):
-    """A valid probability matrix with an eigenvalue collision at the cutoff.
-
-    k+1 identical diagonal blocks at probability 1/2 give a top eigenvalue
-    of multiplicity k+1, so lambda_k = lambda_{k+1} and two admissible
-    top-k subspaces (blocks 1..k vs blocks 2..k+1) sit at Grassmann
-    distance 1: any region covering both has diameter >= 1 and is vacuous.
-    A positive ``delta`` staggers the block intensities and breaks the
-    collision with gap_k proportional to delta (radius ~ 1/delta sweeps).
-
-    Returns (model, U_a, U_b).
-    """
-    if n < 2 * k + 2:
-        raise TooSmall(f"need n >= 2k + 2 = {2 * k + 2}, got {n}")
-    if delta < 0 or (k > 0 and delta > 1.0 / k):
-        raise ValueError(f"delta must lie in [0, {1.0 / k if k else 1.0}]")
-    b = n // (k + 1)
-    c = 0.5
-    probs = [c * (1.0 + delta * (k - j)) for j in range(k + 1)]
-    leftover = n - b * (k + 1)
-    K = k + 1 + (1 if leftover else 0)
-    B = np.zeros((K, K))
-    for j, p in enumerate(probs):
-        B[j, j] = p
-    labels = np.repeat(np.arange(k + 1), b)
-    if leftover:
-        labels = np.concatenate([labels, np.full(leftover, k + 1)])
-    model = build_probability_matrix(SBMSpec(labels=labels, B=B))
-
-    def _block_basis(first: int) -> OrthonormalBasis:
-        U = np.zeros((n, k))
-        for col, j in enumerate(range(first, first + k)):
-            U[j * b : (j + 1) * b, col] = 1.0 / math.sqrt(b)
-        return OrthonormalBasis(U=U)
-
-    return model, _block_basis(0), _block_basis(1)
-
-
-@dataclass(frozen=True)
-class ModulusAuditResult:
-    functional: str
-    trials: int
-    max_ratio_2: float
-    max_ratio_inf: float
-    stated_modulus_2: float
-    stated_modulus_inf: float
-
-
-def modulus_audit(
-    functional,
-    domain_samples: Sequence[np.ndarray],
-    perturbation_scale: float,
-    trials: int,
-    seed: int = 0,
-) -> ModulusAuditResult:
-    """Empirically measure a centrality functional's perturbation moduli.
-
-    ``functional`` is ("katz", beta) or ("eigenvector",). Every sample must
-    lie in the functional's certified domain with room for the perturbation
-    scale, otherwise :class:`OutsideDomain` is raised. Reports the largest
-    observed ratio ||c(M) - c(M')|| / ||M - M'|| in both the 2-norm and the
-    max-norm, next to the stated moduli.
-    """
-    if perturbation_scale <= 0:
-        raise ValueError("perturbation scale must be positive")
-    kind = functional[0]
-    rng = np.random.default_rng(seed)
-    max2 = maxinf = 0.0
-    count = 0
-    stated2 = statedinf = 0.0
-    for M in domain_samples:
-        S = eigendecompose(M)
-        n = S.n
-        if kind == "katz":
-            beta = float(functional[1])
-            if not in_katz_domain(S.radius + perturbation_scale, beta):
-                raise OutsideDomain(S.radius + perturbation_scale, katz_domain_limit(beta))
-            base = katz_centrality(S, beta)
-            stated2 = max(stated2, katz_modulus(beta) * math.sqrt(n))
-            statedinf = max(statedinf, katz_modulus(beta))
-        elif kind == "eigenvector":
-            base, gamma = eigenvector_centrality(S)
-            if 2.0 * perturbation_scale >= gamma:
-                raise OutsideDomain(2.0 * perturbation_scale, gamma)
-            stated2 = max(stated2, eigenvector_modulus(gamma))
-            statedinf = max(statedinf, eigenvector_modulus(gamma))
-        else:
-            raise ValueError(f"unknown functional {kind!r}")
-        for _ in range(trials):
-            E = rng.normal(size=(n, n))
-            E = (E + E.T) / 2.0
-            E *= perturbation_scale / symmetric_operator_norm(E)
-            Sp = eigendecompose(S.matrix + E)
-            if kind == "katz":
-                pert = katz_centrality(Sp, beta)
-            else:
-                pert, _ = eigenvector_centrality(Sp)
-            diff = pert - base
-            max2 = max(max2, float(np.linalg.norm(diff)) / perturbation_scale)
-            maxinf = max(maxinf, float(np.max(np.abs(diff))) / perturbation_scale)
-            count += 1
-    return ModulusAuditResult(
-        functional=kind,
-        trials=count,
-        max_ratio_2=max2,
-        max_ratio_inf=maxinf,
-        stated_modulus_2=stated2,
-        stated_modulus_inf=statedinf,
     )

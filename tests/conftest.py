@@ -5,7 +5,13 @@ import pytest
 import scipy.linalg
 from hypothesis import example, settings
 
-from graphcert import distance_matrix, two_block_sbm
+from graphcert import (
+    OrthonormalBasis,
+    SBMSpec,
+    build_probability_matrix,
+    distance_matrix,
+    two_block_sbm,
+)
 
 # Property tests draw the same examples on every run and have no deadline,
 # so tier-1 results depend neither on the example database nor on load.
@@ -52,6 +58,58 @@ def filtration_sandwich(X, Y, t_grid):
         for t in t_grid
     ]
     return eta, d_filt, included
+
+
+# ---------------------------------------------------------------------------
+# the constructions behind the refusals: no certificate exists on either one
+
+def tie_counterexample(x, m, eps):
+    """Flip a tied top-m selection of ``x`` by a perturbation of size eps.
+
+    ``x`` must have at least two admissible top-m sets. The scores tied at
+    the threshold are split by +-eps, the last tied indices pushed up, so
+    the perturbed vector has a unique top-m set that excludes a previously
+    admissible member: the selection is unstable for every eps > 0.
+    """
+    x = np.asarray(x, dtype=float)
+    t = x[np.argsort(-x, kind="stable")[m - 1]]
+    tied = np.flatnonzero(x == t)
+    slots = m - np.count_nonzero(x > t)  # places in the top m left to the tied
+    promote = tied[-slots:]
+    x_new = x.copy()
+    x_new[promote] += eps
+    x_new[np.setdiff1d(tied, promote)] -= eps
+    return x_new
+
+
+def collision_instance(n, k, delta=0.0):
+    """A valid SBM whose P has an eigenvalue collision at the cutoff k.
+
+    k+1 identical diagonal blocks of b = n // (k+1) nodes at probability
+    1/2 give a top eigenvalue of multiplicity k+1 (leftover nodes form an
+    isolated block), so lambda_k = lambda_{k+1} and two admissible top-k
+    subspaces, blocks 1..k and blocks 2..k+1, sit at Grassmann distance 1:
+    any region covering both is vacuous. A positive ``delta`` (at most 1/k)
+    staggers the block intensities as 0.5 (1 + delta (k - j)), which
+    breaks the collision with gap_k proportional to delta. Needs
+    n >= 2k + 2. Returns (model, U_a, U_b).
+    """
+    b = n // (k + 1)
+    leftover = n - b * (k + 1)
+    K = k + 1 + (1 if leftover else 0)
+    B = np.zeros((K, K))
+    for j in range(k + 1):
+        B[j, j] = 0.5 * (1.0 + delta * (k - j))
+    labels = np.concatenate([np.repeat(np.arange(k + 1), b), np.full(leftover, k + 1)])
+    model = build_probability_matrix(SBMSpec(labels=labels, B=B))
+
+    def block_basis(first):
+        U = np.zeros((n, k))
+        for col, j in enumerate(range(first, first + k)):
+            U[j * b : (j + 1) * b, col] = 1.0 / math.sqrt(b)
+        return OrthonormalBasis(U=U)
+
+    return model, block_basis(0), block_basis(1)
 
 
 @pytest.fixture()
@@ -158,6 +216,7 @@ MALFORMED_CONFIGS = {
     "boolean-k": (("k",), True),
     "fractional-selection_m": (("selection_m",), 5.5),
     "string-domain_certified": (("centrality", "domain_certified"), "false"),
+    "negative-usvt-eps_p": (("usvt", "eps_p"), -1.0),
     **{f"{b}-as-a-list": ((b,), [1.0]) for b in _CONFIG_BLOCKS},
 }
 

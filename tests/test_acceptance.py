@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from graphcert import (
-    collision_instance,
     coverage_experiment,
     eigendecompose,
     grassmann_distance,
@@ -25,7 +24,6 @@ from graphcert import (
     run_protocol,
     sample_adjacency,
     stability_certificate,
-    tie_counterexample,
     top_m_selection,
     two_block_sbm,
     two_block_spectrum,
@@ -34,7 +32,7 @@ from graphcert.downstream import logistic_decisions, parity_gap, quadratic_loss
 from graphcert.protocol import config_from_dict
 from graphcert.simulation import CoverageConfig
 
-from conftest import filtration_sandwich
+from conftest import collision_instance, filtration_sandwich, tie_counterexample
 
 OK = "ACCEPTANCE {} PASS: {}"
 

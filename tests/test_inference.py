@@ -440,6 +440,24 @@ def test_eigenvector_perturbation_modulus(rng):
         assert np.linalg.norm(pert - base) <= 2 * 0.2 / gamma + 1e-9
 
 
+def test_katz_perturbation_modulus(rng):
+    # ||s(M + E) - s(M)||_2 <= katz_modulus(beta) sqrt(n) ||E|| while M and
+    # M + E stay in the Katz domain: rho = 1.3 at most, limit 2.5
+    n, beta, scale = 10, 0.2, 0.3
+    bound = katz_modulus(beta) * math.sqrt(n) * scale
+    for _ in range(3):
+        M = rng.normal(size=(n, n))
+        M = (M + M.T) / 2
+        M /= np.linalg.norm(M, 2)
+        base = katz_centrality(eigendecompose(M), beta)
+        for _ in range(40):
+            E = rng.normal(size=(n, n))
+            E = (E + E.T) / 2
+            E *= scale / np.linalg.norm(E, 2)
+            pert = katz_centrality(eigendecompose(M + E), beta)
+            assert np.linalg.norm(pert - base) <= bound
+
+
 def test_centrality_bands_basic():
     point = np.array([1.0, 2.0, 3.0])
     band = centrality_bands(point, L=0.0, q=5.0, alpha=0.1)

@@ -396,6 +396,18 @@ def test_eigengap_conventions():
     assert eigengap(w, 3) == min(2.5 - 1.0, 3.0 - 2.5)
 
 
+def test_spectrum_gap_within_tie_tolerance_is_zero():
+    # the tolerance top_k uses to tie eigenvalues, 1e-9 max(1, max |lambda|)
+    # = 2e-9 here, also reads a computed gap as rounding noise
+    assert eigendecompose(np.diag([2.0, 1.0 + 1e-12, 1.0])).gap(2) == 0.0
+    assert eigendecompose(np.diag([2.0, 1.0 + 1.5e-9, 1.0])).gap(2) == 0.0
+    assert eigendecompose(np.diag([2.0, 1.0 + 1e-6, 1.0])).gap(2) == pytest.approx(1e-6)
+    # the same rule past the top block, where the reduction serves the read
+    w = np.arange(TOP_BLOCK + 2, dtype=float)[::-1]
+    w[TOP_BLOCK + 1] = w[TOP_BLOCK] - 1e-12
+    assert eigendecompose(np.diag(w)).gap(TOP_BLOCK + 1) == 0.0
+
+
 def test_top_k_idempotent_on_symmetric_input(rng):
     M = rng.normal(size=(8, 8))
     M = (M + M.T) / 2

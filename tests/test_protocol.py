@@ -13,7 +13,6 @@ from graphcert import (
     SBMSpec,
     UnsupportedSpec,
     build_probability_matrix,
-    collision_instance,
     deviation_quantile,
     eigendecompose,
     eigengap,
@@ -36,6 +35,7 @@ from graphcert.simulation import CoverageConfig, coverage_experiment
 
 from conftest import (
     MALFORMED_CONFIGS,
+    collision_instance,
     full_config_doc,
     malformed,
     non_finite_reals,
@@ -411,8 +411,9 @@ def test_usvt_gap_route_gates_d2(sbm200):
     report = run_protocol(A, config)
     assert report.flags["D2"].passed
     assert report.certificates["provenance"] == "usvt_weyl"
-    assert "usvt" in report.diagnostics
-    assert report.diagnostics["usvt"]["uncertified_deviation_route"] > 0
+    assert list(report.diagnostics["usvt"]) == [
+        "threshold_scale", "eps_p", "empirical_gap_of_denoised"
+    ]
     # the certified gap is the weyl transfer of the denoised gap
     from graphcert import weyl_gap_certificate
 
@@ -555,7 +556,7 @@ def test_report_and_coverage_key_order_is_pinned(sbm200):
     assert list(doc) == ["schema_version", "n", "k", "alpha", "observed_gap_proxy", "flags",
                          "certificates", "deviation_quantile", "outputs", "refusals",
                          "diagnostics"]
-    assert doc["schema_version"] == 2
+    assert doc["schema_version"] == 3
     assert list(doc["flags"]) == ["D1", "D2", "D3", "D4"]
     assert all(list(flag) == ["passed", "provenance"] for flag in doc["flags"].values())
     assert doc["refusals"] == []
@@ -663,6 +664,48 @@ def test_collision_instance_drives_refusal():
     )
 
 
+def _parametric_report(spec, k, centrality=None):
+    """The report on a sample of the declared spec, with D1 declared."""
+    A = sample_adjacency(build_probability_matrix(spec), 7)
+    config = ProtocolConfig(k=k, alpha=0.1, envelope=Envelope(d_max=float(A.n)),
+                            parametric_spec=spec, centrality=centrality)
+    return run_protocol(A, config)
+
+
+@pytest.mark.parametrize("n", [200, 600])
+def test_disassortative_parametric_gap_is_refused(n):
+    # P = Z B Z^T - 0.1 I has lambda_2 = lambda_3 = -0.1 with multiplicity
+    # n - 2, so the exact 2-gap is 0; a dense solve returns rounding noise
+    # (6.1e-15 at n = 200, 5.7e-13 at n = 600) that is no certificate
+    spec = SBMSpec(labels=np.repeat([0, 1], n // 2), B=np.array([[0.1, 0.3], [0.3, 0.1]]))
+    report = _parametric_report(spec, 2)
+    assert report.flags["D2"].provenance == "parametric certificate is 0"
+    assert not report.flags["D2"].passed and report.certificates["gap"] == 0.0
+    assert "subspace" not in report.outputs
+
+
+def test_collision_parametric_gap_is_refused():
+    # three blocks of 200 at 1/2: lambda_1 = lambda_2 = lambda_3 = 99.5
+    model, _, _ = collision_instance(600, 2)
+    report = _parametric_report(model.spec, 2)
+    assert report.flags["D2"].provenance == "parametric certificate is 0"
+    assert report.certificates["gap"] == 0.0
+
+
+def test_collision_eigenvector_centrality_is_refused():
+    # two blocks of 300 at 1/2: the top eigenvalue 149.5 is double, so
+    # neither the 1-gap (D2) nor the top gap (D3) is a certificate
+    model, _, _ = collision_instance(600, 1)
+    report = _parametric_report(model.spec, 1, CentralityConfig(kind="eigenvector"))
+    assert report.flags["D2"].provenance == "parametric certificate is 0"
+    assert report.flags["D3"].provenance == "parametric: top gap = 0.0"
+    assert not report.flags["D3"].passed
+    assert {r["output"]: r["reason"] for r in report.refusals} == {
+        "subspace": "no_gap_certificate",
+        "centrality_bands": "domain_not_certified",
+    }
+
+
 _DECLARED_FIELDS = [
     (Envelope, {}, "d_max"),
     (Envelope, {}, "gap"),
@@ -722,15 +765,14 @@ def _eigensolver_route_config(route):
 
 @pytest.mark.parametrize(
     "route,subset,full,values,reduction",
-    [("declared_katz", 1, 0, 0, 0), ("usvt_eigenvector", 1, 0, 0, 2),
+    [("declared_katz", 1, 0, 0, 0), ("usvt_eigenvector", 1, 0, 0, 1),
      ("parametric_eigenvector", 2, 0, 0, 0)],
 )
 def test_eigensolver_call_counts(sbm200, eig_calls, route, subset, full, values, reduction):
     # one top block of A serves every consumer; the USVT route reduces A
     # first (its kept pairs), so the reduction serves A's later reads and no
-    # block of A is made, then takes the top block of P_hat for its gap and
-    # reduces A - P_hat for two extreme eigenvalues; the parametric P is
-    # built once and its top block serves the gap and D3
+    # block of A is made, then takes the top block of P_hat for its gap; the
+    # parametric P is built once and its top block serves the gap and D3
     A = sample_adjacency(sbm200, 56)
     report = run_protocol(A, _eigensolver_route_config(route))
     assert {"subspace", "centrality_bands", "cluster", "filtration"} <= set(report.outputs)

@@ -5,14 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphcert import (
-    NoTiePresent,
-    OutsideDomain,
-    TooSmall,
-    collision_instance,
     coverage_experiment,
     grassmann_distance,
-    modulus_audit,
-    tie_counterexample,
     top_m_selection,
 )
 from graphcert import (
@@ -36,7 +30,12 @@ from graphcert.models import Envelope
 from graphcert.protocol import CentralityConfig, ClusteringConfig, ProtocolConfig
 from graphcert.simulation import CoverageConfig, replication_seed
 
-from conftest import non_finite_reals, with_extreme_floats
+from conftest import (
+    collision_instance,
+    non_finite_reals,
+    tie_counterexample,
+    with_extreme_floats,
+)
 
 
 def _coverage_config(**fields):
@@ -382,11 +381,6 @@ def test_tie_counterexample_any_eps(eps):
     assert 0 not in sel.sets[0]
 
 
-def test_tie_counterexample_requires_tie():
-    with pytest.raises(NoTiePresent):
-        tie_counterexample(np.array([3.0, 2.0, 1.0]), 1, 0.1)
-
-
 def test_tie_counterexample_disjointness_audit(rng):
     # 100 random instances tied at the maximum with room for disjoint sets
     for trial in range(100):
@@ -434,11 +428,6 @@ def test_collision_instance_general_k():
             assert np.allclose(PU, U.U * w[0], atol=1e-10)
 
 
-def test_collision_instance_too_small():
-    with pytest.raises(TooSmall):
-        collision_instance(5, 2)
-
-
 def test_collision_break_radius_scales_inversely(rng):
     # sweeping the collision-breaking parameter: radius ~ 1/delta
     from graphcert import davis_kahan_radius, deviation_quantile
@@ -453,52 +442,6 @@ def test_collision_break_radius_scales_inversely(rng):
         r, _ = davis_kahan_radius(q, gap)
         products.append(r * delta)
     assert max(products) - min(products) < 1e-9 * max(products) + 1e-12
-
-
-def test_collision_delta_validation():
-    with pytest.raises(ValueError):
-        collision_instance(12, 2, delta=0.9)  # above 1/k
-
-
-# ---------------------------------------------------------------------------
-# modulus audits
-
-def test_modulus_audit_katz_two_norm(rng):
-    n = 10
-    samples = []
-    for _ in range(3):
-        M = rng.normal(size=(n, n))
-        M = (M + M.T) / 2
-        M *= 1.0 / np.linalg.norm(M, 2)
-        samples.append(M)
-    beta = 0.2  # limit 2.5, samples at rho = 1 leave room for the scale
-    out = modulus_audit(("katz", beta), samples, perturbation_scale=0.3, trials=40)
-    assert out.trials == 120
-    assert out.max_ratio_2 <= out.stated_modulus_2  # 4 beta sqrt(n)
-    assert out.stated_modulus_inf == 4 * beta
-    assert out.max_ratio_inf > 0
-
-
-def test_modulus_audit_eigenvector(rng):
-    M = np.diag([6.0, 2.0, 1.0, 0.5])
-    out = modulus_audit(("eigenvector",), [M], perturbation_scale=0.5, trials=60)
-    assert out.max_ratio_2 <= out.stated_modulus_2 + 1e-9  # 2 / gamma
-    assert out.stated_modulus_2 == 2.0 / 4.0
-
-
-def test_modulus_audit_small_scale_matches_local_derivative(rng):
-    # as the scale shrinks, ratios approach local sensitivities (sanity)
-    M = np.diag([6.0, 2.0, 1.0, 0.5])
-    big = modulus_audit(("eigenvector",), [M], perturbation_scale=0.4, trials=30)
-    small = modulus_audit(("eigenvector",), [M], perturbation_scale=0.01, trials=30)
-    assert small.max_ratio_2 <= big.stated_modulus_2
-    assert small.max_ratio_2 > 0
-
-
-def test_modulus_audit_rejects_out_of_domain():
-    M = np.eye(4) * 10.0
-    with pytest.raises(OutsideDomain):
-        modulus_audit(("katz", 0.2), [M], perturbation_scale=0.1, trials=1)
 
 
 @pytest.mark.parametrize(
