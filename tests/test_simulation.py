@@ -26,6 +26,7 @@ from graphcert import (
 )
 import graphcert.simulation
 from graphcert import run_protocol
+from graphcert.inference import eigenvector_centrality, eigenvector_modulus
 from graphcert.models import Envelope
 from graphcert.protocol import CentralityConfig, ClusteringConfig, ProtocolConfig
 from graphcert.simulation import CoverageConfig, replication_seed
@@ -442,6 +443,35 @@ def test_collision_break_radius_scales_inversely(rng):
         r, _ = davis_kahan_radius(q, gap)
         products.append(r * delta)
     assert max(products) - min(products) < 1e-9 * max(products) + 1e-12
+
+
+def _eigenvector_ratio(M, scale, trials, rng):
+    # largest ||v(M + E) - v(M)|| / ||E|| over random symmetric E, ||E|| = scale
+    base, gamma = eigenvector_centrality(eigendecompose(M))
+    worst = 0.0
+    for _ in range(trials):
+        E = rng.normal(size=M.shape)
+        E = (E + E.T) / 2
+        E *= scale / np.linalg.norm(E, 2)
+        pert, _ = eigenvector_centrality(eigendecompose(M + E))
+        worst = max(worst, float(np.linalg.norm(pert - base)) / scale)
+    return worst, eigenvector_modulus(gamma)
+
+
+def test_modulus_audit_eigenvector(rng):
+    M = np.diag([6.0, 2.0, 1.0, 0.5])
+    ratio, modulus = _eigenvector_ratio(M, 0.5, 60, rng)
+    assert modulus == 2.0 / 4.0
+    assert ratio <= modulus + 1e-9
+
+
+def test_modulus_audit_small_scale_matches_local_derivative(rng):
+    # as the scale shrinks, ratios approach local sensitivities (sanity)
+    M = np.diag([6.0, 2.0, 1.0, 0.5])
+    _, modulus = _eigenvector_ratio(M, 0.4, 30, rng)
+    small, _ = _eigenvector_ratio(M, 0.01, 30, rng)
+    assert small <= modulus
+    assert small > 0
 
 
 @pytest.mark.parametrize(
