@@ -1,9 +1,8 @@
 """Dense symmetric eigen-machinery for subspace inference.
 
 Provides the one spectrum of a symmetric matrix (a :class:`Spectrum`
-shared by every spectral consumer, computed as a top block of eigenpairs,
-or read by subset solves from one Householder tridiagonal reduction when
-the block cannot serve a read) with its canonical top-k basis, the
+shared by every spectral consumer, read by subset solves from one
+Householder tridiagonal reduction) with its canonical top-k basis, the
 Grassmann (projector-norm) distance between subspaces, orthogonal
 Procrustes alignment, the Weyl-type gap transfer used to certify gaps from
 denoised estimates, and the rank-aware Frobenius bound that converts a
@@ -42,7 +41,7 @@ _SYM_TOL = 1e-10
 _ORTHO_TOL = 1e-10
 
 TOP_BLOCK = 8
-"""How many of the largest eigenpairs a :class:`Spectrum` computes first."""
+"""The fewest of the largest eigenpairs a :class:`Spectrum` read computes."""
 
 
 def is_symmetric(M: np.ndarray) -> bool:
@@ -108,8 +107,8 @@ def spectral_radius(eigenvalues_sorted: np.ndarray) -> float:
 
 def _tie_tol(w_desc: np.ndarray) -> float:
     """Adjacent eigenvalues this close are tied: 1e-9 times the largest
-    magnitude among the top block's values (or 1), so the block alone fixes
-    it."""
+    magnitude among the ``TOP_BLOCK`` largest values (or 1), so the smallest
+    read fixes it."""
     return 1e-9 * max(1.0, float(np.max(np.abs(w_desc[:TOP_BLOCK]))))
 
 
@@ -157,34 +156,18 @@ class Spectrum:
     """The spectrum of the symmetric ``matrix`` given to :func:`eigendecompose`,
     computed on first read and shared by every spectral consumer.
 
-    Reads are served by the top block: the ``min(n, TOP_BLOCK)`` largest
-    eigenpairs, from one LAPACK subset call (``scipy.linalg.eigh`` with
-    ``subset_by_index`` and the MRRR driver ``evr``) made on the first
-    read. A read the block cannot serve makes one Householder reduction of
-    the matrix to a tridiagonal T (``dsytrd``), the only O(n^3) step; every
-    read after it, the block's included, is a subset solve on T
-    (``scipy.linalg.eigh_tridiagonal``, bisection and inverse iteration)
-    whose eigenvectors are mapped back through the reflectors (``dormqr``).
-    These reads make the reduction:
-
-    - ``beyond(thr)``, the pairs with ``|lambda| >= thr`` (the USVT route);
-    - ``gap(k)`` and ``top(m)`` past the block (``k + 1 > TOP_BLOCK``,
-      ``m > TOP_BLOCK``);
-    - ``top_k(k)`` when the tie group crossing k runs to the block's end,
-      so the block cannot tell where it stops;
-    - ``radius`` of a matrix with a negative entry (for a nonnegative one
-      it is the largest eigenvalue, by Perron-Frobenius), from the two
-      extreme eigenvalues of T;
-    - any read when ``n <= TOP_BLOCK``, where the block would be all of it.
-
-    No read computes every eigenvector unless it asks for all of them. The
-    block size is fixed, not sized by the first read, so the reads it
-    serves give the same values whatever order they come in.
+    The first read makes one Householder reduction of the matrix to a
+    tridiagonal T (``dsytrd``), the only O(n^3) step. Every read is a subset
+    solve on T (``scipy.linalg.eigh_tridiagonal``, bisection and inverse
+    iteration) whose eigenvectors are mapped back through the reflectors
+    (``dormqr``). Reads of the largest pairs read at least ``TOP_BLOCK`` of
+    them, a fixed size rather than the first read's, so those reads give the
+    same values whatever order they come in. No read computes every
+    eigenvector unless it asks for all of them.
     """
 
     def __init__(self, matrix: np.ndarray):
         self.matrix = matrix
-        self._block = None    # descending values and their vectors, the top block
         self._reduced = None  # reflectors, their scales and T's diagonals
         self._top = None      # descending pairs read from T, the largest read so far
 
@@ -194,8 +177,7 @@ class Spectrum:
 
     def _reduction(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(c, tau, d, e): the lower Householder reduction Q^T M Q = T, with
-        diagonal d and off-diagonal e, made on first need; later reads are
-        served by it rather than by the block."""
+        diagonal d and off-diagonal e, made on first need."""
         if self._reduced is None:
             # the optimal workspace lets dsytrd run blocked: its default of n
             # is about 1.8x slower at n = 1000 and 2000
@@ -205,7 +187,7 @@ class Spectrum:
                 self.matrix, lower=1, lwork=int(lwork)
             )
             _check_lapack("dsytrd", info)
-            self._reduced, self._block = (c, tau, d, e), None
+            self._reduced = c, tau, d, e
         return self._reduced
 
     def _reduced_pairs(self, **select) -> tuple[np.ndarray, np.ndarray]:
@@ -217,7 +199,11 @@ class Spectrum:
         w, Z = scipy.linalg.eigh_tridiagonal(d, e, **select)
         n = self.n
         if w.size and n > 1:
-            reflectors = c[1:, : n - 1]
+            # the reflectors are c[1:, :n-1]; that slice is strided, so it
+            # would be copied to an n x n temporary on each call. The
+            # column-major (n, n-1) view one element into c has it as its
+            # first n-1 rows, and dormqr reads no more.
+            reflectors = c.reshape(-1, order="F")[1 : n * n - n + 1].reshape(n, n - 1, order="F")
             _, work, info = scipy.linalg.lapack.dormqr("L", "N", reflectors, tau, Z[1:], -1)
             _check_lapack("dormqr query", info)
             Z[1:], _, info = scipy.linalg.lapack.dormqr(
@@ -228,20 +214,10 @@ class Spectrum:
 
     def _pairs(self, m: int) -> tuple[np.ndarray, np.ndarray]:
         """Descending values and their vectors as columns, read-only: the
-        whole top block while it can serve the m largest pairs, else the
-        largest pairs read from T, at least the m largest and at least a
-        block's worth."""
-        n = self.n
-        if self._reduced is None and m <= TOP_BLOCK < n:
-            if self._block is None:
-                w, V = scipy.linalg.eigh(
-                    self.matrix, subset_by_index=[n - TOP_BLOCK, n - 1], driver="evr"
-                )
-                w.setflags(write=False)
-                V.setflags(write=False)
-                self._block = w[::-1], V[:, ::-1]
-            return self._block
+        largest pairs read from T, at least the m largest and at least
+        ``TOP_BLOCK`` of them."""
         if self._top is None or self._top[0].size < m:
+            n = self.n
             m = min(n, max(m, TOP_BLOCK))
             w, V = self._reduced_pairs(select="i", select_range=(n - m, n - 1))
             w.setflags(write=False)
@@ -320,9 +296,8 @@ def _check_lapack(name: str, info: int) -> None:
 def eigendecompose(M: np.ndarray) -> Spectrum:
     """The :class:`Spectrum` of a symmetric matrix, refused beyond 1e-10
     asymmetry; the matrix is kept read-only, so the spectrum is shareable.
-    Its top-block solve and its tridiagonal reduction are the package's only
-    eigenvector solves, made on the first reads as :class:`Spectrum`
-    describes; none computes every eigenvector unless a read asks for all."""
+    Its tridiagonal reduction, made on the first read, serves the package's
+    only eigenvector solves."""
     M = _check_symmetric(M).view()
     M.setflags(write=False)
     return Spectrum(M)

@@ -97,6 +97,13 @@ REPORT_SCHEMA_VERSION = 3
 # ---------------------------------------------------------------------------
 # configuration
 
+def _require_nonnegative(block: str, **declared) -> None:
+    """Refuse a negative declared value; None means not declared."""
+    for name, value in declared.items():
+        if value is not None and value < 0:
+            raise ValueError(f"{block} {name} must be nonnegative, got {value!r}")
+
+
 @dataclass(frozen=True)
 class CentralityConfig:
     kind: str                       # "katz" or "eigenvector"
@@ -106,6 +113,7 @@ class CentralityConfig:
 
     def __post_init__(self):
         require_finite(beta=self.beta, gamma=self.gamma)
+        _require_nonnegative("centrality", gamma=self.gamma)
         if self.kind not in ("katz", "eigenvector"):
             raise ValueError(f"unknown centrality kind {self.kind!r}")
         if self.kind == "katz" and (self.beta is None or self.beta <= 0):
@@ -122,6 +130,7 @@ class ClusteringConfig:
 
     def __post_init__(self):
         require_finite(delta=self.delta, c_row=self.c_row)
+        _require_nonnegative("clustering", delta=self.delta, c_row=self.c_row)
         if self.centers is not None:
             rows = tuple(real_tuple("centers", row) for row in self.centers)
             object.__setattr__(self, "centers", rows)
@@ -149,8 +158,9 @@ class UsvtConfig:
     def __post_init__(self):
         require_finite(threshold_scale=self.threshold_scale, eps_p=self.eps_p)
         object.__setattr__(self, "threshold_scale", float(self.threshold_scale))
-        if self.eps_p is not None and self.eps_p < 0:
-            raise ValueError(f"usvt eps_p must be nonnegative, got {self.eps_p!r}")
+        if self.threshold_scale <= 0:
+            raise ValueError(f"usvt threshold_scale must be positive, got {self.threshold_scale!r}")
+        _require_nonnegative("usvt", eps_p=self.eps_p)
 
 
 @dataclass(frozen=True)
@@ -203,8 +213,8 @@ class ProtocolConfig:
     def __post_init__(self):
         if require_integer("k", self.k) < 1:
             raise ValueError("k must be a positive integer (it is declared, never inferred)")
-        if self.selection_m is not None:
-            require_integer("selection_m", self.selection_m)
+        if self.selection_m is not None and require_integer("selection_m", self.selection_m) < 1:
+            raise ValueError(f"selection_m must be at least 1, got {self.selection_m!r}")
         require_finite(alpha=self.alpha)
         object.__setattr__(self, "alpha", float(self.alpha))
         if not 0.0 < self.alpha < 1.0:
@@ -382,11 +392,9 @@ PREREQUISITES = {
 def run_protocol(A: AdjacencyMatrix, config: ProtocolConfig) -> DiagnosticReport:
     """Execute the full certificate-gated pipeline on one observed graph.
 
-    The observed graph's spectrum is computed once: its top block of
-    eigenpairs, or on the USVT route, which reads first, one Householder
-    reduction that serves the kept pairs and every later read. The gap
-    proxy, the USVT route, the subspace region and the centrality scores
-    all read that spectrum.
+    The observed graph's spectrum is computed once, as one Householder
+    reduction that the gap proxy, the USVT route, the subspace region and
+    the centrality scores all read.
     """
     n = A.n
     k = config.k
@@ -449,8 +457,7 @@ def run_protocol(A: AdjacencyMatrix, config: ProtocolConfig) -> DiagnosticReport
         )
         d2 = Flag(False, detail)
 
-    # the gap proxy is diagnostic only, never a radius; it is read after
-    # D2, so on the USVT route the reduction already made serves it
+    # the gap proxy is diagnostic only, never a radius
     proxy = S.gap(k)
 
     # D3: centrality domain certificate
@@ -572,8 +579,8 @@ def run_protocol(A: AdjacencyMatrix, config: ProtocolConfig) -> DiagnosticReport
              "detail": "declare a centrality block to score the selection"}
         )
 
-    # free the float copy of A, and on the USVT route its n x n reduction,
-    # before the n x n distance matrices
+    # free the float copy of A and its n x n reduction before the n x n
+    # distance matrices
     del S
 
     # Step 6: clustering region iff D1, D2 and D4

@@ -217,6 +217,12 @@ MALFORMED_CONFIGS = {
     "fractional-selection_m": (("selection_m",), 5.5),
     "string-domain_certified": (("centrality", "domain_certified"), "false"),
     "negative-usvt-eps_p": (("usvt", "eps_p"), -1.0),
+    "negative-usvt-threshold_scale": (("usvt", "threshold_scale"), -1.0),
+    "zero-usvt-threshold_scale": (("usvt", "threshold_scale"), 0.0),
+    "negative-clustering-delta": (("clustering", "delta"), -0.3),
+    "negative-clustering-c_row": (("clustering", "c_row"), -1.0),
+    "negative-centrality-gamma": (("centrality", "gamma"), -1.0),
+    "zero-selection_m": (("selection_m",), 0),
     **{f"{b}-as-a-list": ((b,), [1.0]) for b in _CONFIG_BLOCKS},
 }
 

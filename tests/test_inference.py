@@ -418,8 +418,8 @@ def test_eigenvector_centrality_rejects_degenerate():
 
 
 def test_eigenvector_centrality_matches_direct_eigh(sbm200):
-    # the top block comes from a subset eigensolver, so it matches a full
-    # eigh within 1e-9 relative, not byte for byte
+    # the top pairs come from subset solves on a tridiagonal reduction, so
+    # they match a full eigh within 1e-9 relative, not byte for byte
     A = sample_adjacency(sbm200, 16)
     w, V = np.linalg.eigh(A.A)
     v = V[:, -1] if V[:, -1].sum() >= 0 else -V[:, -1]

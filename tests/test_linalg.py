@@ -2,10 +2,12 @@ import ast
 import itertools
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, strategies as st
 
 import graphcert
@@ -105,8 +107,8 @@ def test_top_k_deterministic_under_ties():
 
 def _canonical_all_columns(w_desc, V):
     """The sign/tie rule applied to every column: signs by the largest-magnitude
-    coordinate, then each tie group (gaps <= 1e-9 max(1, max|w| over the top
-    block)) sorted by anchor index."""
+    coordinate, then each tie group (gaps <= 1e-9 max(1, max|w| over the
+    TOP_BLOCK largest)) sorted by anchor index."""
     V = V.copy()
     anchors = []
     for j in range(V.shape[1]):
@@ -153,20 +155,20 @@ def _cliques(count, size=5):
     return np.kron(np.eye(count), np.ones((size, size)) - np.eye(size))
 
 
-@pytest.mark.parametrize("count,reduction", [(3, 0), (TOP_BLOCK, 1), (TOP_BLOCK + 2, 1)])
+@pytest.mark.parametrize("count,reduction", [(3, 1), (TOP_BLOCK, 1), (TOP_BLOCK + 2, 1)])
 def test_top_k_tie_group_at_block_end_falls_back(eig_calls, count, reduction):
-    # the tie group crossing k = 2 ends inside the block (3 cliques), fills
-    # it exactly (8) or runs past it (10); the block cannot tell where the
-    # last two end, so they fall back to the reduction and give its basis
+    # the tie group crossing k = 2 ends inside the first TOP_BLOCK pairs read
+    # (3 cliques), fills them exactly (8) or runs past them (10); the last two
+    # read on from the same reduction until the group ends, and give the
+    # basis of a spectrum whose reduction served another read first
     M = _cliques(count)
     got = eigendecompose(M).top_k(2)
-    assert eig_calls == {"subset": 1, "full": 0, "values": 0, "reduction": reduction}
+    assert eig_calls == {"subset": 0, "full": 0, "values": 0, "reduction": reduction}
     S = eigendecompose(M)
     assert S.beyond(0)[0].size == M.shape[0]  # makes the reduction first
     want = S.top_k(2)
     assert grassmann_distance(got, want) <= 1e-12
-    if reduction:
-        assert got.U.tobytes() == want.U.tobytes()
+    assert got.U.tobytes() == want.U.tobytes()
 
 
 def test_radius_of_matrix_with_negative_entries_is_full_radius(rng, eig_calls):
@@ -183,13 +185,96 @@ def test_radius_of_matrix_with_negative_entries_is_full_radius(rng, eig_calls):
 
 
 @pytest.mark.parametrize("n,subset,reduction",
-                         [(2, 0, 1), (TOP_BLOCK, 0, 1), (TOP_BLOCK + 1, 1, 0)])
+                         [(2, 0, 1), (TOP_BLOCK, 0, 1), (TOP_BLOCK + 1, 0, 1)])
 def test_small_matrices_take_the_full_route(eig_calls, n, subset, reduction):
     M = np.ones((n, n)) - np.eye(n)
     M[0, 1] = M[1, 0] = 2.0
     S = eigendecompose(M)
     assert S.gap(1) > 0 and S.top_k(1).k == 1 and S.radius > 0
     assert eig_calls == {"subset": subset, "full": 0, "values": 0, "reduction": reduction}
+
+
+def _evr_top(M):
+    """The TOP_BLOCK largest pairs, descending, from one MRRR subset solve of
+    the whole matrix (LAPACK's ``dsyevr``), an oracle that reads no
+    state of the spectrum under test."""
+    n = M.shape[0]
+    m = min(n, TOP_BLOCK)
+    w, V = scipy.linalg.eigh(M, subset_by_index=[n - m, n - 1], driver="evr")
+    return w[::-1], V[:, ::-1]
+
+
+def _sbm_samples():
+    for n in (200, 600):
+        for seed in range(2):
+            yield sample_adjacency(two_block_sbm(n, 0.3, 0.1), seed).A
+
+
+def test_top_pairs_match_a_whole_matrix_subset_solve(rng):
+    # the top values agree with the MRRR subset solve within 1e-12 of the
+    # spectral scale, and every top-k basis whose k-gap is not a tie spans
+    # the same space within 1e-12
+    for M in itertools.chain(_sbm_samples(), _tie_heavy_matrices(rng)):
+        w_evr, V_evr = _evr_top(M)
+        S = eigendecompose(M)
+        w, _ = S.top(w_evr.size)
+        scale = max(1.0, float(np.max(np.abs(w_evr))))
+        assert np.max(np.abs(w - w_evr)) <= 1e-12 * scale
+        for k in range(1, min(w_evr.size, S.n - 1)):
+            if w_evr[k - 1] - w_evr[k] > 1e-9 * scale:
+                want = OrthonormalBasis(U=V_evr[:, :k])
+                assert grassmann_distance(S.top_k(k), want) <= 1e-12
+
+
+def _copying_back_transform(M, **select):
+    """Eigenpairs of the tridiagonal reduction of M in a selection, mapped
+    back through a contiguous copy of the reflectors c[1:, :n-1]."""
+    n = M.shape[0]
+    lwork, _ = scipy.linalg.lapack.dsytrd_lwork(n, lower=1)
+    c, d, e, tau, _ = scipy.linalg.lapack.dsytrd(M, lower=1, lwork=int(lwork))
+    w, Z = scipy.linalg.eigh_tridiagonal(d, e, **select)
+    if w.size:
+        reflectors = np.asfortranarray(c[1:, : n - 1])
+        work = scipy.linalg.lapack.dormqr("L", "N", reflectors, tau, Z[1:], -1)[1]
+        Z[1:] = scipy.linalg.lapack.dormqr("L", "N", reflectors, tau, Z[1:], int(work[0]))[0]
+    return w, Z
+
+
+@pytest.mark.parametrize("n", range(2, 14))
+def test_reflectors_read_in_place_match_a_copy_bitwise(rng, n):
+    # the spectrum hands dormqr a view that starts one element into the
+    # reduction's array; an index slip there would change the vectors
+    M = rng.normal(size=(n, n))
+    M = (M + M.T) / 2
+    thr = float(np.median(np.abs(np.linalg.eigvalsh(M))))
+    w, V = eigendecompose(M).top(n)
+    want_w, want_V = _copying_back_transform(M, select="i", select_range=(0, n - 1))
+    assert w.tobytes() == want_w[::-1].tobytes()
+    assert V.tobytes() == np.ascontiguousarray(want_V[:, ::-1]).tobytes()
+    w, V = eigendecompose(M).beyond(thr)
+    parts = [
+        _copying_back_transform(M, select="v", select_range=r)
+        for r in [(-np.inf, -thr), (np.nextafter(thr, -np.inf), np.inf)]
+    ]
+    assert w.tobytes() == np.concatenate([p[0] for p in parts]).tobytes()
+    assert V.tobytes() == np.hstack([p[1] for p in parts]).tobytes()
+
+
+def test_top_read_makes_no_copy_of_the_reflectors(rng):
+    # after the reduction, reading the top pairs allocates O(n) per pair
+    # and dormqr's workspace; a copy of the (n-1) x (n-1) reflectors would
+    # trace about n^2 * 8 bytes
+    n = 400
+    M = rng.normal(size=(n, n))
+    S = eigendecompose((M + M.T) / 2)
+    assert S.radius > 0  # a matrix with negative entries: the reduction alone
+    tracemalloc.start()
+    try:
+        S.top(TOP_BLOCK)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8 / 4
 
 
 def test_beyond_keeps_exactly_the_pairs_at_or_past_the_threshold(rng):
@@ -216,8 +301,8 @@ def test_beyond_keeps_exactly_the_pairs_at_or_past_the_threshold(rng):
 
 
 def test_block_reads_agree_in_any_order():
-    # the block is fixed, not sized by the first read, so every order of
-    # reads gives the same bytes
+    # the smallest read of the largest pairs is fixed, not sized by the
+    # first read, so every order of reads gives the same bytes
     A = sample_adjacency(two_block_sbm(60, 0.5, 0.1), 4).A
     reads = {
         "gap1": lambda S: S.gap(1),
@@ -402,7 +487,7 @@ def test_spectrum_gap_within_tie_tolerance_is_zero():
     assert eigendecompose(np.diag([2.0, 1.0 + 1e-12, 1.0])).gap(2) == 0.0
     assert eigendecompose(np.diag([2.0, 1.0 + 1.5e-9, 1.0])).gap(2) == 0.0
     assert eigendecompose(np.diag([2.0, 1.0 + 1e-6, 1.0])).gap(2) == pytest.approx(1e-6)
-    # the same rule past the top block, where the reduction serves the read
+    # the same rule past the first TOP_BLOCK pairs read
     w = np.arange(TOP_BLOCK + 2, dtype=float)[::-1]
     w[TOP_BLOCK + 1] = w[TOP_BLOCK] - 1e-12
     assert eigendecompose(np.diag(w)).gap(TOP_BLOCK + 1) == 0.0
@@ -418,9 +503,8 @@ def test_top_k_idempotent_on_symmetric_input(rng):
 
 
 def test_src_asks_eigh_for_no_full_decomposition_with_vectors():
-    # every scipy.linalg.eigh call in the package is a subset of the
-    # eigenpairs or eigenvalues only; reads past the top block go through
-    # one tridiagonal reduction instead
+    # every scipy.linalg.eigh call in the package asks for eigenvalues only;
+    # eigenvectors come from one tridiagonal reduction instead
     src = Path(graphcert.__file__).parent
     calls = []
     for path in sorted(src.glob("*.py")):
@@ -430,7 +514,6 @@ def test_src_asks_eigh_for_no_full_decomposition_with_vectors():
                 only_values = isinstance(keywords.get("eigvals_only"), ast.Constant) and (
                     keywords["eigvals_only"].value is True
                 )
-                subset = "subset_by_index" in keywords or "subset_by_value" in keywords
-                calls.append((path.name, node.lineno, only_values or subset))
+                calls.append((path.name, node.lineno, only_values))
     assert calls, "no scipy.linalg.eigh call found"
     assert [c for c in calls if not c[2]] == []

@@ -765,14 +765,13 @@ def _eigensolver_route_config(route):
 
 @pytest.mark.parametrize(
     "route,subset,full,values,reduction",
-    [("declared_katz", 1, 0, 0, 0), ("usvt_eigenvector", 1, 0, 0, 1),
-     ("parametric_eigenvector", 2, 0, 0, 0)],
+    [("declared_katz", 0, 0, 0, 1), ("usvt_eigenvector", 0, 0, 0, 2),
+     ("parametric_eigenvector", 0, 0, 0, 2)],
 )
 def test_eigensolver_call_counts(sbm200, eig_calls, route, subset, full, values, reduction):
-    # one top block of A serves every consumer; the USVT route reduces A
-    # first (its kept pairs), so the reduction serves A's later reads and no
-    # block of A is made, then takes the top block of P_hat for its gap; the
-    # parametric P is built once and its top block serves the gap and D3
+    # one reduction of A serves every consumer; the USVT route also reduces
+    # P_hat for its gap, and the parametric P is built and reduced once for
+    # the gap and D3
     A = sample_adjacency(sbm200, 56)
     report = run_protocol(A, _eigensolver_route_config(route))
     assert {"subspace", "centrality_bands", "cluster", "filtration"} <= set(report.outputs)

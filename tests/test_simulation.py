@@ -138,21 +138,21 @@ def test_declared_subnormal_gap_refuses_the_gap_claims(sbm200):
 
 
 def test_coverage_eigensolver_call_counts(eig_calls):
-    # set-up takes the top block of P once; each replication takes its
-    # sample's top block once (region, audits and Katz scores) and ||A - P||
-    # from a values-only solve
+    # set-up reduces P once; each replication reduces its sample once
+    # (region, audits and Katz scores) and takes ||A - P|| from a
+    # values-only solve
     model = two_block_sbm(60, 0.5, 0.1)
     result = coverage_experiment(model, CoverageConfig(k=2, alpha=0.1), 3, base_seed=1)
     assert all(c.evaluated for c in result.claims.values())
-    assert eig_calls == {"subset": 1 + 3, "full": 0, "values": 3, "reduction": 0}
+    assert eig_calls == {"subset": 0, "full": 0, "values": 3, "reduction": 1 + 3}
 
     # a refused subspace claim leaves the report without a region, so the
-    # audits take each sample's top block once more for the observed basis
+    # audits reduce each sample once more for the observed basis
     eig_calls.update(subset=0, full=0, values=0, reduction=0)
     config = CoverageConfig(k=2, alpha=0.1, envelope=Envelope(d_max=30.0))
     result = coverage_experiment(model, config, 3, base_seed=1)
     assert result.claims["subspace"].refused
-    assert eig_calls == {"subset": 1 + 2 * 3, "full": 0, "values": 3, "reduction": 0}
+    assert eig_calls == {"subset": 0, "full": 0, "values": 3, "reduction": 1 + 2 * 3}
 
 
 def test_deviation_only_run_without_audits_calls_no_protocol(monkeypatch, sbm200):
