@@ -80,7 +80,6 @@ from .inference import (
 )
 from .downstream import (
     FairnessProblem,
-    distance_matrix,
     fair_optimize,
     feasibility_transfer_check,
     logistic_decisions,

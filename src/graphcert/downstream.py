@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import EmptyGroup, InsufficientTolerance, NotSymmetric, ShapeMismatch
+from .errors import EmptyGroup, InsufficientTolerance, NonFiniteRows, ShapeMismatch
 from .linalg import OrthonormalBasis
 from .models import require_unit_interval
 
@@ -31,7 +31,6 @@ __all__ = [
     "feasibility_transfer_check",
     "TradeoffBounds",
     "tradeoff_bounds",
-    "distance_matrix",
     "threshold_snapshots",
 ]
 
@@ -266,14 +265,6 @@ def tradeoff_bounds(
 # ---------------------------------------------------------------------------
 # filtration snapshots
 
-def distance_matrix(X: np.ndarray) -> np.ndarray:
-    """Exact pairwise Euclidean distances of embedding rows."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise ShapeMismatch("X must be 2-d")
-    return cdist(X, X)  # (x - y)^2 == (y - x)^2: exactly symmetric, zero diagonal
-
-
 def _mst_weights(D: np.ndarray) -> np.ndarray:
     """Sorted edge weights of a minimum spanning tree of the complete graph on D.
 
@@ -307,30 +298,32 @@ class ThresholdSnapshot:
     components_upper: int
 
 
-def threshold_snapshots(D: np.ndarray, eta: float, t_grid) -> tuple:
+def threshold_snapshots(X: np.ndarray, eta: float, t_grid) -> tuple:
     """One :class:`ThresholdSnapshot` per grid threshold t.
 
-    Reports G_{t-2eta}, G_t and G_{t+2eta} of one exactly symmetric
-    distance matrix D; a negative (or NaN) threshold gives the empty graph.
-    An edge count is the off-diagonal entries <= s, halved: one comparison
-    pass per threshold. Component counts come from one minimum spanning
-    tree: G_s has n - #{tree edges of weight <= s} components (single
-    linkage), exactly, for any such tree, ties and zero distances included.
+    Reports G_{t-2eta}, G_t and G_{t+2eta} of the embedding rows X, refused
+    unless 2-d and finite; a negative (or NaN) threshold gives the empty
+    graph. The rows' exact distances are exactly symmetric with a zero
+    diagonal, so an edge count is the entries <= s less the n diagonal
+    ones, halved: one comparison pass per threshold. Component counts come
+    from one minimum spanning tree: G_s has n - #{tree edges of weight <= s}
+    components (single linkage), exactly, for any such tree, ties and zero
+    distances included.
     """
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise ShapeMismatch("embedding rows must be 2-d")
+    if not np.all(np.isfinite(X)):
+        raise NonFiniteRows("the embedding rows hold a NaN or an infinity")
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size == 0:
         return ()
-    n = D.shape[0]
-    if D.shape != (n, n):
-        raise ShapeMismatch("distance matrix must be square")
-    if not np.array_equal(D, D.T):
-        raise NotSymmetric("distance matrix must be symmetric and free of NaN")
+    n = X.shape[0]
+    D = cdist(X, X)  # (x - y)^2 == (y - x)^2: exactly symmetric, zero diagonal
     tree = _mst_weights(D)
 
     def edges(s: float) -> int:
-        if not s >= 0:
-            return 0
-        return (int(np.count_nonzero(D <= s)) - int(np.count_nonzero(D.diagonal() <= s))) // 2
+        return (int(np.count_nonzero(D <= s)) - n) // 2 if s >= 0 else 0
 
     def components(s: float) -> int:
         return n - int(np.searchsorted(tree, s, side="right")) if s >= 0 else n

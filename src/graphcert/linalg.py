@@ -46,19 +46,25 @@ TOP_BLOCK = 8
 
 def is_symmetric(M: np.ndarray) -> bool:
     """Whether M equals its transpose to within 1e-10 in max-abs entry (a NaN
-    fails); the common exact case is decided without forming M - M.T."""
+    fails). The common exact case is decided on M's own dtype; only the
+    tolerance test forms M - M.T, in float64, so integers cannot wrap."""
     if np.array_equal(M, M.T):
         return True
+    M = np.asarray(M, dtype=float)
     return bool(np.max(np.abs(M - M.T)) <= _SYM_TOL)
 
 
 def _check_symmetric(M: np.ndarray) -> np.ndarray:
-    M = np.asarray(M, dtype=float)
+    """M as float64, refused unless real (bool, integer or float), square and
+    symmetric; symmetry is tested before the float copy is made."""
+    M = np.asarray(M)
+    if M.dtype.kind not in "biuf":
+        raise NotSymmetric(f"expected a real matrix, got dtype {M.dtype}")
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise NotSymmetric("expected a square matrix")
     if not is_symmetric(M):
         raise NotSymmetric("matrix is not symmetric to within 1e-10")
-    return M
+    return np.asarray(M, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -153,8 +159,9 @@ def _canonical_columns(w_desc: np.ndarray, V: np.ndarray, k: int, tol: float) ->
 
 
 class Spectrum:
-    """The spectrum of the symmetric ``matrix`` given to :func:`eigendecompose`,
-    computed on first read and shared by every spectral consumer.
+    """The spectrum of a symmetric, read-only float64 ``matrix``, as
+    :func:`eigendecompose` checks and makes it, computed on first read and
+    shared by every spectral consumer.
 
     The first read makes one Householder reduction of the matrix to a
     tridiagonal T (``dsytrd``), the only O(n^3) step. Every read is a subset

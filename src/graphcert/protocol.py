@@ -29,12 +29,15 @@ from scipy.linalg.blas import dgemm
 from .errors import (
     DegenerateTopEigenvalue,
     NonpositiveGap,
+    NonpositiveMargin,
     OutsideDomain,
     QuantileOverflow,
+    ShapeMismatch,
     UnsupportedSpec,
 )
 from .concentration import davis_kahan_radius, deviation_quantile_from_envelope
 from .inference import (
+    _require_margin,
     center_separation,
     centrality_bands,
     cluster_region,
@@ -54,7 +57,6 @@ from .downstream import (
     logistic_decisions,
     parity_gap,
     quadratic_loss,
-    distance_matrix,
     threshold_snapshots,
 )
 from .linalg import (
@@ -133,6 +135,8 @@ class ClusteringConfig:
         _require_nonnegative("clustering", delta=self.delta, c_row=self.c_row)
         if self.centers is not None:
             rows = tuple(real_tuple("centers", row) for row in self.centers)
+            if len(rows) < 2:
+                raise ValueError(f"declared centers need at least 2 rows, got {len(rows)}")
             object.__setattr__(self, "centers", rows)
             centers = np.asarray(self.centers, float)
             if not np.all(np.isfinite(centers)):
@@ -142,7 +146,7 @@ class ClusteringConfig:
                 raise ValueError("declared centers must have row norm at most 1")
             # the margin must hold between the declared centers themselves;
             # the slack admits centers exactly delta apart up to rounding
-            if self.delta is not None and len(centers) > 1:
+            if self.delta is not None:
                 sep = center_separation(centers)
                 if sep < self.delta * (1.0 - 1e-12):
                     raise ValueError(
@@ -219,6 +223,11 @@ class ProtocolConfig:
         object.__setattr__(self, "alpha", float(self.alpha))
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
+        centers = self.clustering.centers if self.clustering is not None else None
+        if centers is not None and len(centers[0]) != self.k:
+            raise ShapeMismatch(
+                f"declared centers have {len(centers[0])} entries per row, k = {self.k}"
+            )
         if self.parametric_spec is not None and not isinstance(self.parametric_spec, SBMSpec):
             raise UnsupportedSpec(
                 "parametric gap certificates support SBM specs, "
@@ -401,13 +410,17 @@ def run_protocol(A: AdjacencyMatrix, config: ProtocolConfig) -> DiagnosticReport
     alpha = config.alpha
     if not 1 <= k <= n - 1:
         raise ValueError(f"k = {k} must lie in [1, {n - 1}]")
+    spec = config.parametric_spec
+    if spec is not None and spec.n != n:
+        raise ShapeMismatch(f"parametric_spec has {spec.n} nodes, the graph has {n}")
 
     refusals: list = []
     outputs: dict = {}
     diagnostics: dict = {}
 
-    # observed spectrum, decomposed on first read (see Spectrum)
-    S = eigendecompose(A.A)
+    # observed spectrum, decomposed on first read (see Spectrum); A.A was
+    # checked symmetric where it entered, when A was built, and is read-only
+    S = Spectrum(A.A)
 
     # D1: deviation quantile from the declared degree envelope
     d_max = config.envelope.d_max if config.envelope is not None else None
@@ -426,8 +439,8 @@ def run_protocol(A: AdjacencyMatrix, config: ProtocolConfig) -> DiagnosticReport
     gap: Optional[float] = None
     gap_source = "none"
     S_P = None
-    if config.parametric_spec is not None:
-        S_P = eigendecompose(build_probability_matrix(config.parametric_spec).P)
+    if spec is not None:
+        S_P = eigendecompose(build_probability_matrix(spec).P)
         gap = S_P.gap(k)
         gap_source = "parametric"
     elif config.envelope is not None and config.envelope.gap is not None:
@@ -499,12 +512,15 @@ def run_protocol(A: AdjacencyMatrix, config: ProtocolConfig) -> DiagnosticReport
     # D4: clustering margin
     clus = config.clustering
     delta = clus.delta if clus is not None else None
-    if delta is None or delta <= 0:
+    if delta is None:
         d4 = Flag(False, "no clustering margin declared")
-    elif delta * delta == 0.0:
-        d4 = Flag(False, f"declared margin {delta!r} underflows when squared")
     else:
-        d4 = Flag(True, f"declared margin = {delta!r}")
+        try:
+            _require_margin(delta)
+        except NonpositiveMargin as exc:
+            d4 = Flag(False, f"declared {exc}")
+        else:
+            d4 = Flag(True, f"declared margin = {delta!r}")
     flags = {"D1": d1, "D2": d2, "D3": d3, "D4": d4}
 
     def gated_shut(output: str, detail: Optional[str] = None) -> bool:
@@ -579,8 +595,7 @@ def run_protocol(A: AdjacencyMatrix, config: ProtocolConfig) -> DiagnosticReport
              "detail": "declare a centrality block to score the selection"}
         )
 
-    # free the float copy of A and its n x n reduction before the n x n
-    # distance matrices
+    # free the n x n reduction of A before the filtration's n x n distances
     del S
 
     # Step 6: clustering region iff D1, D2 and D4
@@ -636,8 +651,7 @@ def run_protocol(A: AdjacencyMatrix, config: ProtocolConfig) -> DiagnosticReport
                 refusals.append({"output": "filtration", "reason": "no_rowwise_certificate",
                                  "detail": f"c_row * radius = {eta!r}"})
             else:
-                D = distance_matrix(region.center.U)
-                snaps = threshold_snapshots(D, eta, config.filtration.t_grid)
+                snaps = threshold_snapshots(region.center.U, eta, config.filtration.t_grid)
                 outputs["filtration"] = {
                     "eta": eta,
                     "t_grid": list(config.filtration.t_grid),

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import example, settings
+from scipy.spatial.distance import cdist
 
 from graphcert import (
     OrthonormalBasis,
     SBMSpec,
     build_probability_matrix,
-    distance_matrix,
     two_block_sbm,
 )
 
@@ -51,7 +51,7 @@ def filtration_sandwich(X, Y, t_grid):
     within G_t(Y), G_t(Y) within G_{t+2eta}(X)) as edge-set inclusions.
     """
     eta = float(np.max(np.linalg.norm(X - Y, axis=1)))
-    DX, DY = distance_matrix(X), distance_matrix(Y)
+    DX, DY = cdist(X, X), cdist(Y, Y)
     d_filt = float(np.max(np.abs(DX - DY)))
     included = [
         (bool(np.all((DY <= t)[DX <= t - 2 * eta])), bool(np.all((DX <= t + 2 * eta)[DY <= t])))
@@ -223,6 +223,8 @@ MALFORMED_CONFIGS = {
     "negative-clustering-c_row": (("clustering", "c_row"), -1.0),
     "negative-centrality-gamma": (("centrality", "gamma"), -1.0),
     "zero-selection_m": (("selection_m",), 0),
+    "one-clustering-center": (("clustering", "centers"), [[0.1, 0.1]]),
+    "narrow-clustering-centers": (("clustering", "centers"), [[0.3], [-0.3]]),
     **{f"{b}-as-a-list": ((b,), [1.0]) for b in _CONFIG_BLOCKS},
 }
 

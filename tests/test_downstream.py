@@ -10,10 +10,9 @@ from graphcert import (
     EmptyGroup,
     FairnessProblem,
     InsufficientTolerance,
-    NotSymmetric,
+    NonFiniteRows,
     OrthonormalBasis,
     ShapeMismatch,
-    distance_matrix,
     fair_optimize,
     feasibility_transfer_check,
     grassmann_distance,
@@ -306,28 +305,39 @@ def test_sigmoid_slope_never_exceeds_quarter_tau(rng):
 # ---------------------------------------------------------------------------
 # filtrations
 
-def test_distance_matrix_trivial():
-    X = np.tile([1.0, 2.0], (4, 1))
-    assert np.all(distance_matrix(X) == 0)
+def _pairwise_distances(X):
+    """The oracle: each distance from its definition in Python floats, the
+    squared coordinate differences summed in order. (``np.linalg.norm``
+    fuses multiply-adds in its dot product, so it differs from this in the
+    last bit for many pairs, and a threshold equal to a distance would not
+    test the tie.)"""
+    n = X.shape[0]
+    return np.array([
+        math.sqrt(sum((a - b) ** 2 for a, b in zip(X[i].tolist(), X[j].tolist())))
+        for i in range(n) for j in range(n)
+    ]).reshape(n, n)
+
+
+def test_threshold_snapshots_of_trivial_rows():
+    # identical rows are joined at distance 0; two rows at distance 1 are
+    # joined at t = 1 and not one ulp below
+    snap, = threshold_snapshots(np.tile([1.0, 2.0], (4, 1)), 0.0, [0.0])
+    assert (snap.edges_point, snap.components_point) == (6, 1)
     X = np.array([[0.0, 0.0], [1.0, 0.0]])
-    D = distance_matrix(X)
-    assert D[0, 1] == D[1, 0] == 1.0
+    below, at = threshold_snapshots(X, 0.0, [np.nextafter(1.0, 0.0), 1.0])
+    assert (below.edges_point, below.components_point) == (0, 2)
+    assert (at.edges_point, at.components_point) == (1, 1)
 
 
-def test_distance_matrix_matches_pairwise(rng):
-    X = rng.normal(size=(15, 3))
-    D = distance_matrix(X)
-    for i in range(15):
-        for j in range(15):
-            assert abs(D[i, j] - np.linalg.norm(X[i] - X[j])) < 1e-10
-    # rows close together far from the origin: the distances stay exact
-    # to rounding, where a Gram-matrix route cancels most of its digits
-    X = 1.0 + 1e-4 * rng.normal(size=(15, 2))
-    D = distance_matrix(X)
-    for i in range(15):
-        for j in range(15):
-            exact = np.linalg.norm(X[i] - X[j])
-            assert abs(D[i, j] - exact) <= 1e-15 * exact, (i, j)
+def test_threshold_snapshots_match_pairwise_distances(rng):
+    # thresholds 1e-15 relative either side of each pairwise distance: a
+    # distance further than that from the oracle's moves an edge count. Rows
+    # close together far from the origin too, where a Gram-matrix route
+    # cancels most of the digits of a distance
+    for X in (rng.normal(size=(15, 3)), 1.0 + 1e-4 * rng.normal(size=(15, 2))):
+        d = _pairwise_distances(X)[np.triu_indices(15, 1)]
+        t_grid = np.concatenate([d * (1 - 1e-15), d * (1 + 1e-15)])
+        assert threshold_snapshots(X, 0.0, t_grid) == _brute_force_snapshots(X, 0.0, t_grid)
 
 
 def test_filtration_identity_case(rng):
@@ -336,7 +346,7 @@ def test_filtration_identity_case(rng):
     assert eta == 0.0
     assert d_filt == 0.0
     assert all(lower and upper for lower, upper in included)
-    for snap in threshold_snapshots(distance_matrix(X), eta, [0.5, 1.0, 2.0]):
+    for snap in threshold_snapshots(X, eta, [0.5, 1.0, 2.0]):
         assert snap.edges_lower == snap.edges_point == snap.edges_upper
 
 
@@ -368,16 +378,18 @@ def test_filtration_sandwich_on_grid(rng):
         Y = X + rng.normal(scale=0.1, size=(12, 3))
         eta, _, included = filtration_sandwich(X, Y, t_grid)
         assert all(lower and upper for lower, upper in included)
-        around_x = threshold_snapshots(distance_matrix(X), eta, t_grid)
-        at_y = threshold_snapshots(distance_matrix(Y), 0.0, t_grid)
+        around_x = threshold_snapshots(X, eta, t_grid)
+        at_y = threshold_snapshots(Y, 0.0, t_grid)
         for sx, sy in zip(around_x, at_y):
             assert sx.edges_lower <= sy.edges_point <= sx.edges_upper
             assert sx.components_lower >= sy.components_point >= sx.components_upper
 
 
-def _brute_force_snapshots(D, eta, t_grid):
-    """The definition: one upper-triangular edge mask per threshold graph
-    (negative thresholds give the empty graph) and its connected components."""
+def _brute_force_snapshots(X, eta, t_grid):
+    """The definition: one upper-triangular edge mask of the oracle's
+    distances per threshold graph (negative thresholds give the empty
+    graph) and its connected components."""
+    D = _pairwise_distances(X)
     n = D.shape[0]
 
     def edges(t):
@@ -411,9 +423,8 @@ _ONE_DECIMAL = st.integers(-20, 20).map(lambda v: v / 10.0)
 
 @st.composite
 def _filtration_cases(draw):
-    """Distances of rows on a one-decimal grid (exact distance ties), some
-    duplicated (zero distances), at times with a nonzero diagonal, which is
-    no edge; and a shift eta."""
+    """Rows on a one-decimal grid (exact distance ties), some duplicated
+    (zero distances); and a shift eta."""
     n = draw(st.integers(0, 7))
     k = draw(st.integers(1, 3))
     X = np.array(
@@ -423,31 +434,28 @@ def _filtration_cases(draw):
         for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
                                   max_size=3)):
             X[i] = X[j]
-    D = distance_matrix(X)
-    if draw(st.booleans()):
-        D[np.diag_indices(n)] = draw(st.lists(_ONE_DECIMAL, min_size=n, max_size=n))
     eta = draw(st.sampled_from([0.0, 0.05, 0.1, 0.35]))
-    return D, eta
+    return X, eta
 
 
 @settings(max_examples=60)
 @given(case=_filtration_cases())
 def test_threshold_snapshots_match_brute_force(case):
-    D, eta = case
+    X, eta = case
     # every pairwise distance is a threshold, so every tree weight is one,
     # also after the shift by 2 eta; negative and zero thresholds too
+    D = _pairwise_distances(X)
     dists = np.unique(D[np.triu_indices_from(D, 1)])
     t_grid = np.concatenate([[-0.3, -0.0, 0.0], dists, dists + 2.0 * eta, dists - 2.0 * eta])
-    assert threshold_snapshots(D, eta, t_grid) == _brute_force_snapshots(D, eta, t_grid)
+    assert threshold_snapshots(X, eta, t_grid) == _brute_force_snapshots(X, eta, t_grid)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2])
 def test_threshold_snapshots_tiny_graphs(n):
     X = np.zeros((n, 2))  # n = 2: a duplicated row, distance 0
-    D = distance_matrix(X)
     t_grid = [-1.0, 0.0, 1.0]
-    got = threshold_snapshots(D, 0.0, t_grid)
-    assert got == _brute_force_snapshots(D, 0.0, t_grid)
+    got = threshold_snapshots(X, 0.0, t_grid)
+    assert got == _brute_force_snapshots(X, 0.0, t_grid)
     assert [s.components_point for s in got] == [n, 1 if n else 0, 1 if n else 0]
 
 
@@ -460,24 +468,24 @@ def test_threshold_snapshots_empty_grid_builds_no_tree(monkeypatch, rng):
 
     tree = downstream._mst_weights
     monkeypatch.setattr(downstream, "_mst_weights", counted)
-    D = distance_matrix(rng.normal(size=(30, 2)))
-    assert threshold_snapshots(D, 0.1, ()) == ()
+    X = rng.normal(size=(30, 2))
+    assert threshold_snapshots(X, 0.1, ()) == ()
     assert calls == []
-    threshold_snapshots(D, 0.1, [0.5, 1.0])
+    threshold_snapshots(X, 0.1, [0.5, 1.0])
     assert len(calls) == 1  # one tree serves every threshold of one call
-    threshold_snapshots(D, 0.1, [0.5])
+    threshold_snapshots(X, 0.1, [0.5])
     assert len(calls) == 2
 
 
-def test_threshold_snapshots_refuse_asymmetric_or_nan():
-    D = distance_matrix(np.array([[0.0], [1.0], [3.0]]))
-    bent = D.copy()
-    bent[0, 1] += 1e-12
-    with pytest.raises(NotSymmetric):
-        threshold_snapshots(bent, 0.0, [1.0])
-    holed = D.copy()
-    holed[0, 2] = holed[2, 0] = np.nan
-    with pytest.raises(NotSymmetric):
-        threshold_snapshots(holed, 0.0, [1.0])
-    with pytest.raises(ShapeMismatch):
-        threshold_snapshots(D[:2], 0.0, [1.0])
+def test_threshold_snapshots_refuse_nonfinite_or_non_2d_rows():
+    X = np.array([[0.0], [1.0], [3.0]])
+    for bad in (np.nan, np.inf, -np.inf):
+        holed = X.copy()
+        holed[1, 0] = bad
+        with pytest.raises(NonFiniteRows):
+            threshold_snapshots(holed, 0.0, [1.0])
+        with pytest.raises(NonFiniteRows):  # refused before an empty grid returns
+            threshold_snapshots(holed, 0.0, [])
+    for flat in (X[:, 0], X[None], np.float64(1.0)):
+        with pytest.raises(ShapeMismatch):
+            threshold_snapshots(flat, 0.0, [1.0])

@@ -94,6 +94,38 @@ def test_eigendecompose_refuses_asymmetry_beyond_tolerance(rng):
         eigenvalues(far)
 
 
+# input -> the top eigenvalue of the accepted matrix, or the exception class
+# raised. Symmetry is tested on the input's own dtype and the float64 copy
+# made after; the int8 case wraps 127 - (-1) to -128 unless M - M.T is
+# formed in float64
+_EIGENDECOMPOSE_OUTCOMES = {
+    "int8-exact": (np.array([[0, 1], [1, 0]], dtype=np.int8), 1.0),
+    "int8-minus128-asymmetric": (np.array([[0, 127], [-1, 0]], dtype=np.int8), NotSymmetric),
+    "bool-asymmetric": (np.array([[False, True], [False, False]]), NotSymmetric),
+    "float-within-1e-10": (np.array([[0.0, 0.5], [0.5 + 1e-11, 0.0]]), 0.5 + 1e-11),
+    "nan": (np.array([[np.nan, 0.0], [0.0, 1.0]]), NotSymmetric),
+    "nested-list": ([[2, 1], [1, 2]], 3.0),
+    "ragged": ([[1.0, 2.0], [3.0]], ValueError),
+    "3-d": (np.zeros((2, 2, 2)), NotSymmetric),
+    # Hermitian, top eigenvalue 3: its real part alone would read 1
+    "complex": (np.array([[1, 2j], [-2j, 1]]), NotSymmetric),
+}
+
+
+@pytest.mark.parametrize(
+    "M,expected", _EIGENDECOMPOSE_OUTCOMES.values(), ids=_EIGENDECOMPOSE_OUTCOMES.keys()
+)
+def test_eigendecompose_outcome_by_input_kind(M, expected):
+    if isinstance(expected, float):
+        S = eigendecompose(M)
+        assert S.matrix.dtype == np.float64
+        assert abs(S.top(1)[0][0] - expected) <= 1e-12
+    else:
+        with pytest.raises(expected) as exc:
+            eigendecompose(M)
+        assert type(exc.value) is expected
+
+
 def test_top_k_deterministic_under_ties():
     M = np.diag([2.0, 2.0, 1.0, 0.0])
     b1 = eigendecompose(M).top_k(2)

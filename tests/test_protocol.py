@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from graphcert import (
     AdjacencyMatrix,
     SBMSpec,
+    ShapeMismatch,
     UnsupportedSpec,
     build_probability_matrix,
     deviation_quantile,
@@ -777,6 +778,55 @@ def test_eigensolver_call_counts(sbm200, eig_calls, route, subset, full, values,
     assert {"subspace", "centrality_bands", "cluster", "filtration"} <= set(report.outputs)
     assert eig_calls == {"subset": subset, "full": full, "values": values,
                          "reduction": reduction}
+
+
+def test_declared_route_checks_each_matrix_once_where_it_enters(sbm200, monkeypatch):
+    # the adjacency matrix is compared with its transpose once, as the int8
+    # sample, when A is built; its spectrum shares A's checked float64 array
+    # and the filtration takes the rows, not a distance matrix to check
+    compared = []
+    array_equal = np.array_equal
+
+    def spy(a1, a2, *args, **kwargs):
+        compared.append((np.shape(a1), np.asarray(a1).dtype))
+        return array_equal(a1, a2, *args, **kwargs)
+
+    monkeypatch.setattr(np, "array_equal", spy)
+    A = sample_adjacency(sbm200, 56)
+    assert compared == [((200, 200), np.dtype(np.int8))]
+    report = run_protocol(A, _eigensolver_route_config("declared_katz"))
+    assert "filtration" in report.outputs
+    assert ((200, 200), np.dtype(np.float64)) not in compared
+
+
+def test_parametric_spec_of_another_size_is_refused(sbm200):
+    # the spec's P would certify its own gap and Katz domain: a 600-node
+    # spec on a 200-node graph ships a radius 3x too small
+    from graphcert import two_block_sbm
+
+    A = sample_adjacency(sbm200, 56)
+    config = ProtocolConfig(k=2, envelope=Envelope(d_max=39.7),
+                            parametric_spec=two_block_sbm(600, 0.3, 0.1).spec)
+    with pytest.raises(ShapeMismatch, match="parametric_spec has 600 nodes, the graph has 200"):
+        run_protocol(A, config)
+
+
+@pytest.mark.parametrize("delta,passed,provenance", [
+    (None, False, "no clustering margin declared"),
+    (0.0, False, "declared margin 0.0 must be positive"),
+    (1e-170, False, "declared margin 1e-170 underflows when squared"),
+    (0.3, True, "declared margin = 0.3"),
+], ids=["undeclared", "zero", "underflow", "positive"])
+def test_margin_flag_reads_the_margin_rule(delta, passed, provenance):
+    config = config_from_dict({
+        "k": 2,
+        "envelope": {"d_max": 10, "gap": 10.0},
+        "clustering": {"delta": delta, "c_row": 0.01},
+    })
+    report = run_protocol(_two_block_40(), config)
+    assert (report.flags["D4"].passed, report.flags["D4"].provenance) == (passed, provenance)
+    refused = [(r["reason"], r["detail"]) for r in report.refusals if r["output"] == "cluster"]
+    assert refused == ([] if passed else [("no_margin_declared", provenance)])
 
 
 def _two_block_40():
