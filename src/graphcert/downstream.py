@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.spatial.distance import cdist
+from scipy.cluster.hierarchy import linkage
+from scipy.spatial.distance import pdist
 
 from .errors import EmptyGroup, InsufficientTolerance, NonFiniteRows, ShapeMismatch
 from .linalg import OrthonormalBasis
@@ -265,28 +266,6 @@ def tradeoff_bounds(
 # ---------------------------------------------------------------------------
 # filtration snapshots
 
-def _mst_weights(D: np.ndarray) -> np.ndarray:
-    """Sorted edge weights of a minimum spanning tree of the complete graph on D.
-
-    Dense Prim in O(n^2): every entry, zeros included, is an edge, so
-    duplicate rows stay joined (a sparse MST would drop their 0 entries).
-    """
-    n = D.shape[0]
-    if n < 2:
-        return np.empty(0)
-    weights = np.empty(n - 1)
-    rest = np.arange(1, n)            # vertices outside the tree, in rest[:m]
-    dist = D[0, 1:].copy()            # their distance to the tree
-    for m in range(n - 1, 0, -1):
-        j = int(np.argmin(dist[:m]))
-        weights[n - 1 - m] = dist[j]
-        v = rest[j]
-        rest[j], dist[j] = rest[m - 1], dist[m - 1]
-        np.minimum(dist[:m - 1], D[v, rest[:m - 1]], out=dist[:m - 1])
-    weights.sort()
-    return weights
-
-
 @dataclass(frozen=True)
 class ThresholdSnapshot:
     t: float
@@ -303,11 +282,12 @@ def threshold_snapshots(X: np.ndarray, eta: float, t_grid) -> tuple:
 
     Reports G_{t-2eta}, G_t and G_{t+2eta} of the embedding rows X, refused
     unless 2-d and finite; a negative (or NaN) threshold gives the empty
-    graph. The rows' exact distances are exactly symmetric with a zero
-    diagonal, so an edge count is the entries <= s less the n diagonal
-    ones, halved: one comparison pass per threshold. Component counts come
-    from one minimum spanning tree: G_s has n - #{tree edges of weight <= s}
-    components (single linkage), exactly, for any such tree, ties and zero
+    graph. The n(n-1)/2 pairwise distances are computed once, condensed
+    (``pdist``), and an edge count is one comparison pass over them. Rows
+    whose distance overflows to infinity are refused, since such a distance
+    would be counted wrong. Component counts come from the single-linkage
+    merge heights (``linkage``), the weights of a minimum spanning tree:
+    G_s has n - #{heights <= s} components, exactly, ties and zero
     distances included.
     """
     X = np.asarray(X, dtype=float)
@@ -319,11 +299,14 @@ def threshold_snapshots(X: np.ndarray, eta: float, t_grid) -> tuple:
     if t_grid.size == 0:
         return ()
     n = X.shape[0]
-    D = cdist(X, X)  # (x - y)^2 == (y - x)^2: exactly symmetric, zero diagonal
-    tree = _mst_weights(D)
+    d = pdist(X)
+    if not np.all(np.isfinite(d)):
+        raise NonFiniteRows("a distance between the embedding rows overflows to infinity")
+    # linkage refuses fewer than 2 rows; its single-linkage heights ascend
+    tree = linkage(d, "single")[:, 2] if n >= 2 else np.empty(0)
 
     def edges(s: float) -> int:
-        return (int(np.count_nonzero(D <= s)) - n) // 2 if s >= 0 else 0
+        return int(np.count_nonzero(d <= s))  # distances are >= 0: none for s < 0
 
     def components(s: float) -> int:
         return n - int(np.searchsorted(tree, s, side="right")) if s >= 0 else n

@@ -83,8 +83,9 @@ class DuplicateCenters(GraphCertError):
 
 
 class NonFiniteRows(GraphCertError):
-    """Rows given to K-means hold a NaN or an infinity, so no restart has a
-    cost to rank."""
+    """Rows hold a NaN or an infinity, so no K-means restart has a cost to
+    rank; or two filtration rows lie so far apart that their distance
+    overflows."""
 
 
 class NonpositiveMargin(GraphCertError):

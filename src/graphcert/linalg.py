@@ -137,31 +137,18 @@ def _canonical_columns(w_desc: np.ndarray, V: np.ndarray, k: int, tol: float) ->
     columns given must run to the end of the tie group that crosses
     position k: groups further down cannot move a column into the first k.
     """
-    m = w_desc.size
-    V = V.copy()
-    anchors = np.empty(m, dtype=np.int64)
-    for j in range(m):
-        col = V[:, j]
-        a = int(np.argmax(np.abs(col)))
-        if col[a] < 0:
-            V[:, j] = -col
-        anchors[j] = a
+    anchors = np.argmax(np.abs(V), axis=0)
+    signs = np.where(V[anchors, np.arange(V.shape[1])] < 0, -1.0, 1.0)
     # group nearly equal eigenvalues and sort each group by anchor index
-    start = 0
-    order = np.arange(m)
-    for j in range(1, m + 1):
-        if j == m or w_desc[j - 1] - w_desc[j] > tol:
-            if j - start > 1:
-                grp = order[start:j]
-                order[start:j] = grp[np.argsort(anchors[grp], kind="stable")]
-            start = j
-    return V[:, order[:k]]
+    groups = np.cumsum(np.concatenate(([False], w_desc[:-1] - w_desc[1:] > tol)))
+    cols = np.lexsort((anchors, groups))[:k]
+    return V[:, cols] * signs[cols]  # a multiply by +-1 is exact
 
 
 class Spectrum:
-    """The spectrum of a symmetric, read-only float64 ``matrix``, as
-    :func:`eigendecompose` checks and makes it, computed on first read and
-    shared by every spectral consumer.
+    """The spectrum of a symmetric, read-only float64 ``matrix`` (one that
+    :func:`eigendecompose` checked, or one checked where it was built),
+    computed on first read and shared by every spectral consumer.
 
     The first read makes one Householder reduction of the matrix to a
     tridiagonal T (``dsytrd``), the only O(n^3) step. Every read is a subset

@@ -59,11 +59,7 @@ from .downstream import (
     quadratic_loss,
     threshold_snapshots,
 )
-from .linalg import (
-    Spectrum,
-    eigendecompose,
-    weyl_gap_certificate,
-)
+from .linalg import Spectrum, weyl_gap_certificate
 from .io import from_json, spec_from_dict, to_json
 from .models import (
     AdjacencyMatrix,
@@ -182,6 +178,15 @@ class FairnessConfig:
         object.__setattr__(self, "tau", float(self.tau))
         object.__setattr__(self, "epsilon", float(self.epsilon))
         require_unit_interval("fairness targets", self.targets)
+        if len(groups) != len(self.targets):
+            raise ShapeMismatch(
+                f"fairness groups and targets differ in length: {len(groups)} and "
+                f"{len(self.targets)}"
+            )
+        if set(groups) != {0, 1}:
+            raise ValueError(
+                f"fairness groups must be 0 or 1, both present, got {sorted(set(groups))}"
+            )
         if self.tau <= 0:
             raise ValueError("fairness temperature tau must be positive")
         if not 0.0 <= self.epsilon <= 1.0:
@@ -270,7 +275,8 @@ def usvt_denoise(S: Spectrum, threshold_scale: float = 2.02) -> np.ndarray:
     entries are clipped to [0, 1], and the diagonal is zeroed. Used only to
     feed the Weyl gap certificate with a user-supplied denoising error
     bound; no deviation quantile is derived from it. A NaN, infinite or
-    nonpositive threshold_scale is refused.
+    nonpositive threshold_scale is refused. The result is exactly symmetric
+    and read-only, so it can be a :class:`Spectrum` as it is.
     """
     require_finite(threshold_scale=threshold_scale)
     if not threshold_scale > 0:
@@ -284,6 +290,7 @@ def usvt_denoise(S: Spectrum, threshold_scale: float = 2.02) -> np.ndarray:
     np.clip(P_hat, 0.0, 1.0, out=P_hat)
     P_hat = (P_hat + P_hat.T) / 2.0
     np.fill_diagonal(P_hat, 0.0)
+    P_hat.setflags(write=False)
     return P_hat
 
 
@@ -413,6 +420,11 @@ def run_protocol(A: AdjacencyMatrix, config: ProtocolConfig) -> DiagnosticReport
     spec = config.parametric_spec
     if spec is not None and spec.n != n:
         raise ShapeMismatch(f"parametric_spec has {spec.n} nodes, the graph has {n}")
+    if config.fairness is not None and len(config.fairness.groups) != n:
+        raise ShapeMismatch(
+            f"fairness groups and targets have {len(config.fairness.groups)} entries, "
+            f"the graph has {n} nodes"
+        )
 
     refusals: list = []
     outputs: dict = {}
@@ -435,19 +447,21 @@ def run_protocol(A: AdjacencyMatrix, config: ProtocolConfig) -> DiagnosticReport
         d1 = Flag(False, "no d_max declared")
 
     # D2: gap certificate (parametric > declared > usvt+weyl); the spectrum
-    # S_P of the parametric P also feeds D3
+    # S_P of the parametric P also feeds D3. P was checked when it was built,
+    # and P_hat is symmetric by construction: both are read-only spectra as
+    # they are
     gap: Optional[float] = None
     gap_source = "none"
     S_P = None
     if spec is not None:
-        S_P = eigendecompose(build_probability_matrix(spec).P)
+        S_P = Spectrum(build_probability_matrix(spec).P)
         gap = S_P.gap(k)
         gap_source = "parametric"
     elif config.envelope is not None and config.envelope.gap is not None:
         gap = float(config.envelope.gap)
         gap_source = "declared"
     elif config.usvt is not None and config.usvt.eps_p is not None:
-        gap_hat = eigendecompose(usvt_denoise(S, config.usvt.threshold_scale)).gap(k)
+        gap_hat = Spectrum(usvt_denoise(S, config.usvt.threshold_scale)).gap(k)
         gap = weyl_gap_certificate(gap_hat, config.usvt.eps_p)
         gap_source = "usvt_weyl"
         diagnostics["usvt"] = {
@@ -595,7 +609,7 @@ def run_protocol(A: AdjacencyMatrix, config: ProtocolConfig) -> DiagnosticReport
              "detail": "declare a centrality block to score the selection"}
         )
 
-    # free the n x n reduction of A before the filtration's n x n distances
+    # free the n x n reduction of A before the filtration's n(n-1)/2 distances
     del S
 
     # Step 6: clustering region iff D1, D2 and D4

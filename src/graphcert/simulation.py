@@ -38,7 +38,7 @@ from .inference import (
 )
 from .linalg import (
     OrthonormalBasis,
-    eigendecompose,
+    Spectrum,
     grassmann_distance,
     procrustes_align,
     symmetric_operator_norm,
@@ -49,6 +49,7 @@ from .models import (
     SBMSpec,
     expected_degree_bound,
     require_finite,
+    require_integer,
     sample_adjacency,
 )
 from .protocol import (
@@ -121,9 +122,13 @@ class CoverageConfig:
     audit_inequalities: bool = True
 
     def __post_init__(self):
+        if require_integer("k", self.k) < 1:
+            raise ValueError(f"k must be a positive integer, got {self.k!r}")
         require_finite(
             alpha=self.alpha, katz_beta=self.katz_beta, delta=self.delta, c_row=self.c_row
         )
+        if not 0.0 < self.alpha < 1.0:
+            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha!r}")
         unknown = set(self.claims) - set(ALL_CLAIMS)
         if unknown:
             raise ValueError(f"unknown claims: {sorted(unknown)}")
@@ -214,7 +219,7 @@ def coverage_experiment(
     alpha = config.alpha
     audit = config.audit_inequalities
 
-    S_P = eigendecompose(P)
+    S_P = Spectrum(P)  # P, like each sample's A, was checked when it was built
     U_star = S_P.top_k(k)
     gap_true = S_P.gap(k)
 
@@ -347,7 +352,7 @@ def coverage_experiment(
         # ------------------------------------------------------------------
         # deterministic inequality audits, per sample
         if U_hat is None:  # the report has no region: decompose for the basis
-            U_hat = eigendecompose(A.A).top_k(k)
+            U_hat = Spectrum(A.A).top_k(k)
         d_gr = grassmann_distance(U_hat, U_star)
         if gap_true > 0:
             tally("davis_kahan", d_gr > davis_kahan_radius(dev, gap_true).radius + _AUDIT_TOL)

@@ -225,6 +225,10 @@ MALFORMED_CONFIGS = {
     "zero-selection_m": (("selection_m",), 0),
     "one-clustering-center": (("clustering", "centers"), [[0.1, 0.1]]),
     "narrow-clustering-centers": (("clustering", "centers"), [[0.3], [-0.3]]),
+    "non-binary-fairness-groups": (("fairness", "groups"), [0, 5] * 20),
+    "one-fairness-group": (("fairness", "groups"), [0] * 40),
+    "short-fairness-groups": (("fairness", "groups"), [0, 1] * 10),
+    "short-fairness-targets": (("fairness", "targets"), [0.5] * 20),
     **{f"{b}-as-a-list": ((b,), [1.0]) for b in _CONFIG_BLOCKS},
 }
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import connected_components, minimum_spanning_tree
+from scipy.spatial.distance import cdist
 
 from graphcert import (
     EmptyGroup,
@@ -13,6 +14,7 @@ from graphcert import (
     NonFiniteRows,
     OrthonormalBasis,
     ShapeMismatch,
+    eigendecompose,
     fair_optimize,
     feasibility_transfer_check,
     grassmann_distance,
@@ -20,8 +22,10 @@ from graphcert import (
     parity_gap,
     ridge_risk,
     ridge_risk_bound,
+    sample_adjacency,
     threshold_snapshots,
     tradeoff_bounds,
+    two_block_sbm,
 )
 from graphcert import downstream
 from graphcert.downstream import ThresholdSnapshot, quadratic_loss
@@ -462,19 +466,59 @@ def test_threshold_snapshots_tiny_graphs(n):
 def test_threshold_snapshots_empty_grid_builds_no_tree(monkeypatch, rng):
     calls = []
 
-    def counted(D):
-        calls.append(D.shape)
-        return tree(D)
+    def counted(d, method):
+        calls.append((d.shape, method))
+        return single_linkage(d, method)
 
-    tree = downstream._mst_weights
-    monkeypatch.setattr(downstream, "_mst_weights", counted)
+    single_linkage = downstream.linkage
+    monkeypatch.setattr(downstream, "linkage", counted)
     X = rng.normal(size=(30, 2))
     assert threshold_snapshots(X, 0.1, ()) == ()
     assert calls == []
     threshold_snapshots(X, 0.1, [0.5, 1.0])
-    assert len(calls) == 1  # one tree serves every threshold of one call
+    # one tree on the condensed distances serves every threshold of one call
+    assert calls == [((30 * 29 // 2,), "single")]
     threshold_snapshots(X, 0.1, [0.5])
     assert len(calls) == 2
+
+
+def test_threshold_snapshots_match_connected_components_of_a_spectral_embedding():
+    # the top-2 basis of a 400-node two-block sample, thresholds at the exact
+    # weights of a minimum spanning tree and one ulp below each: every
+    # component count steps there, and one rounding of a weight would move it
+    model = two_block_sbm(400, 0.3, 0.1)
+    X = eigendecompose(sample_adjacency(model, 7).A).top_k(2).U
+    D = cdist(X, X)
+    tree = minimum_spanning_tree(D)
+    assert tree.nnz == 399  # no duplicated rows, so the sparse tree drops no edge
+    weights = np.sort(tree.data)[::7]
+    t_grid = np.concatenate([weights, np.nextafter(weights, 0.0)])
+    eta = 1e-3
+
+    def oracle(t):
+        mask = D <= t
+        return int(np.count_nonzero(np.triu(mask, 1))), int(
+            connected_components(csr_matrix(mask), directed=False)[0]
+        )
+
+    for snap in threshold_snapshots(X, eta, t_grid):
+        t = snap.t
+        assert [(snap.edges_lower, snap.components_lower),
+                (snap.edges_point, snap.components_point),
+                (snap.edges_upper, snap.components_upper)] == [
+            oracle(t - 2 * eta), oracle(t), oracle(t + 2 * eta)
+        ], t
+    below = threshold_snapshots(X, 0.0, np.nextafter(weights, 0.0))
+    at = threshold_snapshots(X, 0.0, weights)
+    assert all(a.components_point < b.components_point for a, b in zip(at, below))
+
+
+def test_threshold_snapshots_refuse_overflowing_distances():
+    # finite rows 1e308 apart: each squared difference overflows, so every
+    # distance would read inf and G_t at t = 1e308 would lose its two edges
+    X = np.array([[0.0], [1e308], [-1e308]])
+    with pytest.raises(NonFiniteRows, match="overflows"):
+        threshold_snapshots(X, 0.0, [1e308])
 
 
 def test_threshold_snapshots_refuse_nonfinite_or_non_2d_rows():

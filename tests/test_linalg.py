@@ -26,6 +26,7 @@ from graphcert import (
     two_block_sbm,
     weyl_gap_certificate,
 )
+from graphcert import linalg
 from graphcert.linalg import TOP_BLOCK
 
 from conftest import random_orthogonal, random_orthonormal
@@ -137,10 +138,11 @@ def test_top_k_deterministic_under_ties():
         assert col[np.argmax(np.abs(col))] > 0
 
 
-def _canonical_all_columns(w_desc, V):
-    """The sign/tie rule applied to every column: signs by the largest-magnitude
-    coordinate, then each tie group (gaps <= 1e-9 max(1, max|w| over the
-    TOP_BLOCK largest)) sorted by anchor index."""
+def _canonical_all_columns(w_desc, V, tol=None):
+    """The sign/tie rule applied to every column, one column at a time: signs
+    by the largest-magnitude coordinate, then each tie group (gaps <= tol,
+    by default 1e-9 max(1, max|w| over the TOP_BLOCK largest)) sorted by
+    anchor index."""
     V = V.copy()
     anchors = []
     for j in range(V.shape[1]):
@@ -148,13 +150,30 @@ def _canonical_all_columns(w_desc, V):
         if V[a, j] < 0:
             V[:, j] = -V[:, j]
         anchors.append(a)
-    tol = 1e-9 * max(1.0, float(np.max(np.abs(w_desc[:TOP_BLOCK]))))
+    if tol is None:
+        tol = 1e-9 * max(1.0, float(np.max(np.abs(w_desc[:TOP_BLOCK]))))
     order, start = [], 0
     for j in range(1, V.shape[1] + 1):
         if j == V.shape[1] or w_desc[j - 1] - w_desc[j] > tol:
             order += sorted(range(start, j), key=lambda c: anchors[c])
             start = j
     return V[:, order]
+
+
+def test_canonical_columns_match_the_column_loop_bitwise(rng):
+    # the one-pass rule against the loop: values and sign bits, with negative
+    # zeros, magnitude ties between coordinates, and exact and near ties of
+    # eigenvalues inside and outside the tolerance
+    entries = np.array([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0])
+    levels = np.array([3.0, 2.0, 1.0 + 1e-9, 1.0, 1e-10, 0.0, -1.0])
+    for _ in range(3000):
+        n, m = int(rng.integers(1, 8)), int(rng.integers(2, 10))
+        V = rng.choice(entries, size=(n, m)) if rng.random() < 0.5 else rng.normal(size=(n, m))
+        w = np.sort(rng.choice(levels, size=m))[::-1]
+        tol = float(rng.choice([0.0, 1e-9, 2e-9, 1.5]))
+        k = int(rng.integers(1, m + 1))
+        got = linalg._canonical_columns(w, V, k, tol)
+        assert got.tobytes() == _canonical_all_columns(w, V, tol)[:, :k].tobytes()
 
 
 def _tie_heavy_matrices(rng):

@@ -780,10 +780,9 @@ def test_eigensolver_call_counts(sbm200, eig_calls, route, subset, full, values,
                          "reduction": reduction}
 
 
-def test_declared_route_checks_each_matrix_once_where_it_enters(sbm200, monkeypatch):
-    # the adjacency matrix is compared with its transpose once, as the int8
-    # sample, when A is built; its spectrum shares A's checked float64 array
-    # and the filtration takes the rows, not a distance matrix to check
+def _array_equal_calls(monkeypatch, model, route):
+    """The (shape, dtype) of each ``np.array_equal`` call made while a graph
+    is sampled from ``model`` and run through ``route``'s protocol."""
     compared = []
     array_equal = np.array_equal
 
@@ -792,11 +791,30 @@ def test_declared_route_checks_each_matrix_once_where_it_enters(sbm200, monkeypa
         return array_equal(a1, a2, *args, **kwargs)
 
     monkeypatch.setattr(np, "array_equal", spy)
-    A = sample_adjacency(sbm200, 56)
-    assert compared == [((200, 200), np.dtype(np.int8))]
-    report = run_protocol(A, _eigensolver_route_config("declared_katz"))
+    A = sample_adjacency(model, 56)
+    assert compared == [((A.n, A.n), np.dtype(np.int8))]
+    report = run_protocol(A, _eigensolver_route_config(route))
     assert "filtration" in report.outputs
+    return compared
+
+
+def test_declared_route_checks_each_matrix_once_where_it_enters(sbm200, monkeypatch):
+    # the adjacency matrix is compared with its transpose once, as the int8
+    # sample, when A is built; its spectrum shares A's checked float64 array
+    # and the filtration takes the rows, not a distance matrix to check
+    compared = _array_equal_calls(monkeypatch, sbm200, "declared_katz")
     assert ((200, 200), np.dtype(np.float64)) not in compared
+
+
+@pytest.mark.parametrize("route,p_checks", [
+    ("usvt_eigenvector", 0), ("parametric_eigenvector", 1),
+])
+def test_gap_routes_check_each_matrix_once_where_it_enters(sbm200, monkeypatch, route, p_checks):
+    # the USVT P_hat is symmetric by construction and is never compared; the
+    # parametric P is compared once, when it is built, not again for its
+    # spectrum
+    compared = _array_equal_calls(monkeypatch, sbm200, route)
+    assert compared.count(((200, 200), np.dtype(np.float64))) == p_checks
 
 
 def test_parametric_spec_of_another_size_is_refused(sbm200):
@@ -809,6 +827,16 @@ def test_parametric_spec_of_another_size_is_refused(sbm200):
                             parametric_spec=two_block_sbm(600, 0.3, 0.1).spec)
     with pytest.raises(ShapeMismatch, match="parametric_spec has 600 nodes, the graph has 200"):
         run_protocol(A, config)
+
+
+def test_fairness_declarations_of_another_size_are_refused(eig_calls):
+    # 20 groups and targets on a 40-node graph: refused before any spectral
+    # work, whether or not the band slack would have refused fairness later
+    doc = full_config_doc()
+    doc["fairness"]["groups"], doc["fairness"]["targets"] = [0, 1] * 10, [0.5] * 20
+    with pytest.raises(ShapeMismatch, match="20 entries, the graph has 40 nodes"):
+        run_protocol(_two_block_40(), config_from_dict(doc))
+    assert sum(eig_calls.values()) == 0
 
 
 @pytest.mark.parametrize("delta,passed,provenance", [

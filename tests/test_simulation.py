@@ -275,6 +275,20 @@ def test_coverage_config_rejects_non_finite(field, value):
         _coverage_config(k=2, alpha=0.1, **{field: value})
 
 
+@pytest.mark.parametrize("k", [2.7, True, 0, -1, "2", None])
+def test_coverage_config_refuses_a_k_that_is_not_a_positive_integer(k):
+    # refused on construction, before any eigensolve of P: a fractional k
+    # used to reach an IndexError there, and k = True an ambiguous truth value
+    with pytest.raises(ValueError, match="k must be"):
+        CoverageConfig(k=k, alpha=0.1)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, -0.1, 1.5])
+def test_coverage_config_refuses_alpha_outside_the_unit_interval(alpha):
+    with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
+        CoverageConfig(k=2, alpha=alpha)
+
+
 @pytest.mark.parametrize(
     "n,mode,c_row",
     [(200, "oracle", None), (200, "oracle", 0.01), (200, "oracle", 5.0),
