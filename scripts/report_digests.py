@@ -6,7 +6,10 @@ The corpus covers every certificate route and output block of
 ``run_protocol``, the coverage harness's main modes, and ``graphcert
 certify`` end to end: for two of the configs the sampled graph is written
 as an edge-list file and the report file the CLI writes is digested, so the
-edge-list reader and the report writer are covered too. ``kmeans_k3``
+edge-list reader and the report writer are covered too. One more CLI
+artifact spells its graph file with CRLF line ends, a blank line and
+reversed pairs, so the reader's general tokenizer is digested as well; its
+report equals that of the canonical file of the same graph. ``kmeans_k3``
 clusters the top-3 embedding into three groups, so K-means is digested
 with more than two clusters as well, and ``parametric_disassortative``
 declares a spec whose exact 2-gap is 0, so its D2 refusal is digested.
@@ -42,6 +45,8 @@ REPORT_SEEDS = (1, 2)
 COVERAGE_SEEDS = (1, 2, 3)
 COVERAGE_REPLICATIONS = 6
 CLI_CONFIGS = ("usvt_eigenvector_kmeans", "declared_katz_centers")
+# (n, seed, config) of the one CLI artifact whose graph file is not canonical
+NONCANONICAL_CLI = (200, 1, "declared_katz_centers")
 
 
 def _report_configs(n: int) -> dict:
@@ -157,10 +162,18 @@ def _edge_list(A) -> str:
     return "".join(f"{u}\t{v}\n" for u, v in zip(rows.tolist(), cols.tolist()))
 
 
-def _cli_report(workdir: Path, name: str, doc: dict, A) -> str:
-    """The report ``graphcert certify`` writes for graph A and config doc."""
+def _noncanonical_edge_list(A) -> str:
+    """The same graph spelled otherwise: a blank first line, CRLF line ends
+    and every pair reversed ("v<TAB>u", v > u)."""
+    rows, cols = np.triu(A.A, 1).nonzero()
+    return "\r\n" + "".join(f"{v}\t{u}\r\n" for u, v in zip(rows.tolist(), cols.tolist()))
+
+
+def _cli_report(workdir: Path, name: str, doc: dict, edge_list: str) -> str:
+    """The report ``graphcert certify`` writes for the edge-list text and
+    config doc."""
     graph, config, out = (workdir / f"{name}.{ext}" for ext in ("tsv", "json", "report.json"))
-    graph.write_text(_edge_list(A), encoding="utf-8")
+    graph.write_text(edge_list, encoding="utf-8")
     config.write_text(json.dumps(doc), encoding="utf-8")
     code = cli_main(["certify", "--graph", str(graph), "--config", str(config), "--out", str(out)])
     if code != 0:
@@ -180,8 +193,14 @@ def artifacts():
                 for name, config in configs.items():
                     yield f"report/n{n}/seed{seed}/{name}", run_protocol(A, config).to_json()
                 for name in CLI_CONFIGS:
-                    text = _cli_report(Path(tmp), f"n{n}_seed{seed}_{name}", docs[name], A)
+                    text = _cli_report(Path(tmp), f"n{n}_seed{seed}_{name}", docs[name],
+                                       _edge_list(A))
                     yield f"cli/n{n}/seed{seed}/{name}", text
+                if (n, seed) == NONCANONICAL_CLI[:2]:
+                    name = NONCANONICAL_CLI[2]
+                    text = _cli_report(Path(tmp), f"n{n}_seed{seed}_{name}_crlf", docs[name],
+                                       _noncanonical_edge_list(A))
+                    yield f"cli/n{n}/seed{seed}/{name}/crlf_blank_reversed", text
     model = two_block_sbm(200, P_IN, P_OUT)
     for name, config in _coverage_configs().items():
         for seed in COVERAGE_SEEDS:

@@ -281,7 +281,8 @@ def threshold_snapshots(X: np.ndarray, eta: float, t_grid) -> tuple:
     """One :class:`ThresholdSnapshot` per grid threshold t.
 
     Reports G_{t-2eta}, G_t and G_{t+2eta} of the embedding rows X, refused
-    unless 2-d and finite; a negative (or NaN) threshold gives the empty
+    unless 2-d and finite, and of ``eta >= 0`` (a NaN or negative eta would
+    invert the sandwich); a negative (or NaN) threshold gives the empty
     graph. The n(n-1)/2 pairwise distances are computed once, condensed
     (``pdist``), and an edge count is one comparison pass over them. Rows
     whose distance overflows to infinity are refused, since such a distance
@@ -295,6 +296,8 @@ def threshold_snapshots(X: np.ndarray, eta: float, t_grid) -> tuple:
         raise ShapeMismatch("embedding rows must be 2-d")
     if not np.all(np.isfinite(X)):
         raise NonFiniteRows("the embedding rows hold a NaN or an infinity")
+    if not eta >= 0:  # NaN too
+        raise ValueError(f"eta must be nonnegative, got {eta!r}")
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size == 0:
         return ()

@@ -2,10 +2,11 @@
 
 Edge lists are UTF-8 text with one "u<TAB>v" pair per line, 0-based node
 ids, each undirected pair listed once. The loader reads the whole list in
-one vectorized pass, symmetrizes, and rejects self-loops, duplicates, and
-malformed lines, naming the first faulty line. Declarations (model specs,
-envelopes, protocol configs) are JSON objects whose keys are the fields of
-the dataclass they build (:func:`from_json`).
+one vectorized pass (by byte arithmetic when the list is canonical),
+symmetrizes, and rejects self-loops, duplicates, and malformed lines,
+naming the first faulty line. Declarations (model specs, envelopes,
+protocol configs) are JSON objects whose keys are the fields of the
+dataclass they build (:func:`from_json`).
 """
 
 from __future__ import annotations
@@ -58,7 +59,121 @@ def parse_edge_list(text: str, n: Optional[int] = None) -> AdjacencyMatrix:
     1, an empty list without ``n``, a declared ``n`` not above every id, and
     a node count above :data:`MAX_NODES` are refused, the last with
     :class:`TooManyNodes` before anything of size n^2 is allocated.
+
+    A canonical list (:func:`_canonical_ids`) is read by byte arithmetic;
+    any other text by the general tokenizer (:func:`_general_ids`). Both
+    feed the one fault tail below, so every refusal is worded in one place.
     """
+    ids = _canonical_ids(text)
+    if ids is not None:
+        node, refused, rows, misshapen = int, None, np.arange(ids.size // 2), None
+    else:
+        ids, node, refused, rows, misshapen = _general_ids(text)
+    u, v = ids.reshape(-1, 2).T
+    # Every code in [0, MAX_NODES): fill A on the codes. Distinct pairs with
+    # distinct ends set 2m entries, so a full count proves there is no
+    # self-loop and no duplicate, and no sort is needed to name one.
+    A = None
+    if u.size and ids.min() >= 0 and ids.max() < MAX_NODES:
+        A = _adjacency(int(ids.max()) + 1, u, v)
+    if A is None or np.count_nonzero(A) < 2 * u.size:
+        _refuse_faulty_line(u, v, rows, node)
+    if refused is not None:
+        raise ValueError(f"line {rows[u.size] + 1}: node ids must be integers") from refused
+    if misshapen is not None:
+        raise ValueError(misshapen)
+    if n is not None and n < 1:
+        raise ValueError(f"declared n = {n}, but a graph needs at least one node")
+    if n is None and not u.size:
+        raise ValueError("the edge list has no edges, so n must be declared")
+    max_id = node(ids.max()) if u.size else -1
+    size = n if n is not None else max_id + 1
+    if size <= max_id:
+        raise ValueError(f"declared n = {size} but saw node id {max_id}")
+    if size > MAX_NODES:
+        raise TooManyNodes(
+            f"n = {size} exceeds the dense-storage limit of {MAX_NODES} nodes"
+        )
+    if A is None or len(A) != size:  # a declared n above max id + 1, or no edges
+        A = _adjacency(size, u, v)
+    return AdjacencyMatrix(n=size, A=A)
+
+
+def _adjacency(size: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    A = np.zeros((size, size), dtype=np.int8)
+    A[u, v] = 1
+    A[v, u] = 1
+    return A
+
+
+def _refuse_faulty_line(u, v, rows, node) -> None:
+    """Raise on the first pair with a negative id, a self-loop or a repeat
+    of an earlier pair (in either order); ``rows`` are their line indices."""
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    order = np.lexsort((hi, lo))  # stable: the first of equal pairs sorts first
+    repeat = np.zeros(u.size, dtype=bool)
+    repeat[order[1:]] = (lo[order[1:]] == lo[order[:-1]]) & (hi[order[1:]] == hi[order[:-1]])
+    faulty = (u < 0) | (v < 0) | (u == v) | repeat
+    if faulty.any():
+        i = int(np.argmax(faulty))
+        where = f"line {rows[i] + 1}"
+        if u[i] < 0 or v[i] < 0:
+            raise ValueError(f"{where}: node ids must be nonnegative")
+        if u[i] == v[i]:
+            raise ValueError(f"{where}: self-loop at node {node(u[i])}")
+        raise ValueError(f"{where}: duplicate edge {(node(lo[i]), node(hi[i]))}")
+
+
+# The canonical form: ASCII digits, TAB and newline only, every line exactly
+# "digits<TAB>digits" (no blank line, the final newline optional), and ids of
+# at most 18 digits, so each fits int64 (10**18 - 1 < 2**63).
+_CANONICAL_DIGITS = 18
+
+
+def _canonical_ids(text: str) -> Optional[np.ndarray]:
+    """The int64 ids of a canonical edge list in file order (u, v, u, v, ...),
+    or None for any other text.
+
+    One pass over the bytes: the separators are the bytes below "0", and
+    they must alternate TAB, newline; each id is accumulated right-aligned,
+    ``ids*10 + digit``, one loop step per digit position. ``int()`` reads a
+    canonical id to the same number, and ``str.splitlines`` splits a
+    canonical list at its newlines only, so the general tokenizer would
+    read the same ids from the same lines.
+    """
+    data = text.encode("ascii", "replace")  # a non-ASCII character becomes "?"
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    buf = np.frombuffer(data, dtype=np.uint8)
+    if buf.max() > ord("9"):
+        return None
+    seps = np.flatnonzero(buf < ord("0"))
+    width = np.diff(seps, prepend=-1) - 1  # digits before each separator
+    if (
+        seps.size % 2
+        or not np.all(buf[seps[0::2]] == ord("\t"))
+        or not np.all(buf[seps[1::2]] == ord("\n"))
+        or width.min() < 1
+        or width.max() > _CANONICAL_DIGITS
+    ):
+        return None
+    ids = np.zeros(seps.size, dtype=np.int64)
+    for back in range(int(width.max()), 0, -1):  # digit position from the right
+        # an index left of the first id clips to 0; like every position left
+        # of a shorter id, it is masked
+        digit = buf.take(seps - back, mode="clip") - np.uint8(ord("0"))
+        digit[width < back] = 0
+        ids *= 10
+        ids += digit
+    return ids
+
+
+def _general_ids(text: str) -> tuple:
+    """``(codes, node, refused, rows, misshapen)`` of any edge-list text: the
+    codes of the ids on the well-formed lines before the first misshapen
+    one, ``node`` and ``refused`` as :func:`_node_ids` gives them, the line
+    index of each pair, and the refusal of the first misshapen line (None
+    when there is none)."""
     lines = text.splitlines()
     stripped = list(map(str.strip, lines))
     # Tabs per line, counted on the UTF-8 bytes: a tab or newline byte never
@@ -75,41 +190,11 @@ def parse_edge_list(text: str, n: Optional[int] = None) -> AdjacencyMatrix:
     cut = int(misshapen[0]) if misshapen.size else len(lines)
     rows = rows[rows < cut]  # the well-formed lines before the first misshapen one
     tokens = "\t".join(filter(None, stripped[:cut])).split("\t") if rows.size else []
-    ids, node, refused = _node_ids(tokens)
-    u, v = ids.reshape(-1, 2).T
-    lo, hi = np.minimum(u, v), np.maximum(u, v)
-    order = np.lexsort((hi, lo))  # stable: the first of equal pairs sorts first
-    repeat = np.zeros(u.size, dtype=bool)
-    repeat[order[1:]] = (lo[order[1:]] == lo[order[:-1]]) & (hi[order[1:]] == hi[order[:-1]])
-    faulty = (u < 0) | (v < 0) | (u == v) | repeat
-    if faulty.any():
-        i = int(np.argmax(faulty))
-        where = f"line {rows[i] + 1}"
-        if u[i] < 0 or v[i] < 0:
-            raise ValueError(f"{where}: node ids must be nonnegative")
-        if u[i] == v[i]:
-            raise ValueError(f"{where}: self-loop at node {node(u[i])}")
-        raise ValueError(f"{where}: duplicate edge {(node(lo[i]), node(hi[i]))}")
-    if refused is not None:
-        raise ValueError(f"line {rows[u.size] + 1}: node ids must be integers") from refused
+    codes, node, refused = _node_ids(tokens)
+    fault = None
     if cut < len(lines):
-        raise ValueError(f"line {cut + 1}: expected 'u<TAB>v', got {lines[cut]!r}")
-    if n is not None and n < 1:
-        raise ValueError(f"declared n = {n}, but a graph needs at least one node")
-    if n is None and not u.size:
-        raise ValueError("the edge list has no edges, so n must be declared")
-    max_id = node(hi.max()) if u.size else -1
-    size = n if n is not None else max_id + 1
-    if size <= max_id:
-        raise ValueError(f"declared n = {size} but saw node id {max_id}")
-    if size > MAX_NODES:
-        raise TooManyNodes(
-            f"n = {size} exceeds the dense-storage limit of {MAX_NODES} nodes"
-        )
-    A = np.zeros((size, size), dtype=np.int8)
-    A[u, v] = 1
-    A[v, u] = 1
-    return AdjacencyMatrix(n=size, A=A)
+        fault = f"line {cut + 1}: expected 'u<TAB>v', got {lines[cut]!r}"
+    return codes, node, refused, rows, fault
 
 
 def _node_ids(tokens: list) -> tuple:

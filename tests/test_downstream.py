@@ -521,6 +521,17 @@ def test_threshold_snapshots_refuse_overflowing_distances():
         threshold_snapshots(X, 0.0, [1e308])
 
 
+def test_threshold_snapshots_refuse_nan_or_negative_eta():
+    # at t = 1 a NaN eta read edges_upper = 0 < edges_point = 1, and eta = -0.5
+    # read 2 edges below and 0 above: the sandwich inverted
+    X = np.array([[0.0], [1.0], [3.0]])
+    for eta in (np.nan, -0.5):
+        with pytest.raises(ValueError, match="^eta must be nonnegative"):
+            threshold_snapshots(X, eta, [1.0])
+    (snap,) = threshold_snapshots(X, 0.0, [1.0])
+    assert snap.edges_lower == snap.edges_point == snap.edges_upper == 1
+
+
 def test_threshold_snapshots_refuse_nonfinite_or_non_2d_rows():
     X = np.array([[0.0], [1.0], [3.0]])
     for bad in (np.nan, np.inf, -np.inf):

@@ -243,3 +243,99 @@ def test_realistic_edge_list_matches_line_loop():
     assert read.A.dtype == oracle.A.dtype
     assert np.array_equal(read.A, oracle.A)
     assert int(read.A.sum()) == 2 * len(pairs)
+
+
+def _refuse_call(name):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{name} was called")
+
+    return refuse
+
+
+def test_realistic_edge_list_takes_the_canonical_path(monkeypatch):
+    """The n=1000 list above is canonical: it is read without the general
+    tokenizer and, having no fault, without the sort that names one."""
+    monkeypatch.setattr(graphcert.io, "_general_ids", _refuse_call("_general_ids"))
+    monkeypatch.setattr(graphcert.io, "_refuse_faulty_line", _refuse_call("the lexsort"))
+    test_realistic_edge_list_matches_line_loop()
+
+
+def test_duplicate_at_the_end_of_a_long_canonical_list_is_named(monkeypatch):
+    """One repeated pair after 10k distinct ones: the count of A falls short
+    by two, and the lexsort names the repeat's line."""
+    rng = np.random.default_rng(7)
+    iu, ju = np.triu_indices(200, k=1)
+    pick = rng.choice(iu.size, size=10_000, replace=False)
+    pairs = np.stack([iu[pick], ju[pick]], axis=1)
+    u, v = pairs[4321].tolist()
+    text = "".join(f"{a}\t{b}\n" for a, b in pairs.tolist()) + f"{v}\t{u}"
+    sorts = []
+    monkeypatch.setattr(graphcert.io, "_general_ids", _refuse_call("_general_ids"))
+    refuse_faulty_line = graphcert.io._refuse_faulty_line
+    monkeypatch.setattr(
+        graphcert.io, "_refuse_faulty_line",
+        lambda *args: sorts.append(1) or refuse_faulty_line(*args),
+    )
+    with pytest.raises(ValueError, match=rf"^line 10001: duplicate edge \({u}, {v}\)$"):
+        parse_edge_list(text)
+    assert sorts == [1]
+    assert _outcome(parse_edge_list, text, None) == _expected(text, None)
+
+
+# Canonical-alphabet ids: as the byte reader reads them (leading zeros, up
+# to 18 digits) and, about one draw in twenty, as it hands them on (19
+# digits, above int64, beyond int()'s 4300-digit limit).
+LONG_IDS = [
+    "9" * 18, "1" + "0" * 17, "0" * 17 + "5", "1" * 19, "9223372036854775807",
+    "9223372036854775808", "9" * 19, "1" * 5000,
+]
+CANONICAL_IDS = st.builds(
+    lambda pick, zeros, i, long: long if pick == 0 else "0" * zeros * (pick <= 3) + str(i),
+    st.integers(0, 19), st.integers(1, 3), st.integers(0, 30), st.sampled_from(LONG_IDS),
+)
+
+
+@st.composite
+def canonical_alphabet_text(draw):
+    """Edge-list text over "0123456789\\t\\n": pairs, self-loops, repeats of an
+    earlier pair in the same and in reversed order, blank lines and stray
+    runs of the alphabet, with or without a final newline."""
+    lines, pairs = [], []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(
+            ["pair"] * 12 + ["self_loop", "repeat", "reversed", "blank", "stray"]
+        ))
+        if kind in ("repeat", "reversed") and pairs:
+            u, v = draw(st.sampled_from(pairs))
+            lines.append(f"{u}\t{v}" if kind == "repeat" else f"{v}\t{u}")
+        elif kind == "self_loop":
+            u = draw(CANONICAL_IDS)
+            lines.append(f"{u}\t{u}")
+        elif kind == "blank":
+            lines.append("")
+        elif kind == "stray":
+            lines.append(draw(st.text(alphabet="0123456789\t", max_size=6)))
+        else:
+            pairs.append((draw(CANONICAL_IDS), draw(CANONICAL_IDS)))
+            lines.append("\t".join(pairs[-1]))
+    return "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+
+
+@settings(max_examples=600)
+@given(
+    text=canonical_alphabet_text(),
+    n=st.one_of(st.none(), st.integers(-2, 40), st.just(20_001)),
+    max_nodes=st.sampled_from([3, 8, 100]),
+)
+def test_canonical_alphabet_matches_line_loop(text, n, max_nodes):
+    _assert_same(text, n, max_nodes)
+
+
+@settings(max_examples=300)
+@given(
+    text=st.text(alphabet="0123456789\t\n", max_size=40),
+    n=declared_n,
+    max_nodes=st.sampled_from([3, 8, 100]),
+)
+def test_raw_canonical_alphabet_matches_line_loop(text, n, max_nodes):
+    _assert_same(text, n, max_nodes)
