@@ -146,9 +146,10 @@ def _canonical_columns(w_desc: np.ndarray, V: np.ndarray, k: int, tol: float) ->
 
 
 class Spectrum:
-    """The spectrum of a symmetric, read-only float64 ``matrix`` (one that
-    :func:`eigendecompose` checked, or one checked where it was built),
-    computed on first read and shared by every spectral consumer.
+    """The spectrum of a symmetric, read-only real ``matrix`` (one that
+    :func:`eigendecompose` checked, or one checked where it was built, such
+    as the int8 ``AdjacencyMatrix.A``), computed on first read and shared by
+    every spectral consumer.
 
     The first read makes one Householder reduction of the matrix to a
     tridiagonal T (``dsytrd``), the only O(n^3) step. Every read is a subset
@@ -157,7 +158,12 @@ class Spectrum:
     (``dormqr``). Reads of the largest pairs read at least ``TOP_BLOCK`` of
     them, a fixed size rather than the first read's, so those reads give the
     same values whatever order they come in. No read computes every
-    eigenvector unless it asks for all of them.
+    eigenvector unless it asks for all of them. :meth:`resolvent` solves
+    with I - beta M on the same reduction.
+
+    ``dsytrd`` copies the matrix into its float64 work array, casting an
+    integer matrix on the way, so an int8 0/1 matrix and its float64 copy
+    give the same reduction, bit for bit.
     """
 
     def __init__(self, matrix: np.ndarray):
@@ -184,27 +190,48 @@ class Spectrum:
             self._reduced = c, tau, d, e
         return self._reduced
 
-    def _reduced_pairs(self, **select) -> tuple[np.ndarray, np.ndarray]:
-        """Ascending eigenvalues of T in a ``scipy.linalg.eigh_tridiagonal``
-        selection and the matching unit eigenvectors of the matrix as
-        columns: Q = diag(1, Q') with Q' the reflectors below row 0, so
-        row 0 of T's eigenvectors is kept and the rest multiplied by Q'."""
-        c, tau, d, e = self._reduction()
-        w, Z = scipy.linalg.eigh_tridiagonal(d, e, **select)
+    def _apply_q(self, trans: str, C: np.ndarray) -> np.ndarray:
+        """Q C (``trans`` "N") or Q^T C ("T") for the reduction's Q, written
+        into C and returned: Q = diag(1, Q') with Q' the reflectors below
+        row 0, so row 0 of C is kept and the rest multiplied by Q'."""
+        c, tau, _, _ = self._reduction()
         n = self.n
-        if w.size and n > 1:
+        if C.shape[1] and n > 1:
             # the reflectors are c[1:, :n-1]; that slice is strided, so it
             # would be copied to an n x n temporary on each call. The
             # column-major (n, n-1) view one element into c has it as its
             # first n-1 rows, and dormqr reads no more.
             reflectors = c.reshape(-1, order="F")[1 : n * n - n + 1].reshape(n, n - 1, order="F")
-            _, work, info = scipy.linalg.lapack.dormqr("L", "N", reflectors, tau, Z[1:], -1)
+            _, work, info = scipy.linalg.lapack.dormqr("L", trans, reflectors, tau, C[1:], -1)
             _check_lapack("dormqr query", info)
-            Z[1:], _, info = scipy.linalg.lapack.dormqr(
-                "L", "N", reflectors, tau, Z[1:], int(work[0])
+            C[1:], _, info = scipy.linalg.lapack.dormqr(
+                "L", trans, reflectors, tau, C[1:], int(work[0])
             )
             _check_lapack("dormqr", info)
-        return w, Z
+        return C
+
+    def _reduced_pairs(self, **select) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending eigenvalues of T in a ``scipy.linalg.eigh_tridiagonal``
+        selection and the matching unit eigenvectors of the matrix as
+        columns, T's eigenvectors mapped back by Q."""
+        _, _, d, e = self._reduction()
+        w, Z = scipy.linalg.eigh_tridiagonal(d, e, **select)
+        return w, self._apply_q("N", Z)
+
+    def resolvent(self, beta: float, b: np.ndarray) -> np.ndarray:
+        """(I - beta M)^{-1} b = Q (I - beta T)^{-1} Q^T b for a vector b:
+        one symmetric positive definite tridiagonal solve (``dptsv``) between
+        two reflector products. I - beta T must be positive definite, as it
+        is when beta rho(M) < 1; otherwise ``dptsv`` fails and LinAlgError
+        is raised."""
+        _, _, d, e = self._reduction()
+        y = self._apply_q("T", np.array(b, dtype=float).reshape(-1, 1))
+        diag, off = 1.0 - beta * d, -beta * e
+        if self.n == 1:  # dptsv's wrapper refuses an empty off-diagonal: pad with a decoupled 1
+            diag, off, y = np.append(diag, 1.0), np.zeros(1), np.append(y, 0.0).reshape(2, 1)
+        _, _, y, info = scipy.linalg.lapack.dptsv(diag, off, y)
+        _check_lapack("dptsv", info)
+        return self._apply_q("N", y[: self.n])[:, 0]
 
     def _pairs(self, m: int) -> tuple[np.ndarray, np.ndarray]:
         """Descending values and their vectors as columns, read-only: the
@@ -358,7 +385,7 @@ def weyl_gap_certificate(gap_hat: float, eps_P: float) -> float:
     population counterpart, the population k-gap is at least
     (gap_hat - 2 eps_P)_+.
     """
-    if gap_hat < 0 or eps_P < 0:
+    if not (gap_hat >= 0 and eps_P >= 0):  # NaN too
         raise ValueError("gap_hat and eps_P must be nonnegative")
     return max(gap_hat - 2.0 * eps_P, 0.0)
 
@@ -371,7 +398,7 @@ def frobenius_subspace_bound(r: float, k: int) -> float:
     norm, and the optimal Procrustes discrepancy is dominated by the
     Frobenius projector distance. At k = 2 this is the familiar 4 r^2.
     """
-    if r < 0:
+    if not r >= 0:  # NaN too
         raise ValueError("radius must be nonnegative")
     if k < 1:
         raise KOutOfRange("k must be at least 1")

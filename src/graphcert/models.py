@@ -234,7 +234,14 @@ class ProbabilityModel:
 
 @dataclass(frozen=True)
 class AdjacencyMatrix:
-    """One observed symmetric 0/1 graph with zero diagonal."""
+    """One observed symmetric 0/1 graph with zero diagonal.
+
+    ``A`` is checked as given (0/1 entries, exact symmetry, zero diagonal)
+    and then stored as a read-only int8 copy, an eighth of a float64 one.
+    Cast it before handing it to a solver that picks its precision from the
+    dtype (``scipy.linalg.eigh`` solves int8 input in float32) and before
+    ``A @ A``, whose int8 entries wrap past 127.
+    """
 
     n: int
     A: np.ndarray
@@ -248,9 +255,9 @@ class AdjacencyMatrix:
             raise ShapeMismatch("A must be symmetric")
         if np.any(np.diag(A) != 0):
             raise ShapeMismatch("A must have a zero diagonal")
-        if not np.all((A == 0) | (A == 1)):
+        if not np.all((A == 0) | (A == 1)):  # before the cast, which would truncate 0.5
             raise ShapeMismatch("A entries must be 0/1")
-        object.__setattr__(self, "A", _frozen(A))
+        object.__setattr__(self, "A", _frozen(A, np.int8))
 
 
 def build_probability_matrix(spec: ModelSpec) -> ProbabilityModel:

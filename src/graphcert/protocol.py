@@ -284,8 +284,9 @@ def usvt_denoise(S: Spectrum, threshold_scale: float = 2.02) -> np.ndarray:
     n = S.n
     density = float(S.matrix.sum()) / (n * (n - 1)) if n > 1 else 0.0
     w, V = S.beyond(threshold_scale * math.sqrt(max(n * density, 0.0)))
-    # scipy's BLAS, the one the eigensolves use: numpy's matmul would leave
-    # its own BLAS threads spinning into the next eigensolve of P_hat
+    # scipy's BLAS, the one the eigensolves use: an n x n numpy matmul would
+    # leave numpy's BLAS threads spinning into the next eigensolve of P_hat
+    # (the Katz scores are a LAPACK solve too: the op makes no such numpy call)
     P_hat = dgemm(1.0, V * w, V, trans_b=True)
     np.clip(P_hat, 0.0, 1.0, out=P_hat)
     P_hat = (P_hat + P_hat.T) / 2.0

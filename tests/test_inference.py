@@ -29,6 +29,9 @@ from graphcert import (
     top_m_selection,
 )
 from graphcert.concentration import deviation_quantile
+from graphcert.inference import eigenvector_modulus
+from graphcert.linalg import Spectrum
+from graphcert.models import AdjacencyMatrix
 from graphcert.simulation import CONTAIN_TOL
 
 from conftest import random_orthogonal
@@ -390,6 +393,71 @@ def test_katz_domain_rejection(rng):
     assert exc.value.rho > exc.value.limit
     # boundary inclusive: rho = 1/(2 beta) passes
     katz_centrality(eigendecompose(M), beta=1.0 / 6.0)
+
+
+def _resolvent_oracle(M, beta):
+    """The Katz scores sum_{j >= 1} (beta M)^j 1 by one dense float64 solve
+    of (I - beta M) x = beta M 1."""
+    M = np.asarray(M, dtype=float)
+    return np.linalg.solve(np.eye(M.shape[0]) - beta * M, beta * M.sum(axis=1))
+
+
+def _katz_matrices(n, sbm200):
+    """(float P, int8 A) at size n: the worked instance's P and a sample at
+    n = 200; a two-node edge of probability .3 and the edge itself at n = 2;
+    a one-node graph and a 1 x 1 matrix with a nonzero entry at n = 1."""
+    if n == 200:
+        return sbm200.P, sample_adjacency(sbm200, 21).A
+    if n == 2:
+        return np.array([[0.0, 0.3], [0.3, 0.0]]), AdjacencyMatrix(n=2, A=[[0, 1], [1, 0]]).A
+    return np.array([[2.0]]), AdjacencyMatrix(n=1, A=[[0]]).A
+
+
+@pytest.mark.parametrize("rate", [0.5, 0.25])
+@pytest.mark.parametrize("kind", ["float_P", "int8_A"])
+@pytest.mark.parametrize("n", [1, 2, 200])
+def test_katz_resolvent_matches_dense_solve(sbm200, n, kind, rate):
+    # rate = beta rho; 1/2 is the edge of the domain. The 1 x 1 graph has
+    # rho = 0, so any beta is inside and beta = 1 stands in for it
+    M = _katz_matrices(n, sbm200)[kind == "int8_A"]
+    rho = float(np.max(np.abs(np.linalg.eigvalsh(np.asarray(M, dtype=float)))))
+    beta = rate / rho if rho > 0 else 1.0
+    want = _resolvent_oracle(M, beta)
+    got = katz_centrality(Spectrum(M), beta)
+    assert got.shape == (n,)
+    assert np.max(np.abs(got - want)) <= 1e-12 * max(np.max(np.abs(want)), 1.0)
+
+
+def test_katz_isolated_node_scores_zero_up_to_rounding(sbm200):
+    """A node of degree 0 has b = 0 and no walk, so its exact score is 0;
+    the solve on the reduction leaves it at rounding level, at most 1e-15
+    of the largest score."""
+    A = np.array(sample_adjacency(sbm200, 21).A)
+    A[7, :] = A[:, 7] = 0
+    S = Spectrum(AdjacencyMatrix(n=200, A=A).A)
+    scores = katz_centrality(S, 1.0 / (2.0 * S.radius))
+    assert np.abs(scores[7]) <= 1e-15 * np.max(scores)
+    assert np.min(np.delete(scores, 7)) > 0
+
+
+@pytest.mark.parametrize("value", [math.nan, 0.0, -1.0])
+def test_katz_centrality_refuses_nan_or_nonpositive_beta(value):
+    # NaN is refused as beta, not turned into a domain limit of NaN
+    with pytest.raises(ValueError, match="beta must be positive"):
+        katz_centrality(eigendecompose(np.eye(3)), value)
+
+
+@pytest.mark.parametrize("value", [math.nan, 0.0, -1.0])
+def test_katz_modulus_refuses_nan_or_nonpositive_beta(value):
+    with pytest.raises(ValueError, match="beta must be positive"):
+        katz_modulus(value)
+
+
+@pytest.mark.parametrize("value", [math.nan, 0.0, -1.0])
+def test_eigenvector_modulus_refuses_nan_or_nonpositive_gap(value):
+    with pytest.raises(ValueError, match="gamma must be positive"):
+        eigenvector_modulus(value)
+    assert eigenvector_modulus(4.0) == 0.5
 
 
 def test_katz_modulus_worked_constants():

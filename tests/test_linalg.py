@@ -251,6 +251,8 @@ def _evr_top(M):
     state of the spectrum under test."""
     n = M.shape[0]
     m = min(n, TOP_BLOCK)
+    # in float64: scipy solves an int8 matrix in float32
+    M = np.asarray(M, dtype=float)
     w, V = scipy.linalg.eigh(M, subset_by_index=[n - m, n - 1], driver="evr")
     return w[::-1], V[:, ::-1]
 
@@ -275,6 +277,41 @@ def test_top_pairs_match_a_whole_matrix_subset_solve(rng):
             if w_evr[k - 1] - w_evr[k] > 1e-9 * scale:
                 want = OrthonormalBasis(U=V_evr[:, :k])
                 assert grassmann_distance(S.top_k(k), want) <= 1e-12
+
+
+@pytest.mark.parametrize("n,seed", [(1, 0), (2, 0), (9, 3), (200, 1), (600, 2)])
+def test_int8_matrix_gives_the_float64_spectrum_bit_for_bit(n, seed):
+    """dsytrd casts the int8 AdjacencyMatrix.A into the float64 work array it
+    copies into anyway, so every read equals that of the float64 copy."""
+    if n <= 2:
+        A = np.ones((n, n), dtype=np.int8) - np.eye(n, dtype=np.int8)
+    else:
+        A = sample_adjacency(two_block_sbm(n + n % 2, 0.3, 0.1), seed).A[:n, :n]
+    assert A.dtype == np.int8
+    S8, S64 = linalg.Spectrum(A), linalg.Spectrum(A.astype(float))
+    m = min(n, TOP_BLOCK + 2)
+    for a, b in zip(S8.top(m), S64.top(m)):
+        assert np.array_equal(a, b)
+    for a, b in zip(S8.beyond(1.0), S64.beyond(1.0)):
+        assert np.array_equal(a, b)
+    assert S8.radius == S64.radius
+    if n > 1:
+        assert S8.gap(1) == S64.gap(1)
+        assert np.array_equal(S8.top_k(1).U, S64.top_k(1).U)
+    b = np.arange(n, dtype=float)
+    beta = 0.5 / max(S64.radius, 1.0)
+    assert np.array_equal(S8.resolvent(beta, b), S64.resolvent(beta, b))
+
+
+@pytest.mark.parametrize("diagonal", [[2.0], [3.0, 1.0], [0.5, 3.0, 0.2]])
+def test_resolvent_refuses_an_indefinite_shift(diagonal):
+    # beta = 1 puts an eigenvalue 1 - beta lambda of I - beta M below 0:
+    # dptsv reports a nonpositive pivot and nothing is returned
+    S = linalg.Spectrum(np.diag(diagonal))
+    with pytest.raises(np.linalg.LinAlgError, match="dptsv"):
+        S.resolvent(1.0, np.ones(len(diagonal)))
+    x = S.resolvent(0.25, np.ones(len(diagonal)))
+    assert np.allclose(x, 1.0 / (1.0 - 0.25 * np.array(diagonal)), rtol=1e-14, atol=0)
 
 
 def _copying_back_transform(M, **select):
@@ -511,6 +548,18 @@ def test_frobenius_bound_values():
     assert frobenius_subspace_bound(0.5, 2) == 4 * 0.25
     assert frobenius_subspace_bound(0.0, 7) == 0.0
     assert frobenius_subspace_bound(1.0, 3) == 6.0
+
+
+@pytest.mark.parametrize("args", [(math.nan, 1.0), (1.0, math.nan), (-1.0, 1.0), (1.0, -1.0)])
+def test_weyl_certificate_refuses_nan_or_negative(args):
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        weyl_gap_certificate(*args)
+
+
+@pytest.mark.parametrize("r", [math.nan, -0.5])
+def test_frobenius_bound_refuses_nan_or_negative_radius(r):
+    with pytest.raises(ValueError, match="radius must be nonnegative"):
+        frobenius_subspace_bound(r, 2)
 
 
 def test_frobenius_bound_dominates_procrustes(rng):

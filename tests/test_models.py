@@ -16,7 +16,7 @@ from graphcert import (
 )
 from graphcert.errors import NotSymmetric, ShapeMismatch
 from graphcert.linalg import eigendecompose, is_symmetric
-from graphcert.models import ProbabilityModel
+from graphcert.models import AdjacencyMatrix, ProbabilityModel
 
 
 def test_sbm_worked_instance_entries(sbm200):
@@ -140,6 +140,26 @@ def test_sample_satisfies_adjacency_invariants(sbm200):
         assert np.array_equal(A, A.T)
         assert np.all(np.diag(A) == 0)
         assert set(np.unique(A)) <= {0, 1}
+
+
+@pytest.mark.parametrize("bad", [0.5, np.nan, 2, -1])
+def test_adjacency_refuses_non_binary_entries_before_the_int8_cast(bad):
+    # the checks read the entries as given: the int8 cast would truncate
+    # 0.5 to 0 (NaN already fails the exact symmetry check)
+    A = np.zeros((3, 3))
+    A[0, 1] = A[1, 0] = bad
+    with pytest.raises(ShapeMismatch, match="0/1" if bad == bad else "symmetric"):
+        AdjacencyMatrix(n=3, A=A)
+
+
+@pytest.mark.parametrize("dtype", [bool, np.int8, np.int64, float])
+def test_adjacency_is_stored_as_read_only_int8(dtype):
+    A = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=dtype)
+    adj = AdjacencyMatrix(n=3, A=A)
+    assert adj.A.dtype == np.int8
+    assert not adj.A.flags.writeable
+    assert np.array_equal(adj.A, A.astype(np.int8))
+    assert sample_adjacency(two_block_sbm(10, 0.3, 0.1), 0).A.dtype == np.int8
 
 
 def test_empirical_edge_frequency_converges(sbm200):

@@ -150,7 +150,8 @@ def _usvt_full_decomposition(A, threshold_scale):
     """The denoiser as it was before subset reads: every eigenpair of A from
     one full ``evd`` solve, the pairs with |lambda| >= thr kept (all of them
     when thr = 0). Returns P_hat and the number of pairs kept."""
-    w, V = scipy.linalg.eigh(A, driver="evd")
+    # in float64: scipy solves an int8 matrix in float32
+    w, V = scipy.linalg.eigh(np.asarray(A, dtype=float), driver="evd")
     thr = _usvt_threshold(A, threshold_scale)
     keep = np.abs(w) >= thr if thr > 0 else np.ones_like(w, dtype=bool)
     P_hat = np.clip((V[:, keep] * w[keep]) @ V[:, keep].T, 0.0, 1.0)
