@@ -415,15 +415,21 @@ def katz_centrality(S: Spectrum, beta: float) -> np.ndarray:
     The scores are one read of the spectrum's reduction,
     :meth:`Spectrum.resolvent` of b = beta M 1 (beta times the row sums),
     so no "- 1" cancels; on the domain every eigenvalue of I - beta M is at
-    least 1/2. A node of degree 0 scores 0 up to rounding, at most about
-    1e-15 of the largest score.
+    least 1/2. A zero row of M (a node of degree 0) has no walk and scores
+    exactly 0: the solve would leave it at rounding level, different from
+    node to node, and top-m selection would then split ties by rounding.
     """
     if not beta > 0:  # NaN too
         raise ValueError("beta must be positive")
     rho = S.radius
     if not in_katz_domain(rho, beta):
         raise OutsideDomain(rho, katz_domain_limit(beta))
-    return S.resolvent(beta, beta * S.matrix.sum(axis=1, dtype=float))
+    M = S.matrix
+    b = beta * M.sum(axis=1, dtype=float)
+    x = S.resolvent(beta, b)
+    zero = np.flatnonzero(b == 0)  # a zero row has b_i = 0; only these rows are read
+    x[zero[~M[zero].any(axis=1)]] = 0.0
+    return x
 
 
 def katz_domain_limit(beta: float) -> float:

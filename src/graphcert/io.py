@@ -126,8 +126,7 @@ def _refuse_faulty_line(u, v, rows, node) -> None:
 
 # The canonical form: ASCII digits, TAB and newline only, every line exactly
 # "digits<TAB>digits" (no blank line, the final newline optional), and ids of
-# at most 18 digits, so each fits int64 (10**18 - 1 < 2**63). A newline may be
-# written "\r\n"; any other carriage return is not canonical.
+# at most 18 digits, so each fits int64 (10**18 - 1 < 2**63).
 _CANONICAL_DIGITS = 18
 
 
@@ -140,16 +139,9 @@ def _canonical_ids(text: str) -> Optional[np.ndarray]:
     ``ids*10 + digit``, one loop step per digit position. ``int()`` reads a
     canonical id to the same number, and ``str.splitlines`` splits a
     canonical list at its newlines only, so the general tokenizer would
-    read the same ids from the same lines. ``str.splitlines`` also reads a
-    carriage return directly followed by a newline as one line end, so
-    that pair is read as a newline; a text with any other carriage return
-    is left to the general tokenizer.
+    read the same ids from the same lines.
     """
     data = text.encode("ascii", "replace")  # a non-ASCII character becomes "?"
-    if b"\r" in data:
-        if data.count(b"\r") != data.count(b"\r\n"):
-            return None
-        data = data.replace(b"\r\n", b"\n")
     if not data.endswith(b"\n"):
         data += b"\n"
     buf = np.frombuffer(data, dtype=np.uint8)

@@ -260,43 +260,15 @@ def test_realistic_edge_list_takes_the_canonical_path(monkeypatch):
     test_realistic_edge_list_matches_line_loop()
 
 
-def _realistic_text():
-    """The n=1000 list of the test above, as text."""
-    rng = np.random.default_rng(2024)
-    n = 1000
-    iu, ju = np.triu_indices(n, k=1)
-    prob = np.where((iu < n // 2) == (ju < n // 2), 0.3, 0.1)
-    pairs = np.stack([iu, ju], axis=1)[rng.random(iu.size) < prob]
-    return "".join(f"{u}\t{v}\n" for u, v in pairs.tolist())
-
-
-@pytest.mark.parametrize("final", ["\r\n", ""])
-def test_crlf_canonical_list_takes_the_canonical_path(monkeypatch, final):
-    """CRLF line ends are canonical: the list reads, without the general
-    tokenizer, to the same bytes as its newline spelling."""
-    text = _realistic_text()
-    want = parse_edge_list(text)
-    crlf = text.replace("\n", "\r\n")
-    crlf = crlf if final else crlf[:-2]
+def test_crlf_file_takes_the_canonical_path(tmp_path, monkeypatch):
+    """load_edge_list reads in universal-newline mode, so a file written with
+    CRLF line ends reaches the parser with newlines and is canonical."""
+    graph = tmp_path / "graph.tsv"
+    graph.write_bytes(b"0\t1\r\n1\t2\r\n2\t3\r\n")
     monkeypatch.setattr(graphcert.io, "_general_ids", _refuse_call("_general_ids"))
-    read = parse_edge_list(crlf)
-    assert (read.n, read.A.dtype, read.A.tobytes()) == (want.n, want.A.dtype, want.A.tobytes())
-
-
-@pytest.mark.parametrize(
-    "text", ["0\t1\r1\t2\n", "0\t1\r\r\n1\t2\n", "0\t1\n1\t2\r", "\r\n0\t1\r\n", "0\t1\r\n\r\n"]
-)
-def test_other_carriage_returns_take_the_general_path(monkeypatch, text):
-    """A lone carriage return, a doubled one, a final one and a blank CRLF
-    line are not canonical; the general tokenizer reads them as the line
-    loop does."""
-    calls = []
-    general_ids = graphcert.io._general_ids
-    monkeypatch.setattr(
-        graphcert.io, "_general_ids", lambda t: calls.append(1) or general_ids(t)
-    )
-    assert _outcome(parse_edge_list, text, None) == _expected(text, None)
-    assert calls == [1]
+    read = graphcert.io.load_edge_list(graph)
+    want = parse_edge_list("0\t1\n1\t2\n2\t3\n")
+    assert (read.n, read.A.tobytes()) == (want.n, want.A.tobytes())
 
 
 def test_duplicate_at_the_end_of_a_long_canonical_list_is_named(monkeypatch):

@@ -428,16 +428,35 @@ def test_katz_resolvent_matches_dense_solve(sbm200, n, kind, rate):
     assert np.max(np.abs(got - want)) <= 1e-12 * max(np.max(np.abs(want)), 1.0)
 
 
-def test_katz_isolated_node_scores_zero_up_to_rounding(sbm200):
-    """A node of degree 0 has b = 0 and no walk, so its exact score is 0;
-    the solve on the reduction leaves it at rounding level, at most 1e-15
-    of the largest score."""
+def _katz_with_isolated(sbm200, nodes):
+    """Katz scores at beta rho = 1/2 of the n = 200 sample with the given
+    nodes cut off (degree 0)."""
     A = np.array(sample_adjacency(sbm200, 21).A)
-    A[7, :] = A[:, 7] = 0
+    A[nodes, :] = 0
+    A[:, nodes] = 0
     S = Spectrum(AdjacencyMatrix(n=200, A=A).A)
-    scores = katz_centrality(S, 1.0 / (2.0 * S.radius))
-    assert np.abs(scores[7]) <= 1e-15 * np.max(scores)
+    return katz_centrality(S, 1.0 / (2.0 * S.radius))
+
+
+def test_katz_isolated_node_scores_exactly_zero(sbm200):
+    """A node of degree 0 has no walk, so its score is exactly 0, not the
+    rounding-level value the tridiagonal solve leaves."""
+    scores = _katz_with_isolated(sbm200, [7])
+    assert scores[7] == 0.0
     assert np.min(np.delete(scores, 7)) > 0
+
+
+def test_katz_isolated_nodes_tie_at_the_selection_boundary(sbm200):
+    """Two nodes of degree 0 at the top-m boundary tie exactly: the
+    selection is set-valued, so no set and no margin is reported."""
+    scores = _katz_with_isolated(sbm200, [7, 9])
+    sel = top_m_selection(scores, 199)
+    assert sel.num_admissible == 2
+    assert sel.margin is None
+    cert = stability_certificate(scores, m=199, half_width=0.0)
+    assert cert.selected_set is None
+    assert cert.observed_margin is None
+    assert not cert.certified
 
 
 @pytest.mark.parametrize("value", [math.nan, 0.0, -1.0])
