@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.cluster.hierarchy import linkage
-from scipy.spatial.distance import pdist
 
 from .errors import EmptyGroup, InsufficientTolerance, NonFiniteRows, ShapeMismatch
 from .linalg import OrthonormalBasis
@@ -289,7 +287,8 @@ def threshold_snapshots(X: np.ndarray, eta: float, t_grid) -> tuple:
     would be counted wrong. Component counts come from the single-linkage
     merge heights (``linkage``), the weights of a minimum spanning tree:
     G_s has n - #{heights <= s} components, exactly, ties and zero
-    distances included.
+    distances included. ``scipy.cluster`` and ``scipy.spatial`` are
+    imported here, so only a run with snapshots to compute loads them.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
@@ -301,6 +300,9 @@ def threshold_snapshots(X: np.ndarray, eta: float, t_grid) -> tuple:
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size == 0:
         return ()
+    from scipy.cluster.hierarchy import linkage
+    from scipy.spatial.distance import pdist
+
     n = X.shape[0]
     d = pdist(X)
     if not np.all(np.isfinite(d)):

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import (
     DegenerateTopEigenvalue,
@@ -152,8 +151,12 @@ def center_separation(centers) -> float:
 def perm_hamming_distance(g, h) -> int:
     """Permutation-invariant Hamming distance between label assignments.
 
-    The best label permutation is an optimal bipartite matching on the
-    confusion matrix, exact for any number of labels.
+    The best label permutation is a maximum-weight full matching on the
+    confusion matrix, exact for any number of labels: scipy's sparse
+    minimum-weight full bipartite matching on ``conf.max() + 1 - conf``.
+    Every weight is at least 1, so the bipartite graph is complete and a
+    full matching exists. ``scipy.sparse`` is imported here, so importing
+    graphcert does not load it.
     """
     g = np.asarray(g, dtype=np.int64)
     h = np.asarray(h, dtype=np.int64)
@@ -166,7 +169,10 @@ def perm_hamming_distance(g, h) -> int:
     K = int(max(g.max(), h.max())) + 1
     conf = np.zeros((K, K), dtype=np.int64)
     np.add.at(conf, (g, h), 1)
-    row, col = linear_sum_assignment(-conf)
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import min_weight_full_bipartite_matching
+
+    row, col = min_weight_full_bipartite_matching(csr_array(conf.max() + 1 - conf))
     return g.size - int(conf[row, col].sum())
 
 

@@ -55,8 +55,8 @@ def is_symmetric(M: np.ndarray) -> bool:
 
 
 def _check_symmetric(M: np.ndarray) -> np.ndarray:
-    """M as float64, refused unless real (bool, integer or float), square and
-    symmetric; symmetry is tested before the float copy is made."""
+    """M as an array in its own dtype, refused unless real (bool, integer or
+    float), square and symmetric."""
     M = np.asarray(M)
     if M.dtype.kind not in "biuf":
         raise NotSymmetric(f"expected a real matrix, got dtype {M.dtype}")
@@ -64,7 +64,7 @@ def _check_symmetric(M: np.ndarray) -> np.ndarray:
         raise NotSymmetric("expected a square matrix")
     if not is_symmetric(M):
         raise NotSymmetric("matrix is not symmetric to within 1e-10")
-    return np.asarray(M, dtype=float)
+    return M
 
 
 @dataclass(frozen=True)
@@ -318,16 +318,25 @@ def eigendecompose(M: np.ndarray) -> Spectrum:
     """The :class:`Spectrum` of a symmetric matrix, refused beyond 1e-10
     asymmetry; the matrix is kept read-only, so the spectrum is shareable.
     Its tridiagonal reduction, made on the first read, serves the package's
-    only eigenvector solves."""
-    M = _check_symmetric(M).view()
+    only eigenvector solves.
+
+    A bool or integer matrix is kept in its own dtype, as a read-only copy
+    (an int8 graph takes 1 byte an entry, not 8): ``dsytrd`` casts it into
+    its float64 work array exactly. Any other float matrix is cast to
+    float64, so no consumer sums it in a lower precision."""
+    M = _check_symmetric(M)
+    M = np.array(M) if M.dtype.kind in "biu" else np.asarray(M, dtype=float).view()
     M.setflags(write=False)
     return Spectrum(M)
 
 
 def eigenvalues(M: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a symmetric matrix from one values-only
-    ``scipy.linalg.eigh`` solve (driver ``evd``), for the ||A - P|| audits."""
-    return scipy.linalg.eigh(_check_symmetric(M), eigvals_only=True, driver="evd")
+    ``scipy.linalg.eigh`` solve (driver ``evd``), for the ||A - P|| audits.
+    The matrix is cast to float64 first: scipy solves an int8 matrix in
+    float32."""
+    M = np.asarray(_check_symmetric(M), dtype=float)
+    return scipy.linalg.eigh(M, eigvals_only=True, driver="evd")
 
 
 def symmetric_operator_norm(M: np.ndarray) -> float:

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +10,7 @@ import scipy.linalg
 from hypothesis import example, settings
 from scipy.spatial.distance import cdist
 
+import graphcert
 from graphcert import (
     OrthonormalBasis,
     SBMSpec,
@@ -257,3 +262,14 @@ def malformed(doc, path, value):
     else:
         target[last] = value
     return doc
+
+
+def fresh_python(*args):
+    """Run ``python *args`` in a new interpreter that imports this graphcert;
+    returns the completed process, output as text."""
+    src = str(Path(graphcert.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
+    )

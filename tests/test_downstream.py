@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+import scipy.cluster.hierarchy
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, minimum_spanning_tree
 from scipy.spatial.distance import cdist
@@ -27,7 +28,6 @@ from graphcert import (
     tradeoff_bounds,
     two_block_sbm,
 )
-from graphcert import downstream
 from graphcert.downstream import ThresholdSnapshot, quadratic_loss
 
 from conftest import filtration_sandwich, random_orthonormal
@@ -470,8 +470,9 @@ def test_threshold_snapshots_empty_grid_builds_no_tree(monkeypatch, rng):
         calls.append((d.shape, method))
         return single_linkage(d, method)
 
-    single_linkage = downstream.linkage
-    monkeypatch.setattr(downstream, "linkage", counted)
+    # threshold_snapshots imports linkage from its home module on each call
+    single_linkage = scipy.cluster.hierarchy.linkage
+    monkeypatch.setattr(scipy.cluster.hierarchy, "linkage", counted)
     X = rng.normal(size=(30, 2))
     assert threshold_snapshots(X, 0.1, ()) == ()
     assert calls == []

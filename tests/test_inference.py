@@ -13,6 +13,7 @@ from graphcert import (
     NonpositiveMargin,
     OrthonormalBasis,
     OutsideDomain,
+    ShapeMismatch,
     centrality_bands,
     cluster_region,
     eigendecompose,
@@ -152,6 +153,46 @@ def test_perm_hamming_matches_brute_force(rng):
         h = rng.integers(0, 3, size=12)
         oracle = _brute_force_perm_hamming(g, h)
         assert perm_hamming_distance(g, h) == oracle
+
+
+@st.composite
+def _label_pairs(draw):
+    """Two assignments of equal length n <= 50 over labels 0..K-1, K <= 6;
+    a label value may go unused in either or both."""
+    K = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 50))
+    labels = st.lists(st.integers(0, K - 1), min_size=n, max_size=n)
+    return np.array(draw(labels)), np.array(draw(labels))
+
+
+@given(_label_pairs())
+def test_perm_hamming_matches_the_best_permutation_of_the_confusion(pair):
+    g, h = pair
+    K = int(max(g.max(), h.max())) + 1
+    conf = np.zeros((K, K), dtype=np.int64)
+    np.add.at(conf, (g, h), 1)
+    perms = np.array(list(itertools.permutations(range(K))))
+    best = int(conf[np.arange(K), perms].sum(axis=1).max())
+    assert perm_hamming_distance(g, h) == g.size - best
+
+
+@pytest.mark.parametrize(
+    "g,h,error",
+    [
+        ([0, 1], [0, 1, 1], ShapeMismatch),
+        ([[0, 1]], [[0, 1]], ShapeMismatch),
+        (0, 0, ShapeMismatch),
+        ([0, -1], [0, 1], ValueError),
+        ([0, 1], [-2, 1], ValueError),
+    ],
+)
+def test_perm_hamming_refusals(g, h, error):
+    with pytest.raises(error):
+        perm_hamming_distance(g, h)
+
+
+def test_perm_hamming_of_empty_assignments_is_zero():
+    assert perm_hamming_distance([], []) == 0
 
 
 def test_perm_hamming_pseudometric_small(rng):

@@ -17,7 +17,14 @@ from graphcert.io import (
 from graphcert.models import sample_adjacency
 from graphcert.protocol import config_from_dict
 
-from conftest import MALFORMED_CONFIGS, MALFORMED_MODELS, full_config_doc, malformed, model_doc
+from conftest import (
+    MALFORMED_CONFIGS,
+    MALFORMED_MODELS,
+    fresh_python,
+    full_config_doc,
+    malformed,
+    model_doc,
+)
 
 
 def test_parse_edge_list_roundtrip():
@@ -232,6 +239,12 @@ def test_cli_alpha_override(tmp_path, sbm200):
     r2 = json.loads(out2.read_text())
     assert r2["alpha"] == 0.5
     assert r2["outputs"]["subspace"]["radius"] < r1["outputs"]["subspace"]["radius"]
+
+
+def test_python_dash_m_graphcert_runs_the_cli():
+    proc = fresh_python("-m", "graphcert", "example-sbm")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["certificates"]["katz_beta_exact"] == "5/794"
 
 
 def test_cli_example_sbm_roundtrips_into_simulate(tmp_path):

@@ -96,14 +96,14 @@ def test_eigendecompose_refuses_asymmetry_beyond_tolerance(rng):
 
 
 # input -> the top eigenvalue of the accepted matrix, or the exception class
-# raised. Symmetry is tested on the input's own dtype and the float64 copy
-# made after; the int8 case wraps 127 - (-1) to -128 unless M - M.T is
-# formed in float64
+# raised. Symmetry is tested on the input's own dtype; the int8 case wraps
+# 127 - (-1) to -128 unless M - M.T is formed in float64
 _EIGENDECOMPOSE_OUTCOMES = {
     "int8-exact": (np.array([[0, 1], [1, 0]], dtype=np.int8), 1.0),
     "int8-minus128-asymmetric": (np.array([[0, 127], [-1, 0]], dtype=np.int8), NotSymmetric),
     "bool-asymmetric": (np.array([[False, True], [False, False]]), NotSymmetric),
     "float-within-1e-10": (np.array([[0.0, 0.5], [0.5 + 1e-11, 0.0]]), 0.5 + 1e-11),
+    "float32": (np.array([[0.0, 0.5], [0.5, 0.0]], dtype=np.float32), 0.5),
     "nan": (np.array([[np.nan, 0.0], [0.0, 1.0]]), NotSymmetric),
     "nested-list": ([[2, 1], [1, 2]], 3.0),
     "ragged": ([[1.0, 2.0], [3.0]], ValueError),
@@ -119,7 +119,8 @@ _EIGENDECOMPOSE_OUTCOMES = {
 def test_eigendecompose_outcome_by_input_kind(M, expected):
     if isinstance(expected, float):
         S = eigendecompose(M)
-        assert S.matrix.dtype == np.float64
+        dtype = np.asarray(M).dtype
+        assert S.matrix.dtype == (dtype if dtype.kind in "biu" else np.float64)
         assert abs(S.top(1)[0][0] - expected) <= 1e-12
     else:
         with pytest.raises(expected) as exc:
@@ -301,6 +302,46 @@ def test_int8_matrix_gives_the_float64_spectrum_bit_for_bit(n, seed):
     b = np.arange(n, dtype=float)
     beta = 0.5 / max(S64.radius, 1.0)
     assert np.array_equal(S8.resolvent(beta, b), S64.resolvent(beta, b))
+
+
+@pytest.mark.parametrize("dtype", [np.int8, bool, np.uint8, np.int64])
+@pytest.mark.parametrize("n,seed", [(1, 0), (2, 0), (9, 3), (200, 1)])
+def test_eigendecompose_keeps_an_integer_matrix_in_its_dtype(n, seed, dtype):
+    """A bool or integer matrix is kept as a read-only copy in its own dtype,
+    and its spectrum equals that of the float64 copy bit for bit."""
+    if n <= 2:
+        A = np.ones((n, n), dtype=np.int8) - np.eye(n, dtype=np.int8)
+    else:
+        A = sample_adjacency(two_block_sbm(n + n % 2, 0.3, 0.1), seed).A[:n, :n]
+    A = A.astype(dtype)
+    S, S64 = eigendecompose(A), eigendecompose(A.astype(float))
+    assert S.matrix.dtype == A.dtype and not S.matrix.flags.writeable
+    assert not np.shares_memory(S.matrix, A)
+    m = min(n, TOP_BLOCK + 2)
+    for a, b in zip(S.top(m), S64.top(m)):
+        assert a.tobytes() == b.tobytes()
+    for a, b in zip(S.beyond(1.0), S64.beyond(1.0)):
+        assert a.tobytes() == b.tobytes()
+    assert S.radius == S64.radius
+    b = np.arange(n, dtype=float)
+    beta = 0.5 / max(S64.radius, 1.0)
+    assert S.resolvent(beta, b).tobytes() == S64.resolvent(beta, b).tobytes()
+    # the values-only audit solve casts first: scipy solves int8 in float32
+    assert eigenvalues(A).tobytes() == eigenvalues(A.astype(float)).tobytes()
+
+
+def test_eigendecompose_of_an_int8_graph_makes_no_float64_copy():
+    # the int8 copy is n^2 bytes; a float64 copy would trace n^2 * 8
+    n = 400
+    A = sample_adjacency(two_block_sbm(n, 0.3, 0.1), 0).A
+    tracemalloc.start()
+    try:
+        S = eigendecompose(A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert S.matrix.dtype == np.int8
+    assert peak < n * n * 8 / 2
 
 
 @pytest.mark.parametrize("diagonal", [[2.0], [3.0, 1.0], [0.5, 3.0, 0.2]])
