@@ -84,10 +84,7 @@ from .downstream import (
     feasibility_transfer_check,
     logistic_decisions,
     parity_gap,
-    ridge_risk,
-    ridge_risk_bound,
     threshold_snapshots,
-    tradeoff_bounds,
 )
 from .protocol import (
     DiagnosticReport,

@@ -27,7 +27,6 @@ import numpy as np
 from .errors import BadLevel, NonpositiveGap, QuantileOverflow
 
 __all__ = [
-    "VarianceProxy",
     "variance_proxy",
     "DeviationQuantile",
     "deviation_quantile",
@@ -37,22 +36,12 @@ __all__ = [
 ]
 
 
-class VarianceProxy(NamedTuple):
-    v: float      # max_i sum_{j != i} P_ij (1 - P_ij)
-    p_max: float  # max_{i < j} P_ij
-
-
-def variance_proxy(P: np.ndarray) -> VarianceProxy:
-    """Exact Bernstein variance proxy of an edge-probability matrix."""
+def variance_proxy(P: np.ndarray) -> float:
+    """Exact Bernstein variance proxy max_i sum_{j != i} P_ij (1 - P_ij)."""
     P = np.asarray(P, dtype=float)
     var = P * (1.0 - P)
     np.fill_diagonal(var, 0.0)
-    v = float(np.max(var.sum(axis=1)))
-    n = P.shape[0]
-    if n < 2:
-        return VarianceProxy(v=v, p_max=0.0)
-    iu = np.triu_indices(n, k=1)
-    return VarianceProxy(v=v, p_max=float(np.max(P[iu])))
+    return float(np.max(var.sum(axis=1)))
 
 
 @dataclass(frozen=True)

@@ -1,59 +1,30 @@
 """Propagation of certified regions into downstream guarantees.
 
-Covers the in-sample ridge risk of spectral features, fairness-constrained
-logistic post-processing under a certified score band, and the
-threshold graphs of embedding rows around a filtration sandwich. All
-bounds are the deterministic inequalities behind the guarantees; the
-probability came earlier, from the region.
+Covers fairness-constrained logistic post-processing under a certified
+score band and the threshold graphs of embedding rows around a filtration
+sandwich. All bounds are the deterministic inequalities behind the
+guarantees; the probability came earlier, from the region.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import EmptyGroup, InsufficientTolerance, NonFiniteRows, ShapeMismatch
-from .linalg import OrthonormalBasis
 from .models import require_unit_interval
 
 __all__ = [
-    "ridge_risk",
-    "ridge_risk_bound",
     "FairnessProblem",
     "logistic_decisions",
     "parity_gap",
     "quadratic_loss",
     "fair_optimize",
     "feasibility_transfer_check",
-    "TradeoffBounds",
-    "tradeoff_bounds",
     "threshold_snapshots",
 ]
-
-
-def ridge_risk(U: OrthonormalBasis, y: np.ndarray, lam: float) -> float:
-    """In-sample ridge risk (1/n) || y - (1/(1+lam)) U U^T y ||^2."""
-    y = np.asarray(y, dtype=float)
-    if y.shape != (U.n,):
-        raise ShapeMismatch(f"y must have length {U.n}")
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
-    fitted = (U.U @ (U.U.T @ y)) / (1.0 + lam)
-    resid = y - fitted
-    return float(resid @ resid) / U.n
-
-
-def ridge_risk_bound(y: np.ndarray, lam: float, r: float, n: int) -> float:
-    """Risk perturbation bound 2 ||y||^2 r / (n (1 + lam))."""
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
-    if r < 0:
-        raise ValueError("radius must be nonnegative")
-    y = np.asarray(y, dtype=float)
-    return 2.0 * float(y @ y) * r / (n * (1.0 + lam))
 
 
 # ---------------------------------------------------------------------------
@@ -212,53 +183,6 @@ def feasibility_transfer_check(
         )
     d = logistic_decisions(x_hat, s, tau, theta)
     return parity_gap(d, s) <= epsilon - r / tau
-
-
-class TradeoffBounds(NamedTuple):
-    loss_gap: float
-    bound_l2: float     # (2/sqrt(n)) ||d_fair - d_un||_2
-    bound_shift: float  # Delta_theta / (2 tau)
-    l2_exceeded: bool     # loss_gap > bound_l2 + 1e-12
-    shift_exceeded: bool  # loss_gap > bound_shift + 1e-12, with Delta_theta != 0
-
-
-def tradeoff_bounds(
-    d_fair: np.ndarray,
-    d_un: np.ndarray,
-    y: np.ndarray,
-    tau: float,
-    delta_theta: float,
-) -> TradeoffBounds:
-    """Realized accuracy cost of fairness and its two certified bounds.
-
-    The l2 bound follows the chain (2/n) sum |delta| <= (2/sqrt(n))
-    ||delta||_2; the shift bound uses the 1/(4 tau) coordinate Lipschitz
-    constant of the decisions in the threshold. Both are compared with the
-    realized gap, and a bound the gap exceeds is reported, not raised. The
-    shift bound only applies when the pair differs by a threshold shift of
-    the stated size; ``delta_theta = 0`` opts out of its comparison.
-    """
-    d_fair = np.asarray(d_fair, dtype=float)
-    d_un = np.asarray(d_un, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if d_fair.shape != d_un.shape or d_fair.shape != y.shape:
-        raise ShapeMismatch("decision vectors and targets must share a shape")
-    if not (np.all((d_fair >= 0) & (d_fair <= 1)) and np.all((d_un >= 0) & (d_un <= 1))):
-        raise ValueError("decisions must lie in [0, 1]")  # a NaN fails too
-    if tau <= 0:
-        raise ValueError("temperature must be positive")
-    n = y.size
-    loss_gap = quadratic_loss(d_fair, y) - quadratic_loss(d_un, y)
-    diff = d_fair - d_un
-    bound_l2 = 2.0 / math.sqrt(n) * float(np.linalg.norm(diff))
-    bound_shift = abs(delta_theta) / (2.0 * tau)
-    return TradeoffBounds(
-        loss_gap=loss_gap,
-        bound_l2=bound_l2,
-        bound_shift=bound_shift,
-        l2_exceeded=bool(loss_gap > bound_l2 + 1e-12),
-        shift_exceeded=bool(loss_gap > bound_shift + 1e-12 and abs(delta_theta) > 0),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -15,12 +15,9 @@ import pytest
 from graphcert import (
     coverage_experiment,
     eigendecompose,
-    grassmann_distance,
     katz_centrality,
     katz_modulus,
     nearest_center_round,
-    ridge_risk,
-    ridge_risk_bound,
     run_protocol,
     sample_adjacency,
     stability_certificate,
@@ -255,21 +252,6 @@ def test_criterion_09_downstream_inequalities():
     start = time.monotonic()
     rng = np.random.default_rng(31337)
 
-    # Cor-style ridge bound
-    n = 12
-    for _ in range(1000):
-        Q1, _ = np.linalg.qr(rng.normal(size=(n, 2)))
-        Q2, _ = np.linalg.qr(rng.normal(size=(n, 2)))
-        from graphcert import OrthonormalBasis
-
-        U = OrthonormalBasis(U=Q1[:, :2])
-        V = OrthonormalBasis(U=Q2[:, :2])
-        y = rng.normal(size=n)
-        lam = float(rng.uniform(0.1, 3))
-        d = grassmann_distance(U, V)
-        gap = abs(ridge_risk(U, y, lam) - ridge_risk(V, y, lam))
-        assert gap <= ridge_risk_bound(y, lam, d, n) + 1e-10
-
     # feasibility transfer under adversarial infinity-ball perturbations
     n = 30
     tau, r, eps = 0.5, 0.15, 0.4
@@ -307,7 +289,7 @@ def test_criterion_09_downstream_inequalities():
         assert all(lower and upper for lower, upper in included)
     elapsed = time.monotonic() - start
     assert elapsed < 60.0
-    print(OK.format(9, f"ridge/fairness/trade-off/filtration: 0 violations ({elapsed:.1f}s)"))
+    print(OK.format(9, f"fairness/trade-off/filtration: 0 violations ({elapsed:.1f}s)"))
 
 
 def test_criterion_10_protocol_gating():

@@ -16,20 +16,17 @@ from graphcert import (
 
 
 def test_variance_proxy_extremes():
-    assert variance_proxy(np.zeros((5, 5))).v == 0.0
+    assert variance_proxy(np.zeros((5, 5))) == 0.0
     ones = np.ones((5, 5)) - np.eye(5)
-    vp = variance_proxy(ones)
-    assert vp.v == 0.0
-    assert vp.p_max == 1.0
+    assert variance_proxy(ones) == 0.0
 
 
 def test_variance_proxy_worked_instance(sbm200):
     # direct summation oracle: 99 * .3 * .7 + 100 * .1 * .9
-    v, p_max = variance_proxy(sbm200.P)
+    v = variance_proxy(sbm200.P)
     oracle = 99 * 0.3 * 0.7 + 100 * 0.1 * 0.9
     assert abs(v - oracle) < 1e-12
     assert abs(v - 29.79) < 1e-12
-    assert p_max == 0.3
 
 
 def test_variance_proxy_below_degree_bound(rng):
@@ -37,7 +34,7 @@ def test_variance_proxy_below_degree_bound(rng):
         P = rng.uniform(size=(20, 20))
         P = (P + P.T) / 2
         np.fill_diagonal(P, 0.0)
-        v = variance_proxy(P).v
+        v = variance_proxy(P)
         assert v <= np.max(P.sum(axis=1)) + 1e-12
 
 

@@ -13,77 +13,19 @@ from graphcert import (
     FairnessProblem,
     InsufficientTolerance,
     NonFiniteRows,
-    OrthonormalBasis,
     ShapeMismatch,
     eigendecompose,
     fair_optimize,
     feasibility_transfer_check,
-    grassmann_distance,
     logistic_decisions,
     parity_gap,
-    ridge_risk,
-    ridge_risk_bound,
     sample_adjacency,
     threshold_snapshots,
-    tradeoff_bounds,
     two_block_sbm,
 )
 from graphcert.downstream import ThresholdSnapshot, quadratic_loss
 
-from conftest import filtration_sandwich, random_orthonormal
-
-
-def test_ridge_risk_in_span():
-    U = OrthonormalBasis(U=np.eye(6)[:, :2])
-    y = U.U @ np.array([2.0, -1.0])
-    lam = 0.7
-    risk = ridge_risk(U, y, lam)
-    expected = (lam / (1 + lam)) ** 2 * float(y @ y) / 6
-    assert abs(risk - expected) < 1e-12
-
-
-def test_ridge_risk_orthogonal_response():
-    U = OrthonormalBasis(U=np.eye(6)[:, :2])
-    y = np.zeros(6)
-    y[3] = 2.0
-    assert abs(ridge_risk(U, y, 1.0) - float(y @ y) / 6) < 1e-12
-
-
-def test_ridge_risk_matches_direct_formula(rng):
-    for _ in range(30):
-        U = OrthonormalBasis(U=random_orthonormal(rng, 10, 3))
-        y = rng.normal(size=10)
-        lam = float(rng.uniform(0.1, 5))
-        direct = np.linalg.norm(y - (U.U @ U.U.T @ y) / (1 + lam)) ** 2 / 10
-        assert abs(ridge_risk(U, y, lam) - direct) < 1e-12
-
-
-def test_ridge_risk_bound_audit(rng):
-    # |R(U) - R(V)| <= 2 ||y||^2 d_Gr(U, V) / (n (1 + lam)), 1000 trials
-    n = 12
-    violations = 0
-    for _ in range(1000):
-        U = OrthonormalBasis(U=random_orthonormal(rng, n, 2))
-        V = OrthonormalBasis(U=random_orthonormal(rng, n, 2))
-        y = rng.normal(size=n)
-        lam = float(rng.uniform(0.1, 3))
-        d = grassmann_distance(U, V)
-        gap = abs(ridge_risk(U, y, lam) - ridge_risk(V, y, lam))
-        if gap > ridge_risk_bound(y, lam, d, n) + 1e-10:
-            violations += 1
-    assert violations == 0
-
-
-def test_ridge_risk_bound_monotone_in_lambda():
-    y = np.ones(5)
-    assert ridge_risk_bound(y, 2.0, 0.5, 5) < ridge_risk_bound(y, 1.0, 0.5, 5)
-    assert ridge_risk_bound(y, 1.0, 0.0, 5) == 0.0
-
-
-def test_ridge_risk_shape_mismatch():
-    U = OrthonormalBasis(U=np.eye(4)[:, :2])
-    with pytest.raises(ShapeMismatch):
-        ridge_risk(U, np.ones(5), 1.0)
+from conftest import filtration_sandwich
 
 
 # ---------------------------------------------------------------------------
@@ -187,9 +129,6 @@ def test_fair_optimize_constrained_never_beats_unconstrained(rng):
     d_fair = logistic_decisions(p.x, p.s, p.tau, theta_fair)
     loss_gap = quadratic_loss(d_fair, p.y) - quadratic_loss(d_un, p.y)
     assert loss_gap >= -1e-9
-    out = tradeoff_bounds(d_fair, d_un, p.y, p.tau, float(np.max(np.abs(theta_fair - theta_un))))
-    assert out.loss_gap <= out.bound_l2 + 1e-12
-    assert not out.l2_exceeded and not out.shift_exceeded
 
 
 def test_feasibility_transfer_check_reduces_to_plain_constraint(rng):
@@ -239,37 +178,6 @@ def test_feasibility_transfer_adversarial_audit(rng):
     assert violations == 0
 
 
-def test_tradeoff_bounds_zero_case(rng):
-    d = rng.uniform(size=10)
-    y = rng.uniform(size=10)
-    out = tradeoff_bounds(d, d, y, tau=0.5, delta_theta=0.0)
-    assert out.loss_gap == 0.0 and out.bound_l2 == 0.0 and out.bound_shift == 0.0
-    assert not out.l2_exceeded and not out.shift_exceeded
-
-
-def test_tradeoff_bounds_report_an_exceeded_bound(rng):
-    # a shift understated tenfold breaks the shift bound; targets outside
-    # [0, 1] break the l2 chain, which needs |d_fair + d_un - 2y| <= 2
-    n, tau, shift = 30, 0.4, 0.3
-    x = rng.normal(size=n)
-    s = (np.arange(n) % 2).astype(int)
-    d_a = logistic_decisions(x, s, tau, np.array([0.0, 0.0]))
-    d_b = logistic_decisions(x, s, tau, np.array([shift, shift]))
-    y = np.zeros(n)
-    out = tradeoff_bounds(d_a, d_b, y, tau, shift / 10)
-    assert out.loss_gap > out.bound_shift + 1e-12
-    assert out.shift_exceeded and not out.l2_exceeded
-    assert not tradeoff_bounds(d_a, d_b, y, tau, shift).shift_exceeded
-    assert not tradeoff_bounds(d_a, d_b, y, tau, 0.0).shift_exceeded  # opted out
-    out = tradeoff_bounds(d_a, d_b, np.full(n, -10.0), tau, 0.0)
-    assert out.loss_gap > out.bound_l2 + 1e-12
-    assert out.l2_exceeded and not out.shift_exceeded
-    # a NaN decision would make both comparisons read "within": refused
-    d_a[3] = np.nan
-    with pytest.raises(ValueError, match="decisions must lie in"):
-        tradeoff_bounds(d_a, d_b, y, tau, shift)
-
-
 def test_tradeoff_bounds_random_pairs(rng):
     # loss gap <= (2/sqrt(n)) || delta d ||_2, 1000 trials
     n = 25
@@ -279,22 +187,6 @@ def test_tradeoff_bounds_random_pairs(rng):
         y = rng.uniform(size=n)
         gap = quadratic_loss(a, y) - quadratic_loss(b, y)
         assert gap <= 2 / math.sqrt(n) * np.linalg.norm(a - b) + 1e-12
-
-
-def test_tradeoff_shift_bound(rng):
-    # fixed scores, thresholds shifted by delta: gap <= delta / (2 tau)
-    n, tau = 30, 0.4
-    x = rng.normal(size=n)
-    s = (np.arange(n) % 2).astype(int)
-    y = rng.uniform(size=n)
-    for _ in range(200):
-        t0 = rng.normal()
-        shift = float(rng.uniform(0, 1))
-        d_a = logistic_decisions(x, s, tau, np.array([t0, t0]))
-        d_b = logistic_decisions(x, s, tau, np.array([t0 + shift, t0 + shift]))
-        out = tradeoff_bounds(d_a, d_b, y, tau, shift)
-        assert out.loss_gap <= out.bound_shift + 1e-12
-        assert not out.l2_exceeded and not out.shift_exceeded
 
 
 def test_sigmoid_slope_never_exceeds_quarter_tau(rng):

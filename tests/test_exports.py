@@ -18,6 +18,11 @@ DELETED = (
     "ModulusAuditResult",
     "TooSmall",
     "NoTiePresent",
+    "ridge_risk",
+    "ridge_risk_bound",
+    "tradeoff_bounds",
+    "TradeoffBounds",
+    "VarianceProxy",
 )
 
 
