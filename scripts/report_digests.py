@@ -18,15 +18,29 @@ graphcert is imported from whatever ``PYTHONPATH`` names; run the script
 once per checkout and ``diff`` the outputs. It uses only long-standing
 public API (``config_from_dict``, ``run_protocol``, ``report_to_json``,
 ``CoverageConfig``, ``coverage_experiment``, ``cli.main``), so it also runs
-on older checkouts. Each line is ``<sha256>  <artifact name>``; to compare
-the artifacts themselves, import the script and iterate ``artifacts()``.
+on older checkouts. Each line is ``<sha256>  <artifact name>``.
+
+To compare the artifacts themselves under the results contract, dump each
+checkout's artifacts and compare the two directories:
+
+    PYTHONPATH=src python3 scripts/report_digests.py --dump before/
+    PYTHONPATH=src python3 scripts/report_digests.py --dump after/
+    PYTHONPATH=src python3 scripts/report_digests.py --compare before/ after/
+
+The contract: reals agree within 1e-9 relative, and every other leaf
+(flags, counts, labels, strings, refusals, selected sets) is equal. The
+compare prints one line per moved leaf, naming the artifact and the path
+to the leaf, and nothing when no leaf moved; it exits 1 when some leaf
+moved or some artifact is missing on one side.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import math
+import sys
 import tempfile
 from pathlib import Path
 
@@ -47,6 +61,7 @@ COVERAGE_REPLICATIONS = 6
 CLI_CONFIGS = ("usvt_eigenvector_kmeans", "declared_katz_centers")
 # (n, seed, config) of the one CLI artifact whose graph file is not canonical
 NONCANONICAL_CLI = (200, 1, "declared_katz_centers")
+REAL_RTOL = 1e-9  # the results contract: reals agree within this relative distance
 
 
 def _report_configs(n: int) -> dict:
@@ -208,10 +223,70 @@ def artifacts():
             yield f"coverage/{name}/seed{seed}", report_to_json(result.to_dict())
 
 
-def main() -> None:
+def dump(directory: Path, items) -> None:
+    """Write each ``(name, text)`` to ``directory/<name>.json``."""
+    for name, text in items:
+        path = Path(directory) / f"{name}.json"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+
+
+def _moved_leaves(a, b, path: str = ""):
+    """Yield ``(path, a, b)`` for each leaf that breaks the results contract."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in list(a) + [key for key in b if key not in a]:
+            if key not in a or key not in b:
+                yield f"{path}/{key}", a.get(key, "<absent>"), b.get(key, "<absent>")
+            else:
+                yield from _moved_leaves(a[key], b[key], f"{path}/{key}")
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for i, (x, y) in enumerate(zip(a, b)):
+            yield from _moved_leaves(x, y, f"{path}/{i}")
+    elif {type(a), type(b)} <= {int, float} and float in {type(a), type(b)}:
+        # a real is written with 17 digits, so an integral one reads back as int
+        if not (a == b or (math.isnan(a) and math.isnan(b))
+                or abs(a - b) <= REAL_RTOL * max(abs(a), abs(b))):
+            yield path or "/", a, b
+    elif type(a) is not type(b) or a != b:
+        yield path or "/", a, b
+
+
+def compare(dir_a: Path, dir_b: Path) -> list:
+    """Lines naming every artifact and leaf that moved from dir_a to dir_b."""
+    dirs = (Path(dir_a), Path(dir_b))
+    names = sorted({p.relative_to(d).as_posix() for d in dirs for p in d.rglob("*.json")})
+    lines = []
+    for name in names:
+        pa, pb = (d / name for d in dirs)
+        if not (pa.exists() and pb.exists()):
+            lines.append(f"{name}: only in {dirs[0] if pa.exists() else dirs[1]}")
+            continue
+        a = json.loads(pa.read_text(encoding="utf-8"))
+        b = json.loads(pb.read_text(encoding="utf-8"))
+        lines.extend(f"{name}: {leaf}: {x!r} -> {y!r}" for leaf, x, y in _moved_leaves(a, b))
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--dump", metavar="DIR", type=Path,
+                      help="write each artifact to DIR/<name>.json")
+    mode.add_argument("--compare", nargs=2, metavar=("DIR_A", "DIR_B"), type=Path,
+                      help="list the artifacts and leaves that moved from DIR_A to DIR_B")
+    args = parser.parse_args(argv)
+    if args.compare:
+        lines = compare(*args.compare)
+        for line in lines:
+            print(line)
+        return 1 if lines else 0
+    if args.dump:
+        dump(args.dump, artifacts())
+        return 0
     for name, text in artifacts():
         print(f"{hashlib.sha256(text.encode()).hexdigest()}  {name}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

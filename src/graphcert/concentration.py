@@ -108,9 +108,9 @@ def davis_kahan_radius(q: float, gap: float) -> DavisKahanRadius:
     "no certificate" branch and is signalled, never papered over. A gap so
     small that 2 q / gap overflows is refused the same way.
     """
-    if q < 0:
+    if not q >= 0:  # NaN too
         raise ValueError("deviation bound must be nonnegative")
-    if gap <= 0:
+    if not gap > 0:  # NaN too
         raise NonpositiveGap(f"gap certificate {gap} is not positive")
     r = 2.0 * q / gap
     if not math.isfinite(r):

@@ -83,9 +83,10 @@ class DuplicateCenters(GraphCertError):
 
 
 class NonFiniteRows(GraphCertError):
-    """Rows hold a NaN or an infinity, so no K-means restart has a cost to
-    rank; or two filtration rows lie so far apart that their distance
-    overflows."""
+    """Rows, centers or scores hold a NaN or an infinity, so no K-means
+    restart has a cost to rank, no row has a nearest center and no top-m
+    set has an order; or two filtration rows lie so far apart that their
+    distance overflows."""
 
 
 class NonpositiveMargin(GraphCertError):

@@ -31,12 +31,7 @@ from .concentration import (
     davis_kahan_radius,
     deviation_quantile_from_envelope,
 )
-from .linalg import (
-    OrthonormalBasis,
-    Spectrum,
-    _orthogonal_procrustes,
-    frobenius_subspace_bound,
-)
+from .linalg import OrthonormalBasis, Spectrum, frobenius_subspace_bound
 from .models import Envelope
 
 __all__ = [
@@ -51,7 +46,6 @@ __all__ = [
     "ClusterRegion",
     "cluster_region",
     "kmeans_labels",
-    "align_to_centers",
     "katz_centrality",
     "katz_domain_limit",
     "in_katz_domain",
@@ -117,13 +111,18 @@ def subspace_region(
 # clustering
 
 def nearest_center_round(rows: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Assign each row to its nearest center; ties go to the lowest index."""
+    """Assign each row to its nearest center; ties go to the lowest index.
+
+    A row or center holding a NaN or an infinity has no nearest center and
+    is refused with :class:`NonFiniteRows`."""
     rows = np.asarray(rows, dtype=float)
     centers = np.asarray(centers, dtype=float)
     if centers.ndim != 2 or centers.shape[0] < 2:
         raise ValueError("need at least two centers")
     if rows.shape[1] != centers.shape[1]:
         raise ShapeMismatch("rows and centers disagree on dimension")
+    if not (np.isfinite(rows).all() and np.isfinite(centers).all()):
+        raise NonFiniteRows("the rows or centers hold a NaN or an infinity")
     for a in range(centers.shape[0]):
         for b in range(a + 1, centers.shape[0]):
             if np.array_equal(centers[a], centers[b]):
@@ -183,7 +182,7 @@ class RoundingErrorBound:
 
 
 def _require_margin(Delta: float) -> None:
-    if Delta <= 0:
+    if not Delta > 0:  # NaN too
         raise NonpositiveMargin(f"margin {Delta} must be positive")
     if Delta * Delta == 0.0:
         raise NonpositiveMargin(f"margin {Delta!r} underflows when squared")
@@ -192,7 +191,7 @@ def _require_margin(Delta: float) -> None:
 def rounding_error_bound(eta: float, Delta: float, n: int) -> RoundingErrorBound:
     """Mislabel count bound for nearest-center rounding under a margin."""
     _require_margin(Delta)
-    if eta < 0:
+    if not eta >= 0:  # NaN too
         raise ValueError("row error must be nonnegative")
     raw = 16.0 * n * eta * eta / (Delta * Delta)
     bound = int(math.ceil(min(raw, n)))  # clamp first: raw may be inf
@@ -281,54 +280,9 @@ def _farthest_point_init(rows: np.ndarray, K: int, starts: np.ndarray):
     return rows[chosen], d2
 
 
-def align_to_centers(
-    U: OrthonormalBasis, centers: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rotate an embedding so its rows sit near declared centers, then round.
-
-    The cluster structure of the rows is found first (deterministic
-    K-means), found centers are matched to the declared ones over all label
-    permutations by weighted Procrustes residual, and the resulting
-    rotation is polished by alternating reassignment and re-alignment.
-    Returns (Q, labels).
-    """
-    centers = np.asarray(centers, dtype=float)
-    K, k = centers.shape
-    if k != U.k:
-        raise ShapeMismatch("centers dimension must match the embedding")
-    rows = U.U
-    init = kmeans_labels(rows, K)
-    found = np.zeros((K, k))
-    weights = np.zeros(K)
-    for a in range(K):
-        mask = init == a
-        weights[a] = mask.sum()
-        if mask.any():
-            found[a] = rows[mask].mean(axis=0)
-    best_Q, best_res = np.eye(k), np.inf
-    perms = itertools.permutations(range(K)) if K <= 8 else [tuple(range(K))]
-    for perm in perms:
-        target = centers[list(perm)]
-        Q = _orthogonal_procrustes(found.T @ (weights[:, None] * target))
-        res = float((weights[:, None] * (found @ Q - target) ** 2).sum())
-        if res < best_res - 1e-15:
-            best_Q, best_res = Q, res
-    Q = best_Q
-    labels = nearest_center_round(rows @ Q, centers)
-    for _ in range(50):
-        target = centers[labels]
-        Q_new = _orthogonal_procrustes(rows.T @ target)
-        new_labels = nearest_center_round(rows @ Q_new, centers)
-        if np.array_equal(new_labels, labels):
-            Q = Q_new
-            break
-        Q, labels = Q_new, new_labels
-    return Q, labels
-
-
 @dataclass(frozen=True)
 class ClusterRegion:
-    """Permutation-invariant Hamming ball around the rounded assignment.
+    """Permutation-invariant Hamming ball around the K-means labels.
 
     The fields, in order, are the keys of a report's ``cluster`` block."""
 
@@ -363,7 +317,7 @@ def cluster_hamming_radius(
     _require_margin(Delta)
     mean_square = 16.0 * frobenius_subspace_bound(r, k) / (Delta * Delta)
     if c_row is not None:
-        if c_row < 0:
+        if not c_row >= 0:  # NaN too
             raise ValueError("c_row must be nonnegative")
         rb = rounding_error_bound(c_row * r, Delta, n)
         uniform = 0 if rb.exact else rb.hamming_bound
@@ -381,23 +335,24 @@ def cluster_region(
 ) -> ClusterRegion:
     """Clustering confidence ball propagated from a subspace region.
 
-    The labels round the rows of the region's center, aligned to declared
-    ``centers`` when given and clustered by K-means into k groups
-    otherwise; the radius is :func:`cluster_hamming_radius` of the
-    region's radius.
+    The labels are the deterministic K-means labels (:func:`kmeans_labels`)
+    of the rows of the region's center: K-means labels are what the
+    radius's bound (Lei and Rinaldo) is stated for. Declared ``centers``
+    fix the number of groups, K = len(centers), and certify the margin
+    ``Delta``, which the protocol checks between them when the config is
+    read; without them K = k and the margin is a declared assumption. The
+    radius is :func:`cluster_hamming_radius` of the region's radius.
     """
     n = region.center.n
     radius, route = cluster_hamming_radius(region.radius, region.k, Delta, n, c_row)
-
-    if centers is not None:
-        centers = np.asarray(centers, dtype=float)
-        _, labels = align_to_centers(region.center, centers)
-        provenance = "declared-centers"
+    if centers is None:
+        K, provenance = region.k, "declared-assumption"
+    elif np.shape(centers)[1:] != (region.k,):
+        raise ShapeMismatch("centers dimension must match the embedding")
     else:
-        labels = kmeans_labels(region.center.U, region.k)
-        provenance = "declared-assumption"
+        K, provenance = len(centers), "declared-centers"
     return ClusterRegion(
-        labels=labels,
+        labels=kmeans_labels(region.center.U, K),
         hamming_radius=radius,
         alpha=region.alpha,
         margin=float(Delta),
@@ -503,7 +458,7 @@ class CentralityBand:
         p = np.array(self.point, dtype=float, copy=True)
         p.setflags(write=False)
         object.__setattr__(self, "point", p)
-        if self.half_width < 0:
+        if not self.half_width >= 0:  # NaN too
             raise ValueError("half width must be nonnegative")
 
     def lower(self) -> np.ndarray:
@@ -525,7 +480,7 @@ def centrality_bands(
     functional: str = "katz",
 ) -> CentralityBand:
     """Bands of half-width L*q, simultaneous over all nodes."""
-    if L < 0 or q < 0:
+    if not (L >= 0 and q >= 0):  # NaN too
         raise ValueError("modulus and deviation bound must be nonnegative")
     return CentralityBand(
         functional=functional,
@@ -556,9 +511,12 @@ def top_m_selection(x, m: int) -> TopMSelection:
     S} x_j. Ties at the threshold (exact float equality) make the selection
     set-valued and the margin undefined. For very large tie groups the
     enumerated list is truncated at ``MAX_SETS`` (the exact count is always
-    reported).
+    reported). Scores holding a NaN or an infinity have no order and are
+    refused with :class:`NonFiniteRows`.
     """
     x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise NonFiniteRows("the scores hold a NaN or an infinity")
     n = x.size
     if not 1 <= m <= n - 1:
         raise ValueError(f"m = {m} must lie in [1, {n - 1}]")
@@ -599,7 +557,7 @@ def stability_certificate(x_hat, m: int, half_width: float) -> StabilityCertific
     are reported as ties and are never certified: near-ties are genuinely
     uncertifiable.
     """
-    if half_width < 0:
+    if not half_width >= 0:  # NaN too
         raise ValueError("band half-width must be nonnegative")
     sel = top_m_selection(x_hat, m)
     threshold = 2.0 * half_width

@@ -374,17 +374,9 @@ def procrustes_align(
         raise ShapeMismatch(
             f"bases have shapes {(U_hat.n, U_hat.k)} vs {(U_star.n, U_star.k)}"
         )
-    Q = _orthogonal_procrustes(U_hat.U.T @ U_star.U)
+    W, _, Vt = np.linalg.svd(U_hat.U.T @ U_star.U)
+    Q = W @ Vt
     return Q, OrthonormalBasis(U=U_hat.U @ Q)
-
-
-def _orthogonal_procrustes(M: np.ndarray) -> np.ndarray:
-    """The orthogonal Q maximizing tr(Q^T M): W V^T from the SVD M = W S V^T.
-
-    With M = X^T Y it minimizes ||X Q - Y||_F over orthogonal Q.
-    """
-    W, _, Vt = np.linalg.svd(M)
-    return W @ Vt
 
 
 def weyl_gap_certificate(gap_hat: float, eps_P: float) -> float:

@@ -92,6 +92,19 @@ def test_davis_kahan_radius_cases():
         davis_kahan_radius(1.0, 0.0)
 
 
+@pytest.mark.parametrize(
+    "q, gap, error, match",
+    [
+        (math.nan, 1.0, ValueError, "deviation bound must be nonnegative"),
+        (1.0, math.nan, NonpositiveGap, "gap certificate nan is not positive"),
+    ],
+)
+def test_davis_kahan_refuses_nan_naming_the_parameter(q, gap, error, match):
+    # a NaN q is refused as q, not as a gap that "gives radius nan"
+    with pytest.raises(error, match=match):
+        davis_kahan_radius(q, gap)
+
+
 def test_davis_kahan_worked_instance_closed_form():
     # closed-form re-evaluation oracle at alpha = 0.05
     n, alpha = 200, 0.05

@@ -23,6 +23,7 @@ DELETED = (
     "tradeoff_bounds",
     "TradeoffBounds",
     "VarianceProxy",
+    "align_to_centers",
 )
 
 

@@ -9,12 +9,14 @@ from graphcert import (
     DegenerateTopEigenvalue,
     DuplicateCenters,
     Envelope,
+    NonFiniteRows,
     NonpositiveGap,
     NonpositiveMargin,
     OrthonormalBasis,
     OutsideDomain,
     ShapeMismatch,
     centrality_bands,
+    cluster_hamming_radius,
     cluster_region,
     eigendecompose,
     eigenvector_centrality,
@@ -30,7 +32,7 @@ from graphcert import (
     top_m_selection,
 )
 from graphcert.concentration import deviation_quantile
-from graphcert.inference import eigenvector_modulus
+from graphcert.inference import CentralityBand, eigenvector_modulus, kmeans_labels
 from graphcert.linalg import Spectrum
 from graphcert.models import AdjacencyMatrix
 from graphcert.simulation import CONTAIN_TOL
@@ -127,6 +129,16 @@ def test_nearest_center_duplicate_centers_rejected():
     centers = np.array([[1.0, 2.0], [1.0, 2.0]])
     with pytest.raises(DuplicateCenters):
         nearest_center_round(np.zeros((3, 2)), centers)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("where", ["rows", "centers"])
+def test_nearest_center_refuses_non_finite_rows(value, where):
+    # a NaN row has no nearest center; argmin would label it 0
+    rows, centers = np.zeros((3, 2)), np.array([[1.0, 0.0], [-1.0, 0.0]])
+    {"rows": rows, "centers": centers}[where][1, 0] = value
+    with pytest.raises(NonFiniteRows, match="NaN or an infinity"):
+        nearest_center_round(rows, centers)
 
 
 def _brute_force_perm_hamming(g, h):
@@ -235,6 +247,22 @@ def test_rounding_error_bound_examples():
         rounding_error_bound(0.1, 0.0, 10)
 
 
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: rounding_error_bound(0.1, math.nan, 10), NonpositiveMargin),
+        (lambda: rounding_error_bound(math.nan, 0.5, 10), ValueError),
+        (lambda: cluster_hamming_radius(0.1, 2, math.nan, 10), NonpositiveMargin),
+        (lambda: cluster_hamming_radius(0.1, 2, 0.5, 10, c_row=math.nan), ValueError),
+    ],
+    ids=["margin", "eta", "cluster-margin", "c_row"],
+)
+def test_rounding_and_cluster_radius_refuse_nan(call, error):
+    # refused by the parameter check, not by math.ceil failing on a NaN bound
+    with pytest.raises(error, match="positive|nonnegative"):
+        call()
+
+
 def test_rounding_bound_holds_on_synthetic_rows(rng):
     # mean-square premise realized exactly; mislabels never exceed the bound
     centers = np.array([[1.0, 0.0], [-1.0, 0.0]])
@@ -291,7 +319,7 @@ def test_cluster_region_zero_radius_exact_claim(sbm200):
 
 def test_alignment_handles_unequal_blocks():
     from graphcert import SBMSpec, build_probability_matrix
-    from graphcert.inference import align_to_centers
+    from graphcert.inference import center_separation
 
     labels = np.repeat([0, 1], [30, 90])
     model = build_probability_matrix(
@@ -303,9 +331,26 @@ def test_alignment_handles_unequal_blocks():
     )
     for seed in range(5):
         A = sample_adjacency(model, seed)
-        U_hat = eigendecompose(A.A).top_k(2)
-        _, found = align_to_centers(U_hat, centers)
+        region = subspace_region(
+            eigendecompose(A.A), 2, Envelope(d_max=40.0, gap=30.0), 0.05
+        )
+        found = cluster_region(region, center_separation(centers), centers=centers).labels
         assert perm_hamming_distance(found, labels) == 0
+
+
+@pytest.mark.parametrize("K", [2, 3])
+def test_declared_centers_take_the_kmeans_labels(sbm200, K):
+    # declared centers fix K and certify the margin; the labels are the
+    # same deterministic K-means labels as the route without centers
+    S = eigendecompose(sample_adjacency(sbm200, 16).A)
+    region = subspace_region(S, 2, Envelope(d_max=39.7, gap=20.0), 0.05)
+    c = 1 / math.sqrt(200)
+    centers = np.array([[c, c], [c, -c], [-c, 0.0]])[:K]
+    creg = cluster_region(region, 2 * c, centers=centers)
+    assert np.array_equal(creg.labels, kmeans_labels(region.center.U, K))
+    assert creg.margin_provenance == "declared-centers"
+    with pytest.raises(ShapeMismatch):
+        cluster_region(region, 2 * c, centers=np.ones((K, 3)))
 
 
 def test_cluster_region_requires_margin(sbm200):
@@ -598,6 +643,21 @@ def test_centrality_bands_basic():
     assert np.allclose(band.upper() - band.lower(), 2 * band.half_width)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: centrality_bands(np.zeros(3), L=math.nan, q=1.0, alpha=0.1),
+        lambda: centrality_bands(np.zeros(3), L=1.0, q=math.nan, alpha=0.1),
+        lambda: CentralityBand("katz", half_width=math.nan, alpha=0.1, point=np.zeros(3)),
+    ],
+    ids=["L", "q", "half_width"],
+)
+def test_centrality_bands_refuse_nan(call):
+    # a NaN modulus or deviation bound is refused, not a band of width NaN
+    with pytest.raises(ValueError, match="nonnegative"):
+        call()
+
+
 def test_band_monotonicity_via_quantile():
     # half-width nonincreasing in alpha, nondecreasing in d_max
     from graphcert import deviation_quantile_from_envelope
@@ -628,6 +688,15 @@ def test_top_m_tie_case():
     assert sel.margin is None
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_top_m_refuses_non_finite_scores(value):
+    # a NaN score has no rank: [nan, 1, 2] read as unique with margin 1
+    with pytest.raises(NonFiniteRows, match="NaN or an infinity"):
+        top_m_selection(np.array([value, 1.0, 2.0]), 1)
+    with pytest.raises(NonFiniteRows):
+        stability_certificate(np.array([value, 1.0, 2.0, 0.5]), 1, 0.1)
+
+
 def test_top_m_margin_matches_sort_oracle(rng):
     for _ in range(100):
         x = rng.normal(size=12)
@@ -648,6 +717,11 @@ def test_stability_certificate_arithmetic():
     assert cert.observed_margin == 0.5
     assert cert.certified
     assert cert.selected_set == (0,)
+
+
+def test_stability_certificate_refuses_nan_half_width():
+    with pytest.raises(ValueError, match="half-width must be nonnegative"):
+        stability_certificate(np.array([1.0, 0.5, 0.2]), 1, math.nan)
 
 
 def test_stability_certificate_tie_never_certified():

@@ -1,0 +1,77 @@
+"""The results-contract checker of ``scripts/report_digests.py``."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+from graphcert import config_from_dict, run_protocol, sample_adjacency, two_block_sbm
+
+from conftest import full_config_doc
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "report_digests.py"
+
+
+@pytest.fixture(scope="module")
+def digests():
+    spec = importlib.util.spec_from_file_location("report_digests", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def report():
+    """A report with every block, as the dict its JSON reads back to."""
+    A = sample_adjacency(two_block_sbm(40, 0.5, 0.1), 3)
+    return json.loads(run_protocol(A, config_from_dict(full_config_doc())).to_json())
+
+
+def _dump_pair(digests, tmp_path, before, after):
+    names = ("report/n40/seed3/full", "cli/n40/seed3/full", "cli/n40/seed3/full/crlf")
+    for side, doc in (("a", before), ("b", after)):
+        digests.dump(tmp_path / side, [(name, json.dumps(doc)) for name in names])
+    return digests.compare(tmp_path / "a", tmp_path / "b")
+
+
+def test_identical_directories_report_nothing(digests, report, tmp_path):
+    assert _dump_pair(digests, tmp_path, report, report) == []
+    assert digests.main(["--compare", str(tmp_path / "a"), str(tmp_path / "b")]) == 0
+
+
+def test_a_real_moved_by_1e8_is_reported(digests, report, tmp_path, capsys):
+    moved = json.loads(json.dumps(report))
+    radius = moved["outputs"]["subspace"]["radius"]
+    moved["outputs"]["subspace"]["radius"] = radius * (1 + 1e-8)
+    lines = _dump_pair(digests, tmp_path, report, moved)
+    assert len(lines) == 3
+    assert all("/outputs/subspace/radius" in line for line in lines)
+    assert lines[0].startswith("cli/n40/seed3/full.json: ")
+    assert digests.main(["--compare", str(tmp_path / "a"), str(tmp_path / "b")]) == 1
+    assert capsys.readouterr().out.splitlines() == lines
+
+    # within the contract: 1e-10 relative, and an integral real read back as int
+    moved["outputs"]["subspace"]["radius"] = radius * (1 + 1e-10)
+    assert _dump_pair(digests, tmp_path, report, moved) == []
+    assert list(digests._moved_leaves(2, 2.0 * (1 + 1e-12))) == []
+
+
+def test_a_relabelled_node_is_reported(digests, report, tmp_path):
+    moved = json.loads(json.dumps(report))
+    labels = moved["outputs"]["cluster"]["labels"]
+    labels[7] = 1 - labels[7]
+    lines = _dump_pair(digests, tmp_path, report, moved)
+    leaf = f"/outputs/cluster/labels/7: {1 - labels[7]} -> {labels[7]}"
+    assert len(lines) == 3 and all(line.endswith(leaf) for line in lines)
+
+
+def test_flags_keys_and_missing_artifacts_are_reported(digests, report, tmp_path):
+    assert list(digests._moved_leaves(True, 1)) == [("/", True, 1)]
+    assert list(digests._moved_leaves({"a": 1}, {"b": 1})) == [
+        ("/a", 1, "<absent>"), ("/b", "<absent>", 1)
+    ]
+    _dump_pair(digests, tmp_path, report, report)
+    (tmp_path / "b" / "cli" / "n40" / "seed3" / "full.json").unlink()
+    lines = digests.compare(tmp_path / "a", tmp_path / "b")
+    assert lines == [f"cli/n40/seed3/full.json: only in {tmp_path / 'a'}"]
