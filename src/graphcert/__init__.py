@@ -65,7 +65,6 @@ from .inference import (
     ClusterRegion,
     StabilityCertificate,
     SubspaceRegion,
-    centrality_bands,
     cluster_hamming_radius,
     cluster_region,
     eigenvector_centrality,

@@ -28,6 +28,7 @@ from .errors import BadLevel, NonpositiveGap, QuantileOverflow
 
 __all__ = [
     "variance_proxy",
+    "require_level",
     "DeviationQuantile",
     "deviation_quantile",
     "deviation_quantile_from_envelope",
@@ -55,6 +56,12 @@ class DeviationQuantile:
     method: str = "bernstein_explicit"
 
 
+def require_level(alpha: float) -> None:
+    """Refuse a level alpha outside (0, 1), NaN too, with :class:`BadLevel`."""
+    if not 0.0 < alpha < 1.0:
+        raise BadLevel(f"alpha = {alpha} must lie in (0, 1)")
+
+
 def deviation_quantile(v_bound: float, n: int, alpha: float) -> DeviationQuantile:
     """Exact inversion of the dimension-aware Bernstein tail.
 
@@ -62,8 +69,7 @@ def deviation_quantile(v_bound: float, n: int, alpha: float) -> DeviationQuantil
     v_bound = 0 the linear term survives and q = (2/3) log(2n/alpha). A
     quantile that overflows is refused with :class:`QuantileOverflow`.
     """
-    if not 0.0 < alpha < 1.0:
-        raise BadLevel(f"alpha = {alpha} must lie in (0, 1)")
+    require_level(alpha)
     if v_bound < 0:
         raise ValueError("v_bound must be nonnegative")
     if n < 2:
@@ -88,8 +94,7 @@ def deviation_quantile_from_envelope(
     if d_max < 0:
         raise ValueError("d_max must be nonnegative")
     if d_max == 0.0:
-        if not 0.0 < alpha < 1.0:
-            raise BadLevel(f"alpha = {alpha} must lie in (0, 1)")
+        require_level(alpha)
         return DeviationQuantile(
             q=0.0, alpha=alpha, v_bound=0.0, n=int(n), method="degenerate_zero"
         )
@@ -104,14 +109,15 @@ class DavisKahanRadius(NamedTuple):
 def davis_kahan_radius(q: float, gap: float) -> DavisKahanRadius:
     """Deterministic projector radius 2 q / gap with vacuity flag.
 
-    A nonpositive gap certificate cannot produce any radius; that is the
-    "no certificate" branch and is signalled, never papered over. A gap so
-    small that 2 q / gap overflows is refused the same way.
+    A missing or nonpositive gap certificate cannot produce a radius; that
+    is the "no certificate" branch, signalled, never papered over. A gap so
+    small that 2 q / gap overflows is refused the same way, and so is an
+    infinite one, which would give radius 0 flagged informative.
     """
-    if not q >= 0:  # NaN too
-        raise ValueError("deviation bound must be nonnegative")
-    if not gap > 0:  # NaN too
-        raise NonpositiveGap(f"gap certificate {gap} is not positive")
+    if not 0 <= q < math.inf:  # NaN too
+        raise ValueError("deviation bound must be nonnegative and finite")
+    if gap is None or not 0 < gap < math.inf:  # NaN too
+        raise NonpositiveGap(f"gap certificate {gap} is not positive and finite")
     r = 2.0 * q / gap
     if not math.isfinite(r):
         raise NonpositiveGap(f"gap certificate {gap!r} gives radius 2q/gap = {r!r}")

@@ -66,8 +66,8 @@ class BadLevel(GraphCertError):
 
 
 class NonpositiveGap(GraphCertError):
-    """A missing gap certificate, one of 0 (or less), or one so small that
-    the radius 2 q / gap overflows, cannot produce a radius."""
+    """A missing gap certificate, one of 0 (or less), an infinite one, or one
+    so small that the radius 2 q / gap overflows, cannot produce a radius."""
 
 
 class QuantileOverflow(GraphCertError):

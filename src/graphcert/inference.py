@@ -1,7 +1,7 @@
 """Spine outputs: subspace regions, cluster balls, centrality bands, selection.
 
-Every object here is certificate-gated. A subspace region needs a degree
-envelope and a positive gap certificate; a cluster ball additionally needs
+Every object here is certificate-gated. A subspace region needs a bound q
+on ||A - P|| and a positive gap certificate; a cluster ball additionally needs
 a separation margin; centrality bands need a Lipschitz modulus valid on a
 certified domain; selection stability needs an observed margin clearing
 twice the propagated noise. When a certificate is missing the operation
@@ -21,18 +21,13 @@ from .errors import (
     DegenerateTopEigenvalue,
     DuplicateCenters,
     NonFiniteRows,
-    NonpositiveGap,
     NonpositiveMargin,
     OutsideDomain,
     ShapeMismatch,
 )
-from .concentration import (
-    DeviationQuantile,
-    davis_kahan_radius,
-    deviation_quantile_from_envelope,
-)
+from .concentration import davis_kahan_radius, require_level
 from .linalg import OrthonormalBasis, Spectrum, frobenius_subspace_bound
-from .models import Envelope
+from .models import require_integer
 
 __all__ = [
     "SubspaceRegion",
@@ -53,7 +48,6 @@ __all__ = [
     "eigenvector_modulus",
     "eigenvector_centrality",
     "CentralityBand",
-    "centrality_bands",
     "TopMSelection",
     "top_m_selection",
     "StabilityCertificate",
@@ -72,9 +66,11 @@ class SubspaceRegion:
 
     center: OrthonormalBasis
     radius: float
-    alpha: float
+    alpha: float  # the level of the deviation bound the radius was given
     informative: bool
-    quantile: DeviationQuantile
+
+    def __post_init__(self):
+        require_level(self.alpha)
 
     @property
     def k(self) -> int:
@@ -82,28 +78,19 @@ class SubspaceRegion:
 
 
 def subspace_region(
-    S: Spectrum, k: int, envelope: Envelope, alpha: float
+    S: Spectrum, k: int, q: float, gap: float, alpha: float
 ) -> SubspaceRegion:
     """Confidence region for the latent top-k eigenspace.
 
     The center is the observed top-k basis ``S.top_k(k)`` of the observed
-    graph's spectrum; the radius is the Davis-Kahan transfer 2 q / gap of
-    the deviation quantile of ``envelope.d_max`` through ``envelope.gap``.
-    A missing, zero or overflowing gap raises :class:`NonpositiveGap`; a
-    radius is never fabricated.
+    graph's spectrum; the radius is the Davis-Kahan transfer 2 q / gap
+    (:func:`davis_kahan_radius`) of a level-``alpha`` bound q on ||A - P||
+    through the gap certificate. A zero, infinite or overflowing gap raises
+    :class:`NonpositiveGap`; a radius is never fabricated.
     """
-    if envelope.gap is None:
-        raise NonpositiveGap("no gap certificate declared")
-    if envelope.d_max is None:
-        raise ValueError("the envelope must declare d_max")
-    quant = deviation_quantile_from_envelope(envelope.d_max, S.n, alpha)
-    dk = davis_kahan_radius(quant.q, envelope.gap)
+    dk = davis_kahan_radius(q, gap)
     return SubspaceRegion(
-        center=S.top_k(k),
-        radius=dk.radius,
-        alpha=alpha,
-        informative=dk.informative,
-        quantile=quant,
+        center=S.top_k(k), radius=dk.radius, alpha=alpha, informative=dk.informative
     )
 
 
@@ -188,9 +175,15 @@ def _require_margin(Delta: float) -> None:
         raise NonpositiveMargin(f"margin {Delta!r} underflows when squared")
 
 
+def _require_node_count(n: int) -> None:
+    if require_integer("n", n) < 1:
+        raise ValueError(f"n must be at least 1, got {n!r}")
+
+
 def rounding_error_bound(eta: float, Delta: float, n: int) -> RoundingErrorBound:
     """Mislabel count bound for nearest-center rounding under a margin."""
     _require_margin(Delta)
+    _require_node_count(n)
     if not eta >= 0:  # NaN too
         raise ValueError("row error must be nonnegative")
     raw = 16.0 * n * eta * eta / (Delta * Delta)
@@ -302,24 +295,23 @@ class ClusterRegion:
 
 
 def cluster_hamming_radius(
-    r: float, k: int, Delta: float, n: int, c_row: Optional[float] = None
+    r: float, k: int, Delta: float, n: int, eta: Optional[float] = None
 ) -> tuple[int, str]:
     """Hamming radius of the cluster ball for subspace radius r, and its route.
 
     The mean-square route gives ceil(16 * (2 k r^2) / Delta^2), i.e.
-    ceil(32 k r^2 / Delta^2). With a user-certified rowwise constant
-    ``c_row`` the uniform-recovery branch is also tried (radius 0 when
-    c_row * r < Delta / 4) and is reported when it is smaller than the
-    unclamped mean-square radius. Radii are clamped at n, where the ball is
-    all assignments and the region is vacuous; the clamp comes before the
-    ceiling, since r^2 may overflow to inf.
+    ceil(32 k r^2 / Delta^2). With a rowwise bound ``eta`` = c_row * r the
+    uniform-recovery branch is also tried (radius 0 when eta < Delta / 4)
+    and is reported when it is smaller than the unclamped mean-square
+    radius. Radii are clamped at n, where the ball is all assignments and
+    the region is vacuous; the clamp comes before the ceiling, since r^2 may
+    overflow to inf.
     """
     _require_margin(Delta)
+    _require_node_count(n)
     mean_square = 16.0 * frobenius_subspace_bound(r, k) / (Delta * Delta)
-    if c_row is not None:
-        if not c_row >= 0:  # NaN too
-            raise ValueError("c_row must be nonnegative")
-        rb = rounding_error_bound(c_row * r, Delta, n)
+    if eta is not None:
+        rb = rounding_error_bound(eta, Delta, n)
         uniform = 0 if rb.exact else rb.hamming_bound
         # for an integer, uniform < ceil(x) iff uniform < x
         if uniform < mean_square:
@@ -331,7 +323,7 @@ def cluster_region(
     region: SubspaceRegion,
     Delta: float,
     centers: Optional[np.ndarray] = None,
-    c_row: Optional[float] = None,
+    eta: Optional[float] = None,
 ) -> ClusterRegion:
     """Clustering confidence ball propagated from a subspace region.
 
@@ -341,10 +333,9 @@ def cluster_region(
     fix the number of groups, K = len(centers), and certify the margin
     ``Delta``, which the protocol checks between them when the config is
     read; without them K = k and the margin is a declared assumption. The
-    radius is :func:`cluster_hamming_radius` of the region's radius.
+    radius is :func:`cluster_hamming_radius` of the region's radius and ``eta``.
     """
-    n = region.center.n
-    radius, route = cluster_hamming_radius(region.radius, region.k, Delta, n, c_row)
+    radius, route = cluster_hamming_radius(region.radius, region.k, Delta, region.center.n, eta)
     if centers is None:
         K, provenance = region.k, "declared-assumption"
     elif np.shape(centers)[1:] != (region.k,):
@@ -405,31 +396,29 @@ def in_katz_domain(rho: float, beta: float) -> bool:
 
 def katz_modulus(beta: float) -> float:
     """Lipschitz constant 4*beta, valid on {rho(M) <= 1/(2 beta)}."""
-    if not beta > 0:  # NaN too
-        raise ValueError("beta must be positive")
+    if not 0 < beta < math.inf:  # NaN too
+        raise ValueError("beta must be positive and finite")
     return 4.0 * beta
 
 
 def eigenvector_modulus(gamma: float) -> float:
-    """Lipschitz constant 2/gamma, for a top eigenvalue gap gamma > 0."""
-    if not gamma > 0:  # NaN too
-        raise ValueError("gamma must be positive")
+    """Lipschitz constant 2/gamma, for a certified top eigenvalue gap gamma > 0."""
+    if not 0 < gamma < math.inf:  # NaN too
+        raise ValueError("gamma must be positive and finite")
     return 2.0 / gamma
 
 
-def eigenvector_centrality(S: Spectrum) -> tuple[np.ndarray, float]:
-    """Unit top eigenvector with nonnegative ones-alignment, plus its gap.
+def eigenvector_centrality(S: Spectrum) -> np.ndarray:
+    """Unit top eigenvector with nonnegative ones-alignment.
 
-    Requires a simple top eigenvalue: the observed gamma = lam1 - lam2 =
+    Requires a simple top eigenvalue: the observed gap lam1 - lam2 =
     ``S.gap(1)`` must be positive, and ``Spectrum.gap`` reads a gap within
-    the tie tolerance as 0. gamma is returned for the perturbation modulus
-    2/gamma.
+    the tie tolerance as 0. The observed gap is not a certificate: the
+    perturbation modulus takes a certified gap (:func:`eigenvector_modulus`).
     """
-    gamma = S.gap(1)
-    if gamma <= 0:
-        raise DegenerateTopEigenvalue(
-            f"top eigenvalue gap {gamma} is within the tie tolerance"
-        )
+    gap = S.gap(1)
+    if gap <= 0:
+        raise DegenerateTopEigenvalue(f"top eigenvalue gap {gap} is within the tie tolerance")
     _, V = S.top(1)
     v = V[:, 0].copy()  # a read-only view of the spectrum's vectors
     s = float(v.sum())
@@ -439,12 +428,13 @@ def eigenvector_centrality(S: Spectrum) -> tuple[np.ndarray, float]:
         a = int(np.argmax(np.abs(v)))
         if v[a] < 0:
             v = -v
-    return v, gamma
+    return v
 
 
 @dataclass(frozen=True)
 class CentralityBand:
-    """Simultaneous nodewise intervals point +- half_width.
+    """Simultaneous nodewise intervals point +- half_width, where half_width
+    is L * q for a modulus L and a level-``alpha`` bound q on ||A - P||.
 
     The fields, in order, are the keys of a report's ``centrality_bands``
     block."""
@@ -460,6 +450,7 @@ class CentralityBand:
         object.__setattr__(self, "point", p)
         if not self.half_width >= 0:  # NaN too
             raise ValueError("half width must be nonnegative")
+        require_level(self.alpha)
 
     def lower(self) -> np.ndarray:
         return self.point - self.half_width
@@ -470,24 +461,6 @@ class CentralityBand:
     def contains(self, truth) -> bool:
         truth = np.asarray(truth, dtype=float)
         return bool(np.all(np.abs(truth - self.point) <= self.half_width))
-
-
-def centrality_bands(
-    point: np.ndarray,
-    L: float,
-    q: float,
-    alpha: float,
-    functional: str = "katz",
-) -> CentralityBand:
-    """Bands of half-width L*q, simultaneous over all nodes."""
-    if not (L >= 0 and q >= 0):  # NaN too
-        raise ValueError("modulus and deviation bound must be nonnegative")
-    return CentralityBand(
-        functional=functional,
-        half_width=L * q,
-        alpha=alpha,
-        point=np.asarray(point, dtype=float),
-    )
 
 
 # ---------------------------------------------------------------------------

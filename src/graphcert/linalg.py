@@ -384,10 +384,11 @@ def weyl_gap_certificate(gap_hat: float, eps_P: float) -> float:
 
     If every eigenvalue of the denoised matrix is within eps_P of its
     population counterpart, the population k-gap is at least
-    (gap_hat - 2 eps_P)_+.
+    (gap_hat - 2 eps_P)_+. A NaN or infinite input is refused: an infinite
+    gap_hat would certify an infinite gap.
     """
-    if not (gap_hat >= 0 and eps_P >= 0):  # NaN too
-        raise ValueError("gap_hat and eps_P must be nonnegative")
+    if not (0 <= gap_hat < np.inf and 0 <= eps_P < np.inf):  # NaN too
+        raise ValueError("gap_hat and eps_P must be nonnegative and finite")
     return max(gap_hat - 2.0 * eps_P, 0.0)
 
 

@@ -35,11 +35,11 @@ from .errors import (
     ShapeMismatch,
     UnsupportedSpec,
 )
-from .concentration import davis_kahan_radius, deviation_quantile_from_envelope
+from .concentration import deviation_quantile_from_envelope
 from .inference import (
+    CentralityBand,
     _require_margin,
     center_separation,
-    centrality_bands,
     cluster_region,
     eigenvector_centrality,
     eigenvector_modulus,
@@ -447,11 +447,15 @@ def run_protocol(A: AdjacencyMatrix, config: ProtocolConfig) -> DiagnosticReport
     else:
         d1 = Flag(False, "no d_max declared")
 
+    # the gap proxy is diagnostic only, never a radius
+    proxy = S.gap(k)
+
     # D2: gap certificate (parametric > declared > usvt+weyl); the spectrum
     # S_P of the parametric P also feeds D3. P was checked when it was built,
     # and P_hat is symmetric by construction: both are read-only spectra as
-    # they are
+    # they are. With D1 passed, the gate builds the one subspace region
     gap: Optional[float] = None
+    region = None
     gap_source = "none"
     S_P = None
     if spec is not None:
@@ -474,7 +478,7 @@ def run_protocol(A: AdjacencyMatrix, config: ProtocolConfig) -> DiagnosticReport
         d2 = Flag(True, f"{gap_source} gap certificate = {gap!r}")
         if q is not None:
             try:
-                davis_kahan_radius(q, gap)
+                region = subspace_region(S, k, q, gap, alpha)
             except NonpositiveGap as exc:  # 2 q / gap overflowed
                 d2 = Flag(False, f"{gap_source} {exc}")
     else:
@@ -485,12 +489,9 @@ def run_protocol(A: AdjacencyMatrix, config: ProtocolConfig) -> DiagnosticReport
         )
         d2 = Flag(False, detail)
 
-    # the gap proxy is diagnostic only, never a radius
-    proxy = S.gap(k)
-
-    # D3: centrality domain certificate
+    # D3: centrality domain certificate, and the one band half-width L * q
     cent = config.centrality
-    L: Optional[float] = None
+    half_width: Optional[float] = None
     domain_note = "no centrality functional declared"
     domain_ok: Optional[bool] = None
     if cent is not None:
@@ -504,8 +505,6 @@ def run_protocol(A: AdjacencyMatrix, config: ProtocolConfig) -> DiagnosticReport
             else:
                 domain_ok = cent.domain_certified
                 domain_note = "declared" if domain_ok else "not declared or certified"
-            if domain_ok:
-                L = katz_modulus(cent.beta)
         else:  # eigenvector
             gamma = None
             if S_P is not None:
@@ -517,11 +516,12 @@ def run_protocol(A: AdjacencyMatrix, config: ProtocolConfig) -> DiagnosticReport
             else:
                 domain_note = "not declared or certified"
             domain_ok = gamma is not None and gamma > 0
-            if domain_ok:
-                L = eigenvector_modulus(gamma)
-        if domain_ok and q is not None and not math.isfinite(2.0 * L * q):
-            domain_ok = False
-            domain_note += f"; modulus {L!r} times q = {q!r} overflows"
+        if domain_ok and q is not None:
+            L = katz_modulus(cent.beta) if cent.kind == "katz" else eigenvector_modulus(gamma)
+            half_width = L * q
+            if not math.isfinite(2.0 * half_width):
+                domain_ok = False
+                domain_note += f"; modulus {L!r} times q = {q!r} overflows"
     d3 = Flag(bool(domain_ok), domain_note)
 
     # D4: clustering margin
@@ -553,11 +553,12 @@ def run_protocol(A: AdjacencyMatrix, config: ProtocolConfig) -> DiagnosticReport
         None if d_max is not None else "declare envelope.d_max to obtain a deviation quantile",
     )
 
-    # Step 4: subspace region iff D1 and D2; the cluster and filtration
-    # steps reuse it
-    region = None
+    # the rowwise bound of the cluster ball and the filtration sandwich
+    c_row = clus.c_row if clus is not None else None
+    eta = c_row * region.radius if region is not None and c_row is not None else None
+
+    # Step 4: subspace region iff D1 and D2; the cluster and filtration steps read it
     if not gated_shut("subspace"):
-        region = subspace_region(S, k, Envelope(d_max=d_max, gap=gap), alpha)
         outputs["subspace"] = {
             "radius": region.radius,
             "informative": region.informative,
@@ -571,14 +572,14 @@ def run_protocol(A: AdjacencyMatrix, config: ProtocolConfig) -> DiagnosticReport
             )
 
     # Step 5: centrality bands and selection stability iff D1 and D3
-    scores = band = None
+    scores = None
     if cent is not None:
         if not gated_shut("centrality_bands"):
             try:
                 if cent.kind == "katz":
                     scores = katz_centrality(S, cent.beta)
                 else:
-                    scores, _ = eigenvector_centrality(S)
+                    scores = eigenvector_centrality(S)
             except (OutsideDomain, DegenerateTopEigenvalue) as exc:
                 refusals.append(
                     {"output": "centrality_bands",
@@ -586,18 +587,14 @@ def run_protocol(A: AdjacencyMatrix, config: ProtocolConfig) -> DiagnosticReport
                      "detail": str(exc)}
                 )
             if scores is not None:
-                band = centrality_bands(
-                    scores, L, q, alpha,
-                    functional=(
-                        f"katz(beta={cent.beta!r})" if cent.kind == "katz"
-                        else "eigenvector"
-                    ),
+                functional = f"katz(beta={cent.beta!r})" if cent.kind == "katz" else "eigenvector"
+                outputs["centrality_bands"] = asdict(
+                    CentralityBand(functional, half_width, alpha, scores)
                 )
-                outputs["centrality_bands"] = asdict(band)
         if config.selection_m is not None:
             if scores is not None:
                 outputs["stability"] = asdict(
-                    stability_certificate(scores, config.selection_m, band.half_width)
+                    stability_certificate(scores, config.selection_m, half_width)
                 )
             else:
                 refusals.append(
@@ -615,7 +612,7 @@ def run_protocol(A: AdjacencyMatrix, config: ProtocolConfig) -> DiagnosticReport
 
     # Step 6: clustering region iff D1, D2 and D4
     if clus is not None and not gated_shut("cluster"):
-        creg = cluster_region(region, delta, centers=clus.centers, c_row=clus.c_row)
+        creg = cluster_region(region, delta, centers=clus.centers, eta=eta)
         outputs["cluster"] = asdict(creg)
         if creg.vacuous:
             outputs["cluster"]["note"] = (
@@ -628,40 +625,34 @@ def run_protocol(A: AdjacencyMatrix, config: ProtocolConfig) -> DiagnosticReport
         fc = config.fairness
         if scores is None:
             refusals.append({"output": "fairness", "reason": "no_scores", "detail": no_band})
+        elif fc.epsilon < half_width / fc.tau:
+            refusals.append(
+                {"output": "fairness", "reason": "insufficient_tolerance",
+                 "detail": f"epsilon {fc.epsilon!r} < band slack {half_width / fc.tau!r}"}
+            )
         else:
-            r_band = band.half_width
-            if fc.epsilon < r_band / fc.tau:
-                refusals.append(
-                    {"output": "fairness", "reason": "insufficient_tolerance",
-                     "detail": f"epsilon {fc.epsilon!r} < band slack "
-                               f"{r_band / fc.tau!r}"}
-                )
-            else:
-                problem = FairnessProblem(x=scores, y=fc.targets, s=fc.groups,
-                                          tau=fc.tau, epsilon=fc.epsilon)
-                eff = fc.epsilon - r_band / fc.tau
-                theta = fair_optimize(problem, eff)
-                ok = feasibility_transfer_check(
-                    theta, scores, problem.s, r_band, fc.tau, fc.epsilon
-                )
-                d_hat = logistic_decisions(problem.x, problem.s, problem.tau, theta)
-                outputs["fairness"] = {
-                    "theta": theta,
-                    "certified": bool(ok),
-                    "parity_gap_at_scores": parity_gap(d_hat, problem.s),
-                    "effective_epsilon": eff,
-                    "band_radius": r_band,
-                    "loss": quadratic_loss(d_hat, problem.y),
-                }
+            problem = FairnessProblem(x=scores, y=fc.targets, s=fc.groups,
+                                      tau=fc.tau, epsilon=fc.epsilon)
+            eff = fc.epsilon - half_width / fc.tau
+            theta = fair_optimize(problem, eff)
+            ok = feasibility_transfer_check(theta, scores, problem.s, half_width,
+                                            fc.tau, fc.epsilon)
+            d_hat = logistic_decisions(problem.x, problem.s, problem.tau, theta)
+            outputs["fairness"] = {
+                "theta": theta,
+                "certified": bool(ok),
+                "parity_gap_at_scores": parity_gap(d_hat, problem.s),
+                "effective_epsilon": eff,
+                "band_radius": half_width,
+                "loss": quadratic_loss(d_hat, problem.y),
+            }
 
     # filtration envelope of the observed embedding rows
     if config.filtration is not None:
-        c_row = clus.c_row if clus is not None else None
         if c_row is None:
             refusals.append({"output": "filtration", "reason": "no_rowwise_certificate",
                              "detail": "declare clustering.c_row"})
         elif not gated_shut("filtration"):
-            eta = c_row * region.radius
             if not math.isfinite(eta):
                 refusals.append({"output": "filtration", "reason": "no_rowwise_certificate",
                                  "detail": f"c_row * radius = {eta!r}"})
@@ -685,7 +676,7 @@ def run_protocol(A: AdjacencyMatrix, config: ProtocolConfig) -> DiagnosticReport
             "d_max": d_max,
             "gap": gap,
             "margin": delta,
-            "c_row": clus.c_row if clus is not None else None,
+            "c_row": c_row,
             "centrality_domain": domain_ok,
             "provenance": gap_source,
         },

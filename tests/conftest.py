@@ -264,12 +264,13 @@ def malformed(doc, path, value):
     return doc
 
 
-def fresh_python(*args):
-    """Run ``python *args`` in a new interpreter that imports this graphcert;
-    returns the completed process, output as text."""
+def fresh_python(*args, env=None):
+    """Run ``python *args`` in a new interpreter that imports this graphcert,
+    with the variables of ``env`` set in its environment only; returns the
+    completed process, output as text."""
     src = str(Path(graphcert.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
+    env = {**os.environ, "PYTHONPATH": path, **(env or {})}
     return subprocess.run(
         [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
     )

@@ -24,6 +24,7 @@ DELETED = (
     "TradeoffBounds",
     "VarianceProxy",
     "align_to_centers",
+    "centrality_bands",
 )
 
 

@@ -6,18 +6,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 from graphcert import (
+    BadLevel,
     DegenerateTopEigenvalue,
     DuplicateCenters,
-    Envelope,
     NonFiniteRows,
     NonpositiveGap,
     NonpositiveMargin,
     OrthonormalBasis,
     OutsideDomain,
     ShapeMismatch,
-    centrality_bands,
     cluster_hamming_radius,
     cluster_region,
+    davis_kahan_radius,
     eigendecompose,
     eigenvector_centrality,
     grassmann_distance,
@@ -30,8 +30,9 @@ from graphcert import (
     stability_certificate,
     subspace_region,
     top_m_selection,
+    weyl_gap_certificate,
 )
-from graphcert.concentration import deviation_quantile
+from graphcert.concentration import deviation_quantile, deviation_quantile_from_envelope
 from graphcert.inference import CentralityBand, eigenvector_modulus, kmeans_labels
 from graphcert.linalg import Spectrum
 from graphcert.models import AdjacencyMatrix
@@ -45,8 +46,8 @@ from conftest import random_orthogonal
 
 def test_perfect_information_limit_gives_radius_zero(rng, sbm200):
     A = sample_adjacency(sbm200, 1)
-    certs = Envelope(d_max=0.0, gap=20.0)
-    region = subspace_region(eigendecompose(A.A), 2, certs, alpha=0.05)
+    q = deviation_quantile_from_envelope(0.0, 200, 0.05).q
+    region = subspace_region(eigendecompose(A.A), 2, q, 20.0, alpha=0.05)
     assert region.radius == 0.0
     assert region.informative
     # the region holds exactly the rotations of its center
@@ -57,9 +58,8 @@ def test_perfect_information_limit_gives_radius_zero(rng, sbm200):
 
 def test_worked_instance_radius_flagged_vacuous(sbm200):
     A = sample_adjacency(sbm200, 2)
-    certs = Envelope(d_max=39.7, gap=20.0)
-    region = subspace_region(eigendecompose(A.A), 2, certs, alpha=0.05)
     q = deviation_quantile(39.7, 200, 0.05).q
+    region = subspace_region(eigendecompose(A.A), 2, q, 20.0, alpha=0.05)
     assert abs(region.radius - 2 * q / 20.0) < 1e-12
     assert region.radius > 1.0
     assert region.informative is False
@@ -67,22 +67,35 @@ def test_worked_instance_radius_flagged_vacuous(sbm200):
 
 def test_subspace_region_refuses_without_gap(sbm200):
     A = sample_adjacency(sbm200, 3)
+    q = deviation_quantile(39.7, 200, 0.05).q
     with pytest.raises(NonpositiveGap):
-        subspace_region(eigendecompose(A.A), 2, Envelope(d_max=39.7, gap=0.0), alpha=0.05)
+        subspace_region(eigendecompose(A.A), 2, q, 0.0, alpha=0.05)
     with pytest.raises(NonpositiveGap):
-        subspace_region(eigendecompose(A.A), 2, Envelope(d_max=39.7, gap=None), alpha=0.05)
+        subspace_region(eigendecompose(A.A), 2, q, None, alpha=0.05)
 
 
-@pytest.mark.parametrize("field", ["d_max", "gap"])
+@pytest.mark.parametrize("field", ["q", "gap"])
 @pytest.mark.parametrize("value", [math.inf, math.nan])
-def test_subspace_region_takes_only_a_checked_envelope(sbm200, field, value):
+def test_subspace_region_refuses_a_nonfinite_q_or_gap(sbm200, field, value):
     # an infinite gap would give radius 2q/gap = 0 flagged informative; the
-    # region reads its certificates from an Envelope, which refuses them
+    # region takes q and the gap as reals, and refuses them unless finite
     S = eigendecompose(sample_adjacency(sbm200, 3).A)
-    region = subspace_region(S, 2, envelope=Envelope(d_max=39.7, gap=20.0), alpha=0.05)
-    assert region.radius == 2 * deviation_quantile(39.7, 200, 0.05).q / 20.0
-    with pytest.raises(ValueError, match=f"declared {field} must be finite"):
-        subspace_region(S, 2, Envelope(**{"d_max": 39.7, "gap": 20.0, field: value}), 0.05)
+    q = deviation_quantile(39.7, 200, 0.05).q
+    region = subspace_region(S, 2, q, 20.0, alpha=0.05)
+    assert region.radius == 2 * q / 20.0
+    certs = {"q": q, "gap": 20.0, field: value}
+    name = {"q": "deviation bound", "gap": "gap certificate"}[field]
+    with pytest.raises(ValueError, match=f"{name} .*finite"):
+        subspace_region(S, 2, certs["q"], certs["gap"], 0.05)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 7.0, -0.1, math.nan])
+def test_subspace_region_refuses_a_bad_level(sbm200, alpha):
+    # the region states the level of the q it was given; one outside (0, 1)
+    # is no level at all
+    S = eigendecompose(sample_adjacency(sbm200, 3).A)
+    with pytest.raises(BadLevel):
+        subspace_region(S, 2, 10.0, 20.0, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +266,7 @@ def test_rounding_error_bound_examples():
         (lambda: rounding_error_bound(0.1, math.nan, 10), NonpositiveMargin),
         (lambda: rounding_error_bound(math.nan, 0.5, 10), ValueError),
         (lambda: cluster_hamming_radius(0.1, 2, math.nan, 10), NonpositiveMargin),
-        (lambda: cluster_hamming_radius(0.1, 2, 0.5, 10, c_row=math.nan), ValueError),
+        (lambda: cluster_hamming_radius(0.1, 2, 0.5, 10, eta=math.nan * 0.1), ValueError),
     ],
     ids=["margin", "eta", "cluster-margin", "c_row"],
 )
@@ -261,6 +274,16 @@ def test_rounding_and_cluster_radius_refuse_nan(call, error):
     # refused by the parameter check, not by math.ceil failing on a NaN bound
     with pytest.raises(error, match="positive|nonnegative"):
         call()
+
+
+@pytest.mark.parametrize("n", [-3, 0, 2.5, 10.0, True])
+@pytest.mark.parametrize("radius", [rounding_error_bound, cluster_hamming_radius])
+def test_rounding_and_cluster_radius_refuse_a_bad_node_count(radius, n):
+    # both radii are clamped at n, so a negative n would give a negative
+    # Hamming bound
+    args = (0.1, 0.5) if radius is rounding_error_bound else (0.1, 2, 0.5)
+    with pytest.raises(ValueError, match="^n must be"):
+        radius(*args, n)
 
 
 def test_rounding_bound_holds_on_synthetic_rows(rng):
@@ -282,16 +305,15 @@ def test_rounding_bound_holds_on_synthetic_rows(rng):
 
 def test_cluster_region_worked_formula(sbm200):
     A = sample_adjacency(sbm200, 11)
-    certs = Envelope(d_max=39.7, gap=20.0)
     n = 200
     delta = 2 / math.sqrt(n)
     centers = np.array(
         [[1 / math.sqrt(n), 1 / math.sqrt(n)], [1 / math.sqrt(n), -1 / math.sqrt(n)]]
     )
-    region = cluster_region(
-        subspace_region(eigendecompose(A.A), 2, certs, 0.05), delta, centers=centers
-    )
     q = deviation_quantile(39.7, n, 0.05).q
+    region = cluster_region(
+        subspace_region(eigendecompose(A.A), 2, q, 20.0, 0.05), delta, centers=centers
+    )
     r = 2 * q / 20.0
     assert region.hamming_radius == min(n, math.ceil(16 * (2 * 2 * r * r) / delta**2))
     assert region.vacuous  # this noise level cannot localize labels
@@ -308,9 +330,9 @@ def test_cluster_region_worked_formula(sbm200):
 
 def test_cluster_region_zero_radius_exact_claim(sbm200):
     A = sample_adjacency(sbm200, 12)
-    certs = Envelope(d_max=0.0, gap=20.0)
+    q = deviation_quantile_from_envelope(0.0, 200, 0.05).q
     delta = 2 / math.sqrt(200)
-    region = cluster_region(subspace_region(eigendecompose(A.A), 2, certs, 0.05), delta)
+    region = cluster_region(subspace_region(eigendecompose(A.A), 2, q, 20.0, 0.05), delta)
     assert region.hamming_radius == 0
     assert not region.vacuous
     # no declared centers: K-means rounding, margin is a domain assumption
@@ -329,11 +351,10 @@ def test_alignment_handles_unequal_blocks():
     centers = np.stack(
         [U_star.U[labels == a].mean(axis=0) for a in range(2)]
     )
+    q = deviation_quantile(40.0, 120, 0.05).q
     for seed in range(5):
         A = sample_adjacency(model, seed)
-        region = subspace_region(
-            eigendecompose(A.A), 2, Envelope(d_max=40.0, gap=30.0), 0.05
-        )
+        region = subspace_region(eigendecompose(A.A), 2, q, 30.0, 0.05)
         found = cluster_region(region, center_separation(centers), centers=centers).labels
         assert perm_hamming_distance(found, labels) == 0
 
@@ -343,7 +364,7 @@ def test_declared_centers_take_the_kmeans_labels(sbm200, K):
     # declared centers fix K and certify the margin; the labels are the
     # same deterministic K-means labels as the route without centers
     S = eigendecompose(sample_adjacency(sbm200, 16).A)
-    region = subspace_region(S, 2, Envelope(d_max=39.7, gap=20.0), 0.05)
+    region = subspace_region(S, 2, deviation_quantile(39.7, 200, 0.05).q, 20.0, 0.05)
     c = 1 / math.sqrt(200)
     centers = np.array([[c, c], [c, -c], [-c, 0.0]])[:K]
     creg = cluster_region(region, 2 * c, centers=centers)
@@ -355,18 +376,20 @@ def test_declared_centers_take_the_kmeans_labels(sbm200, K):
 
 def test_cluster_region_requires_margin(sbm200):
     A = sample_adjacency(sbm200, 13)
+    q = deviation_quantile(39.7, 200, 0.05).q
     with pytest.raises(NonpositiveMargin):
         cluster_region(
-            subspace_region(eigendecompose(A.A), 2, Envelope(d_max=39.7, gap=20.0), 0.05),
+            subspace_region(eigendecompose(A.A), 2, q, 20.0, 0.05),
             0.0,
         )
 
 
 def test_cluster_region_propagates_gap_refusal(sbm200):
     A = sample_adjacency(sbm200, 14)
+    q = deviation_quantile(39.7, 200, 0.05).q
     with pytest.raises(NonpositiveGap):
         cluster_region(
-            subspace_region(eigendecompose(A.A), 2, Envelope(d_max=39.7, gap=0.0), 0.05),
+            subspace_region(eigendecompose(A.A), 2, q, 0.0, 0.05),
             0.1,
         )
 
@@ -377,11 +400,10 @@ def test_cluster_region_uniform_branch_strong_signal():
     model = two_block_sbm(80, 0.9, 0.1)
     A = sample_adjacency(model, 15)
     # a tiny declared c_row turns on the uniform branch: radius 0
-    certs = Envelope(d_max=1.0, gap=30.0)
+    q = deviation_quantile(1.0, 80, 0.05).q
     delta = 2 / math.sqrt(80)
-    region = cluster_region(
-        subspace_region(eigendecompose(A.A), 2, certs, 0.05), delta, c_row=1e-4
-    )
+    subspace = subspace_region(eigendecompose(A.A), 2, q, 30.0, 0.05)
+    region = cluster_region(subspace, delta, eta=1e-4 * subspace.radius)
     assert region.radius_route == "uniform_rowwise"
     assert region.hamming_radius == 0
 
@@ -395,10 +417,11 @@ def test_cluster_region_recovers_strong_signal_labels():
     centers = np.array(
         [[1 / math.sqrt(n), 1 / math.sqrt(n)], [1 / math.sqrt(n), -1 / math.sqrt(n)]]
     )
+    q = deviation_quantile(40.0, n, 0.05).q
     for seed in range(5):
         A = sample_adjacency(model, seed)
         region = cluster_region(
-            subspace_region(eigendecompose(A.A), 2, Envelope(d_max=40.0, gap=30.0), 0.05),
+            subspace_region(eigendecompose(A.A), 2, q, 30.0, 0.05),
             2 / math.sqrt(n), centers=centers,
         )
         assert perm_hamming_distance(region.labels, truth) == 0
@@ -558,6 +581,26 @@ def test_katz_modulus_refuses_nan_or_nonpositive_beta(value):
         katz_modulus(value)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: eigenvector_modulus(math.inf),
+        lambda: katz_modulus(math.inf),
+        lambda: weyl_gap_certificate(math.inf, 1.0),
+        lambda: weyl_gap_certificate(1.0, math.inf),
+        lambda: davis_kahan_radius(1.0, math.inf),
+        lambda: davis_kahan_radius(math.inf, 1.0),
+    ],
+    ids=["eigenvector_modulus", "katz_modulus", "weyl_gap_hat", "weyl_eps_p",
+         "davis_kahan_gap", "davis_kahan_q"],
+)
+def test_certificate_helpers_refuse_infinity(call):
+    # an infinite gap would give a zero-width band (2/gamma = 0), an
+    # infinite gap certificate or radius 2q/gap = 0 flagged informative
+    with pytest.raises(ValueError, match="finite"):
+        call()
+
+
 @pytest.mark.parametrize("value", [math.nan, 0.0, -1.0])
 def test_eigenvector_modulus_refuses_nan_or_nonpositive_gap(value):
     with pytest.raises(ValueError, match="gamma must be positive"):
@@ -573,13 +616,15 @@ def test_katz_modulus_worked_constants():
 
 
 def test_eigenvector_centrality_diagonal():
-    v, gamma = eigenvector_centrality(eigendecompose(np.diag([3.0, 1.0, 1.0])))
+    S = eigendecompose(np.diag([3.0, 1.0, 1.0]))
+    v = eigenvector_centrality(S)
     assert np.allclose(v, [1, 0, 0])
-    assert abs(gamma - 2.0) < 1e-12
+    assert abs(S.gap(1) - 2.0) < 1e-12
 
 
 def test_eigenvector_centrality_worked_instance(sbm200):
-    v, gamma = eigenvector_centrality(eigendecompose(sbm200.P))
+    S = eigendecompose(sbm200.P)
+    v, gamma = eigenvector_centrality(S), S.gap(1)
     assert abs(gamma - 20.0) < 1e-9
     assert np.allclose(v, 1 / math.sqrt(200), atol=1e-9)
     assert v.sum() > 0
@@ -596,7 +641,8 @@ def test_eigenvector_centrality_matches_direct_eigh(sbm200):
     A = sample_adjacency(sbm200, 16)
     w, V = np.linalg.eigh(A.A)
     v = V[:, -1] if V[:, -1].sum() >= 0 else -V[:, -1]
-    got, gamma = eigenvector_centrality(eigendecompose(A.A))
+    S = eigendecompose(A.A)
+    got, gamma = eigenvector_centrality(S), S.gap(1)
     assert np.max(np.abs(got - v)) <= 1e-9 * np.max(np.abs(v))
     assert abs(gamma - float(w[-1] - w[-2])) <= 1e-9 * float(w[-1] - w[-2])
 
@@ -604,12 +650,13 @@ def test_eigenvector_centrality_matches_direct_eigh(sbm200):
 def test_eigenvector_perturbation_modulus(rng):
     # one-dimensional projector perturbation: ||v - v'|| <= 2 ||E|| / gamma
     M = np.diag([5.0, 2.0, 1.0, 0.5])
-    base, gamma = eigenvector_centrality(eigendecompose(M))
+    S = eigendecompose(M)
+    base, gamma = eigenvector_centrality(S), S.gap(1)
     for _ in range(200):
         E = rng.normal(size=(4, 4))
         E = (E + E.T) / 2
         E *= 0.2 / np.linalg.norm(E, 2)
-        pert, _ = eigenvector_centrality(eigendecompose(M + E))
+        pert = eigenvector_centrality(eigendecompose(M + E))
         assert np.linalg.norm(pert - base) <= 2 * 0.2 / gamma + 1e-9
 
 
@@ -633,12 +680,12 @@ def test_katz_perturbation_modulus(rng):
 
 def test_centrality_bands_basic():
     point = np.array([1.0, 2.0, 3.0])
-    band = centrality_bands(point, L=0.0, q=5.0, alpha=0.1)
+    band = CentralityBand("katz", 0.0 * 5.0, 0.1, point)
     assert band.half_width == 0.0
     assert band.contains(point)
     assert not band.contains(point + 1e-9)
 
-    band = centrality_bands(point, L=10 / 397, q=7.0, alpha=0.1)
+    band = CentralityBand("katz", (10 / 397) * 7.0, 0.1, point)
     assert abs(band.half_width - (10 / 397) * 7.0) < 1e-15
     assert np.allclose(band.upper() - band.lower(), 2 * band.half_width)
 
@@ -646,8 +693,8 @@ def test_centrality_bands_basic():
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: centrality_bands(np.zeros(3), L=math.nan, q=1.0, alpha=0.1),
-        lambda: centrality_bands(np.zeros(3), L=1.0, q=math.nan, alpha=0.1),
+        lambda: CentralityBand("katz", math.nan * 1.0, 0.1, np.zeros(3)),
+        lambda: CentralityBand("katz", 1.0 * math.nan, 0.1, np.zeros(3)),
         lambda: CentralityBand("katz", half_width=math.nan, alpha=0.1, point=np.zeros(3)),
     ],
     ids=["L", "q", "half_width"],
@@ -656,6 +703,13 @@ def test_centrality_bands_refuse_nan(call):
     # a NaN modulus or deviation bound is refused, not a band of width NaN
     with pytest.raises(ValueError, match="nonnegative"):
         call()
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 7.0, -0.1, math.nan])
+def test_centrality_band_refuses_a_bad_level(alpha):
+    # the band states the level of its q; one outside (0, 1) is no level
+    with pytest.raises(BadLevel):
+        CentralityBand("katz", 1.0, alpha, np.zeros(3))
 
 
 def test_band_monotonicity_via_quantile():
@@ -740,5 +794,5 @@ def test_cluster_hamming_radius_clamps_before_the_ceiling():
 
     # r^2 overflows to inf; both routes clamp at n instead of ceil(inf)
     assert cluster_hamming_radius(1e200, 2, 0.3, 40) == (40, "mean_square")
-    assert cluster_hamming_radius(1e200, 2, 0.3, 40, c_row=0.01) == (40, "uniform_rowwise")
+    assert cluster_hamming_radius(1e200, 2, 0.3, 40, eta=0.01 * 1e200) == (40, "uniform_rowwise")
     assert rounding_error_bound(1e200, 0.3, 40).hamming_bound == 40

@@ -1,6 +1,7 @@
 """The results-contract checker of ``scripts/report_digests.py``."""
 
 import importlib.util
+import inspect
 import json
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import pytest
 
 from graphcert import config_from_dict, run_protocol, sample_adjacency, two_block_sbm
 
-from conftest import full_config_doc
+from conftest import fresh_python, full_config_doc
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "report_digests.py"
 
@@ -75,3 +76,51 @@ def test_flags_keys_and_missing_artifacts_are_reported(digests, report, tmp_path
     (tmp_path / "b" / "cli" / "n40" / "seed3" / "full.json").unlink()
     lines = digests.compare(tmp_path / "a", tmp_path / "b")
     assert lines == [f"cli/n40/seed3/full.json: only in {tmp_path / 'a'}"]
+
+
+def guarded_artifacts(digests):
+    """The corpus reports of two configs whose strings hold no computed real,
+    at n = 600 and seed 1, as ``(name, text)``."""
+    n, seed = 600, 1
+    docs = digests._report_configs(n)
+    A = sample_adjacency(two_block_sbm(n, digests.P_IN, digests.P_OUT), seed)
+    return [
+        (f"report/n{n}/seed{seed}/{name}", run_protocol(A, config_from_dict(docs[name])).to_json())
+        for name in ("declared_katz_centers", "kmeans_k3")
+    ]
+
+
+_CHILD = f"""
+import importlib.util, sys
+from graphcert import config_from_dict, run_protocol, sample_adjacency, two_block_sbm
+spec = importlib.util.spec_from_file_location("report_digests", sys.argv[1])
+digests = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(digests)
+{inspect.getsource(guarded_artifacts)}
+digests.dump(sys.argv[2], guarded_artifacts(digests))
+"""
+
+
+def test_one_blas_thread_keeps_the_results_contract(digests, tmp_path):
+    """Reports computed with one OpenBLAS thread keep the results contract.
+
+    The ``declared_katz_centers`` and ``kmeans_k3`` corpus reports at
+    n = 600, seed 1, are computed in a fresh interpreter with
+    ``OPENBLAS_NUM_THREADS=1`` and in this one at the default thread count;
+    the checker's compare finds no moved leaf between them.
+
+    With one thread, 24 of the corpus's 76 artifacts move, and 16 of those
+    keep the contract. The other 8 break it only through computed reals
+    printed inside the ``flags.D2`` and ``flags.D3`` provenance strings:
+    ``report/n600/seed{1,2}/parametric_katz_no_c_row``,
+    ``report/n600/seed{1,2}/parametric_eigenvector``,
+    ``report/n600/seed{1,2}/usvt_eigenvector_kmeans`` and
+    ``cli/n600/seed{1,2}/usvt_eigenvector_kmeans``. They wait for the
+    "reals out of free text" part of ROADMAP item 17 and are not run here.
+    """
+    digests.dump(tmp_path / "default", guarded_artifacts(digests))
+    child = fresh_python("-c", _CHILD, str(SCRIPT), str(tmp_path / "one_thread"),
+                         env={"OPENBLAS_NUM_THREADS": "1"})
+    assert child.returncode == 0, child.stderr
+    assert digests.compare(tmp_path / "default", tmp_path / "one_thread") == []
+    assert len(list((tmp_path / "one_thread").rglob("*.json"))) == 2

@@ -13,7 +13,6 @@ from graphcert import (
     RDPGSpec,
     SBMSpec,
     build_probability_matrix,
-    centrality_bands,
     cluster_region,
     deviation_quantile_from_envelope,
     eigendecompose,
@@ -26,7 +25,7 @@ from graphcert import (
 )
 import graphcert.simulation
 from graphcert import run_protocol
-from graphcert.inference import eigenvector_centrality, eigenvector_modulus
+from graphcert.inference import CentralityBand, eigenvector_centrality, eigenvector_modulus
 from graphcert.linalg import symmetric_operator_norm
 from graphcert.models import Envelope
 from graphcert.protocol import CentralityConfig, ClusteringConfig, ProtocolConfig
@@ -341,12 +340,11 @@ def test_harness_extra_matches_report_functions(n, mode, c_row):
     }
 
     S = eigendecompose(sample_adjacency(model, 0).A)
-    region = subspace_region(S, 2, Envelope(d_max=d_max, gap=gap), 0.1)
-    creg = cluster_region(region, delta, c_row=c_row)
+    q = deviation_quantile_from_envelope(d_max, n, 0.1).q
+    region = subspace_region(S, 2, q, gap, 0.1)
+    creg = cluster_region(region, delta, eta=None if c_row is None else c_row * region.radius)
     beta = 1.0 / (4.0 * spectrum.radius)  # the harness's default beta
-    band = centrality_bands(
-        katz_centrality(spectrum, beta), katz_modulus(beta), region.quantile.q, 0.1
-    )
+    band = CentralityBand("katz", katz_modulus(beta) * q, 0.1, katz_centrality(spectrum, beta))
     assert extra["subspace"]["radius"] == region.radius
     assert extra["cluster"]["hamming_radius"] == creg.hamming_radius
     assert extra["cluster"]["radius_route"] == creg.radius_route
@@ -484,13 +482,14 @@ def test_collision_break_radius_scales_inversely(rng):
 
 def _eigenvector_ratio(M, scale, trials, rng):
     # largest ||v(M + E) - v(M)|| / ||E|| over random symmetric E, ||E|| = scale
-    base, gamma = eigenvector_centrality(eigendecompose(M))
+    S = eigendecompose(M)
+    base, gamma = eigenvector_centrality(S), S.gap(1)
     worst = 0.0
     for _ in range(trials):
         E = rng.normal(size=M.shape)
         E = (E + E.T) / 2
         E *= scale / np.linalg.norm(E, 2)
-        pert, _ = eigenvector_centrality(eigendecompose(M + E))
+        pert = eigenvector_centrality(eigendecompose(M + E))
         worst = max(worst, float(np.linalg.norm(pert - base)) / scale)
     return worst, eigenvector_modulus(gamma)
 
