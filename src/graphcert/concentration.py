@@ -67,10 +67,11 @@ def deviation_quantile(v_bound: float, n: int, alpha: float) -> DeviationQuantil
 
     Monotone: nondecreasing in v_bound, nonincreasing in alpha. At
     v_bound = 0 the linear term survives and q = (2/3) log(2n/alpha). A
-    quantile that overflows is refused with :class:`QuantileOverflow`.
+    negative or NaN v_bound is refused with ``ValueError``, and a quantile
+    that overflows with :class:`QuantileOverflow`.
     """
     require_level(alpha)
-    if v_bound < 0:
+    if not v_bound >= 0:  # NaN too
         raise ValueError("v_bound must be nonnegative")
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -89,9 +90,10 @@ def deviation_quantile_from_envelope(
     """Quantile from a declared degree envelope, v(P) <= d_max.
 
     d_max = 0 forces P = 0, so the deviation is 0 almost surely and the
-    quantile is exactly 0 rather than the Bernstein linear term.
+    quantile is exactly 0 rather than the Bernstein linear term. A negative
+    or NaN d_max is refused with ``ValueError``.
     """
-    if d_max < 0:
+    if not d_max >= 0:  # NaN too
         raise ValueError("d_max must be nonnegative")
     if d_max == 0.0:
         require_level(alpha)

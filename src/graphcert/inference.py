@@ -137,12 +137,9 @@ def center_separation(centers) -> float:
 def perm_hamming_distance(g, h) -> int:
     """Permutation-invariant Hamming distance between label assignments.
 
-    The best label permutation is a maximum-weight full matching on the
-    confusion matrix, exact for any number of labels: scipy's sparse
-    minimum-weight full bipartite matching on ``conf.max() + 1 - conf``.
-    Every weight is at least 1, so the bipartite graph is complete and a
-    full matching exists. ``scipy.sparse`` is imported here, so importing
-    graphcert does not load it.
+    The best label permutation is a maximum-weight assignment on the K x K
+    confusion matrix, found exactly for any number of labels K by Kuhn's
+    Hungarian method in O(K^3) (:func:`_max_weight_assignment`).
     """
     g = np.asarray(g, dtype=np.int64)
     h = np.asarray(h, dtype=np.int64)
@@ -153,13 +150,47 @@ def perm_hamming_distance(g, h) -> int:
     if g.min() < 0 or h.min() < 0:
         raise ValueError("labels must be nonnegative integers")
     K = int(max(g.max(), h.max())) + 1
-    conf = np.zeros((K, K), dtype=np.int64)
-    np.add.at(conf, (g, h), 1)
-    from scipy.sparse import csr_array
-    from scipy.sparse.csgraph import min_weight_full_bipartite_matching
+    conf = np.bincount(g * K + h, minlength=K * K).reshape(K, K)
+    return g.size - _max_weight_assignment(conf)
 
-    row, col = min_weight_full_bipartite_matching(csr_array(conf.max() + 1 - conf))
-    return g.size - int(conf[row, col].sum())
+
+def _max_weight_assignment(W: np.ndarray) -> int:
+    """Largest total weight of a perfect matching in the square integer
+    matrix W (rows to columns), by the Hungarian method as shortest
+    augmenting paths: row i joins through a Dijkstra scan over reduced
+    costs that the int64 potentials u, v keep nonnegative, O(K^2) per row.
+
+    Column 0 is the root of each scan, and ``col_row[j]`` is the row
+    (counted from 1, 0 for none) matched to column j.
+    """
+    K = W.shape[0]
+    cost = np.zeros((K + 1, K + 1), dtype=np.int64)
+    cost[1:, 1:] = -W
+    u = np.zeros(K + 1, dtype=np.int64)
+    v = np.zeros(K + 1, dtype=np.int64)
+    col_row = np.zeros(K + 1, dtype=np.int64)
+    way = np.zeros(K + 1, dtype=np.int64)
+    unreached = np.iinfo(np.int64).max
+    for i in range(1, K + 1):
+        col_row[0], j0 = i, 0
+        minv = np.full(K + 1, unreached)
+        used = np.zeros(K + 1, dtype=bool)
+        while col_row[j0]:
+            used[j0] = True
+            i0 = col_row[j0]
+            reduced = cost[i0] - u[i0] - v
+            better = ~used & (reduced < minv)
+            minv[better] = reduced[better]
+            way[better] = j0
+            j0 = int(np.argmin(np.where(used, unreached, minv)))
+            delta = minv[j0]
+            u[col_row[used]] += delta
+            v[used] -= delta
+            minv[~used] -= delta
+        while j0:  # augment along the path back to the root
+            col_row[j0] = col_row[way[j0]]
+            j0 = way[j0]
+    return int(W[col_row[1:] - 1, np.arange(K)].sum())
 
 
 @dataclass(frozen=True)
@@ -362,7 +393,7 @@ def katz_centrality(S: Spectrum, beta: float) -> np.ndarray:
     The domain is spectral radius rho(M) = ``S.radius`` <= 1/(2 beta), where
     the resolvent norm is at most 2 and the map is 4*beta-Lipschitz.
     Outside the domain the call is refused; that is the Omega certificate
-    failure. A NaN or nonpositive beta is refused.
+    failure. A NaN, nonpositive or infinite beta is refused.
 
     The scores are one read of the spectrum's reduction,
     :meth:`Spectrum.resolvent` of b = beta M 1 (beta times the row sums),
@@ -371,8 +402,8 @@ def katz_centrality(S: Spectrum, beta: float) -> np.ndarray:
     exactly 0: the solve would leave it at rounding level, different from
     node to node, and top-m selection would then split ties by rounding.
     """
-    if not beta > 0:  # NaN too
-        raise ValueError("beta must be positive")
+    if not 0 < beta < math.inf:  # NaN too
+        raise ValueError("beta must be positive and finite")
     rho = S.radius
     if not in_katz_domain(rho, beta):
         raise OutsideDomain(rho, katz_domain_limit(beta))
@@ -448,8 +479,8 @@ class CentralityBand:
         p = np.array(self.point, dtype=float, copy=True)
         p.setflags(write=False)
         object.__setattr__(self, "point", p)
-        if not self.half_width >= 0:  # NaN too
-            raise ValueError("half width must be nonnegative")
+        if not 0 <= self.half_width < math.inf:  # NaN too
+            raise ValueError("half width must be nonnegative and finite")
         require_level(self.alpha)
 
     def lower(self) -> np.ndarray:

@@ -352,14 +352,15 @@ def grassmann_distance(U: OrthonormalBasis, V: OrthonormalBasis) -> float:
     For equal dimensions ||P_U - P_V|| = ||(I - P_U) V||, the sine of the
     largest principal angle; the n x k residual V - U (U^T V) keeps small
     angles accurate, unlike sqrt(1 - sigma_min(U^T V)^2), and never forms
-    an n x n matrix.
+    an n x n matrix. Its 2-norm is its largest singular value, from
+    scipy's ``dgesdd``.
     """
     if (U.n, U.k) != (V.n, V.k):
         raise ShapeMismatch(
             f"bases have shapes {(U.n, U.k)} vs {(V.n, V.k)}"
         )
     resid = V.U - U.U @ (U.U.T @ V.U)
-    return float(min(np.linalg.norm(resid, 2), 1.0))
+    return float(min(scipy.linalg.svdvals(resid)[0], 1.0))
 
 
 def procrustes_align(
@@ -367,14 +368,15 @@ def procrustes_align(
 ) -> tuple[np.ndarray, OrthonormalBasis]:
     """Orthogonal Procrustes: Q minimizing ||U_hat Q - U_star||_F.
 
-    Solved by the singular factorization of U_hat^T U_star; returns the
-    optimal k x k orthogonal Q and the aligned basis U_hat Q.
+    Solved by the singular factorization of U_hat^T U_star (scipy's
+    ``dgesdd``); returns the optimal k x k orthogonal Q and the aligned
+    basis U_hat Q.
     """
     if (U_hat.n, U_hat.k) != (U_star.n, U_star.k):
         raise ShapeMismatch(
             f"bases have shapes {(U_hat.n, U_hat.k)} vs {(U_star.n, U_star.k)}"
         )
-    W, _, Vt = np.linalg.svd(U_hat.U.T @ U_star.U)
+    W, _, Vt = scipy.linalg.svd(U_hat.U.T @ U_star.U)
     Q = W @ Vt
     return Q, OrthonormalBasis(U=U_hat.U @ Q)
 

@@ -72,6 +72,15 @@ def test_quantile_rejects_bad_level():
             deviation_quantile(1.0, 10, alpha)
 
 
+@pytest.mark.parametrize(
+    "quantile", [deviation_quantile, deviation_quantile_from_envelope], ids=["v_bound", "d_max"]
+)
+def test_quantile_refuses_a_nan_variance_bound(quantile):
+    # a NaN bound is bad input, not a quantile that overflows
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        quantile(math.nan, 10, 0.1)
+
+
 def test_envelope_quantile_degenerate_zero():
     q = deviation_quantile_from_envelope(0.0, 200, 0.05)
     assert q.q == 0.0

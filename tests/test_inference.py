@@ -201,6 +201,22 @@ def test_perm_hamming_matches_the_best_permutation_of_the_confusion(pair):
     assert perm_hamming_distance(g, h) == g.size - best
 
 
+def test_perm_hamming_matches_csgraph_matching_for_many_labels():
+    # scipy's sparse matching is the oracle past the brute-force range
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import min_weight_full_bipartite_matching
+
+    rng = np.random.default_rng(29)
+    for K in range(7, 61):
+        n = int(rng.integers(K, 8 * K))
+        g = rng.integers(0, K, size=n)
+        h = np.where(rng.random(n) < 0.6, rng.permutation(K)[g], rng.integers(0, K, size=n))
+        conf = np.zeros((K, K), dtype=np.int64)
+        np.add.at(conf, (g, h), 1)
+        row, col = min_weight_full_bipartite_matching(csr_array(conf.max() + 1 - conf))
+        assert perm_hamming_distance(g, h) == n - int(conf[row, col].sum())
+
+
 @pytest.mark.parametrize(
     "g,h,error",
     [
@@ -568,9 +584,10 @@ def test_katz_isolated_nodes_tie_at_the_selection_boundary(sbm200):
     assert not cert.certified
 
 
-@pytest.mark.parametrize("value", [math.nan, 0.0, -1.0])
+@pytest.mark.parametrize("value", [math.nan, 0.0, -1.0, math.inf])
 def test_katz_centrality_refuses_nan_or_nonpositive_beta(value):
-    # NaN is refused as beta, not turned into a domain limit of NaN
+    # NaN is refused as beta, not turned into a domain limit of NaN; an
+    # infinite beta would score inf * 0 = NaN on the zero matrix
     with pytest.raises(ValueError, match="beta must be positive"):
         katz_centrality(eigendecompose(np.eye(3)), value)
 
@@ -696,11 +713,13 @@ def test_centrality_bands_basic():
         lambda: CentralityBand("katz", math.nan * 1.0, 0.1, np.zeros(3)),
         lambda: CentralityBand("katz", 1.0 * math.nan, 0.1, np.zeros(3)),
         lambda: CentralityBand("katz", half_width=math.nan, alpha=0.1, point=np.zeros(3)),
+        lambda: CentralityBand("katz", math.inf, 0.1, np.zeros(2)),
     ],
-    ids=["L", "q", "half_width"],
+    ids=["L", "q", "half_width", "infinite"],
 )
 def test_centrality_bands_refuse_nan(call):
-    # a NaN modulus or deviation bound is refused, not a band of width NaN
+    # a NaN modulus or deviation bound is refused, not a band of width NaN;
+    # an infinite width would give a band that contains every score vector
     with pytest.raises(ValueError, match="nonnegative"):
         call()
 

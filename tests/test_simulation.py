@@ -165,6 +165,20 @@ def test_coverage_eigensolver_call_counts(eig_calls):
     assert eig_calls == {"subset": 0, "full": 0, "values": 3, "reduction": 1 + 2 * 3}
 
 
+def test_coverage_makes_no_numpy_lapack_call(monkeypatch, sbm200):
+    # the harness's SVDs run on scipy's LAPACK, like its eigensolves; every
+    # numpy.linalg routine that enters LAPACK goes through one of these gufuncs
+    from numpy.linalg import _umath_linalg
+
+    calls = []
+    for name in dir(_umath_linalg):
+        if isinstance(getattr(_umath_linalg, name), np.ufunc):
+            monkeypatch.setattr(_umath_linalg, name, lambda *a, _n=name, **kw: calls.append(_n))
+    result = coverage_experiment(sbm200, CoverageConfig(k=2, alpha=0.1), 3, base_seed=0)
+    assert all(c.evaluated for c in result.claims.values())
+    assert calls == []
+
+
 def test_deviation_only_run_without_audits_calls_no_protocol(monkeypatch, sbm200):
     calls = []
 
