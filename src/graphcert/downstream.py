@@ -22,6 +22,7 @@ __all__ = [
     "parity_gap",
     "quadratic_loss",
     "fair_optimize",
+    "band_tolerance",
     "feasibility_transfer_check",
     "threshold_snapshots",
 ]
@@ -50,8 +51,10 @@ class FairnessProblem:
             raise ValueError("group attribute must be binary 0/1")
         if not (s == 0).any() or not (s == 1).any():
             raise EmptyGroup("both groups must be nonempty")
+        if not np.all(np.isfinite(x)):
+            raise NonFiniteRows("the scores hold a NaN or an infinity")
         require_unit_interval("targets", y)
-        if self.tau <= 0:
+        if not self.tau > 0:  # NaN too
             raise ValueError("temperature must be positive")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError("parity tolerance must lie in [0, 1]")
@@ -95,6 +98,13 @@ def quadratic_loss(decisions: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean((decisions - y) ** 2))
 
 
+def _grid_decisions(x: np.ndarray, y: np.ndarray, grid: np.ndarray, tau: float):
+    """One group's decision mean and summed squared error, one row per
+    threshold of the grid."""
+    D = _sigmoid((x[None, :] - grid[:, None]) / tau)
+    return D.mean(axis=1), ((D - y[None, :]) ** 2).sum(axis=1)
+
+
 def fair_optimize(
     problem: FairnessProblem, effective_epsilon: float
 ) -> np.ndarray:
@@ -102,59 +112,62 @@ def fair_optimize(
 
     Minimizes the quadratic surrogate over theta in R^2 subject to
     parity_gap <= effective_epsilon, via 3 refinement stages of a 101-point
-    per-axis grid on [min x - 10 tau, max x + 10 tau]^2. Feasibility is
-    enforced exactly at evaluated points; ties go to the lexicographically
-    smallest theta. Feasibility is guaranteed by the extreme-threshold
-    witness (all decisions pushed to 0); if rounding leaves no exactly
-    feasible grid point (possible only for tolerances below the sigmoid
-    tail floor, about 5e-5), the minimum-violation point is returned.
+    per-axis grid on [min x - 10 tau, max x + 10 tau]^2. Each stage
+    evaluates its 101 x 101 grid as arrays and keeps the lexicographically
+    least (violation, loss, theta0, theta1), the violation being
+    max(gap - tolerance, 0): feasibility is enforced exactly at evaluated
+    points, and a feasible point of least loss wins whenever there is one.
+    Feasibility is guaranteed by the extreme-threshold witness (all
+    decisions pushed to 0); if rounding leaves no exactly feasible grid
+    point (possible only for tolerances below the sigmoid tail floor, about
+    5e-5), the least-violation point is returned. A NaN or negative
+    tolerance is refused.
     """
-    if effective_epsilon < 0:
-        raise ValueError("effective epsilon must be nonnegative")
+    if not effective_epsilon >= 0:  # NaN too
+        raise ValueError(f"effective epsilon must be nonnegative, got {effective_epsilon!r}")
     x, y, s, tau = problem.x, problem.y, problem.s, problem.tau
-    mask0 = s == 0
-    mask1 = ~mask0
     lo = float(x.min() - 10.0 * tau)
     hi = float(x.max() + 10.0 * tau)
     if not math.isfinite(hi - lo):
         raise ValueError(f"temperature {tau!r} is too large for a finite threshold grid")
     pts = 101
-    best = None  # (loss, theta0, theta1)
-    fallback = None  # (violation, loss, theta0, theta1)
-    center0, center1 = (lo + hi) / 2.0, (lo + hi) / 2.0
+    best = None  # the least (violation, loss, theta0, theta1) over every stage so far
+    center0 = center1 = (lo + hi) / 2.0
     half = (hi - lo) / 2.0
     for _stage in range(3):
         g0 = np.linspace(center0 - half, center0 + half, pts)
         g1 = np.linspace(center1 - half, center1 + half, pts)
-        # group-1 decisions for every candidate t1 at once
-        D1 = _sigmoid((x[mask1][None, :] - g1[:, None]) / tau)
-        mean1 = D1.mean(axis=1)
-        sq1 = ((D1 - y[mask1][None, :]) ** 2).sum(axis=1)
-        for t0 in g0:
-            d0 = _sigmoid((x[mask0] - t0) / tau)
-            gaps = np.abs(d0.mean() - mean1)
-            losses = (((d0 - y[mask0]) ** 2).sum() + sq1) / x.size
-            feasible = gaps <= effective_epsilon
-            if feasible.any():
-                sub = np.flatnonzero(feasible)
-                i = sub[np.lexsort((g1[sub], losses[sub]))[0]]
-                cand = (float(losses[i]), float(t0), float(g1[i]))
-                if best is None or cand < best:
-                    best = cand
-            viol = np.maximum(gaps - effective_epsilon, 0.0)
-            j = np.lexsort((g1, losses, viol))[0]
-            fcand = (float(viol[j]), float(losses[j]), float(t0), float(g1[j]))
-            if fallback is None or fcand < fallback:
-                fallback = fcand
-        if best is not None:
-            center0, center1 = best[1], best[2]
-        else:
-            center0, center1 = fallback[2], fallback[3]
+        mean0, sq0 = _grid_decisions(x[s == 0], y[s == 0], g0, tau)
+        mean1, sq1 = _grid_decisions(x[s == 1], y[s == 1], g1, tau)
+        # 0 exactly where gap <= tolerance: gap - tolerance rounds to a
+        # negative number or 0 only then
+        viol = np.maximum(np.abs(mean0[:, None] - mean1[None, :]) - effective_epsilon, 0.0).ravel()
+        losses = ((sq0[:, None] + sq1[None, :]) / x.size).ravel()
+        t0, t1 = (t.ravel() for t in np.meshgrid(g0, g1, indexing="ij"))
+        i = np.lexsort((t1, t0, losses, viol))[0]
+        cand = (float(viol[i]), float(losses[i]), float(t0[i]), float(t1[i]))
+        if best is None or cand < best:
+            best = cand
+        center0, center1 = best[2:]
         # next stage zooms to one coarse cell on each side of the incumbent
         half = (g0[1] - g0[0])
-    if best is not None:
-        return np.array([best[1], best[2]])
-    return np.array([fallback[2], fallback[3]])
+    return np.array(best[2:])
+
+
+def band_tolerance(r: float, tau: float, epsilon: float) -> float:
+    """The effective parity tolerance epsilon - r/tau of a score band of
+    half-width r; epsilon below the slack r/tau is refused with
+    :class:`InsufficientTolerance`, a NaN input with ``ValueError``."""
+    if not r >= 0:  # NaN too
+        raise ValueError(f"band radius must be nonnegative, got {r!r}")
+    if not tau > 0:
+        raise ValueError(f"temperature must be positive, got {tau!r}")
+    if math.isnan(epsilon):
+        raise ValueError("parity tolerance epsilon is NaN")
+    slack = r / tau
+    if not epsilon >= slack:  # a NaN slack too: r and tau both infinite
+        raise InsufficientTolerance(f"epsilon {epsilon!r} < band slack {slack!r}")
+    return epsilon - slack
 
 
 def feasibility_transfer_check(
@@ -167,22 +180,14 @@ def feasibility_transfer_check(
 ) -> bool:
     """Certified parity feasibility under an l-infinity score band.
 
-    Passing the slackened constraint parity <= epsilon - r/tau at the
-    observed scores certifies parity <= epsilon at every score vector
-    within l-infinity distance r, because each decision coordinate is
-    1/(4 tau)-Lipschitz in its score and group averaging loses at most
-    r/(2 tau) <= r/tau.
+    Passing the slackened constraint parity <= epsilon - r/tau (see
+    :func:`band_tolerance`) at the observed scores certifies parity <=
+    epsilon at every score vector within l-infinity distance r, because
+    each decision coordinate is 1/(4 tau)-Lipschitz in its score and group
+    averaging loses at most r/(2 tau) <= r/tau.
     """
-    if r < 0:
-        raise ValueError("band radius must be nonnegative")
-    if tau <= 0:
-        raise ValueError("temperature must be positive")
-    if epsilon < r / tau:
-        raise InsufficientTolerance(
-            f"epsilon = {epsilon} is below the band slack r/tau = {r / tau}"
-        )
-    d = logistic_decisions(x_hat, s, tau, theta)
-    return parity_gap(d, s) <= epsilon - r / tau
+    eff = band_tolerance(r, tau, epsilon)
+    return parity_gap(logistic_decisions(x_hat, s, tau, theta), s) <= eff
 
 
 # ---------------------------------------------------------------------------

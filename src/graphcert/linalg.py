@@ -69,14 +69,14 @@ def _check_symmetric(M: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OrthonormalBasis:
-    """An n x k matrix with orthonormal columns."""
+    """An n x k matrix with k >= 1 orthonormal columns (so finite ones)."""
 
     U: np.ndarray
 
     def __post_init__(self):
         U = np.array(self.U, dtype=float, copy=True)
-        if U.ndim != 2:
-            raise ShapeMismatch("basis must be 2-d")
+        if U.ndim != 2 or U.shape[1] == 0:
+            raise ShapeMismatch(f"basis must be 2-d with a column, got shape {U.shape}")
         gram = U.T @ U
         if not np.max(np.abs(gram - np.eye(U.shape[1]))) <= _ORTHO_TOL:  # NaN fails
             raise ShapeMismatch("columns are not orthonormal to within 1e-10")
@@ -353,14 +353,14 @@ def grassmann_distance(U: OrthonormalBasis, V: OrthonormalBasis) -> float:
     largest principal angle; the n x k residual V - U (U^T V) keeps small
     angles accurate, unlike sqrt(1 - sigma_min(U^T V)^2), and never forms
     an n x n matrix. Its 2-norm is its largest singular value, from
-    scipy's ``dgesdd``.
+    scipy's ``dgesdd``, unchecked for finiteness: both bases are checked.
     """
     if (U.n, U.k) != (V.n, V.k):
         raise ShapeMismatch(
             f"bases have shapes {(U.n, U.k)} vs {(V.n, V.k)}"
         )
     resid = V.U - U.U @ (U.U.T @ V.U)
-    return float(min(scipy.linalg.svdvals(resid)[0], 1.0))
+    return float(min(scipy.linalg.svdvals(resid, check_finite=False)[0], 1.0))
 
 
 def procrustes_align(
@@ -369,14 +369,14 @@ def procrustes_align(
     """Orthogonal Procrustes: Q minimizing ||U_hat Q - U_star||_F.
 
     Solved by the singular factorization of U_hat^T U_star (scipy's
-    ``dgesdd``); returns the optimal k x k orthogonal Q and the aligned
-    basis U_hat Q.
+    ``dgesdd``, unchecked for finiteness: both bases are checked); returns
+    the optimal k x k orthogonal Q and the aligned basis U_hat Q.
     """
     if (U_hat.n, U_hat.k) != (U_star.n, U_star.k):
         raise ShapeMismatch(
             f"bases have shapes {(U_hat.n, U_hat.k)} vs {(U_star.n, U_star.k)}"
         )
-    W, _, Vt = scipy.linalg.svd(U_hat.U.T @ U_star.U)
+    W, _, Vt = scipy.linalg.svd(U_hat.U.T @ U_star.U, check_finite=False)
     Q = W @ Vt
     return Q, OrthonormalBasis(U=U_hat.U @ Q)
 

@@ -28,6 +28,7 @@ from scipy.linalg.blas import dgemm
 
 from .errors import (
     DegenerateTopEigenvalue,
+    InsufficientTolerance,
     NonpositiveGap,
     NonpositiveMargin,
     OutsideDomain,
@@ -52,6 +53,7 @@ from .inference import (
 )
 from .downstream import (
     FairnessProblem,
+    band_tolerance,
     fair_optimize,
     feasibility_transfer_check,
     logistic_decisions,
@@ -623,29 +625,28 @@ def run_protocol(A: AdjacencyMatrix, config: ProtocolConfig) -> DiagnosticReport
     no_band = "fairness certification needs a certified score band"
     if config.fairness is not None and not gated_shut("fairness", no_band):
         fc = config.fairness
-        if scores is None:
-            refusals.append({"output": "fairness", "reason": "no_scores", "detail": no_band})
-        elif fc.epsilon < half_width / fc.tau:
-            refusals.append(
-                {"output": "fairness", "reason": "insufficient_tolerance",
-                 "detail": f"epsilon {fc.epsilon!r} < band slack {half_width / fc.tau!r}"}
-            )
-        else:
-            problem = FairnessProblem(x=scores, y=fc.targets, s=fc.groups,
-                                      tau=fc.tau, epsilon=fc.epsilon)
-            eff = fc.epsilon - half_width / fc.tau
-            theta = fair_optimize(problem, eff)
-            ok = feasibility_transfer_check(theta, scores, problem.s, half_width,
-                                            fc.tau, fc.epsilon)
-            d_hat = logistic_decisions(problem.x, problem.s, problem.tau, theta)
-            outputs["fairness"] = {
-                "theta": theta,
-                "certified": bool(ok),
-                "parity_gap_at_scores": parity_gap(d_hat, problem.s),
-                "effective_epsilon": eff,
-                "band_radius": half_width,
-                "loss": quadratic_loss(d_hat, problem.y),
-            }
+        try:
+            if scores is None:
+                refusals.append({"output": "fairness", "reason": "no_scores", "detail": no_band})
+            else:
+                eff = band_tolerance(half_width, fc.tau, fc.epsilon)
+                problem = FairnessProblem(x=scores, y=fc.targets, s=fc.groups,
+                                          tau=fc.tau, epsilon=fc.epsilon)
+                theta = fair_optimize(problem, eff)
+                ok = feasibility_transfer_check(theta, scores, problem.s, half_width, fc.tau,
+                                                fc.epsilon)
+                d_hat = logistic_decisions(problem.x, problem.s, problem.tau, theta)
+                outputs["fairness"] = {
+                    "theta": theta,
+                    "certified": bool(ok),
+                    "parity_gap_at_scores": parity_gap(d_hat, problem.s),
+                    "effective_epsilon": eff,
+                    "band_radius": half_width,
+                    "loss": quadratic_loss(d_hat, problem.y),
+                }
+        except InsufficientTolerance as exc:  # epsilon below the band slack r/tau
+            refusals.append({"output": "fairness", "reason": "insufficient_tolerance",
+                             "detail": str(exc)})
 
     # filtration envelope of the observed embedding rows
     if config.filtration is not None:

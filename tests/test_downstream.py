@@ -23,7 +23,7 @@ from graphcert import (
     threshold_snapshots,
     two_block_sbm,
 )
-from graphcert.downstream import ThresholdSnapshot, quadratic_loss
+from graphcert.downstream import ThresholdSnapshot, _sigmoid, band_tolerance, quadratic_loss
 
 from conftest import filtration_sandwich
 
@@ -131,6 +131,134 @@ def test_fair_optimize_constrained_never_beats_unconstrained(rng):
     assert loss_gap >= -1e-9
 
 
+def _per_threshold_loop(p, effective_epsilon):
+    """The reference optimizer: one Python pass per group-0 threshold, with
+    a feasible and a least-violation lexsort in each; returns the
+    thresholds and whether some grid point was feasible."""
+    x, y, s, tau = p.x, p.y, p.s, p.tau
+    mask0 = s == 0
+    mask1 = ~mask0
+    lo = float(x.min() - 10.0 * tau)
+    hi = float(x.max() + 10.0 * tau)
+    best = None  # (loss, theta0, theta1)
+    fallback = None  # (violation, loss, theta0, theta1)
+    center0, center1 = (lo + hi) / 2.0, (lo + hi) / 2.0
+    half = (hi - lo) / 2.0
+    for _stage in range(3):
+        g0 = np.linspace(center0 - half, center0 + half, 101)
+        g1 = np.linspace(center1 - half, center1 + half, 101)
+        D1 = _sigmoid((x[mask1][None, :] - g1[:, None]) / tau)
+        mean1 = D1.mean(axis=1)
+        sq1 = ((D1 - y[mask1][None, :]) ** 2).sum(axis=1)
+        for t0 in g0:
+            d0 = _sigmoid((x[mask0] - t0) / tau)
+            gaps = np.abs(d0.mean() - mean1)
+            losses = (((d0 - y[mask0]) ** 2).sum() + sq1) / x.size
+            feasible = gaps <= effective_epsilon
+            if feasible.any():
+                sub = np.flatnonzero(feasible)
+                i = sub[np.lexsort((g1[sub], losses[sub]))[0]]
+                cand = (float(losses[i]), float(t0), float(g1[i]))
+                if best is None or cand < best:
+                    best = cand
+            viol = np.maximum(gaps - effective_epsilon, 0.0)
+            j = np.lexsort((g1, losses, viol))[0]
+            fcand = (float(viol[j]), float(losses[j]), float(t0), float(g1[j]))
+            if fallback is None or fcand < fallback:
+                fallback = fcand
+        if best is not None:
+            center0, center1 = best[1], best[2]
+        else:
+            center0, center1 = fallback[2], fallback[3]
+        half = (g0[1] - g0[0])
+    if best is not None:
+        return np.array([best[1], best[2]]), True
+    return np.array([fallback[2], fallback[3]]), False
+
+
+@st.composite
+def _fairness_cases(draw):
+    """Generic, tied (a half-integer lattice) or all-equal scores; 0/1 or
+    uniform targets; tau from 1e-2 to 10; a tolerance of 0, 1e-9, 1e-4 or
+    uniform on [0, 1]."""
+    n = draw(st.integers(2, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scores = draw(st.sampled_from(["generic", "tied", "equal"]))
+    if scores == "generic":
+        x = rng.normal(size=n)
+    elif scores == "tied":
+        x = rng.integers(-3, 4, size=n) / 2.0
+    else:
+        x = np.full(n, rng.normal())
+    y = rng.integers(0, 2, size=n).astype(float) if draw(st.booleans()) else rng.uniform(size=n)
+    s = rng.integers(0, 2, size=n)
+    s[rng.choice(n, size=2, replace=False)] = [0, 1]
+    tau = 10.0 ** draw(st.floats(-2.0, 1.0))
+    epsilon = draw(st.sampled_from([0.0, 1e-9, 1e-4, None]))
+    if epsilon is None:
+        epsilon = draw(st.floats(0.0, 1.0))
+    return FairnessProblem(x=x, y=y, s=s, tau=tau, epsilon=epsilon), epsilon
+
+
+def test_fair_optimize_matches_the_per_threshold_loop():
+    # each stage as one 101 x 101 array pass keeps the arithmetic of the
+    # loop: row means and sums over the contiguous axis, elementwise
+    # sigmoids, the same lexicographic tie order. Both branches are drawn:
+    # a tolerance of 0 or 1e-9 is below the sigmoid floor unless the
+    # groups' scores coincide
+    branches = set()
+
+    @settings(max_examples=120, deadline=None)
+    @given(case=_fairness_cases())
+    def same_thresholds(case):
+        p, epsilon = case
+        want, feasible = _per_threshold_loop(p, epsilon)
+        assert np.array_equal(fair_optimize(p, epsilon), want)
+        branches.add(feasible)
+
+    same_thresholds()
+    assert branches == {True, False}
+
+
+_FOUR_NODES = (np.arange(4.0), np.full(4, 0.5), np.array([0, 1, 0, 1]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fairness_problem_refuses_nonfinite_scores(bad):
+    # a NaN score was accepted, and fair_optimize then blamed the temperature
+    x, y, s = _FOUR_NODES
+    with pytest.raises(NonFiniteRows, match="scores"):
+        FairnessProblem(x=np.where(s == 1, bad, x), y=y, s=s, tau=1.0, epsilon=0.1)
+
+
+def test_fairness_problem_refuses_nan_temperature():
+    x, y, s = _FOUR_NODES
+    with pytest.raises(ValueError, match="temperature must be positive"):
+        FairnessProblem(x=x, y=y, s=s, tau=np.nan, epsilon=0.1)
+
+
+def test_fair_optimize_refuses_nan_tolerance():
+    # a NaN tolerance passes no comparison, and thresholds came back
+    x, y, s = _FOUR_NODES
+    p = FairnessProblem(x=x, y=y, s=s, tau=0.5, epsilon=0.1)
+    with pytest.raises(ValueError, match="effective epsilon must be nonnegative"):
+        fair_optimize(p, np.nan)
+
+
+@pytest.mark.parametrize("r, tau, epsilon, message", [
+    (np.nan, 1.0, 0.5, "band radius"),
+    (0.1, np.nan, 0.5, "temperature"),
+    (0.1, 1.0, np.nan, "epsilon is NaN"),
+])
+def test_feasibility_transfer_check_refuses_nan_inputs(r, tau, epsilon, message):
+    # each read a False check before: no comparison with NaN holds
+    x, _, s = _FOUR_NODES
+    with pytest.raises(ValueError, match=message):
+        feasibility_transfer_check(np.zeros(2), x, s, r, tau, epsilon)
+    with pytest.raises(ValueError, match=message):
+        band_tolerance(r, tau, epsilon)
+
+
 def test_feasibility_transfer_check_reduces_to_plain_constraint(rng):
     p = _problem(rng)
     theta = np.array([0.0, 0.0])
@@ -149,7 +277,9 @@ def test_feasibility_transfer_arithmetic(rng):
     gap = parity_gap(logistic_decisions(x, s, 1.0, theta), s)
     expect = gap <= 0.2 - 0.1
     assert feasibility_transfer_check(theta, x, s, 0.1, 1.0, 0.2) == expect
-    with pytest.raises(InsufficientTolerance):
+    assert band_tolerance(0.1, 1.0, 0.2) == 0.2 - 0.1
+    # the refusal text is the report's insufficient_tolerance detail
+    with pytest.raises(InsufficientTolerance, match=r"^epsilon 0.2 < band slack 0.5$"):
         feasibility_transfer_check(theta, x, s, 0.5, 1.0, 0.2)
 
 

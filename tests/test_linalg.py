@@ -530,6 +530,10 @@ def test_orthonormal_basis_refuses_non_finite_columns(value):
     U[3, 1] = value
     with pytest.raises(ShapeMismatch, match="not orthonormal"):
         OrthonormalBasis(U=U)
+    # no columns: numpy's bare "zero-size array to reduction" error before
+    for shape in ((5, 0), (0, 0)):
+        with pytest.raises(ShapeMismatch, match="with a column"):
+            OrthonormalBasis(U=np.zeros(shape))
 
 
 def test_procrustes_identity_and_exact_alignability(rng):

@@ -509,7 +509,9 @@ def test_fairness_insufficient_tolerance_refusal(sbm200):
     )
     report = run_protocol(A, config)
     assert "fairness" not in report.outputs
-    assert any(r["reason"] == "insufficient_tolerance" for r in report.refusals)
+    refusal, = (r for r in report.refusals if r["reason"] == "insufficient_tolerance")
+    slack = report.outputs["centrality_bands"]["half_width"] / 1.0
+    assert refusal["detail"] == f"epsilon 0.1 < band slack {slack!r}"
 
 
 def test_filtration_output_values(sbm200):

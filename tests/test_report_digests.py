@@ -109,7 +109,7 @@ def test_one_blas_thread_keeps_the_results_contract(digests, tmp_path):
     ``OPENBLAS_NUM_THREADS=1`` and in this one at the default thread count;
     the checker's compare finds no moved leaf between them.
 
-    With one thread, 24 of the corpus's 76 artifacts move, and 16 of those
+    With one thread, 24 of the corpus's 77 artifacts move, and 16 of those
     keep the contract. The other 8 break it only through computed reals
     printed inside the ``flags.D2`` and ``flags.D3`` provenance strings:
     ``report/n600/seed{1,2}/parametric_katz_no_c_row``,
@@ -124,3 +124,15 @@ def test_one_blas_thread_keeps_the_results_contract(digests, tmp_path):
     assert child.returncode == 0, child.stderr
     assert digests.compare(tmp_path / "default", tmp_path / "one_thread") == []
     assert len(list((tmp_path / "one_thread").rglob("*.json"))) == 2
+
+
+def test_fairness_fallback_report_is_uncertified(digests):
+    # a tolerance 1e-9 above the band slack sits below the sigmoid floor: no
+    # grid point is exactly feasible, and the least-violation point is reported
+    A = sample_adjacency(two_block_sbm(40, 0.5, 0.1), 3)
+    doc = full_config_doc()
+    text = run_protocol(A, config_from_dict(doc)).to_json()
+    fairness = json.loads(digests.fairness_fallback_report(A, doc, text))["outputs"]["fairness"]
+    assert fairness["effective_epsilon"] == pytest.approx(digests.FALLBACK_MARGIN, rel=1e-6)
+    assert fairness["certified"] is False
+    assert fairness["parity_gap_at_scores"] > fairness["effective_epsilon"]
