@@ -16,6 +16,10 @@ declares a spec whose exact 2-gap is 0, so its D2 refusal is digested.
 ``fairness_fallback`` sets one report's fairness tolerance 1e-9 above the
 band slack r/tau that report shows, below the sigmoid floor, so the
 optimizer's least-violation branch is digested too (``certified`` false).
+Six more configs reach the D3 outcomes the others do not: a Katz spec
+outside its domain, Katz and eigenvector declarations that are not
+certified, a declared gamma of 0, a band whose modulus overflows, and
+``selection_m`` without a centrality block. The corpus has 101 artifacts.
 Two checkouts whose lines all agree write byte-identical results on it.
 graphcert is imported from whatever ``PYTHONPATH`` names; run the script
 once per checkout and ``diff`` the outputs. It uses only long-standing
@@ -156,6 +160,47 @@ def _report_configs(n: int) -> dict:
             "fairness": {"groups": groups, "targets": targets, "tau": 2.0, "epsilon": 0.8},
         },
         "bare": {"k": 2},
+        # one config per D3 outcome the configs above do not reach
+        "katz_parametric_outside_domain": {
+            "k": 2, "alpha": 0.05,
+            "envelope": {"d_max": d_max},
+            "parametric_spec": {"type": "sbm", "labels": labels,
+                                "B": [[P_IN, P_OUT], [P_OUT, P_IN]]},
+            "centrality": {"kind": "katz", "beta": 0.5},
+            "selection_m": 5,
+        },
+        "katz_not_certified": {
+            "k": 2, "alpha": 0.05,
+            "envelope": {"d_max": d_max, "gap": gap},
+            "centrality": {"kind": "katz", "beta": 1.0 / (4.0 * d_max)},
+            "selection_m": 5,
+            "fairness": {"groups": groups, "targets": targets, "tau": 2.0, "epsilon": 0.8},
+        },
+        "eigenvector_gamma_zero": {
+            "k": 2, "alpha": 0.05,
+            "envelope": {"d_max": d_max},
+            "centrality": {"kind": "eigenvector", "gamma": 0.0, "domain_certified": True},
+            "selection_m": 5,
+        },
+        "eigenvector_gamma_not_certified": {
+            "k": 2, "alpha": 0.05,
+            "envelope": {"d_max": d_max},
+            "centrality": {"kind": "eigenvector", "gamma": eigenvector["gamma"]},
+            "selection_m": 5,
+        },
+        "selection_without_centrality": {
+            "k": 2, "alpha": 0.05,
+            "envelope": {"d_max": d_max},
+            "selection_m": 5,
+        },
+        # the modulus 2/gamma overflows to infinity: the band is refused at D3
+        "eigenvector_band_overflows": {
+            "k": 2, "alpha": 0.05,
+            "envelope": {"d_max": d_max},
+            "centrality": {"kind": "eigenvector", "gamma": 1e-308, "domain_certified": True},
+            "selection_m": 5,
+            "fairness": {"groups": groups, "targets": targets, "tau": 2.0, "epsilon": 0.8},
+        },
     }
 
 

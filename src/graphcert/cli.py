@@ -27,14 +27,14 @@ import numpy as np
 
 from .errors import GraphCertError
 from .inference import katz_modulus
-from .io import load_edge_list, load_model_json, model_to_dict
+from .io import load_edge_list, load_model_json, model_to_dict, to_json
 from .models import Envelope, two_block_sbm, two_block_spectrum
 from .protocol import (
     CentralityConfig,
     ClusteringConfig,
     ProtocolConfig,
+    _fmt_float,
     config_from_dict,
-    config_to_dict,
     report_to_json,
     run_protocol,
 )
@@ -100,10 +100,7 @@ def _flatten(obj, prefix="", rows=None):
             _flatten(val, f"{prefix}{i}.", rows)
     else:
         key = prefix[:-1] if prefix.endswith(".") else prefix
-        if isinstance(obj, float):
-            rows.append((key, format(obj, ".17g")))
-        else:
-            rows.append((key, str(obj)))
+        rows.append((key, _fmt_float(obj) if isinstance(obj, float) else str(obj)))
     return rows
 
 
@@ -182,7 +179,7 @@ def _run_example(args) -> int:
             "katz_beta_exact": f"{beta.numerator}/{beta.denominator}",
             "katz_modulus": katz_modulus(float(beta)),
         },
-        "config": config_to_dict(config),
+        "config": to_json(config),
         "notes": [
             "equal-two-block instance: n=200, within 3/10, between 1/10",
             "expected subspace radius exceeds 1 at conventional alpha: "

@@ -73,10 +73,15 @@ def _sigmoid(t: np.ndarray) -> np.ndarray:
 
 
 def logistic_decisions(x, s, tau: float, theta) -> np.ndarray:
-    """Group-thresholded soft decisions sigma((x_i - theta_{s_i}) / tau)."""
+    """Group-thresholded soft decisions sigma((x_i - theta_{s_i}) / tau); a
+    temperature that is not positive and a NaN threshold are refused."""
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (2,):
         raise ShapeMismatch("theta must be a pair of group thresholds")
+    if not tau > 0:  # NaN too
+        raise ValueError(f"temperature must be positive, got {tau!r}")
+    if np.isnan(theta).any():
+        raise ValueError(f"thresholds hold a NaN: {theta.tolist()!r}")
     shift = theta[np.asarray(s, dtype=np.int64)]
     return _sigmoid((np.asarray(x, dtype=float) - shift) / tau)
 

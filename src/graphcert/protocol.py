@@ -18,6 +18,7 @@ and never enters any radius.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import asdict, dataclass, field
 from functools import partial
@@ -62,7 +63,7 @@ from .downstream import (
     threshold_snapshots,
 )
 from .linalg import Spectrum, weyl_gap_certificate
-from .io import from_json, spec_from_dict, to_json
+from .io import from_json, spec_from_dict
 from .models import (
     AdjacencyMatrix,
     Envelope,
@@ -87,7 +88,6 @@ __all__ = [
     "FLAG_REASONS",
     "PREREQUISITES",
     "config_from_dict",
-    "config_to_dict",
     "report_to_json",
 ]
 
@@ -262,10 +262,6 @@ def config_from_dict(d: dict) -> ProtocolConfig:
     return from_json(ProtocolConfig, d, "config", readers=_BLOCKS)
 
 
-def config_to_dict(cfg: ProtocolConfig) -> dict:
-    return to_json(cfg)
-
-
 # ---------------------------------------------------------------------------
 # protocol operations
 
@@ -378,9 +374,7 @@ def report_to_json(obj, indent: int = 0) -> str:
     if isinstance(obj, (float, np.floating)):
         return _fmt_float(float(obj))
     if isinstance(obj, str):
-        import json as _json
-
-        return _json.dumps(obj)
+        return json.dumps(obj)
     if isinstance(obj, np.ndarray):
         return report_to_json(obj.tolist(), indent)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
@@ -491,13 +485,18 @@ def run_protocol(A: AdjacencyMatrix, config: ProtocolConfig) -> DiagnosticReport
         )
         d2 = Flag(False, detail)
 
-    # D3: centrality domain certificate, and the one band half-width L * q
+    # D3: the centrality functional, chosen once: its scorer, its band's
+    # name, its modulus L and its domain route. A parametric spec decides
+    # the domain, even when it fails; without one the declaration does.
+    # With D1 passed, the gate forms the one band half-width L * q
     cent = config.centrality
     half_width: Optional[float] = None
     domain_note = "no centrality functional declared"
     domain_ok: Optional[bool] = None
     if cent is not None:
         if cent.kind == "katz":
+            scorer = partial(katz_centrality, beta=cent.beta)
+            functional, L = f"katz(beta={cent.beta!r})", katz_modulus(cent.beta)
             if S_P is not None:
                 rho = S_P.radius
                 domain_ok = in_katz_domain(rho, cent.beta)
@@ -508,6 +507,7 @@ def run_protocol(A: AdjacencyMatrix, config: ProtocolConfig) -> DiagnosticReport
                 domain_ok = cent.domain_certified
                 domain_note = "declared" if domain_ok else "not declared or certified"
         else:  # eigenvector
+            scorer, functional = eigenvector_centrality, "eigenvector"
             gamma = None
             if S_P is not None:
                 gamma = S_P.gap(1)
@@ -518,8 +518,8 @@ def run_protocol(A: AdjacencyMatrix, config: ProtocolConfig) -> DiagnosticReport
             else:
                 domain_note = "not declared or certified"
             domain_ok = gamma is not None and gamma > 0
+            L = eigenvector_modulus(gamma) if domain_ok else None
         if domain_ok and q is not None:
-            L = katz_modulus(cent.beta) if cent.kind == "katz" else eigenvector_modulus(gamma)
             half_width = L * q
             if not math.isfinite(2.0 * half_width):
                 domain_ok = False
@@ -540,13 +540,15 @@ def run_protocol(A: AdjacencyMatrix, config: ProtocolConfig) -> DiagnosticReport
             d4 = Flag(True, f"declared margin = {delta!r}")
     flags = {"D1": d1, "D2": d2, "D3": d3, "D4": d4}
 
+    def refuse(output: str, reason: str, detail: str) -> None:
+        refusals.append({"output": output, "reason": reason, "detail": detail})
+
     def gated_shut(output: str, detail: Optional[str] = None) -> bool:
         """Refuse ``output`` for its first failed prerequisite, if any; the
         detail is that flag's provenance unless ``detail`` is given."""
         for name in PREREQUISITES[output]:
             if not flags[name].passed:
-                refusals.append({"output": output, "reason": FLAG_REASONS[name],
-                                 "detail": detail or flags[name].provenance})
+                refuse(output, FLAG_REASONS[name], detail or flags[name].provenance)
                 return True
         return False
 
@@ -575,39 +577,23 @@ def run_protocol(A: AdjacencyMatrix, config: ProtocolConfig) -> DiagnosticReport
 
     # Step 5: centrality bands and selection stability iff D1 and D3
     scores = None
-    if cent is not None:
-        if not gated_shut("centrality_bands"):
-            try:
-                if cent.kind == "katz":
-                    scores = katz_centrality(S, cent.beta)
-                else:
-                    scores = eigenvector_centrality(S)
-            except (OutsideDomain, DegenerateTopEigenvalue) as exc:
-                refusals.append(
-                    {"output": "centrality_bands",
-                     "reason": "domain_violated_at_observation",
-                     "detail": str(exc)}
-                )
-            if scores is not None:
-                functional = f"katz(beta={cent.beta!r})" if cent.kind == "katz" else "eigenvector"
-                outputs["centrality_bands"] = asdict(
-                    CentralityBand(functional, half_width, alpha, scores)
-                )
-        if config.selection_m is not None:
-            if scores is not None:
-                outputs["stability"] = asdict(
-                    stability_certificate(scores, config.selection_m, half_width)
-                )
-            else:
-                refusals.append(
-                    {"output": "stability", "reason": "no_scores",
-                     "detail": "stability needs certified centrality scores"}
-                )
-    elif config.selection_m is not None:
-        refusals.append(
-            {"output": "stability", "reason": "no_centrality_functional",
-             "detail": "declare a centrality block to score the selection"}
-        )
+    if cent is not None and not gated_shut("centrality_bands"):
+        try:
+            scores = scorer(S)
+        except (OutsideDomain, DegenerateTopEigenvalue) as exc:
+            refuse("centrality_bands", "domain_violated_at_observation", str(exc))
+        else:
+            band = CentralityBand(functional, half_width, alpha, scores)
+            outputs["centrality_bands"] = asdict(band)
+    m = config.selection_m
+    if m is not None:
+        if cent is None:
+            refuse("stability", "no_centrality_functional",
+                   "declare a centrality block to score the selection")
+        elif scores is None:
+            refuse("stability", "no_scores", "stability needs certified centrality scores")
+        else:
+            outputs["stability"] = asdict(stability_certificate(scores, m, half_width))
 
     # free the n x n reduction of A before the filtration's n(n-1)/2 distances
     del S
@@ -617,19 +603,20 @@ def run_protocol(A: AdjacencyMatrix, config: ProtocolConfig) -> DiagnosticReport
         creg = cluster_region(region, delta, centers=clus.centers, eta=eta)
         outputs["cluster"] = asdict(creg)
         if creg.vacuous:
-            outputs["cluster"]["note"] = (
-                "hamming radius reached n: the ball is all assignments"
-            )
+            outputs["cluster"]["note"] = "hamming radius reached n: the ball is all assignments"
 
     # fairness: certified feasibility via the centrality band
     no_band = "fairness certification needs a certified score band"
-    if config.fairness is not None and not gated_shut("fairness", no_band):
-        fc = config.fairness
-        try:
-            if scores is None:
-                refusals.append({"output": "fairness", "reason": "no_scores", "detail": no_band})
-            else:
+    fc = config.fairness
+    if fc is not None and not gated_shut("fairness", no_band):
+        if scores is None:
+            refuse("fairness", "no_scores", no_band)
+        else:
+            try:
                 eff = band_tolerance(half_width, fc.tau, fc.epsilon)
+            except InsufficientTolerance as exc:  # epsilon below the band slack r/tau
+                refuse("fairness", "insufficient_tolerance", str(exc))
+            else:
                 problem = FairnessProblem(x=scores, y=fc.targets, s=fc.groups,
                                           tau=fc.tau, epsilon=fc.epsilon)
                 theta = fair_optimize(problem, eff)
@@ -644,19 +631,14 @@ def run_protocol(A: AdjacencyMatrix, config: ProtocolConfig) -> DiagnosticReport
                     "band_radius": half_width,
                     "loss": quadratic_loss(d_hat, problem.y),
                 }
-        except InsufficientTolerance as exc:  # epsilon below the band slack r/tau
-            refusals.append({"output": "fairness", "reason": "insufficient_tolerance",
-                             "detail": str(exc)})
 
     # filtration envelope of the observed embedding rows
     if config.filtration is not None:
         if c_row is None:
-            refusals.append({"output": "filtration", "reason": "no_rowwise_certificate",
-                             "detail": "declare clustering.c_row"})
+            refuse("filtration", "no_rowwise_certificate", "declare clustering.c_row")
         elif not gated_shut("filtration"):
             if not math.isfinite(eta):
-                refusals.append({"output": "filtration", "reason": "no_rowwise_certificate",
-                                 "detail": f"c_row * radius = {eta!r}"})
+                refuse("filtration", "no_rowwise_certificate", f"c_row * radius = {eta!r}")
             else:
                 snaps = threshold_snapshots(region.center.U, eta, config.filtration.t_grid)
                 outputs["filtration"] = {

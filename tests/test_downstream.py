@@ -259,6 +259,25 @@ def test_feasibility_transfer_check_refuses_nan_inputs(r, tau, epsilon, message)
         band_tolerance(r, tau, epsilon)
 
 
+@pytest.mark.parametrize("tau", [0.0, -1.0, math.nan])
+def test_logistic_decisions_refuse_a_temperature_that_is_not_positive(tau):
+    # tau = 0 gave a NaN decision where a score met its threshold (0/0) and
+    # tau = -1 inverted every decision
+    x, _, s = _FOUR_NODES
+    with pytest.raises(ValueError, match="temperature must be positive"):
+        logistic_decisions(x, s, tau, np.zeros(2))
+
+
+def test_logistic_decisions_refuse_a_nan_threshold():
+    # a NaN threshold gave NaN decisions, and the transfer check read False
+    x, _, s = _FOUR_NODES
+    theta = np.array([0.0, math.nan])
+    with pytest.raises(ValueError, match="thresholds hold a NaN"):
+        logistic_decisions(x, s, 1.0, theta)
+    with pytest.raises(ValueError, match="thresholds hold a NaN"):
+        feasibility_transfer_check(theta, x, s, 0.1, 1.0, 0.5)
+
+
 def test_feasibility_transfer_check_reduces_to_plain_constraint(rng):
     p = _problem(rng)
     theta = np.array([0.0, 0.0])

@@ -25,6 +25,7 @@ DELETED = (
     "VarianceProxy",
     "align_to_centers",
     "centrality_bands",
+    "config_to_dict",
 )
 
 

@@ -21,6 +21,7 @@ from graphcert import (
     sample_adjacency,
     usvt_denoise,
 )
+from graphcert.io import to_json
 from graphcert.models import DCSBMSpec, Envelope
 from graphcert.protocol import (
     CentralityConfig,
@@ -29,7 +30,6 @@ from graphcert.protocol import (
     ProtocolConfig,
     UsvtConfig,
     config_from_dict,
-    config_to_dict,
     report_to_json,
 )
 from graphcert.simulation import CoverageConfig, coverage_experiment
@@ -617,7 +617,7 @@ def test_config_requires_k():
 def test_config_roundtrip():
     # every field of every block survives the trip through JSON
     for cfg in (_full_config(), config_from_dict(full_config_doc())):
-        back = config_from_dict(json.loads(json.dumps(config_to_dict(cfg))))
+        back = config_from_dict(json.loads(json.dumps(to_json(cfg))))
         for f in dataclasses.fields(cfg):
             block, got = getattr(cfg, f.name), getattr(back, f.name)
             if isinstance(block, SBMSpec):
@@ -1002,3 +1002,92 @@ def test_overflowing_quantile_fails_d1(alpha):
     report = run_protocol(_two_block_40(), config_from_dict(doc))
     assert not report.flags["D1"].passed
     assert "overflows" in report.flags["D1"].provenance
+
+
+_BLOCKS_40 = full_config_doc()
+_D3_SPEC = {"parametric_spec": _BLOCKS_40["parametric_spec"]}
+_NO_BAND = "fairness certification needs a certified score band"
+_NO_SCORES = [("stability", "no_scores", "stability needs certified centrality scores"),
+              ("fairness", "domain_not_certified", _NO_BAND)]
+_RHO_P = "parametric: rho(P) = 11.499999999999995"
+_OVERFLOW = "declared gamma = 1e-308; modulus inf times q = 23.642110653423995 overflows"
+
+# name -> (declared blocks, D3 (passed, provenance), certificates.centrality_domain,
+#          band (functional, half_width) or None, ordered refusals of the
+#          centrality_bands, stability and fairness outputs)
+D3_OUTCOMES = {
+    "katz_parametric_inside": (
+        {**_D3_SPEC, "centrality": {"kind": "katz", "beta": 0.01}},
+        (True, f"{_RHO_P} vs limit 50.0"), True, ("katz(beta=0.01)", 0.9456844261369598), []),
+    "katz_parametric_outside": (
+        {**_D3_SPEC, "centrality": {"kind": "katz", "beta": 0.5, "domain_certified": True}},
+        (False, f"{_RHO_P} vs limit 1.0"), False, None,
+        [("centrality_bands", "domain_not_certified", f"{_RHO_P} vs limit 1.0"), *_NO_SCORES]),
+    "katz_declared": (
+        {"centrality": {"kind": "katz", "beta": 0.01, "domain_certified": True}},
+        (True, "declared"), True, ("katz(beta=0.01)", 0.9456844261369598), []),
+    "katz_not_declared": (
+        {"centrality": {"kind": "katz", "beta": 0.01}},
+        (False, "not declared or certified"), False, None,
+        [("centrality_bands", "domain_not_certified", "not declared or certified"),
+         *_NO_SCORES]),
+    "katz_refused_at_observation": (
+        {"centrality": {"kind": "katz", "beta": 0.5, "domain_certified": True}},
+        (True, "declared"), True, None,
+        [("centrality_bands", "domain_violated_at_observation",
+          "spectral radius 12.618802568489963 exceeds the certified domain limit 1.0"),
+         ("stability", "no_scores", "stability needs certified centrality scores"),
+         ("fairness", "no_scores", _NO_BAND)]),
+    "eigenvector_parametric": (
+        {**_D3_SPEC, "centrality": {"kind": "eigenvector", "gamma": 5.0}},
+        (True, "parametric: top gap = 3.999999999999994"), True,
+        ("eigenvector", 11.821055326712015),
+        [("fairness", "insufficient_tolerance", "epsilon 1.0 < band slack 1.1821055326712016")]),
+    "eigenvector_declared": (
+        {"centrality": {"kind": "eigenvector", "gamma": 5.0, "domain_certified": True}},
+        (True, "declared gamma = 5.0"), True, ("eigenvector", 9.456844261369598), []),
+    "eigenvector_gamma_zero": (
+        {"centrality": {"kind": "eigenvector", "gamma": 0.0, "domain_certified": True}},
+        (False, "declared gamma = 0.0"), False, None,
+        [("centrality_bands", "domain_not_certified", "declared gamma = 0.0"), *_NO_SCORES]),
+    "eigenvector_gamma_not_certified": (
+        {"centrality": {"kind": "eigenvector", "gamma": 5.0}},
+        (False, "not declared or certified"), False, None,
+        [("centrality_bands", "domain_not_certified", "not declared or certified"),
+         *_NO_SCORES]),
+    "eigenvector_band_overflows": (
+        {"centrality": {"kind": "eigenvector", "gamma": 1e-308, "domain_certified": True}},
+        (False, _OVERFLOW), False, None,
+        [("centrality_bands", "domain_not_certified", _OVERFLOW), *_NO_SCORES]),
+    "eigenvector_declared_no_d_max": (
+        {"envelope": {"gap": 10.0},
+         "centrality": {"kind": "eigenvector", "gamma": 5.0, "domain_certified": True}},
+        (True, "declared gamma = 5.0"), True, None,
+        [("centrality_bands", "no_degree_envelope", "no d_max declared"),
+         ("stability", "no_scores", "stability needs certified centrality scores"),
+         ("fairness", "no_degree_envelope", _NO_BAND)]),
+    "no_centrality": (
+        {},
+        (False, "no centrality functional declared"), None, None,
+        [("stability", "no_centrality_functional",
+          "declare a centrality block to score the selection"),
+         ("fairness", "domain_not_certified", _NO_BAND)]),
+}
+
+
+@pytest.mark.parametrize("name", D3_OUTCOMES)
+def test_every_d3_outcome_pins_flag_band_and_refusals(name):
+    # one n = 40 graph; a parametric spec decides D3 before any declaration
+    blocks, flag, domain, band, refused = D3_OUTCOMES[name]
+    doc = {"k": 2, "alpha": 0.05, "envelope": _BLOCKS_40["envelope"], "selection_m": 3,
+           "fairness": {**_BLOCKS_40["fairness"], "tau": 10.0, "epsilon": 1.0}, **blocks}
+    report = run_protocol(_two_block_40(), config_from_dict(doc))
+    assert (report.flags["D3"].passed, report.flags["D3"].provenance) == flag
+    assert report.certificates["centrality_domain"] is domain
+    got = report.outputs.get("centrality_bands")
+    if band is None:
+        assert got is None
+    else:
+        assert (got["functional"], got["half_width"]) == band
+    assert [(r["output"], r["reason"], r["detail"]) for r in report.refusals
+            if r["output"] in ("centrality_bands", "stability", "fairness")] == refused
