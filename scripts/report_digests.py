@@ -21,24 +21,27 @@ outside its domain, Katz and eigenvector declarations that are not
 certified, a declared gamma of 0, a band whose modulus overflows, and
 ``selection_m`` without a centrality block. The corpus has 101 artifacts.
 Two checkouts whose lines all agree write byte-identical results on it.
-graphcert is imported from whatever ``PYTHONPATH`` names; run the script
-once per checkout and ``diff`` the outputs. It uses only long-standing
-public API (``config_from_dict``, ``run_protocol``, ``report_to_json``,
-``CoverageConfig``, ``coverage_experiment``, ``cli.main``), so it also runs
-on older checkouts. Each line is ``<sha256>  <artifact name>``.
+graphcert is imported from whatever ``PYTHONPATH`` names, and only where
+the corpus is built; run the script once per checkout and ``diff`` the
+outputs. It uses only long-standing public API (``config_from_dict``,
+``run_protocol``, ``report_to_json``, ``CoverageConfig``,
+``coverage_experiment``, ``cli.main``), so it also runs on older
+checkouts. Each line is ``<sha256>  <artifact name>``.
 
 To compare the artifacts themselves under the results contract, dump each
 checkout's artifacts and compare the two directories:
 
     PYTHONPATH=src python3 scripts/report_digests.py --dump before/
     PYTHONPATH=src python3 scripts/report_digests.py --dump after/
-    PYTHONPATH=src python3 scripts/report_digests.py --compare before/ after/
+    python3 scripts/report_digests.py --compare before/ after/
 
 The contract: reals agree within 1e-9 relative, and every other leaf
 (flags, counts, labels, strings, refusals, selected sets) is equal. The
 compare prints one line per moved leaf, naming the artifact and the path
 to the leaf, and nothing when no leaf moved; it exits 1 when some leaf
-moved or some artifact is missing on one side.
+moved or some artifact is missing on one side. The compare reads only the
+JSON files and imports no graphcert, so it runs from any checkout, with or
+without ``PYTHONPATH``.
 """
 
 from __future__ import annotations
@@ -52,12 +55,6 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-
-from graphcert.cli import main as cli_main
-
-from graphcert.models import Envelope, sample_adjacency, two_block_sbm, two_block_spectrum
-from graphcert.protocol import config_from_dict, report_to_json, run_protocol
-from graphcert.simulation import CoverageConfig, coverage_experiment
 
 P_IN, P_OUT = 0.3, 0.1
 T_GRID = [-0.1, 0.0, 0.05, 0.2]
@@ -77,6 +74,8 @@ REAL_RTOL = 1e-9  # the results contract: reals agree within this relative dista
 
 def _report_configs(n: int) -> dict:
     """Config documents by name for the two-block SBM at size n."""
+    from graphcert.models import two_block_spectrum
+
     spec = two_block_spectrum(n, P_IN, P_OUT)
     d_max, gap = spec.lam1, spec.gap2
     delta = 2.0 / math.sqrt(n)
@@ -206,6 +205,9 @@ def _report_configs(n: int) -> dict:
 
 def _coverage_configs() -> dict:
     """Coverage configs by name for the n=200 worked instance."""
+    from graphcert.models import Envelope
+    from graphcert.simulation import CoverageConfig
+
     return {
         "oracle": CoverageConfig(k=2, alpha=0.1),
         "oracle_c_row": CoverageConfig(k=2, alpha=0.1, c_row=0.01),
@@ -239,6 +241,8 @@ def _noncanonical_edge_list(A) -> str:
 def _cli_report(workdir: Path, name: str, doc: dict, edge_list: str) -> str:
     """The report ``graphcert certify`` writes for the edge-list text and
     config doc."""
+    from graphcert.cli import main as cli_main
+
     graph, config, out = (workdir / f"{name}.{ext}" for ext in ("tsv", "json", "report.json"))
     graph.write_text(edge_list, encoding="utf-8")
     config.write_text(json.dumps(doc), encoding="utf-8")
@@ -254,6 +258,8 @@ def fairness_fallback_report(A, doc: dict, report_json: str) -> str:
     report of ``doc`` itself. No threshold pair meets a tolerance that far
     below the sigmoid floor exactly, so the optimizer's least-violation
     point is reported, uncertified."""
+    from graphcert.protocol import config_from_dict, run_protocol
+
     half_width = json.loads(report_json)["outputs"]["centrality_bands"]["half_width"]
     fairness = dict(doc["fairness"])
     fairness["epsilon"] = half_width / fairness["tau"] + FALLBACK_MARGIN
@@ -262,6 +268,10 @@ def fairness_fallback_report(A, doc: dict, report_json: str) -> str:
 
 def artifacts():
     """Yield ``(name, text)`` for every artifact of the corpus, in a fixed order."""
+    from graphcert.models import sample_adjacency, two_block_sbm
+    from graphcert.protocol import config_from_dict, report_to_json, run_protocol
+    from graphcert.simulation import coverage_experiment
+
     with tempfile.TemporaryDirectory() as tmp:
         for n in REPORT_SIZES:
             model = two_block_sbm(n, P_IN, P_OUT)

@@ -46,7 +46,6 @@ from .linalg import (
     Spectrum,
     eigendecompose,
     eigengap,
-    eigenvalues,
     frobenius_subspace_bound,
     grassmann_distance,
     procrustes_align,

@@ -258,7 +258,7 @@ def kmeans_labels(rows: np.ndarray, K: int) -> np.ndarray:
     ended = {}  # trajectory id -> (labels, centers) where it stopped
     for it in range(LLOYD_ITERS):
         if it:
-            new = np.array([_squared_distances(rows, C).argmin(axis=1) for C in centers])
+            new = _squared_distances(rows, centers).argmin(axis=2)
             stop = (new == labels).all(axis=1)
             ended.update(zip(live[stop], zip(labels[stop], centers[stop])))
             live, labels, centers = live[~stop], new[~stop], centers[~stop]
@@ -426,17 +426,17 @@ def in_katz_domain(rho: float, beta: float) -> bool:
 
 
 def katz_modulus(beta: float) -> float:
-    """Lipschitz constant 4*beta, valid on {rho(M) <= 1/(2 beta)}."""
-    if not 0 < beta < math.inf:  # NaN too
-        raise ValueError("beta must be positive and finite")
-    return 4.0 * beta
+    """Lipschitz constant 4*beta on {rho(M) <= 1/(2 beta)}, refused unless finite."""
+    if not 0 < (L := 4.0 * beta) < math.inf:  # NaN too, and beta whose 4*beta overflows
+        raise ValueError("beta must be positive, with 4*beta finite")
+    return L
 
 
 def eigenvector_modulus(gamma: float) -> float:
-    """Lipschitz constant 2/gamma, for a certified top eigenvalue gap gamma > 0."""
-    if not 0 < gamma < math.inf:  # NaN too
-        raise ValueError("gamma must be positive and finite")
-    return 2.0 / gamma
+    """Lipschitz constant 2/gamma for a certified top gap gamma, refused unless finite."""
+    if not (gamma > 0 and 0 < (L := 2.0 / gamma) < math.inf):  # NaN too, and 2/gamma overflow
+        raise ValueError("gamma must be positive and finite, with 2/gamma finite")
+    return L
 
 
 def eigenvector_centrality(S: Spectrum) -> np.ndarray:

@@ -26,7 +26,6 @@ __all__ = [
     "Spectrum",
     "TOP_BLOCK",
     "eigendecompose",
-    "eigenvalues",
     "grassmann_distance",
     "procrustes_align",
     "weyl_gap_certificate",
@@ -317,8 +316,8 @@ def _check_lapack(name: str, info: int) -> None:
 def eigendecompose(M: np.ndarray) -> Spectrum:
     """The :class:`Spectrum` of a symmetric matrix, refused beyond 1e-10
     asymmetry; the matrix is kept read-only, so the spectrum is shareable.
-    Its tridiagonal reduction, made on the first read, serves the package's
-    only eigenvector solves.
+    Its tridiagonal reduction, made on the first read, serves every
+    eigensolve of the package.
 
     A bool or integer matrix is kept in its own dtype, as a read-only copy
     (an int8 graph takes 1 byte an entry, not 8): ``dsytrd`` casts it into
@@ -330,18 +329,11 @@ def eigendecompose(M: np.ndarray) -> Spectrum:
     return Spectrum(M)
 
 
-def eigenvalues(M: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a symmetric matrix from one values-only
-    ``scipy.linalg.eigh`` solve (driver ``evd``), for the ||A - P|| audits.
-    The matrix is cast to float64 first: scipy solves an int8 matrix in
-    float32."""
-    M = np.asarray(_check_symmetric(M), dtype=float)
-    return scipy.linalg.eigh(M, eigvals_only=True, driver="evd")
-
-
 def symmetric_operator_norm(M: np.ndarray) -> float:
-    """Spectral norm of a symmetric matrix (largest absolute eigenvalue)."""
-    return spectral_radius(eigenvalues(M))
+    """Spectral norm of a symmetric matrix, its largest absolute eigenvalue:
+    the :attr:`Spectrum.radius` read of its one Householder reduction. A
+    NaN or an infinity is refused with ``ValueError``."""
+    return eigendecompose(M).radius
 
 
 def grassmann_distance(U: OrthonormalBasis, V: OrthonormalBasis) -> float:

@@ -486,9 +486,9 @@ def run_protocol(A: AdjacencyMatrix, config: ProtocolConfig) -> DiagnosticReport
         d2 = Flag(False, detail)
 
     # D3: the centrality functional, chosen once: its scorer, its band's
-    # name, its modulus L and its domain route. A parametric spec decides
-    # the domain, even when it fails; without one the declaration does.
-    # With D1 passed, the gate forms the one band half-width L * q
+    # name, its modulus L, refused if it overflows, and its domain route. A
+    # parametric spec decides the domain, even when it fails; without one the
+    # declaration does. With D1 passed, the gate forms the one band half-width L * q
     cent = config.centrality
     half_width: Optional[float] = None
     domain_note = "no centrality functional declared"
@@ -496,7 +496,7 @@ def run_protocol(A: AdjacencyMatrix, config: ProtocolConfig) -> DiagnosticReport
     if cent is not None:
         if cent.kind == "katz":
             scorer = partial(katz_centrality, beta=cent.beta)
-            functional, L = f"katz(beta={cent.beta!r})", katz_modulus(cent.beta)
+            functional, modulus = f"katz(beta={cent.beta!r})", partial(katz_modulus, cent.beta)
             if S_P is not None:
                 rho = S_P.radius
                 domain_ok = in_katz_domain(rho, cent.beta)
@@ -518,7 +518,12 @@ def run_protocol(A: AdjacencyMatrix, config: ProtocolConfig) -> DiagnosticReport
             else:
                 domain_note = "not declared or certified"
             domain_ok = gamma is not None and gamma > 0
-            L = eigenvector_modulus(gamma) if domain_ok else None
+            modulus = partial(eigenvector_modulus, gamma)
+        if domain_ok:
+            try:
+                L = modulus()
+            except ValueError as exc:
+                domain_ok, domain_note = False, f"{domain_note}; {exc}"
         if domain_ok and q is not None:
             half_width = L * q
             if not math.isfinite(2.0 * half_width):

@@ -26,6 +26,7 @@ DELETED = (
     "align_to_centers",
     "centrality_bands",
     "config_to_dict",
+    "eigenvalues",
 )
 
 

@@ -592,8 +592,9 @@ def test_katz_centrality_refuses_nan_or_nonpositive_beta(value):
         katz_centrality(eigendecompose(np.eye(3)), value)
 
 
-@pytest.mark.parametrize("value", [math.nan, 0.0, -1.0])
+@pytest.mark.parametrize("value", [math.nan, 0.0, -1.0, 1e308])
 def test_katz_modulus_refuses_nan_or_nonpositive_beta(value):
+    # 4 * 1e308 overflows: the modulus is refused, not returned as inf
     with pytest.raises(ValueError, match="beta must be positive"):
         katz_modulus(value)
 
@@ -618,8 +619,9 @@ def test_certificate_helpers_refuse_infinity(call):
         call()
 
 
-@pytest.mark.parametrize("value", [math.nan, 0.0, -1.0])
+@pytest.mark.parametrize("value", [math.nan, 0.0, -1.0, 1e-308, 5e-324])
 def test_eigenvector_modulus_refuses_nan_or_nonpositive_gap(value):
+    # 2 / 1e-308 and 2 / 5e-324 overflow: the modulus is refused, not inf
     with pytest.raises(ValueError, match="gamma must be positive"):
         eigenvector_modulus(value)
     assert eigenvector_modulus(4.0) == 0.5

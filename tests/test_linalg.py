@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 import graphcert
 from graphcert import (
@@ -18,11 +18,11 @@ from graphcert import (
     ShapeMismatch,
     eigendecompose,
     eigengap,
-    eigenvalues,
     frobenius_subspace_bound,
     grassmann_distance,
     procrustes_align,
     sample_adjacency,
+    symmetric_operator_norm,
     two_block_sbm,
     weyl_gap_certificate,
 )
@@ -36,7 +36,7 @@ def test_top_k_on_diagonal_matrix():
     spectrum = eigendecompose(np.diag([3.0, 2.0, 1.0]))
     basis = spectrum.top_k(1)
     assert np.allclose(np.abs(basis.U[:, 0]), [1, 0, 0])
-    assert np.allclose(eigenvalues(spectrum.matrix), [1, 2, 3])
+    assert np.allclose(scipy.linalg.eigvalsh(spectrum.matrix), [1, 2, 3])
     assert spectrum.gap(1) == 1.0
     assert spectrum.radius == 3.0
 
@@ -64,7 +64,7 @@ def test_top_k_reconstruction_residual(rng):
     recon = (V * w) @ V.T
     assert np.linalg.norm(M - recon, 2) <= 1e-8 * np.linalg.norm(M, 2)
     assert np.max(np.abs(V.T @ V - np.eye(n))) <= 1e-12
-    assert np.max(np.abs(w[::-1] - eigenvalues(M))) <= 1e-12 * np.abs(w).max()
+    assert np.max(np.abs(w[::-1] - scipy.linalg.eigvalsh(M))) <= 1e-12 * np.abs(w).max()
 
 
 def test_top_k_rejects_asymmetric_and_bad_k(rng):
@@ -86,13 +86,13 @@ def test_eigendecompose_refuses_asymmetry_beyond_tolerance(rng):
     near = M.copy()
     near[0, 1] += 1e-11
     eigendecompose(near)
-    eigenvalues(near)
+    symmetric_operator_norm(near)
     far = M.copy()
     far[0, 1] += 1e-9
     with pytest.raises(NotSymmetric):
         eigendecompose(far)
     with pytest.raises(NotSymmetric):
-        eigenvalues(far)
+        symmetric_operator_norm(far)
 
 
 # input -> the top eigenvalue of the accepted matrix, or the exception class
@@ -236,6 +236,59 @@ def test_radius_of_matrix_with_negative_entries_is_full_radius(rng, eig_calls):
     assert eig_calls == {"subset": 0, "full": 0, "values": 0, "reduction": 1}
 
 
+@st.composite
+def _norm_inputs(draw):
+    """A symmetric matrix of order 1 to 12: Gaussian, scaled by 1e-3 to 1e3
+    and sometimes shifted below its Gershgorin bound so that every
+    eigenvalue is negative; the zero matrix; or an int8 0/1 graph."""
+    n = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["gaussian", "negative", "zero", "graph"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "zero":
+        return np.zeros((n, n), dtype=np.int8)
+    if kind == "graph":
+        A = np.triu(rng.integers(0, 2, size=(n, n), dtype=np.int8), 1)
+        return A + A.T
+    M = rng.normal(size=(n, n))
+    M = (M + M.T) / 2
+    if kind == "negative":
+        M -= (np.abs(M).sum(axis=1).max() + 1.0) * np.eye(n)
+    return 10.0 ** draw(st.floats(-3, 3)) * M
+
+
+@given(M=_norm_inputs())
+def test_symmetric_operator_norm_is_the_largest_absolute_eigenvalue(M):
+    # the radius read of the matrix's own reduction, against a values-only
+    # whole-matrix solve; an int8 graph and its float64 copy agree bit for bit
+    got = symmetric_operator_norm(M)
+    want = float(np.abs(scipy.linalg.eigvalsh(np.asarray(M, dtype=float))).max())
+    assert abs(got - want) <= 1e-12 * want
+    if M.dtype == np.int8:
+        float_norm = symmetric_operator_norm(M.astype(float))
+        assert np.float64(got).tobytes() == np.float64(float_norm).tobytes()
+
+
+@given(n=st.integers(1, 12), bad=st.sampled_from([math.nan, math.inf, -math.inf, 1e-9]),
+       seed=st.integers(0, 2**32 - 1))
+def test_symmetric_operator_norm_refuses_non_finite_or_asymmetric_input(n, bad, seed):
+    # NaN breaks symmetry (NaN != NaN) and an infinity reaches the
+    # tridiagonal solve's finiteness check; 1e-9 added on one side of the
+    # diagonal is asymmetry beyond the 1e-10 tolerance
+    rng = np.random.default_rng(seed)
+    M = rng.normal(size=(n, n))
+    M = (M + M.T) / 2
+    i, j = rng.integers(0, n, size=2)
+    if bad == 1e-9:
+        assume(n > 1)
+        M[0, n - 1] += bad
+    else:
+        M[i, j] = M[j, i] = bad
+    expected = ValueError if math.isinf(bad) else NotSymmetric
+    with pytest.raises(expected) as exc:
+        symmetric_operator_norm(M)
+    assert isinstance(exc.value, NotSymmetric) == (expected is NotSymmetric)
+
+
 @pytest.mark.parametrize("n,subset,reduction",
                          [(2, 0, 1), (TOP_BLOCK, 0, 1), (TOP_BLOCK + 1, 0, 1)])
 def test_small_matrices_take_the_full_route(eig_calls, n, subset, reduction):
@@ -326,8 +379,6 @@ def test_eigendecompose_keeps_an_integer_matrix_in_its_dtype(n, seed, dtype):
     b = np.arange(n, dtype=float)
     beta = 0.5 / max(S64.radius, 1.0)
     assert S.resolvent(beta, b).tobytes() == S64.resolvent(beta, b).tobytes()
-    # the values-only audit solve casts first: scipy solves int8 in float32
-    assert eigenvalues(A).tobytes() == eigenvalues(A.astype(float)).tobytes()
 
 
 def test_eigendecompose_of_an_int8_graph_makes_no_float64_copy():
@@ -451,7 +502,7 @@ def test_block_reads_agree_in_any_order():
 
 def test_package_makes_no_numpy_eigensolve_or_solve():
     # numpy and scipy each load their own BLAS; every eigensolve goes through
-    # scipy.linalg.eigh, so eigensolves never alternate between the two, and
+    # scipy's LAPACK, so eigensolves never alternate between the two, and
     # Katz scores need no dense solve
     pattern = re.compile(r"\b(?:np|numpy)\.linalg\.(?:eigh|eigvalsh|solve)\s*\(|\beigvalsh\s*\(")
     hits = [
@@ -644,21 +695,18 @@ def test_top_k_idempotent_on_symmetric_input(rng):
     s1 = eigendecompose(M)
     s2 = eigendecompose((M + M.T) / 2)
     assert np.array_equal(s1.top_k(2).U, s2.top_k(2).U)
-    assert np.array_equal(eigenvalues(s1.matrix), eigenvalues(s2.matrix))
+    assert np.array_equal(scipy.linalg.eigvalsh(s1.matrix), scipy.linalg.eigvalsh(s2.matrix))
 
 
-def test_src_asks_eigh_for_no_full_decomposition_with_vectors():
-    # every scipy.linalg.eigh call in the package asks for eigenvalues only;
-    # eigenvectors come from one tridiagonal reduction instead
+def test_src_makes_no_scipy_eigh_call():
+    # every eigenvalue and eigenvector the package reads comes from one
+    # Householder reduction of its matrix, a Spectrum
     src = Path(graphcert.__file__).parent
-    calls = []
-    for path in sorted(src.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "eigh":
-                keywords = {kw.arg: kw.value for kw in node.keywords}
-                only_values = isinstance(keywords.get("eigvals_only"), ast.Constant) and (
-                    keywords["eigvals_only"].value is True
-                )
-                calls.append((path.name, node.lineno, only_values))
-    assert calls, "no scipy.linalg.eigh call found"
-    assert [c for c in calls if not c[2]] == []
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and "eigh" in (getattr(node.func, "attr", None), getattr(node.func, "id", None))
+    ]
+    assert calls == []

@@ -1010,7 +1010,11 @@ _NO_BAND = "fairness certification needs a certified score band"
 _NO_SCORES = [("stability", "no_scores", "stability needs certified centrality scores"),
               ("fairness", "domain_not_certified", _NO_BAND)]
 _RHO_P = "parametric: rho(P) = 11.499999999999995"
-_OVERFLOW = "declared gamma = 1e-308; modulus inf times q = 23.642110653423995 overflows"
+_MODULUS_OVERFLOW = ("declared gamma = 1e-308; gamma must be positive and finite, "
+                     "with 2/gamma finite")
+_KATZ_OVERFLOW = "declared; beta must be positive, with 4*beta finite"
+_BAND_OVERFLOW = ("declared gamma = 1e-307; modulus 2.0000000000000002e+307 times "
+                  "q = 23.642110653423995 overflows")
 
 # name -> (declared blocks, D3 (passed, provenance), certificates.centrality_domain,
 #          band (functional, half_width) or None, ordered refusals of the
@@ -1055,10 +1059,20 @@ D3_OUTCOMES = {
         (False, "not declared or certified"), False, None,
         [("centrality_bands", "domain_not_certified", "not declared or certified"),
          *_NO_SCORES]),
+    # 2/gamma overflows, and so does 4 beta; at gamma = 1e-307 the modulus
+    # is finite and the half-width L q overflows
     "eigenvector_band_overflows": (
         {"centrality": {"kind": "eigenvector", "gamma": 1e-308, "domain_certified": True}},
-        (False, _OVERFLOW), False, None,
-        [("centrality_bands", "domain_not_certified", _OVERFLOW), *_NO_SCORES]),
+        (False, _MODULUS_OVERFLOW), False, None,
+        [("centrality_bands", "domain_not_certified", _MODULUS_OVERFLOW), *_NO_SCORES]),
+    "katz_band_overflows": (
+        {"centrality": {"kind": "katz", "beta": 1e308, "domain_certified": True}},
+        (False, _KATZ_OVERFLOW), False, None,
+        [("centrality_bands", "domain_not_certified", _KATZ_OVERFLOW), *_NO_SCORES]),
+    "eigenvector_half_width_overflows": (
+        {"centrality": {"kind": "eigenvector", "gamma": 1e-307, "domain_certified": True}},
+        (False, _BAND_OVERFLOW), False, None,
+        [("centrality_bands", "domain_not_certified", _BAND_OVERFLOW), *_NO_SCORES]),
     "eigenvector_declared_no_d_max": (
         {"envelope": {"gap": 10.0},
          "centrality": {"kind": "eigenvector", "gamma": 5.0, "domain_certified": True}},

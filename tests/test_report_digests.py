@@ -3,6 +3,9 @@
 import importlib.util
 import inspect
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -76,6 +79,32 @@ def test_flags_keys_and_missing_artifacts_are_reported(digests, report, tmp_path
     (tmp_path / "b" / "cli" / "n40" / "seed3" / "full.json").unlink()
     lines = digests.compare(tmp_path / "a", tmp_path / "b")
     assert lines == [f"cli/n40/seed3/full.json: only in {tmp_path / 'a'}"]
+
+
+def test_compare_runs_without_graphcert_on_the_path(tmp_path):
+    # two hand-written dump directories, compared by a fresh interpreter
+    # with no PYTHONPATH, run outside the checkout: a real moved by 1e-12
+    # keeps the contract, a changed label is one moved leaf
+    before = {"outputs": {"subspace": {"radius": 0.25}, "cluster": {"labels": [0, 1, 1]}}}
+    within = json.loads(json.dumps(before))
+    within["outputs"]["subspace"]["radius"] *= 1 + 1e-12
+    relabelled = json.loads(json.dumps(before))
+    relabelled["outputs"]["cluster"]["labels"][2] = 0
+    for side, doc in (("a", before), ("b", within), ("c", relabelled)):
+        (tmp_path / side / "report").mkdir(parents=True)
+        (tmp_path / side / "report" / "x.json").write_text(json.dumps(doc), encoding="utf-8")
+    env = {key: val for key, val in os.environ.items() if key != "PYTHONPATH"}
+
+    def compare(a, b):
+        return subprocess.run(
+            [sys.executable, str(SCRIPT), "--compare", str(tmp_path / a), str(tmp_path / b)],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60,
+        )
+
+    kept, moved = compare("a", "b"), compare("a", "c")
+    assert (kept.returncode, kept.stdout, kept.stderr) == (0, "", "")
+    assert (moved.returncode, moved.stderr) == (1, "")
+    assert moved.stdout.splitlines() == ["report/x.json: /outputs/cluster/labels/2: 1 -> 0"]
 
 
 def guarded_artifacts(digests):

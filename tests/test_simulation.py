@@ -149,12 +149,11 @@ def test_declared_subnormal_gap_refuses_the_gap_claims(sbm200):
 
 def test_coverage_eigensolver_call_counts(eig_calls):
     # set-up reduces P once; each replication reduces its sample once
-    # (region, audits and Katz scores) and takes ||A - P|| from a
-    # values-only solve
+    # (region, audits and Katz scores) and A - P once, for ||A - P||
     model = two_block_sbm(60, 0.5, 0.1)
     result = coverage_experiment(model, CoverageConfig(k=2, alpha=0.1), 3, base_seed=1)
     assert all(c.evaluated for c in result.claims.values())
-    assert eig_calls == {"subset": 0, "full": 0, "values": 3, "reduction": 1 + 3}
+    assert eig_calls == {"subset": 0, "full": 0, "values": 0, "reduction": 1 + 2 * 3}
 
     # a refused subspace claim leaves the report without a region, so the
     # audits reduce each sample once more for the observed basis
@@ -162,7 +161,7 @@ def test_coverage_eigensolver_call_counts(eig_calls):
     config = CoverageConfig(k=2, alpha=0.1, envelope=Envelope(d_max=30.0))
     result = coverage_experiment(model, config, 3, base_seed=1)
     assert result.claims["subspace"].refused
-    assert eig_calls == {"subset": 0, "full": 0, "values": 3, "reduction": 1 + 2 * 3}
+    assert eig_calls == {"subset": 0, "full": 0, "values": 0, "reduction": 1 + 3 * 3}
 
 
 def test_coverage_makes_no_numpy_lapack_call(monkeypatch, sbm200):
