@@ -19,7 +19,11 @@ optimizer's least-violation branch is digested too (``certified`` false).
 Six more configs reach the D3 outcomes the others do not: a Katz spec
 outside its domain, Katz and eigenvector declarations that are not
 certified, a declared gamma of 0, a band whose modulus overflows, and
-``selection_m`` without a centrality block. The corpus has 101 artifacts.
+``selection_m`` without a centrality block. ``usvt_one_kept_pair`` sets
+the USVT threshold between the two outliers, so only lambda_1 is kept and
+the 2-gap of ``P_hat`` comes from its own reduction, where
+``usvt_eigenvector_kmeans`` has it from the certified Rayleigh-Ritz read.
+The corpus has 105 artifacts.
 Two checkouts whose lines all agree write byte-identical results on it.
 graphcert is imported from whatever ``PYTHONPATH`` names, and only where
 the corpus is built; run the script once per checkout and ``diff`` the
@@ -106,6 +110,16 @@ def _report_configs(n: int) -> dict:
             "selection_m": 5,
             "fairness": {"groups": groups, "targets": targets, "tau": 0.5, "epsilon": 0.2},
             "filtration": {"t_grid": T_GRID},
+        },
+        # a threshold midway between the population's two outliers keeps
+        # lambda_1 alone: k = 2 lies beyond the kept pairs, so P_hat's gap is
+        # read from its own reduction, not from the Rayleigh-Ritz read
+        "usvt_one_kept_pair": {
+            "k": 2, "alpha": 0.05,
+            "envelope": {"d_max": d_max},
+            "usvt": {"threshold_scale": (spec.lam1 + spec.lam2) / 2.0 / math.sqrt(spec.lam1),
+                     "eps_p": n / 100.0},
+            "clustering": {"delta": delta, "c_row": 5.0},
         },
         "parametric_katz_no_c_row": {
             "k": 2, "alpha": 0.1,

@@ -2,11 +2,13 @@
 
 Provides the one spectrum of a symmetric matrix (a :class:`Spectrum`
 shared by every spectral consumer, read by subset solves from one
-Householder tridiagonal reduction) with its canonical top-k basis, the
-Grassmann (projector-norm) distance between subspaces, orthogonal
-Procrustes alignment, the Weyl-type gap transfer used to certify gaps from
-denoised estimates, and the rank-aware Frobenius bound that converts a
-projector radius into a mean-square row bound.
+Householder tridiagonal reduction) with its canonical top-k basis, a
+certified Rayleigh-Ritz read of the gap of a matrix near a known low-rank
+one (the reduction is its fallback), the Grassmann (projector-norm)
+distance between subspaces, orthogonal Procrustes alignment, the Weyl-type
+gap transfer used to certify gaps from denoised estimates, and the
+rank-aware Frobenius bound that converts a projector radius into a
+mean-square row bound.
 
 All inputs are required to be symmetric to within 1e-10 in max-abs entry;
 anything looser is rejected rather than silently symmetrized.
@@ -14,10 +16,13 @@ anything looser is rejected rather than silently symmetrized.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import dgemm
 
 from .errors import KOutOfRange, NotSymmetric, ShapeMismatch
 
@@ -41,6 +46,10 @@ _ORTHO_TOL = 1e-10
 
 TOP_BLOCK = 8
 """The fewest of the largest eigenpairs a :class:`Spectrum` read computes."""
+
+_RITZ_STEPS = 4     # block power steps a Rayleigh-Ritz gap read may take
+_RITZ_TOL = 1e-12   # its error bound on the gap, relative to max(1, theta_1)
+_ROW_BLOCK = 128    # rows of M - V diag(w) V^T formed at a time by the rest bound
 
 
 def is_symmetric(M: np.ndarray) -> bool:
@@ -169,6 +178,7 @@ class Spectrum:
         self.matrix = matrix
         self._reduced = None  # reflectors, their scales and T's diagonals
         self._top = None      # descending pairs read from T, the largest read so far
+        self._kept = None     # (thr, values, vectors) of the last beyond(thr) read
 
     @property
     def n(self) -> int:
@@ -253,19 +263,25 @@ class Spectrum:
 
     def beyond(self, thr: float) -> tuple[np.ndarray, np.ndarray]:
         """The eigenvalues with ``|lambda| >= thr`` in ascending order and
-        their unit eigenvectors as columns: two value ranges on T,
-        ``(-inf, -thr]`` and ``(nextafter(thr, -inf), inf]``; a range with no
-        eigenvalue skips the back-transform. ``thr = 0`` keeps every pair."""
+        their unit eigenvectors as columns (read-only): two value ranges on
+        T, ``(-inf, -thr]`` and ``(nextafter(thr, -inf), inf]``; a range with
+        no eigenvalue skips the back-transform. ``thr = 0`` keeps every pair.
+        A second read at the last threshold returns the same arrays."""
         if not thr >= 0:  # NaN too
             raise ValueError(f"threshold must be nonnegative, got {thr!r}")
-        if thr == 0:
-            ranges = [(-np.inf, np.inf)]
-        else:
-            ranges = [(-np.inf, -thr), (np.nextafter(thr, -np.inf), np.inf)]
-        parts = [
-            self._reduced_pairs(select="v", select_range=r) for r in ranges if r[0] < r[1]
-        ]
-        return np.concatenate([w for w, _ in parts]), np.hstack([V for _, V in parts])
+        if self._kept is None or self._kept[0] != thr:
+            if thr == 0:
+                ranges = [(-np.inf, np.inf)]
+            else:
+                ranges = [(-np.inf, -thr), (np.nextafter(thr, -np.inf), np.inf)]
+            parts = [
+                self._reduced_pairs(select="v", select_range=r) for r in ranges if r[0] < r[1]
+            ]
+            w, V = np.concatenate([w for w, _ in parts]), np.hstack([V for _, V in parts])
+            w.setflags(write=False)
+            V.setflags(write=False)
+            self._kept = thr, w, V
+        return self._kept[1:]
 
     @property
     def radius(self) -> float:
@@ -285,11 +301,20 @@ class Spectrum:
         if not 1 <= k <= self.n - 1:
             raise KOutOfRange(f"k = {k} must lie in [1, {self.n - 1}]")
 
-    def gap(self, k: int) -> float:
+    def gap(self, k: int, start: Optional[tuple[np.ndarray, np.ndarray]] = None) -> float:
         """The k-gap of the descending spectrum, see :func:`eigengap`; 0.0
         when it is within the tie tolerance of :meth:`top_k`, where a
-        computed gap is rounding noise."""
+        computed gap is rounding noise.
+
+        ``start`` is ``(w, V)``: values and orthonormal columns of a
+        low-rank X0 = V diag(w) V^T near the matrix. With it the gap is
+        first read by :func:`_ritz_gap`, which needs no reduction; only a
+        read it cannot certify makes the reduction."""
         self._check_k(k)
+        if start is not None:
+            gap, _ = _ritz_gap(self.matrix, *start, k)
+            if gap is not None:
+                return gap
         w = self._pairs(k + 1)[0]
         gap = eigengap(w, k)
         return gap if gap > _tie_tol(w) else 0.0
@@ -311,6 +336,129 @@ class Spectrum:
 def _check_lapack(name: str, info: int) -> None:
     if info != 0:
         raise np.linalg.LinAlgError(f"LAPACK {name} failed with info = {info}")
+
+
+def _rest_bounds(M: np.ndarray, w: np.ndarray, V: np.ndarray) -> tuple[float, float, float]:
+    """(upper, lower, row): Gershgorin bounds on the largest and smallest
+    eigenvalues of E = M - V diag(w) V^T, and its largest absolute row sum,
+    which bounds ||E||. E is formed ``_ROW_BLOCK`` rows at a time, so no
+    n x n temporary is made.
+
+    Floating-point slack: each computed entry of V diag(w) V^T is off by at
+    most gamma_{r+1} sum_l |V_il w_l V_jl|, whose sum over a row is at most
+    gamma_{r+1} r sqrt(n) max|w| (unit columns have 1-norm at most
+    sqrt(n)); the subtraction, the absolute values and the n-term row sum
+    add at most gamma_{n+2} times the computed row sum. Both bounds are
+    widened by (n + r + 4) eps (row + r sqrt(n) max|w|), eps = 2u, which
+    covers the two terms with room for their second-order parts."""
+    n, r = V.shape
+    Wv = V * w
+    upper, lower, row = -np.inf, np.inf, 0.0
+    # one buffer for every block: rows of V diag(w) V^T are written C-ordered,
+    # as the transpose of an F-ordered product
+    buffer = np.empty((n, min(n, _ROW_BLOCK)), order="F")
+    for start in range(0, n, _ROW_BLOCK):
+        stop = min(n, start + _ROW_BLOCK)
+        E = dgemm(1.0, Wv, V[start:stop], trans_b=True, c=buffer[:, : stop - start],
+                  overwrite_c=True).T
+        np.subtract(M[start:stop], E, out=E)
+        d = E[np.arange(stop - start), np.arange(start, stop)].copy()
+        s = np.abs(E, out=E).sum(axis=1)
+        off = s - np.abs(d)
+        upper = max(upper, float(np.max(d + off)))
+        lower = min(lower, float(np.min(d - off)))
+        row = max(row, float(np.max(s)))
+    wmax = float(np.max(np.abs(w))) if r else 0.0
+    slack = (n + r + 4) * np.finfo(float).eps * (row + r * math.sqrt(n) * wmax)
+    return upper + slack, lower - slack, row + slack
+
+
+def _ritz_gap(
+    M: np.ndarray, w: np.ndarray, V: np.ndarray, k: int
+) -> tuple[Optional[float], str]:
+    """The k-gap of symmetric M as :meth:`Spectrum.gap` reads it, from block
+    Rayleigh-Ritz started at the r orthonormal columns V, with no reduction
+    of M: ``(gap, "certified")``, or ``(None, reason)`` when the read cannot
+    certify it.
+
+    X0 = V diag(w) V^T should be near M; p is the number of positive w.
+    X0 has at most p positive eigenvalues, so lambda_{p+1}(M) <=
+    lambda_1(M - X0) by Weyl, and :func:`_rest_bounds` bounds that by
+    ``beta``. Up to ``_RITZ_STEPS`` block steps X <- orth(M X) on all r
+    columns (so a negative outlier cannot take over) give Ritz values
+    theta_1 >= ... >= theta_p with residual norms rho_i. The read is
+    certified when:
+
+    - the intervals theta_i +- rho_i are disjoint and lie above beta, so
+      each holds exactly one of lambda_1..lambda_p (Krylov-Weinstein);
+    - each value the gap uses has Kato-Temple error rho_i^2 / delta_i at
+      most tau / 2, tau = ``_RITZ_TOL`` max(1, theta_1), delta_i the
+      distance to the neighbouring intervals (or to beta), so a difference
+      of two is within tau;
+    - the min in :func:`eigengap` is decided: k < p, or k = p >= 2 and
+      lambda_{k-1} - lambda_k <= lambda_k - beta;
+    - the tie tolerance is provably 1e-9 max(1, lambda_1): for n - r >
+      ``TOP_BLOCK``, lambda_8(M) >= lambda_min(M - X0), which must be at
+      least -max(1, lambda_1); and the gap is decided against it.
+
+    Rounding in the products, the Ritz values and the residuals is covered
+    by a slack of (n + r + 2) sqrt(r) eps ||M|| added to each rho_i and each
+    error. The reasons: ``"wide_block"`` (8 r > n - ``TOP_BLOCK``: the read
+    would cost more than a reduction, or leave no room for lambda_8 in the
+    rest), ``"k_beyond_positive"`` (k > p), ``"unconverged"`` (the intervals
+    or the errors still fail after the last step) and ``"undecided"`` (the
+    min or the tie is not decided, or k = p = 1, where lambda_2 is unread).
+    """
+    n, r = V.shape
+    p = int(np.count_nonzero(w > 0))
+    if 8 * r > n - TOP_BLOCK:
+        return None, "wide_block"
+    if k > p:
+        return None, "k_beyond_positive"
+    if k == p == 1:
+        return None, "undecided"
+    beta, lower, row = _rest_bounds(M, w, V)
+    slack = (n + r + 2) * math.sqrt(r) * np.finfo(float).eps * (float(np.max(np.abs(w))) + row)
+    used = np.arange(max(k - 2, 0), min(k + 1, p))
+    # every product is scipy's dgemm: numpy matmuls here ran on numpy's own
+    # OpenBLAS beside scipy's and cost about 35 ms an op at n = 1000. M.T is
+    # M, F-ordered when M is C-ordered, so dgemm makes no copy of it
+    Mt = M.T
+    X = V
+    for _ in range(_RITZ_STEPS):
+        X = scipy.linalg.qr(X, mode="economic", check_finite=False)[0]
+        Y = dgemm(1.0, Mt, X)
+        H = dgemm(1.0, X, Y, trans_a=True)
+        theta, G, info = scipy.linalg.lapack.dsyev((H + H.T) / 2.0)
+        _check_lapack("dsyev", info)
+        theta, G = theta[::-1][:p], G[:, ::-1][:, :p]
+        Z = dgemm(1.0, X, G)
+        R = dgemm(1.0, Y, G) - Z * theta
+        rho = np.linalg.norm(R, axis=0) / np.linalg.norm(Z, axis=0) + slack
+        lo, hi = theta - rho, theta + rho
+        below = np.append(hi[1:], beta)           # the interval or bound under each value
+        above = np.insert(lo[:-1], 0, np.inf)     # the interval over it
+        if np.all(lo > below):
+            err = rho**2 / np.minimum(above - theta, theta - below) + slack
+            tau = _RITZ_TOL * max(1.0, float(theta[0]))
+            if np.all(err[used] <= tau / 2):
+                break
+        X = Y
+    else:
+        return None, "unconverged"
+    if -lower > max(1.0, float(lo[0])):
+        return None, "undecided"
+    if k < p:
+        gap = eigengap(theta, k)
+    else:  # k = p: the min is lambda_{k-1} - lambda_k if it is at most lambda_k - beta
+        low_k = theta[k - 1] - err[k - 1]
+        if theta[k - 2] + err[k - 2] - low_k > low_k - beta:
+            return None, "undecided"
+        gap = float(theta[k - 2] - theta[k - 1])
+    tol = 1e-9 * max(1.0, float(theta[0]))
+    if abs(gap - tol) <= 4.0 * tau:
+        return None, "undecided"
+    return (gap if gap > tol else 0.0), "certified"
 
 
 def eigendecompose(M: np.ndarray) -> Spectrum:

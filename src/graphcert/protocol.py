@@ -265,25 +265,34 @@ def config_from_dict(d: dict) -> ProtocolConfig:
 # ---------------------------------------------------------------------------
 # protocol operations
 
-def usvt_denoise(S: Spectrum, threshold_scale: float = 2.02) -> np.ndarray:
-    """Spectral-threshold denoiser for the edge-probability matrix.
-
-    Eigencomponents of A = ``S.matrix`` with magnitude below threshold_scale *
-    sqrt(n * density) are zeroed (``S.beyond`` reads only the kept pairs),
-    entries are clipped to [0, 1], and the diagonal is zeroed. Used only to
-    feed the Weyl gap certificate with a user-supplied denoising error
-    bound; no deviation quantile is derived from it. A NaN, infinite or
-    nonpositive threshold_scale is refused. The result is exactly symmetric
-    and read-only, so it can be a :class:`Spectrum` as it is.
-    """
+def _usvt_kept(S: Spectrum, threshold_scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs of A = ``S.matrix`` that USVT keeps, ascending: those with
+    magnitude at least threshold_scale * sqrt(n * density), read by
+    ``S.beyond``, which returns the same arrays when read again. A NaN,
+    infinite or nonpositive threshold_scale is refused."""
     require_finite(threshold_scale=threshold_scale)
     if not threshold_scale > 0:
         raise ValueError("threshold_scale must be positive")
     n = S.n
     density = float(S.matrix.sum()) / (n * (n - 1)) if n > 1 else 0.0
-    w, V = S.beyond(threshold_scale * math.sqrt(max(n * density, 0.0)))
+    return S.beyond(threshold_scale * math.sqrt(max(n * density, 0.0)))
+
+
+def usvt_denoise(S: Spectrum, threshold_scale: float = 2.02) -> np.ndarray:
+    """Spectral-threshold denoiser for the edge-probability matrix.
+
+    Eigencomponents of A = ``S.matrix`` with magnitude below threshold_scale *
+    sqrt(n * density) are zeroed (only the kept pairs are read, see
+    :func:`_usvt_kept`), entries are clipped to [0, 1], and the diagonal is
+    zeroed. Used only to feed the Weyl gap certificate with a user-supplied
+    denoising error bound; no deviation quantile is derived from it. A NaN,
+    infinite or nonpositive threshold_scale is refused. The result is
+    exactly symmetric and read-only, so it can be a :class:`Spectrum` as it
+    is.
+    """
+    w, V = _usvt_kept(S, threshold_scale)
     # scipy's BLAS, the one the eigensolves use: an n x n numpy matmul would
-    # leave numpy's BLAS threads spinning into the next eigensolve of P_hat
+    # leave numpy's BLAS threads spinning into the gap read of P_hat
     # (the Katz scores are a LAPACK solve too: the op makes no such numpy call)
     P_hat = dgemm(1.0, V * w, V, trans_b=True)
     np.clip(P_hat, 0.0, 1.0, out=P_hat)
@@ -407,7 +416,8 @@ def run_protocol(A: AdjacencyMatrix, config: ProtocolConfig) -> DiagnosticReport
 
     The observed graph's spectrum is computed once, as one Householder
     reduction that the gap proxy, the USVT route, the subspace region and
-    the centrality scores all read.
+    the centrality scores all read. The USVT route reads P_hat's gap from
+    A's kept pairs, and reduces P_hat only when that read is not certified.
     """
     n = A.n
     k = config.k
@@ -462,7 +472,10 @@ def run_protocol(A: AdjacencyMatrix, config: ProtocolConfig) -> DiagnosticReport
         gap = float(config.envelope.gap)
         gap_source = "declared"
     elif config.usvt is not None and config.usvt.eps_p is not None:
-        gap_hat = Spectrum(usvt_denoise(S, config.usvt.threshold_scale)).gap(k)
+        # the kept pairs of A start a certified Rayleigh-Ritz read of P_hat's
+        # gap; only a read it cannot certify reduces P_hat (Spectrum.gap)
+        scale = config.usvt.threshold_scale
+        gap_hat = Spectrum(usvt_denoise(S, scale)).gap(k, start=_usvt_kept(S, scale))
         gap = weyl_gap_certificate(gap_hat, config.usvt.eps_p)
         gap_source = "usvt_weyl"
         diagnostics["usvt"] = {

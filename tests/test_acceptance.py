@@ -3,6 +3,11 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see one pass line per
 criterion. Monte Carlo criteria share module-scoped runs; every tolerance
 is pinned here, none deferred.
+
+Time bounds are on the CPU time of this process (``time.process_time``),
+not on wall-clock time, so load from other processes on the host does not
+fail them. The CPU time counts every thread of the process, OpenBLAS
+threads spinning between calls included.
 """
 
 import math
@@ -38,9 +43,9 @@ OK = "ACCEPTANCE {} PASS: {}"
 def mc500(sbm200):
     """500 seeded replications of the worked instance at alpha = 0.1."""
     config = CoverageConfig(k=2, alpha=0.1, audit_inequalities=True)
-    start = time.monotonic()
+    start = time.process_time()
     result = coverage_experiment(sbm200, config, 500, base_seed=20240)
-    return result, time.monotonic() - start
+    return result, time.process_time() - start
 
 
 @pytest.fixture(scope="module")
@@ -60,7 +65,7 @@ def strong_cluster_run():
 
 
 def test_criterion_01_exact_spectrum(sbm200):
-    start = time.monotonic()
+    start = time.process_time()
     spec = two_block_spectrum(200, 0.3, 0.1)
     w = np.sort(np.linalg.eigvalsh(sbm200.P))[::-1]
     assert abs(w[0] - 39.7) < 1e-9
@@ -72,7 +77,7 @@ def test_criterion_01_exact_spectrum(sbm200):
     assert abs(spec.lam2 - w[1]) < 1e-9
     assert abs(spec.lam_rest + 0.3) < 1e-12
     assert abs(spec.gap2 - 20.0) < 1e-12
-    elapsed = time.monotonic() - start
+    elapsed = time.process_time() - start
     assert elapsed < 1.0
     print(OK.format(1, f"exact spectrum 39.7/19.7/-0.3, gap 20 ({elapsed:.2f}s)"))
 
@@ -106,7 +111,7 @@ def test_criterion_02_certificates_exact(sbm200):
 
 
 def test_criterion_03_katz_constants(sbm200):
-    start = time.monotonic()
+    start = time.process_time()
     beta = 5 / 794
     rho = float(np.max(np.abs(np.linalg.eigvalsh(sbm200.P))))
     assert abs(beta * rho - 0.25) < 1e-12
@@ -119,7 +124,7 @@ def test_criterion_03_katz_constants(sbm200):
         term = beta * (sbm200.P @ term)
         acc += term
     assert np.max(np.abs(scores - acc)) < 1e-8
-    elapsed = time.monotonic() - start
+    elapsed = time.process_time() - start
     assert elapsed < 1.0
     print(OK.format(3, f"beta rho = 1/4, L = 10/397, Neumann match ({elapsed:.2f}s)"))
 
@@ -204,7 +209,7 @@ def test_criterion_07_clustering(strong_cluster_run):
 
 
 def test_criterion_08_stability_and_ties():
-    start = time.monotonic()
+    start = time.process_time()
     rng = np.random.default_rng(4242)
     certified_count = 0
     for _ in range(8):
@@ -237,7 +242,7 @@ def test_criterion_08_stability_and_ties():
         flipped = tie_counterexample(x, 1, eps)
         sel = top_m_selection(flipped, 1)
         assert sel.unique and sel.sets == ((1,),)
-    elapsed = time.monotonic() - start
+    elapsed = time.process_time() - start
     assert elapsed < 30.0
     print(
         OK.format(
@@ -249,7 +254,7 @@ def test_criterion_08_stability_and_ties():
 
 
 def test_criterion_09_downstream_inequalities():
-    start = time.monotonic()
+    start = time.process_time()
     rng = np.random.default_rng(31337)
 
     # feasibility transfer under adversarial infinity-ball perturbations
@@ -287,7 +292,7 @@ def test_criterion_09_downstream_inequalities():
         eta, d_filt, included = filtration_sandwich(X, Y, [0.5, 1.5])
         assert d_filt <= 2 * eta + 1e-12
         assert all(lower and upper for lower, upper in included)
-    elapsed = time.monotonic() - start
+    elapsed = time.process_time() - start
     assert elapsed < 60.0
     print(OK.format(9, f"fairness/trade-off/filtration: 0 violations ({elapsed:.1f}s)"))
 
@@ -295,7 +300,7 @@ def test_criterion_09_downstream_inequalities():
 def test_criterion_10_protocol_gating():
     import itertools
 
-    start = time.monotonic()
+    start = time.process_time()
     model = two_block_sbm(40, 0.8, 0.2)
     A = sample_adjacency(model, 5)
     n = 40
@@ -359,6 +364,6 @@ def test_criterion_10_protocol_gating():
     # byte-identical reports under fixed inputs
     cfg = make_config(True, True, True, True)
     assert run_protocol(A, cfg).to_json() == run_protocol(A, cfg).to_json()
-    elapsed = time.monotonic() - start
+    elapsed = time.process_time() - start
     assert elapsed < 5.0
     print(OK.format(10, f"gating sound over 16 combos, refusal + determinism ({elapsed:.1f}s)"))

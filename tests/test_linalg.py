@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import graphcert
 from graphcert import (
@@ -700,7 +700,8 @@ def test_top_k_idempotent_on_symmetric_input(rng):
 
 def test_src_makes_no_scipy_eigh_call():
     # every eigenvalue and eigenvector the package reads comes from one
-    # Householder reduction of its matrix, a Spectrum
+    # Householder reduction of its matrix, a Spectrum, or from the r x r
+    # Rayleigh-Ritz matrix of a certified gap read (LAPACK dsyev)
     src = Path(graphcert.__file__).parent
     calls = [
         f"{path.name}:{node.lineno}"
@@ -710,3 +711,123 @@ def test_src_makes_no_scipy_eigh_call():
         and "eigh" in (getattr(node.func, "attr", None), getattr(node.func, "id", None))
     ]
     assert calls == []
+
+
+def _low_rank_near(n, w, clip, diag, seed, hidden=0.0):
+    """(M, w, V): M = V diag(w) V^T plus a diagonal of entries in
+    [-diag, diag] and an eigenvalue ``hidden`` along e_0 - e_1 made
+    orthogonal to V (a direction the start block V misses, whose
+    Gershgorin rows stay short), with a ``clip`` fraction of its entries
+    clipped at each end, symmetrized; V has random orthonormal columns."""
+    rng = np.random.default_rng(seed)
+    w = np.asarray(w, dtype=float)
+    V = random_orthonormal(rng, n, w.size)
+    u = np.zeros(n)
+    u[:2] = 1.0, -1.0
+    u -= V @ (V.T @ u)
+    u /= np.linalg.norm(u)
+    M = (V * w) @ V.T + hidden * np.outer(u, u) + np.diag(rng.uniform(-diag, diag, size=n))
+    if clip:
+        M = np.clip(M, np.quantile(M, clip), np.quantile(M, 1.0 - clip))
+    return (M + M.T) / 2.0, w, V
+
+
+@given(
+    n=st.integers(TOP_BLOCK, 120),
+    pos=st.lists(st.floats(10.0, 60.0), min_size=2, max_size=3, unique=True),
+    neg=st.lists(st.floats(-50.0, -10.0), max_size=1),
+    k=st.integers(1, 3),
+    clip=st.sampled_from([0.0, 0.001, 0.02]),
+    diag=st.sampled_from([0.0, 0.3, 3.0]),
+    hidden=st.sampled_from([0.0, 0.0, 0.0, 15.0, 40.0]),  # mostly none, so that reads certify
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=300)
+# pinned, in order: a negative kept value, k > p, k = p = 1, an undecided
+# min, n <= TOP_BLOCK + r, a tie, and an eigenvalue among the kept ones
+# that the start block misses
+@example(n=80, pos=[20.0, 35.0], neg=[-45.0], k=2, clip=0.001, diag=0.3, seed=1, hidden=0.0)
+@example(n=80, pos=[20.0, 35.0], neg=[], k=3, clip=0.0, diag=0.3, seed=2, hidden=0.0)
+@example(n=80, pos=[30.0], neg=[], k=1, clip=0.0, diag=0.3, seed=3, hidden=0.0)
+@example(n=80, pos=[10.0, 40.0], neg=[], k=2, clip=0.0, diag=0.3, seed=4, hidden=0.0)
+@example(n=TOP_BLOCK + 2, pos=[20.0, 35.0], neg=[], k=2, clip=0.0, diag=0.3, seed=5, hidden=0.0)
+@example(n=80, pos=[30.0, 30.0 + 1e-8, 50.0], neg=[], k=2, clip=0.0, diag=0.0, seed=6, hidden=0.0)
+@example(n=80, pos=[20.0, 45.0], neg=[], k=1, clip=0.0, diag=0.0, seed=7, hidden=30.0)
+def test_ritz_gap_certified_reads_match_the_reduction(n, pos, neg, k, clip, diag, seed,
+                                                      hidden):
+    # a certified read is the reduction's gap, tie zeroing included, within
+    # 1e-12 of the spectrum's scale, also when an eigenvalue the start block
+    # misses lies among the kept ones; any other read falls back to the
+    # reduction itself
+    assume(k <= n - 1)
+    M, w, V = _low_rank_near(n, neg + pos, clip, diag, seed, hidden)
+    S = eigendecompose(M)
+    want = S.gap(k)
+    got, reason = linalg._ritz_gap(M, w, V, k)
+    assert reason in ("certified", "wide_block", "k_beyond_positive", "unconverged", "undecided")
+    assert (got is None) == (reason != "certified")
+    if got is not None:
+        assert abs(got - want) <= 1e-12 * max(1.0, float(S.top(1)[0][0]))
+    p = int(np.count_nonzero(w > 0))
+    if n - TOP_BLOCK < 8 * w.size or k > p or k == p == 1:
+        assert got is None
+    read = eigendecompose(M).gap(k, start=(w, V))
+    assert read == (want if got is None else got)
+
+
+def _ritz_case(reason):
+    """(M, w, V, k) whose Rayleigh-Ritz gap read falls back for ``reason``,
+    or is certified."""
+    n = 120
+    cases = {
+        "certified": ([25.0, 45.0], 2, 0.3),
+        "wide_block": ([20.0, 45.0], 2, 0.3),
+        "k_beyond_positive": ([-30.0, 45.0], 2, 0.3),
+        "unconverged": ([20.0, 45.0], 2, 40.0),  # a diagonal that swamps the gap
+        "undecided": ([15.0, 45.0], 2, 0.3),     # lambda_1 - lambda_2 > lambda_2 - beta
+    }
+    w, k, diag = cases[reason]
+    if reason == "wide_block":
+        n = TOP_BLOCK + 8 * len(w) - 1
+    return *_low_rank_near(n, w, 0.0, diag, 7), k
+
+
+@pytest.mark.parametrize("reason,reduction", [
+    ("certified", 0), ("wide_block", 1), ("k_beyond_positive", 1), ("unconverged", 1),
+    ("undecided", 1),
+])
+def test_ritz_gap_falls_back_to_the_reduction(eig_calls, reason, reduction):
+    M, w, V, k = _ritz_case(reason)
+    assert linalg._ritz_gap(M, w, V, k)[1] == reason
+    got = eigendecompose(M).gap(k, start=(w, V))
+    assert eig_calls == {"subset": 0, "full": 0, "values": 0, "reduction": reduction}
+    assert abs(got - eigendecompose(M).gap(k)) <= 1e-12 * 45.0
+
+
+def test_rest_bounds_hold_the_spectrum_of_the_difference(rng):
+    # Gershgorin over M - V diag(w) V^T, a row block at a time: its extreme
+    # eigenvalues lie within the bounds, and the row bound covers its norm;
+    # for a diagonal difference the bounds are its extreme entries, up to
+    # the rounding slack
+    n = 2 * linalg._ROW_BLOCK + 3
+    M, w, V = _low_rank_near(n, [-12.0, 40.0], 0.02, 0.5, 11)
+    upper, lower, row = linalg._rest_bounds(M, w, V)
+    lam = scipy.linalg.eigvalsh(M - (V * w) @ V.T)
+    assert lower <= lam[0] and lam[-1] <= upper and max(-lam[0], lam[-1]) <= row
+    assert lower < 0 < upper
+    M, w, V = _low_rank_near(n, [-12.0, 40.0], 0.0, 0.5, 12)
+    d = np.diag(M - (V * w) @ V.T)
+    upper, lower, row = linalg._rest_bounds(M, w, V)
+    assert 0 <= upper - d.max() <= 1e-9 and 0 <= d.min() - lower <= 1e-9
+
+
+def test_ritz_gap_needs_the_tie_tolerance_proven():
+    # lambda_1 - lambda_2 = 7e-8 is a gap against the tie tolerance
+    # 1e-9 * 50 of lambda_1, but a reduction ties it, because lambda_8 =
+    # -100 sets its tolerance to 1e-7; the rest's lower end shows that, so
+    # the read falls back
+    n = 30
+    M = np.diag(np.concatenate(([50.0 + 7e-8, 50.0], np.full(n - 2, -100.0))))
+    w, V = np.array([50.0 + 7e-8, 50.0]), np.eye(n)[:, :2]
+    assert linalg._ritz_gap(M, w, V, 1) == (None, "undecided")
+    assert eigendecompose(M).gap(1, start=(w, V)) == eigendecompose(M).gap(1) == 0.0

@@ -29,6 +29,7 @@ from graphcert.protocol import (
     FairnessConfig,
     ProtocolConfig,
     UsvtConfig,
+    _usvt_kept,
     config_from_dict,
     report_to_json,
 )
@@ -769,18 +770,32 @@ def _eigensolver_route_config(route):
 
 @pytest.mark.parametrize(
     "route,subset,full,values,reduction",
-    [("declared_katz", 0, 0, 0, 1), ("usvt_eigenvector", 0, 0, 0, 2),
+    [("declared_katz", 0, 0, 0, 1), ("usvt_eigenvector", 0, 0, 0, 1),
      ("parametric_eigenvector", 0, 0, 0, 2)],
 )
 def test_eigensolver_call_counts(sbm200, eig_calls, route, subset, full, values, reduction):
-    # one reduction of A serves every consumer; the USVT route also reduces
-    # P_hat for its gap, and the parametric P is built and reduced once for
-    # the gap and D3
+    # one reduction of A serves every consumer; the USVT route reads P_hat's
+    # gap by the certified Rayleigh-Ritz read, with no reduction of P_hat, and
+    # the parametric P is built and reduced once for the gap and D3
     A = sample_adjacency(sbm200, 56)
     report = run_protocol(A, _eigensolver_route_config(route))
     assert {"subspace", "centrality_bands", "cluster", "filtration"} <= set(report.outputs)
     assert eig_calls == {"subset": subset, "full": full, "values": values,
                          "reduction": reduction}
+
+
+def test_usvt_gap_beyond_the_kept_pairs_reduces_p_hat(sbm200, eig_calls):
+    # a threshold between the two outliers keeps lambda_1 alone, so the
+    # 2-gap needs lambda_3 of P_hat, which the Rayleigh-Ritz read cannot
+    # certify: P_hat is reduced, and the gap is that reduction's
+    A = sample_adjacency(sbm200, 56)
+    doc = {"k": 2, "envelope": {"d_max": 39.7}, "usvt": {"threshold_scale": 4.5, "eps_p": 2.0}}
+    report = run_protocol(A, config_from_dict(doc))
+    assert eig_calls["reduction"] == 2
+    S = eigendecompose(A.A)
+    assert _usvt_kept(S, 4.5)[0].size == 1
+    want = eigendecompose(usvt_denoise(S, 4.5)).gap(2)
+    assert report.diagnostics["usvt"]["empirical_gap_of_denoised"] == want
 
 
 def _array_equal_calls(monkeypatch, model, route):
