@@ -25,6 +25,11 @@ the 2-gap of ``P_hat`` comes from its own reduction, where
 ``usvt_eigenvector_kmeans`` has it from the certified Rayleigh-Ritz read.
 The corpus has 105 artifacts.
 Two checkouts whose lines all agree write byte-identical results on it.
+An artifact's bytes are its report as ``report_to_json`` writes it: the
+standard library's JSON encoder, 2-space indent, each real in its shortest
+round-trip spelling. Checkouts older than that writer spell reals with 17
+significant digits, so every digest differs from theirs although no
+value does; ``--compare`` (below) tells the two apart.
 graphcert is imported from whatever ``PYTHONPATH`` names, and only where
 the corpus is built; run the script once per checkout and ``diff`` the
 outputs. It uses only long-standing public API (``config_from_dict``,
@@ -335,7 +340,10 @@ def _moved_leaves(a, b, path: str = ""):
         for i, (x, y) in enumerate(zip(a, b)):
             yield from _moved_leaves(x, y, f"{path}/{i}")
     elif {type(a), type(b)} <= {int, float} and float in {type(a), type(b)}:
-        # a real is written with 17 digits, so an integral one reads back as int
+        # an integral real reads back as float ("20.0") from the shortest
+        # round-trip spelling, but as int from older checkouts' 17-digit one
+        # ("20", and "-0" for -0.0); accepting either type keeps dumps of
+        # older checkouts comparable with new ones
         if not (a == b or (math.isnan(a) and math.isnan(b))
                 or abs(a - b) <= REAL_RTOL * max(abs(a), abs(b))):
             yield path or "/", a, b

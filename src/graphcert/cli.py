@@ -17,11 +17,13 @@ Exit codes: 0 = report produced (refusals included), 1 = invalid input,
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import json
 import math
 import sys
 from fractions import Fraction
+from io import StringIO
 
 import numpy as np
 
@@ -33,7 +35,6 @@ from .protocol import (
     CentralityConfig,
     ClusteringConfig,
     ProtocolConfig,
-    _fmt_float,
     config_from_dict,
     report_to_json,
     run_protocol,
@@ -100,13 +101,14 @@ def _flatten(obj, prefix="", rows=None):
             _flatten(val, f"{prefix}{i}.", rows)
     else:
         key = prefix[:-1] if prefix.endswith(".") else prefix
-        rows.append((key, _fmt_float(obj) if isinstance(obj, float) else str(obj)))
+        rows.append((key, json.dumps(obj) if isinstance(obj, float) else str(obj)))
     return rows
 
 
 def _to_csv(doc: dict) -> str:
-    rows = _flatten(doc)
-    return "key,value\n" + "\n".join(f"{k},{v}" for k, v in rows) + "\n"
+    buf = StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([("key", "value"), *_flatten(doc)])
+    return buf.getvalue()
 
 
 def _emit(doc: dict, out, fmt: str) -> None:

@@ -349,44 +349,17 @@ class DiagnosticReport:
         return report_to_json(self.to_dict())
 
 
-def _fmt_float(x: float) -> str:
-    """17 significant digits; round-trips every IEEE double."""
-    if math.isnan(x):
-        return "NaN"
-    if math.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
-    return format(x, ".17g")
-
-
-def report_to_json(obj, indent: int = 0) -> str:
-    """Deterministic JSON: insertion-ordered keys, 17-digit reals."""
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            f'{pad}  "{key}": {report_to_json(val, indent + 1)}'
-            for key, val in obj.items()
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if len(obj) == 0:
-            return "[]"
-        items = [f"{pad}  {report_to_json(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, (bool, np.bool_)) or obj is None:
-        return {True: "true", False: "false", None: "null"}[
-            bool(obj) if obj is not None else None
-        ]
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt_float(float(obj))
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, np.ndarray):
-        return report_to_json(obj.tolist(), indent)
+def _numpy_to_json(obj):
+    """numpy arrays and scalars as the Python lists and numbers they hold."""
+    if isinstance(obj, (np.ndarray, np.bool_, np.number)):
+        return obj.tolist()
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def report_to_json(obj) -> str:
+    """Deterministic JSON: insertion-ordered keys, 2-space indent, each real
+    in its shortest round-trip spelling."""
+    return json.dumps(obj, indent=2, default=_numpy_to_json)
 
 
 # ---------------------------------------------------------------------------

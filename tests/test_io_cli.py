@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import math
@@ -7,7 +8,7 @@ import pytest
 
 import graphcert.io
 from graphcert import GraphCertError, TooManyNodes
-from graphcert.cli import main
+from graphcert.cli import _flatten, main
 from graphcert.io import (
     load_edge_list,
     model_from_dict,
@@ -283,6 +284,31 @@ def test_cli_csv_format(tmp_path, sbm200):
     text = out.read_text()
     assert text.startswith("key,value\n")
     assert "flags.D1.passed,True" in text
+
+
+@pytest.mark.parametrize("command", ["example-sbm", "certify-overflow"])
+def test_cli_csv_rows_parse_back_to_key_and_value(tmp_path, sbm200, command):
+    # free-text values hold commas ("n=200, within 3/10", "..., alpha = 0.05"):
+    # each row must still read back as exactly one (key, value) pair, the
+    # value spelled as the JSON report's flattening spells it
+    if command == "example-sbm":
+        argv = ["example-sbm"]
+    else:
+        config = tmp_path / "overflow.json"
+        config.write_text(json.dumps(
+            {"k": 2, "alpha": 0.05, "envelope": {"d_max": 1e308, "gap": 20.0}}
+        ), encoding="utf-8")
+        argv = ["certify", "--graph", str(_write_graph(tmp_path, sbm200)),
+                "--config", str(config)]
+    texts = {}
+    for fmt in ("json", "csv"):
+        out = tmp_path / f"out.{fmt}"
+        assert main(argv + ["--out", str(out), "--format", fmt]) == 0
+        texts[fmt] = out.read_text(encoding="utf-8")
+    rows = list(csv.reader(texts["csv"].splitlines(keepends=True)))
+    assert rows[0] == ["key", "value"]
+    assert rows[1:] == [[key, value] for key, value in _flatten(json.loads(texts["json"]))]
+    assert any("," in value for _, value in rows[1:])
 
 
 def _write_two_block_40(tmp_path):

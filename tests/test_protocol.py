@@ -542,6 +542,72 @@ def test_reports_are_byte_identical(sbm200):
     assert text1 == text2
 
 
+def _assert_read_back(mine, parsed):
+    """``parsed`` (the writer's text read back) holds ``mine`` leaf for leaf:
+    same keys in order, same types, and every real bit for bit."""
+    if isinstance(mine, (np.ndarray, np.generic)):
+        mine = mine.tolist()
+    if isinstance(mine, dict):
+        assert list(parsed) == list(mine)
+        for key, val in mine.items():
+            _assert_read_back(val, parsed[key])
+    elif isinstance(mine, (list, tuple)):
+        assert type(parsed) is list and len(parsed) == len(mine)
+        for x, y in zip(mine, parsed):
+            _assert_read_back(x, y)
+    elif isinstance(mine, float) and math.isnan(mine):
+        assert type(parsed) is float and math.isnan(parsed)
+    elif isinstance(mine, float):
+        assert type(parsed) is float and np.float64(parsed).tobytes() == np.float64(mine).tobytes()
+    else:
+        assert type(parsed) is type(mine) and parsed == mine
+
+
+def test_report_writer_echoes_declared_reals_and_reads_back_bit_for_bit():
+    doc = full_config_doc()
+    doc["envelope"]["d_max"] = 39.7
+    report = run_protocol(_two_block_40(), config_from_dict(doc))
+    text = report.to_json()
+    assert '\n  "alpha": 0.05,\n' in text
+    assert '"d_max": 39.7,' in text and '"provenance": "declared d_max = 39.7"' in text
+    _assert_read_back(report.to_dict(), json.loads(text))
+
+    numpy_doc = {
+        "f64": np.float64(0.1), "f32": np.float32(0.1), "int": np.int64(-3),
+        "bool": np.bool_(True), "reals": np.array([[0.1, 1 / 3], [2.0, -0.0]]),
+        "ints": np.arange(3), "tiny": 5e-324, "huge": 1.7976931348623157e308,
+    }
+    _assert_read_back(numpy_doc, json.loads(report_to_json(numpy_doc)))
+
+
+def test_report_writer_spells_edge_values():
+    doc = {"nan": math.nan, "inf": [math.inf, -math.inf], "zero": -0.0, "whole": 20.0,
+           "empty": {"dict": {}, "list": [], "tuple": ()}, "text": "é\"", "none": None}
+    assert report_to_json(doc) == "\n".join([
+        "{",
+        '  "nan": NaN,',
+        '  "inf": [',
+        "    Infinity,",
+        "    -Infinity",
+        "  ],",
+        '  "zero": -0.0,',
+        '  "whole": 20.0,',
+        '  "empty": {',
+        '    "dict": {},',
+        '    "list": [],',
+        '    "tuple": []',
+        "  },",
+        '  "text": "\\u00e9\\"",',
+        '  "none": null',
+        "}",
+    ])
+    assert math.copysign(1.0, json.loads(report_to_json(doc))["zero"]) == -1.0
+    with pytest.raises(TypeError, match="cannot serialize complex"):
+        report_to_json({"z": 1j})
+    with pytest.raises(TypeError, match="cannot serialize object"):
+        report_to_json([object()])
+
+
 def test_report_and_coverage_key_order_is_pinned(sbm200):
     # the written keys and their order are the report schema: every block
     # is open, and the subspace and cluster notes are present (radius >= 1,
