@@ -19,11 +19,13 @@ optimizer's least-violation branch is digested too (``certified`` false).
 Six more configs reach the D3 outcomes the others do not: a Katz spec
 outside its domain, Katz and eigenvector declarations that are not
 certified, a declared gamma of 0, a band whose modulus overflows, and
-``selection_m`` without a centrality block. ``usvt_one_kept_pair`` sets
-the USVT threshold between the two outliers, so only lambda_1 is kept and
-the 2-gap of ``P_hat`` comes from its own reduction, where
-``usvt_eigenvector_kmeans`` has it from the certified Rayleigh-Ritz read.
-The corpus has 105 artifacts.
+``selection_m`` without a centrality block. The USVT artifacts cover both
+reads of the 2-gap of ``P_hat``: ``usvt_eigenvector_kmeans`` at n = 600
+clips no entry, so the gap is the certified Rayleigh-Ritz read of the
+operator on the kept pairs; at n = 200 an entry clips, and
+``usvt_one_kept_pair`` sets the threshold between the two outliers, so
+only lambda_1 is kept (k > p): both take the reduction of the
+materialized ``P_hat``. The corpus has 105 artifacts.
 Two checkouts whose lines all agree write byte-identical results on it.
 An artifact's bytes are its report as ``report_to_json`` writes it: the
 standard library's JSON encoder, 2-space indent, each real in its shortest

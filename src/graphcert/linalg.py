@@ -3,8 +3,8 @@
 Provides the one spectrum of a symmetric matrix (a :class:`Spectrum`
 shared by every spectral consumer, read by subset solves from one
 Householder tridiagonal reduction) with its canonical top-k basis, a
-certified Rayleigh-Ritz read of the gap of a matrix near a known low-rank
-one (the reduction is its fallback), the Grassmann (projector-norm)
+certified Rayleigh-Ritz read of the gap of a low-rank matrix with its
+diagonal zeroed (an operator read, no n x n matrix), the Grassmann (projector-norm)
 distance between subspaces, orthogonal Procrustes alignment, the Weyl-type
 gap transfer used to certify gaps from denoised estimates, and the
 rank-aware Frobenius bound that converts a projector radius into a
@@ -49,7 +49,6 @@ TOP_BLOCK = 8
 
 _RITZ_STEPS = 4     # block power steps a Rayleigh-Ritz gap read may take
 _RITZ_TOL = 1e-12   # its error bound on the gap, relative to max(1, theta_1)
-_ROW_BLOCK = 128    # rows of M - V diag(w) V^T formed at a time by the rest bound
 
 
 def is_symmetric(M: np.ndarray) -> bool:
@@ -165,9 +164,10 @@ class Spectrum:
     iteration) whose eigenvectors are mapped back through the reflectors
     (``dormqr``). Reads of the largest pairs read at least ``TOP_BLOCK`` of
     them, a fixed size rather than the first read's, so those reads give the
-    same values whatever order they come in. No read computes every
-    eigenvector unless it asks for all of them. :meth:`resolvent` solves
-    with I - beta M on the same reduction.
+    same values whatever order they come in; a read that needs more (a tie
+    group of :meth:`top_k`, the positive side of :meth:`beyond`) doubles it.
+    No read computes every eigenvector unless it asks for all of them.
+    :meth:`resolvent` solves with I - beta M on the same reduction.
 
     ``dsytrd`` copies the matrix into its float64 work array, casting an
     integer matrix on the way, so an int8 0/1 matrix and its float64 copy
@@ -178,7 +178,6 @@ class Spectrum:
         self.matrix = matrix
         self._reduced = None  # reflectors, their scales and T's diagonals
         self._top = None      # descending pairs read from T, the largest read so far
-        self._kept = None     # (thr, values, vectors) of the last beyond(thr) read
 
     @property
     def n(self) -> int:
@@ -261,27 +260,35 @@ class Spectrum:
         w, V = self._pairs(m)
         return w[:m], V[:, :m]
 
+    def _value(self, i: int) -> float:
+        """The i-th smallest eigenvalue (from 0), read alone from T."""
+        _, _, d, e = self._reduction()
+        w = scipy.linalg.eigh_tridiagonal(d, e, eigvals_only=True, select="i", select_range=(i, i))
+        return float(w[0])
+
     def beyond(self, thr: float) -> tuple[np.ndarray, np.ndarray]:
         """The eigenvalues with ``|lambda| >= thr`` in ascending order and
-        their unit eigenvectors as columns (read-only): two value ranges on
-        T, ``(-inf, -thr]`` and ``(nextafter(thr, -inf), inf]``; a range with
-        no eigenvalue skips the back-transform. ``thr = 0`` keeps every pair.
-        A second read at the last threshold returns the same arrays."""
+        their unit eigenvectors as columns (read-only). The positive side is
+        served by the top read (:meth:`_pairs`), doubled while its last value
+        is at least thr; the negative side is one read of lambda_min and,
+        only when lambda_min <= -thr, a read of the value range
+        ``(-inf, -thr]``. ``thr = 0`` keeps every pair, read at once."""
         if not thr >= 0:  # NaN too
             raise ValueError(f"threshold must be nonnegative, got {thr!r}")
-        if self._kept is None or self._kept[0] != thr:
-            if thr == 0:
-                ranges = [(-np.inf, np.inf)]
-            else:
-                ranges = [(-np.inf, -thr), (np.nextafter(thr, -np.inf), np.inf)]
-            parts = [
-                self._reduced_pairs(select="v", select_range=r) for r in ranges if r[0] < r[1]
-            ]
+        if thr == 0:
+            w, V = self._reduced_pairs()
+        else:
+            w, V = self._pairs(1)
+            while w[-1] >= thr and w.size < self.n:
+                w, V = self._pairs(min(self.n, 2 * w.size))
+            m = int(np.count_nonzero(w >= thr))
+            parts = [(w[:m][::-1], V[:, :m][:, ::-1])]
+            if self._value(0) <= -thr:
+                parts.insert(0, self._reduced_pairs(select="v", select_range=(-np.inf, -thr)))
             w, V = np.concatenate([w for w, _ in parts]), np.hstack([V for _, V in parts])
-            w.setflags(write=False)
-            V.setflags(write=False)
-            self._kept = thr, w, V
-        return self._kept[1:]
+        w.setflags(write=False)
+        V.setflags(write=False)
+        return w, V
 
     @property
     def radius(self) -> float:
@@ -290,31 +297,17 @@ class Spectrum:
         the larger in magnitude of T's two extreme eigenvalues."""
         if self.matrix.min() >= 0:
             return float(self.top(1)[0][0])
-        _, _, d, e = self._reduction()
-        ends = [
-            scipy.linalg.eigh_tridiagonal(d, e, eigvals_only=True, select="i", select_range=(i, i))
-            for i in (0, self.n - 1)
-        ]
-        return spectral_radius(np.concatenate(ends))
+        return spectral_radius(np.array([self._value(0), self._value(self.n - 1)]))
 
     def _check_k(self, k: int) -> None:
         if not 1 <= k <= self.n - 1:
             raise KOutOfRange(f"k = {k} must lie in [1, {self.n - 1}]")
 
-    def gap(self, k: int, start: Optional[tuple[np.ndarray, np.ndarray]] = None) -> float:
+    def gap(self, k: int) -> float:
         """The k-gap of the descending spectrum, see :func:`eigengap`; 0.0
         when it is within the tie tolerance of :meth:`top_k`, where a
-        computed gap is rounding noise.
-
-        ``start`` is ``(w, V)``: values and orthonormal columns of a
-        low-rank X0 = V diag(w) V^T near the matrix. With it the gap is
-        first read by :func:`_ritz_gap`, which needs no reduction; only a
-        read it cannot certify makes the reduction."""
+        computed gap is rounding noise."""
         self._check_k(k)
-        if start is not None:
-            gap, _ = _ritz_gap(self.matrix, *start, k)
-            if gap is not None:
-                return gap
         w = self._pairs(k + 1)[0]
         gap = eigengap(w, k)
         return gap if gap > _tie_tol(w) else 0.0
@@ -338,76 +331,42 @@ def _check_lapack(name: str, info: int) -> None:
         raise np.linalg.LinAlgError(f"LAPACK {name} failed with info = {info}")
 
 
-def _rest_bounds(M: np.ndarray, w: np.ndarray, V: np.ndarray) -> tuple[float, float, float]:
-    """(upper, lower, row): Gershgorin bounds on the largest and smallest
-    eigenvalues of E = M - V diag(w) V^T, and its largest absolute row sum,
-    which bounds ||E||. E is formed ``_ROW_BLOCK`` rows at a time, so no
-    n x n temporary is made.
+def _ritz_gap(w: np.ndarray, V: np.ndarray, k: int) -> tuple[Optional[float], str]:
+    """The k-gap, as :meth:`Spectrum.gap` reads it, of M = V diag(w) V^T -
+    diag(d), d the diagonal of V diag(w) V^T (so M is that matrix with its
+    diagonal zeroed), for r orthonormal columns V: block Rayleigh-Ritz on
+    the operator X -> V (w o (V^T X)) - d o X, O(n r^2) a step, with no
+    n x n matrix and no reduction. Returns ``(gap, "certified")``, or
+    ``(None, reason)`` when the read cannot certify it.
 
-    Floating-point slack: each computed entry of V diag(w) V^T is off by at
-    most gamma_{r+1} sum_l |V_il w_l V_jl|, whose sum over a row is at most
-    gamma_{r+1} r sqrt(n) max|w| (unit columns have 1-norm at most
-    sqrt(n)); the subtraction, the absolute values and the n-term row sum
-    add at most gamma_{n+2} times the computed row sum. Both bounds are
-    widened by (n + r + 4) eps (row + r sqrt(n) max|w|), eps = 2u, which
-    covers the two terms with room for their second-order parts."""
-    n, r = V.shape
-    Wv = V * w
-    upper, lower, row = -np.inf, np.inf, 0.0
-    # one buffer for every block: rows of V diag(w) V^T are written C-ordered,
-    # as the transpose of an F-ordered product
-    buffer = np.empty((n, min(n, _ROW_BLOCK)), order="F")
-    for start in range(0, n, _ROW_BLOCK):
-        stop = min(n, start + _ROW_BLOCK)
-        E = dgemm(1.0, Wv, V[start:stop], trans_b=True, c=buffer[:, : stop - start],
-                  overwrite_c=True).T
-        np.subtract(M[start:stop], E, out=E)
-        d = E[np.arange(stop - start), np.arange(start, stop)].copy()
-        s = np.abs(E, out=E).sum(axis=1)
-        off = s - np.abs(d)
-        upper = max(upper, float(np.max(d + off)))
-        lower = min(lower, float(np.min(d - off)))
-        row = max(row, float(np.max(s)))
-    wmax = float(np.max(np.abs(w))) if r else 0.0
-    slack = (n + r + 4) * np.finfo(float).eps * (row + r * math.sqrt(n) * wmax)
-    return upper + slack, lower - slack, row + slack
-
-
-def _ritz_gap(
-    M: np.ndarray, w: np.ndarray, V: np.ndarray, k: int
-) -> tuple[Optional[float], str]:
-    """The k-gap of symmetric M as :meth:`Spectrum.gap` reads it, from block
-    Rayleigh-Ritz started at the r orthonormal columns V, with no reduction
-    of M: ``(gap, "certified")``, or ``(None, reason)`` when the read cannot
-    certify it.
-
-    X0 = V diag(w) V^T should be near M; p is the number of positive w.
-    X0 has at most p positive eigenvalues, so lambda_{p+1}(M) <=
-    lambda_1(M - X0) by Weyl, and :func:`_rest_bounds` bounds that by
-    ``beta``. Up to ``_RITZ_STEPS`` block steps X <- orth(M X) on all r
-    columns (so a negative outlier cannot take over) give Ritz values
-    theta_1 >= ... >= theta_p with residual norms rho_i. The read is
-    certified when:
+    p is the number of positive w. V diag(w) V^T has at most p positive
+    and at most r - p negative eigenvalues, so by Weyl lambda_{p+1}(M) <=
+    beta = -min d, and lambda_m(M) >= -max d for m <= n - r + p: exactly,
+    for the d the operator uses. Up to ``_RITZ_STEPS`` block steps X <-
+    orth(M X) on all r columns (so a negative value cannot take over),
+    started at V, give Ritz values theta_1 >= ... >= theta_p with residual
+    norms rho_i. The read is certified when:
 
     - the intervals theta_i +- rho_i are disjoint and lie above beta, so
       each holds exactly one of lambda_1..lambda_p (Krylov-Weinstein);
-    - each value the gap uses has Kato-Temple error rho_i^2 / delta_i at
-      most tau / 2, tau = ``_RITZ_TOL`` max(1, theta_1), delta_i the
-      distance to the neighbouring intervals (or to beta), so a difference
-      of two is within tau;
+    - each of theta_1..theta_{min(k+1, p)} has Kato-Temple error rho_i^2 /
+      delta_i at most tau / 2, tau = ``_RITZ_TOL`` max(1, theta_1), delta_i
+      the distance to the neighbouring intervals (or to beta), so a
+      difference of two is within tau;
     - the min in :func:`eigengap` is decided: k < p, or k = p >= 2 and
       lambda_{k-1} - lambda_k <= lambda_k - beta;
-    - the tie tolerance is provably 1e-9 max(1, lambda_1): for n - r >
-      ``TOP_BLOCK``, lambda_8(M) >= lambda_min(M - X0), which must be at
-      least -max(1, lambda_1); and the gap is decided against it.
+    - the tie tolerance is provably 1e-9 max(1, lambda_1): lambda_8(M) >=
+      -max d, which must be at least -max(1, lambda_1); and the gap is
+      decided against it.
 
     Rounding in the products, the Ritz values and the residuals is covered
-    by a slack of (n + r + 2) sqrt(r) eps ||M|| added to each rho_i and each
-    error. The reasons: ``"wide_block"`` (8 r > n - ``TOP_BLOCK``: the read
-    would cost more than a reduction, or leave no room for lambda_8 in the
-    rest), ``"k_beyond_positive"`` (k > p), ``"unconverged"`` (the intervals
-    or the errors still fail after the last step) and ``"undecided"`` (the
-    min or the tie is not decided, or k = p = 1, where lambda_2 is unread).
+    by a slack of (n + r + 2) sqrt(r) eps (max|w| + max|d|), a bound on
+    ||M||, added to each rho_i and each error. The reasons: ``"wide_block"``
+    (8 r > n - ``TOP_BLOCK``: the read would cost about as much as a
+    reduction, or leave no room for lambda_8 above the negative values),
+    ``"k_beyond_positive"`` (k > p), ``"unconverged"`` (the intervals or the
+    errors still fail after the last step) and ``"undecided"`` (the min or
+    the tie is not decided, or k = p = 1, where lambda_2 is unread).
     """
     n, r = V.shape
     p = int(np.count_nonzero(w > 0))
@@ -417,17 +376,18 @@ def _ritz_gap(
         return None, "k_beyond_positive"
     if k == p == 1:
         return None, "undecided"
-    beta, lower, row = _rest_bounds(M, w, V)
-    slack = (n + r + 2) * math.sqrt(r) * np.finfo(float).eps * (float(np.max(np.abs(w))) + row)
-    used = np.arange(max(k - 2, 0), min(k + 1, p))
-    # every product is scipy's dgemm: numpy matmuls here ran on numpy's own
-    # OpenBLAS beside scipy's and cost about 35 ms an op at n = 1000. M.T is
-    # M, F-ordered when M is C-ordered, so dgemm makes no copy of it
-    Mt = M.T
+    V = np.asfortranarray(V)
+    d = (V * w * V).sum(axis=1)
+    beta = -float(d.min())
+    norm = float(np.max(np.abs(w))) + float(np.max(np.abs(d)))  # bounds ||M||
+    slack = (n + r + 2) * math.sqrt(r) * np.finfo(float).eps * norm
+    used = np.arange(min(k + 1, p))
     X = V
     for _ in range(_RITZ_STEPS):
         X = scipy.linalg.qr(X, mode="economic", check_finite=False)[0]
-        Y = dgemm(1.0, Mt, X)
+        # every product is scipy's dgemm: numpy matmuls here ran on numpy's
+        # own OpenBLAS beside scipy's and cost about 35 ms an op at n = 1000
+        Y = dgemm(1.0, V, w[:, None] * dgemm(1.0, V, X, trans_a=True)) - d[:, None] * X
         H = dgemm(1.0, X, Y, trans_a=True)
         theta, G, info = scipy.linalg.lapack.dsyev((H + H.T) / 2.0)
         _check_lapack("dsyev", info)
@@ -446,7 +406,7 @@ def _ritz_gap(
         X = Y
     else:
         return None, "unconverged"
-    if -lower > max(1.0, float(lo[0])):
+    if float(d.max()) > max(1.0, float(lo[0])):
         return None, "undecided"
     if k < p:
         gap = eigengap(theta, k)

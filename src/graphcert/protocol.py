@@ -62,7 +62,7 @@ from .downstream import (
     quadratic_loss,
     threshold_snapshots,
 )
-from .linalg import Spectrum, weyl_gap_certificate
+from .linalg import Spectrum, _ritz_gap, weyl_gap_certificate
 from .io import from_json, spec_from_dict
 from .models import (
     AdjacencyMatrix,
@@ -265,11 +265,14 @@ def config_from_dict(d: dict) -> ProtocolConfig:
 # ---------------------------------------------------------------------------
 # protocol operations
 
+_ROW_BLOCK = 128  # rows of V diag(w) V^T, or of P_hat, handled at a time
+
+
 def _usvt_kept(S: Spectrum, threshold_scale: float) -> tuple[np.ndarray, np.ndarray]:
     """The pairs of A = ``S.matrix`` that USVT keeps, ascending: those with
     magnitude at least threshold_scale * sqrt(n * density), read by
-    ``S.beyond``, which returns the same arrays when read again. A NaN,
-    infinite or nonpositive threshold_scale is refused."""
+    ``S.beyond``. A NaN, infinite or nonpositive threshold_scale is
+    refused."""
     require_finite(threshold_scale=threshold_scale)
     if not threshold_scale > 0:
         raise ValueError("threshold_scale must be positive")
@@ -288,7 +291,7 @@ def usvt_denoise(S: Spectrum, threshold_scale: float = 2.02) -> np.ndarray:
     denoising error bound; no deviation quantile is derived from it. A NaN,
     infinite or nonpositive threshold_scale is refused. The result is
     exactly symmetric and read-only, so it can be a :class:`Spectrum` as it
-    is.
+    is. It is the one n x n array made (see :func:`_symmetrize`).
     """
     w, V = _usvt_kept(S, threshold_scale)
     # scipy's BLAS, the one the eigensolves use: an n x n numpy matmul would
@@ -296,10 +299,43 @@ def usvt_denoise(S: Spectrum, threshold_scale: float = 2.02) -> np.ndarray:
     # (the Katz scores are a LAPACK solve too: the op makes no such numpy call)
     P_hat = dgemm(1.0, V * w, V, trans_b=True)
     np.clip(P_hat, 0.0, 1.0, out=P_hat)
-    P_hat = (P_hat + P_hat.T) / 2.0
+    _symmetrize(P_hat)
     np.fill_diagonal(P_hat, 0.0)
     P_hat.setflags(write=False)
     return P_hat
+
+
+def _symmetrize(P: np.ndarray) -> None:
+    """P <- (P + P^T) / 2 in place, one pair of ``_ROW_BLOCK`` blocks at a
+    time, so the one temporary is a block. Addition commutes in floating
+    point, so both triangles get the bits of ``(P + P.T) / 2.0``."""
+    n, b = P.shape[0], _ROW_BLOCK
+    for i in range(0, n, b):
+        for j in range(i, n, b):
+            upper, lower = P[i : i + b, j : j + b], P[j : j + b, i : i + b]
+            mean = upper + lower.T
+            mean /= 2.0
+            upper[...] = mean
+            lower[...] = mean.T
+
+
+def _clip_free(w: np.ndarray, V: np.ndarray) -> bool:
+    """Whether every off-diagonal entry of V diag(w) V^T lies in [delta,
+    1 - delta], read ``_ROW_BLOCK`` rows at a time. delta = 2 (r + 2) eps
+    max|w| covers twice the rounding of a computed entry, gamma_{r+1} max|w|
+    for unit rows, so no entry of :func:`usvt_denoise`'s own product of the
+    same pairs clips either: its P_hat is V diag(w) V^T with the diagonal
+    zeroed, up to rounding."""
+    n, r = V.shape
+    delta = 2 * (r + 2) * np.finfo(float).eps * float(np.max(np.abs(w), initial=0.0))
+    Wv, V = np.asfortranarray(V * w), np.asfortranarray(V)
+    for start in range(0, n, _ROW_BLOCK):
+        stop = min(n, start + _ROW_BLOCK)
+        rows = dgemm(1.0, Wv[start:stop], V, trans_b=True)
+        rows[np.arange(stop - start), np.arange(start, stop)] = 0.5  # zeroed, never clipped
+        if not (delta <= rows.min() and rows.max() <= 1.0 - delta):  # NaN fails
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -445,10 +481,14 @@ def run_protocol(A: AdjacencyMatrix, config: ProtocolConfig) -> DiagnosticReport
         gap = float(config.envelope.gap)
         gap_source = "declared"
     elif config.usvt is not None and config.usvt.eps_p is not None:
-        # the kept pairs of A start a certified Rayleigh-Ritz read of P_hat's
-        # gap; only a read it cannot certify reduces P_hat (Spectrum.gap)
+        # unless an entry clips, P_hat is V diag(w) V^T with its diagonal
+        # zeroed, and its gap is read on the kept pairs with no n x n array;
+        # a graph that clips, or a read that cannot certify, reduces P_hat
         scale = config.usvt.threshold_scale
-        gap_hat = Spectrum(usvt_denoise(S, scale)).gap(k, start=_usvt_kept(S, scale))
+        w, V = _usvt_kept(S, scale)
+        gap_hat = _ritz_gap(w, V, k)[0] if _clip_free(w, V) else None
+        if gap_hat is None:
+            gap_hat = Spectrum(usvt_denoise(S, scale)).gap(k)
         gap = weyl_gap_certificate(gap_hat, config.usvt.eps_p)
         gap_source = "usvt_weyl"
         diagnostics["usvt"] = {

@@ -117,14 +117,27 @@ def collision_instance(n, k, delta=0.0):
     return model, block_basis(0), block_basis(1)
 
 
+class EigCalls(dict):
+    """Eigensolver call counts by kind, with the ``scipy.linalg.eigh_tridiagonal``
+    reads listed in ``tridiagonal`` as ``(select, eigvals_only)`` pairs, in
+    call order: ``select`` is "i" by index, "v" by value range, "a" for all."""
+
+    def __init__(self, **counts):
+        super().__init__(**counts)
+        self.tridiagonal = []
+
+
 @pytest.fixture()
 def eig_calls(monkeypatch):
     """Counts of eigensolver calls in the test by kind: ``scipy.linalg.eigh``
     for a subset of the eigenpairs, the full decomposition or the eigenvalues
-    only, and Householder tridiagonal reductions (``scipy.linalg.lapack.dsytrd``)."""
-    calls = {"subset": 0, "full": 0, "values": 0, "reduction": 0}
+    only, and Householder tridiagonal reductions (``scipy.linalg.lapack.dsytrd``);
+    the subset reads on a reduction's tridiagonal are in ``tridiagonal``
+    (:class:`EigCalls`)."""
+    calls = EigCalls(subset=0, full=0, values=0, reduction=0)
     original_eigh = scipy.linalg.eigh
     original_dsytrd = scipy.linalg.lapack.dsytrd
+    original_tridiagonal = scipy.linalg.eigh_tridiagonal
 
     def counted_eigh(*args, **kwargs):
         if kwargs.get("eigvals_only"):
@@ -139,8 +152,13 @@ def eig_calls(monkeypatch):
         calls["reduction"] += 1
         return original_dsytrd(*args, **kwargs)
 
+    def counted_tridiagonal(d, e, eigvals_only=False, select="a", **kwargs):
+        calls.tridiagonal.append((select, eigvals_only))
+        return original_tridiagonal(d, e, eigvals_only=eigvals_only, select=select, **kwargs)
+
     monkeypatch.setattr(scipy.linalg, "eigh", counted_eigh)
     monkeypatch.setattr(scipy.linalg.lapack, "dsytrd", counted_dsytrd)
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counted_tridiagonal)
     return calls
 
 

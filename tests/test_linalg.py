@@ -431,13 +431,11 @@ def test_reflectors_read_in_place_match_a_copy_bitwise(rng, n):
     want_w, want_V = _copying_back_transform(M, select="i", select_range=(0, n - 1))
     assert w.tobytes() == want_w[::-1].tobytes()
     assert V.tobytes() == np.ascontiguousarray(want_V[:, ::-1]).tobytes()
-    w, V = eigendecompose(M).beyond(thr)
-    parts = [
-        _copying_back_transform(M, select="v", select_range=r)
-        for r in [(-np.inf, -thr), (np.nextafter(thr, -np.inf), np.inf)]
-    ]
-    assert w.tobytes() == np.concatenate([p[0] for p in parts]).tobytes()
-    assert V.tobytes() == np.hstack([p[1] for p in parts]).tobytes()
+    for r in [(-np.inf, -thr), (np.nextafter(thr, -np.inf), np.inf)]:
+        w, V = eigendecompose(M)._reduced_pairs(select="v", select_range=r)
+        want_w, want_V = _copying_back_transform(M, select="v", select_range=r)
+        assert w.tobytes() == want_w.tobytes()
+        assert V.tobytes() == want_V.tobytes()
 
 
 def test_top_read_makes_no_copy_of_the_reflectors(rng):
@@ -465,6 +463,7 @@ def test_beyond_keeps_exactly_the_pairs_at_or_past_the_threshold(rng):
     w, V = S.beyond(2.0)
     assert w.tolist() == [-2.5, -2.0, 2.0, 3.0]
     assert np.array_equal(np.abs(V), np.eye(lam.size)[:, [7, 1, 2, 0]])
+    assert S.beyond(2.5)[0].tolist() == [-2.5, 3.0]  # lambda_min = -thr is kept
     assert S.beyond(0.0)[0].tolist() == sorted(lam.tolist())  # thr = 0 keeps every pair
     assert S.beyond(np.inf)[0].size == 0
     # a dense matrix: the kept pairs are those of a full solve, vectors up
@@ -478,6 +477,36 @@ def test_beyond_keeps_exactly_the_pairs_at_or_past_the_threshold(rng):
     w, V = eigendecompose(M).beyond(4.0)
     assert np.max(np.abs(w - w_all[keep])) <= 1e-12
     assert np.max(np.abs(np.abs(V.T @ V_all[:, keep]) - np.eye(keep.sum()))) <= 1e-10
+
+
+@pytest.mark.parametrize("case,reads", [
+    # lambda_8 < thr < -lambda_min: one read of lambda_min, no value range
+    ("assortative", [("i", True)]),
+    # lambda_min <= -thr: the negative side is a value-range read
+    ("disassortative", [("i", True), ("v", False)]),
+    # lambda_8 >= thr: the top read doubles once; inside the bulk, lambda_min
+    # is below -thr too
+    ("doubling", [("i", False), ("i", True), ("v", False)]),
+])
+def test_beyond_serves_its_positive_side_from_the_top_read(eig_calls, case, reads):
+    n, p_in, p_out, thr = {
+        "assortative": (600, 0.3, 0.1, 22.0),
+        "disassortative": (200, 0.05, 0.5, 15.0),
+        "doubling": (200, 0.3, 0.1, None),
+    }[case]
+    A = sample_adjacency(two_block_sbm(n, p_in, p_out), 1).A
+    w_all, V_all = np.linalg.eigh(A.astype(float))
+    if thr is None:  # between lambda_10 and lambda_11
+        thr = float(w_all[-11] + w_all[-10]) / 2.0
+    S = eigendecompose(A)
+    S.top(TOP_BLOCK)  # the first read, as the protocol makes it
+    eig_calls.tridiagonal.clear()
+    w, V = S.beyond(thr)
+    assert eig_calls.tridiagonal == reads
+    keep = np.abs(w_all) >= thr
+    assert np.max(np.abs(w - w_all[keep])) <= 1e-10
+    assert np.max(np.abs(np.abs(V.T @ V_all[:, keep]) - np.eye(keep.sum()))) <= 1e-8
+    assert not (w.flags.writeable or V.flags.writeable)
 
 
 def test_block_reads_agree_in_any_order():
@@ -713,23 +742,30 @@ def test_src_makes_no_scipy_eigh_call():
     assert calls == []
 
 
-def _low_rank_near(n, w, clip, diag, seed, hidden=0.0):
-    """(M, w, V): M = V diag(w) V^T plus a diagonal of entries in
-    [-diag, diag] and an eigenvalue ``hidden`` along e_0 - e_1 made
-    orthogonal to V (a direction the start block V misses, whose
-    Gershgorin rows stay short), with a ``clip`` fraction of its entries
-    clipped at each end, symmetrized; V has random orthonormal columns."""
+def _zero_diagonal_product(w, V):
+    """V diag(w) V^T with its diagonal zeroed, materialized and exactly
+    symmetric: the matrix whose gap ``linalg._ritz_gap`` reads."""
+    M = (V * w) @ V.T
+    M = (M + M.T) / 2.0
+    np.fill_diagonal(M, 0.0)
+    return M
+
+
+def _low_rank(n, w, spread, seed, heavy=0.0):
+    """(M, w, V): V has orthonormal columns, one per value of w, made from
+    the indicators of n / r interleaved blocks plus Gaussian noise of size
+    ``spread`` per unit row norm, with row 0 pushed ``heavy`` sqrt(n) along
+    the columns of negative values (so d_0 is very negative, and the rest
+    bound -min d lies high); M is :func:`_zero_diagonal_product`."""
     rng = np.random.default_rng(seed)
     w = np.asarray(w, dtype=float)
-    V = random_orthonormal(rng, n, w.size)
-    u = np.zeros(n)
-    u[:2] = 1.0, -1.0
-    u -= V @ (V.T @ u)
-    u /= np.linalg.norm(u)
-    M = (V * w) @ V.T + hidden * np.outer(u, u) + np.diag(rng.uniform(-diag, diag, size=n))
-    if clip:
-        M = np.clip(M, np.quantile(M, clip), np.quantile(M, 1.0 - clip))
-    return (M + M.T) / 2.0, w, V
+    r = w.size
+    G = np.zeros((n, r))
+    G[np.arange(n), np.arange(n) % r] = 1.0
+    G += spread * rng.normal(size=(n, r)) / math.sqrt(n / r)
+    G[0] += heavy * math.sqrt(n) * (w < 0)
+    V = np.linalg.qr(G)[0]
+    return _zero_diagonal_product(w, V), w, V
 
 
 @given(
@@ -737,42 +773,36 @@ def _low_rank_near(n, w, clip, diag, seed, hidden=0.0):
     pos=st.lists(st.floats(10.0, 60.0), min_size=2, max_size=3, unique=True),
     neg=st.lists(st.floats(-50.0, -10.0), max_size=1),
     k=st.integers(1, 3),
-    clip=st.sampled_from([0.0, 0.001, 0.02]),
-    diag=st.sampled_from([0.0, 0.3, 3.0]),
-    hidden=st.sampled_from([0.0, 0.0, 0.0, 15.0, 40.0]),  # mostly none, so that reads certify
+    spread=st.sampled_from([0.0, 0.05, 0.3, 2.0]),
+    heavy=st.sampled_from([0.0, 0.0, 0.0, 2.0]),  # mostly none, so that reads certify
     seed=st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=300)
 # pinned, in order: a negative kept value, k > p, k = p = 1, an undecided
-# min, n <= TOP_BLOCK + r, a tie, and an eigenvalue among the kept ones
-# that the start block misses
-@example(n=80, pos=[20.0, 35.0], neg=[-45.0], k=2, clip=0.001, diag=0.3, seed=1, hidden=0.0)
-@example(n=80, pos=[20.0, 35.0], neg=[], k=3, clip=0.0, diag=0.3, seed=2, hidden=0.0)
-@example(n=80, pos=[30.0], neg=[], k=1, clip=0.0, diag=0.3, seed=3, hidden=0.0)
-@example(n=80, pos=[10.0, 40.0], neg=[], k=2, clip=0.0, diag=0.3, seed=4, hidden=0.0)
-@example(n=TOP_BLOCK + 2, pos=[20.0, 35.0], neg=[], k=2, clip=0.0, diag=0.3, seed=5, hidden=0.0)
-@example(n=80, pos=[30.0, 30.0 + 1e-8, 50.0], neg=[], k=2, clip=0.0, diag=0.0, seed=6, hidden=0.0)
-@example(n=80, pos=[20.0, 45.0], neg=[], k=1, clip=0.0, diag=0.0, seed=7, hidden=30.0)
-def test_ritz_gap_certified_reads_match_the_reduction(n, pos, neg, k, clip, diag, seed,
-                                                      hidden):
-    # a certified read is the reduction's gap, tie zeroing included, within
-    # 1e-12 of the spectrum's scale, also when an eigenvalue the start block
-    # misses lies among the kept ones; any other read falls back to the
-    # reduction itself
+# min, n <= TOP_BLOCK + r, a tie, and a heavy row that lifts the rest
+# bound -min d above lambda_2
+@example(n=80, pos=[20.0, 35.0], neg=[-45.0], k=2, spread=0.05, heavy=0.0, seed=7)
+@example(n=80, pos=[20.0, 35.0], neg=[], k=3, spread=0.05, heavy=0.0, seed=2)
+@example(n=80, pos=[30.0], neg=[], k=1, spread=0.05, heavy=0.0, seed=3)
+@example(n=80, pos=[10.0, 40.0], neg=[], k=2, spread=0.05, heavy=0.0, seed=4)
+@example(n=TOP_BLOCK + 2, pos=[20.0, 35.0], neg=[], k=2, spread=0.05, heavy=0.0, seed=5)
+@example(n=80, pos=[30.0, 30.0 + 1e-8, 50.0], neg=[], k=2, spread=0.0, heavy=0.0, seed=6)
+@example(n=80, pos=[20.0, 45.0], neg=[-45.0], k=1, spread=0.1, heavy=2.0, seed=7)
+def test_ritz_gap_certified_reads_match_the_reduction(n, pos, neg, k, spread, heavy, seed):
+    # a certified read is the reduction's gap of the materialized matrix,
+    # tie zeroing included, within 1e-12 of the spectrum's scale, also for
+    # rows of uneven norm, where the rest is not spanned by V
     assume(k <= n - 1)
-    M, w, V = _low_rank_near(n, neg + pos, clip, diag, seed, hidden)
+    M, w, V = _low_rank(n, neg + pos, spread, seed, heavy)
     S = eigendecompose(M)
-    want = S.gap(k)
-    got, reason = linalg._ritz_gap(M, w, V, k)
+    got, reason = linalg._ritz_gap(w, V, k)
     assert reason in ("certified", "wide_block", "k_beyond_positive", "unconverged", "undecided")
     assert (got is None) == (reason != "certified")
     if got is not None:
-        assert abs(got - want) <= 1e-12 * max(1.0, float(S.top(1)[0][0]))
+        assert abs(got - S.gap(k)) <= 1e-12 * max(1.0, float(S.top(1)[0][0]))
     p = int(np.count_nonzero(w > 0))
     if n - TOP_BLOCK < 8 * w.size or k > p or k == p == 1:
         assert got is None
-    read = eigendecompose(M).gap(k, start=(w, V))
-    assert read == (want if got is None else got)
 
 
 def _ritz_case(reason):
@@ -780,16 +810,16 @@ def _ritz_case(reason):
     or is certified."""
     n = 120
     cases = {
-        "certified": ([25.0, 45.0], 2, 0.3),
-        "wide_block": ([20.0, 45.0], 2, 0.3),
-        "k_beyond_positive": ([-30.0, 45.0], 2, 0.3),
-        "unconverged": ([20.0, 45.0], 2, 40.0),  # a diagonal that swamps the gap
-        "undecided": ([15.0, 45.0], 2, 0.3),     # lambda_1 - lambda_2 > lambda_2 - beta
+        "certified": ([25.0, 45.0], 2, 0.1),
+        "wide_block": ([20.0, 45.0], 2, 0.1),
+        "k_beyond_positive": ([-30.0, 45.0], 2, 0.1),
+        "unconverged": ([20.0, 45.0], 2, 2.0),  # rows of V far from equal norms
+        "undecided": ([15.0, 45.0], 2, 0.1),    # lambda_1 - lambda_2 > lambda_2 - beta
     }
-    w, k, diag = cases[reason]
+    w, k, spread = cases[reason]
     if reason == "wide_block":
         n = TOP_BLOCK + 8 * len(w) - 1
-    return *_low_rank_near(n, w, 0.0, diag, 7), k
+    return *_low_rank(n, w, spread, 7), k
 
 
 @pytest.mark.parametrize("reason,reduction", [
@@ -797,37 +827,33 @@ def _ritz_case(reason):
     ("undecided", 1),
 ])
 def test_ritz_gap_falls_back_to_the_reduction(eig_calls, reason, reduction):
+    # the read itself reduces nothing; a read it cannot certify takes the
+    # reduction of the materialized matrix, as the USVT route does
     M, w, V, k = _ritz_case(reason)
-    assert linalg._ritz_gap(M, w, V, k)[1] == reason
-    got = eigendecompose(M).gap(k, start=(w, V))
+    got, why = linalg._ritz_gap(w, V, k)
+    assert why == reason and eig_calls["reduction"] == 0
+    if got is None:
+        got = eigendecompose(_zero_diagonal_product(w, V)).gap(k)
     assert eig_calls == {"subset": 0, "full": 0, "values": 0, "reduction": reduction}
     assert abs(got - eigendecompose(M).gap(k)) <= 1e-12 * 45.0
 
 
-def test_rest_bounds_hold_the_spectrum_of_the_difference(rng):
-    # Gershgorin over M - V diag(w) V^T, a row block at a time: its extreme
-    # eigenvalues lie within the bounds, and the row bound covers its norm;
-    # for a diagonal difference the bounds are its extreme entries, up to
-    # the rounding slack
-    n = 2 * linalg._ROW_BLOCK + 3
-    M, w, V = _low_rank_near(n, [-12.0, 40.0], 0.02, 0.5, 11)
-    upper, lower, row = linalg._rest_bounds(M, w, V)
-    lam = scipy.linalg.eigvalsh(M - (V * w) @ V.T)
-    assert lower <= lam[0] and lam[-1] <= upper and max(-lam[0], lam[-1]) <= row
-    assert lower < 0 < upper
-    M, w, V = _low_rank_near(n, [-12.0, 40.0], 0.0, 0.5, 12)
-    d = np.diag(M - (V * w) @ V.T)
-    upper, lower, row = linalg._rest_bounds(M, w, V)
-    assert 0 <= upper - d.max() <= 1e-9 and 0 <= d.min() - lower <= 1e-9
-
-
 def test_ritz_gap_needs_the_tie_tolerance_proven():
-    # lambda_1 - lambda_2 = 7e-8 is a gap against the tie tolerance
-    # 1e-9 * 50 of lambda_1, but a reduction ties it, because lambda_8 =
-    # -100 sets its tolerance to 1e-7; the rest's lower end shows that, so
-    # the read falls back
-    n = 30
-    M = np.diag(np.concatenate(([50.0 + 7e-8, 50.0], np.full(n - 2, -100.0))))
-    w, V = np.array([50.0 + 7e-8, 50.0]), np.eye(n)[:, :2]
-    assert linalg._ritz_gap(M, w, V, 1) == (None, "undecided")
-    assert eigendecompose(M).gap(1, start=(w, V)) == eigendecompose(M).gap(1) == 0.0
+    # the read proves the tie tolerance 1e-9 max(1, lambda_1) from Weyl's
+    # lower end -max d of the rest; a column on two coordinates puts d_0
+    # near 100, above lambda_1 near 50, so it cannot, and falls back, although
+    # here the reduction finds lambda_8 = -50 / (n - 2) and a clear gap
+    n = 200
+    c, s = math.cos(0.01), math.sin(0.01)
+    V = np.zeros((n, 3))
+    V[:2, :2] = [[c, -s], [s, c]]
+    V[2:, 2] = 1.0 / math.sqrt(n - 2)
+    w = np.array([100.0, -1.0, 50.0])
+    assert linalg._ritz_gap(w, V, 1) == (None, "undecided")
+    S = eigendecompose(_zero_diagonal_product(w, V))
+    assert S.top(8)[0][7] == pytest.approx(-50.0 / (n - 2))
+    assert S.gap(1) == pytest.approx(50.0 * (1 - 1 / (n - 2)) - 101.0 * c * s)
+    # a gap within 4 tau of the tie tolerance is undecided: a reduction may
+    # round it to either side. Here lambda_1 - lambda_2 = 1e-9 lambda_1
+    M, w, V = _low_rank(80, [50.0 - 5e-8, 50.0], 0.0, 0)
+    assert linalg._ritz_gap(w, V, 1) == (None, "undecided")

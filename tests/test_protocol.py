@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,8 +20,10 @@ from graphcert import (
     eigengap,
     run_protocol,
     sample_adjacency,
+    two_block_sbm,
     usvt_denoise,
 )
+from graphcert import linalg
 from graphcert.io import to_json
 from graphcert.models import DCSBMSpec, Envelope
 from graphcert.protocol import (
@@ -29,6 +32,9 @@ from graphcert.protocol import (
     FairnessConfig,
     ProtocolConfig,
     UsvtConfig,
+    _ROW_BLOCK,
+    _clip_free,
+    _symmetrize,
     _usvt_kept,
     config_from_dict,
     report_to_json,
@@ -185,6 +191,96 @@ def test_usvt_denoise_matches_full_decomposition(case):
     assert np.max(np.abs(got - want)) <= 1e-12
     if case == "disassortative_200":
         assert w.min() < 0 < w.max()
+
+
+@given(
+    n=st.sampled_from([1, 2, 7, _ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1, 2 * _ROW_BLOCK + 5]),
+    order=st.sampled_from(["C", "F"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40)
+def test_symmetrize_in_place_gives_the_bits_of_the_mean(n, order, seed):
+    # odd n, n below, at and above one block, and both memory orders: the
+    # blocked in-place mean equals (P + P^T) / 2 bit for bit
+    P = np.asarray(np.random.default_rng(seed).normal(size=(n, n)), order=order)
+    want = (P + P.T) / 2.0
+    _symmetrize(P)
+    assert np.array_equal(P, want)
+
+
+def test_usvt_denoise_holds_one_n_by_n_array():
+    # the product is the only n x n array: forming (P + P.T) / 2.0 would
+    # hold a second one at once
+    n = 600
+    S = eigendecompose(sample_adjacency(two_block_sbm(n, 0.3, 0.1), 1).A)
+    _usvt_kept(S, 2.02)  # the reduction and the kept pairs, read before tracing
+    tracemalloc.start()
+    try:
+        usvt_denoise(S, 2.02)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n * n * 8 <= peak < 1.5 * n * n * 8
+
+
+def _hadamard_pairs(w1, w2, n=2 * _ROW_BLOCK):
+    """The first two columns of a Hadamard matrix, scaled to be exactly
+    orthonormal, and their values: the first is constant, so every product
+    entry is (w1 +- w2) / n, computed exactly."""
+    H = scipy.linalg.hadamard(n).astype(float) / math.sqrt(n)
+    return np.array([w1, w2], dtype=float), H[:, :2]
+
+
+@pytest.mark.parametrize("w1,w2,clip_free", [
+    (128.0, 64.0, True),    # entries 0.25 and 0.75
+    (64.0, 64.0, False),    # entries 0 and 0.5: one end exactly at 0
+    (192.0, 64.0, False),   # entries 0.5 and 1: one end exactly at 1
+])
+def test_clip_margin_sends_entries_at_zero_or_one_to_the_reduction(w1, w2, clip_free):
+    # an entry at 0 or 1 lies inside the rounding margin of the clip, so the
+    # gap is read from the materialized P_hat, not from the operator
+    w, V = _hadamard_pairs(w1, w2)
+    entries = np.unique(((V * w) @ V.T)[~np.eye(V.shape[0], dtype=bool)])
+    assert entries.tolist() == [(w1 - w2) / 256, (w1 + w2) / 256]
+    assert _clip_free(w, V) == clip_free
+
+
+def test_clip_check_skips_the_diagonal():
+    # the diagonal is zeroed, never clipped: a row concentrated on node 0
+    # puts entry (0, 0) near 10.8, the off-diagonal entries in [0.07, 0.9]
+    n = 256
+    u = np.full(n, math.sqrt(0.64 / (n - 1)))
+    u[0] = 0.6
+    w, V = np.array([30.0]), (u / np.linalg.norm(u))[:, None]
+    X = (V * w) @ V.T
+    assert X[0, 0] > 10 and 0.07 < X[~np.eye(n, dtype=bool)].min() < X[0, 1] < 0.91
+    assert _clip_free(w, V)
+
+
+@pytest.mark.parametrize("n,seed,reduction", [(600, 1, 1), (200, 1, 2)])
+def test_usvt_gap_reads_the_operator_unless_an_entry_clips(eig_calls, n, seed, reduction):
+    # the n = 600 corpus graph clips no entry: A's reduction is the only one,
+    # and the clip check and the read make no n x n array; the n = 200 one
+    # (min entry -0.051) clips, so P_hat is materialized and reduced
+    A = sample_adjacency(two_block_sbm(n, 0.3, 0.1), seed)
+    doc = {"k": 2, "usvt": {"threshold_scale": 2.02, "eps_p": n / 100.0}}
+    got = run_protocol(A, config_from_dict(doc)).diagnostics["usvt"]["empirical_gap_of_denoised"]
+    assert eig_calls["reduction"] == reduction
+    S = eigendecompose(A.A)
+    w, V = _usvt_kept(S, 2.02)
+    tracemalloc.start()
+    try:
+        clip_free = _clip_free(w, V)
+        read = linalg._ritz_gap(w, V, 2)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8
+    assert clip_free == (reduction == 1)
+    if clip_free:
+        assert read == got
+    P_hat = eigendecompose(usvt_denoise(S, 2.02))
+    assert abs(got - P_hat.gap(2)) <= 1e-12 * P_hat.top(1)[0][0]
 
 
 @pytest.mark.parametrize("threshold_scale", [math.nan, math.inf, -math.inf, 0.0, -1.0])
@@ -836,13 +932,14 @@ def _eigensolver_route_config(route):
 
 @pytest.mark.parametrize(
     "route,subset,full,values,reduction",
-    [("declared_katz", 0, 0, 0, 1), ("usvt_eigenvector", 0, 0, 0, 1),
+    [("declared_katz", 0, 0, 0, 1), ("usvt_eigenvector", 0, 0, 0, 2),
      ("parametric_eigenvector", 0, 0, 0, 2)],
 )
 def test_eigensolver_call_counts(sbm200, eig_calls, route, subset, full, values, reduction):
-    # one reduction of A serves every consumer; the USVT route reads P_hat's
-    # gap by the certified Rayleigh-Ritz read, with no reduction of P_hat, and
-    # the parametric P is built and reduced once for the gap and D3
+    # one reduction of A serves every consumer; an n = 200 graph's P_hat
+    # clips, so the USVT route reduces it once for its gap (an unclipped one
+    # is read with no reduction, see test_usvt_gap_reads_the_operator_unless_an_entry_clips),
+    # and the parametric P is built and reduced once for the gap and D3
     A = sample_adjacency(sbm200, 56)
     report = run_protocol(A, _eigensolver_route_config(route))
     assert {"subspace", "centrality_bands", "cluster", "filtration"} <= set(report.outputs)
@@ -853,7 +950,7 @@ def test_eigensolver_call_counts(sbm200, eig_calls, route, subset, full, values,
 def test_usvt_gap_beyond_the_kept_pairs_reduces_p_hat(sbm200, eig_calls):
     # a threshold between the two outliers keeps lambda_1 alone, so the
     # 2-gap needs lambda_3 of P_hat, which the Rayleigh-Ritz read cannot
-    # certify: P_hat is reduced, and the gap is that reduction's
+    # certify (k > p): P_hat is reduced, and the gap is that reduction's
     A = sample_adjacency(sbm200, 56)
     doc = {"k": 2, "envelope": {"d_max": 39.7}, "usvt": {"threshold_scale": 4.5, "eps_p": 2.0}}
     report = run_protocol(A, config_from_dict(doc))

@@ -138,15 +138,15 @@ def test_one_blas_thread_keeps_the_results_contract(digests, tmp_path):
     ``OPENBLAS_NUM_THREADS=1`` and in this one at the default thread count;
     the checker's compare finds no moved leaf between them.
 
-    With one thread, 38 of the corpus's 105 artifacts move, and 30 of those
-    keep the contract. The other 8 break it only through computed reals
+    With one thread, 38 of the corpus's 105 artifacts move, and 28 of those
+    keep the contract. The other 10 break it only through computed reals
     printed inside the ``flags.D2`` and ``flags.D3`` provenance strings
     (and the refusal detail that repeats D3's):
     ``report/n600/seed{1,2}/parametric_katz_no_c_row``,
     ``report/n600/seed{1,2}/parametric_eigenvector``,
     ``report/n600/seed{1,2}/katz_parametric_outside_domain``,
-    ``report/n600/seed2/usvt_eigenvector_kmeans`` and
-    ``cli/n600/seed2/usvt_eigenvector_kmeans``. They wait for the
+    ``report/n600/seed{1,2}/usvt_eigenvector_kmeans`` and
+    ``cli/n600/seed{1,2}/usvt_eigenvector_kmeans``. They wait for the
     "reals out of free text" part of ROADMAP item 17 and are not run here.
     """
     digests.dump(tmp_path / "default", guarded_artifacts(digests))
