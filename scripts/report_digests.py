@@ -25,7 +25,14 @@ clips no entry, so the gap is the certified Rayleigh-Ritz read of the
 operator on the kept pairs; at n = 200 an entry clips, and
 ``usvt_one_kept_pair`` sets the threshold between the two outliers, so
 only lambda_1 is kept (k > p): both take the reduction of the
-materialized ``P_hat``. The corpus has 105 artifacts.
+materialized ``P_hat``. Two reports at n = 2000 (seed 1),
+``declared_katz_centers`` and ``parametric_eigenvector``, take the Krylov
+route of the observed spectrum (``KrylovSpectrum``, from
+``protocol.KRYLOV_N0`` nodes on when no USVT route is configured): a
+certified top-pair read, lambda_3 bracketed by one Cholesky, and Katz by
+conjugate gradients; the second also reduces its parametric P. Every other
+report is smaller than ``KRYLOV_N0`` or configures USVT, so its observed
+spectrum is the one Householder reduction. The corpus has 107 artifacts.
 Two checkouts whose lines all agree write byte-identical results on it.
 An artifact's bytes are its report as ``report_to_json`` writes it: the
 standard library's JSON encoder, 2-space indent, each real in its shortest
@@ -71,6 +78,8 @@ P_IN, P_OUT = 0.3, 0.1
 T_GRID = [-0.1, 0.0, 0.05, 0.2]
 REPORT_SIZES = (200, 600)
 REPORT_SEEDS = (1, 2)
+# (n, seed, configs) of the reports on the Krylov route
+LARGE_REPORTS = (2000, 1, ("declared_katz_centers", "parametric_eigenvector"))
 COVERAGE_SEEDS = (1, 2, 3)
 COVERAGE_REPLICATIONS = 6
 CLI_CONFIGS = ("usvt_eigenvector_kmeans", "declared_katz_centers")
@@ -315,6 +324,12 @@ def artifacts():
                     text = _cli_report(Path(tmp), f"n{n}_seed{seed}_{name}_crlf", docs[name],
                                        _noncanonical_edge_list(A))
                     yield f"cli/n{n}/seed{seed}/{name}/crlf_blank_reversed", text
+    n, seed, names = LARGE_REPORTS
+    A = sample_adjacency(two_block_sbm(n, P_IN, P_OUT), seed)
+    docs = _report_configs(n)
+    for name in names:
+        text = run_protocol(A, config_from_dict(docs[name])).to_json()
+        yield f"report/n{n}/seed{seed}/{name}", text
     model = two_block_sbm(200, P_IN, P_OUT)
     for name, config in _coverage_configs().items():
         for seed in COVERAGE_SEEDS:

@@ -273,11 +273,7 @@ def kmeans_labels(rows: np.ndarray, K: int) -> np.ndarray:
             else:
                 follows[follows == traj] = twin
         live, labels, centers = live[keep], labels[keep], centers[keep]
-        for t in range(live.size):
-            for a in range(K):
-                mask = labels[t] == a
-                if mask.any():
-                    centers[t, a] = rows[mask].mean(axis=0)
+        _update_means(rows, labels, centers)
     ended.update(zip(live, zip(labels, centers)))
 
     costs = {traj: float(_squared_distances(rows, C)[np.arange(n), L].sum())
@@ -287,6 +283,32 @@ def kmeans_labels(rows: np.ndarray, K: int) -> np.ndarray:
         if costs[traj] < best_cost - 1e-15:
             best, best_cost = traj, costs[traj]
     return ended[best][0]
+
+
+def _update_means(rows: np.ndarray, labels: np.ndarray, centers: np.ndarray) -> None:
+    """Set each nonempty cluster's center to the mean of its rows, for every
+    trajectory t at once: ``labels`` (T, n), ``centers`` (T, K, k), written
+    in place; an empty cluster keeps its center.
+
+    For k >= 2 one ``bincount`` per coordinate, keyed t K + label, sums the
+    rows of every cluster in index order, as ``rows[mask].mean(axis=0)``
+    does along axis 0 of an (m, k) array, and the sums are divided by the
+    counts as the mean divides: the same bits. A one-column mean sums
+    pairwise instead, so one-column rows keep the per-cluster mean."""
+    T, K, k = centers.shape
+    if k == 1:
+        for t in range(T):
+            for a in range(K):
+                mask = labels[t] == a
+                if mask.any():
+                    centers[t, a] = rows[mask].mean(axis=0)
+        return
+    key = (np.arange(T)[:, None] * K + labels).ravel()
+    counts = np.bincount(key, minlength=T * K).reshape(T, K)
+    filled = counts > 0
+    for j in range(k):
+        sums = np.bincount(key, weights=np.tile(rows[:, j], T), minlength=T * K).reshape(T, K)
+        centers[filled, j] = sums[filled] / counts[filled]
 
 
 def _farthest_point_init(rows: np.ndarray, K: int, starts: np.ndarray):

@@ -2,9 +2,11 @@
 
 Provides the one spectrum of a symmetric matrix (a :class:`Spectrum`
 shared by every spectral consumer, read by subset solves from one
-Householder tridiagonal reduction) with its canonical top-k basis, a
-certified Rayleigh-Ritz read of the gap of a low-rank matrix with its
-diagonal zeroed (an operator read, no n x n matrix), the Grassmann (projector-norm)
+Householder tridiagonal reduction, or for a 0/1 graph a
+:class:`KrylovSpectrum`, whose top pairs, gaps and resolvent are certified
+Krylov reads) with its canonical top-k basis, a certified block
+Rayleigh-Ritz read of an operator's top pairs, which also gives the gap of
+a low-rank matrix with its diagonal zeroed (no n x n matrix), the Grassmann (projector-norm)
 distance between subspaces, orthogonal Procrustes alignment, the Weyl-type
 gap transfer used to certify gaps from denoised estimates, and the
 rank-aware Frobenius bound that converts a projector radius into a
@@ -22,11 +24,12 @@ from typing import Optional
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.blas import dgemm
+from scipy.linalg.blas import dgemm, dgemv, dsymv, dsyrk
 
 from .errors import KOutOfRange, NotSymmetric, ShapeMismatch
 
 __all__ = [
+    "KrylovSpectrum",
     "OrthonormalBasis",
     "Spectrum",
     "TOP_BLOCK",
@@ -49,6 +52,17 @@ TOP_BLOCK = 8
 
 _RITZ_STEPS = 4     # block power steps a Rayleigh-Ritz gap read may take
 _RITZ_TOL = 1e-12   # its error bound on the gap, relative to max(1, theta_1)
+
+# the reads of a KrylovSpectrum
+_TOP_STEPS = 60         # block steps for the k largest pairs
+_TOP_TOL = 1e-11        # their Kato-Temple errors, relative to max(1, theta_1)
+_TOP_ANGLE = 1e-11      # the angle within which each Ritz vector is proven
+_LANCZOS_STEPS = 200    # Lanczos steps for lambda_{k+1}
+_LANCZOS_TOL = 1e-11    # its estimated error, relative to max(1, theta_1)
+_LANCZOS_BLOCK = 32     # Lanczos vectors allocated at a time
+_BRACKET_RTOL = 5e-10   # how well every gap must be known, relative to it
+_CG_STEPS = 100         # conjugate gradient steps for the resolvent
+_CG_TOL = 1e-13         # its error bound, relative to the solution's norm
 
 
 def is_symmetric(M: np.ndarray) -> bool:
@@ -165,7 +179,8 @@ class Spectrum:
     (``dormqr``). Reads of the largest pairs read at least ``TOP_BLOCK`` of
     them, a fixed size rather than the first read's, so those reads give the
     same values whatever order they come in; a read that needs more (a tie
-    group of :meth:`top_k`, the positive side of :meth:`beyond`) doubles it.
+    group of :meth:`top_k`, the positive side of :meth:`beyond`) doubles it,
+    afresh and uncached, so it cannot change a later read's bits.
     No read computes every eigenvector unless it asks for all of them.
     :meth:`resolvent` solves with I - beta M on the same reduction.
 
@@ -177,7 +192,7 @@ class Spectrum:
     def __init__(self, matrix: np.ndarray):
         self.matrix = matrix
         self._reduced = None  # reflectors, their scales and T's diagonals
-        self._top = None      # descending pairs read from T, the largest read so far
+        self._top = None      # the TOP_BLOCK descending pairs read from T
 
     @property
     def n(self) -> int:
@@ -243,16 +258,21 @@ class Spectrum:
 
     def _pairs(self, m: int) -> tuple[np.ndarray, np.ndarray]:
         """Descending values and their vectors as columns, read-only: the
-        largest pairs read from T, at least the m largest and at least
-        ``TOP_BLOCK`` of them."""
-        if self._top is None or self._top[0].size < m:
-            n = self.n
-            m = min(n, max(m, TOP_BLOCK))
-            w, V = self._reduced_pairs(select="i", select_range=(n - m, n - 1))
-            w.setflags(write=False)
-            V.setflags(write=False)
-            self._top = w[::-1], V[:, ::-1]
-        return self._top
+        max(m, ``TOP_BLOCK``) largest pairs (all of them if fewer) read
+        from T. Only the ``TOP_BLOCK`` read is kept; a larger one is read
+        afresh each time, so every read is a function of the matrix and m
+        alone, whatever was read before it."""
+        n = self.n
+        m = min(n, max(m, TOP_BLOCK))
+        if m == min(n, TOP_BLOCK) and self._top is not None:
+            return self._top
+        w, V = self._reduced_pairs(select="i", select_range=(n - m, n - 1))
+        w.setflags(write=False)
+        V.setflags(write=False)
+        pairs = w[::-1], V[:, ::-1]
+        if m == min(n, TOP_BLOCK):
+            self._top = pairs
+        return pairs
 
     def top(self, m: int) -> tuple[np.ndarray, np.ndarray]:
         """The m largest eigenvalues in descending order and their unit
@@ -326,47 +346,247 @@ class Spectrum:
         return OrthonormalBasis(U=_canonical_columns(w[:end], V[:, :end], k, tol))
 
 
+class KrylovSpectrum(Spectrum):
+    """The :class:`Spectrum` of a 0/1 adjacency ``matrix`` (symmetric, zero
+    diagonal, read-only int8, as ``AdjacencyMatrix.A``) whose k largest
+    pairs, the gaps beside them and the resolvent are read without the
+    Householder reduction. The reads are made on one float64 copy F of the
+    matrix, cast on the first read, with every product through scipy's
+    BLAS, at O(n^2) a step (``dsymv`` reads F's upper triangle only):
+
+    - lambda_1..lambda_k and their vectors: the block Rayleigh-Ritz read
+      :func:`_ritz_pairs` of X -> F X on k + 2 columns from a fixed start,
+      its values within ``_TOP_TOL`` max(1, theta_1) / 2 and its vectors
+      within an angle ``_TOP_ANGLE`` of eigenvectors;
+    - lambda_{k+1} from below: the (k+1)-th Ritz value of F on the k Ritz
+      vectors and the top Ritz vector y of a Lanczos run on the deflated
+      operator x -> F x - U (theta o U^T x) (:func:`_interlaced_floor`,
+      Cauchy interlacing); the report reads the Lanczos value itself;
+    - lambda_{k+1} from above: one Cholesky factorization of H = t I - F +
+      W W^T in F's lower triangle (:func:`_cholesky_bound`), W W^T
+      positive semidefinite of rank k, so that its success proves
+      lambda_{k+1} < t plus a stated rounding shift;
+    - the intervals of lambda_1..lambda_k are certified against that upper
+      bound (:func:`_ritz_errors`, Krylov-Weinstein and Kato-Temple).
+
+    The read is accepted only when every adjacent gap among lambda_1..
+    lambda_{k+1} is decided above the tie tolerance of :meth:`top_k` (twice
+    1e-9 max(1, lambda_1), which bounds every |lambda_i| of a nonnegative
+    matrix by Perron-Frobenius) and known within ``_BRACKET_RTOL`` of its
+    value. Then :meth:`gap` and :meth:`top_k` up to k and :meth:`top` up to
+    m = k are served from it, the vectors signed by
+    :func:`_canonical_columns`, and :meth:`resolvent` is conjugate
+    gradients on I - beta F (:func:`_cg`), F being the strict upper
+    triangle the Cholesky left and a zeroed diagonal. Any other read, and
+    every read after a certificate fails, is the reduction's, made after F
+    is freed: at most one n x n float64 array is alive at a time. The start
+    blocks are fixed, so the same matrix gives the same bits in every
+    process.
+    """
+
+    def __init__(self, matrix: np.ndarray, k: int):
+        super().__init__(matrix)
+        self.k = k
+        self._read = None   # (values, lambda_1's upper bound, vectors), or False once failed
+        self._upper = None  # F after a certified read: the matrix in its upper triangle
+
+    def _certified(self, m: int):
+        """The certified read when it serves the m largest pairs, made on
+        first need; None when m > k or the read failed."""
+        if m > self.k:
+            return None
+        if self._read is None:
+            self._read = self._certify() or False
+        return self._read or None
+
+    def _certify(self):
+        n, k = self.n, self.k
+        if 8 * (k + 2) > n - TOP_BLOCK:  # as wide a block as _ritz_gap refuses
+            return None
+        # the matrix is symmetric: its transpose is a column-major view,
+        # which the cast reads in order
+        F = self.matrix.T.astype(float, order="F")
+        norm = max(1.0, float(dgemv(1.0, F, np.ones(n)).max()))  # bounds ||F|| for F >= 0
+        start = np.random.default_rng(0).standard_normal((n, k + 2))
+        read = _ritz_pairs(lambda X: dgemm(1.0, F, X), start, k, k, None, norm,
+                           _TOP_STEPS, _TOP_TOL, _TOP_ANGLE)
+        if read is None:
+            return None
+        theta, rho, _, U = read
+        tol = _LANCZOS_TOL * max(1.0, float(theta[0]))
+        found = _lanczos_top(
+            lambda x: dsymv(1.0, F, x) - dgemv(1.0, U, theta * dgemv(1.0, U, x, trans=1)),
+            np.random.default_rng(1).standard_normal(n), _LANCZOS_STEPS, tol,
+        )
+        if found is None:
+            return None
+        mu, y = found
+        lo = _interlaced_floor(F, U, y, norm)
+        # past this hi the k-th gap cannot be known within _BRACKET_RTOL
+        limit = lo + _BRACKET_RTOL * float(theta[-1] - mu)
+        hi = _cholesky_bound(F, U, theta, mu + tol, norm, limit)  # overwrites F's lower half
+        if hi is None:
+            return None
+        err = _ritz_errors(theta, rho, hi, _ritz_slack(n, k + 2, norm))
+        if err is None:
+            return None
+        values = np.append(theta, mu)
+        low, high = np.append(theta - err, lo), np.append(theta + err, hi)
+        gap_lo, gap_hi = low[:-1] - high[1:], high[:-1] - low[1:]
+        if not (np.all(gap_lo > 2.0 * 1e-9 * max(1.0, float(high[0])))
+                and np.all(gap_hi - gap_lo <= _BRACKET_RTOL * gap_lo)):
+            return None
+        values.setflags(write=False)
+        U.setflags(write=False)
+        np.fill_diagonal(F, 0.0)  # the matrix's own diagonal, under the factor's
+        self._upper = F
+        return values, float(high[0]), U
+
+    def top(self, m: int) -> tuple[np.ndarray, np.ndarray]:
+        read = self._certified(m)
+        if read is None:
+            return super().top(m)
+        values, _, U = read
+        return values[:m], U[:, :m]
+
+    def gap(self, k: int) -> float:
+        self._check_k(k)
+        read = self._certified(k)
+        if read is None:
+            return super().gap(k)
+        return eigengap(read[0], k)  # decided above the tie tolerance
+
+    def top_k(self, k: int) -> OrthonormalBasis:
+        self._check_k(k)
+        read = self._certified(k)
+        if read is None:
+            return super().top_k(k)
+        values, _, U = read
+        return OrthonormalBasis(U=_canonical_columns(values[:k], U[:, :k], k, _tie_tol(values)))
+
+    def resolvent(self, beta: float, b: np.ndarray) -> np.ndarray:
+        """(I - beta M)^{-1} b by conjugate gradients (:func:`_cg`) on the
+        upper triangle of F, when the certified read bounds lambda_1 <= l
+        with 1 - beta l > 0, the least eigenvalue of I - beta M; otherwise,
+        or when CG does not reach its tolerance, the reduction's solve,
+        made after F is freed."""
+        read = self._certified(1)
+        floor = 1.0 - beta * read[1] if read is not None else 0.0
+        F = self._upper
+        if floor > 0 and F is not None:
+            x = _cg(lambda v: v - beta * dsymv(1.0, F, v), np.array(b, dtype=float), floor)
+            if x is not None:
+                return x
+        del F
+        return super().resolvent(beta, b)
+
+    def _reduction(self):
+        self._upper = None  # F goes before the reduction's own n x n array is made
+        return super()._reduction()
+
+
 def _check_lapack(name: str, info: int) -> None:
     if info != 0:
         raise np.linalg.LinAlgError(f"LAPACK {name} failed with info = {info}")
 
 
+def _ritz_slack(n: int, r: int, norm: float) -> float:
+    """(n + r + 2) sqrt(r) eps norm: the rounding of a Rayleigh-Ritz step on
+    r columns of an n x n operator of norm at most ``norm``."""
+    return (n + r + 2) * math.sqrt(r) * np.finfo(float).eps * norm
+
+
+def _ritz_errors(
+    theta: np.ndarray, rho: np.ndarray, rest: float, slack: float
+) -> Optional[np.ndarray]:
+    """Kato-Temple errors of descending Ritz values theta with residual
+    bounds rho, given an upper bound ``rest`` on the eigenvalue below the
+    last one: rho_i^2 / delta_i + slack, delta_i the distance from theta_i
+    to the neighbouring intervals theta_j +- rho_j (or to rest). None unless
+    the intervals are disjoint and above rest, so that each holds exactly
+    one eigenvalue (Krylov-Weinstein)."""
+    lo, hi = theta - rho, theta + rho
+    below = np.append(hi[1:], rest)        # the interval or bound under each value
+    above = np.insert(lo[:-1], 0, np.inf)  # the interval over it
+    if not np.all(lo > below):
+        return None
+    return rho**2 / np.minimum(above - theta, theta - below) + slack
+
+
+def _ritz_pairs(apply, X: np.ndarray, p: int, m: int, rest: Optional[float], norm: float,
+                steps: int, tol: float, angle: float = math.inf):
+    """The p largest eigenpairs of a symmetric n x n operator M (``apply``
+    maps an n x r block X to M X, r >= p) by block Rayleigh-Ritz: up to
+    ``steps`` block steps X <- orth(M X) on all r columns, started at X.
+    Returns ``(theta, rho, err, Z)``: descending Ritz values, residual
+    bounds, Kato-Temple errors (:func:`_ritz_errors`) and unit Ritz vectors
+    as columns, once the first m errors are at most tol max(1, theta_1) / 2
+    and the first m vectors are within ``angle`` (rho_i over the
+    distance to the neighbouring values, Davis-Kahan) of eigenvectors; None
+    when the steps run out first.
+
+    ``rest`` is an upper bound on lambda_{p+1}(M). With None the (p+1)-th
+    Ritz value stands in for it, which proves nothing: the caller then
+    certifies the pairs with :func:`_ritz_errors` against a bound of its own.
+    Rounding in the products, the Ritz values and the residuals is covered
+    by a slack of (n + r + 2) sqrt(r) eps ``norm``, norm a bound on ||M||,
+    added to each rho_i and each error. Every product is ``apply``'s and
+    scipy's dgemm: numpy matmuls here ran on numpy's own OpenBLAS beside
+    scipy's and cost about 35 ms an op at n = 1000.
+    """
+    slack = _ritz_slack(*X.shape, norm)
+    for _ in range(steps):
+        X = scipy.linalg.qr(X, mode="economic", check_finite=False)[0]
+        Y = apply(X)
+        H = dgemm(1.0, X, Y, trans_a=True)
+        theta, G, info = scipy.linalg.lapack.dsyev((H + H.T) / 2.0)
+        _check_lapack("dsyev", info)
+        bound = float(theta[-p - 1]) if rest is None else rest
+        theta, G = theta[::-1][:p], G[:, ::-1][:, :p]
+        Z = dgemm(1.0, X, G)
+        R = dgemm(1.0, Y, G) - Z * theta
+        rho = np.linalg.norm(R, axis=0) / np.linalg.norm(Z, axis=0) + slack
+        err = _ritz_errors(theta, rho, bound, slack)
+        if err is not None and np.all(err[:m] <= tol * max(1.0, float(theta[0])) / 2):
+            # (err - slack) / rho is rho over the distance to the neighbours
+            if angle == math.inf or np.all((err[:m] - slack) / rho[:m] <= angle):
+                return theta, rho, err, Z
+        X = Y
+    return None
+
+
 def _ritz_gap(w: np.ndarray, V: np.ndarray, k: int) -> tuple[Optional[float], str]:
     """The k-gap, as :meth:`Spectrum.gap` reads it, of M = V diag(w) V^T -
     diag(d), d the diagonal of V diag(w) V^T (so M is that matrix with its
-    diagonal zeroed), for r orthonormal columns V: block Rayleigh-Ritz on
-    the operator X -> V (w o (V^T X)) - d o X, O(n r^2) a step, with no
-    n x n matrix and no reduction. Returns ``(gap, "certified")``, or
-    ``(None, reason)`` when the read cannot certify it.
+    diagonal zeroed), for r orthonormal columns V: the block Rayleigh-Ritz
+    read :func:`_ritz_pairs` of the operator X -> V (w o (V^T X)) - d o X,
+    O(n r^2) a step, with no n x n matrix and no reduction. Returns
+    ``(gap, "certified")``, or ``(None, reason)`` when the read cannot
+    certify it.
 
     p is the number of positive w. V diag(w) V^T has at most p positive
     and at most r - p negative eigenvalues, so by Weyl lambda_{p+1}(M) <=
     beta = -min d, and lambda_m(M) >= -max d for m <= n - r + p: exactly,
-    for the d the operator uses. Up to ``_RITZ_STEPS`` block steps X <-
-    orth(M X) on all r columns (so a negative value cannot take over),
-    started at V, give Ritz values theta_1 >= ... >= theta_p with residual
-    norms rho_i. The read is certified when:
+    for the d the operator uses. Up to ``_RITZ_STEPS`` block steps on all
+    r columns (so a negative value cannot take over), started at V, give
+    Ritz values theta_1 >= ... >= theta_p. The read is certified when:
 
-    - the intervals theta_i +- rho_i are disjoint and lie above beta, so
-      each holds exactly one of lambda_1..lambda_p (Krylov-Weinstein);
-    - each of theta_1..theta_{min(k+1, p)} has Kato-Temple error rho_i^2 /
-      delta_i at most tau / 2, tau = ``_RITZ_TOL`` max(1, theta_1), delta_i
-      the distance to the neighbouring intervals (or to beta), so a
-      difference of two is within tau;
+    - the intervals theta_i +- rho_i are disjoint and lie above beta, and
+      each of theta_1..theta_{min(k+1, p)} has Kato-Temple error at most
+      tau / 2, tau = ``_RITZ_TOL`` max(1, theta_1), so a difference of two
+      is within tau;
     - the min in :func:`eigengap` is decided: k < p, or k = p >= 2 and
       lambda_{k-1} - lambda_k <= lambda_k - beta;
     - the tie tolerance is provably 1e-9 max(1, lambda_1): lambda_8(M) >=
       -max d, which must be at least -max(1, lambda_1); and the gap is
       decided against it.
 
-    Rounding in the products, the Ritz values and the residuals is covered
-    by a slack of (n + r + 2) sqrt(r) eps (max|w| + max|d|), a bound on
-    ||M||, added to each rho_i and each error. The reasons: ``"wide_block"``
-    (8 r > n - ``TOP_BLOCK``: the read would cost about as much as a
-    reduction, or leave no room for lambda_8 above the negative values),
-    ``"k_beyond_positive"`` (k > p), ``"unconverged"`` (the intervals or the
-    errors still fail after the last step) and ``"undecided"`` (the min or
-    the tie is not decided, or k = p = 1, where lambda_2 is unread).
+    The reasons: ``"wide_block"`` (8 r > n - ``TOP_BLOCK``: the read would
+    cost about as much as a reduction, or leave no room for lambda_8 above
+    the negative values), ``"k_beyond_positive"`` (k > p),
+    ``"unconverged"`` (the intervals or the errors still fail after the
+    last step) and ``"undecided"`` (the min or the tie is not decided, or
+    k = p = 1, where lambda_2 is unread).
     """
     n, r = V.shape
     p = int(np.count_nonzero(w > 0))
@@ -380,33 +600,15 @@ def _ritz_gap(w: np.ndarray, V: np.ndarray, k: int) -> tuple[Optional[float], st
     d = (V * w * V).sum(axis=1)
     beta = -float(d.min())
     norm = float(np.max(np.abs(w))) + float(np.max(np.abs(d)))  # bounds ||M||
-    slack = (n + r + 2) * math.sqrt(r) * np.finfo(float).eps * norm
-    used = np.arange(min(k + 1, p))
-    X = V
-    for _ in range(_RITZ_STEPS):
-        X = scipy.linalg.qr(X, mode="economic", check_finite=False)[0]
-        # every product is scipy's dgemm: numpy matmuls here ran on numpy's
-        # own OpenBLAS beside scipy's and cost about 35 ms an op at n = 1000
-        Y = dgemm(1.0, V, w[:, None] * dgemm(1.0, V, X, trans_a=True)) - d[:, None] * X
-        H = dgemm(1.0, X, Y, trans_a=True)
-        theta, G, info = scipy.linalg.lapack.dsyev((H + H.T) / 2.0)
-        _check_lapack("dsyev", info)
-        theta, G = theta[::-1][:p], G[:, ::-1][:, :p]
-        Z = dgemm(1.0, X, G)
-        R = dgemm(1.0, Y, G) - Z * theta
-        rho = np.linalg.norm(R, axis=0) / np.linalg.norm(Z, axis=0) + slack
-        lo, hi = theta - rho, theta + rho
-        below = np.append(hi[1:], beta)           # the interval or bound under each value
-        above = np.insert(lo[:-1], 0, np.inf)     # the interval over it
-        if np.all(lo > below):
-            err = rho**2 / np.minimum(above - theta, theta - below) + slack
-            tau = _RITZ_TOL * max(1.0, float(theta[0]))
-            if np.all(err[used] <= tau / 2):
-                break
-        X = Y
-    else:
+    read = _ritz_pairs(
+        lambda X: dgemm(1.0, V, w[:, None] * dgemm(1.0, V, X, trans_a=True)) - d[:, None] * X,
+        V, p, min(k + 1, p), beta, norm, _RITZ_STEPS, _RITZ_TOL,
+    )
+    if read is None:
         return None, "unconverged"
-    if float(d.max()) > max(1.0, float(lo[0])):
+    theta, rho, err, _ = read
+    tau = _RITZ_TOL * max(1.0, float(theta[0]))
+    if float(d.max()) > max(1.0, float(theta[0] - rho[0])):
         return None, "undecided"
     if k < p:
         gap = eigengap(theta, k)
@@ -421,11 +623,144 @@ def _ritz_gap(w: np.ndarray, V: np.ndarray, k: int) -> tuple[Optional[float], st
     return (gap if gap > tol else 0.0), "certified"
 
 
+def _gamma(m: int) -> float:
+    """gamma_m = m u / (1 - m u), u the unit roundoff: the relative error
+    bound of a sum or dot product of m terms."""
+    u = np.finfo(float).eps / 2
+    return m * u / (1 - m * u)
+
+
+def _lanczos_top(apply, v: np.ndarray, steps: int, tol: float):
+    """The largest Ritz pair ``(mu, y)`` of a symmetric operator after
+    Lanczos from v with full reorthogonalization (classical Gram-Schmidt,
+    twice), once its estimated error (beta_j s_j)^2 / (mu_1 - mu_2) is at
+    most tol, checked every 10 steps; None when ``steps`` run out first.
+    The estimate proves nothing: the caller brackets the value. The
+    vectors are kept in zero-filled blocks of ``_LANCZOS_BLOCK`` columns,
+    allocated as the run needs them."""
+    n, size = v.size, _LANCZOS_BLOCK
+    blocks, alpha, beta = [], [], []
+    q = v / np.linalg.norm(v)
+    for j in range(steps):
+        if j % size == 0:
+            blocks.append(np.zeros((n, size), order="F"))
+        blocks[-1][:, j % size] = q
+        w = apply(q)
+        alpha.append(float(q @ w))
+        for _ in range(2):
+            for Q in blocks:  # columns not yet filled are zero and remove nothing
+                w -= dgemv(1.0, Q, dgemv(1.0, Q, w, trans=1))
+        beta.append(float(np.linalg.norm(w)))
+        if j and ((j + 1) % 10 == 0 or beta[j] == 0.0):
+            mu, S = scipy.linalg.eigh_tridiagonal(np.array(alpha), np.array(beta[:j]),
+                                                  select="i", select_range=(j - 1, j))
+            if (beta[j] * S[-1, 1]) ** 2 <= tol * (mu[1] - mu[0]):
+                s = np.zeros(len(blocks) * size)
+                s[: j + 1] = S[:, 1]
+                y = sum(dgemv(1.0, Q, s[i * size : (i + 1) * size]) for i, Q in enumerate(blocks))
+                return float(mu[1]), y
+        if beta[j] == 0.0:
+            return None
+        q = w / beta[j]
+    return None
+
+
+def _interlaced_floor(F: np.ndarray, U: np.ndarray, y: np.ndarray, norm: float) -> float:
+    """A lower bound on lambda_{k+1}(F), for k orthonormal columns U and a
+    vector y: the smallest eigenvalue of B^T F B, B = [U, y] with y
+    orthogonalized against U. For orthonormal B it is the (k+1)-th Ritz
+    value of F on range(B), at most lambda_{k+1} (Cauchy interlacing). B is
+    orthonormal to eta = (k + 1) (max |B^T B - I| + (n + 2) eps) >=
+    ||B^T B - I||, which moves the value by at most 2 eta |value|
+    (Ostrowski); the products and the (k + 1) x (k + 1) solve round it by
+    at most (2 n + (k + 1)^2) (k + 1) eps ``norm``, norm a bound on ||F||."""
+    n, k = U.shape
+    y = y - dgemv(1.0, U, dgemv(1.0, U, y, trans=1))
+    B = np.asfortranarray(np.column_stack([U, y / np.linalg.norm(y)]))
+    G = dgemm(1.0, B, dgemm(1.0, F, B), trans_a=True)
+    values, _, info = scipy.linalg.lapack.dsyev((G + G.T) / 2.0, compute_v=0)
+    _check_lapack("dsyev", info)
+    eps = np.finfo(float).eps
+    eta = (k + 1) * (float(np.max(np.abs(dgemm(1.0, B, B, trans_a=True) - np.eye(k + 1))))
+                     + (n + 2) * eps)
+    slack = (2 * n + (k + 1) ** 2) * (k + 1) * eps * norm
+    mu = float(values[0])
+    return mu - slack - 2.0 * eta * (abs(mu) + slack)
+
+
+def _cholesky_bound(F: np.ndarray, U: np.ndarray, theta: np.ndarray, t: float, norm: float,
+                    limit: float) -> Optional[float]:
+    """An upper bound on lambda_{k+1}(A), A the 0/1 matrix F holds, from one
+    Cholesky factorization, or None. F's lower triangle and diagonal are
+    overwritten; its strict upper triangle still holds A's.
+
+    With c = 2 (theta - t) >= 0 and W = U diag(sqrt(c)), R = W W^T is
+    positive semidefinite of rank at most k for any U, so by Weyl
+    lambda_{k+1}(A) <= lambda_1(A - R). F becomes the lower triangle of the
+    computed H = t I - A + R (``dsyrk`` and a diagonal add), which is within
+    e = gamma_{k+2} (||W||_F^2 + ``norm``) + u max h_ii of H in 2-norm,
+    norm >= ||A||. If ``dpotrf`` then completes, the computed factor is
+    exact for H plus a perturbation of 2-norm at most s = gamma_{n+1} /
+    (1 - gamma_{n+1}) tr(H) (Demmel's backward error for Cholesky; Rump,
+    Verification of positive definiteness, BIT 46, 2006), so lambda_1(A -
+    R) <= t + s + e. That sum, rounded up by 1 % (which also covers Rump's
+    underflow term, below 1e-300 here), is returned; s is about 1.6e-8 at
+    n = 2000. A bound above ``limit`` is refused before the factorization,
+    which costs the most: 39-49 ms at n = 2000."""
+    n, k = U.shape
+    c = 2.0 * (theta - t)
+    if not np.all(c >= 0):
+        return None
+    W = np.asfortranarray(U * np.sqrt(c))
+    H = dsyrk(1.0, W, beta=-1.0, c=F, lower=1, overwrite_c=1)
+    diagonal = np.arange(n)
+    H[diagonal, diagonal] += t
+    d = H[diagonal, diagonal]
+    g = _gamma(n + 1)
+    shift = (g / (1 - g) * math.fsum(d)
+             + _gamma(k + 2) * (float(np.sum(W * W)) + norm)
+             + np.finfo(float).eps / 2 * float(d.max()))
+    hi = t + 1.01 * shift + 2 * np.finfo(float).eps * abs(t)
+    if not hi <= limit:
+        return None
+    _, info = scipy.linalg.lapack.dpotrf(H, lower=1, clean=0, overwrite_a=1)
+    return hi if info == 0 else None
+
+
+def _cg(apply, b: np.ndarray, floor: float):
+    """x with M x = b by conjugate gradients, for a symmetric operator M
+    whose least eigenvalue is at least floor > 0, so that ||x - x*|| <=
+    ||b - M x|| / floor; returned once that, for the residual recomputed
+    from x, is at most ``_CG_TOL`` ||x||. The bound is exact up to the
+    rounding of the recomputed residual, gamma_n (||b|| + ||M|| ||x||)
+    at most. None when ``_CG_STEPS`` run out first."""
+    x = np.zeros_like(b)
+    r = b.copy()
+    p = r.copy()
+    rs = float(r @ r)
+    if rs == 0.0:
+        return x
+    for _ in range(_CG_STEPS):
+        q = apply(p)
+        a = rs / float(p @ q)
+        x += a * p
+        r -= a * q
+        target = (_CG_TOL * floor * np.linalg.norm(x)) ** 2
+        rs, previous = float(r @ r), rs
+        if rs <= target:
+            r = b - apply(x)
+            rs = float(r @ r)
+            if rs <= target:
+                return x
+        p = r + (rs / previous) * p
+    return None
+
+
 def eigendecompose(M: np.ndarray) -> Spectrum:
     """The :class:`Spectrum` of a symmetric matrix, refused beyond 1e-10
     asymmetry; the matrix is kept read-only, so the spectrum is shareable.
-    Its tridiagonal reduction, made on the first read, serves every
-    eigensolve of the package.
+    Its tridiagonal reduction, made on the first read, serves every read
+    of it.
 
     A bool or integer matrix is kept in its own dtype, as a read-only copy
     (an int8 graph takes 1 byte an entry, not 8): ``dsytrd`` casts it into

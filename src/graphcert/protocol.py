@@ -62,7 +62,7 @@ from .downstream import (
     quadratic_loss,
     threshold_snapshots,
 )
-from .linalg import Spectrum, _ritz_gap, weyl_gap_certificate
+from .linalg import KrylovSpectrum, Spectrum, _ritz_gap, weyl_gap_certificate
 from .io import from_json, spec_from_dict
 from .models import (
     AdjacencyMatrix,
@@ -267,6 +267,16 @@ def config_from_dict(d: dict) -> ProtocolConfig:
 
 _ROW_BLOCK = 128  # rows of V diag(w) V^T, or of P_hat, handled at a time
 
+KRYLOV_N0 = 1000
+"""The fewest nodes at which the observed spectrum is read by Krylov
+certificates (:class:`KrylovSpectrum`) rather than one Householder
+reduction, when no USVT route needs the reduction. On a 2-core host the
+reads a certify op makes (the k = 2 gap, basis, radius and Katz solve) of
+two-block graphs (0.3/0.1) took 16-22 ms against the reduction's 13-15 ms
+at n = 600, 21-27 against 23-24 ms at n = 800, 40-45 against 48-61 ms at
+n = 1000, 51-68 against 75-103 ms at n = 1200 and 127-172 against 337-383
+ms at n = 2000."""
+
 
 def _usvt_kept(S: Spectrum, threshold_scale: float) -> tuple[np.ndarray, np.ndarray]:
     """The pairs of A = ``S.matrix`` that USVT keeps, ascending: those with
@@ -423,10 +433,14 @@ PREREQUISITES = {
 def run_protocol(A: AdjacencyMatrix, config: ProtocolConfig) -> DiagnosticReport:
     """Execute the full certificate-gated pipeline on one observed graph.
 
-    The observed graph's spectrum is computed once, as one Householder
-    reduction that the gap proxy, the USVT route, the subspace region and
-    the centrality scores all read. The USVT route reads P_hat's gap from
-    A's kept pairs, and reduces P_hat only when that read is not certified.
+    The observed graph's spectrum is computed once and shared by the gap
+    proxy, the USVT route, the subspace region and the centrality scores:
+    from n = ``KRYLOV_N0`` on, unless a USVT route is configured, its k
+    largest pairs, the (k+1)-th value and the Katz solve are Krylov reads
+    certified without the reduction (:class:`KrylovSpectrum`), and any read
+    they cannot certify falls back to it; otherwise it is one Householder
+    reduction. The USVT route reads P_hat's gap from A's kept pairs, and
+    reduces P_hat only when that read is not certified.
     """
     n = A.n
     k = config.k
@@ -446,9 +460,9 @@ def run_protocol(A: AdjacencyMatrix, config: ProtocolConfig) -> DiagnosticReport
     outputs: dict = {}
     diagnostics: dict = {}
 
-    # observed spectrum, decomposed on first read (see Spectrum); A.A was
-    # checked symmetric where it entered, when A was built, and is read-only
-    S = Spectrum(A.A)
+    # observed spectrum, read on first need; A.A was checked symmetric and
+    # 0/1 where it entered, when A was built, and is read-only
+    S = KrylovSpectrum(A.A, k) if n >= KRYLOV_N0 and config.usvt is None else Spectrum(A.A)
 
     # D1: deviation quantile from the declared degree envelope
     d_max = config.envelope.d_max if config.envelope is not None else None

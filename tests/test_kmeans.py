@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphcert import NonFiniteRows, eigendecompose, sample_adjacency, two_block_sbm
-from graphcert.inference import KMEANS_RESTARTS, kmeans_labels
+from graphcert.inference import KMEANS_RESTARTS, _update_means, kmeans_labels
 
 
 def _squared_distances(rows, centers):
@@ -92,6 +92,43 @@ def _rows_and_k(draw):
 @example(case=(np.array([[0.0], [0.0], [0.1], [0.2], [0.2]]), 2))
 def test_kmeans_matches_restart_loop(case):
     _assert_same_labels(*case)
+
+
+def _means_loop(rows, labels, centers):
+    """The per-trajectory, per-cluster mean loop ``_update_means`` replaced."""
+    for t in range(labels.shape[0]):
+        for a in range(centers.shape[1]):
+            mask = labels[t] == a
+            if mask.any():
+                centers[t, a] = rows[mask].mean(axis=0)
+
+
+@st.composite
+def _means_case(draw):
+    n = draw(st.integers(1, 40))
+    k = draw(st.integers(1, 3))
+    K = draw(st.integers(2, 5))
+    T = draw(st.integers(1, 4))
+    real = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+    distinct = draw(st.lists(st.lists(real, min_size=k, max_size=k), min_size=1, max_size=n))
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=n, max_size=n))
+    rows = np.array([distinct[i] for i in picks], dtype=float)  # tied rows when picks repeat
+    labels = np.array(draw(st.lists(st.lists(st.integers(0, K - 1), min_size=n, max_size=n),
+                                    min_size=T, max_size=T)))
+    centers = np.array(draw(st.lists(real, min_size=T * K * k, max_size=T * K * k)))
+    return rows, labels, centers.reshape(T, K, k)
+
+
+@settings(max_examples=400)
+@given(_means_case())
+def test_update_means_matches_the_cluster_loop(case):
+    # the bincount sums give the loop's means bit for bit, empty clusters
+    # keep their centers, and one-column rows take the loop itself
+    rows, labels, centers = case
+    want = centers.copy()
+    _means_loop(rows, labels, want)
+    _update_means(rows, labels, centers)
+    assert centers.tobytes() == want.tobytes()
 
 
 def _embedding(n, seed, k):
