@@ -25,14 +25,16 @@ clips no entry, so the gap is the certified Rayleigh-Ritz read of the
 operator on the kept pairs; at n = 200 an entry clips, and
 ``usvt_one_kept_pair`` sets the threshold between the two outliers, so
 only lambda_1 is kept (k > p): both take the reduction of the
-materialized ``P_hat``. Two reports at n = 2000 (seed 1),
-``declared_katz_centers`` and ``parametric_eigenvector``, take the Krylov
-route of the observed spectrum (``KrylovSpectrum``, from
-``protocol.KRYLOV_N0`` nodes on when no USVT route is configured): a
-certified top-pair read, lambda_3 bracketed by one Cholesky, and Katz by
-conjugate gradients; the second also reduces its parametric P. Every other
-report is smaller than ``KRYLOV_N0`` or configures USVT, so its observed
-spectrum is the one Householder reduction. The corpus has 107 artifacts.
+materialized ``P_hat``. Every report at n = 600 that configures no USVT
+route, and two at n = 2000 (seed 1), ``declared_katz_centers`` and
+``parametric_eigenvector``, take the Krylov route of the observed spectrum
+(``KrylovSpectrum``, from ``protocol.KRYLOV_N0`` nodes on when no USVT
+route is configured): one Lanczos run, a certified top-pair read started
+at its Ritz vectors, lambda_{k+1} bracketed by one Cholesky, and Katz by
+conjugate gradients; a parametric config also reduces its
+parametric P. Every other report is smaller than ``KRYLOV_N0`` or
+configures USVT, so its observed spectrum is the one Householder
+reduction. The corpus has 107 artifacts.
 Two checkouts whose lines all agree write byte-identical results on it.
 An artifact's bytes are its report as ``report_to_json`` writes it: the
 standard library's JSON encoder, 2-space indent, each real in its shortest

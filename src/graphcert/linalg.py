@@ -3,8 +3,8 @@
 Provides the one spectrum of a symmetric matrix (a :class:`Spectrum`
 shared by every spectral consumer, read by subset solves from one
 Householder tridiagonal reduction, or for a 0/1 graph a
-:class:`KrylovSpectrum`, whose top pairs, gaps and resolvent are certified
-Krylov reads) with its canonical top-k basis, a certified block
+:class:`KrylovSpectrum`, whose top pairs and gaps are certified reads of
+one Lanczos run) with its canonical top-k basis, a certified block
 Rayleigh-Ritz read of an operator's top pairs, which also gives the gap of
 a low-rank matrix with its diagonal zeroed (no n x n matrix), the Grassmann (projector-norm)
 distance between subspaces, orthogonal Procrustes alignment, the Weyl-type
@@ -57,8 +57,7 @@ _RITZ_TOL = 1e-12   # its error bound on the gap, relative to max(1, theta_1)
 _TOP_STEPS = 60         # block steps for the k largest pairs
 _TOP_TOL = 1e-11        # their Kato-Temple errors, relative to max(1, theta_1)
 _TOP_ANGLE = 1e-11      # the angle within which each Ritz vector is proven
-_LANCZOS_STEPS = 200    # Lanczos steps for lambda_{k+1}
-_LANCZOS_TOL = 1e-11    # its estimated error, relative to max(1, theta_1)
+_LANCZOS_STEPS = 200    # Lanczos steps for the top pairs and lambda_{k+1}
 _LANCZOS_BLOCK = 32     # Lanczos vectors allocated at a time
 _BRACKET_RTOL = 5e-10   # how well every gap must be known, relative to it
 _CG_STEPS = 100         # conjugate gradient steps for the resolvent
@@ -354,18 +353,20 @@ class KrylovSpectrum(Spectrum):
     matrix, cast on the first read, with every product through scipy's
     BLAS, at O(n^2) a step (``dsymv`` reads F's upper triangle only):
 
+    - one Lanczos run on x -> F x (:func:`_lanczos_top`): the k + 2 largest
+      Ritz pairs (nu_i, y_i), once nu_{k+1}'s estimated error is within the
+      room, half the k-th gap's bracket budget less the Cholesky's shift;
     - lambda_1..lambda_k and their vectors: the block Rayleigh-Ritz read
-      :func:`_ritz_pairs` of X -> F X on k + 2 columns from a fixed start,
-      its values within ``_TOP_TOL`` max(1, theta_1) / 2 and its vectors
-      within an angle ``_TOP_ANGLE`` of eigenvectors;
+      :func:`_ritz_pairs` of X -> F X started at y_1..y_{k+2}, its values
+      within ``_TOP_TOL`` max(1, theta_1) / 2 and its vectors within an
+      angle ``_TOP_ANGLE`` of eigenvectors;
     - lambda_{k+1} from below: the (k+1)-th Ritz value of F on the k Ritz
-      vectors and the top Ritz vector y of a Lanczos run on the deflated
-      operator x -> F x - U (theta o U^T x) (:func:`_interlaced_floor`,
-      Cauchy interlacing); the report reads the Lanczos value itself;
+      vectors and y_{k+1} (:func:`_interlaced_floor`, Cauchy interlacing);
+      the report reads nu_{k+1} itself;
     - lambda_{k+1} from above: one Cholesky factorization of H = t I - F +
-      W W^T in F's lower triangle (:func:`_cholesky_bound`), W W^T
-      positive semidefinite of rank k, so that its success proves
-      lambda_{k+1} < t plus a stated rounding shift;
+      W W^T in F's lower triangle (:func:`_cholesky_bound`), W W^T positive
+      semidefinite of rank k and t = nu_{k+1} plus the room, so that its
+      success proves lambda_{k+1} < t plus a stated rounding shift;
     - the intervals of lambda_1..lambda_k are certified against that upper
       bound (:func:`_ritz_errors`, Krylov-Weinstein and Kato-Temple).
 
@@ -379,8 +380,8 @@ class KrylovSpectrum(Spectrum):
     gradients on I - beta F (:func:`_cg`), F being the strict upper
     triangle the Cholesky left and a zeroed diagonal. Any other read, and
     every read after a certificate fails, is the reduction's, made after F
-    is freed: at most one n x n float64 array is alive at a time. The start
-    blocks are fixed, so the same matrix gives the same bits in every
+    is freed: at most one n x n float64 array is alive at a time. The
+    Lanczos start is fixed, so the same matrix gives the same bits in every
     process.
     """
 
@@ -407,30 +408,32 @@ class KrylovSpectrum(Spectrum):
         # which the cast reads in order
         F = self.matrix.T.astype(float, order="F")
         norm = max(1.0, float(dgemv(1.0, F, np.ones(n)).max()))  # bounds ||F|| for F >= 0
-        start = np.random.default_rng(0).standard_normal((n, k + 2))
-        read = _ritz_pairs(lambda X: dgemm(1.0, F, X), start, k, k, None, norm,
+
+        def room(nu):  # half the k-th gap's budget left past the Cholesky's shift at nu_{k+1}
+            t, g = float(nu[k]), _gamma(n + 1)
+            shift = g / (1 - g) * (n * abs(t) + 2.0 * float(np.sum(nu[:k] - t)))  # tr(H) at t
+            return (_BRACKET_RTOL * float(nu[k - 1] - t) - shift) / 2
+
+        found = _lanczos_top(lambda x: dsymv(1.0, F, x),
+                             np.random.default_rng(1).standard_normal(n), k, _LANCZOS_STEPS, room)
+        if found is None:
+            return None
+        nu, Y = found
+        read = _ritz_pairs(lambda X: dgemm(1.0, F, X), Y, k, k, None, norm,
                            _TOP_STEPS, _TOP_TOL, _TOP_ANGLE)
         if read is None:
             return None
         theta, rho, _, U = read
-        tol = _LANCZOS_TOL * max(1.0, float(theta[0]))
-        found = _lanczos_top(
-            lambda x: dsymv(1.0, F, x) - dgemv(1.0, U, theta * dgemv(1.0, U, x, trans=1)),
-            np.random.default_rng(1).standard_normal(n), _LANCZOS_STEPS, tol,
-        )
-        if found is None:
-            return None
-        mu, y = found
-        lo = _interlaced_floor(F, U, y, norm)
+        lo = _interlaced_floor(F, U, Y[:, k], norm)
         # past this hi the k-th gap cannot be known within _BRACKET_RTOL
-        limit = lo + _BRACKET_RTOL * float(theta[-1] - mu)
-        hi = _cholesky_bound(F, U, theta, mu + tol, norm, limit)  # overwrites F's lower half
+        limit = lo + _BRACKET_RTOL * float(theta[-1] - nu[k])
+        hi = _cholesky_bound(F, U, theta, nu[k] + room(nu), norm, limit)  # writes F's lower half
         if hi is None:
             return None
         err = _ritz_errors(theta, rho, hi, _ritz_slack(n, k + 2, norm))
         if err is None:
             return None
-        values = np.append(theta, mu)
+        values = np.append(theta, nu[k])
         low, high = np.append(theta - err, lo), np.append(theta + err, hi)
         gap_lo, gap_hi = low[:-1] - high[1:], high[:-1] - low[1:]
         if not (np.all(gap_lo > 2.0 * 1e-9 * max(1.0, float(high[0])))
@@ -630,38 +633,44 @@ def _gamma(m: int) -> float:
     return m * u / (1 - m * u)
 
 
-def _lanczos_top(apply, v: np.ndarray, steps: int, tol: float):
-    """The largest Ritz pair ``(mu, y)`` of a symmetric operator after
-    Lanczos from v with full reorthogonalization (classical Gram-Schmidt,
-    twice), once its estimated error (beta_j s_j)^2 / (mu_1 - mu_2) is at
-    most tol, checked every 10 steps; None when ``steps`` run out first.
-    The estimate proves nothing: the caller brackets the value. The
-    vectors are kept in zero-filled blocks of ``_LANCZOS_BLOCK`` columns,
-    allocated as the run needs them."""
-    n, size = v.size, _LANCZOS_BLOCK
+def _lanczos_top(apply, v: np.ndarray, k: int, steps: int, room):
+    """The k + 2 largest Ritz pairs ``(nu, Y)`` (descending, vectors as
+    columns) of a symmetric operator by Lanczos from v, reorthogonalized in
+    full by classical Gram-Schmidt (twice when one pass removes over 30 % of
+    the norm), once nu_{k+1}'s estimated error (beta_j s_j)^2 / (its distance
+    to the nearest other nu_i) is at most ``room(nu)``, checked every 4
+    steps; None when ``steps`` run out first or ``dstemr`` fails. The
+    estimate proves nothing: the caller brackets the value. The vectors are
+    kept in blocks of ``_LANCZOS_BLOCK`` columns, allocated as needed."""
+    n, size, p = v.size, _LANCZOS_BLOCK, k + 2
     blocks, alpha, beta = [], [], []
-    q = v / np.linalg.norm(v)
+    q, previous = v / np.linalg.norm(v), 0.0
     for j in range(steps):
         if j % size == 0:
-            blocks.append(np.zeros((n, size), order="F"))
+            blocks.append(np.empty((n, size), order="F"))
         blocks[-1][:, j % size] = q
+        filled = blocks[:-1] + [blocks[-1][:, : j % size + 1]]
         w = apply(q)
         alpha.append(float(q @ w))
+        w -= alpha[j] * q + (beta[j - 1] if j else 0.0) * previous  # the three-term recurrence
         for _ in range(2):
-            for Q in blocks:  # columns not yet filled are zero and remove nothing
-                w -= dgemv(1.0, Q, dgemv(1.0, Q, w, trans=1))
+            before = np.linalg.norm(w)
+            w -= sum(dgemv(1.0, Q, dgemv(1.0, Q, w, trans=1)) for Q in filled)
+            if np.linalg.norm(w) > 0.7 * before:
+                break
         beta.append(float(np.linalg.norm(w)))
-        if j and ((j + 1) % 10 == 0 or beta[j] == 0.0):
-            mu, S = scipy.linalg.eigh_tridiagonal(np.array(alpha), np.array(beta[:j]),
-                                                  select="i", select_range=(j - 1, j))
-            if (beta[j] * S[-1, 1]) ** 2 <= tol * (mu[1] - mu[0]):
-                s = np.zeros(len(blocks) * size)
-                s[: j + 1] = S[:, 1]
-                y = sum(dgemv(1.0, Q, s[i * size : (i + 1) * size]) for i, Q in enumerate(blocks))
-                return float(mu[1]), y
+        if (j % 4 == 3 or beta[j] == 0.0) and j + 1 >= p:
+            _, nu, S, info = scipy.linalg.lapack.dstemr(  # the tridiagonal's p largest pairs
+                np.array(alpha), np.array(beta), 2, 0.0, 0.0, j + 2 - p, j + 1)
+            if info != 0:  # the caller falls back to the reduction
+                return None
+            nu, S = nu[:p][::-1], S[: j + 1, :p][:, ::-1]
+            if (beta[j] * S[-1, k]) ** 2 <= room(nu) * min(nu[k - 1] - nu[k], nu[k] - nu[k + 1]):
+                rows = np.split(S, range(size, j + 1, size))  # S's rows for each block
+                return nu, sum(dgemm(1.0, Q, R) for Q, R in zip(filled, rows))
         if beta[j] == 0.0:
             return None
-        q = w / beta[j]
+        previous, q = q, w / beta[j]
     return None
 
 

@@ -267,15 +267,15 @@ def config_from_dict(d: dict) -> ProtocolConfig:
 
 _ROW_BLOCK = 128  # rows of V diag(w) V^T, or of P_hat, handled at a time
 
-KRYLOV_N0 = 1000
+KRYLOV_N0 = 400
 """The fewest nodes at which the observed spectrum is read by Krylov
 certificates (:class:`KrylovSpectrum`) rather than one Householder
 reduction, when no USVT route needs the reduction. On a 2-core host the
 reads a certify op makes (the k = 2 gap, basis, radius and Katz solve) of
-two-block graphs (0.3/0.1) took 16-22 ms against the reduction's 13-15 ms
-at n = 600, 21-27 against 23-24 ms at n = 800, 40-45 against 48-61 ms at
-n = 1000, 51-68 against 75-103 ms at n = 1200 and 127-172 against 337-383
-ms at n = 2000."""
+two-block graphs (0.3/0.1; median over 8 graphs of each one's best of 3)
+took 3.5 against the reduction's 4.0 ms at n = 300 (less on 6 graphs), 4.6
+against 6.1 at 400, 7.4 against 13.1 at 600, 12.9 against 24.0 at 800, 23.9
+against 43.8 at 1000, 33.3 against 73.5 at 1200 and 99 against 338 at 2000."""
 
 
 def _usvt_kept(S: Spectrum, threshold_scale: float) -> tuple[np.ndarray, np.ndarray]:

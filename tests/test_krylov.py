@@ -182,6 +182,46 @@ def test_krylov_reads_hold_one_float64_copy(eig_calls):
     assert peak < 1.1 * n * n * 8
 
 
+@pytest.mark.parametrize("n", [protocol.KRYLOV_N0, 1000, 2000])
+def test_certified_reads_need_no_reduction_across_sizes(eig_calls, n):
+    # the Cholesky's margin above lambda_{k+1} comes from the k-th gap's
+    # bracket budget less its rounding shift, both of which scale with n: a
+    # fixed margin that serves n = 2000 overshoots the budget at small n
+    for seed in (3, 4):
+        S = KrylovSpectrum(sample_adjacency(two_block_sbm(n, 0.3, 0.1), seed).A, 2)
+        S.gap(2)
+        S.top_k(2)
+        assert S.radius > 0
+    assert eig_calls["reduction"] == 0
+
+
+def test_top_pairs_start_from_the_lanczos_ritz_vectors(monkeypatch, eig_calls):
+    # the block read starts from the Lanczos run's k + 2 largest Ritz
+    # vectors, so 2 block steps certify it at n = 2000; a random start block
+    # takes 16-22
+    monkeypatch.setattr(linalg, "_TOP_STEPS", 2)
+    S = KrylovSpectrum(sample_adjacency(two_block_sbm(2000, 0.3, 0.1), 5).A, 2)
+    S.top_k(2)
+    assert eig_calls["reduction"] == 0
+
+
+def test_cg_returns_only_what_its_recomputed_residual_proves():
+    # products rounded to float32: the recurrence residual still falls below
+    # the target, but b - M x stays near 1e-8 ||x||, so no x meets the bound
+    rng = np.random.default_rng(0)
+    n = 50
+    G = rng.normal(size=(n, n))
+    M = np.eye(n) + 0.2 * (G + G.T) / math.sqrt(n)
+    floor = float(np.linalg.eigvalsh(M)[0])
+    b = rng.normal(size=n)
+
+    def apply(v):
+        return (M @ v).astype(np.float32).astype(float)
+
+    x = linalg._cg(apply, b, floor)
+    assert x is None or np.linalg.norm(b - apply(x)) <= linalg._CG_TOL * floor * np.linalg.norm(x)
+
+
 def test_reads_beyond_the_certified_pairs_take_the_reduction(eig_calls):
     # top(m) past k, gap(k') past k and beyond() are the reduction's reads,
     # bit for bit; the certified pairs still serve top_k after it is made
