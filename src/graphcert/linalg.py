@@ -3,8 +3,8 @@
 Provides the one spectrum of a symmetric matrix (a :class:`Spectrum`
 shared by every spectral consumer, read by subset solves from one
 Householder tridiagonal reduction, or for a 0/1 graph a
-:class:`KrylovSpectrum`, whose top pairs and gaps are certified reads of
-one Lanczos run) with its canonical top-k basis, a certified block
+:class:`KrylovSpectrum`, whose top pairs, gaps and USVT kept pairs are
+certified reads of one Lanczos run) with its canonical top-k basis, a certified block
 Rayleigh-Ritz read of an operator's top pairs, which also gives the gap of
 a low-rank matrix with its diagonal zeroed (no n x n matrix), the Grassmann (projector-norm)
 distance between subspaces, orthogonal Procrustes alignment, the Weyl-type
@@ -376,20 +376,23 @@ class KrylovSpectrum(Spectrum):
     matrix by Perron-Frobenius) and known within ``_BRACKET_RTOL`` of its
     value. Then :meth:`gap` and :meth:`top_k` up to k and :meth:`top` up to
     m = k are served from it, the vectors signed by
-    :func:`_canonical_columns`, and :meth:`resolvent` is conjugate
-    gradients on I - beta F (:func:`_cg`), F being the strict upper
-    triangle the Cholesky left and a zeroed diagonal. Any other read, and
-    every read after a certificate fails, is the reduction's, made after F
-    is freed: at most one n x n float64 array is alive at a time. The
-    Lanczos start is fixed, so the same matrix gives the same bits in every
-    process.
+    :func:`_canonical_columns`; :meth:`beyond` is served when the certified
+    intervals decide which pairs are kept, at most k, and one more Cholesky,
+    of A + sigma I in F's lower triangle, proves that no eigenvalue lies at
+    or below -thr; and :meth:`resolvent` is conjugate gradients on I - beta
+    F (:func:`_cg`), F being the strict upper triangle the Cholesky left and
+    a zeroed diagonal. Any other read, and every read after a certificate
+    fails, is the reduction's, made after F is freed: at most one n x n
+    float64 array is alive at a time. The Lanczos start is fixed, so the
+    same matrix gives the same bits in every process.
     """
 
     def __init__(self, matrix: np.ndarray, k: int):
         super().__init__(matrix)
         self.k = k
-        self._read = None   # (values, lambda_1's upper bound, vectors), or False once failed
+        self._read = None   # (values, their lower and upper bounds, vectors), or False once failed
         self._upper = None  # F after a certified read: the matrix in its upper triangle
+        self._cleared = math.inf  # the least thr with lambda_min > -thr proven
 
     def _certified(self, m: int):
         """The certified read when it serves the m largest pairs, made on
@@ -410,8 +413,8 @@ class KrylovSpectrum(Spectrum):
         norm = max(1.0, float(dgemv(1.0, F, np.ones(n)).max()))  # bounds ||F|| for F >= 0
 
         def room(nu):  # half the k-th gap's budget left past the Cholesky's shift at nu_{k+1}
-            t, g = float(nu[k]), _gamma(n + 1)
-            shift = g / (1 - g) * (n * abs(t) + 2.0 * float(np.sum(nu[:k] - t)))  # tr(H) at t
+            t = float(nu[k])
+            shift = _rump_shift(n, n * abs(t) + 2.0 * float(np.sum(nu[:k] - t)))  # tr(H) at t
             return (_BRACKET_RTOL * float(nu[k - 1] - t) - shift) / 2
 
         found = _lanczos_top(lambda x: dsymv(1.0, F, x),
@@ -439,17 +442,17 @@ class KrylovSpectrum(Spectrum):
         if not (np.all(gap_lo > 2.0 * 1e-9 * max(1.0, float(high[0])))
                 and np.all(gap_hi - gap_lo <= _BRACKET_RTOL * gap_lo)):
             return None
-        values.setflags(write=False)
-        U.setflags(write=False)
+        for a in (values, low, high, U):
+            a.setflags(write=False)
         np.fill_diagonal(F, 0.0)  # the matrix's own diagonal, under the factor's
         self._upper = F
-        return values, float(high[0]), U
+        return values, low, high, U
 
     def top(self, m: int) -> tuple[np.ndarray, np.ndarray]:
         read = self._certified(m)
         if read is None:
             return super().top(m)
-        values, _, U = read
+        values, _, _, U = read
         return values[:m], U[:, :m]
 
     def gap(self, k: int) -> float:
@@ -464,8 +467,50 @@ class KrylovSpectrum(Spectrum):
         read = self._certified(k)
         if read is None:
             return super().top_k(k)
-        values, _, U = read
+        values, _, _, U = read
         return OrthonormalBasis(U=_canonical_columns(values[:k], U[:, :k], k, _tie_tol(values)))
+
+    def beyond(self, thr: float) -> tuple[np.ndarray, np.ndarray]:
+        """The first p certified pairs, ascending, when they are proven to be
+        all pairs with ``|lambda| >= thr``: each interval of lambda_1..
+        lambda_k lies on one side of thr, lambda_{k+1}'s upper bound below
+        it, and :meth:`_none_below` proves lambda_min > -thr. Otherwise, and
+        for thr <= 1 (an edge's 2 x 2 block puts lambda_min <= -1 by
+        interlacing), the reduction's read; a certified read this call made
+        is then dropped, so every read is the reduction's, bit for bit."""
+        fresh = self._read is None
+        read = self._certified(self.k) if thr > 1 else None
+        if read is not None:
+            values, low, high, U = read
+            if (high[-1] < thr and np.all((low >= thr) | (high < thr))
+                    and self._none_below(thr)):
+                p = int(np.count_nonzero(low >= thr))
+                return values[:p][::-1], U[:, :p][:, ::-1]
+        pairs = super().beyond(thr)  # a NaN or negative thr is refused here
+        if fresh:
+            self._read = False
+        return pairs
+
+    def _none_below(self, thr: float) -> bool:
+        """Whether lambda_min > -thr is proven: ``dpotrf`` factors A + sigma
+        I, sigma = thr - 1.01 ``_rump_shift(n, n thr)``, in F's lower
+        triangle, restored from the matrix a block of columns at a time; if
+        it completes, lambda_min(A) > -sigma - _rump_shift(n, n sigma) >
+        -thr. CG's strict upper triangle is kept and the diagonal zeroed
+        again. A proven thr serves every larger one; False once F is freed."""
+        if thr >= self._cleared:
+            return True
+        F, n = self._upper, self.n
+        if F is None:
+            return False
+        for j in range(0, n, 128):  # the matrix is symmetric: its rows j.. are its columns j..
+            F[j:, j : j + 128] = self.matrix[j : j + 128, j:].T
+        np.fill_diagonal(F, thr - 1.01 * _rump_shift(n, n * thr))
+        _, info = scipy.linalg.lapack.dpotrf(F, lower=1, clean=0, overwrite_a=1)
+        np.fill_diagonal(F, 0.0)
+        if info == 0:
+            self._cleared = thr
+        return info == 0
 
     def resolvent(self, beta: float, b: np.ndarray) -> np.ndarray:
         """(I - beta M)^{-1} b by conjugate gradients (:func:`_cg`) on the
@@ -474,7 +519,7 @@ class KrylovSpectrum(Spectrum):
         or when CG does not reach its tolerance, the reduction's solve,
         made after F is freed."""
         read = self._certified(1)
-        floor = 1.0 - beta * read[1] if read is not None else 0.0
+        floor = 1.0 - beta * read[2][0] if read is not None else 0.0
         F = self._upper
         if floor > 0 and F is not None:
             x = _cg(lambda v: v - beta * dsymv(1.0, F, v), np.array(b, dtype=float), floor)
@@ -633,15 +678,29 @@ def _gamma(m: int) -> float:
     return m * u / (1 - m * u)
 
 
+def _rump_shift(n: int, trace: float) -> float:
+    """gamma_{n+1} / (1 - gamma_{n+1}) trace: if ``dpotrf`` completes on an
+    n x n symmetric matrix of that trace, its factor is exact for the
+    matrix plus a perturbation of at most this 2-norm (Demmel's backward
+    error for Cholesky; Rump, Verification of positive definiteness, BIT
+    46, 2006), so the matrix's least eigenvalue is above minus it."""
+    g = _gamma(n + 1)
+    return g / (1 - g) * trace
+
+
 def _lanczos_top(apply, v: np.ndarray, k: int, steps: int, room):
     """The k + 2 largest Ritz pairs ``(nu, Y)`` (descending, vectors as
     columns) of a symmetric operator by Lanczos from v, reorthogonalized in
     full by classical Gram-Schmidt (twice when one pass removes over 30 % of
-    the norm), once nu_{k+1}'s estimated error (beta_j s_j)^2 / (its distance
-    to the nearest other nu_i) is at most ``room(nu)``, checked every 4
-    steps; None when ``steps`` run out first or ``dstemr`` fails. The
-    estimate proves nothing: the caller brackets the value. The vectors are
-    kept in blocks of ``_LANCZOS_BLOCK`` columns, allocated as needed."""
+    the norm), once nu_{k+1}'s estimated error (beta_j s_{j,k+1})^2 / (its
+    distance to the nearest other nu_i) is at most ``room(nu)``, checked
+    every 4 steps; None when ``steps`` run out first or ``dstemr`` fails.
+    The estimate proves nothing: the caller brackets the value. The vectors
+    are kept in blocks of ``_LANCZOS_BLOCK`` columns, allocated as needed.
+    ``room`` must fall as nu_{k+1} > 0 rises and rise with no nu_i but nu_k,
+    more slowly: Ritz values only rise, so a room <= 0 at nu_{k+1} > 0 with
+    nu_1..nu_k converged (estimated errors within |room|) cannot recover,
+    and None is returned at once."""
     n, size, p = v.size, _LANCZOS_BLOCK, k + 2
     blocks, alpha, beta = [], [], []
     q, previous = v / np.linalg.norm(v), 0.0
@@ -665,9 +724,13 @@ def _lanczos_top(apply, v: np.ndarray, k: int, steps: int, room):
             if info != 0:  # the caller falls back to the reduction
                 return None
             nu, S = nu[:p][::-1], S[: j + 1, :p][:, ::-1]
-            if (beta[j] * S[-1, k]) ** 2 <= room(nu) * min(nu[k - 1] - nu[k], nu[k] - nu[k + 1]):
+            residual, gaps, slack = (beta[j] * S[-1]) ** 2, nu[:-1] - nu[1:], room(nu)
+            delta = np.minimum(np.append(np.inf, gaps), np.append(gaps, np.inf))  # to the nearest
+            if residual[k] <= slack * delta[k]:
                 rows = np.split(S, range(size, j + 1, size))  # S's rows for each block
                 return nu, sum(dgemm(1.0, Q, R) for Q, R in zip(filled, rows))
+            if slack <= 0 < nu[k] and np.all(residual[:k] <= -slack * delta[:k]):
+                return None
         if beta[j] == 0.0:
             return None
         previous, q = q, w / beta[j]
@@ -708,13 +771,10 @@ def _cholesky_bound(F: np.ndarray, U: np.ndarray, theta: np.ndarray, t: float, n
     lambda_{k+1}(A) <= lambda_1(A - R). F becomes the lower triangle of the
     computed H = t I - A + R (``dsyrk`` and a diagonal add), which is within
     e = gamma_{k+2} (||W||_F^2 + ``norm``) + u max h_ii of H in 2-norm,
-    norm >= ||A||. If ``dpotrf`` then completes, the computed factor is
-    exact for H plus a perturbation of 2-norm at most s = gamma_{n+1} /
-    (1 - gamma_{n+1}) tr(H) (Demmel's backward error for Cholesky; Rump,
-    Verification of positive definiteness, BIT 46, 2006), so lambda_1(A -
-    R) <= t + s + e. That sum, rounded up by 1 % (which also covers Rump's
-    underflow term, below 1e-300 here), is returned; s is about 1.6e-8 at
-    n = 2000. A bound above ``limit`` is refused before the factorization,
+    norm >= ||A||. If ``dpotrf`` then completes, lambda_1(A - R) <= t + s +
+    e, s = ``_rump_shift(n, tr(H))``. That sum, rounded up by 1 % (which
+    also covers Rump's underflow term, below 1e-300 here), is returned; s
+    is about 1.6e-8 at n = 2000. A bound above ``limit`` is refused before the factorization,
     which costs the most: 39-49 ms at n = 2000."""
     n, k = U.shape
     c = 2.0 * (theta - t)
@@ -725,8 +785,7 @@ def _cholesky_bound(F: np.ndarray, U: np.ndarray, theta: np.ndarray, t: float, n
     diagonal = np.arange(n)
     H[diagonal, diagonal] += t
     d = H[diagonal, diagonal]
-    g = _gamma(n + 1)
-    shift = (g / (1 - g) * math.fsum(d)
+    shift = (_rump_shift(n, math.fsum(d))
              + _gamma(k + 2) * (float(np.sum(W * W)) + norm)
              + np.finfo(float).eps / 2 * float(d.max()))
     hi = t + 1.01 * shift + 2 * np.finfo(float).eps * abs(t)

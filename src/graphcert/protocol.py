@@ -270,7 +270,7 @@ _ROW_BLOCK = 128  # rows of V diag(w) V^T, or of P_hat, handled at a time
 KRYLOV_N0 = 400
 """The fewest nodes at which the observed spectrum is read by Krylov
 certificates (:class:`KrylovSpectrum`) rather than one Householder
-reduction, when no USVT route needs the reduction. On a 2-core host the
+reduction, the USVT route's kept pairs included. On a 2-core host the
 reads a certify op makes (the k = 2 gap, basis, radius and Katz solve) of
 two-block graphs (0.3/0.1; median over 8 graphs of each one's best of 3)
 took 3.5 against the reduction's 4.0 ms at n = 300 (less on 6 graphs), 4.6
@@ -435,12 +435,14 @@ def run_protocol(A: AdjacencyMatrix, config: ProtocolConfig) -> DiagnosticReport
 
     The observed graph's spectrum is computed once and shared by the gap
     proxy, the USVT route, the subspace region and the centrality scores:
-    from n = ``KRYLOV_N0`` on, unless a USVT route is configured, its k
-    largest pairs, the (k+1)-th value and the Katz solve are Krylov reads
-    certified without the reduction (:class:`KrylovSpectrum`), and any read
-    they cannot certify falls back to it; otherwise it is one Householder
-    reduction. The USVT route reads P_hat's gap from A's kept pairs, and
-    reduces P_hat only when that read is not certified.
+    from n = ``KRYLOV_N0`` on, its k largest pairs, the (k+1)-th value, the
+    USVT route's kept pairs (when they are at most k, with none at or below
+    -thr) and the Katz solve are Krylov reads certified without the
+    reduction (:class:`KrylovSpectrum`), and any read they cannot certify
+    falls back to it; below, it is one Householder reduction. The kept
+    pairs are read first, so a report whose kept pairs fall back is the
+    reduction route's throughout. The USVT route reads P_hat's gap from A's
+    kept pairs, and reduces P_hat only when that read is not certified.
     """
     n = A.n
     k = config.k
@@ -462,7 +464,7 @@ def run_protocol(A: AdjacencyMatrix, config: ProtocolConfig) -> DiagnosticReport
 
     # observed spectrum, read on first need; A.A was checked symmetric and
     # 0/1 where it entered, when A was built, and is read-only
-    S = KrylovSpectrum(A.A, k) if n >= KRYLOV_N0 and config.usvt is None else Spectrum(A.A)
+    S = KrylovSpectrum(A.A, k) if n >= KRYLOV_N0 else Spectrum(A.A)
 
     # D1: deviation quantile from the declared degree envelope
     d_max = config.envelope.d_max if config.envelope is not None else None
@@ -475,9 +477,6 @@ def run_protocol(A: AdjacencyMatrix, config: ProtocolConfig) -> DiagnosticReport
             d1 = Flag(False, f"declared d_max = {d_max!r}: {exc}")
     else:
         d1 = Flag(False, "no d_max declared")
-
-    # the gap proxy is diagnostic only, never a radius
-    proxy = S.gap(k)
 
     # D2: gap certificate (parametric > declared > usvt+weyl); the spectrum
     # S_P of the parametric P also feeds D3. P was checked when it was built,
@@ -510,6 +509,9 @@ def run_protocol(A: AdjacencyMatrix, config: ProtocolConfig) -> DiagnosticReport
             "eps_p": config.usvt.eps_p,
             "empirical_gap_of_denoised": gap_hat,
         }
+    # the gap proxy is diagnostic only, never a radius; read after the kept
+    # pairs, whose fallback then makes every read of S the reduction's
+    proxy = S.gap(k)
     if gap is not None and gap > 0:
         d2 = Flag(True, f"{gap_source} gap certificate = {gap!r}")
         if q is not None:

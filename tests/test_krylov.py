@@ -1,26 +1,31 @@
 """The Krylov route of the observed spectrum (``linalg.KrylovSpectrum``).
 
-``run_protocol`` takes it from ``protocol.KRYLOV_N0`` nodes on when no USVT
-route is configured; the tests lower that constant so the route runs on
-small graphs. A certified read must agree with the reduction within the
-results contract, and any read it cannot certify must give the reduction's
-report, byte for byte.
+``run_protocol`` takes it from ``protocol.KRYLOV_N0`` nodes on; the tests
+lower that constant so the route runs on small graphs. A certified read
+must agree with the reduction within the results contract, and any read it
+cannot certify must give the reduction's report, byte for byte.
 """
 
 import hashlib
+import importlib.util
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from graphcert import linalg, protocol
 from graphcert.linalg import KrylovSpectrum, eigendecompose
-from graphcert.models import AdjacencyMatrix, sample_adjacency, two_block_sbm, two_block_spectrum
-from graphcert.protocol import config_from_dict, run_protocol
+from graphcert.models import (AdjacencyMatrix, SBMSpec, build_probability_matrix,
+                              sample_adjacency, two_block_sbm, two_block_spectrum)
+from graphcert.protocol import _usvt_kept, config_from_dict, run_protocol
 
 from conftest import fresh_python
+
+CORPUS = Path(__file__).resolve().parent.parent / "scripts" / "report_digests.py"
 
 
 def _dense_doc(n):
@@ -46,6 +51,20 @@ def _krylov_report(monkeypatch, A, doc):
     with monkeypatch.context() as patch:
         patch.setattr(protocol, "KRYLOV_N0", 0)
         return run_protocol(A, config_from_dict(doc))
+
+
+@pytest.fixture()
+def factorizations(monkeypatch):
+    """A list that records each ``dpotrf`` call: the Cholesky that bounds
+    lambda_{k+1} and each one that clears the negative side of beyond()."""
+    calls, original = [], scipy.linalg.lapack.dpotrf
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", counted)
+    return calls
 
 
 def _close(a, b, rtol):
@@ -135,21 +154,36 @@ def _cliques(count, size, extra=0):
     return np.pad(A, (0, extra))
 
 
+def _sbm(n, B, seed):
+    """A graph of len(B) equal blocks with block probabilities B."""
+    spec = SBMSpec(labels=np.arange(n) * len(B) // n, B=B)
+    return sample_adjacency(build_probability_matrix(spec), seed)
+
+
+def _signed_sbm(n, seed):
+    """A three-block graph whose B has signature (2, 1): outliers near 0.2 n
+    and 0.15 n, and one near -0.15 n, below the USVT threshold's negative."""
+    return _sbm(n, [[0.5, 0.05, 0.05], [0.05, 0.05, 0.5], [0.05, 0.5, 0.05]], seed)
+
+
 @pytest.mark.parametrize("case", ["tie", "no_block_steps", "no_lanczos_steps", "usvt"])
-def test_uncertified_reads_give_the_reduction_report(monkeypatch, eig_calls, case):
+def test_uncertified_reads_give_the_reduction_report(monkeypatch, eig_calls, factorizations,
+                                                     case):
     # a planted tie lambda_2 = lambda_3, a step budget of 0 and a USVT config
-    # (which needs the reduction) all take the reduction: the report is the
-    # reduction route's, byte for byte
+    # on a graph with a kept pair below -thr (the kept pairs are read first,
+    # and their fallback drops the certified read) all take the reduction:
+    # the report is the reduction route's, byte for byte
     n = 200
     doc = _dense_doc(n)
     if case == "tie":
         A = AdjacencyMatrix(n=n, A=_cliques(3, 40, n - 120))
         doc["centrality"]["beta"] = 0.01
-    else:
-        A = sample_adjacency(two_block_sbm(n, 0.3, 0.1), 1)
-    if case == "usvt":
+    elif case == "usvt":
+        A = _signed_sbm(n, 1)
         doc["usvt"] = {"eps_p": 1.0}
         del doc["envelope"]["gap"]
+    else:
+        A = sample_adjacency(two_block_sbm(n, 0.3, 0.1), 1)
     want = run_protocol(A, config_from_dict(doc)).to_json()
     reductions = eig_calls["reduction"]
     if case == "no_block_steps":
@@ -158,13 +192,16 @@ def test_uncertified_reads_give_the_reduction_report(monkeypatch, eig_calls, cas
         monkeypatch.setattr(linalg, "_LANCZOS_STEPS", 0)
     got = _krylov_report(monkeypatch, A, doc).to_json()
     assert eig_calls["reduction"] == 2 * reductions
+    if case == "usvt":  # the top pairs were certified: the negative side sent it back
+        assert len(factorizations) == 2
     assert got == want
 
 
 def test_krylov_reads_hold_one_float64_copy(eig_calls):
-    # the reads of a certify op trace less than 1.1 n^2 float64 entries at
-    # their peak, with no reduction: the Cholesky overwrites F, and the
-    # resolvent casts a new one after the first is freed
+    # the reads of a certify op, USVT's kept pairs among them, trace less
+    # than 1.1 n^2 float64 entries at their peak, with no reduction: both
+    # Cholesky factorizations overwrite F's lower triangle, the second
+    # after restoring it from the matrix, and the resolvent reads F's upper
     n = 2000
     A = sample_adjacency(two_block_sbm(n, 0.3, 0.1), 0).A
     beta = 1.0 / (4.0 * n * 0.2)
@@ -172,8 +209,11 @@ def test_krylov_reads_hold_one_float64_copy(eig_calls):
     tracemalloc.start()
     try:
         S = KrylovSpectrum(A, 2)
+        _usvt_kept(S, 2.02)
         S.gap(2)
         S.top_k(2)
+        S.top(1)
+        S.gap(1)
         S.resolvent(beta, b)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -203,6 +243,26 @@ def test_top_pairs_start_from_the_lanczos_ritz_vectors(monkeypatch, eig_calls):
     S = KrylovSpectrum(sample_adjacency(two_block_sbm(2000, 0.3, 0.1), 5).A, 2)
     S.top_k(2)
     assert eig_calls["reduction"] == 0
+
+
+def test_lanczos_stops_once_the_room_cannot_recover(monkeypatch, eig_calls):
+    # three equal blocks split lambda_2 from lambda_3 by 0.42 at n = 600 (seed 0),
+    # so the k = 2 gap's bracket budget is below the Cholesky's shift: the
+    # run stops as soon as nu_1 and nu_2 have converged, not after all
+    # _LANCZOS_STEPS, and the reads are the reduction's
+    steps = []
+
+    def counted(*args, **kwargs):
+        steps.append(1)
+        return dsymv(*args, **kwargs)
+
+    dsymv = linalg.dsymv
+    monkeypatch.setattr(linalg, "dsymv", counted)
+    A = _sbm(600, [[0.3, 0.1, 0.1], [0.1, 0.3, 0.1], [0.1, 0.1, 0.3]], 0).A
+    S = KrylovSpectrum(A, 2)
+    assert S.gap(2) == eigendecompose(A).gap(2)
+    assert eig_calls["reduction"] == 2
+    assert len(steps) <= 40
 
 
 def test_cg_returns_only_what_its_recomputed_residual_proves():
@@ -288,3 +348,92 @@ def test_krylov_reports_repeat_in_fresh_processes(monkeypatch):
         run = fresh_python("-c", _REPORT_SCRIPT, json.dumps(doc))
         assert run.returncode == 0, run.stderr
         assert run.stdout.strip() == here
+
+
+def _same_bits(got, want):
+    return all(g.tobytes() == h.tobytes() and g.shape == h.shape for g, h in zip(got, want))
+
+
+def _one_kept_pair_scale(n):
+    """The threshold scale of the corpus's ``usvt_one_kept_pair`` config:
+    midway between the population's two outliers."""
+    spec = two_block_spectrum(n, 0.3, 0.1)
+    return (spec.lam1 + spec.lam2) / 2.0 / math.sqrt(spec.lam1)
+
+
+@pytest.mark.parametrize("n", [400, 600, 1000])
+@pytest.mark.parametrize("kept", ["usvt", "one_kept_pair"])
+def test_beyond_agrees_with_the_reduction(eig_calls, factorizations, n, kept):
+    # the kept pairs at the USVT threshold, or at the one-kept-pair one, are
+    # the certified pairs: the reduction's count, values within 1e-12 and the
+    # kept projector within 1e-10; no reduction, and one Cholesky clears the
+    # negative side, which a second read does not repeat
+    scale = 2.02 if kept == "usvt" else _one_kept_pair_scale(n)
+    A = sample_adjacency(two_block_sbm(n, 0.3, 0.1), 7).A
+    S = KrylovSpectrum(A, 2)
+    w, V = _usvt_kept(S, scale)
+    assert _same_bits(_usvt_kept(S, scale), (w, V))
+    assert eig_calls["reduction"] == 0 and len(factorizations) == 2
+    want_w, want_V = _usvt_kept(eigendecompose(A), scale)
+    assert w.size == want_w.size == (2 if kept == "usvt" else 1)
+    assert _close(w, want_w, 1e-12)
+    assert np.max(np.abs(V @ V.T - want_V @ want_V.T)) <= 1e-10
+
+
+def test_beyond_with_a_negative_outlier_is_the_reductions(eig_calls, factorizations):
+    # lambda_1 and lambda_2 are certified above thr and lambda_3 below it, but
+    # lambda_min lies below -thr: the Cholesky of A + sigma I fails, and the
+    # read is the reduction's, bit for bit, with the negative pair in it
+    n = 600
+    A = _signed_sbm(n, 1).A
+    thr = 2.02 * math.sqrt(float(A.sum()) / (n - 1))
+    S, R = KrylovSpectrum(A, 2), eigendecompose(A)
+    basis = S.top_k(2)
+    got, want = S.beyond(thr), R.beyond(thr)
+    assert len(factorizations) == 2
+    assert want[0].size == 3 and want[0][0] <= -thr
+    assert _same_bits(got, want)
+    assert S.top_k(2).U.tobytes() == basis.U.tobytes()  # served before, still served
+
+
+@pytest.mark.parametrize("where", ["below_lambda_k_plus_1", "zero"])
+def test_beyond_past_the_certified_pairs_is_the_reductions(eig_calls, factorizations, where):
+    # a threshold below lambda_3 keeps more than k pairs, and thr = 0 keeps
+    # them all: no Cholesky for the negative side, and the reduction's bits
+    A = sample_adjacency(two_block_sbm(600, 0.3, 0.1), 1).A
+    R = eigendecompose(A)
+    thr = 0.9 * float(R.top(3)[0][2]) if where == "below_lambda_k_plus_1" else 0.0
+    S = KrylovSpectrum(A, 2)
+    S.gap(2)
+    assert _same_bits(S.beyond(thr), R.beyond(thr))
+    assert len(factorizations) == 1
+
+
+def _corpus():
+    spec = importlib.util.spec_from_file_location("report_digests", CORPUS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_cli_usvt_report_makes_no_reduction(eig_calls, factorizations, tmp_path):
+    # graphcert certify on the corpus's n = 600 USVT config: the kept pairs
+    # come from the Krylov read, the clip-free gap from the operator read,
+    # so no dsytrd is made; one Cholesky bounds lambda_3, one clears -thr
+    corpus = _corpus()
+    doc = corpus._report_configs(600)["usvt_eigenvector_kmeans"]
+    A = sample_adjacency(two_block_sbm(600, corpus.P_IN, corpus.P_OUT), 1)
+    corpus._cli_report(tmp_path, "usvt", doc, corpus._edge_list(A))
+    assert eig_calls["reduction"] == 0
+    assert len(factorizations) == 2
+
+
+def test_one_kept_pair_reduces_only_p_hat(eig_calls, factorizations):
+    # k = 2 > p = 1: P_hat is materialized and reduced, and usvt_denoise's
+    # second read of the kept pairs reuses the proven negative side
+    n = 600
+    doc = _corpus()._report_configs(n)["usvt_one_kept_pair"]
+    run_protocol(sample_adjacency(two_block_sbm(n, 0.3, 0.1), 1), config_from_dict(doc))
+    assert eig_calls["reduction"] == 1
+    assert factorizations == [(n, n), (n, n)]
+

@@ -23,8 +23,9 @@ from graphcert import (
     two_block_sbm,
     usvt_denoise,
 )
-from graphcert import linalg
+from graphcert import linalg, protocol
 from graphcert.io import to_json
+from graphcert.linalg import KrylovSpectrum
 from graphcert.models import DCSBMSpec, Envelope
 from graphcert.protocol import (
     CentralityConfig,
@@ -257,16 +258,18 @@ def test_clip_check_skips_the_diagonal():
     assert _clip_free(w, V)
 
 
-@pytest.mark.parametrize("n,seed,reduction", [(600, 1, 1), (200, 1, 2)])
+@pytest.mark.parametrize("n,seed,reduction", [(600, 1, 0), (200, 1, 2)])
 def test_usvt_gap_reads_the_operator_unless_an_entry_clips(eig_calls, n, seed, reduction):
-    # the n = 600 corpus graph clips no entry: A's reduction is the only one,
-    # and the clip check and the read make no n x n array; the n = 200 one
-    # (min entry -0.051) clips, so P_hat is materialized and reduced
+    # the n = 600 corpus graph clips no entry: its kept pairs are the Krylov
+    # route's, so no reduction is made, and the clip check and the read make
+    # no n x n array; the n = 200 one (min entry -0.051) clips, so P_hat is
+    # materialized and reduced, beside A's reduction
     A = sample_adjacency(two_block_sbm(n, 0.3, 0.1), seed)
     doc = {"k": 2, "usvt": {"threshold_scale": 2.02, "eps_p": n / 100.0}}
     got = run_protocol(A, config_from_dict(doc)).diagnostics["usvt"]["empirical_gap_of_denoised"]
     assert eig_calls["reduction"] == reduction
-    S = eigendecompose(A.A)
+    # the spectrum run_protocol reads, so the kept pairs are the same bits
+    S = KrylovSpectrum(A.A, 2) if n >= protocol.KRYLOV_N0 else eigendecompose(A.A)
     w, V = _usvt_kept(S, 2.02)
     tracemalloc.start()
     try:
@@ -276,7 +279,7 @@ def test_usvt_gap_reads_the_operator_unless_an_entry_clips(eig_calls, n, seed, r
     finally:
         tracemalloc.stop()
     assert peak < n * n * 8
-    assert clip_free == (reduction == 1)
+    assert clip_free == (reduction == 0)
     if clip_free:
         assert read == got
     P_hat = eigendecompose(usvt_denoise(S, 2.02))

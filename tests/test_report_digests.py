@@ -138,16 +138,20 @@ def test_one_blas_thread_keeps_the_results_contract(digests, tmp_path):
     ``OPENBLAS_NUM_THREADS=1`` and in this one at the default thread count;
     the checker's compare finds no moved leaf between them.
 
-    With one thread, 38 of the corpus's 105 artifacts move, and 28 of those
-    keep the contract. The other 10 break it only through computed reals
+    With one thread, 40 of the corpus's 107 artifacts move, and 27 of those
+    keep the contract. The other 13 break it only through computed reals
     printed inside the ``flags.D2`` and ``flags.D3`` provenance strings
-    (and the refusal detail that repeats D3's):
+    and the refusal details (the spectral radius, or D3's repeated):
     ``report/n600/seed{1,2}/parametric_katz_no_c_row``,
     ``report/n600/seed{1,2}/parametric_eigenvector``,
     ``report/n600/seed{1,2}/katz_parametric_outside_domain``,
-    ``report/n600/seed{1,2}/usvt_eigenvector_kmeans`` and
-    ``cli/n600/seed{1,2}/usvt_eigenvector_kmeans``. They wait for the
-    "reals out of free text" part of ROADMAP item 17 and are not run here.
+    ``report/n600/seed{1,2}/katz_refused_at_observation``,
+    ``report/n600/seed{1,2}/usvt_eigenvector_kmeans``,
+    ``cli/n600/seed{1,2}/usvt_eigenvector_kmeans`` and
+    ``report/n2000/seed1/parametric_eigenvector``. The same 40 and 13 move
+    whether the n = 600 USVT reports read their kept pairs from the Krylov
+    route or from the reduction. They wait for the "reals out of free
+    text" part of ROADMAP item 17 and are not run here.
     """
     digests.dump(tmp_path / "default", guarded_artifacts(digests))
     child = fresh_python("-c", _CHILD, str(SCRIPT), str(tmp_path / "one_thread"),
